@@ -72,7 +72,6 @@ class MachineState:
         self.epcr = 0
         self.spr = {}                   # open-ended supervisor scratch SPRs
         self.super_written = set()      # real regs written while supervisor
-        self.shadow_reads = 0           # containment instrumentation
         if mode is Mode.USER:
             self._map_in(range(32))
 
@@ -112,7 +111,6 @@ class MachineState:
     def read_shadow(self, i):
         if self.mode is not Mode.USER:
             raise ShadowLeak("shadow r%d read in supervisor mode" % i)
-        self.shadow_reads += 1
         return 0 if i == 0 else self.shadow[i]
 
     def read_operand(self, i):

@@ -41,6 +41,16 @@ def _parse_key(text):
     return key
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("%r is not an integer" % text) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be positive, not %d" % value)
+    return value
+
+
 def _pct(part, whole):
     return 100.0 * part / whole if whole else 0.0
 
@@ -112,8 +122,8 @@ def _build_parser():
                      help="print per-cycle pipeline occupancy")
     run.add_argument("--max-cycles", type=int, default=5_000_000)
     run.add_argument("--user-words", type=int, default=None)
-    run.add_argument("--cache-entries", type=int, default=None)
-    run.add_argument("--bpb-entries", type=int, default=64)
+    run.add_argument("--cache-entries", type=_positive_int, default=None)
+    run.add_argument("--bpb-entries", type=_positive_int, default=64)
 
     orc = sub.add_parser("oracle", help="run the flat reference interpreter")
     orc.add_argument("image")
@@ -138,6 +148,16 @@ def _read(path):
         return None
 
 
+def _write(path, text, command):
+    try:
+        with open(path, "w") as handle:
+            handle.write(text)
+    except OSError as exc:
+        print("kpu %s: %s" % (command, exc), file=sys.stderr)
+        return False
+    return True
+
+
 def _cmd_asm(args):
     source = _read(args.source)
     if source is None:
@@ -151,9 +171,7 @@ def _cmd_asm(args):
     if diagnostics and not args.quiet:
         for diag in diagnostics:
             print("kpu asm: warning: %s" % diag, file=sys.stderr)
-    with open(args.output, "w") as handle:
-        handle.write(write_image(image))
-    return 0
+    return 0 if _write(args.output, write_image(image), "asm") else 2
 
 
 def _cmd_run(args):
@@ -180,14 +198,13 @@ def _cmd_run(args):
     for value in engine.outputs:
         print(value)
     table = render_stats(engine)
-    if args.stats:
-        with open(args.stats, "w") as handle:
-            handle.write(table)
-    else:
+    if not args.stats:
         sys.stderr.write(table)
-    if args.dump:
-        with open(args.dump, "w") as handle:
-            handle.write(render_dump(engine_view(engine)))
+    elif not _write(args.stats, table, "run"):
+        return 2
+    if args.dump and not _write(args.dump, render_dump(engine_view(engine)),
+                                "run"):
+        return 2
     return 0
 
 

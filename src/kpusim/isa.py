@@ -1,9 +1,15 @@
-"""Instruction set: encoding table, decode/encode, classification.
+"""Instruction set: encoding table, decode/encode, and the decode-side
+rules both executors share.
 
 Every instruction is one 32-bit word with the opcode in bits [31:26].
 Fields that the table does not assign must be zero; any word that violates
 that, or names an unassigned opcode/sub-operation, raises IllegalOpcode so
 that decoding is total over the 32-bit space.
+
+The pipeline and the reference interpreter read the same predecoded text
+table, the same immediate-to-ALU mapping, the same prefix latch and the
+same user-mode legality rule from here, so the two can differ only in how
+they execute.
 """
 
 from dataclasses import dataclass
@@ -26,6 +32,10 @@ class IllegalOpcode(Exception):
 
 class OperandOutOfRange(Exception):
     """Operand does not fit its encoding field."""
+
+
+class MissingPrefix(Exception):
+    """Immediate-class instruction arrived in user mode with no full latch."""
 
 
 class InstrClass(Enum):
@@ -93,6 +103,12 @@ C64_NAMES = {C64_LD: "l.ld", C64_SD: "l.sd", C64_ADD: "l.add64"}
 
 IMM_SIGNED_OPS = {OP_ADDI, OP_MULI, OP_XORI}
 IMM_UNSIGNED_OPS = {OP_ANDI, OP_ORI}
+
+# ALU operation of each immediate-class mnemonic, as an ALU_* funct code.
+IMM_ALU_OP = {
+    "l.addi": ALU_ADD, "l.andi": ALU_AND, "l.ori": ALU_OR, "l.xori": ALU_XOR,
+    "l.muli": ALU_MUL, "l.slli": ALU_SLL, "l.srli": ALU_SRL, "l.srai": ALU_SRA,
+}
 
 
 @dataclass(frozen=True)
@@ -302,9 +318,56 @@ def encode(instr):
     raise OperandOutOfRange("cannot encode opcode 0x%02x" % op)
 
 
-def classify(word):
-    """InstrClass of a word (decodes internally)."""
-    return decode(word).cls
+def predecode(text):
+    """Decode a text image once: {pc: (word, Instruction)}, with None in
+    place of the Instruction for a word that does not decode."""
+    table = {}
+    for pc, word in text.items():
+        try:
+            table[pc] = (word, decode(word))
+        except IllegalOpcode:
+            table[pc] = (word, None)
+    return table
+
+
+def user_illegal(instr):
+    """True for an instruction user mode may not execute."""
+    return instr.cls is InstrClass.CLASS64 or instr.mnemonic == "l.rfe"
+
+
+class PrefixLatch:
+    """Decode-side latch holding the two prefix payloads of a 64-bit
+    encrypted immediate until the immediate-class instruction arrives."""
+
+    def __init__(self):
+        self.p0 = None
+        self.p1 = None
+
+    def clear(self):
+        self.p0 = None
+        self.p1 = None
+
+    def feed(self, idx, payload):
+        if idx == 0:
+            self.p0 = payload
+            self.p1 = None
+        elif self.p0 is not None and self.p1 is None:
+            self.p1 = payload
+        else:
+            self.clear()
+
+    @property
+    def full(self):
+        return self.p0 is not None and self.p1 is not None
+
+
+def consume_prefixes(latch, imm16):
+    """Reassemble the 64-bit encrypted immediate and clear the latch."""
+    if not latch.full:
+        raise MissingPrefix("immediate-class instruction without prefix pair")
+    value = (latch.p0 << 40) | (latch.p1 << 16) | (imm16 & 0xFFFF)
+    latch.clear()
+    return value
 
 
 def format_instruction(instr):

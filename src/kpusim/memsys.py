@@ -31,18 +31,6 @@ class OutOfRegion(Exception):
     """Address beyond the supervisor region and the user range."""
 
 
-class CacheHit:
-    pass
-
-
-class CacheMiss:
-    pass
-
-
-class MemoryDecrypt:
-    """Load was served by decrypting a memory cell (cache did not hold it)."""
-
-
 class TlbMap:
     """Cipher address -> physical word index, first-come first-served."""
 
@@ -94,7 +82,9 @@ class UserDataCache:
         return line
 
     def store(self, ea_block, value_block):
-        if ea_block in self.lines:
+        """Write the line; returns True on a write hit."""
+        hit = ea_block in self.lines
+        if hit:
             self.write_hits += 1
             self.lines.move_to_end(ea_block)
         else:
@@ -102,6 +92,7 @@ class UserDataCache:
             if len(self.lines) >= self.capacity:
                 self.lines.popitem(last=False)
         self.lines[ea_block] = value_block
+        return hit
 
 
 class MemorySystem:
@@ -144,48 +135,19 @@ class MemorySystem:
     # --------------------------------------------------------------- user --
 
     def user_load(self, ea_block):
-        """Load through the cache; returns (value block, source class)."""
+        """Load through the cache; returns (value block, cache hit)."""
         cached = self.cache.load(ea_block)
         if cached is not None:
-            return cached, CacheHit
+            return cached, True
         cipher = self.codec.encrypt(ea_block)
         index = self.tlb.translate(cipher)
-        return self.codec.decrypt(self.read_cell(index)), MemoryDecrypt
+        return self.codec.decrypt(self.read_cell(index)), False
 
     def user_store(self, ea_block, value_block):
-        """Write-through: plaintext to the cache, ciphertext to the cell."""
-        self.cache.store(ea_block, value_block)
+        """Write-through: plaintext to the cache, ciphertext to the cell.
+        Returns True on a cache write hit."""
+        hit = self.cache.store(ea_block, value_block)
         cipher = self.codec.encrypt(ea_block)
         index = self.tlb.translate(cipher)
         self.write_cell(index, self.codec.encrypt(value_block))
-
-    # --------------------------------------------------------------- dump --
-
-    def dump(self):
-        """Deterministic text image of cells and the translation map."""
-        lines = []
-        for index in sorted(self.cells):
-            value = self.cells[index]
-            if value:
-                lines.append("PHYS %d %016x" % (index, value))
-        for cipher, index in sorted(self.tlb.entries.items(), key=lambda kv: kv[1]):
-            lines.append("TLBMAP %016x %d" % (cipher, index))
-        return "\n".join(lines) + ("\n" if lines else "")
-
-
-def parse_dump(text):
-    """Inverse of MemorySystem.dump: (cells dict, tlb entries dict)."""
-    cells = {}
-    tlb = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "PHYS" and len(parts) == 3:
-            cells[int(parts[1])] = int(parts[2], 16)
-        elif parts[0] == "TLBMAP" and len(parts) == 3:
-            tlb[int(parts[1], 16)] = int(parts[2])
-        else:
-            raise ValueError("bad dump line %d: %r" % (lineno, raw))
-    return cells, tlb
+        return hit

@@ -3,10 +3,13 @@
 The interpreter executes an image one instruction at a time over plain
 32-bit registers, 32-bit logical user memory and 64-bit supervisor cells.
 No pipeline, no padding, no ciphertext: it is the answer key the encrypted
-machine is checked against. It still mirrors every architectural rule that
-shows through to results: the prefix latch protocol, trap entry and return,
-mode containment of special registers, flag conventions, and the quirk that
-an unwritten user cell reads back as the decryption of an all-zero block.
+machine is checked against. It shares the ISA layer (predecoded text, the
+prefix latch, the immediate-to-ALU table, the user-mode legality rule) and
+the ALU with the machine, never the pipeline's execute path, and mirrors
+every other architectural rule that shows through to results: trap entry
+and return, mode containment of special registers, and the quirk that an
+unwritten user cell reads back as the decryption of an all-zero block.
+The machine's dump format (render_dump/parse_sim_dump) lives here too.
 
 compare() translates a finished machine into this flat domain and diffs:
 registers by their 32-bit values, user memory by logical address (detecting
@@ -20,15 +23,8 @@ from . import alu, isa
 from .codec import MASK32, word_value
 from .core import (Mode, SPR_CONFIG, SPR_EPCR, SPR_SR, USER_READABLE_SPRS,
                    VEC_ILLEGAL, VEC_SYSCALL, pack_sr, unpack_sr)
-from .isa import InstrClass
+from .isa import InstrClass, MissingPrefix, PrefixLatch, consume_prefixes
 from .memsys import SUPER_REGION_BYTES, OutOfRegion, UnalignedSupervisorAccess
-
-_IMM_ALU_OP = {
-    isa.OP_ADDI: alu.OP_ADD, isa.OP_ANDI: alu.OP_AND, isa.OP_ORI: alu.OP_OR,
-    isa.OP_XORI: alu.OP_XOR, isa.OP_MULI: alu.OP_MUL,
-}
-_SHIFT_ALU_OP = {isa.SHIFT_SLL: alu.OP_SLL, isa.SHIFT_SRL: alu.OP_SRL,
-                 isa.SHIFT_SRA: alu.OP_SRA}
 
 
 class MaxStepsExceeded(Exception):
@@ -62,7 +58,7 @@ class Interpreter:
         # an rfe with no preceding trap drops to user mode with clean flags
         self.esr = (Mode.USER, {"f": False, "cy": False, "ov": False})
         self.spr = {SPR_CONFIG: 0x4B505531}
-        self.text = dict(image.text)
+        self.text = isa.predecode(image.text)
         self.user_mem = {}
         self.super_cells = {}
         for addr, value in image.data.items():
@@ -70,8 +66,7 @@ class Interpreter:
         self.outputs = []
         self.steps = 0
         self.halted = False
-        self.p0 = None
-        self.p1 = None
+        self.latch = PrefixLatch()
         # what the encrypted machine reads from a never-written cell
         self.blank = word_value(cdc.decrypt(0))
 
@@ -97,7 +92,7 @@ class Interpreter:
         self.flags = {"f": False, "cy": False, "ov": False}
         self.mode = Mode.SUPERVISOR
         self.pc = vector
-        self.p0 = self.p1 = None
+        self.latch.clear()
 
     def _read_spr(self, index):
         if self.mode is Mode.USER:
@@ -124,27 +119,16 @@ class Interpreter:
 
     def step(self):
         pc = self.pc
-        word = self.text.get(pc)
-        if word is None:
-            self.steps += 1
-            self._trap(VEC_ILLEGAL, pc)
-            return
-        try:
-            ins = isa.decode(word)
-        except isa.IllegalOpcode:
-            self.steps += 1
-            self._trap(VEC_ILLEGAL, pc)
-            return
+        word, ins = self.text.get(pc, (None, None))
         user = self.mode is Mode.USER
+        if ins is None or (user and isa.user_illegal(ins)):
+            self.steps += 1
+            self._trap(VEC_ILLEGAL, pc)
+            return
 
         if ins.cls is InstrClass.PREFIX:
             # merged into the immediate they precede, not a step of their own
-            if ins.prefix_idx == 0:
-                self.p0, self.p1 = ins.prefix_payload, None
-            elif self.p0 is not None and self.p1 is None:
-                self.p1 = ins.prefix_payload
-            else:
-                self.p0 = self.p1 = None
+            self.latch.feed(ins.prefix_idx, ins.prefix_payload)
             self.pc = (pc + 4) & MASK32
             return
         self.steps += 1
@@ -152,19 +136,16 @@ class Interpreter:
         literal = None
         if ins.cls is InstrClass.IMMEDIATE:
             if user:
-                if self.p0 is None or self.p1 is None:
+                try:
+                    cipher = consume_prefixes(self.latch, word)
+                except MissingPrefix:
                     self._trap(VEC_ILLEGAL, pc)
                     return
-                cipher = (self.p0 << 40) | (self.p1 << 16) | (word & 0xFFFF)
                 literal = word_value(self.codec.decrypt(cipher))
             else:
                 literal = ins.imm & MASK32
         # every non-prefix instruction leaves the latch empty
-        self.p0 = self.p1 = None
-
-        if user and (ins.cls is InstrClass.CLASS64 or ins.mnemonic == "l.rfe"):
-            self._trap(VEC_ILLEGAL, pc)
-            return
+        self.latch.clear()
 
         self.pc = (pc + 4) & MASK32
         m = ins.mnemonic
@@ -193,9 +174,8 @@ class Interpreter:
             self._apply(effects)
             return
         if ins.cls is InstrClass.IMMEDIATE:
-            op = (_SHIFT_ALU_OP[ins.funct] if ins.opcode == isa.OP_SHIFTI
-                  else _IMM_ALU_OP[ins.opcode])
-            res, effects = alu.execute(op, self.regs[ins.ra], literal)
+            res, effects = alu.execute(isa.IMM_ALU_OP[m], self.regs[ins.ra],
+                                       literal)
             self._write(ins.rd, res)
             self._apply(effects)
             return

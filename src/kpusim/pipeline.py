@@ -37,8 +37,8 @@ from .codec import (MASK32, MASK64, ROUNDS, NotAProgramAddress, feistel_unround,
                     open_program_address, pad_mix, to_decrypted_address,
                     to_encrypted_address, word_pad, word_value)
 from .core import MachineState, Mode, VEC_ILLEGAL, VEC_SYSCALL
-from .isa import InstrClass
-from .memsys import CacheHit, MemorySystem
+from .isa import InstrClass, MissingPrefix, PrefixLatch, consume_prefixes
+from .memsys import MemorySystem
 
 
 class SimulationFault(Exception):
@@ -47,10 +47,6 @@ class SimulationFault(Exception):
 
 class MaxCyclesExceeded(Exception):
     pass
-
-
-class MissingPrefix(Exception):
-    """Immediate-class instruction arrived in user mode with no full latch."""
 
 
 # ------------------------------------------------------------------ plans --
@@ -86,43 +82,6 @@ def select_config(cls, mode):
 
 def plan_depth(mode):
     return SHORT.depth if mode is Mode.SUPERVISOR else LONG_A.depth
-
-
-# ----------------------------------------------------------------- prefix --
-
-class PrefixLatch:
-    """Decode-side latch holding the two prefix payloads of a 64-bit
-    encrypted immediate until the immediate-class instruction arrives."""
-
-    def __init__(self):
-        self.p0 = None
-        self.p1 = None
-
-    def clear(self):
-        self.p0 = None
-        self.p1 = None
-
-    def feed(self, idx, payload):
-        if idx == 0:
-            self.p0 = payload
-            self.p1 = None
-        elif self.p0 is not None and self.p1 is None:
-            self.p1 = payload
-        else:
-            self.clear()
-
-    @property
-    def full(self):
-        return self.p0 is not None and self.p1 is not None
-
-
-def consume_prefixes(latch, imm16):
-    """Reassemble the 64-bit encrypted immediate and clear the latch."""
-    if not latch.full:
-        raise MissingPrefix("immediate-class instruction without prefix pair")
-    value = (latch.p0 << 40) | (latch.p1 << 16) | (imm16 & 0xFFFF)
-    latch.clear()
-    return value
 
 
 # -------------------------------------------------------------- predictor --
@@ -240,8 +199,7 @@ class Slot:
         self.dest = None
         self.carrier = False            # travels only to raise illegal at W
         self.serialize = False          # must be oldest before entering X
-        self.imm_cipher = None          # 64-bit encrypted immediate
-        self.codec_block = None         # staged decrypt state
+        self.codec_block = None         # staged decrypt of the immediate
         self.codec_rounds = 0
         self.executed = False
         self.mem_done = False
@@ -296,15 +254,6 @@ def _slot_dest(instr):
     return None
 
 
-# map immediate opcodes to ALU operation ids
-_IMM_ALU_OP = {
-    isa.OP_ADDI: alu.OP_ADD, isa.OP_ANDI: alu.OP_AND, isa.OP_ORI: alu.OP_OR,
-    isa.OP_XORI: alu.OP_XOR, isa.OP_MULI: alu.OP_MUL,
-}
-_SHIFT_ALU_OP = {isa.SHIFT_SLL: alu.OP_SLL, isa.SHIFT_SRL: alu.OP_SRL,
-                 isa.SHIFT_SRA: alu.OP_SRA}
-
-
 class Engine:
     """Drives one program image to completion, cycle by cycle."""
 
@@ -321,7 +270,7 @@ class Engine:
         self.mem = MemorySystem(cdc, **kwargs)
         for addr in sorted(image.data):
             self.mem.supervisor_store(addr, image.data[addr])
-        self.text = dict(image.text)
+        self.text = isa.predecode(image.text)
         self.bpb = BranchPredictionBuffer(bpb_entries)
         self.stats = CycleStats()
         self.outputs = []
@@ -340,42 +289,21 @@ class Engine:
         if self.fetch_hold:
             return Bubble(REFILL)
         pc = self.fetch_pc
-        word = self.text.get(pc)
+        self.fetch_pc = (pc + 4) & MASK32
         mode = self.state.mode
-        if word is None:
-            slot = self._carrier(pc, mode, "no instruction at 0x%08x" % pc)
-            self.fetch_pc = (pc + 4) & MASK32
-            return slot
-        try:
-            instr = isa.decode(word)
-        except isa.IllegalOpcode as exc:
-            slot = self._carrier(pc, mode, str(exc))
-            self.fetch_pc = (pc + 4) & MASK32
-            return slot
+        word, instr = self.text.get(pc, (None, None))
+        if instr is None or (mode is Mode.USER and isa.user_illegal(instr)):
+            return self._carrier(pc, mode)
         if instr.cls is InstrClass.PREFIX:
             self.latch.feed(instr.prefix_idx, instr.prefix_payload)
-            slot = Slot(instr, pc, mode, select_config(instr.cls, mode))
-            self.fetch_pc = (pc + 4) & MASK32
-            return slot
-        if instr.cls is InstrClass.CLASS64 and mode is Mode.USER:
-            self.latch.clear()
-            slot = self._carrier(pc, mode, "64-bit instruction in user mode")
-            self.fetch_pc = (pc + 4) & MASK32
-            return slot
-        if instr.mnemonic == "l.rfe" and mode is Mode.USER:
-            self.latch.clear()
-            slot = self._carrier(pc, mode, "l.rfe in user mode")
-            self.fetch_pc = (pc + 4) & MASK32
-            return slot
+            return Slot(instr, pc, mode, select_config(instr.cls, mode))
 
-        imm_cipher = None
+        codec_block = None
         if instr.cls is InstrClass.IMMEDIATE and mode is Mode.USER:
             try:
-                imm_cipher = consume_prefixes(self.latch, word & 0xFFFF)
-            except MissingPrefix as exc:
-                slot = self._carrier(pc, mode, str(exc))
-                self.fetch_pc = (pc + 4) & MASK32
-                return slot
+                codec_block = consume_prefixes(self.latch, word)
+            except MissingPrefix:
+                return self._carrier(pc, mode)
         else:
             self.latch.clear()
 
@@ -383,25 +311,23 @@ class Engine:
         slot.sources = _slot_sources(instr)
         slot.dest = _slot_dest(instr)
         slot.serialize = instr.cls is InstrClass.SPR
-        if imm_cipher is not None:
-            slot.imm_cipher = imm_cipher
-            slot.codec_block = imm_cipher
+        slot.codec_block = codec_block
 
         if instr.cls is InstrClass.SYSTRAP or \
                 (instr.cls is InstrClass.NOP and instr.imm == 1):
             # Nothing younger may enter the pipe behind a trap, a return or
             # the exit no-op: their commit changes the instruction stream.
             self.fetch_hold = True
-            self.fetch_pc = (pc + 4) & MASK32
         elif instr.cls in (InstrClass.BRANCH, InstrClass.JUMP):
             hit, taken, target = self.bpb.lookup(pc)
             slot.predicted = (hit, taken, target)
-            self.fetch_pc = target if taken else (pc + 4) & MASK32
-        else:
-            self.fetch_pc = (pc + 4) & MASK32
+            if taken:
+                self.fetch_pc = target
         return slot
 
-    def _carrier(self, pc, mode, reason):
+    def _carrier(self, pc, mode):
+        # the latch needs no clearing here: fetch holds until the trap
+        # commits or a flush restarts it, and both clear the latch
         slot = Slot(isa.Instruction(isa.OP_SYS, "l.illegal", InstrClass.SYSTRAP),
                     pc, mode, select_config(InstrClass.SYSTRAP, mode))
         slot.carrier = True
@@ -479,10 +405,7 @@ class Engine:
 
         if instr.cls is InstrClass.IMMEDIATE:
             a = self._operand(idx, instr.ra) if instr.ra else 0
-            if instr.opcode == isa.OP_SHIFTI:
-                op = _SHIFT_ALU_OP[instr.funct]
-            else:
-                op = _IMM_ALU_OP[instr.opcode]
+            op = isa.IMM_ALU_OP[m]
             if user:
                 assert cell.codec_rounds == ROUNDS, "immediate not decrypted"
                 b = cell.codec_block
@@ -603,9 +526,7 @@ class Engine:
         user = cell.mode is Mode.USER
         if instr.cls is InstrClass.LOAD:
             if user:
-                value, source = self.mem.user_load(cell.ea_block)
-                cell.cached = source is CacheHit
-                cell.result = value
+                cell.result, cell.cached = self.mem.user_load(cell.ea_block)
                 cell.ready_cycle = n + 1 if cell.cached else n + 1 + ROUNDS
             else:
                 value = self.mem.supervisor_load(cell.ea_block) & MASK32
@@ -615,9 +536,8 @@ class Engine:
             return
         if instr.cls is InstrClass.STORE:
             if user:
-                before = self.mem.cache.write_hits
-                self.mem.user_store(cell.ea_block, cell.store_value)
-                cell.cached = self.mem.cache.write_hits > before
+                cell.cached = self.mem.user_store(cell.ea_block,
+                                                  cell.store_value)
             else:
                 self.mem.supervisor_store(cell.ea_block,
                                           cell.store_value & MASK32)

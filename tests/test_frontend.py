@@ -139,6 +139,31 @@ def test_usage_and_format_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_unwritable_outputs_exit_2(built, capsys):
+    tmp, img = built
+    nowhere = str(tmp / "absent" / "x")
+    assert main(["asm", str(tmp / "p.s"), "-o", nowhere]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("kpu asm: ") and err.count("\n") == 1
+    for flag in ("--dump", "--stats"):
+        assert main(["run", str(img), flag, nowhere]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("kpu run: ")
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("option, value", [("--bpb-entries", "0"),
+                                           ("--cache-entries", "0"),
+                                           ("--cache-entries", "-1")])
+def test_size_options_must_be_positive(built, capsys, option, value):
+    tmp, img = built
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(img), option, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "kpu run: error: argument %s: must be positive" % option in err
+
+
 def test_strict_assembly_rejects_tainted_source(tmp_path, capsys):
     src = tmp_path / "taint.s"
     src.write_text(""".mode user

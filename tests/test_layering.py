@@ -1,0 +1,54 @@
+"""Import boundaries between the simulator's modules.
+
+The reference interpreter is only worth something while it stays
+independent of the pipeline it checks: the two may share the ISA layer and
+the ALU, never the pipeline's execute path. These checks read the import
+statements of the source files, so a forbidden import fails here even if
+nothing exercises it.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import kpusim
+
+PACKAGE = Path(kpusim.__file__).resolve().parent
+
+
+def imported_modules(name):
+    """Sibling kpusim modules a source file imports, by short name."""
+    tree = ast.parse((PACKAGE / ("%s.py" % name)).read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "kpusim" and len(parts) > 1:
+                    found.add(parts[1])
+        elif isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0 and parts[0] != "kpusim":
+                continue
+            if node.level == 0:
+                parts = parts[1:]
+            if parts and parts[0]:
+                found.add(parts[0])
+            else:                       # from . import x / from kpusim import x
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+@pytest.mark.parametrize("module, forbidden", [
+    ("oracle", {"pipeline"}),
+    ("isa", {"pipeline", "oracle"}),
+    ("alu", {"pipeline", "oracle"}),
+])
+def test_module_stays_below_its_consumers(module, forbidden):
+    assert not imported_modules(module) & forbidden
+
+
+def test_import_scan_sees_sibling_imports():
+    assert {"alu", "isa", "codec", "core", "memsys"} <= imported_modules("oracle")
+    assert {"alu", "isa", "memsys"} <= imported_modules("pipeline")

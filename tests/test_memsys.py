@@ -5,10 +5,9 @@ import random
 import pytest
 
 from kpusim.codec import Codec
-from kpusim.memsys import (CacheHit, MemoryDecrypt, MemorySystem, OutOfRegion,
-                           PhysicalExhausted, TlbMap,
-                           UnalignedSupervisorAccess, UserDataCache,
-                           parse_dump)
+from kpusim.memsys import (MemorySystem, OutOfRegion, PhysicalExhausted,
+                           TlbMap, UnalignedSupervisorAccess, UserDataCache)
+from kpusim.oracle import SimView, parse_sim_dump, render_dump
 
 KEY = 0x00112233445566778899AABBCCDDEEFF
 
@@ -78,17 +77,17 @@ def test_user_load_sources():
     mem = MemorySystem(cdc)
     addr = ea(0x4AAA0001, 0x200)
     value = ea(0x4BBB0002, 77)
-    blank, src = mem.user_load(ea(0x4CCC0003, 0x300))
-    assert src is MemoryDecrypt
+    blank, hit = mem.user_load(ea(0x4CCC0003, 0x300))
+    assert hit is False
     assert blank == cdc.decrypt(0)               # never-written cell
     mem.user_store(addr, value)
-    got, src = mem.user_load(addr)
-    assert got == value and src is CacheHit
+    got, hit = mem.user_load(addr)
+    assert got == value and hit is True
     # push the line out; the next load has to decrypt the cell
     for i in range(mem.cache.capacity):
         mem.user_store(ea(0x40000010 + i, 8 * i), ea(0x41000001, i))
-    got, src = mem.user_load(addr)
-    assert got == value and src is MemoryDecrypt
+    got, hit = mem.user_load(addr)
+    assert got == value and hit is False
 
 
 def test_same_logical_address_different_pads_alias():
@@ -128,9 +127,10 @@ def test_dump_round_trip():
         mem.user_store(ea(0x42000000 + i, rng.randrange(1 << 16) * 4),
                        ea(0x43000001, rng.getrandbits(32)))
     mem.supervisor_store(0x10 * 8, 0xFEED)
-    text = mem.dump()
-    cells, tlb = parse_dump(text)
-    assert cells == {k: v for k, v in mem.cells.items() if v}
-    assert tlb == dict(mem.tlb.entries)
+    view = SimView(mode="super", regs_real=[0] * 32, regs_shadow=[0] * 32,
+                   cells=dict(mem.cells), tlb=dict(mem.tlb.entries))
+    back = parse_sim_dump(render_dump(view))
+    assert back.cells == {k: v for k, v in mem.cells.items() if v}
+    assert back.tlb == dict(mem.tlb.entries)
     with pytest.raises(ValueError):
-        parse_dump("JUNK 1 2\n")
+        parse_sim_dump("KPUDUMP 1\nJUNK 1 2\n")
