@@ -41,14 +41,21 @@ def _parse_key(text):
     return key
 
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("%r is not an integer" % text) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be positive, not %d" % value)
-    return value
+def _int_at_least(minimum, what):
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                "%r is not an integer" % text) from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError("must be %s, not %d" % (what, value))
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
+_non_negative_int = _int_at_least(0, "non-negative")
 
 
 def _pct(part, whole):
@@ -120,22 +127,22 @@ def _build_parser():
                      help="write the final machine state here")
     run.add_argument("--trace", action="store_true",
                      help="print per-cycle pipeline occupancy")
-    run.add_argument("--max-cycles", type=int, default=5_000_000)
-    run.add_argument("--user-words", type=int, default=None)
+    run.add_argument("--max-cycles", type=_positive_int, default=5_000_000)
+    run.add_argument("--user-words", type=_non_negative_int, default=None)
     run.add_argument("--cache-entries", type=_positive_int, default=None)
     run.add_argument("--bpb-entries", type=_positive_int, default=64)
 
     orc = sub.add_parser("oracle", help="run the flat reference interpreter")
     orc.add_argument("image")
     orc.add_argument("--key", type=_parse_key, default=DEFAULT_KEY)
-    orc.add_argument("--max-steps", type=int, default=2_000_000)
+    orc.add_argument("--max-steps", type=_positive_int, default=2_000_000)
 
     cmp_ = sub.add_parser("compare",
                           help="check a machine dump against the reference")
     cmp_.add_argument("image")
     cmp_.add_argument("dump")
     cmp_.add_argument("--key", type=_parse_key, default=DEFAULT_KEY)
-    cmp_.add_argument("--max-steps", type=int, default=2_000_000)
+    cmp_.add_argument("--max-steps", type=_positive_int, default=2_000_000)
     return parser
 
 
@@ -183,18 +190,16 @@ def _cmd_run(args):
     except FormatError as exc:
         print("kpu run: %s" % exc, file=sys.stderr)
         return 2
+    # the trace streams to stdout as the run goes, ahead of the outputs
     engine = Engine(image, Codec(args.key), user_words=args.user_words,
                     cache_entries=args.cache_entries,
-                    bpb_entries=args.bpb_entries, trace=args.trace)
+                    bpb_entries=args.bpb_entries,
+                    trace=print if args.trace else None)
     try:
         engine.run(max_cycles=args.max_cycles)
     except _RUNTIME_FAULTS as exc:
-        if engine.trace_lines:
-            print("\n".join(engine.trace_lines))
         print("kpu run: fault: %s" % exc, file=sys.stderr)
         return 1
-    if engine.trace_lines:
-        print("\n".join(engine.trace_lines))
     for value in engine.outputs:
         print(value)
     table = render_stats(engine)

@@ -28,6 +28,26 @@ Timing rules the rest of the model hangs off:
 A cycle retires exactly one conveyor cell: an instruction (counted under
 its class) or a bubble (counted as a stall or refill wait state), so the
 accounting closes exactly by construction.
+
+Only a few positions can do work in a cycle, and step() visits only those,
+read off the plan tables:
+  * the X positions, oldest first: user 13 (plan B) then 3 (plan A),
+    supervisor 3,
+  * then the M positions: user 14 then 4 (supervisor loads and stores
+    reach memory at X); every execute runs before any memory access, so a
+    fault raised at X outranks one raised at M in the same cycle,
+  * then the R positions, oldest first: user 12 then 2, supervisor 2; the
+    oldest instruction whose operands are not ready stalls there,
+  * then the conveyor shifts by one, and each immediate that entered a
+    codec stage (plan B positions 2..11) decrypts one Feistel round.
+Empty cells are two shared bubbles, one per wait-state kind.
+
+Each slot binds at fetch the youngest older writer of each source (the
+last-writer map, cleared at a mode transition and rebuilt from the
+survivors after a mispredict flush). A producer that has retired counts as
+absent: its value is in the register file by then. Retiring a slot also
+drops its own producer links; otherwise each slot would keep its producers
+alive, they theirs, and a long run would hold every slot it ever fetched.
 """
 
 from dataclasses import dataclass
@@ -51,7 +71,7 @@ class MaxCyclesExceeded(Exception):
 
 # ------------------------------------------------------------------ plans --
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)      # singletons: identity eq and hash
 class PipelinePlan:
     name: str
     stages: tuple
@@ -134,9 +154,6 @@ class BranchPredictionBuffer:
 
 # ------------------------------------------------------------------ stats --
 
-STALL = "stalls"
-REFILL = "refills"
-
 FLAG = "F"  # pseudo-register name for the branch flag forwarding path
 
 
@@ -178,31 +195,74 @@ class CycleStats:
 # ------------------------------------------------------------------ cells --
 
 class Bubble:
-    __slots__ = ("tag",)
+    """An empty conveyor cell. Only STALL_BUBBLE and REFILL_BUBBLE exist.
 
-    def __init__(self, tag):
-        self.tag = tag
+    They answer what step() asks of every cell it visits (its X, R and M
+    positions, the register it writes, an immediate still to decrypt)
+    with "none", so the per-cycle loops need no type test.
+    """
+
+    __slots__ = ()
+    x_index = r_index = m_index = -1
+    dest = None
+    codec_block = None
+
+
+STALL_BUBBLE = Bubble()         # retires as a stall wait state
+REFILL_BUBBLE = Bubble()        # retires as a refill wait state
+
+# plan -> its (X, R, M) positions; M is -1 where memory is reached at X
+_POSITIONS = {plan: (plan.index("X"), plan.index("R"),
+                     plan.index("M") if "M" in plan.stages else -1)
+              for plan in (SHORT, LONG_A, LONG_B)}
+
+
+def _oldest_first(plans, which):
+    return tuple(sorted({_POSITIONS[p][which] for p in plans} - {-1},
+                        reverse=True))
+
+
+def _work(plans, codec_span):
+    """The X, M and R positions the plans of one mode use, each oldest
+    first, and the span of positions an immediate decrypts in."""
+    return (_oldest_first(plans, 0), _oldest_first(plans, 2),
+            _oldest_first(plans, 1), codec_span)
+
+
+_WORK = {
+    Mode.USER: _work((LONG_A, LONG_B),
+                     (LONG_B.index(_CODEC_STAGES[0]),
+                      LONG_B.index(_CODEC_STAGES[-1]) + 1)),
+    Mode.SUPERVISOR: _work((SHORT,), (0, 0)),
+}
 
 
 class Slot:
-    """One in-flight instruction."""
+    """One in-flight instruction. `producers` maps each source to the
+    youngest older writer in flight when the slot was fetched."""
 
-    def __init__(self, instr, pc, mode, config):
+    __slots__ = ("instr", "pc", "mode", "config", "x_index", "r_index",
+                 "m_index", "producers", "dest", "carrier", "serialize",
+                 "codec_block", "codec_rounds", "executed", "mem_done",
+                 "retired", "result", "ready_cycle", "flag_result",
+                 "pending_effects", "pending_reg", "ea_block", "store_value",
+                 "cached", "predicted", "__weakref__")
+
+    def __init__(self, instr, pc, mode, config, producers=None, dest=None):
         self.instr = instr
         self.pc = pc
         self.mode = mode
         self.config = config
-        self.x_index = config.index("X")
-        self.r_index = config.index("R")
-        self.m_index = config.index("M") if "M" in config.stages else None
-        self.sources = ()
-        self.dest = None
+        self.x_index, self.r_index, self.m_index = _POSITIONS[config]
+        self.producers = producers if producers is not None else {}
+        self.dest = dest
         self.carrier = False            # travels only to raise illegal at W
         self.serialize = False          # must be oldest before entering X
         self.codec_block = None         # staged decrypt of the immediate
         self.codec_rounds = 0
         self.executed = False
         self.mem_done = False
+        self.retired = False
         self.result = None              # forwardable 64-bit value
         self.ready_cycle = None
         self.flag_result = None         # forwardable F for set-flag
@@ -255,10 +315,14 @@ def _slot_dest(instr):
 
 
 class Engine:
-    """Drives one program image to completion, cycle by cycle."""
+    """Drives one program image to completion, cycle by cycle.
+
+    `trace`, if given, is called with one occupancy line per cycle as the
+    cycle starts.
+    """
 
     def __init__(self, image, cdc, user_words=None, cache_entries=None,
-                 bpb_entries=64, trace=False):
+                 bpb_entries=64, trace=None):
         mode = Mode.USER if image.mode == "user" else Mode.SUPERVISOR
         self.codec = cdc
         self.state = MachineState(cdc, entry=image.entry, mode=mode)
@@ -271,35 +335,40 @@ class Engine:
         for addr in sorted(image.data):
             self.mem.supervisor_store(addr, image.data[addr])
         self.text = isa.predecode(image.text)
+        self._meta = {}                 # pc -> (sources, dest), at first fetch
         self.bpb = BranchPredictionBuffer(bpb_entries)
         self.stats = CycleStats()
         self.outputs = []
-        self.trace_lines = [] if trace else None
+        self.trace = trace
         self.cycle = 0
         self.halted = False
         self.latch = PrefixLatch()
         self.fetch_pc = image.entry & MASK32
         self.fetch_hold = False
-        self.conveyor = [Bubble(REFILL) for _ in range(plan_depth(mode))]
+        self.conveyor = [REFILL_BUBBLE] * plan_depth(mode)
+        self._work = _WORK[mode]
+        self._mode_stats = self.stats.per_mode[mode]
+        self._last_writer = {}          # register -> youngest fetched writer
         self._rebuilt = False
 
     # ------------------------------------------------------------- fetch --
 
     def _fetch(self):
         if self.fetch_hold:
-            return Bubble(REFILL)
+            return REFILL_BUBBLE
         pc = self.fetch_pc
         self.fetch_pc = (pc + 4) & MASK32
         mode = self.state.mode
         word, instr = self.text.get(pc, (None, None))
         if instr is None or (mode is Mode.USER and isa.user_illegal(instr)):
             return self._carrier(pc, mode)
-        if instr.cls is InstrClass.PREFIX:
+        cls = instr.cls
+        if cls is InstrClass.PREFIX:
             self.latch.feed(instr.prefix_idx, instr.prefix_payload)
-            return Slot(instr, pc, mode, select_config(instr.cls, mode))
+            return Slot(instr, pc, mode, select_config(cls, mode))
 
         codec_block = None
-        if instr.cls is InstrClass.IMMEDIATE and mode is Mode.USER:
+        if cls is InstrClass.IMMEDIATE and mode is Mode.USER:
             try:
                 codec_block = consume_prefixes(self.latch, word)
             except MissingPrefix:
@@ -307,18 +376,27 @@ class Engine:
         else:
             self.latch.clear()
 
-        slot = Slot(instr, pc, mode, select_config(instr.cls, mode))
-        slot.sources = _slot_sources(instr)
-        slot.dest = _slot_dest(instr)
-        slot.serialize = instr.cls is InstrClass.SPR
+        meta = self._meta.get(pc)
+        if meta is None:
+            meta = self._meta[pc] = (_slot_sources(instr), _slot_dest(instr))
+        sources, dest = meta
+        writers = self._last_writer
+        producers = {}
+        for name in sources:
+            if name in writers:
+                producers[name] = writers[name]
+        slot = Slot(instr, pc, mode, select_config(cls, mode), producers, dest)
+        if dest is not None:
+            writers[dest] = slot
+        slot.serialize = cls is InstrClass.SPR
         slot.codec_block = codec_block
 
-        if instr.cls is InstrClass.SYSTRAP or \
-                (instr.cls is InstrClass.NOP and instr.imm == 1):
+        if cls is InstrClass.SYSTRAP or \
+                (cls is InstrClass.NOP and instr.imm == 1):
             # Nothing younger may enter the pipe behind a trap, a return or
             # the exit no-op: their commit changes the instruction stream.
             self.fetch_hold = True
-        elif instr.cls in (InstrClass.BRANCH, InstrClass.JUMP):
+        elif cls in (InstrClass.BRANCH, InstrClass.JUMP):
             hit, taken, target = self.bpb.lookup(pc)
             slot.predicted = (hit, taken, target)
             if taken:
@@ -336,32 +414,23 @@ class Engine:
 
     # -------------------------------------------------------- forwarding --
 
-    def _find_producer(self, idx, name):
-        for j in range(idx + 1, len(self.conveyor)):
-            cell = self.conveyor[j]
-            if isinstance(cell, Slot) and not cell.carrier and cell.dest == name:
-                return cell
-        return None
-
     def _source_ready(self, idx, cell, n):
-        for name in cell.sources:
-            producer = self._find_producer(idx, name)
-            if producer is None:
-                continue
-            ready = (producer.ready_cycle if name != FLAG
-                     else (producer.ready_cycle if producer.flag_result is not None else None))
-            if ready is None or ready > n:
-                return False
+        # a set-flag producer gets its ready_cycle with its flag_result
+        for producer in cell.producers.values():
+            if not producer.retired:
+                ready = producer.ready_cycle
+                if ready is None or ready > n:
+                    return False
         if cell.serialize:
-            for j in range(idx + 1, len(self.conveyor) - 1):
-                if isinstance(self.conveyor[j], Slot):
+            for older in self.conveyor[idx + 1:-1]:
+                if older.__class__ is Slot:
                     return False
         return True
 
-    def _operand(self, idx, name):
-        producer = self._find_producer(idx, name)
+    def _operand(self, cell, name):
+        producer = cell.producers.get(name)
         st = self.state
-        if producer is not None:
+        if producer is not None and not producer.retired:
             assert producer.mode is st.mode, "cross-mode forward"
             if name == FLAG:
                 return producer.flag_result
@@ -384,8 +453,8 @@ class Engine:
             return
 
         if instr.cls is InstrClass.REGISTER:
-            a = self._operand(idx, instr.ra) if instr.ra else 0
-            b = self._operand(idx, instr.rb) if instr.rb else 0
+            a = self._operand(cell, instr.ra) if instr.ra else 0
+            b = self._operand(cell, instr.rb) if instr.rb else 0
             if instr.opcode == isa.OP_SF:
                 cell.flag_result = alu.compare_flag(instr.funct,
                                                     a & MASK32, b & MASK32)
@@ -404,7 +473,7 @@ class Engine:
             return
 
         if instr.cls is InstrClass.IMMEDIATE:
-            a = self._operand(idx, instr.ra) if instr.ra else 0
+            a = self._operand(cell, instr.ra) if instr.ra else 0
             op = isa.IMM_ALU_OP[m]
             if user:
                 assert cell.codec_rounds == ROUNDS, "immediate not decrypted"
@@ -422,7 +491,7 @@ class Engine:
             return
 
         if instr.cls is InstrClass.LOAD or instr.cls is InstrClass.STORE:
-            a = self._operand(idx, instr.ra) if instr.ra else 0
+            a = self._operand(cell, instr.ra) if instr.ra else 0
             off = instr.imm & MASK32
             if user:
                 ea32, _ = alu.execute(alu.OP_ADDR, a & MASK32, off)
@@ -431,23 +500,23 @@ class Engine:
             else:
                 cell.ea_block = (a + instr.imm) & MASK64
             if instr.cls is InstrClass.STORE:
-                cell.store_value = self._operand(idx, instr.rb) if instr.rb else 0
-            if cell.m_index is None:
+                cell.store_value = self._operand(cell, instr.rb) if instr.rb else 0
+            if cell.m_index < 0:
                 self._mem_access(cell, n)       # short plan: memory at X
             return
 
         if instr.cls is InstrClass.CLASS64:
-            a = self._operand(idx, instr.ra) if instr.ra else 0
+            a = self._operand(cell, instr.ra) if instr.ra else 0
             if instr.funct == isa.C64_ADD:
-                b = self._operand(idx, instr.rb) if instr.rb else 0
+                b = self._operand(cell, instr.rb) if instr.rb else 0
                 cell.result = (a + b) & MASK64
                 cell.ready_cycle = n
                 cell.pending_reg = (instr.rd, cell.result, False)
                 return
             cell.ea_block = (a + instr.imm) & MASK64
             if instr.funct == isa.C64_SD:
-                cell.store_value = self._operand(idx, instr.rb) if instr.rb else 0
-            if cell.m_index is None:
+                cell.store_value = self._operand(cell, instr.rb) if instr.rb else 0
+            if cell.m_index < 0:
                 self._mem_access(cell, n)
             return
 
@@ -456,7 +525,7 @@ class Engine:
             return
 
         if m == "l.mfspr":
-            a = self._operand(idx, instr.ra) if instr.ra else 0
+            a = self._operand(cell, instr.ra) if instr.ra else 0
             index = ((a & MASK32) | instr.imm) & 0xFFFF
             value = st.read_spr(index)
             if user:
@@ -469,8 +538,8 @@ class Engine:
             return
 
         if m == "l.mtspr":
-            a = self._operand(idx, instr.ra) if instr.ra else 0
-            b = self._operand(idx, instr.rb) if instr.rb else 0
+            a = self._operand(cell, instr.ra) if instr.ra else 0
+            b = self._operand(cell, instr.rb) if instr.rb else 0
             index = ((a & MASK32) | instr.imm) & 0xFFFF
             # Serialized, so the write is program-ordered even though it
             # lands at X; user-mode writes are ignored inside write_spr.
@@ -484,7 +553,7 @@ class Engine:
         m = instr.mnemonic
         pc = cell.pc
         if m in ("l.bf", "l.bnf"):
-            flag = self._operand(idx, FLAG)
+            flag = self._operand(cell, FLAG)
             taken = flag if m == "l.bf" else not flag
             target = (pc + 4 * instr.imm) & MASK32
         elif m in ("l.j", "l.jal"):
@@ -492,7 +561,7 @@ class Engine:
             target = (pc + 4 * instr.imm) & MASK32
         else:                            # l.jr / l.jalr
             taken = True
-            value = self._operand(idx, instr.rb) if instr.rb else 0
+            value = self._operand(cell, instr.rb) if instr.rb else 0
             try:
                 target = open_program_address(value)
             except NotAProgramAddress as exc:
@@ -512,8 +581,13 @@ class Engine:
         self.bpb.record(hit, right)
         self.bpb.update(pc, taken, target)
         if not right:
-            for j in range(idx):
-                self.conveyor[j] = Bubble(REFILL)
+            conveyor = self.conveyor
+            conveyor[:idx] = [REFILL_BUBBLE] * idx
+            # a flushed slot may have been the youngest writer of its
+            # register: rebuild from the survivors, oldest first
+            self._last_writer = {older.dest: older
+                                 for older in reversed(conveyor)
+                                 if older.dest is not None}
             self.latch.clear()
             self.fetch_hold = False
             self.fetch_pc = target if taken else (pc + 4) & MASK32
@@ -552,17 +626,22 @@ class Engine:
 
     # -------------------------------------------------------------- retire --
 
-    def _retire(self, cell, n):
-        st = self.state
-        if isinstance(cell, Bubble):
-            ms = self.stats.mode(st.mode)
-            if cell.tag == STALL:
+    def _retire(self, cell):
+        # every cell in the conveyor was fetched in the current mode
+        ms = self._mode_stats
+        if cell.__class__ is Bubble:
+            if cell is STALL_BUBBLE:
                 ms.stalls += 1
             else:
                 ms.refills += 1
             return
+        # Younger slots may still hold this one, but nothing reaches older
+        # slots through it: without the cut, each slot would keep its
+        # producers alive, and theirs, back to the start of the run.
+        cell.retired = True
+        cell.producers = None
+        st = self.state
         instr = cell.instr
-        ms = self.stats.mode(cell.mode)
         ms.completions[instr.cls] += 1
         if instr.cls is InstrClass.LOAD and cell.cached:
             ms.loads_cached += 1
@@ -605,8 +684,11 @@ class Engine:
                 st.flag_ov = eff["ov"]
 
     def _transition(self):
-        depth = plan_depth(self.state.mode)
-        self.conveyor = [Bubble(REFILL) for _ in range(depth)]
+        mode = self.state.mode
+        self.conveyor = [REFILL_BUBBLE] * plan_depth(mode)
+        self._work = _WORK[mode]
+        self._mode_stats = self.stats.per_mode[mode]
+        self._last_writer = {}
         self.latch.clear()
         self.fetch_hold = False
         self.fetch_pc = self.state.pc
@@ -615,37 +697,35 @@ class Engine:
     # -------------------------------------------------------------- cycle --
 
     def _trace(self, n):
-        parts = []
-        for idx in range(len(self.conveyor) - 1, -1, -1):
-            cell = self.conveyor[idx]
-            if isinstance(cell, Slot):
-                parts.append("%s:0x%08x:%s" % (cell.config.stages[idx],
-                                               cell.pc, cell.instr.mnemonic))
-        self.trace_lines.append("cycle %d | %s" % (n, " ".join(parts)))
+        conveyor = self.conveyor
+        parts = ["%s:0x%08x:%s" % (cell.config.stages[idx], cell.pc,
+                                   cell.instr.mnemonic)
+                 for idx in range(len(conveyor) - 1, -1, -1)
+                 if (cell := conveyor[idx]).__class__ is Slot]
+        self.trace("cycle %d | %s" % (n, " ".join(parts)))
 
     def step(self):
         n = self.cycle
         conveyor = self.conveyor
-        depth = len(conveyor)
+        x_positions, m_positions, r_positions, (codec_lo, codec_hi) = self._work
 
-        if self.trace_lines is not None:
+        if self.trace is not None:
             self._trace(n)
 
-        # execute pass, oldest first (younger cells can be flushed by it)
-        for idx in range(depth - 1, -1, -1):
+        # execute, oldest first: a branch resolving here flushes the
+        # younger positions in place, so each is read after the older ran
+        for idx in x_positions:
             cell = conveyor[idx]
-            if isinstance(cell, Slot) and not cell.executed and idx == cell.x_index:
+            if cell.x_index == idx and not cell.executed:
                 self._execute(idx, cell, n)
 
-        # memory pass
-        for idx in range(depth - 1, -1, -1):
+        # memory, after every execute: a fault at X outranks one at M
+        for idx in m_positions:
             cell = conveyor[idx]
-            if isinstance(cell, Slot) and cell.m_index == idx and \
-                    cell.executed and not cell.mem_done:
+            if cell.m_index == idx and cell.executed and not cell.mem_done:
                 self._mem_access(cell, n)
 
-        # retire
-        self._retire(conveyor[-1], n)
+        self._retire(conveyor[-1])
         self.stats.cycles += 1
         self.cycle = n + 1
         if self.halted:
@@ -657,35 +737,26 @@ class Engine:
             self.conveyor[0] = self._fetch()
             return
 
-        # find the oldest instruction stalled at its read position
-        stall_idx = None
-        for idx in range(depth - 2, -1, -1):
+        # the oldest instruction whose operands are not ready holds its
+        # read position and everything younger; a stall bubble opens ahead
+        stall_idx = -1
+        for idx in r_positions:
             cell = conveyor[idx]
-            if isinstance(cell, Slot) and idx == cell.r_index and \
-                    not self._source_ready(idx, cell, n):
+            if cell.r_index == idx and (cell.producers or cell.serialize) \
+                    and not self._source_ready(idx, cell, n):
                 stall_idx = idx
                 break
 
-        new = [None] * depth
-        limit = stall_idx if stall_idx is not None else -1
-        for idx in range(depth - 1):
-            cell = conveyor[idx]
-            if idx <= limit:
-                new[idx] = cell
-            else:
-                new[idx + 1] = cell
-                if isinstance(cell, Slot) and cell.codec_block is not None and \
-                        cell.codec_rounds < ROUNDS and \
-                        cell.config.stages[idx + 1].startswith("C"):
-                    # one decrypt round per codec stage traversed
-                    key = self.codec.round_keys[ROUNDS - 1 - cell.codec_rounds]
-                    cell.codec_block = feistel_unround(cell.codec_block, key)
-                    cell.codec_rounds += 1
-        if stall_idx is not None:
-            new[stall_idx + 1] = Bubble(STALL)
-        else:
-            new[0] = self._fetch()
-        self.conveyor = new
+        del conveyor[-1]
+        conveyor.insert(stall_idx + 1,
+                        STALL_BUBBLE if stall_idx >= 0 else self._fetch())
+        # one decrypt round per codec stage entered this cycle
+        keys = self.codec.round_keys
+        for cell in conveyor[max(stall_idx + 2, codec_lo):codec_hi]:
+            if cell.codec_block is not None:
+                key = keys[ROUNDS - 1 - cell.codec_rounds]
+                cell.codec_block = feistel_unround(cell.codec_block, key)
+                cell.codec_rounds += 1
 
     def run(self, max_cycles=5_000_000):
         while not self.halted:

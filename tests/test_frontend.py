@@ -236,3 +236,37 @@ def test_trace_flag_prints_occupancy(built, capsys):
     assert trace, "expected per-cycle lines"
     assert any(":0x00004000:" in l for l in trace)
     assert any(" W:" in l for l in trace)
+
+
+def test_trace_is_printed_ahead_of_a_fault(built, capsys):
+    tmp, img = built
+    assert main(["run", str(img), "--trace", "--max-cycles", "5"]) == 1
+    out = capsys.readouterr()
+    assert [l.split(" |")[0] for l in out.out.splitlines()] == \
+        ["cycle %d" % n for n in range(5)]
+    assert out.err == "kpu run: fault: no exit after 5 cycles\n"
+
+
+@pytest.mark.parametrize("command, option, value, rule", [
+    ("run", "--max-cycles", "0", "positive"),
+    ("run", "--max-cycles", "-3", "positive"),
+    ("run", "--user-words", "-5", "non-negative"),
+    ("oracle", "--max-steps", "0", "positive"),
+    ("compare", "--max-steps", "-1", "positive"),
+])
+def test_run_limits_out_of_range_are_usage_errors(built, capsys, command,
+                                                  option, value, rule):
+    tmp, img = built
+    files = [str(img)] + ([str(tmp / "p.dump")] if command == "compare" else [])
+    with pytest.raises(SystemExit) as exc:
+        main([command] + files + [option, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "kpu %s: error: argument %s: must be %s, not %s" % (
+        command, option, rule, value) in err
+
+
+def test_zero_user_words_is_a_program_fault_not_a_usage_error(built, capsys):
+    tmp, img = built
+    assert main(["run", str(img), "--user-words", "0"]) == 1
+    assert "kpu run: fault: " in capsys.readouterr().err

@@ -1,0 +1,67 @@
+"""Byte-for-byte gate on what the kpu commands write.
+
+Each shipped program is assembled with ``--seed 0`` and taken through
+``kpu run --trace --stats FILE --dump FILE`` and ``kpu oracle``. The exact
+bytes of the run's stdout (trace then outputs), the stats file, the dump
+file and the oracle's stdout are frozen as sha256 digests, next to the
+cycle count, so a change meant only to speed the engine up cannot move a
+single trace line, counter or register.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from kpusim.frontend import main
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# program -> (cycles, run stdout, stats file, dump file, oracle stdout)
+GOLDEN = {
+    "programs/encrypted_sum.s": (
+        200,
+        "9edae20ee249606a0c9a6fb4accf6759271e22b90bf5f7ed9bb114ef68adce49",
+        "c58cbe0c609153da3cce5bb962cc6af46bd5920b3bbd9c5bf3273caa70221c34",
+        "ac7ed35fc3a4582df33cffe340cc5f326a7b3e9fa9b67c2f9287c74f79895be7",
+        "f24f6d9e5a024d56bc8e5e5ee0b0bab387527ab8128a4a2c486ca825d20191cd"),
+    "programs/syscall_ticks.s": (
+        108,
+        "8419c7c6fbc5e0aa99c655c44ba0c0fbb37a3398b1cf8ebab647b181fe208197",
+        "a2f14e8dcd11c1f47c10659e3be0bafaa9688ac147c014ce8903396ff446dff9",
+        "f4b50d03dab5af6885e2a6c985c3aca02faa08b02290ee484616d4fbeafac0fd",
+        "7c5e127b7979535fe1745d6d99ebabbb5bfa60360bffb4e1ecf2740640483eef"),
+    "bench/is_add_test.s": (
+        2357,
+        "590bde6f112fa1ce3dce413ff6151e085f7a487b4bd730a85dd963d6a59bf30c",
+        "867714134aad7c136b77dcf10f091c8edc11e933a2bdbf58ea701ce966736db5",
+        "78e3e3a1383738ad80d0ed989f758811ad9478a53362a58982196dc919591945",
+        "e6daa7eef17326558e7864e06f8e3a092f545ffee186d42e5da2bf0582f7e4c5"),
+}
+
+
+def _sha(data):
+    return hashlib.sha256(data.encode()).hexdigest()
+
+
+def golden_run(program, tmp_path, capsys):
+    img = tmp_path / "prog.img"
+    stats = tmp_path / "prog.stats"
+    dump = tmp_path / "prog.dump"
+    assert main(["asm", str(ROOT / program), "-o", str(img), "--seed", "0",
+                 "--quiet"]) == 0
+    capsys.readouterr()
+    assert main(["run", str(img), "--trace", "--stats", str(stats),
+                 "--dump", str(dump)]) == 0
+    run_out = capsys.readouterr().out
+    assert main(["oracle", str(img)]) == 0
+    oracle_out = capsys.readouterr().out
+    stats_text = stats.read_text()
+    cycles = int(stats_text.split()[3].rstrip(","))
+    return (cycles, _sha(run_out), _sha(stats_text), _sha(dump.read_text()),
+            _sha(oracle_out))
+
+
+@pytest.mark.parametrize("program", sorted(GOLDEN))
+def test_run_and_oracle_bytes_are_frozen(program, tmp_path, capsys):
+    assert golden_run(program, tmp_path, capsys) == GOLDEN[program]

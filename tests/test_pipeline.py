@@ -373,16 +373,17 @@ top:
 
 
 def test_trace_line_shape():
-    eng = run("", head=""".mode super
+    lines = []
+    run("", head=""".mode super
 .entry boot
 .org 0x100
 boot:
     l.addi r1, r0, 3
     l.add  r2, r1, r1
     l.nop  1
-""", trace=True)
-    assert eng.trace_lines[1] == "cycle 1 | F:0x00000100:l.addi"
-    assert eng.trace_lines[2] == "cycle 2 | D:0x00000100:l.addi F:0x00000104:l.add"
+""", trace=lines.append)
+    assert lines[1] == "cycle 1 | F:0x00000100:l.addi"
+    assert lines[2] == "cycle 2 | D:0x00000100:l.addi F:0x00000104:l.add"
     shape = re.compile(r"^cycle \d+ \| ?((C\d+|[FDRXMW]):0x[0-9a-f]{8}:l\.\w+ ?)*$")
-    for line in eng.trace_lines:
+    for line in lines:
         assert shape.match(line), line
