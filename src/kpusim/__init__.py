@@ -3,7 +3,7 @@ encrypted operands, with its assembler and flat reference interpreter."""
 
 from .assembler import (Assembler, CryptoSafetyError, FormatError, Image,
                         ParseError, assemble, parse_image, write_image)
-from .codec import Codec, NotAProgramAddress, PaddedWord, make_padding, pad_mix
+from .codec import Codec, NotAProgramAddress, make_padding, pad_mix
 from .core import MachineState, Mode
 from .memsys import MemorySystem, PhysicalExhausted
 from .oracle import AliasDetected, Interpreter, compare, engine_view, interpret
@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Assembler", "CryptoSafetyError", "FormatError", "Image", "ParseError",
     "assemble", "parse_image", "write_image",
-    "Codec", "NotAProgramAddress", "PaddedWord", "make_padding", "pad_mix",
+    "Codec", "NotAProgramAddress", "make_padding", "pad_mix",
     "MachineState", "Mode",
     "MemorySystem", "PhysicalExhausted",
     "AliasDetected", "Interpreter", "compare", "engine_view", "interpret",

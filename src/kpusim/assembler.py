@@ -118,18 +118,17 @@ _LABEL_RE = re.compile(r"^([A-Za-z_.$][\w.$]*):")
 _REG_RE = re.compile(r"^[rR]([0-9]|[12][0-9]|3[01])$")
 _MEM_RE = re.compile(r"^(.*)\(([rR][0-9]+)\)$")
 
-_RRR = {"l.add": isa.ALU_ADD, "l.sub": isa.ALU_SUB, "l.and": isa.ALU_AND,
-        "l.or": isa.ALU_OR, "l.xor": isa.ALU_XOR, "l.mul": isa.ALU_MUL,
-        "l.divu": isa.ALU_DIVU, "l.sll": isa.ALU_SLL, "l.srl": isa.ALU_SRL,
-        "l.sra": isa.ALU_SRA}
-_SF = {"l.sfeq": isa.SF_EQ, "l.sfne": isa.SF_NE, "l.sfgts": isa.SF_GTS,
-       "l.sfges": isa.SF_GES, "l.sflts": isa.SF_LTS, "l.sfles": isa.SF_LES}
-_IMM = {"l.addi": isa.OP_ADDI, "l.andi": isa.OP_ANDI, "l.ori": isa.OP_ORI,
-        "l.xori": isa.OP_XORI, "l.muli": isa.OP_MULI}
-_SHIFT = {"l.slli": isa.SHIFT_SLL, "l.srli": isa.SHIFT_SRL,
-          "l.srai": isa.SHIFT_SRA}
-_RELS = {"l.j": isa.OP_J, "l.jal": isa.OP_JAL, "l.bf": isa.OP_BF,
-         "l.bnf": isa.OP_BNF}
+_REGISTERS = ("rd", "ra", "rb")
+_C = isa.InstrClass
+
+
+def _mnemonics(keep):
+    return {mn for mn, row in isa.MNEMONICS.items() if keep(row)}
+
+
+# mnemonics whose immediate a `.encrypt on` region turns into a prefix pair
+# plus the instruction
+_ENCRYPTED = _mnemonics(lambda row: row.cls is _C.IMMEDIATE)
 
 
 def _parse_reg(tok, lineno):
@@ -204,7 +203,7 @@ class Assembler:
 
             item = _Item(lineno, head, rest, loc, encrypted, labeled)
             items.append(item)
-            if encrypted and (head in _IMM or head in _SHIFT):
+            if encrypted and head in _ENCRYPTED:
                 loc += 12                # prefix pair plus the instruction
             else:
                 loc += 4
@@ -261,8 +260,7 @@ class Assembler:
                 encoded = self._encode_item(item, labels, ordinal)
             except isa.OperandOutOfRange as exc:
                 raise ParseError(item.lineno, str(exc)) from None
-            if item.encrypted and \
-                    (item.mnemonic in _IMM or item.mnemonic in _SHIFT):
+            if item.encrypted and item.mnemonic in _ENCRYPTED:
                 ordinal += 1
             for offset, word in enumerate(encoded):
                 self._put_word(image, item.addr + 4 * offset, word, item.lineno)
@@ -292,13 +290,6 @@ class Assembler:
             return value
         raise ParseError(lineno, "cannot parse expression %r" % s)
 
-    def _split_ops(self, item, n):
-        parts = [p.strip() for p in item.ops.split(",")] if item.ops else []
-        if len(parts) != n:
-            raise ParseError(item.lineno,
-                             "%s takes %d operands" % (item.mnemonic, n))
-        return parts
-
     def _mem_operand(self, tok, lineno, labels):
         m = _MEM_RE.match(tok.strip())
         if not m:
@@ -306,146 +297,68 @@ class Assembler:
         off = self._expr(m.group(1), labels, lineno)
         return off, _parse_reg(m.group(2), lineno)
 
-    def _encode_item(self, item, labels, ordinal):
-        mn = item.mnemonic
+    def _operands(self, item, row, labels):
+        """Instruction fields of an item's operand text, by the row's
+        syntax."""
         lineno = item.lineno
+        tokens = row.syntax.split(",") if row.syntax else []
+        parts = [p.strip() for p in item.ops.split(",")] if item.ops else []
+        if not parts and tokens == ["imm?"]:
+            return {"imm": 0}
+        if len(parts) != len(tokens):
+            raise ParseError(lineno, "%s takes %d operands"
+                             % (item.mnemonic, len(tokens)))
+        # plain registers first, then the operands that may name labels
+        fields = {token: _parse_reg(text, lineno)
+                  for token, text in zip(tokens, parts) if token in _REGISTERS}
+        for token, text in zip(tokens, parts):
+            if token in _REGISTERS:
+                continue
+            if token == "imm(ra)":
+                fields["imm"], fields["ra"] = self._mem_operand(text, lineno,
+                                                                labels)
+            elif token == "@imm":
+                delta = self._expr(text, labels, lineno) - item.addr
+                if delta % 4:
+                    raise ParseError(lineno, "branch target not word aligned")
+                fields["imm"] = delta // 4
+            else:
+                fields[token.rstrip("?")] = self._expr(text, labels, lineno)
+        return fields
 
-        if mn in _RELS:
-            (target,) = self._split_ops(item, 1)
-            value = self._expr(target, labels, lineno)
-            delta = value - item.addr
-            if delta % 4:
-                raise ParseError(lineno, "branch target not word aligned")
-            ins = isa.Instruction(_RELS[mn], mn,
-                                  isa.InstrClass.JUMP, imm=delta // 4)
-            return [isa.encode(ins)]
-        if mn in ("l.jr", "l.jalr"):
-            (reg,) = self._split_ops(item, 1)
-            op = isa.OP_JR if mn == "l.jr" else isa.OP_JALR
-            return [isa.encode(isa.Instruction(op, mn, isa.InstrClass.JUMP,
-                                               rb=_parse_reg(reg, lineno)))]
-        if mn == "l.nop":
-            k = self._expr(item.ops, labels, lineno) if item.ops else 0
-            return [isa.encode(isa.Instruction(isa.OP_NOP, mn,
-                                               isa.InstrClass.NOP, imm=k))]
-        if mn == "l.sys":
-            k = self._expr(item.ops, labels, lineno) if item.ops else 0
-            return [isa.encode(isa.Instruction(isa.OP_SYS, mn,
-                                               isa.InstrClass.SYSTRAP, imm=k))]
-        if mn == "l.rfe":
-            self._split_ops(item, 0)
-            return [isa.encode(isa.Instruction(isa.OP_RFE, mn,
-                                               isa.InstrClass.SYSTRAP))]
-        if mn == "l.prefix":
-            idx, payload = self._split_ops(item, 2)
-            return [isa.encode(isa.Instruction(
-                isa.OP_PREFIX, mn, isa.InstrClass.PREFIX,
-                prefix_idx=self._expr(idx, labels, lineno),
-                prefix_payload=self._expr(payload, labels, lineno)))]
-        if mn in _RRR:
-            rd, ra, rb = (_parse_reg(t, lineno)
-                          for t in self._split_ops(item, 3))
-            return [isa.encode(isa.Instruction(
-                isa.OP_ALU, mn, isa.InstrClass.REGISTER,
-                rd=rd, ra=ra, rb=rb, funct=_RRR[mn]))]
-        if mn == "l.add64":
-            rd, ra, rb = (_parse_reg(t, lineno)
-                          for t in self._split_ops(item, 3))
-            return [isa.encode(isa.Instruction(
-                isa.OP_C64, mn, isa.InstrClass.CLASS64,
-                rd=rd, ra=ra, rb=rb, funct=isa.C64_ADD))]
-        if mn in _SF:
-            ra, rb = (_parse_reg(t, lineno) for t in self._split_ops(item, 2))
-            return [isa.encode(isa.Instruction(
-                isa.OP_SF, mn, isa.InstrClass.REGISTER,
-                ra=ra, rb=rb, funct=_SF[mn]))]
-        if mn in ("l.lwz", "l.ld"):
-            rd_tok, mem = self._split_ops(item, 2)
-            rd = _parse_reg(rd_tok, lineno)
-            off, ra = self._mem_operand(mem, lineno, labels)
-            if mn == "l.lwz":
-                return [isa.encode(isa.Instruction(
-                    isa.OP_LWZ, mn, isa.InstrClass.LOAD,
-                    rd=rd, ra=ra, imm=off))]
-            return [isa.encode(isa.Instruction(
-                isa.OP_C64, mn, isa.InstrClass.CLASS64,
-                rd=rd, ra=ra, imm=off, funct=isa.C64_LD))]
-        if mn in ("l.sw", "l.sd"):
-            mem, rb_tok = self._split_ops(item, 2)
-            rb = _parse_reg(rb_tok, lineno)
-            off, ra = self._mem_operand(mem, lineno, labels)
-            if mn == "l.sw":
-                return [isa.encode(isa.Instruction(
-                    isa.OP_SW, mn, isa.InstrClass.STORE,
-                    ra=ra, rb=rb, imm=off))]
-            return [isa.encode(isa.Instruction(
-                isa.OP_C64, mn, isa.InstrClass.CLASS64,
-                ra=ra, rb=rb, imm=off, funct=isa.C64_SD))]
-        if mn == "l.mfspr":
-            rd, ra, k = self._split_ops(item, 3)
-            return [isa.encode(isa.Instruction(
-                isa.OP_MFSPR, mn, isa.InstrClass.SPR,
-                rd=_parse_reg(rd, lineno), ra=_parse_reg(ra, lineno),
-                imm=self._expr(k, labels, lineno)))]
-        if mn == "l.mtspr":
-            ra, rb, k = self._split_ops(item, 3)
-            return [isa.encode(isa.Instruction(
-                isa.OP_MTSPR, mn, isa.InstrClass.SPR,
-                ra=_parse_reg(ra, lineno), rb=_parse_reg(rb, lineno),
-                imm=self._expr(k, labels, lineno)))]
-        if mn in _IMM or mn in _SHIFT:
-            rd, ra, imm_tok = self._split_ops(item, 3)
-            rd = _parse_reg(rd, lineno)
-            ra = _parse_reg(ra, lineno)
-            literal = self._expr(imm_tok, labels, lineno)
-            if item.encrypted:
-                return self._encode_encrypted(mn, rd, ra, literal,
-                                              ordinal, lineno)
-            if mn in _SHIFT:
-                return [isa.encode(isa.Instruction(
-                    isa.OP_SHIFTI, mn, isa.InstrClass.IMMEDIATE, rd=rd, ra=ra,
-                    imm=literal, funct=_SHIFT[mn]))]
-            return [isa.encode(isa.Instruction(
-                _IMM[mn], mn, isa.InstrClass.IMMEDIATE,
-                rd=rd, ra=ra, imm=literal))]
+    def _encode_item(self, item, labels, ordinal):
+        row = isa.MNEMONICS.get(item.mnemonic)
+        if row is None:
+            raise ParseError(item.lineno, "unknown mnemonic %r" % item.mnemonic)
+        fields = self._operands(item, row, labels)
+        if item.encrypted and item.mnemonic in _ENCRYPTED:
+            return self._encode_encrypted(row, fields, ordinal, item.lineno)
+        return [isa.encode(isa.instruction(item.mnemonic, **fields))]
 
-        raise ParseError(lineno, "unknown mnemonic %r" % mn)
-
-    def _encode_encrypted(self, mn, rd, ra, literal, ordinal, lineno):
+    def _encode_encrypted(self, row, fields, ordinal, lineno):
+        literal = fields["imm"]
         if not -(1 << 31) <= literal <= MASK32:
             raise ParseError(lineno, "immediate %d does not fit 32 bits" % literal)
+        body = isa.encode(isa.instruction(row.mnemonic, rd=fields["rd"],
+                                          ra=fields["ra"], imm=0))
+        # bits of the final 16 outside the immediate field (a shift's
+        # sub-op) must come out of the ciphertext as the row fixes them
+        keep = 0xFFFF & ~row.masks["imm"]
         value = literal & MASK32
-        sub = _SHIFT.get(mn)
         attempt = 0
         while True:
             pad = make_padding(self.seed, ordinal, attempt)
             cipher = self.codec.encrypt((pad << 32) | value)
-            if sub is None or (cipher >> 14) & 3 == sub:
+            if not (cipher ^ body) & keep:
                 break
             attempt += 1
             if attempt >= MAX_PAD_ATTEMPTS:
                 raise ParseError(lineno, "no padding fits shift sub-op")
-        p0 = (cipher >> 40) & 0xFFFFFF
-        p1 = (cipher >> 16) & 0xFFFFFF
-        tail = cipher & 0xFFFF
-        if sub is not None:
-            body = isa.encode(isa.Instruction(
-                isa.OP_SHIFTI, mn, isa.InstrClass.IMMEDIATE, rd=rd, ra=ra,
-                imm=tail & 0x3FFF, funct=sub))
-        else:
-            op = _IMM[mn]
-            imm = tail if op in isa.IMM_UNSIGNED_OPS else isa._sext(tail, 16)
-            body = isa.encode(isa.Instruction(
-                op, mn, isa.InstrClass.IMMEDIATE, rd=rd, ra=ra, imm=imm))
-        return [
-            isa.encode(isa.Instruction(isa.OP_PREFIX, "l.prefix",
-                                       isa.InstrClass.PREFIX,
-                                       prefix_idx=0, prefix_payload=p0)),
-            isa.encode(isa.Instruction(isa.OP_PREFIX, "l.prefix",
-                                       isa.InstrClass.PREFIX,
-                                       prefix_idx=1, prefix_payload=p1)),
-            body,
-        ]
+        p0 = isa.instruction("l.prefix", prefix_idx=0,
+                             prefix_payload=(cipher >> 40) & 0xFFFFFF)
+        p1 = isa.instruction("l.prefix", prefix_idx=1,
+                             prefix_payload=(cipher >> 16) & 0xFFFFFF)
+        return [isa.encode(p0), isa.encode(p1), body | (cipher & 0xFFFF)]
 
 
 def assemble(source, cdc, seed=0, strict=False):
@@ -458,7 +371,19 @@ def assemble(source, cdc, seed=0, strict=False):
 
 PROG, DATA, UNKNOWN = "prog", "data", "unknown"
 
-_BLOCK_ENDERS = set(_RELS) | {"l.jr", "l.jalr", "l.sys", "l.rfe"}
+# register and immediate ALU operations
+_ARITHMETIC = _mnemonics(lambda row: row.cls is _C.IMMEDIATE
+                         or row.syntax == "rd,ra,rb")
+# writers of rd, always the first operand: arithmetic, loads, SPR reads
+_RD_WRITERS = _mnemonics(lambda row: row.syntax.startswith("rd,"))
+_REGISTER_JUMPS = _mnemonics(lambda row: row.syntax == "rb")
+_BLOCK_ENDERS = _mnemonics(lambda row: row.cls in (_C.JUMP, _C.BRANCH,
+                                                    _C.SYSTRAP))
+
+
+def _reg_of(tok):
+    m = _REG_RE.match(tok.strip())
+    return int(m.group(1)) if m else None
 
 
 def lint(items):
@@ -479,32 +404,20 @@ def lint(items):
         if taint is None or item.labeled:
             taint = {9: PROG}
         mn = item.mnemonic
-
-        def reg_of(tok):
-            m = _REG_RE.match(tok.strip())
-            return int(m.group(1)) if m else None
-
+        # pass two has checked every item's operand count
         ops = [p.strip() for p in item.ops.split(",")] if item.ops else []
-        if mn in _RRR or mn in _IMM or mn in _SHIFT or mn == "l.add64":
-            regs = [reg_of(t) for t in ops]
-            rd = regs[0] if regs else None
-            for src in regs[1:]:
+        if mn in _ARITHMETIC:
+            for src in map(_reg_of, ops[1:]):
                 if src is not None and taint.get(src, UNKNOWN) == PROG:
                     diags.append(
                         "line %d: arithmetic on a program address in r%d"
                         % (item.lineno, src))
+        if mn in _RD_WRITERS:
+            rd = _reg_of(ops[0])
             if rd:
                 taint[rd] = DATA
-        elif mn == "l.lwz" or mn == "l.ld":
-            rd = reg_of(ops[0]) if ops else None
-            if rd:
-                taint[rd] = DATA
-        elif mn == "l.mfspr":
-            rd = reg_of(ops[0]) if ops else None
-            if rd:
-                taint[rd] = DATA
-        elif mn in ("l.jr", "l.jalr"):
-            rb = reg_of(ops[0]) if ops else None
+        elif mn in _REGISTER_JUMPS:
+            rb = _reg_of(ops[0])
             if rb is not None and taint.get(rb, UNKNOWN) == DATA:
                 diags.append(
                     "line %d: register jump through a data value in r%d"

@@ -13,7 +13,6 @@ codec pipeline stage. It is deliberately lightweight and pluggable; nothing
 here claims cryptographic strength, only bijectivity and determinism.
 """
 
-from dataclasses import dataclass
 
 MASK16 = 0xFFFF
 MASK32 = 0xFFFFFFFF
@@ -139,26 +138,6 @@ def pad_mix(pad_a, pad_b, op_id):
     if not pad_is_valid(mixed):
         mixed ^= 0x40000001
     return mixed
-
-
-# ------------------------------------------------------------ padded word --
-
-@dataclass(frozen=True)
-class PaddedWord:
-    """Plaintext-domain data value: meaningful low 32 bits plus a pad."""
-
-    value: int
-    pad: int
-
-    def __post_init__(self):
-        if not 0 <= self.value <= MASK32:
-            raise ValueError("value must fit 32 bits")
-        if not pad_is_valid(self.pad):
-            raise ValueError("pad 0x%08x collides with a program-address form" % self.pad)
-
-    @property
-    def block(self):
-        return (self.pad << 32) | self.value
 
 
 def word_value(block):

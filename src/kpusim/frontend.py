@@ -190,12 +190,13 @@ def _cmd_run(args):
     except FormatError as exc:
         print("kpu run: %s" % exc, file=sys.stderr)
         return 2
-    # the trace streams to stdout as the run goes, ahead of the outputs
-    engine = Engine(image, Codec(args.key), user_words=args.user_words,
-                    cache_entries=args.cache_entries,
-                    bpb_entries=args.bpb_entries,
-                    trace=print if args.trace else None)
     try:
+        # loading the image's data can fault as well as running it; the
+        # trace streams to stdout as the run goes, ahead of the outputs
+        engine = Engine(image, Codec(args.key), user_words=args.user_words,
+                        cache_entries=args.cache_entries,
+                        bpb_entries=args.bpb_entries,
+                        trace=print if args.trace else None)
         engine.run(max_cycles=args.max_cycles)
     except _RUNTIME_FAULTS as exc:
         print("kpu run: fault: %s" % exc, file=sys.stderr)

@@ -1,10 +1,13 @@
-"""Instruction set: encoding table, decode/encode, and the decode-side
-rules both executors share.
+"""Instruction set: one table row per mnemonic, which decode, encode,
+disassembly and the assembler all read, and the decode-side rules both
+executors share.
 
-Every instruction is one 32-bit word with the opcode in bits [31:26].
-Fields that the table does not assign must be zero; any word that violates
-that, or names an unassigned opcode/sub-operation, raises IllegalOpcode so
-that decoding is total over the 32-bit space.
+Every instruction is one 32-bit word with the opcode in bits [31:26]; four
+opcodes also hold a sub-operation in a selector field. A word decodes only
+when its opcode and selector name a row and every bit outside them and the
+row's operand fields equals the row's fixed bits. Any other word raises
+IllegalOpcode, so decoding is total over the 32-bit space and every decoded
+word re-encodes to itself.
 
 The pipeline and the reference interpreter read the same predecoded text
 table, the same immediate-to-ALU mapping, the same prefix latch and the
@@ -12,6 +15,8 @@ same user-mode legality rule from here, so the two can differ only in how
 they execute.
 """
 
+import dataclasses
+import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -77,32 +82,18 @@ OP_ALU = 0x38
 OP_SF = 0x39
 OP_C64 = 0x3C
 
-# funct codes for OP_ALU (bits [3:0]).
+# Selector field (lo, mask) of each opcode that holds a sub-operation.
+SELECTORS = {OP_SHIFTI: (14, 0x3), OP_ALU: (0, 0xF), OP_SF: (21, 0x1F),
+             OP_C64: (0, 0xF)}
+
+# Sub-operations: funct codes for OP_ALU and OP_C64, shift kinds for
+# OP_SHIFTI (3 is unassigned), comparisons for OP_SF (signed where it
+# matters).
 ALU_ADD, ALU_SUB, ALU_AND, ALU_OR, ALU_XOR = 0, 1, 2, 3, 4
 ALU_MUL, ALU_DIVU, ALU_SLL, ALU_SRL, ALU_SRA = 5, 6, 7, 8, 9
-ALU_FUNCT_NAMES = {
-    ALU_ADD: "l.add", ALU_SUB: "l.sub", ALU_AND: "l.and", ALU_OR: "l.or",
-    ALU_XOR: "l.xor", ALU_MUL: "l.mul", ALU_DIVU: "l.divu",
-    ALU_SLL: "l.sll", ALU_SRL: "l.srl", ALU_SRA: "l.sra",
-}
-
-# sub codes for OP_SHIFTI (bits [15:14]); 3 is unassigned.
 SHIFT_SLL, SHIFT_SRL, SHIFT_SRA = 0, 1, 2
-SHIFTI_NAMES = {SHIFT_SLL: "l.slli", SHIFT_SRL: "l.srli", SHIFT_SRA: "l.srai"}
-
-# sub codes for OP_SF (bits [25:21]); all comparisons signed where it matters.
 SF_EQ, SF_NE, SF_GTS, SF_GES, SF_LTS, SF_LES = 0, 1, 2, 3, 4, 5
-SF_NAMES = {
-    SF_EQ: "l.sfeq", SF_NE: "l.sfne", SF_GTS: "l.sfgts",
-    SF_GES: "l.sfges", SF_LTS: "l.sflts", SF_LES: "l.sfles",
-}
-
-# funct codes for OP_C64 (bits [3:0]): supervisor-only 64-bit data ops.
 C64_LD, C64_SD, C64_ADD = 0, 1, 2
-C64_NAMES = {C64_LD: "l.ld", C64_SD: "l.sd", C64_ADD: "l.add64"}
-
-IMM_SIGNED_OPS = {OP_ADDI, OP_MULI, OP_XORI}
-IMM_UNSIGNED_OPS = {OP_ANDI, OP_ORI}
 
 # ALU operation of each immediate-class mnemonic, as an ALU_* funct code.
 IMM_ALU_OP = {
@@ -117,7 +108,8 @@ class Instruction:
 
     imm holds the semantic value: sign-extended for signed fields, raw for
     unsigned ones, the word offset for branches/jumps, the data field for
-    shift-immediates.
+    shift-immediates. funct is the sub-operation of an opcode that has a
+    selector.
     """
 
     opcode: int
@@ -132,190 +124,170 @@ class Instruction:
     prefix_payload: int | None = None
 
 
-def _sext(value, bits):
-    sign = 1 << (bits - 1)
-    return (value & (sign - 1)) - (value & sign)
+# position of each Instruction field among the constructor's arguments
+_SLOT = {f.name: i for i, f in enumerate(dataclasses.fields(Instruction))}
 
 
-def _check_zero(word, mask, what):
-    if word & mask:
-        raise IllegalOpcode(word, "nonzero %s field" % what)
+class Row:
+    """One mnemonic of the instruction table.
+
+    The `fields` argument lists (name, signed, (lo, width), ...): an
+    Instruction field and its word bits, most significant piece first.
+    The shifts, masks and value limits decode and encode need are worked
+    out here once.
+    """
+
+    __slots__ = ("mnemonic", "opcode", "cls", "syntax", "funct", "fields",
+                 "base", "fixed_mask", "fixed", "masks", "template")
+
+    def __init__(self, mnemonic, opcode, cls, syntax, fields=(), funct=None,
+                 fixed=0):
+        self.mnemonic = mnemonic
+        self.opcode = opcode
+        self.cls = cls
+        self.syntax = syntax
+        self.funct = funct
+        used = 0x3F << 26
+        self.base = (opcode << 26) | fixed
+        if funct is not None:
+            lo, mask = SELECTORS[opcode]
+            used |= mask << lo
+            self.base |= funct << lo
+        self.masks = {}
+        compiled = []
+        for name, signed, *pieces in fields:
+            width = sum(w for _, w in pieces)
+            steps, mask, at = [], 0, width
+            for lo, w in pieces:
+                at -= w
+                steps.append((lo, (1 << w) - 1, at))
+                mask |= ((1 << w) - 1) << lo
+            self.masks[name] = mask
+            used |= mask
+            sign = 1 << (width - 1) if signed else 0
+            low, high = (-sign, sign) if signed else (0, 1 << width)
+            # a piece is (lo, mask, its shift within the value)
+            compiled.append((name, _SLOT[name], tuple(steps), sign, low, high,
+                             "%s%d bits" % ("signed " if signed else "", width)))
+        self.fields = tuple(compiled)
+        self.template = [None] * len(_SLOT)
+        self.template[:3] = opcode, mnemonic, cls
+        self.template[_SLOT["funct"]] = funct
+        self.fixed_mask = ~used & MASK32
+        self.fixed = fixed
+
+
+_RD = ("rd", False, (21, 5))
+_RA = ("ra", False, (16, 5))
+_RB = ("rb", False, (11, 5))
+_RRR = (_RD, _RA, _RB)
+_RR = (_RA, _RB)
+_OFFSET = (("imm", True, (0, 26)),)                  # word offset from pc
+_RI_SIGNED = (_RD, _RA, ("imm", True, (0, 16)))
+_RI_UNSIGNED = (_RD, _RA, ("imm", False, (0, 16)))
+_RI_SHIFT = (_RD, _RA, ("imm", False, (0, 14)))
+_K16 = (("imm", False, (0, 16)),)
+
+_C = InstrClass
+TABLE = (
+    Row("l.j", OP_J, _C.JUMP, "@imm", _OFFSET),
+    Row("l.jal", OP_JAL, _C.JUMP, "@imm", _OFFSET),
+    Row("l.bnf", OP_BNF, _C.BRANCH, "@imm", _OFFSET),
+    Row("l.bf", OP_BF, _C.BRANCH, "@imm", _OFFSET),
+    # canonical nop words carry a fixed one in bit 24 (top byte 0x15)
+    Row("l.nop", OP_NOP, _C.NOP, "imm?", _K16, fixed=1 << 24),
+    Row("l.prefix", OP_PREFIX, _C.PREFIX, "prefix_idx,prefix_payload",
+        (("prefix_idx", False, (24, 1)), ("prefix_payload", False, (0, 24)))),
+    Row("l.sys", OP_SYS, _C.SYSTRAP, "imm?", _K16),
+    Row("l.rfe", OP_RFE, _C.SYSTRAP, ""),
+    Row("l.jr", OP_JR, _C.JUMP, "rb", (_RB,)),
+    Row("l.jalr", OP_JALR, _C.JUMP, "rb", (_RB,)),
+    Row("l.lwz", OP_LWZ, _C.LOAD, "rd,imm(ra)", _RI_SIGNED),
+    Row("l.addi", OP_ADDI, _C.IMMEDIATE, "rd,ra,imm", _RI_SIGNED),
+    Row("l.andi", OP_ANDI, _C.IMMEDIATE, "rd,ra,imm", _RI_UNSIGNED),
+    Row("l.ori", OP_ORI, _C.IMMEDIATE, "rd,ra,imm", _RI_UNSIGNED),
+    Row("l.xori", OP_XORI, _C.IMMEDIATE, "rd,ra,imm", _RI_SIGNED),
+    Row("l.muli", OP_MULI, _C.IMMEDIATE, "rd,ra,imm", _RI_SIGNED),
+    Row("l.mfspr", OP_MFSPR, _C.SPR, "rd,ra,imm", _RI_UNSIGNED),
+    Row("l.slli", OP_SHIFTI, _C.IMMEDIATE, "rd,ra,imm", _RI_SHIFT, SHIFT_SLL),
+    Row("l.srli", OP_SHIFTI, _C.IMMEDIATE, "rd,ra,imm", _RI_SHIFT, SHIFT_SRL),
+    Row("l.srai", OP_SHIFTI, _C.IMMEDIATE, "rd,ra,imm", _RI_SHIFT, SHIFT_SRA),
+    Row("l.mtspr", OP_MTSPR, _C.SPR, "ra,rb,imm",
+        _RR + (("imm", False, (21, 5), (0, 11)),)),
+    Row("l.sw", OP_SW, _C.STORE, "imm(ra),rb",
+        _RR + (("imm", True, (21, 5), (0, 11)),)),
+    Row("l.add", OP_ALU, _C.REGISTER, "rd,ra,rb", _RRR, ALU_ADD),
+    Row("l.sub", OP_ALU, _C.REGISTER, "rd,ra,rb", _RRR, ALU_SUB),
+    Row("l.and", OP_ALU, _C.REGISTER, "rd,ra,rb", _RRR, ALU_AND),
+    Row("l.or", OP_ALU, _C.REGISTER, "rd,ra,rb", _RRR, ALU_OR),
+    Row("l.xor", OP_ALU, _C.REGISTER, "rd,ra,rb", _RRR, ALU_XOR),
+    Row("l.mul", OP_ALU, _C.REGISTER, "rd,ra,rb", _RRR, ALU_MUL),
+    Row("l.divu", OP_ALU, _C.REGISTER, "rd,ra,rb", _RRR, ALU_DIVU),
+    Row("l.sll", OP_ALU, _C.REGISTER, "rd,ra,rb", _RRR, ALU_SLL),
+    Row("l.srl", OP_ALU, _C.REGISTER, "rd,ra,rb", _RRR, ALU_SRL),
+    Row("l.sra", OP_ALU, _C.REGISTER, "rd,ra,rb", _RRR, ALU_SRA),
+    Row("l.sfeq", OP_SF, _C.REGISTER, "ra,rb", _RR, SF_EQ),
+    Row("l.sfne", OP_SF, _C.REGISTER, "ra,rb", _RR, SF_NE),
+    Row("l.sfgts", OP_SF, _C.REGISTER, "ra,rb", _RR, SF_GTS),
+    Row("l.sfges", OP_SF, _C.REGISTER, "ra,rb", _RR, SF_GES),
+    Row("l.sflts", OP_SF, _C.REGISTER, "ra,rb", _RR, SF_LTS),
+    Row("l.sfles", OP_SF, _C.REGISTER, "ra,rb", _RR, SF_LES),
+    Row("l.ld", OP_C64, _C.CLASS64, "rd,imm(ra)",
+        (_RD, _RA, ("imm", True, (4, 11))), C64_LD),
+    Row("l.sd", OP_C64, _C.CLASS64, "imm(ra),rb",
+        _RR + (("imm", True, (21, 5), (4, 6)),), C64_SD),
+    Row("l.add64", OP_C64, _C.CLASS64, "rd,ra,rb", _RRR, C64_ADD),
+)
+
+MNEMONICS = {row.mnemonic: row for row in TABLE}
+ALU_FUNCT_NAMES = {row.funct: row.mnemonic for row in TABLE
+                   if row.opcode == OP_ALU}
+SF_NAMES = {row.funct: row.mnemonic for row in TABLE if row.opcode == OP_SF}
+# (opcode, sub-op) -> row; an opcode without a selector has sub-op 0
+_ROWS = {(row.opcode, row.funct or 0): row for row in TABLE}
+
+
+def instruction(mnemonic, **fields):
+    """The Instruction of a table mnemonic with the given operand fields."""
+    row = MNEMONICS[mnemonic]
+    return Instruction(row.opcode, mnemonic, row.cls, funct=row.funct,
+                       **fields)
 
 
 def decode(word):
     """Decode one 32-bit word or raise IllegalOpcode."""
     word &= MASK32
     op = word >> 26
-    rd = (word >> 21) & 0x1F
-    ra = (word >> 16) & 0x1F
-    rb = (word >> 11) & 0x1F
-    imm16 = word & 0xFFFF
-
-    if op in (OP_J, OP_JAL, OP_BNF, OP_BF):
-        n26 = _sext(word & 0x03FFFFFF, 26)
-        names = {OP_J: "l.j", OP_JAL: "l.jal", OP_BNF: "l.bnf", OP_BF: "l.bf"}
-        cls = InstrClass.JUMP if op in (OP_J, OP_JAL) else InstrClass.BRANCH
-        return Instruction(op, names[op], cls, imm=n26)
-    if op == OP_NOP:
-        # canonical nop words carry a fixed one in bit 24 (top byte 0x15)
-        if not word & 0x01000000:
-            raise IllegalOpcode(word, "nop without its fixed bit")
-        _check_zero(word, 0x02FF0000, "reserved")
-        return Instruction(op, "l.nop", InstrClass.NOP, imm=imm16)
-    if op == OP_PREFIX:
-        _check_zero(word, 0x02000000, "reserved")
-        return Instruction(op, "l.prefix", InstrClass.PREFIX,
-                           prefix_idx=(word >> 24) & 1,
-                           prefix_payload=word & 0x00FFFFFF)
-    if op == OP_SYS:
-        _check_zero(word, 0x03FF0000, "reserved")
-        return Instruction(op, "l.sys", InstrClass.SYSTRAP, imm=imm16)
-    if op == OP_RFE:
-        _check_zero(word, 0x03FFFFFF, "reserved")
-        return Instruction(op, "l.rfe", InstrClass.SYSTRAP)
-    if op in (OP_JR, OP_JALR):
-        _check_zero(word, 0x03FF07FF, "reserved")
-        name = "l.jr" if op == OP_JR else "l.jalr"
-        return Instruction(op, name, InstrClass.JUMP, rb=rb)
-    if op == OP_LWZ:
-        return Instruction(op, "l.lwz", InstrClass.LOAD, rd=rd, ra=ra,
-                           imm=_sext(imm16, 16))
-    if op in (OP_ADDI, OP_MULI, OP_XORI):
-        names = {OP_ADDI: "l.addi", OP_MULI: "l.muli", OP_XORI: "l.xori"}
-        return Instruction(op, names[op], InstrClass.IMMEDIATE, rd=rd, ra=ra,
-                           imm=_sext(imm16, 16))
-    if op in (OP_ANDI, OP_ORI):
-        name = "l.andi" if op == OP_ANDI else "l.ori"
-        return Instruction(op, name, InstrClass.IMMEDIATE, rd=rd, ra=ra,
-                           imm=imm16)
-    if op == OP_SHIFTI:
-        sub = (imm16 >> 14) & 3
-        if sub == 3:
-            raise IllegalOpcode(word, "shift-immediate sub-op 3")
-        return Instruction(op, SHIFTI_NAMES[sub], InstrClass.IMMEDIATE,
-                           rd=rd, ra=ra, imm=imm16 & 0x3FFF, funct=sub)
-    if op == OP_MFSPR:
-        return Instruction(op, "l.mfspr", InstrClass.SPR, rd=rd, ra=ra,
-                           imm=imm16)
-    if op == OP_MTSPR:
-        k = (rd << 11) | (word & 0x7FF)
-        return Instruction(op, "l.mtspr", InstrClass.SPR, ra=ra, rb=rb, imm=k)
-    if op == OP_SW:
-        simm = _sext((rd << 11) | (word & 0x7FF), 16)
-        return Instruction(op, "l.sw", InstrClass.STORE, ra=ra, rb=rb,
-                           imm=simm)
-    if op == OP_ALU:
-        funct = word & 0xF
-        if funct not in ALU_FUNCT_NAMES:
-            raise IllegalOpcode(word, "ALU funct %d" % funct)
-        _check_zero(word, 0x000007F0, "reserved")
-        return Instruction(op, ALU_FUNCT_NAMES[funct], InstrClass.REGISTER,
-                           rd=rd, ra=ra, rb=rb, funct=funct)
-    if op == OP_SF:
-        if rd not in SF_NAMES:
-            raise IllegalOpcode(word, "set-flag sub-op %d" % rd)
-        _check_zero(word, 0x000007FF, "reserved")
-        return Instruction(op, SF_NAMES[rd], InstrClass.REGISTER,
-                           ra=ra, rb=rb, funct=rd)
-    if op == OP_C64:
-        funct = word & 0xF
-        if funct == C64_LD:
-            _check_zero(word, 0x00008000, "reserved")
-            return Instruction(op, "l.ld", InstrClass.CLASS64, rd=rd, ra=ra,
-                               imm=_sext((word >> 4) & 0x7FF, 11), funct=funct)
-        if funct == C64_SD:
-            _check_zero(word, 0x00000400, "reserved")
-            simm = _sext((rd << 6) | ((word >> 4) & 0x3F), 11)
-            return Instruction(op, "l.sd", InstrClass.CLASS64, ra=ra, rb=rb,
-                               imm=simm, funct=funct)
-        if funct == C64_ADD:
-            _check_zero(word, 0x000007F0, "reserved")
-            return Instruction(op, "l.add64", InstrClass.CLASS64,
-                               rd=rd, ra=ra, rb=rb, funct=funct)
-        raise IllegalOpcode(word, "64-bit funct %d" % funct)
-
-    raise IllegalOpcode(word, "opcode 0x%02x" % op)
-
-
-def _field(value, lo, width, what):
-    if not 0 <= value < (1 << width):
-        raise OperandOutOfRange("%s %d does not fit %d bits" % (what, value, width))
-    return value << lo
-
-
-def _sfield(value, lo, width, what):
-    lim = 1 << (width - 1)
-    if not -lim <= value < lim:
-        raise OperandOutOfRange("%s %d does not fit signed %d bits" % (what, value, width))
-    return (value & ((1 << width) - 1)) << lo
+    lo, mask = SELECTORS.get(op, (0, 0))
+    row = _ROWS.get((op, (word >> lo) & mask))
+    if row is None:
+        raise IllegalOpcode(word, "opcode 0x%02x, sub-op %d"
+                            % (op, (word >> lo) & mask))
+    if word & row.fixed_mask != row.fixed:
+        raise IllegalOpcode(word, "reserved bits")
+    args = row.template.copy()
+    for _, slot, steps, sign, _, _, _ in row.fields:
+        value = 0
+        for lo, mask, at in steps:
+            value |= ((word >> lo) & mask) << at
+        args[slot] = (value ^ sign) - sign
+    return Instruction(*args)
 
 
 def encode(instr):
     """Encode an Instruction back to its 32-bit word."""
-    op = instr.opcode
-    w = op << 26
-    if op in (OP_J, OP_JAL, OP_BNF, OP_BF):
-        return w | _sfield(instr.imm, 0, 26, "word offset")
-    if op == OP_NOP:
-        return w | 0x01000000 | _field(instr.imm, 0, 16, "k")
-    if op == OP_SYS:
-        return w | _field(instr.imm, 0, 16, "k")
-    if op == OP_PREFIX:
-        return (w | _field(instr.prefix_idx, 24, 1, "prefix index")
-                | _field(instr.prefix_payload, 0, 24, "prefix payload"))
-    if op == OP_RFE:
-        return w
-    if op in (OP_JR, OP_JALR):
-        return w | _field(instr.rb, 11, 5, "rB")
-    if op == OP_LWZ or op in (OP_ADDI, OP_MULI, OP_XORI):
-        return (w | _field(instr.rd, 21, 5, "rD") | _field(instr.ra, 16, 5, "rA")
-                | _sfield(instr.imm, 0, 16, "immediate"))
-    if op in (OP_ANDI, OP_ORI):
-        return (w | _field(instr.rd, 21, 5, "rD") | _field(instr.ra, 16, 5, "rA")
-                | _field(instr.imm, 0, 16, "immediate"))
-    if op == OP_SHIFTI:
-        return (w | _field(instr.rd, 21, 5, "rD") | _field(instr.ra, 16, 5, "rA")
-                | _field(instr.funct, 14, 2, "shift sub-op")
-                | _field(instr.imm, 0, 14, "shift data"))
-    if op == OP_MFSPR:
-        return (w | _field(instr.rd, 21, 5, "rD") | _field(instr.ra, 16, 5, "rA")
-                | _field(instr.imm, 0, 16, "spr index"))
-    if op == OP_MTSPR:
-        k = instr.imm
-        if not 0 <= k < (1 << 16):
-            raise OperandOutOfRange("spr index %d does not fit 16 bits" % k)
-        return (w | ((k >> 11) << 21) | _field(instr.ra, 16, 5, "rA")
-                | _field(instr.rb, 11, 5, "rB") | (k & 0x7FF))
-    if op == OP_SW:
-        lim = 1 << 15
-        if not -lim <= instr.imm < lim:
-            raise OperandOutOfRange("store offset %d does not fit signed 16 bits" % instr.imm)
-        enc = instr.imm & 0xFFFF
-        return (w | ((enc >> 11) << 21) | _field(instr.ra, 16, 5, "rA")
-                | _field(instr.rb, 11, 5, "rB") | (enc & 0x7FF))
-    if op == OP_ALU:
-        return (w | _field(instr.rd, 21, 5, "rD") | _field(instr.ra, 16, 5, "rA")
-                | _field(instr.rb, 11, 5, "rB") | _field(instr.funct, 0, 4, "funct"))
-    if op == OP_SF:
-        return (w | _field(instr.funct, 21, 5, "sub-op")
-                | _field(instr.ra, 16, 5, "rA") | _field(instr.rb, 11, 5, "rB"))
-    if op == OP_C64:
-        if instr.funct == C64_LD:
-            return (w | _field(instr.rd, 21, 5, "rD")
-                    | _field(instr.ra, 16, 5, "rA")
-                    | _sfield(instr.imm, 4, 11, "offset") | C64_LD)
-        if instr.funct == C64_SD:
-            lim = 1 << 10
-            if not -lim <= instr.imm < lim:
-                raise OperandOutOfRange("offset %d does not fit signed 11 bits" % instr.imm)
-            enc = instr.imm & 0x7FF
-            return (w | ((enc >> 6) << 21) | _field(instr.ra, 16, 5, "rA")
-                    | _field(instr.rb, 11, 5, "rB") | ((enc & 0x3F) << 4) | C64_SD)
-        if instr.funct == C64_ADD:
-            return (w | _field(instr.rd, 21, 5, "rD")
-                    | _field(instr.ra, 16, 5, "rA")
-                    | _field(instr.rb, 11, 5, "rB") | C64_ADD)
-    raise OperandOutOfRange("cannot encode opcode 0x%02x" % op)
+    row = MNEMONICS.get(instr.mnemonic)
+    if row is None:
+        raise OperandOutOfRange("cannot encode %s" % instr.mnemonic)
+    word = row.base
+    for name, _, steps, _, low, high, bits in row.fields:
+        value = getattr(instr, name)
+        if not low <= value < high:
+            raise OperandOutOfRange("%s %d does not fit %s"
+                                    % (name, value, bits))
+        for lo, mask, at in steps:
+            word |= ((value >> at) & mask) << lo
+    return word
 
 
 def predecode(text):
@@ -370,31 +342,21 @@ def consume_prefixes(latch, imm16):
     return value
 
 
+_OPERAND = re.compile(r"\b(r[dab]|imm|prefix_idx|prefix_payload)\b")
+
+
 def format_instruction(instr):
-    """Human-readable rendering, assembler syntax."""
-    m = instr.mnemonic
-    if m in ("l.j", "l.jal", "l.bnf", "l.bf"):
-        return "%s %d" % (m, instr.imm)
-    if m == "l.nop":
-        return "l.nop %d" % instr.imm if instr.imm else "l.nop"
-    if m == "l.prefix":
-        return "l.prefix %d,0x%06x" % (instr.prefix_idx, instr.prefix_payload)
-    if m == "l.sys":
-        return "l.sys %d" % instr.imm
-    if m == "l.rfe":
-        return "l.rfe"
-    if m in ("l.jr", "l.jalr"):
-        return "%s r%d" % (m, instr.rb)
-    if m in ("l.lwz", "l.ld"):
-        return "%s r%d,%d(r%d)" % (m, instr.rd, instr.imm, instr.ra)
-    if m in ("l.sw", "l.sd"):
-        return "%s %d(r%d),r%d" % (m, instr.imm, instr.ra, instr.rb)
-    if m == "l.mfspr":
-        return "l.mfspr r%d,r%d,%d" % (instr.rd, instr.ra, instr.imm)
-    if m == "l.mtspr":
-        return "l.mtspr r%d,r%d,%d" % (instr.ra, instr.rb, instr.imm)
-    if instr.cls is InstrClass.IMMEDIATE:
-        return "%s r%d,r%d,%d" % (m, instr.rd, instr.ra, instr.imm)
-    if instr.opcode == OP_SF:
-        return "%s r%d,r%d" % (m, instr.ra, instr.rb)
-    return "%s r%d,r%d,r%d" % (m, instr.rd, instr.ra, instr.rb)
+    """Human-readable rendering in assembler syntax. A pc-relative target
+    prints as its word offset; an optional operand that is 0 is left out."""
+    syntax = MNEMONICS[instr.mnemonic].syntax
+    if syntax.endswith("?") and not instr.imm:
+        return instr.mnemonic
+
+    def show(match):
+        name = match.group(1)
+        form = "r%d" if name[0] == "r" else \
+            "0x%06x" if name == "prefix_payload" else "%d"
+        return form % getattr(instr, name)
+
+    ops = _OPERAND.sub(show, syntax).strip("@?")
+    return "%s %s" % (instr.mnemonic, ops) if ops else instr.mnemonic

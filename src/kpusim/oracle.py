@@ -283,6 +283,10 @@ def render_dump(view):
     return "\n".join(lines) + "\n"
 
 
+# record -> field count, the record name included
+_DUMP_FIELDS = {"MODE": 2, "REG": 4, "PHYS": 3, "TLBMAP": 3, "OUT": 2}
+
+
 def parse_sim_dump(text):
     view = SimView(mode="super", regs_real=[0] * 32, regs_shadow=[0] * 32)
     seen_magic = False
@@ -297,20 +301,27 @@ def parse_sim_dump(text):
             seen_magic = True
             continue
         kind = fields[0]
+        if kind not in _DUMP_FIELDS:
+            raise ValueError("line %d: unrecognized record %r" % (lineno, kind))
+        if len(fields) != _DUMP_FIELDS[kind]:
+            raise ValueError("line %d: %s takes %d fields"
+                             % (lineno, kind, _DUMP_FIELDS[kind] - 1))
         if kind == "MODE":
+            if fields[1] not in ("user", "super"):
+                raise ValueError("line %d: mode must be user or super" % lineno)
             view.mode = fields[1]
         elif kind == "REG":
             i = int(fields[1], 10)
+            if not 0 <= i < 32:
+                raise ValueError("line %d: no register %d" % (lineno, i))
             view.regs_real[i] = int(fields[2], 16)
             view.regs_shadow[i] = int(fields[3], 16)
         elif kind == "PHYS":
             view.cells[int(fields[1], 10)] = int(fields[2], 16)
         elif kind == "TLBMAP":
             view.tlb[int(fields[1], 16)] = int(fields[2], 10)
-        elif kind == "OUT":
-            view.outputs.append(int(fields[1], 10))
         else:
-            raise ValueError("line %d: unrecognized record %r" % (lineno, kind))
+            view.outputs.append(int(fields[1], 10))
     return view
 
 

@@ -275,43 +275,18 @@ class Slot:
 
 
 def _slot_sources(instr):
-    srcs = []
-    m = instr.mnemonic
-    if instr.cls is InstrClass.REGISTER:
-        srcs = [instr.ra, instr.rb]
-    elif instr.cls is InstrClass.IMMEDIATE:
-        srcs = [instr.ra]
-    elif instr.cls is InstrClass.LOAD:
-        srcs = [instr.ra]
-    elif instr.cls is InstrClass.STORE:
-        srcs = [instr.ra, instr.rb]
-    elif instr.cls is InstrClass.BRANCH:
+    if instr.cls is InstrClass.BRANCH:
         return (FLAG,)
-    elif m in ("l.jr", "l.jalr"):
-        srcs = [instr.rb]
-    elif m == "l.mfspr":
-        srcs = [instr.ra]
-    elif m == "l.mtspr":
-        srcs = [instr.ra, instr.rb]
-    elif instr.cls is InstrClass.CLASS64:
-        if instr.funct == isa.C64_LD:
-            srcs = [instr.ra]
-        else:
-            srcs = [instr.ra, instr.rb]
-    return tuple(s for s in srcs if s)   # r0 is constant zero
+    # an unused field is None; r0 is constant zero
+    return tuple(reg for reg in (instr.ra, instr.rb) if reg)
 
 
 def _slot_dest(instr):
-    m = instr.mnemonic
-    if m in ("l.jal", "l.jalr"):
+    if instr.mnemonic in ("l.jal", "l.jalr"):
         return 9
     if instr.opcode == isa.OP_SF:
         return FLAG
-    if m in ("l.lwz", "l.mfspr", "l.ld") or \
-            instr.cls in (InstrClass.REGISTER, InstrClass.IMMEDIATE) or \
-            (instr.cls is InstrClass.CLASS64 and instr.funct == isa.C64_ADD):
-        return instr.rd if instr.rd else None
-    return None
+    return instr.rd or None
 
 
 class Engine:

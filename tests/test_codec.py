@@ -4,12 +4,12 @@ import random
 
 import pytest
 
-from kpusim.codec import (Codec, NotAProgramAddress, PaddedWord,
+from kpusim.codec import (Codec, NotAProgramAddress,
                           feistel_round, feistel_unround,
                           is_decrypted_address, is_encrypted_address,
                           key_schedule, make_padding, open_program_address,
                           pad_is_valid, pad_mix, rotl32, to_decrypted_address,
-                          to_encrypted_address, word_pad, word_value)
+                          to_encrypted_address)
 
 KEY = 0x000102030405060708090A0B0C0D0E0F
 
@@ -137,22 +137,6 @@ def test_pad_mix_fixup_branch():
     assert pad_mix(a, b, 0) == 0x40000001
 
 
-def test_padded_word_block_layout():
-    w = PaddedWord(7, 0xDEADBEEF)
-    assert w.block == 0xDEADBEEF00000007
-    assert word_value(w.block) == 7
-    assert word_pad(w.block) == 0xDEADBEEF
-
-
-def test_padded_word_rejects_bad_fields():
-    with pytest.raises(ValueError):
-        PaddedWord(7, 0)
-    with pytest.raises(ValueError):
-        PaddedWord(7, 0x7FFF1234)
-    with pytest.raises(ValueError):
-        PaddedWord(1 << 32, 0x10)
-
-
 def test_program_address_forms():
     assert to_encrypted_address(0x104) == 0x0000000000000104
     assert to_decrypted_address(0x104) == 0x7FFF000000000104
@@ -169,7 +153,7 @@ def test_padded_data_never_looks_like_a_program_address():
     rng = random.Random(77)
     for _ in range(2000):
         pad = make_padding(3, rng.randrange(4096))
-        block = PaddedWord(rng.getrandbits(32), pad).block
+        block = (pad << 32) | rng.getrandbits(32)
         assert not is_encrypted_address(block)
         assert not is_decrypted_address(block)
         with pytest.raises(NotAProgramAddress):

@@ -270,3 +270,27 @@ def test_zero_user_words_is_a_program_fault_not_a_usage_error(built, capsys):
     tmp, img = built
     assert main(["run", str(img), "--user-words", "0"]) == 1
     assert "kpu run: fault: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "oracle"])
+def test_unloadable_data_record_is_a_program_fault(tmp_path, capsys, command):
+    img = tmp_path / "d.img"
+    img.write_text("KPUIMG 1\nENTRY 0x00000100\nMODE super\n"
+                   "TEXT 0x00000100 15000001\n"
+                   "DATA 0x00000004 0000000000000001\n")
+    assert main([command, str(img)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("kpu %s: fault: " % command)
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("record", ["REG 40 0 0", "REG 01", "MODE",
+                                    "MODE bogus", "PHYS 5", "OUT"])
+def test_malformed_dump_is_a_format_error(built, capsys, record):
+    tmp, img = built
+    dump = tmp / "bad.dump"
+    dump.write_text("KPUDUMP 1\n%s\n" % record)
+    assert main(["compare", str(img), str(dump)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("kpu compare: line 2: ")
+    assert err.count("\n") == 1 and "Traceback" not in err

@@ -65,3 +65,83 @@ def golden_run(program, tmp_path, capsys):
 @pytest.mark.parametrize("program", sorted(GOLDEN))
 def test_run_and_oracle_bytes_are_frozen(program, tmp_path, capsys):
     assert golden_run(program, tmp_path, capsys) == GOLDEN[program]
+
+
+# Every mnemonic once, with a pc-relative target, optional and explicit
+# operands, negative offsets and both immediate signednesses.
+EVERY_MNEMONIC = """
+{label}:
+    l.j {label}
+    l.jal {label}
+    l.bnf {label}
+    l.bf {label}
+    l.nop
+    l.nop 3
+    l.prefix 0,0x123456
+    l.prefix 1,0xabcdef
+    l.sys
+    l.sys 7
+    l.rfe
+    l.jr r9
+    l.jalr r3
+    l.lwz r4,-8(r2)
+    l.addi r5,r4,-3
+    l.andi r5,r4,0xfff0
+    l.ori r6,r5,0x8001
+    l.xori r7,r6,-1
+    l.muli r8,r7,300
+    l.slli r9,r8,3
+    l.srli r10,r9,31
+    l.srai r11,r10,2
+    l.mfspr r12,r1,17
+    l.mtspr r1,r12,0x8001
+    l.sw -4(r2),r12
+    l.add r1,r2,r3
+    l.sub r2,r3,r4
+    l.and r3,r4,r5
+    l.or r4,r5,r6
+    l.xor r5,r6,r7
+    l.mul r6,r7,r8
+    l.divu r7,r8,r9
+    l.sll r8,r9,r10
+    l.srl r9,r10,r11
+    l.sra r10,r11,r12
+    l.sfeq r1,r2
+    l.sfne r2,r3
+    l.sfgts r3,r4
+    l.sfges r4,r5
+    l.sflts r5,r6
+    l.sfles r6,r7
+    l.ld r13,-16(r2)
+    l.sd 24(r2),r13
+    l.add64 r14,r13,r12
+"""
+
+ALL_MNEMONICS_SOURCE = (".org 0x100\n" + EVERY_MNEMONIC.format(label="plain")
+                        + ".org 0x1000\n.encrypt on\n"
+                        + EVERY_MNEMONIC.format(label="sealed"))
+
+# source -> sha256 of the image `kpu asm --seed 0` writes
+IMAGE_GOLDEN = {
+    "bench/is_add_test.s":
+        "9b0b943ddf3f3857e7d3804bd6d78a8dc74b2e9a225f19f79f45fc2f2a2f0354",
+    "every mnemonic":
+        "6ac582dcc0e83cf1cff2de94c0556348b962dae50f50fae9805928e22bad9fdf",
+    "programs/encrypted_sum.s":
+        "ec103d29d15a67b85df535ab2b92f4f5461f75e652f647c4380aac0e66d0524c",
+    "programs/syscall_ticks.s":
+        "a19d3bf62a04b46700a9d7556386df9c7348b027247882dac8a66b706fbbb82e",
+}
+
+
+@pytest.mark.parametrize("program", sorted(IMAGE_GOLDEN))
+def test_assembled_image_bytes_are_frozen(program, tmp_path, capsys):
+    if program == "every mnemonic":
+        source = tmp_path / "all.s"
+        source.write_text(ALL_MNEMONICS_SOURCE)
+    else:
+        source = ROOT / program
+    img = tmp_path / "prog.img"
+    assert main(["asm", str(source), "-o", str(img), "--seed", "0",
+                 "--quiet"]) == 0
+    assert _sha(img.read_text()) == IMAGE_GOLDEN[program]

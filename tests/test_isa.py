@@ -6,6 +6,8 @@ import random
 import pytest
 
 from kpusim import isa
+from kpusim.assembler import assemble
+from kpusim.codec import Codec
 
 
 def test_known_words():
@@ -124,8 +126,33 @@ def test_classify_covers_every_mnemonic():
     assert isa.InstrClass.BRANCH in classes
 
 
+def _sample_words():
+    """Words of every table row with random operand bits, then a seeded
+    sample of decodable words."""
+    rng = random.Random(0x15C)
+    words = []
+    for row in isa.TABLE:
+        operands = sum(row.masks.values())
+        words += [row.base | (rng.getrandbits(32) & operands)
+                  for _ in range(20)]
+    while len(words) < 20 * len(isa.TABLE) + 2000:
+        word = rng.getrandbits(32)
+        try:
+            isa.decode(word)
+        except isa.IllegalOpcode:
+            continue
+        words.append(word)
+    return words
+
+
 def test_format_round_trips_through_text():
-    words = [0x15000002, 0x9CA50001, 0x03FFFFFF]
-    for word in words:
-        text = isa.format_instruction(isa.decode(word))
-        assert text.startswith("l.")
+    cdc = Codec(0x000102030405060708090A0B0C0D0E0F)
+    for word in _sample_words():
+        instr = isa.decode(word)
+        text = isa.format_instruction(instr)
+        if instr.mnemonic in ("l.j", "l.jal", "l.bf", "l.bnf"):
+            # pc-relative targets print as the word offset
+            assert text == "%s %d" % (instr.mnemonic, instr.imm)
+            continue
+        image = assemble(".org 0x100\n%s\n" % text, cdc)
+        assert image.text == {0x100: word}, text

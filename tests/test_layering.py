@@ -8,11 +8,13 @@ nothing exercises it.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 import kpusim
+from kpusim import isa
 
 PACKAGE = Path(kpusim.__file__).resolve().parent
 
@@ -52,3 +54,21 @@ def test_module_stays_below_its_consumers(module, forbidden):
 def test_import_scan_sees_sibling_imports():
     assert {"alu", "isa", "codec", "core", "memsys"} <= imported_modules("oracle")
     assert {"alu", "isa", "memsys"} <= imported_modules("pipeline")
+
+
+def test_mnemonic_literals_name_table_rows():
+    """A mistyped mnemonic compared against in the engine or the oracle
+    would silently never match; every string that looks like a mnemonic
+    outside the table must be one of its rows (the engine's illegal-fetch
+    carrier aside)."""
+    known = set(isa.MNEMONICS) | {"l.illegal"}
+    strays = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "isa.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and re.fullmatch(r"l\.\w+", node.value) \
+                    and node.value not in known:
+                strays.append("%s:%d %r" % (path.name, node.lineno, node.value))
+    assert not strays
