@@ -9,8 +9,11 @@ behind them uses two disjoint shapes:
                        "decrypted" form: top 16 bits forced to 0x7fff
 
 The cipher is a 10-round balanced Feistel on 64-bit blocks, one round per
-codec pipeline stage. It is deliberately lightweight and pluggable; nothing
-here claims cryptographic strength, only bijectivity and determinism.
+codec pipeline stage. Each direction's round is a single flat kernel
+(feistel_round, feistel_unround) that the block routines loop over and
+the pipeline calls once per stage. It is deliberately lightweight and
+pluggable; nothing here claims cryptographic strength, only bijectivity
+and determinism.
 """
 
 
@@ -36,20 +39,6 @@ def rotl32(x, n):
     return ((x << n) | (x >> (32 - n))) & MASK32 if n else x
 
 
-def _feistel_f(x, k):
-    # Mixes rotate, xor and 32-bit add so that differences both shift and
-    # propagate through carries.
-    return (rotl32(x ^ k, 7) + (rotl32(x, 13) ^ k)) & MASK32
-
-
-def _split(block):
-    return (block >> 32) & MASK32, block & MASK32
-
-
-def _join(left, right):
-    return ((left & MASK32) << 32) | (right & MASK32)
-
-
 def key_schedule(key):
     """Fold a 128-bit master key into the ten 32-bit round keys."""
     if not 0 <= key <= (1 << 128) - 1:
@@ -63,16 +52,29 @@ def key_schedule(key):
     return ks
 
 
+# A round maps the halves (L, R) to (R, L ^ f(R, k)), where
+#     f(x, k) = (rotl32(x ^ k, 7) + (rotl32(x, 13) ^ k)) mod 2**32
+# mixes rotate, xor and 32-bit add so that differences both shift and
+# propagate through carries. Each round is one flat function: the engine
+# runs one per codec stage, so the rotates are written out in place. A
+# rotate's bits above 32 are left in; the sum's low 32 bits do not see them.
+
 def feistel_round(block, k):
     """One forward Feistel round."""
-    left, right = _split(block)
-    return _join(right, left ^ _feistel_f(right, k))
+    left = (block >> 32) & MASK32
+    right = block & MASK32
+    x = (right ^ k) & MASK32
+    f = (((x << 7) | (x >> 25)) + (((right << 13) | (right >> 19)) ^ k)) & MASK32
+    return (right << 32) | (left ^ f)
 
 
 def feistel_unround(block, k):
     """Inverse of feistel_round with the same round key."""
-    left, right = _split(block)
-    return _join(right ^ _feistel_f(left, k), left)
+    left = (block >> 32) & MASK32
+    right = block & MASK32
+    x = (left ^ k) & MASK32
+    f = (((x << 7) | (x >> 25)) + (((left << 13) | (left >> 19)) ^ k)) & MASK32
+    return ((right ^ f) << 32) | left
 
 
 class Codec:

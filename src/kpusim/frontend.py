@@ -12,6 +12,7 @@ problems, 3 a comparison found mismatches.
 """
 
 import argparse
+import functools
 import sys
 
 from .assembler import (Assembler, CryptoSafetyError, FormatError, ParseError,
@@ -102,7 +103,10 @@ def render_stats(engine):
     return "\n".join(lines) + "\n"
 
 
+@functools.cache
 def _build_parser():
+    # built at the first main() rather than at import; parse_args keeps no
+    # state between calls, so one parser serves every call after that
     parser = argparse.ArgumentParser(prog="kpu",
                                      description="encrypted-pipeline machine tools")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -44,6 +44,11 @@ class MissingPrefix(Exception):
 
 
 class InstrClass(Enum):
+    # Identity hash, in C: the engine counts every retired instruction in a
+    # dict keyed by class, and Enum's own __hash__ is a Python call. No set
+    # of classes is iterated, so no order depends on it.
+    __hash__ = object.__hash__
+
     REGISTER = "register"
     IMMEDIATE = "immediate"
     LOAD = "load"

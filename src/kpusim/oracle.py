@@ -122,6 +122,11 @@ class Interpreter:
         word, ins = self.text.get(pc, (None, None))
         user = self.mode is Mode.USER
         if ins is None or (user and isa.user_illegal(ins)):
+            if pc == VEC_ILLEGAL and not user:
+                # the trap would fetch this same illegal word again, forever
+                raise OracleFault(
+                    "illegal instruction at the illegal-instruction vector "
+                    "0x%08x in supervisor mode" % VEC_ILLEGAL)
             self.steps += 1
             self._trap(VEC_ILLEGAL, pc)
             return

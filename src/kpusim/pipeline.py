@@ -48,6 +48,14 @@ survivors after a mispredict flush). A producer that has retired counts as
 absent: its value is in the register file by then. Retiring a slot also
 drops its own producer links; otherwise each slot would keep its producers
 alive, they theirs, and a long run would hold every slot it ever fetched.
+
+Everything static about fetching a pc (its instruction, plan, sources and
+destination, how it treats the prefix latch, whether it serializes, holds
+fetch or is predicted, and its execute handler, or that it is illegal) is
+worked out at its first fetch and kept in a record table per mode; a mode
+transition switches tables. The same word can differ between the modes:
+an encrypted immediate is a plain short-plan immediate to supervisor code,
+and a 64-bit operation is legal there but an illegal carrier in user mode.
 """
 
 from dataclasses import dataclass
@@ -239,26 +247,29 @@ _WORK = {
 
 class Slot:
     """One in-flight instruction. `producers` maps each source to the
-    youngest older writer in flight when the slot was fetched."""
+    youngest older writer in flight when the slot was fetched; `handler`
+    is the engine method that executes its class at X (None: no work)."""
 
     __slots__ = ("instr", "pc", "mode", "config", "x_index", "r_index",
                  "m_index", "producers", "dest", "carrier", "serialize",
-                 "codec_block", "codec_rounds", "executed", "mem_done",
-                 "retired", "result", "ready_cycle", "flag_result",
-                 "pending_effects", "pending_reg", "ea_block", "store_value",
-                 "cached", "predicted", "__weakref__")
+                 "handler", "codec_block", "codec_rounds", "executed",
+                 "mem_done", "retired", "result", "ready_cycle",
+                 "flag_result", "pending_effects", "pending_reg", "ea_block",
+                 "store_value", "cached", "predicted", "__weakref__")
 
-    def __init__(self, instr, pc, mode, config, producers=None, dest=None):
+    def __init__(self, instr, pc, mode, config, producers, dest=None,
+                 serialize=False, handler=None, codec_block=None):
         self.instr = instr
         self.pc = pc
         self.mode = mode
         self.config = config
         self.x_index, self.r_index, self.m_index = _POSITIONS[config]
-        self.producers = producers if producers is not None else {}
+        self.producers = producers
         self.dest = dest
         self.carrier = False            # travels only to raise illegal at W
-        self.serialize = False          # must be oldest before entering X
-        self.codec_block = None         # staged decrypt of the immediate
+        self.serialize = serialize      # must be oldest before entering X
+        self.handler = handler
+        self.codec_block = codec_block  # staged decrypt of the immediate
         self.codec_rounds = 0
         self.executed = False
         self.mem_done = False
@@ -289,6 +300,14 @@ def _slot_dest(instr):
     return instr.rd or None
 
 
+# How fetch treats a pc's word: latch-clearing, prefix, a user-mode
+# immediate that consumes the latch, or illegal (fetched as a carrier).
+_PLAIN, _PREFIX, _SEALED, _ILLEGAL = range(4)
+
+_ILLEGAL_RECORD = (_ILLEGAL,) + (None,) * 9
+_CARRIER_INSTR = isa.Instruction(isa.OP_SYS, "l.illegal", InstrClass.SYSTRAP)
+
+
 class Engine:
     """Drives one program image to completion, cycle by cycle.
 
@@ -310,7 +329,9 @@ class Engine:
         for addr in sorted(image.data):
             self.mem.supervisor_store(addr, image.data[addr])
         self.text = isa.predecode(image.text)
-        self._meta = {}                 # pc -> (sources, dest), at first fetch
+        # per mode, pc -> fetch record, made at the pc's first fetch there
+        self._records_by_mode = {Mode.USER: {}, Mode.SUPERVISOR: {}}
+        self._records = self._records_by_mode[mode]
         self.bpb = BranchPredictionBuffer(bpb_entries)
         self.stats = CycleStats()
         self.outputs = []
@@ -328,50 +349,65 @@ class Engine:
 
     # ------------------------------------------------------------- fetch --
 
+    def _record(self, pc, mode):
+        """The fetch record of `pc` in `mode`: (kind, instr, word, plan,
+        sources, dest, serializes, holds fetch, predicted, handler)."""
+        word, instr = self.text.get(pc, (None, None))
+        if instr is None or (mode is Mode.USER and isa.user_illegal(instr)):
+            return _ILLEGAL_RECORD
+        cls = instr.cls
+        if cls is InstrClass.PREFIX:
+            kind = _PREFIX
+        elif cls is InstrClass.IMMEDIATE and mode is Mode.USER:
+            kind = _SEALED
+        else:
+            kind = _PLAIN
+        # Nothing younger may enter the pipe behind a trap, a return or the
+        # exit no-op: their commit changes the instruction stream.
+        holds = cls is InstrClass.SYSTRAP or \
+            (cls is InstrClass.NOP and instr.imm == 1)
+        predicted = cls is InstrClass.BRANCH or cls is InstrClass.JUMP
+        return (kind, instr, word, select_config(cls, mode),
+                _slot_sources(instr), _slot_dest(instr),
+                cls is InstrClass.SPR, holds, predicted, _HANDLERS.get(cls))
+
     def _fetch(self):
         if self.fetch_hold:
             return REFILL_BUBBLE
         pc = self.fetch_pc
         self.fetch_pc = (pc + 4) & MASK32
         mode = self.state.mode
-        word, instr = self.text.get(pc, (None, None))
-        if instr is None or (mode is Mode.USER and isa.user_illegal(instr)):
-            return self._carrier(pc, mode)
-        cls = instr.cls
-        if cls is InstrClass.PREFIX:
-            self.latch.feed(instr.prefix_idx, instr.prefix_payload)
-            return Slot(instr, pc, mode, select_config(cls, mode))
+        record = self._records.get(pc)
+        if record is None:
+            record = self._records[pc] = self._record(pc, mode)
+        (kind, instr, word, config, sources, dest, serialize, holds,
+         predicted, handler) = record
 
         codec_block = None
-        if cls is InstrClass.IMMEDIATE and mode is Mode.USER:
+        if kind == _PLAIN:
+            self.latch.clear()
+        elif kind == _PREFIX:
+            self.latch.feed(instr.prefix_idx, instr.prefix_payload)
+        elif kind == _SEALED:
             try:
                 codec_block = consume_prefixes(self.latch, word)
             except MissingPrefix:
                 return self._carrier(pc, mode)
         else:
-            self.latch.clear()
+            return self._carrier(pc, mode)
 
-        meta = self._meta.get(pc)
-        if meta is None:
-            meta = self._meta[pc] = (_slot_sources(instr), _slot_dest(instr))
-        sources, dest = meta
         writers = self._last_writer
         producers = {}
         for name in sources:
             if name in writers:
                 producers[name] = writers[name]
-        slot = Slot(instr, pc, mode, select_config(cls, mode), producers, dest)
+        slot = Slot(instr, pc, mode, config, producers, dest, serialize,
+                    handler, codec_block)
         if dest is not None:
             writers[dest] = slot
-        slot.serialize = cls is InstrClass.SPR
-        slot.codec_block = codec_block
-
-        if cls is InstrClass.SYSTRAP or \
-                (cls is InstrClass.NOP and instr.imm == 1):
-            # Nothing younger may enter the pipe behind a trap, a return or
-            # the exit no-op: their commit changes the instruction stream.
+        if holds:
             self.fetch_hold = True
-        elif cls in (InstrClass.BRANCH, InstrClass.JUMP):
+        elif predicted:
             hit, taken, target = self.bpb.lookup(pc)
             slot.predicted = (hit, taken, target)
             if taken:
@@ -381,8 +417,8 @@ class Engine:
     def _carrier(self, pc, mode):
         # the latch needs no clearing here: fetch holds until the trap
         # commits or a flush restarts it, and both clear the latch
-        slot = Slot(isa.Instruction(isa.OP_SYS, "l.illegal", InstrClass.SYSTRAP),
-                    pc, mode, select_config(InstrClass.SYSTRAP, mode))
+        slot = Slot(_CARRIER_INSTR, pc, mode,
+                    select_config(InstrClass.SYSTRAP, mode), {})
         slot.carrier = True
         self.fetch_hold = True
         return slot
@@ -416,112 +452,95 @@ class Engine:
 
     # ----------------------------------------------------------- execute --
 
-    def _execute(self, idx, cell, n):
-        cell.executed = True
+    # Each handler runs one instruction class at X; the fetch record holds
+    # it (_HANDLERS).
+
+    def _ex_register(self, idx, cell, n):
         instr = cell.instr
-        st = self.state
-        user = cell.mode is Mode.USER
-        m = instr.mnemonic
-
-        if cell.carrier or instr.cls in (InstrClass.NOP, InstrClass.PREFIX,
-                                         InstrClass.SYSTRAP):
-            return
-
-        if instr.cls is InstrClass.REGISTER:
-            a = self._operand(cell, instr.ra) if instr.ra else 0
-            b = self._operand(cell, instr.rb) if instr.rb else 0
-            if instr.opcode == isa.OP_SF:
-                cell.flag_result = alu.compare_flag(instr.funct,
-                                                    a & MASK32, b & MASK32)
-                cell.pending_effects = {"f": cell.flag_result}
-                cell.ready_cycle = n
-                return
-            res32, effects = alu.execute(instr.funct, a & MASK32, b & MASK32)
-            cell.pending_effects = effects
-            if user:
-                pad = pad_mix(word_pad(a), word_pad(b), instr.funct)
-                cell.result = (pad << 32) | res32
-            else:
-                cell.result = res32
+        a = self._operand(cell, instr.ra) if instr.ra else 0
+        b = self._operand(cell, instr.rb) if instr.rb else 0
+        if instr.opcode == isa.OP_SF:
+            cell.flag_result = alu.compare_flag(instr.funct,
+                                                a & MASK32, b & MASK32)
+            cell.pending_effects = {"f": cell.flag_result}
             cell.ready_cycle = n
-            cell.pending_reg = (instr.rd, cell.result, False)
             return
+        res32, effects = alu.execute(instr.funct, a & MASK32, b & MASK32)
+        cell.pending_effects = effects
+        if cell.mode is Mode.USER:
+            pad = pad_mix(word_pad(a), word_pad(b), instr.funct)
+            cell.result = (pad << 32) | res32
+        else:
+            cell.result = res32
+        cell.ready_cycle = n
+        cell.pending_reg = (instr.rd, cell.result, False)
 
-        if instr.cls is InstrClass.IMMEDIATE:
-            a = self._operand(cell, instr.ra) if instr.ra else 0
-            op = isa.IMM_ALU_OP[m]
-            if user:
-                assert cell.codec_rounds == ROUNDS, "immediate not decrypted"
-                b = cell.codec_block
-                res32, effects = alu.execute(op, a & MASK32, word_value(b))
-                pad = pad_mix(word_pad(a), word_pad(b), op)
-                cell.result = (pad << 32) | res32
-            else:
-                b = instr.imm & MASK32
-                res32, effects = alu.execute(op, a & MASK32, b)
-                cell.result = res32
-            cell.pending_effects = effects
-            cell.ready_cycle = n
-            cell.pending_reg = (instr.rd, cell.result, False)
-            return
+    def _ex_immediate(self, idx, cell, n):
+        instr = cell.instr
+        a = self._operand(cell, instr.ra) if instr.ra else 0
+        op = isa.IMM_ALU_OP[instr.mnemonic]
+        if cell.mode is Mode.USER:
+            assert cell.codec_rounds == ROUNDS, "immediate not decrypted"
+            b = cell.codec_block
+            res32, effects = alu.execute(op, a & MASK32, word_value(b))
+            pad = pad_mix(word_pad(a), word_pad(b), op)
+            cell.result = (pad << 32) | res32
+        else:
+            b = instr.imm & MASK32
+            res32, effects = alu.execute(op, a & MASK32, b)
+            cell.result = res32
+        cell.pending_effects = effects
+        cell.ready_cycle = n
+        cell.pending_reg = (instr.rd, cell.result, False)
 
-        if instr.cls is InstrClass.LOAD or instr.cls is InstrClass.STORE:
-            a = self._operand(cell, instr.ra) if instr.ra else 0
-            off = instr.imm & MASK32
-            if user:
-                ea32, _ = alu.execute(alu.OP_ADDR, a & MASK32, off)
-                pad = pad_mix(word_pad(a), off, alu.OP_ADDR)
-                cell.ea_block = (pad << 32) | ea32
-            else:
-                cell.ea_block = (a + instr.imm) & MASK64
-            if instr.cls is InstrClass.STORE:
-                cell.store_value = self._operand(cell, instr.rb) if instr.rb else 0
-            if cell.m_index < 0:
-                self._mem_access(cell, n)       # short plan: memory at X
-            return
-
-        if instr.cls is InstrClass.CLASS64:
-            a = self._operand(cell, instr.ra) if instr.ra else 0
-            if instr.funct == isa.C64_ADD:
-                b = self._operand(cell, instr.rb) if instr.rb else 0
-                cell.result = (a + b) & MASK64
-                cell.ready_cycle = n
-                cell.pending_reg = (instr.rd, cell.result, False)
-                return
+    def _ex_load_store(self, idx, cell, n):
+        instr = cell.instr
+        a = self._operand(cell, instr.ra) if instr.ra else 0
+        off = instr.imm & MASK32
+        if cell.mode is Mode.USER:
+            ea32, _ = alu.execute(alu.OP_ADDR, a & MASK32, off)
+            pad = pad_mix(word_pad(a), off, alu.OP_ADDR)
+            cell.ea_block = (pad << 32) | ea32
+        else:
             cell.ea_block = (a + instr.imm) & MASK64
-            if instr.funct == isa.C64_SD:
-                cell.store_value = self._operand(cell, instr.rb) if instr.rb else 0
-            if cell.m_index < 0:
-                self._mem_access(cell, n)
-            return
+        if instr.cls is InstrClass.STORE:
+            cell.store_value = self._operand(cell, instr.rb) if instr.rb else 0
+        if cell.m_index < 0:
+            self._mem_access(cell, n)       # short plan: memory at X
 
-        if instr.cls is InstrClass.BRANCH or instr.cls is InstrClass.JUMP:
-            self._resolve_branch(idx, cell, n)
-            return
-
-        if m == "l.mfspr":
-            a = self._operand(cell, instr.ra) if instr.ra else 0
-            index = ((a & MASK32) | instr.imm) & 0xFFFF
-            value = st.read_spr(index)
-            if user:
-                pad = pad_mix(word_pad(a), index, alu.OP_MFSPR)
-                cell.result = (pad << 32) | (value & MASK32)
-            else:
-                cell.result = value & MASK64
+    def _ex_class64(self, idx, cell, n):
+        instr = cell.instr
+        a = self._operand(cell, instr.ra) if instr.ra else 0
+        if instr.funct == isa.C64_ADD:
+            b = self._operand(cell, instr.rb) if instr.rb else 0
+            cell.result = (a + b) & MASK64
             cell.ready_cycle = n
             cell.pending_reg = (instr.rd, cell.result, False)
             return
+        cell.ea_block = (a + instr.imm) & MASK64
+        if instr.funct == isa.C64_SD:
+            cell.store_value = self._operand(cell, instr.rb) if instr.rb else 0
+        if cell.m_index < 0:
+            self._mem_access(cell, n)
 
-        if m == "l.mtspr":
-            a = self._operand(cell, instr.ra) if instr.ra else 0
-            b = self._operand(cell, instr.rb) if instr.rb else 0
-            index = ((a & MASK32) | instr.imm) & 0xFFFF
+    def _ex_spr(self, idx, cell, n):
+        instr = cell.instr
+        a = self._operand(cell, instr.ra) if instr.ra else 0
+        index = ((a & MASK32) | instr.imm) & 0xFFFF
+        if instr.mnemonic == "l.mtspr":
             # Serialized, so the write is program-ordered even though it
             # lands at X; user-mode writes are ignored inside write_spr.
-            st.write_spr(index, b)
+            b = self._operand(cell, instr.rb) if instr.rb else 0
+            self.state.write_spr(index, b)
             return
-
-        raise AssertionError("unhandled instruction %s" % m)
+        value = self.state.read_spr(index)
+        if cell.mode is Mode.USER:
+            pad = pad_mix(word_pad(a), index, alu.OP_MFSPR)
+            cell.result = (pad << 32) | (value & MASK32)
+        else:
+            cell.result = value & MASK64
+        cell.ready_cycle = n
+        cell.pending_reg = (instr.rd, cell.result, False)
 
     def _resolve_branch(self, idx, cell, n):
         instr = cell.instr
@@ -602,14 +621,9 @@ class Engine:
     # -------------------------------------------------------------- retire --
 
     def _retire(self, cell):
-        # every cell in the conveyor was fetched in the current mode
+        # every cell in the conveyor was fetched in the current mode; step()
+        # counts the bubbles itself
         ms = self._mode_stats
-        if cell.__class__ is Bubble:
-            if cell is STALL_BUBBLE:
-                ms.stalls += 1
-            else:
-                ms.refills += 1
-            return
         # Younger slots may still hold this one, but nothing reaches older
         # slots through it: without the cut, each slot would keep its
         # producers alive, and theirs, back to the start of the run.
@@ -624,6 +638,11 @@ class Engine:
             ms.stores_cached += 1
 
         if cell.carrier:
+            if cell.pc == VEC_ILLEGAL and cell.mode is Mode.SUPERVISOR:
+                # the trap would fetch this same illegal word again, forever
+                raise SimulationFault(
+                    "illegal instruction at the illegal-instruction vector "
+                    "0x%08x in supervisor mode" % VEC_ILLEGAL)
             st.enter_exception(VEC_ILLEGAL, cell.pc)
             self._transition()
             return
@@ -662,6 +681,7 @@ class Engine:
         mode = self.state.mode
         self.conveyor = [REFILL_BUBBLE] * plan_depth(mode)
         self._work = _WORK[mode]
+        self._records = self._records_by_mode[mode]
         self._mode_stats = self.stats.per_mode[mode]
         self._last_writer = {}
         self.latch.clear()
@@ -692,7 +712,9 @@ class Engine:
         for idx in x_positions:
             cell = conveyor[idx]
             if cell.x_index == idx and not cell.executed:
-                self._execute(idx, cell, n)
+                cell.executed = True
+                if cell.handler is not None:
+                    cell.handler(self, idx, cell, n)
 
         # memory, after every execute: a fault at X outranks one at M
         for idx in m_positions:
@@ -700,7 +722,13 @@ class Engine:
             if cell.m_index == idx and cell.executed and not cell.mem_done:
                 self._mem_access(cell, n)
 
-        self._retire(conveyor[-1])
+        cell = conveyor[-1]
+        if cell is STALL_BUBBLE:
+            self._mode_stats.stalls += 1
+        elif cell is REFILL_BUBBLE:
+            self._mode_stats.refills += 1
+        else:
+            self._retire(cell)
         self.stats.cycles += 1
         self.cycle = n + 1
         if self.halted:
@@ -725,13 +753,15 @@ class Engine:
         del conveyor[-1]
         conveyor.insert(stall_idx + 1,
                         STALL_BUBBLE if stall_idx >= 0 else self._fetch())
-        # one decrypt round per codec stage entered this cycle
-        keys = self.codec.round_keys
-        for cell in conveyor[max(stall_idx + 2, codec_lo):codec_hi]:
-            if cell.codec_block is not None:
-                key = keys[ROUNDS - 1 - cell.codec_rounds]
-                cell.codec_block = feistel_unround(cell.codec_block, key)
-                cell.codec_rounds += 1
+        if codec_hi:
+            # one decrypt round per codec stage entered this cycle
+            keys = self.codec.round_keys
+            lo = stall_idx + 2 if stall_idx + 2 > codec_lo else codec_lo
+            for cell in conveyor[lo:codec_hi]:
+                if cell.codec_block is not None:
+                    key = keys[ROUNDS - 1 - cell.codec_rounds]
+                    cell.codec_block = feistel_unround(cell.codec_block, key)
+                    cell.codec_rounds += 1
 
     def run(self, max_cycles=5_000_000):
         while not self.halted:
@@ -739,3 +769,17 @@ class Engine:
                 raise MaxCyclesExceeded("no exit after %d cycles" % max_cycles)
             self.step()
         return self.state
+
+
+# What X does for each class; the classes left out (no-ops, prefixes,
+# traps and returns) do nothing there.
+_HANDLERS = {
+    InstrClass.REGISTER: Engine._ex_register,
+    InstrClass.IMMEDIATE: Engine._ex_immediate,
+    InstrClass.LOAD: Engine._ex_load_store,
+    InstrClass.STORE: Engine._ex_load_store,
+    InstrClass.CLASS64: Engine._ex_class64,
+    InstrClass.BRANCH: Engine._resolve_branch,
+    InstrClass.JUMP: Engine._resolve_branch,
+    InstrClass.SPR: Engine._ex_spr,
+}

@@ -4,12 +4,13 @@ import random
 
 import pytest
 
-from kpusim.codec import (Codec, NotAProgramAddress,
+from kpusim.codec import (MASK32, MASK64, Codec, NotAProgramAddress,
                           feistel_round, feistel_unround,
                           is_decrypted_address, is_encrypted_address,
                           key_schedule, make_padding, open_program_address,
                           pad_is_valid, pad_mix, rotl32, to_decrypted_address,
                           to_encrypted_address)
+from kpusim.frontend import DEFAULT_KEY
 
 KEY = 0x000102030405060708090A0B0C0D0E0F
 
@@ -60,6 +61,71 @@ def test_encrypt_is_the_ten_round_composition():
             back = feistel_unround(back, k)
         assert back == block
         assert cdc.decrypt(forward) == block
+
+
+# The round as first written: f composed of two rotl32 calls, the block
+# split into 32-bit halves and joined again. The flat kernels must equal it.
+
+def _reference_f(x, k):
+    return (rotl32(x ^ k, 7) + (rotl32(x, 13) ^ k)) & MASK32
+
+
+def _reference_round(block, k):
+    left, right = (block >> 32) & MASK32, block & MASK32
+    return (right << 32) | ((left ^ _reference_f(right, k)) & MASK32)
+
+
+def _reference_unround(block, k):
+    left, right = (block >> 32) & MASK32, block & MASK32
+    return (((right ^ _reference_f(left, k)) & MASK32) << 32) | left
+
+
+EDGE_BLOCKS = (0, MASK64, 1 << 63, MASK32, MASK32 << 32)
+EDGE_KEYS = (0, MASK32, 1, 1 << 31)
+
+
+def _sample_blocks():
+    rng = random.Random(88)
+    return list(EDGE_BLOCKS) + [rng.getrandbits(64) for _ in range(3000)]
+
+
+def test_round_kernels_equal_the_reference_round():
+    rng = random.Random(99)
+    cases = [(block, k) for block in EDGE_BLOCKS for k in EDGE_KEYS]
+    cases += [(block, rng.getrandbits(32)) for block in _sample_blocks()]
+    for block, k in cases:
+        assert feistel_round(block, k) == _reference_round(block, k)
+        assert feistel_unround(block, k) == _reference_unround(block, k)
+
+
+def test_block_routines_equal_the_reference_rounds():
+    cdc = Codec(DEFAULT_KEY)
+    for block in _sample_blocks():
+        forward = back = block
+        for k in cdc.round_keys:
+            forward = _reference_round(forward, k)
+        for k in reversed(cdc.round_keys):
+            back = _reference_unround(back, k)
+        assert cdc.encrypt(block) == forward
+        assert cdc.decrypt(block) == back
+
+
+# (block, encrypt(block), decrypt(block)) under DEFAULT_KEY, taken from the
+# composed rounds before they were flattened
+KNOWN_ANSWERS = [
+    (0x0000000000000000, 0x0688FAB132205A91, 0x9EE35D172FAB77C5),
+    (0xFFFFFFFFFFFFFFFF, 0xCC20B6E158721127, 0x6DA10CDD53AE668A),
+    (0x0000002A00000007, 0x9DA7BA19CD68789E, 0xFF9568C500FD8A17),
+    (0x0123456789ABCDEF, 0x89787730BDA52A6C, 0x715E54E6B6216C28),
+]
+
+
+@pytest.mark.parametrize("block, cipher, plain", KNOWN_ANSWERS,
+                         ids=["%016x" % case[0] for case in KNOWN_ANSWERS])
+def test_default_key_known_answers(block, cipher, plain):
+    cdc = Codec(DEFAULT_KEY)
+    assert cdc.encrypt(block) == cipher
+    assert cdc.decrypt(block) == plain
 
 
 def test_round_trip_random_blocks():

@@ -247,6 +247,19 @@ def test_trace_is_printed_ahead_of_a_fault(built, capsys):
     assert out.err == "kpu run: fault: no exit after 5 cycles\n"
 
 
+def test_successive_calls_parse_their_own_options(built, capsys):
+    # the parser is built once; each call's flags must still be its own
+    tmp, img = built
+    for trace in (True, False, True):
+        assert main(["run", str(img)] + (["--trace"] if trace else [])) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert any(l.startswith("cycle ") for l in lines) is trace
+        assert lines[-1] == "42"
+    assert main(["run", str(img), "--max-cycles", "5"]) == 1
+    assert main(["run", str(img)]) == 0
+    assert "no exit after 5 cycles" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, option, value, rule", [
     ("run", "--max-cycles", "0", "positive"),
     ("run", "--max-cycles", "-3", "positive"),

@@ -4,16 +4,18 @@ the pipeline and the reference interpreter.
 Each image starts at 0x4000 with one ordinary instruction, follows it with
 the offending word, and parks an exit no-op on the illegal vector. Both
 machines must take the trap at the same pc and agree on the end state; the
-pipeline's cycle count is frozen per case.
+pipeline's cycle count is frozen per case. An illegal word at the vector
+itself is a fault in supervisor mode, where the trap could only repeat.
 """
 
 import pytest
 
-from kpusim.assembler import assemble
+from kpusim.assembler import assemble, parse_image
 from kpusim.codec import Codec
 from kpusim.core import Mode
-from kpusim.oracle import Interpreter, compare, engine_view
-from kpusim.pipeline import Engine
+from kpusim.frontend import main
+from kpusim.oracle import Interpreter, OracleFault, compare, engine_view
+from kpusim.pipeline import Engine, SimulationFault
 
 KEY = 0x00112233445566778899AABBCCDDEEFF
 
@@ -58,3 +60,56 @@ def test_illegal_fetch_agrees_with_the_oracle(name, mode, offending, cycles):
     assert engine.state.epcr == itp.epcr
     assert compare(engine_view(engine), result, cdc) == []
     assert engine.cycle == cycles
+
+
+# nothing decodes at 0x101 or at the vector: the supervisor trap lands on
+# an illegal word again, which would trap to itself forever
+SPIN_IMAGE = ("KPUIMG 1\nENTRY 0x00000101\nMODE super\n"
+              "TEXT 0x00000100 15000001\n")
+
+
+def test_illegal_vector_in_supervisor_mode_faults_at_once():
+    cdc = Codec(KEY)
+    image = parse_image(SPIN_IMAGE)
+    engine = Engine(image, cdc)
+    with pytest.raises(SimulationFault, match="illegal-instruction vector"):
+        engine.run(max_cycles=1000)
+    assert engine.cycle <= 50
+    itp = Interpreter(image, cdc)
+    with pytest.raises(OracleFault, match="illegal-instruction vector"):
+        itp.run(max_steps=1000)
+    assert itp.steps <= 50
+
+
+def test_spinning_image_exits_1_from_every_command(tmp_path, capsys):
+    img = tmp_path / "spin.img"
+    img.write_text(SPIN_IMAGE)
+    dump = tmp_path / "spin.dump"
+    dump.write_text("KPUDUMP 1\n")
+    for argv in (["run", str(img)], ["oracle", str(img)],
+                 ["compare", str(img), str(dump)]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "fault: " in err
+        assert "illegal-instruction vector 0x00000700" in err
+
+
+def test_user_mode_carrier_at_the_vector_still_traps():
+    # the trap enters supervisor mode, where the same l.sd is legal
+    cdc = Codec(KEY)
+    image = assemble(""".mode user
+.entry start
+.org 0x700
+start:
+    l.sd    0(r0), r0
+    l.nop   1
+""", cdc)
+    engine = Engine(image, cdc)
+    engine.run(max_cycles=1000)
+    itp = Interpreter(image, cdc)
+    result = itp.run(max_steps=100)
+    assert engine.state.mode is Mode.SUPERVISOR
+    assert engine.state.epcr == itp.epcr == 0x700
+    assert compare(engine_view(engine), result, cdc) == []
+    assert engine.cycle == 23
+    assert result.steps == 3
