@@ -10,10 +10,10 @@ behind them uses two disjoint shapes:
 
 The cipher is a 10-round balanced Feistel on 64-bit blocks, one round per
 codec pipeline stage. Each direction's round is a single flat kernel
-(feistel_round, feistel_unround) that the block routines loop over and
-the pipeline calls once per stage. It is deliberately lightweight and
-pluggable; nothing here claims cryptographic strength, only bijectivity
-and determinism.
+(feistel_round, feistel_unround) that the block routines loop over, as
+does the pipeline when it opens an encrypted immediate at fetch. It is
+deliberately lightweight and pluggable; nothing here claims cryptographic
+strength, only bijectivity and determinism.
 """
 
 
@@ -55,9 +55,9 @@ def key_schedule(key):
 # A round maps the halves (L, R) to (R, L ^ f(R, k)), where
 #     f(x, k) = (rotl32(x ^ k, 7) + (rotl32(x, 13) ^ k)) mod 2**32
 # mixes rotate, xor and 32-bit add so that differences both shift and
-# propagate through carries. Each round is one flat function: the engine
-# runs one per codec stage, so the rotates are written out in place. A
-# rotate's bits above 32 are left in; the sum's low 32 bits do not see them.
+# propagate through carries. Each round is one flat function, ten calls to
+# a block, so the rotates are written out in place. A rotate's bits above
+# 32 are left in; the sum's low 32 bits do not see them.
 
 def feistel_round(block, k):
     """One forward Feistel round."""

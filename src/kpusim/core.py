@@ -80,9 +80,13 @@ class MachineState:
     def _derive(self, real):
         # Plaintext-domain view of a real register at map-in. Zero-filled
         # values are taken to be program addresses and get the 0x7fff tag
-        # with their low 32 bits preserved; anything else decrypts. A
-        # ciphertext that happens to be zero-filled (chance 2**-32) is
-        # misread here; inherent to the address protocol.
+        # with their low 32 bits preserved; anything else decrypts. A data
+        # ciphertext that is zero-filled is misread here, and that is no
+        # 2**-32 chance: a user load from a never-written cell gives
+        # decrypt(0), which _map_out encrypts back to exactly 0 at the next
+        # trap, so the register returns from supervisor mode as program
+        # address 0 every time (the blank-cell reproducer in ROADMAP.md,
+        # open item 1(a)).
         if (real >> 32) == 0:
             return codec.to_decrypted_address(real & MASK32)
         return self.codec.decrypt(real)

@@ -8,11 +8,16 @@ the resulting ciphertext is assigned a physical cell in first-come order,
 one cell per distinct cipher address. Two computations of the same logical
 address with different paddings therefore land in different cells: hardware
 aliasing is a feature of the model, not an accident.
+
+The cipher is a bijection, so each padded effective address has exactly one
+cell; the memory system keeps that pairing beside the TLB and encrypts an
+address only the first time it sees it. The TLB itself stays keyed by
+ciphertext, as the dump shows it.
 """
 
 from collections import OrderedDict
 
-from .codec import MASK32, MASK64
+from .codec import MASK64
 
 SUPER_REGION_BYTES = 1 << 20           # identity-mapped supervisor region
 DEFAULT_USER_WORDS = 64 * 1024
@@ -106,6 +111,7 @@ class MemorySystem:
         self.cells = {}                # sparse: index -> 64-bit word
         self.tlb = TlbMap(self.super_cells, user_words)
         self.cache = UserDataCache(cache_entries)
+        self.ea_cells = {}             # ea block -> cell, one per TLB entry
 
     # ---------------------------------------------------------- physical --
 
@@ -134,20 +140,27 @@ class MemorySystem:
 
     # --------------------------------------------------------------- user --
 
+    def _user_cell(self, ea_block):
+        """Physical cell of a padded effective address: the TLB entry of
+        its ciphertext, encrypted only at the address's first sight."""
+        index = self.ea_cells.get(ea_block)
+        if index is None:
+            index = self.tlb.translate(self.codec.encrypt(ea_block))
+            self.ea_cells[ea_block] = index
+        return index
+
     def user_load(self, ea_block):
         """Load through the cache; returns (value block, cache hit)."""
         cached = self.cache.load(ea_block)
         if cached is not None:
             return cached, True
-        cipher = self.codec.encrypt(ea_block)
-        index = self.tlb.translate(cipher)
+        index = self._user_cell(ea_block)
         return self.codec.decrypt(self.read_cell(index)), False
 
     def user_store(self, ea_block, value_block):
         """Write-through: plaintext to the cache, ciphertext to the cell.
         Returns True on a cache write hit."""
         hit = self.cache.store(ea_block, value_block)
-        cipher = self.codec.encrypt(ea_block)
-        index = self.tlb.translate(cipher)
-        self.write_cell(index, self.codec.encrypt(value_block))
+        self.write_cell(self._user_cell(ea_block),
+                        self.codec.encrypt(value_block))
         return hit

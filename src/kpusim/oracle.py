@@ -67,6 +67,8 @@ class Interpreter:
         self.steps = 0
         self.halted = False
         self.latch = PrefixLatch()
+        # sealed immediate block -> its 32-bit literal, opened at first use
+        self.literals = {}
         # what the encrypted machine reads from a never-written cell
         self.blank = word_value(cdc.decrypt(0))
 
@@ -146,7 +148,10 @@ class Interpreter:
                 except MissingPrefix:
                     self._trap(VEC_ILLEGAL, pc)
                     return
-                literal = word_value(self.codec.decrypt(cipher))
+                literal = self.literals.get(cipher)
+                if literal is None:
+                    literal = self.literals[cipher] = \
+                        word_value(self.codec.decrypt(cipher))
             else:
                 literal = ins.imm & MASK32
         # every non-prefix instruction leaves the latch empty

@@ -10,9 +10,15 @@ Every user-mode instruction traverses all sixteen positions; the plan
 decides which position does which logical job for that instruction. Plan B
 exists only for user-mode immediate-class instructions, whose 64-bit
 encrypted immediate (gathered from two prefix instructions plus the
-instruction's own 16-bit field) is decrypted one Feistel round per codec
-stage before the read stage needs it. Everything else rides plan A so that
-results computed at X forward to the instruction entering behind.
+instruction's own 16-bit field) runs through the ten Feistel rounds of the
+codec stages before the read stage needs it. Everything else rides plan A
+so that results computed at X forward to the instruction entering behind.
+
+The codec stages C1..C10 are timing only. Plan B puts all ten ahead of R,
+so nothing reads an immediate before it is wholly decrypted; fetch opens
+the sealed block at once, and keeps the plaintext per block, so a loop
+pays for the cipher once per distinct immediate rather than once per
+stage per pass.
 
 Timing rules the rest of the model hangs off:
   * a producer's result is forwardable at the end of its execute cycle;
@@ -38,8 +44,7 @@ read off the plan tables:
     fault raised at X outranks one raised at M in the same cycle,
   * then the R positions, oldest first: user 12 then 2, supervisor 2; the
     oldest instruction whose operands are not ready stalls there,
-  * then the conveyor shifts by one, and each immediate that entered a
-    codec stage (plan B positions 2..11) decrypts one Feistel round.
+  * then the conveyor shifts by one.
 Empty cells are two shared bubbles, one per wait-state kind.
 
 Each slot binds at fetch the youngest older writer of each source (the
@@ -206,14 +211,13 @@ class Bubble:
     """An empty conveyor cell. Only STALL_BUBBLE and REFILL_BUBBLE exist.
 
     They answer what step() asks of every cell it visits (its X, R and M
-    positions, the register it writes, an immediate still to decrypt)
-    with "none", so the per-cycle loops need no type test.
+    positions, the register it writes) with "none", so the per-cycle loops
+    need no type test.
     """
 
     __slots__ = ()
     x_index = r_index = m_index = -1
     dest = None
-    codec_block = None
 
 
 STALL_BUBBLE = Bubble()         # retires as a stall wait state
@@ -230,18 +234,15 @@ def _oldest_first(plans, which):
                         reverse=True))
 
 
-def _work(plans, codec_span):
-    """The X, M and R positions the plans of one mode use, each oldest
-    first, and the span of positions an immediate decrypts in."""
+def _work(plans):
+    """The X, M and R positions the plans of one mode use, oldest first."""
     return (_oldest_first(plans, 0), _oldest_first(plans, 2),
-            _oldest_first(plans, 1), codec_span)
+            _oldest_first(plans, 1))
 
 
 _WORK = {
-    Mode.USER: _work((LONG_A, LONG_B),
-                     (LONG_B.index(_CODEC_STAGES[0]),
-                      LONG_B.index(_CODEC_STAGES[-1]) + 1)),
-    Mode.SUPERVISOR: _work((SHORT,), (0, 0)),
+    Mode.USER: _work((LONG_A, LONG_B)),
+    Mode.SUPERVISOR: _work((SHORT,)),
 }
 
 
@@ -252,13 +253,13 @@ class Slot:
 
     __slots__ = ("instr", "pc", "mode", "config", "x_index", "r_index",
                  "m_index", "producers", "dest", "carrier", "serialize",
-                 "handler", "codec_block", "codec_rounds", "executed",
+                 "handler", "imm_block", "executed",
                  "mem_done", "retired", "result", "ready_cycle",
                  "flag_result", "pending_effects", "pending_reg", "ea_block",
                  "store_value", "cached", "predicted", "__weakref__")
 
     def __init__(self, instr, pc, mode, config, producers, dest=None,
-                 serialize=False, handler=None, codec_block=None):
+                 serialize=False, handler=None, imm_block=None):
         self.instr = instr
         self.pc = pc
         self.mode = mode
@@ -269,8 +270,7 @@ class Slot:
         self.carrier = False            # travels only to raise illegal at W
         self.serialize = serialize      # must be oldest before entering X
         self.handler = handler
-        self.codec_block = codec_block  # staged decrypt of the immediate
-        self.codec_rounds = 0
+        self.imm_block = imm_block      # decrypted user-mode immediate
         self.executed = False
         self.mem_done = False
         self.retired = False
@@ -318,7 +318,6 @@ class Engine:
     def __init__(self, image, cdc, user_words=None, cache_entries=None,
                  bpb_entries=64, trace=None):
         mode = Mode.USER if image.mode == "user" else Mode.SUPERVISOR
-        self.codec = cdc
         self.state = MachineState(cdc, entry=image.entry, mode=mode)
         kwargs = {}
         if user_words is not None:
@@ -332,6 +331,9 @@ class Engine:
         # per mode, pc -> fetch record, made at the pc's first fetch there
         self._records_by_mode = {Mode.USER: {}, Mode.SUPERVISOR: {}}
         self._records = self._records_by_mode[mode]
+        # sealed immediate block -> its plaintext, opened at first fetch
+        self.opened = {}
+        self._unround_keys = cdc.round_keys[::-1]
         self.bpb = BranchPredictionBuffer(bpb_entries)
         self.stats = CycleStats()
         self.outputs = []
@@ -383,16 +385,19 @@ class Engine:
         (kind, instr, word, config, sources, dest, serialize, holds,
          predicted, handler) = record
 
-        codec_block = None
+        imm_block = None
         if kind == _PLAIN:
             self.latch.clear()
         elif kind == _PREFIX:
             self.latch.feed(instr.prefix_idx, instr.prefix_payload)
         elif kind == _SEALED:
             try:
-                codec_block = consume_prefixes(self.latch, word)
+                sealed = consume_prefixes(self.latch, word)
             except MissingPrefix:
                 return self._carrier(pc, mode)
+            imm_block = self.opened.get(sealed)
+            if imm_block is None:
+                imm_block = self.opened[sealed] = self._open(sealed)
         else:
             return self._carrier(pc, mode)
 
@@ -402,7 +407,7 @@ class Engine:
             if name in writers:
                 producers[name] = writers[name]
         slot = Slot(instr, pc, mode, config, producers, dest, serialize,
-                    handler, codec_block)
+                    handler, imm_block)
         if dest is not None:
             writers[dest] = slot
         if holds:
@@ -413,6 +418,12 @@ class Engine:
             if taken:
                 self.fetch_pc = target
         return slot
+
+    def _open(self, block):
+        """The ten decrypt rounds the codec stages C1..C10 stand for."""
+        for key in self._unround_keys:
+            block = feistel_unround(block, key)
+        return block
 
     def _carrier(self, pc, mode):
         # the latch needs no clearing here: fetch holds until the trap
@@ -480,8 +491,7 @@ class Engine:
         a = self._operand(cell, instr.ra) if instr.ra else 0
         op = isa.IMM_ALU_OP[instr.mnemonic]
         if cell.mode is Mode.USER:
-            assert cell.codec_rounds == ROUNDS, "immediate not decrypted"
-            b = cell.codec_block
+            b = cell.imm_block
             res32, effects = alu.execute(op, a & MASK32, word_value(b))
             pad = pad_mix(word_pad(a), word_pad(b), op)
             cell.result = (pad << 32) | res32
@@ -702,7 +712,7 @@ class Engine:
     def step(self):
         n = self.cycle
         conveyor = self.conveyor
-        x_positions, m_positions, r_positions, (codec_lo, codec_hi) = self._work
+        x_positions, m_positions, r_positions = self._work
 
         if self.trace is not None:
             self._trace(n)
@@ -753,15 +763,6 @@ class Engine:
         del conveyor[-1]
         conveyor.insert(stall_idx + 1,
                         STALL_BUBBLE if stall_idx >= 0 else self._fetch())
-        if codec_hi:
-            # one decrypt round per codec stage entered this cycle
-            keys = self.codec.round_keys
-            lo = stall_idx + 2 if stall_idx + 2 > codec_lo else codec_lo
-            for cell in conveyor[lo:codec_hi]:
-                if cell.codec_block is not None:
-                    key = keys[ROUNDS - 1 - cell.codec_rounds]
-                    cell.codec_block = feistel_unround(cell.codec_block, key)
-                    cell.codec_rounds += 1
 
     def run(self, max_cycles=5_000_000):
         while not self.halted:

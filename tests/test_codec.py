@@ -44,9 +44,10 @@ def test_encrypt_known_vector():
 def test_encrypt_is_the_ten_round_composition():
     """The block routines must stay expressible as per-round passes.
 
-    The long pipeline applies one round per stage, so encrypt/decrypt
-    have to equal the fold of the single-round functions over the key
-    schedule, in order, nothing fused away.
+    The pipeline opens an encrypted immediate by folding the single-round
+    function over the reversed key schedule, so encrypt/decrypt have to
+    equal the fold of the single-round functions over the key schedule,
+    in order, nothing fused away.
     """
     cdc = Codec(KEY)
     rng = random.Random(22)

@@ -72,3 +72,26 @@ def test_mnemonic_literals_name_table_rows():
                     and node.value not in known:
                 strays.append("%s:%d %r" % (path.name, node.lineno, node.value))
     assert not strays
+
+
+def test_no_unused_imports():
+    """Every name a module imports is used there. A dead import hides a
+    layer's real dependencies: `pipeline.feistel_unround`, say, must stay a
+    live call, not a name kept for whoever wraps it. The package's
+    `__init__` is left out, since it imports only to re-export."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused += ["%s:%d %s" % (path.name, line, name)
+                   for name, line in imported.items() if name not in used]
+    assert not unused
