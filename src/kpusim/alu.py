@@ -34,11 +34,13 @@ def execute(op, a, b):
         res = full & MASK32
         if op == OP_ADD:
             effects["cy"] = full > MASK32
-            effects["ov"] = (to_signed(a) + to_signed(b)) != to_signed(res)
+            # operands of one sign, result of the other
+            effects["ov"] = ((a ^ res) & (b ^ res)) >> 31 == 1
     elif op == OP_SUB:
         res = (a - b) & MASK32
         effects["cy"] = a < b
-        effects["ov"] = (to_signed(a) - to_signed(b)) != to_signed(res)
+        # operands of opposite signs, result not of the minuend's sign
+        effects["ov"] = ((a ^ b) & (a ^ res)) >> 31 == 1
     elif op == OP_AND:
         res = a & b
     elif op == OP_OR:

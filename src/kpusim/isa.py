@@ -9,10 +9,10 @@ row's operand fields equals the row's fixed bits. Any other word raises
 IllegalOpcode, so decoding is total over the 32-bit space and every decoded
 word re-encodes to itself.
 
-The pipeline and the reference interpreter read the same predecoded text
-table, the same immediate-to-ALU mapping, the same prefix latch and the
-same user-mode legality rule from here, so the two can differ only in how
-they execute.
+The pipeline and the reference interpreter decode text words with the same
+decode_at, and read the same immediate-to-ALU mapping, the same prefix
+latch and the same user-mode legality rule from here, so the two can
+differ only in how they execute.
 """
 
 import dataclasses
@@ -295,16 +295,17 @@ def encode(instr):
     return word
 
 
-def predecode(text):
-    """Decode a text image once: {pc: (word, Instruction)}, with None in
-    place of the Instruction for a word that does not decode."""
-    table = {}
-    for pc, word in text.items():
-        try:
-            table[pc] = (word, decode(word))
-        except IllegalOpcode:
-            table[pc] = (word, None)
-    return table
+def decode_at(text, pc):
+    """The word at `pc` of a text image and its Instruction: (None, None)
+    where nothing is mapped, (word, None) for a word that does not
+    decode."""
+    word = text.get(pc)
+    if word is None:
+        return None, None
+    try:
+        return word, decode(word)
+    except IllegalOpcode:
+        return word, None
 
 
 def user_illegal(instr):

@@ -3,7 +3,7 @@
 The interpreter executes an image one instruction at a time over plain
 32-bit registers, 32-bit logical user memory and 64-bit supervisor cells.
 No pipeline, no padding, no ciphertext: it is the answer key the encrypted
-machine is checked against. It shares the ISA layer (predecoded text, the
+machine is checked against. It shares the ISA layer (the decoder, the
 prefix latch, the immediate-to-ALU table, the user-mode legality rule) and
 the ALU with the machine, never the pipeline's execute path, and mirrors
 every other architectural rule that shows through to results: trap entry
@@ -47,6 +47,17 @@ class OracleResult:
 
 
 class Interpreter:
+    """Runs an image one word per step() call.
+
+    Each pc gets a record at its first execution in a mode, one table per
+    mode: (handler, instruction, operand, plain). The handler is the
+    per-class routine, the operand what it needs that the instruction
+    word alone does not say (a branch target, an immediate's ALU op). A
+    plain record's word retires in step() before its handler runs: the
+    step is counted, the prefix latch cleared and the pc moved past it.
+    Prefixes, user-mode immediates and illegal words do that themselves.
+    """
+
     def __init__(self, image, cdc):
         self.codec = cdc
         self.pc = image.entry & MASK32
@@ -58,7 +69,10 @@ class Interpreter:
         # an rfe with no preceding trap drops to user mode with clean flags
         self.esr = (Mode.USER, {"f": False, "cy": False, "ov": False})
         self.spr = {SPR_CONFIG: 0x4B505531}
-        self.text = isa.predecode(image.text)
+        self.text = image.text
+        # per mode, pc -> record, made at the pc's first execution there
+        self._records_by_mode = {Mode.USER: {}, Mode.SUPERVISOR: {}}
+        self._records = self._records_by_mode[self.mode]
         self.user_mem = {}
         self.super_cells = {}
         for addr, value in image.data.items():
@@ -85,14 +99,15 @@ class Interpreter:
         if rd:
             self.regs[rd] = value & MASK32
 
-    def _apply(self, effects):
-        self.flags.update(effects)
+    def _enter(self, mode):
+        self.mode = mode
+        self._records = self._records_by_mode[mode]
 
     def _trap(self, vector, return_pc):
         self.esr = (self.mode, dict(self.flags))
         self.epcr = return_pc & MASK32
         self.flags = {"f": False, "cy": False, "ov": False}
-        self.mode = Mode.SUPERVISOR
+        self._enter(Mode.SUPERVISOR)
         self.pc = vector
         self.latch.clear()
 
@@ -117,125 +132,180 @@ class Interpreter:
         else:
             self.spr[index] = value & MASK32
 
+    # ------------------------------------------------------------ record --
+
+    def _record(self, pc):
+        """The record of `pc` in the current mode."""
+        word, ins = isa.decode_at(self.text, pc)
+        user = self.mode is Mode.USER
+        if ins is None or (user and isa.user_illegal(ins)):
+            return (Interpreter._illegal, None, None, False)
+        cls, m = ins.cls, ins.mnemonic
+        if cls is InstrClass.PREFIX:
+            return (Interpreter._prefix, ins, None, False)
+        if cls is InstrClass.IMMEDIATE:
+            op = isa.IMM_ALU_OP[m]
+            if user:
+                return (Interpreter._sealed_immediate, ins, (op, word), False)
+            return (Interpreter._immediate, ins, (op, ins.imm & MASK32), True)
+        operand = None
+        if cls is InstrClass.REGISTER:
+            handler = Interpreter._set_flag if ins.opcode == isa.OP_SF \
+                else Interpreter._register
+        elif cls is InstrClass.LOAD:
+            handler = Interpreter._user_load if user else Interpreter._load
+        elif cls is InstrClass.STORE:
+            handler = Interpreter._user_store if user else Interpreter._store
+        elif cls is InstrClass.CLASS64:
+            handler = Interpreter._class64
+        elif cls is InstrClass.BRANCH:
+            handler = Interpreter._branch
+            operand = (m == "l.bf", (pc + 4 * ins.imm) & MASK32)
+        elif cls is InstrClass.JUMP:
+            handler = Interpreter._jump
+            if m in ("l.j", "l.jal"):
+                operand = (pc + 4 * ins.imm) & MASK32
+        elif cls is InstrClass.NOP:
+            handler = Interpreter._nop
+        elif m == "l.sys":
+            handler = Interpreter._sys
+        elif m == "l.rfe":
+            handler = Interpreter._rfe
+        elif m == "l.mfspr":
+            handler = Interpreter._mfspr
+        elif m == "l.mtspr":
+            handler = Interpreter._mtspr
+        else:
+            raise OracleFault("unhandled instruction %s" % m)
+        return (handler, ins, operand, True)
+
     # -------------------------------------------------------------- step --
 
     def step(self):
         pc = self.pc
-        word, ins = self.text.get(pc, (None, None))
-        user = self.mode is Mode.USER
-        if ins is None or (user and isa.user_illegal(ins)):
-            if pc == VEC_ILLEGAL and not user:
-                # the trap would fetch this same illegal word again, forever
-                raise OracleFault(
-                    "illegal instruction at the illegal-instruction vector "
-                    "0x%08x in supervisor mode" % VEC_ILLEGAL)
+        record = self._records.get(pc)
+        if record is None:
+            record = self._records[pc] = self._record(pc)
+        handler, ins, operand, plain = record
+        if plain:
             self.steps += 1
+            # every non-prefix instruction leaves the latch empty
+            self.latch.clear()
+            self.pc = (pc + 4) & MASK32
+        handler(self, pc, ins, operand)
+
+    # Handlers, one per class and, where the class differs by mode, per
+    # mode: called as handler(self, pc, instruction, operand).
+
+    def _illegal(self, pc, ins, operand):
+        if pc == VEC_ILLEGAL and self.mode is Mode.SUPERVISOR:
+            # the trap would fetch this same illegal word again, forever
+            raise OracleFault(
+                "illegal instruction at the illegal-instruction vector "
+                "0x%08x in supervisor mode" % VEC_ILLEGAL)
+        self.steps += 1
+        self._trap(VEC_ILLEGAL, pc)
+
+    def _prefix(self, pc, ins, operand):
+        # merged into the immediate they precede, not a step of their own
+        self.latch.feed(ins.prefix_idx, ins.prefix_payload)
+        self.pc = (pc + 4) & MASK32
+
+    def _sealed_immediate(self, pc, ins, operand):
+        self.steps += 1
+        op, word = operand
+        try:
+            cipher = consume_prefixes(self.latch, word)
+        except MissingPrefix:
             self._trap(VEC_ILLEGAL, pc)
             return
-
-        if ins.cls is InstrClass.PREFIX:
-            # merged into the immediate they precede, not a step of their own
-            self.latch.feed(ins.prefix_idx, ins.prefix_payload)
-            self.pc = (pc + 4) & MASK32
-            return
-        self.steps += 1
-
-        literal = None
-        if ins.cls is InstrClass.IMMEDIATE:
-            if user:
-                try:
-                    cipher = consume_prefixes(self.latch, word)
-                except MissingPrefix:
-                    self._trap(VEC_ILLEGAL, pc)
-                    return
-                literal = self.literals.get(cipher)
-                if literal is None:
-                    literal = self.literals[cipher] = \
-                        word_value(self.codec.decrypt(cipher))
-            else:
-                literal = ins.imm & MASK32
-        # every non-prefix instruction leaves the latch empty
-        self.latch.clear()
-
+        literal = self.literals.get(cipher)
+        if literal is None:
+            literal = self.literals[cipher] = \
+                word_value(self.codec.decrypt(cipher))
         self.pc = (pc + 4) & MASK32
-        m = ins.mnemonic
+        self._immediate(pc, ins, (op, literal))
 
-        if ins.cls is InstrClass.NOP:
-            if ins.imm == 1:
-                self.halted = True
-            elif ins.imm == 2:
-                self.outputs.append(self.regs[3])
-            return
-        if m == "l.sys":
-            self._trap(VEC_SYSCALL, (pc + 4) & MASK32)
-            return
-        if m == "l.rfe":
-            self.mode, self.flags = self.esr[0], dict(self.esr[1])
-            self.pc = self.epcr
-            return
+    # an ALU result is already 32 bits wide: no _write mask needed
+    def _immediate(self, pc, ins, operand):
+        op, literal = operand
+        res, effects = alu.execute(op, self.regs[ins.ra], literal)
+        if ins.rd:
+            self.regs[ins.rd] = res
+        self.flags.update(effects)
 
-        if ins.cls is InstrClass.REGISTER:
-            a, b = self.regs[ins.ra], self.regs[ins.rb]
-            if ins.opcode == isa.OP_SF:
-                self.flags["f"] = alu.compare_flag(ins.funct, a, b)
-                return
-            res, effects = alu.execute(ins.funct, a, b)
-            self._write(ins.rd, res)
-            self._apply(effects)
+    def _register(self, pc, ins, operand):
+        regs = self.regs
+        res, effects = alu.execute(ins.funct, regs[ins.ra], regs[ins.rb])
+        if ins.rd:
+            regs[ins.rd] = res
+        self.flags.update(effects)
+
+    def _set_flag(self, pc, ins, operand):
+        regs = self.regs
+        self.flags["f"] = alu.compare_flag(ins.funct, regs[ins.ra],
+                                           regs[ins.rb])
+
+    def _user_load(self, pc, ins, operand):
+        ea = (self.regs[ins.ra] + ins.imm) & MASK32
+        self._write(ins.rd, self.user_mem.get(ea, self.blank))
+
+    def _load(self, pc, ins, operand):
+        ea = (self.regs[ins.ra] + ins.imm) & MASK32
+        self._write(ins.rd, self.super_cells.get(self._cell(ea), 0) & MASK32)
+
+    def _user_store(self, pc, ins, operand):
+        regs = self.regs
+        self.user_mem[(regs[ins.ra] + ins.imm) & MASK32] = regs[ins.rb]
+
+    def _store(self, pc, ins, operand):
+        regs = self.regs
+        ea = (regs[ins.ra] + ins.imm) & MASK32
+        self.super_cells[self._cell(ea)] = regs[ins.rb]
+
+    def _class64(self, pc, ins, operand):
+        if ins.funct == isa.C64_ADD:
+            self._write(ins.rd, self.regs[ins.ra] + self.regs[ins.rb])
             return
-        if ins.cls is InstrClass.IMMEDIATE:
-            res, effects = alu.execute(isa.IMM_ALU_OP[m], self.regs[ins.ra],
-                                       literal)
-            self._write(ins.rd, res)
-            self._apply(effects)
-            return
-        if ins.cls is InstrClass.LOAD:
-            ea = (self.regs[ins.ra] + ins.imm) & MASK32
-            if user:
-                self._write(ins.rd, self.user_mem.get(ea, self.blank))
-            else:
-                self._write(ins.rd, self.super_cells.get(self._cell(ea), 0) & MASK32)
-            return
-        if ins.cls is InstrClass.STORE:
-            ea = (self.regs[ins.ra] + ins.imm) & MASK32
-            if user:
-                self.user_mem[ea] = self.regs[ins.rb]
-            else:
-                self.super_cells[self._cell(ea)] = self.regs[ins.rb]
-            return
-        if ins.cls is InstrClass.CLASS64:
-            if ins.funct == isa.C64_ADD:
-                self._write(ins.rd, self.regs[ins.ra] + self.regs[ins.rb])
-                return
-            ea = (self.regs[ins.ra] + ins.imm) & MASK32
-            if ins.funct == isa.C64_LD:
-                self._write(ins.rd, self.super_cells.get(self._cell(ea), 0))
-            else:
-                self.super_cells[self._cell(ea)] = self.regs[ins.rb]
-            return
-        if ins.cls is InstrClass.BRANCH:
-            taken = self.flags["f"] if m == "l.bf" else not self.flags["f"]
-            if taken:
-                self.pc = (pc + 4 * ins.imm) & MASK32
-            return
-        if ins.cls is InstrClass.JUMP:
-            if m in ("l.j", "l.jal"):
-                target = (pc + 4 * ins.imm) & MASK32
-            else:
-                target = self.regs[ins.rb]
-            if m in ("l.jal", "l.jalr"):
-                self._write(9, (pc + 4) & MASK32)
+        ea = (self.regs[ins.ra] + ins.imm) & MASK32
+        if ins.funct == isa.C64_LD:
+            self._write(ins.rd, self.super_cells.get(self._cell(ea), 0))
+        else:
+            self.super_cells[self._cell(ea)] = self.regs[ins.rb]
+
+    def _branch(self, pc, ins, operand):
+        on_flag, target = operand
+        if self.flags["f"] == on_flag:
             self.pc = target
-            return
-        if m == "l.mfspr":
-            index = (self.regs[ins.ra] | ins.imm) & 0xFFFF
-            self._write(ins.rd, self._read_spr(index))
-            return
-        if m == "l.mtspr":
-            index = (self.regs[ins.ra] | ins.imm) & 0xFFFF
-            self._write_spr(index, self.regs[ins.rb])
-            return
-        raise OracleFault("unhandled instruction %s" % m)
+
+    def _jump(self, pc, ins, operand):
+        target = self.regs[ins.rb] if operand is None else operand
+        if ins.opcode == isa.OP_JAL or ins.opcode == isa.OP_JALR:
+            self._write(9, (pc + 4) & MASK32)
+        self.pc = target
+
+    def _nop(self, pc, ins, operand):
+        if ins.imm == 1:
+            self.halted = True
+        elif ins.imm == 2:
+            self.outputs.append(self.regs[3])
+
+    def _sys(self, pc, ins, operand):
+        self._trap(VEC_SYSCALL, (pc + 4) & MASK32)
+
+    def _rfe(self, pc, ins, operand):
+        mode, flags = self.esr
+        self._enter(mode)
+        self.flags = dict(flags)
+        self.pc = self.epcr
+
+    def _mfspr(self, pc, ins, operand):
+        index = (self.regs[ins.ra] | ins.imm) & 0xFFFF
+        self._write(ins.rd, self._read_spr(index))
+
+    def _mtspr(self, pc, ins, operand):
+        index = (self.regs[ins.ra] | ins.imm) & 0xFFFF
+        self._write_spr(index, self.regs[ins.rb])
 
     def run(self, max_steps=2_000_000):
         while not self.halted:

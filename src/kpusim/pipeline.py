@@ -57,10 +57,11 @@ alive, they theirs, and a long run would hold every slot it ever fetched.
 Everything static about fetching a pc (its instruction, plan, sources and
 destination, how it treats the prefix latch, whether it serializes, holds
 fetch or is predicted, and its execute handler, or that it is illegal) is
-worked out at its first fetch and kept in a record table per mode; a mode
-transition switches tables. The same word can differ between the modes:
-an encrypted immediate is a plain short-plan immediate to supervisor code,
-and a 64-bit operation is legal there but an illegal carrier in user mode.
+worked out at its first fetch, where its word is decoded, and kept in a
+record table per mode; a mode transition switches tables. The same word
+can differ between the modes: an encrypted immediate is a plain
+short-plan immediate to supervisor code, and a 64-bit operation is legal
+there but an illegal carrier in user mode.
 """
 
 from dataclasses import dataclass
@@ -327,7 +328,7 @@ class Engine:
         self.mem = MemorySystem(cdc, **kwargs)
         for addr in sorted(image.data):
             self.mem.supervisor_store(addr, image.data[addr])
-        self.text = isa.predecode(image.text)
+        self.text = image.text
         # per mode, pc -> fetch record, made at the pc's first fetch there
         self._records_by_mode = {Mode.USER: {}, Mode.SUPERVISOR: {}}
         self._records = self._records_by_mode[mode]
@@ -354,7 +355,7 @@ class Engine:
     def _record(self, pc, mode):
         """The fetch record of `pc` in `mode`: (kind, instr, word, plan,
         sources, dest, serializes, holds fetch, predicted, handler)."""
-        word, instr = self.text.get(pc, (None, None))
+        word, instr = isa.decode_at(self.text, pc)
         if instr is None or (mode is Mode.USER and isa.user_illegal(instr)):
             return _ILLEGAL_RECORD
         cls = instr.cls

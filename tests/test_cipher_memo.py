@@ -59,12 +59,13 @@ def sweep_source(cells, passes):
 def sealed_pcs(image):
     """Immediate-class pcs right behind a prefix pair: the only places a
     full prefix latch can be consumed."""
-    text = isa.predecode(image.text)
-
     def cls(pc):
-        return getattr(text.get(pc, (None, None))[1], "cls", None)
+        try:
+            return isa.decode(image.text[pc]).cls
+        except (KeyError, isa.IllegalOpcode):
+            return None
 
-    return {pc for pc in text if cls(pc) is InstrClass.IMMEDIATE
+    return {pc for pc in image.text if cls(pc) is InstrClass.IMMEDIATE
             and cls(pc - 8) is cls(pc - 4) is InstrClass.PREFIX}
 
 

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from kpusim import alu
-from kpusim.assembler import assemble
+from kpusim import alu, isa
+from kpusim.assembler import Image, assemble
 from kpusim.codec import Codec
 from kpusim.core import Mode
 from kpusim.isa import InstrClass
@@ -252,6 +252,50 @@ def test_max_steps_guard():
     image, c = build(SUPER_HEAD + "    l.j start\n")
     with pytest.raises(MaxStepsExceeded):
         interpret(image, c, max_steps=100)
+
+
+SEALED_PAIR = USER_HEAD + """    l.addi  r1, r0, 3       # prefix, prefix, immediate at 0x4000..0x4008
+    l.addi  r2, r1, 4       # and again at 0x400c..0x4014
+    l.add   r3, r2, r1
+    l.nop   2
+    l.nop   1
+"""
+
+
+@pytest.mark.parametrize("limit, pc, regs", [
+    (1, 0x400C, [3, 0, 0]),     # stops before the second pair
+    (2, 0x4018, [3, 7, 0]),     # stops right after the pair's immediate
+])
+def test_step_limit_after_a_prefix_pair(limit, pc, regs):
+    image, c = build(SEALED_PAIR)
+    itp = Interpreter(image, c)
+    with pytest.raises(MaxStepsExceeded,
+                       match="no exit after %d steps" % limit):
+        itp.run(max_steps=limit)
+    # the prefixes ran but are not steps, and left the latch empty
+    assert itp.steps == limit
+    assert itp.pc == pc
+    assert itp.regs[1:4] == regs
+    assert itp.latch.p0 is None and itp.latch.p1 is None
+
+
+@pytest.mark.parametrize("mode", ["super", "user"])
+def test_every_decodable_class_dispatches_to_a_handler(mode):
+    covered = set()
+    for row in isa.TABLE:
+        word = isa.encode(isa.instruction(
+            row.mnemonic, **{name: 0 for name, *_ in row.fields}))
+        ins = isa.decode(word)
+        itp = Interpreter(Image(entry=0x4000, mode=mode, text={0x4000: word}),
+                          Codec(KEY))
+        handler = itp._record(0x4000)[0]
+        assert handler is getattr(Interpreter, handler.__name__), row.mnemonic
+        illegal = mode == "user" and isa.user_illegal(ins)
+        assert (handler is Interpreter._illegal) == illegal, row.mnemonic
+        itp.step()
+        assert itp.steps == (ins.cls is not InstrClass.PREFIX), row.mnemonic
+        covered.add(ins.cls)
+    assert covered == set(InstrClass)
 
 
 def test_steps_count_logical_instructions():
