@@ -39,9 +39,10 @@ Only a few positions can do work in a cycle, and step() visits only those,
 read off the plan tables:
   * the X positions, oldest first: user 13 (plan B) then 3 (plan A),
     supervisor 3,
-  * then the M positions: user 14 then 4 (supervisor loads and stores
-    reach memory at X); every execute runs before any memory access, so a
-    fault raised at X outranks one raised at M in the same cycle,
+  * then the M positions: user 14 then 4 (the short plan has none:
+    supervisor loads and stores reach memory at X); every execute runs
+    before any memory access, so a fault raised at X outranks one raised
+    at M in the same cycle,
   * then the R positions, oldest first: user 12 then 2, supervisor 2; the
     oldest instruction whose operands are not ready stalls there,
   * then the conveyor shifts by one.
@@ -54,14 +55,22 @@ absent: its value is in the register file by then. Retiring a slot also
 drops its own producer links; otherwise each slot would keep its producers
 alive, they theirs, and a long run would hold every slot it ever fetched.
 
-Everything static about fetching a pc (its instruction, plan, sources and
-destination, how it treats the prefix latch, whether it serializes, holds
-fetch or is predicted, and its execute handler, or that it is illegal) is
-worked out at its first fetch, where its word is decoded, and kept in a
-record table per mode; a mode transition switches tables. The same word
-can differ between the modes: an encrypted immediate is a plain
-short-plan immediate to supervisor code, and a 64-bit operation is legal
-there but an illegal carrier in user mode.
+Everything static about fetching a pc is worked out at its first fetch,
+where its word is decoded, and kept in a FetchRecord per mode: its
+instruction, plan, sources and destination, how it treats the prefix
+latch, whether it serializes, holds fetch or is predicted, a branch's
+target and a link's return address, or that it is illegal. The record also
+binds each stage's work: the (X, R, M) positions of its slots, X or M
+being -1 where the class has nothing to do there, and the handlers that do
+it, an execute handler for X, a memory handler for l.lwz/l.sw/l.ld/l.sd
+and a retire handler for what commit writes (a register and flags, the
+cached-access counters, an exit or print, a trap, a return, an illegal
+trap). So a cycle calls no handler that does nothing. A mode transition
+switches record tables. The same word can differ between the modes: an
+encrypted immediate is a plain short-plan immediate to supervisor code, a
+64-bit operation is legal there but an illegal carrier in user mode, and
+where the work differs by mode (a user-mode result carries a padding) the
+record binds that mode's handler.
 """
 
 from dataclasses import dataclass
@@ -212,13 +221,11 @@ class Bubble:
     """An empty conveyor cell. Only STALL_BUBBLE and REFILL_BUBBLE exist.
 
     They answer what step() asks of every cell it visits (its X, R and M
-    positions, the register it writes) with "none", so the per-cycle loops
-    need no type test.
+    positions) with "none", so the per-cycle loops need no type test.
     """
 
     __slots__ = ()
     x_index = r_index = m_index = -1
-    dest = None
 
 
 STALL_BUBBLE = Bubble()         # retires as a stall wait state
@@ -247,45 +254,6 @@ _WORK = {
 }
 
 
-class Slot:
-    """One in-flight instruction. `producers` maps each source to the
-    youngest older writer in flight when the slot was fetched; `handler`
-    is the engine method that executes its class at X (None: no work)."""
-
-    __slots__ = ("instr", "pc", "mode", "config", "x_index", "r_index",
-                 "m_index", "producers", "dest", "carrier", "serialize",
-                 "handler", "imm_block", "executed",
-                 "mem_done", "retired", "result", "ready_cycle",
-                 "flag_result", "pending_effects", "pending_reg", "ea_block",
-                 "store_value", "cached", "predicted", "__weakref__")
-
-    def __init__(self, instr, pc, mode, config, producers, dest=None,
-                 serialize=False, handler=None, imm_block=None):
-        self.instr = instr
-        self.pc = pc
-        self.mode = mode
-        self.config = config
-        self.x_index, self.r_index, self.m_index = _POSITIONS[config]
-        self.producers = producers
-        self.dest = dest
-        self.carrier = False            # travels only to raise illegal at W
-        self.serialize = serialize      # must be oldest before entering X
-        self.handler = handler
-        self.imm_block = imm_block      # decrypted user-mode immediate
-        self.executed = False
-        self.mem_done = False
-        self.retired = False
-        self.result = None              # forwardable 64-bit value
-        self.ready_cycle = None
-        self.flag_result = None         # forwardable F for set-flag
-        self.pending_effects = None     # flag writes applied at commit
-        self.pending_reg = None         # (index, value, is_program_address)
-        self.ea_block = None
-        self.store_value = None
-        self.cached = False
-        self.predicted = None           # (bpb_hit, taken, target)
-
-
 def _slot_sources(instr):
     if instr.cls is InstrClass.BRANCH:
         return (FLAG,)
@@ -293,8 +261,13 @@ def _slot_sources(instr):
     return tuple(reg for reg in (instr.ra, instr.rb) if reg)
 
 
+# opcodes with a pc-relative target, and those that write a return address
+_DIRECT = frozenset({isa.OP_BF, isa.OP_BNF, isa.OP_J, isa.OP_JAL})
+_LINKING = frozenset({isa.OP_JAL, isa.OP_JALR})
+
+
 def _slot_dest(instr):
-    if instr.mnemonic in ("l.jal", "l.jalr"):
+    if instr.opcode in _LINKING:
         return 9
     if instr.opcode == isa.OP_SF:
         return FLAG
@@ -305,8 +278,84 @@ def _slot_dest(instr):
 # immediate that consumes the latch, or illegal (fetched as a carrier).
 _PLAIN, _PREFIX, _SEALED, _ILLEGAL = range(4)
 
-_ILLEGAL_RECORD = (_ILLEGAL,) + (None,) * 9
 _CARRIER_INSTR = isa.Instruction(isa.OP_SYS, "l.illegal", InstrClass.SYSTRAP)
+
+
+class FetchRecord:
+    """Everything static about fetching one pc in one mode.
+
+    `positions` are the (X, R, M) indexes of its slots on the conveyor,
+    with X or M at -1 where that stage has no work for the instruction;
+    `execute`, `memory` and `retire` are the Engine methods that do the
+    work at X, at M and at retirement, or None. `target` is a branch or
+    direct jump's destination, `link` the return address a jump-and-link
+    writes, in the mode's form.
+    """
+
+    __slots__ = ("kind", "instr", "word", "pc", "mode", "config",
+                 "positions", "sources", "dest", "serialize", "holds",
+                 "predicted", "execute", "memory", "retire", "target", "link")
+
+    def __init__(self, kind, instr, word, pc, mode):
+        cls = instr.cls
+        self.kind = kind
+        self.instr = instr
+        self.word = word
+        self.pc = pc
+        self.mode = mode
+        self.config = select_config(cls, mode)
+        self.sources = _slot_sources(instr)
+        self.dest = _slot_dest(instr)
+        self.serialize = cls is InstrClass.SPR
+        # Nothing younger may enter the pipe behind a trap, a return or the
+        # exit no-op: their commit changes the instruction stream.
+        self.holds = cls is InstrClass.SYSTRAP or \
+            (cls is InstrClass.NOP and instr.imm == 1)
+        self.predicted = cls is InstrClass.BRANCH or cls is InstrClass.JUMP
+        if kind == _ILLEGAL:
+            self.execute, self.memory, self.retire = \
+                None, None, Engine._retire_illegal
+        else:
+            self.execute, self.memory, self.retire = \
+                _stage_work(instr, mode is Mode.USER)
+        x, r, m = _POSITIONS[self.config]
+        self.positions = (-1 if self.execute is None else x, r,
+                          -1 if self.memory is None else m)
+        self.target = self.link = None
+        if instr.opcode in _DIRECT:
+            self.target = (pc + 4 * instr.imm) & MASK32
+        if instr.opcode in _LINKING:
+            link = (pc + 4) & MASK32
+            self.link = to_decrypted_address(link) if mode is Mode.USER \
+                else to_encrypted_address(link)
+
+
+class Slot:
+    """One fetch of a pc: its fetch record and what this fetch has done.
+
+    `x_index`/`m_index` start as the record's X and M positions and are
+    cleared (-1) once that work is done, so a slot a stall holds at X or
+    M does it once; `r_index` is the record's, kept beside them for
+    step()'s per-cycle tests. `producers` maps each source to the
+    youngest older writer in flight when the slot was fetched; retirement
+    cuts it. Everything else is set by the stage that produces it.
+    """
+
+    __slots__ = ("record", "x_index", "r_index", "m_index", "producers",
+                 "retired", "ready_cycle", "imm_block", "predicted",
+                 "result", "flag_result", "pending_effects", "ea_block",
+                 "store_value", "cached", "__weakref__")
+
+    def __init__(self, record, producers):
+        self.record = record
+        self.x_index, self.r_index, self.m_index = record.positions
+        self.producers = producers
+        self.retired = False
+        self.ready_cycle = None         # when `result` forwards, once known
+        # set where the record says so: imm_block (decrypted user-mode
+        # immediate) at fetch, predicted (bpb_hit, taken, target) at fetch,
+        # result, flag_result, pending_effects (ALU flags for commit),
+        # ea_block and store_value at X, cached at M
 
 
 class Engine:
@@ -347,17 +396,22 @@ class Engine:
         self.conveyor = [REFILL_BUBBLE] * plan_depth(mode)
         self._work = _WORK[mode]
         self._mode_stats = self.stats.per_mode[mode]
+        self._bank = self._mode_bank()
         self._last_writer = {}          # register -> youngest fetched writer
         self._rebuilt = False
+
+    def _mode_bank(self):
+        # the register bank the ALU works on in the current mode
+        st = self.state
+        return st.shadow if st.mode is Mode.USER else st.regs
 
     # ------------------------------------------------------------- fetch --
 
     def _record(self, pc, mode):
-        """The fetch record of `pc` in `mode`: (kind, instr, word, plan,
-        sources, dest, serializes, holds fetch, predicted, handler)."""
+        """The fetch record of `pc` in `mode`, decoding its word."""
         word, instr = isa.decode_at(self.text, pc)
         if instr is None or (mode is Mode.USER and isa.user_illegal(instr)):
-            return _ILLEGAL_RECORD
+            return FetchRecord(_ILLEGAL, _CARRIER_INSTR, word, pc, mode)
         cls = instr.cls
         if cls is InstrClass.PREFIX:
             kind = _PREFIX
@@ -365,55 +419,52 @@ class Engine:
             kind = _SEALED
         else:
             kind = _PLAIN
-        # Nothing younger may enter the pipe behind a trap, a return or the
-        # exit no-op: their commit changes the instruction stream.
-        holds = cls is InstrClass.SYSTRAP or \
-            (cls is InstrClass.NOP and instr.imm == 1)
-        predicted = cls is InstrClass.BRANCH or cls is InstrClass.JUMP
-        return (kind, instr, word, select_config(cls, mode),
-                _slot_sources(instr), _slot_dest(instr),
-                cls is InstrClass.SPR, holds, predicted, _HANDLERS.get(cls))
+        return FetchRecord(kind, instr, word, pc, mode)
 
     def _fetch(self):
         if self.fetch_hold:
             return REFILL_BUBBLE
         pc = self.fetch_pc
         self.fetch_pc = (pc + 4) & MASK32
-        mode = self.state.mode
         record = self._records.get(pc)
         if record is None:
-            record = self._records[pc] = self._record(pc, mode)
-        (kind, instr, word, config, sources, dest, serialize, holds,
-         predicted, handler) = record
+            record = self._records[pc] = self._record(pc, self.state.mode)
 
+        kind = record.kind
         imm_block = None
         if kind == _PLAIN:
-            self.latch.clear()
+            latch = self.latch
+            latch.p0 = latch.p1 = None
         elif kind == _PREFIX:
+            instr = record.instr
             self.latch.feed(instr.prefix_idx, instr.prefix_payload)
         elif kind == _SEALED:
             try:
-                sealed = consume_prefixes(self.latch, word)
+                sealed = consume_prefixes(self.latch, record.word)
             except MissingPrefix:
-                return self._carrier(pc, mode)
+                return self._carrier(
+                    FetchRecord(_ILLEGAL, _CARRIER_INSTR, record.word, pc,
+                                record.mode))
             imm_block = self.opened.get(sealed)
             if imm_block is None:
                 imm_block = self.opened[sealed] = self._open(sealed)
         else:
-            return self._carrier(pc, mode)
+            return self._carrier(record)
 
         writers = self._last_writer
         producers = {}
-        for name in sources:
+        for name in record.sources:
             if name in writers:
                 producers[name] = writers[name]
-        slot = Slot(instr, pc, mode, config, producers, dest, serialize,
-                    handler, imm_block)
+        slot = Slot(record, producers)
+        if imm_block is not None:
+            slot.imm_block = imm_block
+        dest = record.dest
         if dest is not None:
             writers[dest] = slot
-        if holds:
+        if record.holds:
             self.fetch_hold = True
-        elif predicted:
+        elif record.predicted:
             hit, taken, target = self.bpb.lookup(pc)
             slot.predicted = (hit, taken, target)
             if taken:
@@ -426,14 +477,11 @@ class Engine:
             block = feistel_unround(block, key)
         return block
 
-    def _carrier(self, pc, mode):
+    def _carrier(self, record):
         # the latch needs no clearing here: fetch holds until the trap
         # commits or a flush restarts it, and both clear the latch
-        slot = Slot(_CARRIER_INSTR, pc, mode,
-                    select_config(InstrClass.SYSTRAP, mode), {})
-        slot.carrier = True
         self.fetch_hold = True
-        return slot
+        return Slot(record, {})
 
     # -------------------------------------------------------- forwarding --
 
@@ -444,143 +492,162 @@ class Engine:
                 ready = producer.ready_cycle
                 if ready is None or ready > n:
                     return False
-        if cell.serialize:
+        if cell.record.serialize:
             for older in self.conveyor[idx + 1:-1]:
                 if older.__class__ is Slot:
                     return False
         return True
 
-    def _operand(self, cell, name):
-        producer = cell.producers.get(name)
-        st = self.state
-        if producer is not None and not producer.retired:
-            assert producer.mode is st.mode, "cross-mode forward"
-            if name == FLAG:
-                return producer.flag_result
-            return producer.result
-        if name == FLAG:
-            return st.flag_f
-        return st.read_operand(name)
+    def _read(self, cell, reg):
+        """Source register `reg` (not r0) of `cell` at X: forwarded from a
+        producer still in flight, else the mode's bank."""
+        producer = cell.producers.get(reg)
+        if producer is None or producer.retired:
+            return self._bank[reg]
+        assert producer.record.mode is self.state.mode, "cross-mode forward"
+        return producer.result
+
+    def _flag(self, cell):
+        producer = cell.producers.get(FLAG)
+        if producer is None or producer.retired:
+            return self.state.flag_f
+        assert producer.record.mode is self.state.mode, "cross-mode forward"
+        return producer.flag_result
 
     # ----------------------------------------------------------- execute --
 
-    # Each handler runs one instruction class at X; the fetch record holds
-    # it (_HANDLERS).
+    # Each handler does one class's work at X, in one mode where the modes
+    # differ: called as handler(self, idx, cell, cycle). A user-mode result
+    # carries a padding mixed from its operands'.
 
-    def _ex_register(self, idx, cell, n):
-        instr = cell.instr
-        a = self._operand(cell, instr.ra) if instr.ra else 0
-        b = self._operand(cell, instr.rb) if instr.rb else 0
-        if instr.opcode == isa.OP_SF:
-            cell.flag_result = alu.compare_flag(instr.funct,
-                                                a & MASK32, b & MASK32)
-            cell.pending_effects = {"f": cell.flag_result}
-            cell.ready_cycle = n
-            return
-        res32, effects = alu.execute(instr.funct, a & MASK32, b & MASK32)
-        cell.pending_effects = effects
-        if cell.mode is Mode.USER:
-            pad = pad_mix(word_pad(a), word_pad(b), instr.funct)
-            cell.result = (pad << 32) | res32
-        else:
-            cell.result = res32
+    def _ex_alu_user(self, idx, cell, n):
+        instr = cell.record.instr
+        a = self._read(cell, instr.ra) if instr.ra else 0
+        b = self._read(cell, instr.rb) if instr.rb else 0
+        res32, cell.pending_effects = alu.execute(instr.funct, a & MASK32,
+                                                  b & MASK32)
+        pad = pad_mix(word_pad(a), word_pad(b), instr.funct)
+        cell.result = (pad << 32) | res32
         cell.ready_cycle = n
-        cell.pending_reg = (instr.rd, cell.result, False)
+
+    def _ex_alu(self, idx, cell, n):
+        instr = cell.record.instr
+        a = self._read(cell, instr.ra) if instr.ra else 0
+        b = self._read(cell, instr.rb) if instr.rb else 0
+        cell.result, cell.pending_effects = alu.execute(
+            instr.funct, a & MASK32, b & MASK32)
+        cell.ready_cycle = n
+
+    def _ex_set_flag(self, idx, cell, n):
+        instr = cell.record.instr
+        a = self._read(cell, instr.ra) if instr.ra else 0
+        b = self._read(cell, instr.rb) if instr.rb else 0
+        cell.flag_result = alu.compare_flag(instr.funct, a & MASK32,
+                                            b & MASK32)
+        cell.ready_cycle = n
+
+    def _ex_immediate_user(self, idx, cell, n):
+        instr = cell.record.instr
+        a = self._read(cell, instr.ra) if instr.ra else 0
+        b = cell.imm_block
+        op = isa.IMM_ALU_OP[instr.mnemonic]
+        res32, cell.pending_effects = alu.execute(op, a & MASK32,
+                                                  word_value(b))
+        pad = pad_mix(word_pad(a), word_pad(b), op)
+        cell.result = (pad << 32) | res32
+        cell.ready_cycle = n
 
     def _ex_immediate(self, idx, cell, n):
-        instr = cell.instr
-        a = self._operand(cell, instr.ra) if instr.ra else 0
-        op = isa.IMM_ALU_OP[instr.mnemonic]
-        if cell.mode is Mode.USER:
-            b = cell.imm_block
-            res32, effects = alu.execute(op, a & MASK32, word_value(b))
-            pad = pad_mix(word_pad(a), word_pad(b), op)
-            cell.result = (pad << 32) | res32
-        else:
-            b = instr.imm & MASK32
-            res32, effects = alu.execute(op, a & MASK32, b)
-            cell.result = res32
-        cell.pending_effects = effects
+        instr = cell.record.instr
+        a = self._read(cell, instr.ra) if instr.ra else 0
+        cell.result, cell.pending_effects = alu.execute(
+            isa.IMM_ALU_OP[instr.mnemonic], a & MASK32, instr.imm & MASK32)
         cell.ready_cycle = n
-        cell.pending_reg = (instr.rd, cell.result, False)
 
-    def _ex_load_store(self, idx, cell, n):
-        instr = cell.instr
-        a = self._operand(cell, instr.ra) if instr.ra else 0
+    def _ex_address_user(self, idx, cell, n):
+        # l.lwz/l.sw: the padded effective address and a store's data; the
+        # memory work waits for M
+        instr = cell.record.instr
+        a = self._read(cell, instr.ra) if instr.ra else 0
         off = instr.imm & MASK32
-        if cell.mode is Mode.USER:
-            ea32, _ = alu.execute(alu.OP_ADDR, a & MASK32, off)
-            pad = pad_mix(word_pad(a), off, alu.OP_ADDR)
-            cell.ea_block = (pad << 32) | ea32
-        else:
-            cell.ea_block = (a + instr.imm) & MASK64
-        if instr.cls is InstrClass.STORE:
-            cell.store_value = self._operand(cell, instr.rb) if instr.rb else 0
-        if cell.m_index < 0:
-            self._mem_access(cell, n)       # short plan: memory at X
+        ea32, _ = alu.execute(alu.OP_ADDR, a & MASK32, off)
+        pad = pad_mix(word_pad(a), off, alu.OP_ADDR)
+        cell.ea_block = (pad << 32) | ea32
+        if instr.rb is not None:
+            cell.store_value = self._read(cell, instr.rb) if instr.rb else 0
 
-    def _ex_class64(self, idx, cell, n):
-        instr = cell.instr
-        a = self._operand(cell, instr.ra) if instr.ra else 0
-        if instr.funct == isa.C64_ADD:
-            b = self._operand(cell, instr.rb) if instr.rb else 0
-            cell.result = (a + b) & MASK64
-            cell.ready_cycle = n
-            cell.pending_reg = (instr.rd, cell.result, False)
-            return
+    def _ex_address(self, idx, cell, n):
+        # l.lwz/l.sw/l.ld/l.sd: the short plan has no M, so the memory work
+        # follows at once
+        instr = cell.record.instr
+        a = self._read(cell, instr.ra) if instr.ra else 0
         cell.ea_block = (a + instr.imm) & MASK64
-        if instr.funct == isa.C64_SD:
-            cell.store_value = self._operand(cell, instr.rb) if instr.rb else 0
-        if cell.m_index < 0:
-            self._mem_access(cell, n)
+        if instr.rb is not None:
+            cell.store_value = self._read(cell, instr.rb) if instr.rb else 0
+        cell.record.memory(self, cell, n)
 
-    def _ex_spr(self, idx, cell, n):
-        instr = cell.instr
-        a = self._operand(cell, instr.ra) if instr.ra else 0
-        index = ((a & MASK32) | instr.imm) & 0xFFFF
-        if instr.mnemonic == "l.mtspr":
-            # Serialized, so the write is program-ordered even though it
-            # lands at X; user-mode writes are ignored inside write_spr.
-            b = self._operand(cell, instr.rb) if instr.rb else 0
-            self.state.write_spr(index, b)
-            return
-        value = self.state.read_spr(index)
-        if cell.mode is Mode.USER:
-            pad = pad_mix(word_pad(a), index, alu.OP_MFSPR)
-            cell.result = (pad << 32) | (value & MASK32)
-        else:
-            cell.result = value & MASK64
+    def _ex_add64(self, idx, cell, n):
+        instr = cell.record.instr
+        a = self._read(cell, instr.ra) if instr.ra else 0
+        b = self._read(cell, instr.rb) if instr.rb else 0
+        cell.result = (a + b) & MASK64
         cell.ready_cycle = n
-        cell.pending_reg = (instr.rd, cell.result, False)
 
-    def _resolve_branch(self, idx, cell, n):
-        instr = cell.instr
-        m = instr.mnemonic
-        pc = cell.pc
-        if m in ("l.bf", "l.bnf"):
-            flag = self._operand(cell, FLAG)
-            taken = flag if m == "l.bf" else not flag
-            target = (pc + 4 * instr.imm) & MASK32
-        elif m in ("l.j", "l.jal"):
-            taken = True
-            target = (pc + 4 * instr.imm) & MASK32
-        else:                            # l.jr / l.jalr
-            taken = True
-            value = self._operand(cell, instr.rb) if instr.rb else 0
-            try:
-                target = open_program_address(value)
-            except NotAProgramAddress as exc:
-                raise SimulationFault(
-                    "jump target at pc 0x%08x: %s" % (pc, exc)) from exc
-        if m in ("l.jal", "l.jalr"):
-            link = (pc + 4) & MASK32
-            if cell.mode is Mode.USER:
-                cell.result = to_decrypted_address(link)
-            else:
-                cell.result = to_encrypted_address(link)
+    def _ex_mfspr_user(self, idx, cell, n):
+        instr = cell.record.instr
+        a = self._read(cell, instr.ra) if instr.ra else 0
+        index = ((a & MASK32) | instr.imm) & 0xFFFF
+        value = self.state.read_spr(index)
+        pad = pad_mix(word_pad(a), index, alu.OP_MFSPR)
+        cell.result = (pad << 32) | (value & MASK32)
+        cell.ready_cycle = n
+
+    def _ex_mfspr(self, idx, cell, n):
+        instr = cell.record.instr
+        a = self._read(cell, instr.ra) if instr.ra else 0
+        index = ((a & MASK32) | instr.imm) & 0xFFFF
+        cell.result = self.state.read_spr(index) & MASK64
+        cell.ready_cycle = n
+
+    def _ex_mtspr(self, idx, cell, n):
+        # Supervisor only: user mode ignores the write. Serialized, so the
+        # write is program-ordered even though it lands at X.
+        instr = cell.record.instr
+        a = self._read(cell, instr.ra) if instr.ra else 0
+        b = self._read(cell, instr.rb) if instr.rb else 0
+        self.state.write_spr(((a & MASK32) | instr.imm) & 0xFFFF, b)
+
+    def _ex_branch(self, idx, cell, n):
+        record = cell.record
+        flag = self._flag(cell)
+        taken = flag if record.instr.opcode == isa.OP_BF else not flag
+        self._resolve(idx, cell, taken, record.target)
+
+    def _ex_jump(self, idx, cell, n):
+        record = cell.record
+        if record.link is not None:
+            cell.result = record.link
             cell.ready_cycle = n
-            cell.pending_reg = (9, cell.result, True)
+        self._resolve(idx, cell, True, record.target)
 
+    def _ex_jump_register(self, idx, cell, n):
+        record = cell.record
+        rb = record.instr.rb
+        value = self._read(cell, rb) if rb else 0
+        try:
+            target = open_program_address(value)
+        except NotAProgramAddress as exc:
+            raise SimulationFault(
+                "jump target at pc 0x%08x: %s" % (record.pc, exc)) from exc
+        if record.link is not None:
+            cell.result = record.link
+            cell.ready_cycle = n
+        self._resolve(idx, cell, True, target)
+
+    def _resolve(self, idx, cell, taken, target):
+        """Check a branch or jump against its prediction; flush behind a
+        wrong one and refetch."""
+        pc = cell.record.pc
         hit, pred_taken, pred_target = cell.predicted
         right = (pred_taken == taken) and (not taken or pred_target == target)
         self.bpb.record(hit, right)
@@ -590,103 +657,100 @@ class Engine:
             conveyor[:idx] = [REFILL_BUBBLE] * idx
             # a flushed slot may have been the youngest writer of its
             # register: rebuild from the survivors, oldest first
-            self._last_writer = {older.dest: older
-                                 for older in reversed(conveyor)
-                                 if older.dest is not None}
+            self._last_writer = {
+                older.record.dest: older for older in reversed(conveyor)
+                if older.__class__ is Slot and older.record.dest is not None}
             self.latch.clear()
             self.fetch_hold = False
             self.fetch_pc = target if taken else (pc + 4) & MASK32
 
     # -------------------------------------------------------------- memory --
 
-    def _mem_access(self, cell, n):
-        cell.mem_done = True
-        instr = cell.instr
-        user = cell.mode is Mode.USER
-        if instr.cls is InstrClass.LOAD:
-            if user:
-                cell.result, cell.cached = self.mem.user_load(cell.ea_block)
-                cell.ready_cycle = n + 1 if cell.cached else n + 1 + ROUNDS
-            else:
-                value = self.mem.supervisor_load(cell.ea_block) & MASK32
-                cell.result = value
-                cell.ready_cycle = n + 1
-            cell.pending_reg = (instr.rd, cell.result, False)
-            return
-        if instr.cls is InstrClass.STORE:
-            if user:
-                cell.cached = self.mem.user_store(cell.ea_block,
-                                                  cell.store_value)
-            else:
-                self.mem.supervisor_store(cell.ea_block,
-                                          cell.store_value & MASK32)
-            return
-        if instr.cls is InstrClass.CLASS64:
-            if instr.funct == isa.C64_LD:
-                cell.result = self.mem.supervisor_load(cell.ea_block)
-                cell.ready_cycle = n + 1
-                cell.pending_reg = (instr.rd, cell.result, False)
-            else:
-                self.mem.supervisor_store(cell.ea_block, cell.store_value)
+    # What a load or store does to memory: handler(self, cell, cycle), at M
+    # in user mode and straight after X on the short plan. A load's data
+    # forwards a cycle later, plus the ten codec rounds on a user-mode
+    # cache miss.
+
+    def _mem_load_user(self, cell, n):
+        cell.result, cached = self.mem.user_load(cell.ea_block)
+        cell.cached = cached
+        cell.ready_cycle = n + 1 if cached else n + 1 + ROUNDS
+
+    def _mem_store_user(self, cell, n):
+        cell.cached = self.mem.user_store(cell.ea_block, cell.store_value)
+
+    def _mem_load(self, cell, n):
+        cell.result = self.mem.supervisor_load(cell.ea_block) & MASK32
+        cell.ready_cycle = n + 1
+
+    def _mem_store(self, cell, n):
+        self.mem.supervisor_store(cell.ea_block, cell.store_value & MASK32)
+
+    def _mem_load64(self, cell, n):
+        cell.result = self.mem.supervisor_load(cell.ea_block)
+        cell.ready_cycle = n + 1
+
+    def _mem_store64(self, cell, n):
+        self.mem.supervisor_store(cell.ea_block, cell.store_value)
 
     # -------------------------------------------------------------- retire --
 
-    def _retire(self, cell):
-        # every cell in the conveyor was fetched in the current mode; step()
-        # counts the bubbles itself
-        ms = self._mode_stats
-        # Younger slots may still hold this one, but nothing reaches older
-        # slots through it: without the cut, each slot would keep its
-        # producers alive, and theirs, back to the start of the run.
-        cell.retired = True
-        cell.producers = None
+    # What commit does for a class, beyond the completion count step()
+    # keeps: handler(self, cell). Every cell in the conveyor was fetched
+    # in the current mode.
+
+    def _retire_alu(self, cell):
         st = self.state
-        instr = cell.instr
-        ms.completions[instr.cls] += 1
-        if instr.cls is InstrClass.LOAD and cell.cached:
-            ms.loads_cached += 1
-        if instr.cls is InstrClass.STORE and cell.cached:
-            ms.stores_cached += 1
-
-        if cell.carrier:
-            if cell.pc == VEC_ILLEGAL and cell.mode is Mode.SUPERVISOR:
-                # the trap would fetch this same illegal word again, forever
-                raise SimulationFault(
-                    "illegal instruction at the illegal-instruction vector "
-                    "0x%08x in supervisor mode" % VEC_ILLEGAL)
-            st.enter_exception(VEC_ILLEGAL, cell.pc)
-            self._transition()
-            return
-        if instr.mnemonic == "l.sys":
-            st.enter_exception(VEC_SYSCALL, (cell.pc + 4) & MASK32)
-            self._transition()
-            return
-        if instr.mnemonic == "l.rfe":
-            st.rfe()
-            self._transition()
-            return
-        if instr.cls is InstrClass.NOP:
-            if instr.imm == 1:
-                self.halted = True
-            elif instr.imm == 2:
-                if cell.mode is Mode.USER:
-                    value = st.read_shadow(3) & MASK32
-                else:
-                    value = st.regs[3] & MASK32
-                self.outputs.append(value)
-            return
-
-        if cell.pending_reg is not None:
-            index, value, is_addr = cell.pending_reg
-            st.write_register(index, value, program_address=is_addr)
-        if cell.pending_effects:
-            eff = cell.pending_effects
-            if "f" in eff:
-                st.flag_f = eff["f"]
+        st.write_register(cell.record.instr.rd, cell.result)
+        eff = cell.pending_effects
+        if eff:
             if "cy" in eff:
                 st.flag_cy = eff["cy"]
             if "ov" in eff:
                 st.flag_ov = eff["ov"]
+
+    def _retire_flag(self, cell):
+        self.state.flag_f = cell.flag_result
+
+    def _retire_write(self, cell):
+        self.state.write_register(cell.record.instr.rd, cell.result)
+
+    def _retire_link(self, cell):
+        self.state.write_register(9, cell.result, program_address=True)
+
+    def _retire_load_user(self, cell):
+        if cell.cached:
+            self._mode_stats.loads_cached += 1
+        self.state.write_register(cell.record.instr.rd, cell.result)
+
+    def _retire_store_user(self, cell):
+        if cell.cached:
+            self._mode_stats.stores_cached += 1
+
+    def _retire_exit(self, cell):
+        self.halted = True
+
+    def _retire_print(self, cell):
+        self.outputs.append(self._bank[3] & MASK32)
+
+    def _retire_sys(self, cell):
+        self.state.enter_exception(VEC_SYSCALL,
+                                   (cell.record.pc + 4) & MASK32)
+        self._transition()
+
+    def _retire_rfe(self, cell):
+        self.state.rfe()
+        self._transition()
+
+    def _retire_illegal(self, cell):
+        record = cell.record
+        if record.pc == VEC_ILLEGAL and record.mode is Mode.SUPERVISOR:
+            # the trap would fetch this same illegal word again, forever
+            raise SimulationFault(
+                "illegal instruction at the illegal-instruction vector "
+                "0x%08x in supervisor mode" % VEC_ILLEGAL)
+        self.state.enter_exception(VEC_ILLEGAL, record.pc)
+        self._transition()
 
     def _transition(self):
         mode = self.state.mode
@@ -694,6 +758,7 @@ class Engine:
         self._work = _WORK[mode]
         self._records = self._records_by_mode[mode]
         self._mode_stats = self.stats.per_mode[mode]
+        self._bank = self._mode_bank()
         self._last_writer = {}
         self.latch.clear()
         self.fetch_hold = False
@@ -703,11 +768,15 @@ class Engine:
     # -------------------------------------------------------------- cycle --
 
     def _trace(self, n):
+        parts = []
         conveyor = self.conveyor
-        parts = ["%s:0x%08x:%s" % (cell.config.stages[idx], cell.pc,
-                                   cell.instr.mnemonic)
-                 for idx in range(len(conveyor) - 1, -1, -1)
-                 if (cell := conveyor[idx]).__class__ is Slot]
+        for idx in range(len(conveyor) - 1, -1, -1):
+            cell = conveyor[idx]
+            if cell.__class__ is Slot:
+                record = cell.record
+                parts.append("%s:0x%08x:%s" % (record.config.stages[idx],
+                                               record.pc,
+                                               record.instr.mnemonic))
         self.trace("cycle %d | %s" % (n, " ".join(parts)))
 
     def step(self):
@@ -722,16 +791,16 @@ class Engine:
         # younger positions in place, so each is read after the older ran
         for idx in x_positions:
             cell = conveyor[idx]
-            if cell.x_index == idx and not cell.executed:
-                cell.executed = True
-                if cell.handler is not None:
-                    cell.handler(self, idx, cell, n)
+            if cell.x_index == idx:
+                cell.x_index = -1
+                cell.record.execute(self, idx, cell, n)
 
         # memory, after every execute: a fault at X outranks one at M
         for idx in m_positions:
             cell = conveyor[idx]
-            if cell.m_index == idx and cell.executed and not cell.mem_done:
-                self._mem_access(cell, n)
+            if cell.m_index == idx:
+                cell.m_index = -1
+                cell.record.memory(self, cell, n)
 
         cell = conveyor[-1]
         if cell is STALL_BUBBLE:
@@ -739,7 +808,15 @@ class Engine:
         elif cell is REFILL_BUBBLE:
             self._mode_stats.refills += 1
         else:
-            self._retire(cell)
+            # Younger slots may still hold this one, but nothing reaches
+            # older slots through it: without the cut, each slot would keep
+            # its producers alive, and theirs, back to the start of the run.
+            cell.retired = True
+            cell.producers = None
+            record = cell.record
+            self._mode_stats.completions[record.instr.cls] += 1
+            if record.retire is not None:
+                record.retire(self, cell)
         self.stats.cycles += 1
         self.cycle = n + 1
         if self.halted:
@@ -756,7 +833,8 @@ class Engine:
         stall_idx = -1
         for idx in r_positions:
             cell = conveyor[idx]
-            if cell.r_index == idx and (cell.producers or cell.serialize) \
+            if cell.r_index == idx \
+                    and (cell.producers or cell.record.serialize) \
                     and not self._source_ready(idx, cell, n):
                 stall_idx = idx
                 break
@@ -773,15 +851,49 @@ class Engine:
         return self.state
 
 
-# What X does for each class; the classes left out (no-ops, prefixes,
-# traps and returns) do nothing there.
-_HANDLERS = {
-    InstrClass.REGISTER: Engine._ex_register,
-    InstrClass.IMMEDIATE: Engine._ex_immediate,
-    InstrClass.LOAD: Engine._ex_load_store,
-    InstrClass.STORE: Engine._ex_load_store,
-    InstrClass.CLASS64: Engine._ex_class64,
-    InstrClass.BRANCH: Engine._resolve_branch,
-    InstrClass.JUMP: Engine._resolve_branch,
-    InstrClass.SPR: Engine._ex_spr,
-}
+def _stage_work(instr, user):
+    """The (execute, memory, retire) handlers of a legal instruction in
+    user mode or not; None where the stage has nothing to do."""
+    E = Engine
+    cls = instr.cls
+    if cls is InstrClass.REGISTER:
+        if instr.opcode == isa.OP_SF:
+            return E._ex_set_flag, None, E._retire_flag
+        return (E._ex_alu_user if user else E._ex_alu), None, E._retire_alu
+    if cls is InstrClass.IMMEDIATE:
+        return ((E._ex_immediate_user if user else E._ex_immediate), None,
+                E._retire_alu)
+    if cls is InstrClass.LOAD:
+        if user:
+            return E._ex_address_user, E._mem_load_user, E._retire_load_user
+        return E._ex_address, E._mem_load, E._retire_write
+    if cls is InstrClass.STORE:
+        if user:
+            return E._ex_address_user, E._mem_store_user, E._retire_store_user
+        return E._ex_address, E._mem_store, None
+    if cls is InstrClass.CLASS64:       # user mode fetches it as a carrier
+        if instr.funct == isa.C64_LD:
+            return E._ex_address, E._mem_load64, E._retire_write
+        if instr.funct == isa.C64_SD:
+            return E._ex_address, E._mem_store64, None
+        return E._ex_add64, None, E._retire_write
+    if cls is InstrClass.BRANCH:
+        return E._ex_branch, None, None
+    if cls is InstrClass.JUMP:
+        execute = E._ex_jump if instr.opcode in _DIRECT \
+            else E._ex_jump_register
+        return (execute, None,
+                E._retire_link if instr.opcode in _LINKING else None)
+    if cls is InstrClass.SPR:
+        if instr.mnemonic == "l.mtspr":     # ignored in user mode
+            return (None if user else E._ex_mtspr), None, None
+        return ((E._ex_mfspr_user if user else E._ex_mfspr), None,
+                E._retire_write)
+    if cls is InstrClass.NOP:
+        retire = E._retire_exit if instr.imm == 1 \
+            else E._retire_print if instr.imm == 2 else None
+        return None, None, retire
+    if cls is InstrClass.SYSTRAP:       # l.rfe is a carrier in user mode
+        return None, None, (E._retire_sys if instr.mnemonic == "l.sys"
+                            else E._retire_rfe)
+    return None, None, None             # a prefix: fetch fed the latch

@@ -129,7 +129,7 @@ top:
         # the body of the first l.addi, head of the r1 dependence chain
         return next((cell for cell in engine.conveyor
                      if isinstance(cell, Slot)
-                     and cell.instr.mnemonic == "l.addi"), None)
+                     and cell.record.instr.mnemonic == "l.addi"), None)
 
     while first_producer() is None:
         engine.step()
