@@ -422,9 +422,7 @@ def lint(items):
                 diags.append(
                     "line %d: register jump through a data value in r%d"
                     % (item.lineno, rb))
-            if mn == "l.jalr":
-                taint[9] = PROG
-        elif mn == "l.jal":
+        if mn in isa.LINKING:
             taint[9] = PROG
 
         if mn in _BLOCK_ENDERS:

@@ -42,10 +42,6 @@ VEC_ILLEGAL = 0x700
 VEC_SYSCALL = 0xC00
 
 
-class ShadowLeak(AssertionError):
-    """A shadow register was touched outside user mode (containment bug)."""
-
-
 def pack_sr(sm, f, cy, ov):
     return ((SR_SM if sm else 0) | (SR_F if f else 0)
             | (SR_CY if cy else 0) | (SR_OV if ov else 0))
@@ -111,17 +107,6 @@ class MachineState:
             if self.dirty[i]:
                 self.regs[i] = self._map_out(self.shadow[i])
                 self.dirty[i] = False
-
-    def read_shadow(self, i):
-        if self.mode is not Mode.USER:
-            raise ShadowLeak("shadow r%d read in supervisor mode" % i)
-        return 0 if i == 0 else self.shadow[i]
-
-    def read_operand(self, i):
-        """Register operand in the domain the ALU works on in this mode."""
-        if self.mode is Mode.USER:
-            return self.read_shadow(i)
-        return 0 if i == 0 else self.regs[i]
 
     def write_register(self, i, value, program_address=False):
         """Architectural register write in the current mode.

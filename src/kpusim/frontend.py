@@ -18,18 +18,20 @@ import sys
 from .assembler import (Assembler, CryptoSafetyError, FormatError, ParseError,
                         parse_image, write_image)
 from .codec import Codec, NotAProgramAddress
-from .core import Mode, ShadowLeak
+from .core import Mode
 from .isa import InstrClass
-from .memsys import (OutOfRegion, PhysicalExhausted, UnalignedSupervisorAccess)
+from .memsys import (DEFAULT_CACHE_ENTRIES, DEFAULT_USER_WORDS, OutOfRegion,
+                     PhysicalExhausted, UnalignedSupervisorAccess)
 from .oracle import (AliasDetected, MaxStepsExceeded, OracleFault, compare,
                      engine_view, interpret, parse_sim_dump, render_dump)
-from .pipeline import Engine, MaxCyclesExceeded, SimulationFault
+from .pipeline import (DEFAULT_BPB_ENTRIES, Engine, MaxCyclesExceeded,
+                       SimulationFault)
 
 DEFAULT_KEY = 0x00112233445566778899AABBCCDDEEFF
 
 _RUNTIME_FAULTS = (SimulationFault, MaxCyclesExceeded, NotAProgramAddress,
                    PhysicalExhausted, UnalignedSupervisorAccess, OutOfRegion,
-                   ShadowLeak, OracleFault, MaxStepsExceeded)
+                   OracleFault, MaxStepsExceeded)
 
 
 def _parse_key(text):
@@ -69,6 +71,10 @@ def render_stats(engine):
     total = stats.cycles
     lines = ["@exit  : cycles %d, instructions %d"
              % (total, stats.instructions)]
+    cache = engine.mem.cache
+    # only user loads and stores go through the data cache
+    cached = {(Mode.USER, InstrClass.LOAD): cache.read_hits,
+              (Mode.USER, InstrClass.STORE): cache.write_hits}
     for mode in (Mode.USER, Mode.SUPERVISOR):
         ms = stats.mode(mode)
         if not ms.cycles:
@@ -80,12 +86,10 @@ def render_stats(engine):
             if not count:
                 continue
             lines.append("  %-10s: %5.1f%%" % (cls.value, _pct(count, total)))
-            if cls is InstrClass.LOAD:
+            if cls is InstrClass.LOAD or cls is InstrClass.STORE:
+                hits = cached.get((mode, cls), 0)
                 lines.append("  %-10s: %5.1f%%"
-                             % ("  (cached)", _pct(ms.loads_cached, total)))
-            if cls is InstrClass.STORE:
-                lines.append("  %-10s: %5.1f%%"
-                             % ("  (cached)", _pct(ms.stores_cached, total)))
+                             % ("  (cached)", _pct(hits, total)))
         if ms.stalls:
             lines.append("  %-10s: %5.1f%%" % ("stalls", _pct(ms.stalls, total)))
         if ms.refills:
@@ -94,7 +98,6 @@ def render_stats(engine):
     lines.append("BPB: %d hits (%d%% right), %d misses (%d%% right)"
                  % (bpb.hits, _pct(bpb.hits_right, bpb.hits),
                     bpb.misses, _pct(bpb.misses_right, bpb.misses)))
-    cache = engine.mem.cache
     reads = cache.read_hits + cache.read_misses
     writes = cache.write_hits + cache.write_misses
     lines.append("User Data Cache: %d reads (%d%% hits), %d writes (%d%% hits)"
@@ -132,9 +135,12 @@ def _build_parser():
     run.add_argument("--trace", action="store_true",
                      help="print per-cycle pipeline occupancy")
     run.add_argument("--max-cycles", type=_positive_int, default=5_000_000)
-    run.add_argument("--user-words", type=_non_negative_int, default=None)
-    run.add_argument("--cache-entries", type=_positive_int, default=None)
-    run.add_argument("--bpb-entries", type=_positive_int, default=64)
+    run.add_argument("--user-words", type=_non_negative_int,
+                     default=DEFAULT_USER_WORDS)
+    run.add_argument("--cache-entries", type=_positive_int,
+                     default=DEFAULT_CACHE_ENTRIES)
+    run.add_argument("--bpb-entries", type=_positive_int,
+                     default=DEFAULT_BPB_ENTRIES)
 
     orc = sub.add_parser("oracle", help="run the flat reference interpreter")
     orc.add_argument("image")
@@ -185,14 +191,21 @@ def _cmd_asm(args):
     return 0 if _write(args.output, write_image(image), "asm") else 2
 
 
-def _cmd_run(args):
-    text = _read(args.image)
+def _load_image(path, command):
+    """The parsed image at `path`, or None once the problem is reported."""
+    text = _read(path)
     if text is None:
-        return 2
+        return None
     try:
-        image = parse_image(text)
+        return parse_image(text)
     except FormatError as exc:
-        print("kpu run: %s" % exc, file=sys.stderr)
+        print("kpu %s: %s" % (command, exc), file=sys.stderr)
+        return None
+
+
+def _cmd_run(args):
+    image = _load_image(args.image, "run")
+    if image is None:
         return 2
     try:
         # loading the image's data can fault as well as running it; the
@@ -219,13 +232,8 @@ def _cmd_run(args):
 
 
 def _cmd_oracle(args):
-    text = _read(args.image)
-    if text is None:
-        return 2
-    try:
-        image = parse_image(text)
-    except FormatError as exc:
-        print("kpu oracle: %s" % exc, file=sys.stderr)
+    image = _load_image(args.image, "oracle")
+    if image is None:
         return 2
     try:
         result = interpret(image, Codec(args.key), max_steps=args.max_steps)

@@ -11,8 +11,8 @@ word re-encodes to itself.
 
 The pipeline and the reference interpreter decode text words with the same
 decode_at, and read the same immediate-to-ALU mapping, the same prefix
-latch and the same user-mode legality rule from here, so the two can
-differ only in how they execute.
+latch, the same pc-relative and linking sets and the same user-mode
+legality rule from here, so the two can differ only in how they execute.
 """
 
 import dataclasses
@@ -248,6 +248,11 @@ MNEMONICS = {row.mnemonic: row for row in TABLE}
 ALU_FUNCT_NAMES = {row.funct: row.mnemonic for row in TABLE
                    if row.opcode == OP_ALU}
 SF_NAMES = {row.funct: row.mnemonic for row in TABLE if row.opcode == OP_SF}
+# mnemonics whose target is pc-relative (a word offset), and the jumps
+# that link, writing their return address to r9
+PC_RELATIVE = frozenset(row.mnemonic for row in TABLE if row.syntax == "@imm")
+LINKING = frozenset(row.mnemonic for row in TABLE
+                    if row.cls is _C.JUMP and row.mnemonic.startswith("l.jal"))
 # (opcode, sub-op) -> row; an opcode without a selector has sub-op 0
 _ROWS = {(row.opcode, row.funct or 0): row for row in TABLE}
 

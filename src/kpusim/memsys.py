@@ -12,7 +12,10 @@ aliasing is a feature of the model, not an accident.
 The cipher is a bijection, so each padded effective address has exactly one
 cell; the memory system keeps that pairing beside the TLB and encrypts an
 address only the first time it sees it. The TLB itself stays keyed by
-ciphertext, as the dump shows it.
+ciphertext, as the dump shows it; its entry count is the next cell's offset.
+
+The user data cache keeps the only count of its read and write hits and
+misses: the cycle table's "(cached)" rows read them.
 """
 
 from collections import OrderedDict
@@ -43,19 +46,16 @@ class TlbMap:
         self.base = base
         self.capacity = capacity
         self.entries = OrderedDict()   # preserves allocation order
-        self.cursor = 0
 
     def translate(self, cipher_addr):
         cipher_addr &= MASK64
         idx = self.entries.get(cipher_addr)
         if idx is not None:
             return idx
-        if self.cursor >= self.capacity:
+        if len(self.entries) >= self.capacity:
             raise PhysicalExhausted(
                 "user physical range exhausted after %d words" % self.capacity)
-        idx = self.base + self.cursor
-        self.cursor += 1
-        self.entries[cipher_addr] = idx
+        idx = self.entries[cipher_addr] = self.base + len(self.entries)
         return idx
 
 
@@ -87,9 +87,8 @@ class UserDataCache:
         return line
 
     def store(self, ea_block, value_block):
-        """Write the line; returns True on a write hit."""
-        hit = ea_block in self.lines
-        if hit:
+        """Write the line, counting a write hit or miss."""
+        if ea_block in self.lines:
             self.write_hits += 1
             self.lines.move_to_end(ea_block)
         else:
@@ -97,7 +96,6 @@ class UserDataCache:
             if len(self.lines) >= self.capacity:
                 self.lines.popitem(last=False)
         self.lines[ea_block] = value_block
-        return hit
 
 
 class MemorySystem:
@@ -158,9 +156,7 @@ class MemorySystem:
         return self.codec.decrypt(self.read_cell(index)), False
 
     def user_store(self, ea_block, value_block):
-        """Write-through: plaintext to the cache, ciphertext to the cell.
-        Returns True on a cache write hit."""
-        hit = self.cache.store(ea_block, value_block)
+        """Write-through: plaintext to the cache, ciphertext to the cell."""
+        self.cache.store(ea_block, value_block)
         self.write_cell(self._user_cell(ea_block),
                         self.codec.encrypt(value_block))
-        return hit

@@ -4,11 +4,12 @@ The interpreter executes an image one instruction at a time over plain
 32-bit registers, 32-bit logical user memory and 64-bit supervisor cells.
 No pipeline, no padding, no ciphertext: it is the answer key the encrypted
 machine is checked against. It shares the ISA layer (the decoder, the
-prefix latch, the immediate-to-ALU table, the user-mode legality rule) and
-the ALU with the machine, never the pipeline's execute path, and mirrors
-every other architectural rule that shows through to results: trap entry
-and return, mode containment of special registers, and the quirk that an
-unwritten user cell reads back as the decryption of an all-zero block.
+prefix latch, the immediate-to-ALU table, which jumps are pc-relative and
+which link, the user-mode legality rule) and the ALU with the machine,
+never the pipeline's execute path, and mirrors every other architectural
+rule that shows through to results: trap entry and return, mode
+containment of special registers, and the quirk that an unwritten user
+cell reads back as the decryption of an all-zero block.
 The machine's dump format (render_dump/parse_sim_dump) lives here too.
 
 compare() translates a finished machine into this flat domain and diffs:
@@ -21,8 +22,9 @@ from dataclasses import dataclass, field
 
 from . import alu, isa
 from .codec import MASK32, word_value
-from .core import (Mode, SPR_CONFIG, SPR_EPCR, SPR_SR, USER_READABLE_SPRS,
-                   VEC_ILLEGAL, VEC_SYSCALL, pack_sr, unpack_sr)
+from .core import (CONFIG_ID, Mode, SPR_CONFIG, SPR_EPCR, SPR_SR,
+                   USER_READABLE_SPRS, VEC_ILLEGAL, VEC_SYSCALL, pack_sr,
+                   unpack_sr)
 from .isa import InstrClass, MissingPrefix, PrefixLatch, consume_prefixes
 from .memsys import SUPER_REGION_BYTES, OutOfRegion, UnalignedSupervisorAccess
 
@@ -68,7 +70,7 @@ class Interpreter:
         # mirrors the machine's hidden saved-SR, which resets to all-clear:
         # an rfe with no preceding trap drops to user mode with clean flags
         self.esr = (Mode.USER, {"f": False, "cy": False, "ov": False})
-        self.spr = {SPR_CONFIG: 0x4B505531}
+        self.spr = {SPR_CONFIG: CONFIG_ID}
         self.text = image.text
         # per mode, pc -> record, made at the pc's first execution there
         self._records_by_mode = {Mode.USER: {}, Mode.SUPERVISOR: {}}
@@ -163,7 +165,7 @@ class Interpreter:
             operand = (m == "l.bf", (pc + 4 * ins.imm) & MASK32)
         elif cls is InstrClass.JUMP:
             handler = Interpreter._jump
-            if m in ("l.j", "l.jal"):
+            if m in isa.PC_RELATIVE:
                 operand = (pc + 4 * ins.imm) & MASK32
         elif cls is InstrClass.NOP:
             handler = Interpreter._nop
@@ -280,7 +282,7 @@ class Interpreter:
 
     def _jump(self, pc, ins, operand):
         target = self.regs[ins.rb] if operand is None else operand
-        if ins.opcode == isa.OP_JAL or ins.opcode == isa.OP_JALR:
+        if ins.mnemonic in isa.LINKING:
             self._write(9, (pc + 4) & MASK32)
         self.pc = target
 

@@ -63,14 +63,13 @@ target and a link's return address, or that it is illegal. The record also
 binds each stage's work: the (X, R, M) positions of its slots, X or M
 being -1 where the class has nothing to do there, and the handlers that do
 it, an execute handler for X, a memory handler for l.lwz/l.sw/l.ld/l.sd
-and a retire handler for what commit writes (a register and flags, the
-cached-access counters, an exit or print, a trap, a return, an illegal
-trap). So a cycle calls no handler that does nothing. A mode transition
-switches record tables. The same word can differ between the modes: an
-encrypted immediate is a plain short-plan immediate to supervisor code, a
-64-bit operation is legal there but an illegal carrier in user mode, and
-where the work differs by mode (a user-mode result carries a padding) the
-record binds that mode's handler.
+and a retire handler for what commit writes (a register and flags, an exit
+or print, a trap, a return, an illegal trap). So a cycle calls no handler
+that does nothing. A mode transition switches record tables. The same word
+can differ between the modes: an encrypted immediate is a plain short-plan
+immediate to supervisor code, a 64-bit operation is legal there but an
+illegal carrier in user mode, and where the work differs by mode (a
+user-mode result carries a padding) the record binds that mode's handler.
 """
 
 from dataclasses import dataclass
@@ -81,7 +80,7 @@ from .codec import (MASK32, MASK64, ROUNDS, NotAProgramAddress, feistel_unround,
                     to_encrypted_address, word_pad, word_value)
 from .core import MachineState, Mode, VEC_ILLEGAL, VEC_SYSCALL
 from .isa import InstrClass, MissingPrefix, PrefixLatch, consume_prefixes
-from .memsys import MemorySystem
+from .memsys import DEFAULT_CACHE_ENTRIES, DEFAULT_USER_WORDS, MemorySystem
 
 
 class SimulationFault(Exception):
@@ -129,6 +128,9 @@ def plan_depth(mode):
 
 # -------------------------------------------------------------- predictor --
 
+DEFAULT_BPB_ENTRIES = 64
+
+
 class BranchPredictionBuffer:
     """Direct-mapped one-level predictor, indexed by pc word bits.
 
@@ -136,7 +138,7 @@ class BranchPredictionBuffer:
     its outcome: full pc tag, last target, one taken bit.
     """
 
-    def __init__(self, entries=64):
+    def __init__(self, entries=DEFAULT_BPB_ENTRIES):
         self.entries = [None] * entries
         self.hits_right = 0
         self.hits_wrong = 0
@@ -185,8 +187,6 @@ class ModeStats:
         self.completions = {cls: 0 for cls in InstrClass}
         self.stalls = 0
         self.refills = 0
-        self.loads_cached = 0
-        self.stores_cached = 0
 
     @property
     def instructions(self):
@@ -261,13 +261,8 @@ def _slot_sources(instr):
     return tuple(reg for reg in (instr.ra, instr.rb) if reg)
 
 
-# opcodes with a pc-relative target, and those that write a return address
-_DIRECT = frozenset({isa.OP_BF, isa.OP_BNF, isa.OP_J, isa.OP_JAL})
-_LINKING = frozenset({isa.OP_JAL, isa.OP_JALR})
-
-
 def _slot_dest(instr):
-    if instr.opcode in _LINKING:
+    if instr.mnemonic in isa.LINKING:
         return 9
     if instr.opcode == isa.OP_SF:
         return FLAG
@@ -322,9 +317,9 @@ class FetchRecord:
         self.positions = (-1 if self.execute is None else x, r,
                           -1 if self.memory is None else m)
         self.target = self.link = None
-        if instr.opcode in _DIRECT:
+        if instr.mnemonic in isa.PC_RELATIVE:
             self.target = (pc + 4 * instr.imm) & MASK32
-        if instr.opcode in _LINKING:
+        if instr.mnemonic in isa.LINKING:
             link = (pc + 4) & MASK32
             self.link = to_decrypted_address(link) if mode is Mode.USER \
                 else to_encrypted_address(link)
@@ -343,8 +338,8 @@ class Slot:
 
     __slots__ = ("record", "x_index", "r_index", "m_index", "producers",
                  "retired", "ready_cycle", "imm_block", "predicted",
-                 "result", "flag_result", "pending_effects", "ea_block",
-                 "store_value", "cached", "__weakref__")
+                 "result", "pending_effects", "ea_block", "store_value",
+                 "__weakref__")
 
     def __init__(self, record, producers):
         self.record = record
@@ -354,8 +349,8 @@ class Slot:
         self.ready_cycle = None         # when `result` forwards, once known
         # set where the record says so: imm_block (decrypted user-mode
         # immediate) at fetch, predicted (bpb_hit, taken, target) at fetch,
-        # result, flag_result, pending_effects (ALU flags for commit),
-        # ea_block and store_value at X, cached at M
+        # result (a set-flag's too), pending_effects (ALU flags for commit),
+        # ea_block and store_value at X
 
 
 class Engine:
@@ -365,22 +360,17 @@ class Engine:
     cycle starts.
     """
 
-    def __init__(self, image, cdc, user_words=None, cache_entries=None,
-                 bpb_entries=64, trace=None):
+    def __init__(self, image, cdc, user_words=DEFAULT_USER_WORDS,
+                 cache_entries=DEFAULT_CACHE_ENTRIES,
+                 bpb_entries=DEFAULT_BPB_ENTRIES, trace=None):
         mode = Mode.USER if image.mode == "user" else Mode.SUPERVISOR
         self.state = MachineState(cdc, entry=image.entry, mode=mode)
-        kwargs = {}
-        if user_words is not None:
-            kwargs["user_words"] = user_words
-        if cache_entries is not None:
-            kwargs["cache_entries"] = cache_entries
-        self.mem = MemorySystem(cdc, **kwargs)
+        self.mem = MemorySystem(cdc, user_words, cache_entries)
         for addr in sorted(image.data):
             self.mem.supervisor_store(addr, image.data[addr])
         self.text = image.text
         # per mode, pc -> fetch record, made at the pc's first fetch there
         self._records_by_mode = {Mode.USER: {}, Mode.SUPERVISOR: {}}
-        self._records = self._records_by_mode[mode]
         # sealed immediate block -> its plaintext, opened at first fetch
         self.opened = {}
         self._unround_keys = cdc.round_keys[::-1]
@@ -391,19 +381,10 @@ class Engine:
         self.cycle = 0
         self.halted = False
         self.latch = PrefixLatch()
-        self.fetch_pc = image.entry & MASK32
-        self.fetch_hold = False
-        self.conveyor = [REFILL_BUBBLE] * plan_depth(mode)
-        self._work = _WORK[mode]
-        self._mode_stats = self.stats.per_mode[mode]
-        self._bank = self._mode_bank()
-        self._last_writer = {}          # register -> youngest fetched writer
-        self._rebuilt = False
-
-    def _mode_bank(self):
-        # the register bank the ALU works on in the current mode
-        st = self.state
-        return st.shadow if st.mode is Mode.USER else st.regs
+        # the first mode is entered as a trap or a return enters one: at
+        # cycle 0 the conveyor holds only refill bubbles, so the first
+        # fetch lands in position 0 just as the shift would put it there
+        self._transition()
 
     # ------------------------------------------------------------- fetch --
 
@@ -486,7 +467,7 @@ class Engine:
     # -------------------------------------------------------- forwarding --
 
     def _source_ready(self, idx, cell, n):
-        # a set-flag producer gets its ready_cycle with its flag_result
+        # a set-flag producer gets its ready_cycle with its flag in result
         for producer in cell.producers.values():
             if not producer.retired:
                 ready = producer.ready_cycle
@@ -512,7 +493,7 @@ class Engine:
         if producer is None or producer.retired:
             return self.state.flag_f
         assert producer.record.mode is self.state.mode, "cross-mode forward"
-        return producer.flag_result
+        return producer.result
 
     # ----------------------------------------------------------- execute --
 
@@ -542,8 +523,7 @@ class Engine:
         instr = cell.record.instr
         a = self._read(cell, instr.ra) if instr.ra else 0
         b = self._read(cell, instr.rb) if instr.rb else 0
-        cell.flag_result = alu.compare_flag(instr.funct, a & MASK32,
-                                            b & MASK32)
+        cell.result = alu.compare_flag(instr.funct, a & MASK32, b & MASK32)
         cell.ready_cycle = n
 
     def _ex_immediate_user(self, idx, cell, n):
@@ -673,11 +653,10 @@ class Engine:
 
     def _mem_load_user(self, cell, n):
         cell.result, cached = self.mem.user_load(cell.ea_block)
-        cell.cached = cached
         cell.ready_cycle = n + 1 if cached else n + 1 + ROUNDS
 
     def _mem_store_user(self, cell, n):
-        cell.cached = self.mem.user_store(cell.ea_block, cell.store_value)
+        self.mem.user_store(cell.ea_block, cell.store_value)
 
     def _mem_load(self, cell, n):
         cell.result = self.mem.supervisor_load(cell.ea_block) & MASK32
@@ -710,22 +689,13 @@ class Engine:
                 st.flag_ov = eff["ov"]
 
     def _retire_flag(self, cell):
-        self.state.flag_f = cell.flag_result
+        self.state.flag_f = cell.result
 
     def _retire_write(self, cell):
         self.state.write_register(cell.record.instr.rd, cell.result)
 
     def _retire_link(self, cell):
         self.state.write_register(9, cell.result, program_address=True)
-
-    def _retire_load_user(self, cell):
-        if cell.cached:
-            self._mode_stats.loads_cached += 1
-        self.state.write_register(cell.record.instr.rd, cell.result)
-
-    def _retire_store_user(self, cell):
-        if cell.cached:
-            self._mode_stats.stores_cached += 1
 
     def _retire_exit(self, cell):
         self.halted = True
@@ -753,16 +723,18 @@ class Engine:
         self._transition()
 
     def _transition(self):
-        mode = self.state.mode
+        st = self.state
+        mode = st.mode
         self.conveyor = [REFILL_BUBBLE] * plan_depth(mode)
         self._work = _WORK[mode]
         self._records = self._records_by_mode[mode]
         self._mode_stats = self.stats.per_mode[mode]
-        self._bank = self._mode_bank()
-        self._last_writer = {}
+        # the register bank the ALU works on in this mode
+        self._bank = st.shadow if mode is Mode.USER else st.regs
+        self._last_writer = {}          # register -> youngest fetched writer
         self.latch.clear()
         self.fetch_hold = False
-        self.fetch_pc = self.state.pc
+        self.fetch_pc = st.pc
         self._rebuilt = True
 
     # -------------------------------------------------------------- cycle --
@@ -865,11 +837,11 @@ def _stage_work(instr, user):
                 E._retire_alu)
     if cls is InstrClass.LOAD:
         if user:
-            return E._ex_address_user, E._mem_load_user, E._retire_load_user
+            return E._ex_address_user, E._mem_load_user, E._retire_write
         return E._ex_address, E._mem_load, E._retire_write
     if cls is InstrClass.STORE:
         if user:
-            return E._ex_address_user, E._mem_store_user, E._retire_store_user
+            return E._ex_address_user, E._mem_store_user, None
         return E._ex_address, E._mem_store, None
     if cls is InstrClass.CLASS64:       # user mode fetches it as a carrier
         if instr.funct == isa.C64_LD:
@@ -880,10 +852,10 @@ def _stage_work(instr, user):
     if cls is InstrClass.BRANCH:
         return E._ex_branch, None, None
     if cls is InstrClass.JUMP:
-        execute = E._ex_jump if instr.opcode in _DIRECT \
+        execute = E._ex_jump if instr.mnemonic in isa.PC_RELATIVE \
             else E._ex_jump_register
         return (execute, None,
-                E._retire_link if instr.opcode in _LINKING else None)
+                E._retire_link if instr.mnemonic in isa.LINKING else None)
     if cls is InstrClass.SPR:
         if instr.mnemonic == "l.mtspr":     # ignored in user mode
             return (None if user else E._ex_mtspr), None, None

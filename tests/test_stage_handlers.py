@@ -59,10 +59,10 @@ FITS = {
                            {None}, {"_retire_alu"}),
     InstrClass.LOAD: ({"_ex_address", "_ex_address_user"},
                       {"_mem_load", "_mem_load_user"},
-                      {"_retire_write", "_retire_load_user"}),
+                      {"_retire_write"}),
     InstrClass.STORE: ({"_ex_address", "_ex_address_user"},
                        {"_mem_store", "_mem_store_user"},
-                       {None, "_retire_store_user"}),
+                       {None}),
     InstrClass.CLASS64: ({"_ex_address", "_ex_add64"},
                          {None, "_mem_load64", "_mem_store64"},
                          {None, "_retire_write"}),
