@@ -107,7 +107,7 @@ IMM_ALU_OP = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Instruction:
     """Decoded instruction. Unused fields are None.
 
@@ -115,6 +115,12 @@ class Instruction:
     unsigned ones, the word offset for branches/jumps, the data field for
     shift-immediates. funct is the sub-operation of an opcode that has a
     selector.
+
+    Nothing writes to an Instruction after decode: both machines keep the
+    one decode builds for a pc in their records and read it every time the
+    pc is fetched again. It is a plain slotted class, not a frozen one,
+    because a frozen dataclass pays an object.__setattr__ call per field
+    on every decode.
     """
 
     opcode: int
@@ -314,7 +320,8 @@ def decode_at(text, pc):
 
 
 def user_illegal(instr):
-    """True for an instruction user mode may not execute."""
+    """True for an instruction, or a table row, user mode may not
+    execute."""
     return instr.cls is InstrClass.CLASS64 or instr.mnemonic == "l.rfe"
 
 

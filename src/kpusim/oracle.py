@@ -52,12 +52,14 @@ class Interpreter:
     """Runs an image one word per step() call.
 
     Each pc gets a record at its first execution in a mode, one table per
-    mode: (handler, instruction, operand, plain). The handler is the
-    per-class routine, the operand what it needs that the instruction
-    word alone does not say (a branch target, an immediate's ALU op). A
-    plain record's word retires in step() before its handler runs: the
-    step is counted, the prefix latch cleared and the pc moved past it.
-    Prefixes, user-mode immediates and illegal words do that themselves.
+    mode: (handler, instruction, operand, plain). The handler and the
+    plain flag depend only on the table row and the mode, and are looked
+    up in one table built at import; the pc works out only its operand,
+    what the handler needs that the instruction word alone does not say (a
+    branch target, an immediate's ALU op). A plain record's word retires
+    in step() before its handler runs: the step is counted, the prefix
+    latch cleared and the pc moved past it. Prefixes, user-mode immediates
+    and illegal words do that themselves.
     """
 
     def __init__(self, image, cdc):
@@ -140,46 +142,19 @@ class Interpreter:
         """The record of `pc` in the current mode."""
         word, ins = isa.decode_at(self.text, pc)
         user = self.mode is Mode.USER
-        if ins is None or (user and isa.user_illegal(ins)):
-            return (Interpreter._illegal, None, None, False)
-        cls, m = ins.cls, ins.mnemonic
-        if cls is InstrClass.PREFIX:
-            return (Interpreter._prefix, ins, None, False)
-        if cls is InstrClass.IMMEDIATE:
-            op = isa.IMM_ALU_OP[m]
-            if user:
-                return (Interpreter._sealed_immediate, ins, (op, word), False)
-            return (Interpreter._immediate, ins, (op, ins.imm & MASK32), True)
+        if ins is None:
+            return _ILLEGAL_RECORD
+        m = ins.mnemonic
+        handler, plain = _DISPATCH[m, user]
         operand = None
-        if cls is InstrClass.REGISTER:
-            handler = Interpreter._set_flag if ins.opcode == isa.OP_SF \
-                else Interpreter._register
-        elif cls is InstrClass.LOAD:
-            handler = Interpreter._user_load if user else Interpreter._load
-        elif cls is InstrClass.STORE:
-            handler = Interpreter._user_store if user else Interpreter._store
-        elif cls is InstrClass.CLASS64:
-            handler = Interpreter._class64
-        elif cls is InstrClass.BRANCH:
-            handler = Interpreter._branch
-            operand = (m == "l.bf", (pc + 4 * ins.imm) & MASK32)
-        elif cls is InstrClass.JUMP:
-            handler = Interpreter._jump
-            if m in isa.PC_RELATIVE:
-                operand = (pc + 4 * ins.imm) & MASK32
-        elif cls is InstrClass.NOP:
-            handler = Interpreter._nop
-        elif m == "l.sys":
-            handler = Interpreter._sys
-        elif m == "l.rfe":
-            handler = Interpreter._rfe
-        elif m == "l.mfspr":
-            handler = Interpreter._mfspr
-        elif m == "l.mtspr":
-            handler = Interpreter._mtspr
-        else:
-            raise OracleFault("unhandled instruction %s" % m)
-        return (handler, ins, operand, True)
+        if m in isa.PC_RELATIVE:
+            operand = (pc + 4 * ins.imm) & MASK32
+            if ins.cls is InstrClass.BRANCH:
+                operand = (m == "l.bf", operand)
+        elif ins.cls is InstrClass.IMMEDIATE:
+            op = isa.IMM_ALU_OP[m]
+            operand = (op, word) if user else (op, ins.imm & MASK32)
+        return (handler, ins, operand, plain)
 
     # -------------------------------------------------------------- step --
 
@@ -317,6 +292,40 @@ class Interpreter:
         return OracleResult(list(self.regs), dict(self.user_mem),
                             dict(self.super_cells), list(self.outputs),
                             self.steps, self.mode, dict(self.flags))
+
+
+def _dispatch(row, user):
+    """The handler of a table row in user mode or not, and whether step()
+    retires its word before calling it."""
+    I = Interpreter
+    cls = row.cls
+    if user and isa.user_illegal(row):
+        return I._illegal, False
+    if cls is InstrClass.PREFIX:
+        return I._prefix, False
+    if cls is InstrClass.IMMEDIATE:
+        return (I._sealed_immediate, False) if user else (I._immediate, True)
+    if cls is InstrClass.REGISTER:
+        handler = I._set_flag if row.opcode == isa.OP_SF else I._register
+    elif cls is InstrClass.LOAD:
+        handler = I._user_load if user else I._load
+    elif cls is InstrClass.STORE:
+        handler = I._user_store if user else I._store
+    elif cls is InstrClass.SYSTRAP or cls is InstrClass.SPR:
+        handler = {"l.sys": I._sys, "l.rfe": I._rfe, "l.mfspr": I._mfspr,
+                   "l.mtspr": I._mtspr}[row.mnemonic]
+    else:
+        handler = {InstrClass.CLASS64: I._class64,
+                   InstrClass.BRANCH: I._branch, InstrClass.JUMP: I._jump,
+                   InstrClass.NOP: I._nop}[cls]
+    return handler, True
+
+
+# (mnemonic, user mode) -> (handler, plain), one entry per table row and
+# mode, built once; an undecodable word gets the illegal record
+_DISPATCH = {(row.mnemonic, user): _dispatch(row, user)
+             for row in isa.TABLE for user in (False, True)}
+_ILLEGAL_RECORD = (Interpreter._illegal, None, None, False)
 
 
 def interpret(image, cdc, max_steps=2_000_000):

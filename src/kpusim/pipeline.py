@@ -56,20 +56,24 @@ drops its own producer links; otherwise each slot would keep its producers
 alive, they theirs, and a long run would hold every slot it ever fetched.
 
 Everything static about fetching a pc is worked out at its first fetch,
-where its word is decoded, and kept in a FetchRecord per mode: its
-instruction, plan, sources and destination, how it treats the prefix
-latch, whether it serializes, holds fetch or is predicted, a branch's
-target and a link's return address, or that it is illegal. The record also
-binds each stage's work: the (X, R, M) positions of its slots, X or M
-being -1 where the class has nothing to do there, and the handlers that do
-it, an execute handler for X, a memory handler for l.lwz/l.sw/l.ld/l.sd
-and a retire handler for what commit writes (a register and flags, an exit
-or print, a trap, a return, an illegal trap). So a cycle calls no handler
-that does nothing. A mode transition switches record tables. The same word
-can differ between the modes: an encrypted immediate is a plain short-plan
-immediate to supervisor code, a 64-bit operation is legal there but an
-illegal carrier in user mode, and where the work differs by mode (a
-user-mode result carries a padding) the record binds that mode's handler.
+where its word is decoded, and kept in a FetchRecord per mode. Most of it
+depends only on the word's shape, its table row, a nop's code, the mode and
+whether the fetch is illegal, and is worked out once per shape in a
+FetchShape that every pc of that shape shares: how it treats the prefix
+latch, its plan, whether it serializes, holds fetch or is predicted, and
+each stage's work, the (X, R, M) positions of its slots, X or M being -1
+where the class has nothing to do there, and the handlers that do it, an
+execute handler for X, a memory handler for l.lwz/l.sw/l.ld/l.sd and a
+retire handler for what commit writes (a register and flags, an exit or
+print, a trap, a return, an illegal trap). So a cycle calls no handler
+that does nothing, and a pc's first fetch costs a decode and a table
+lookup. The record adds what is the pc's own: its instruction, sources and
+destination, a branch's target and a link's return address. A mode
+transition switches record tables. The same word can differ between the
+modes: an encrypted immediate is a plain short-plan immediate to
+supervisor code, a 64-bit operation is legal there but an illegal carrier
+in user mode, and where the work differs by mode (a user-mode result
+carries a padding) the shape binds that mode's handler.
 """
 
 from dataclasses import dataclass
@@ -258,7 +262,10 @@ def _slot_sources(instr):
     if instr.cls is InstrClass.BRANCH:
         return (FLAG,)
     # an unused field is None; r0 is constant zero
-    return tuple(reg for reg in (instr.ra, instr.rb) if reg)
+    ra, rb = instr.ra, instr.rb
+    if ra:
+        return (ra, rb) if rb else (ra,)
+    return (rb,) if rb else ()
 
 
 def _slot_dest(instr):
@@ -276,46 +283,82 @@ _PLAIN, _PREFIX, _SEALED, _ILLEGAL = range(4)
 _CARRIER_INSTR = isa.Instruction(isa.OP_SYS, "l.illegal", InstrClass.SYSTRAP)
 
 
-class FetchRecord:
-    """Everything static about fetching one pc in one mode.
+class FetchShape:
+    """What every pc of one shape shares in one mode: the shape is the
+    table row, a nop's code, the mode and whether the fetch is illegal.
 
-    `positions` are the (X, R, M) indexes of its slots on the conveyor,
-    with X or M at -1 where that stage has no work for the instruction;
-    `execute`, `memory` and `retire` are the Engine methods that do the
-    work at X, at M and at retirement, or None. `target` is a branch or
-    direct jump's destination, `link` the return address a jump-and-link
-    writes, in the mode's form.
+    `kind` is how fetch treats the latch, `config` the plan; `positions`
+    are the (X, R, M) indexes of its slots on the conveyor, with X or M at
+    -1 where that stage has no work for the instruction; `execute`,
+    `memory` and `retire` are the Engine methods that do the work at X, at
+    M and at retirement, or None. They are read off the Engine class when
+    an engine first sees the shape.
     """
 
-    __slots__ = ("kind", "instr", "word", "pc", "mode", "config",
-                 "positions", "sources", "dest", "serialize", "holds",
-                 "predicted", "execute", "memory", "retire", "target", "link")
+    __slots__ = ("kind", "mode", "config", "positions", "serialize",
+                 "holds", "predicted", "execute", "memory", "retire")
 
-    def __init__(self, kind, instr, word, pc, mode):
+    def __init__(self, instr, mode):
+        """The shape of a decoded instruction, or of an illegal fetch
+        where `instr` is None or the mode may not execute it."""
+        user = mode is Mode.USER
+        if instr is None or (user and isa.user_illegal(instr)):
+            self.kind = _ILLEGAL
+            instr = _CARRIER_INSTR
+            self.execute, self.memory, self.retire = \
+                None, None, Engine._retire_illegal
+        else:
+            cls = instr.cls
+            self.kind = _PREFIX if cls is InstrClass.PREFIX else \
+                _SEALED if cls is InstrClass.IMMEDIATE and user else _PLAIN
+            self.execute, self.memory, self.retire = _stage_work(instr, user)
         cls = instr.cls
-        self.kind = kind
-        self.instr = instr
-        self.word = word
-        self.pc = pc
         self.mode = mode
         self.config = select_config(cls, mode)
-        self.sources = _slot_sources(instr)
-        self.dest = _slot_dest(instr)
         self.serialize = cls is InstrClass.SPR
         # Nothing younger may enter the pipe behind a trap, a return or the
         # exit no-op: their commit changes the instruction stream.
         self.holds = cls is InstrClass.SYSTRAP or \
             (cls is InstrClass.NOP and instr.imm == 1)
         self.predicted = cls is InstrClass.BRANCH or cls is InstrClass.JUMP
-        if kind == _ILLEGAL:
-            self.execute, self.memory, self.retire = \
-                None, None, Engine._retire_illegal
-        else:
-            self.execute, self.memory, self.retire = \
-                _stage_work(instr, mode is Mode.USER)
         x, r, m = _POSITIONS[self.config]
         self.positions = (-1 if self.execute is None else x, r,
                           -1 if self.memory is None else m)
+
+
+class FetchRecord:
+    """Everything static about fetching one pc in one mode.
+
+    The record copies its shape's fields (see FetchShape), so the cycle
+    loop reads them in one step, and adds what is the pc's own: its pc,
+    word and instruction (the carrier's for an illegal fetch), the
+    sources and destination its slots bind producers by, a branch or
+    direct jump's `target`, and the return address a jump-and-link writes,
+    `link`, in the mode's form.
+    """
+
+    __slots__ = ("kind", "instr", "word", "pc", "mode", "config",
+                 "positions", "sources", "dest", "serialize", "holds",
+                 "predicted", "execute", "memory", "retire", "target", "link")
+
+    def __init__(self, shape, instr, word, pc):
+        self.kind = kind = shape.kind
+        self.mode = mode = shape.mode
+        self.config = shape.config
+        self.positions = shape.positions
+        self.serialize = shape.serialize
+        self.holds = shape.holds
+        self.predicted = shape.predicted
+        self.execute = shape.execute
+        self.memory = shape.memory
+        self.retire = shape.retire
+        if kind == _ILLEGAL:
+            instr = _CARRIER_INSTR
+        self.instr = instr
+        self.word = word
+        self.pc = pc
+        self.sources = _slot_sources(instr)
+        self.dest = _slot_dest(instr)
         self.target = self.link = None
         if instr.mnemonic in isa.PC_RELATIVE:
             self.target = (pc + 4 * instr.imm) & MASK32
@@ -371,6 +414,8 @@ class Engine:
         self.text = image.text
         # per mode, pc -> fetch record, made at the pc's first fetch there
         self._records_by_mode = {Mode.USER: {}, Mode.SUPERVISOR: {}}
+        # (mnemonic, nop code, mode) -> fetch shape, made at its first sight
+        self._shapes = {}
         # sealed immediate block -> its plaintext, opened at first fetch
         self.opened = {}
         self._unround_keys = cdc.round_keys[::-1]
@@ -391,16 +436,20 @@ class Engine:
     def _record(self, pc, mode):
         """The fetch record of `pc` in `mode`, decoding its word."""
         word, instr = isa.decode_at(self.text, pc)
-        if instr is None or (mode is Mode.USER and isa.user_illegal(instr)):
-            return FetchRecord(_ILLEGAL, _CARRIER_INSTR, word, pc, mode)
-        cls = instr.cls
-        if cls is InstrClass.PREFIX:
-            kind = _PREFIX
-        elif cls is InstrClass.IMMEDIATE and mode is Mode.USER:
-            kind = _SEALED
+        return FetchRecord(self._shape(instr, mode), instr, word, pc)
+
+    def _shape(self, instr, mode):
+        """The shape of `instr` in `mode`; None is an illegal fetch."""
+        if instr is None:
+            key = (None, None, mode)
         else:
-            kind = _PLAIN
-        return FetchRecord(kind, instr, word, pc, mode)
+            # a nop's code picks its retire handler and whether it holds
+            key = (instr.mnemonic,
+                   instr.imm if instr.cls is InstrClass.NOP else None, mode)
+        shape = self._shapes.get(key)
+        if shape is None:
+            shape = self._shapes[key] = FetchShape(instr, mode)
+        return shape
 
     def _fetch(self):
         if self.fetch_hold:
@@ -423,9 +472,8 @@ class Engine:
             try:
                 sealed = consume_prefixes(self.latch, record.word)
             except MissingPrefix:
-                return self._carrier(
-                    FetchRecord(_ILLEGAL, _CARRIER_INSTR, record.word, pc,
-                                record.mode))
+                return self._carrier(FetchRecord(
+                    self._shape(None, record.mode), None, record.word, pc))
             imm_block = self.opened.get(sealed)
             if imm_block is None:
                 imm_block = self.opened[sealed] = self._open(sealed)
