@@ -84,9 +84,12 @@ def parse_image(text):
             seen_magic = True
             continue
         kind = fields[0]
+        # int() takes a sign: every number must be unsigned and fit its field
         try:
             if kind == "ENTRY" and len(fields) == 2:
                 image.entry = int(fields[1], 16)
+                if not 0 <= image.entry <= MASK32:
+                    raise FormatError(lineno, "bad entry record")
             elif kind == "MODE" and len(fields) == 2:
                 if fields[1] not in ("user", "super"):
                     raise FormatError(lineno, "mode must be user or super")
@@ -94,13 +97,14 @@ def parse_image(text):
             elif kind == "TEXT" and len(fields) == 3:
                 addr = int(fields[1], 16)
                 word = int(fields[2], 16)
-                if addr % 4 or addr > MASK32 or word > MASK32:
+                if addr % 4 or not 0 <= addr <= MASK32 \
+                        or not 0 <= word <= MASK32:
                     raise FormatError(lineno, "bad text record")
                 image.text[addr] = word
             elif kind == "DATA" and len(fields) == 3:
                 addr = int(fields[1], 16)
                 value = int(fields[2], 16)
-                if addr > MASK32 or value > MASK64:
+                if not 0 <= addr <= MASK32 or not 0 <= value <= MASK64:
                     raise FormatError(lineno, "bad data record")
                 image.data[addr] = value
             else:

@@ -21,7 +21,7 @@ cells with different contents), debug output verbatim.
 from dataclasses import dataclass, field
 
 from . import alu, isa
-from .codec import MASK32, word_value
+from .codec import MASK32, MASK64, word_value
 from .core import (CONFIG_ID, Mode, SPR_CONFIG, SPR_EPCR, SPR_SR,
                    USER_READABLE_SPRS, VEC_ILLEGAL, VEC_SYSCALL, pack_sr,
                    unpack_sr)
@@ -378,6 +378,17 @@ def render_dump(view):
 _DUMP_FIELDS = {"MODE": 2, "REG": 4, "PHYS": 3, "TLBMAP": 3, "OUT": 2}
 
 
+def _dump_number(lineno, text, base, limit):
+    """A dump field: unsigned, in `base`, at most `limit`."""
+    try:
+        value = int(text, base)
+    except ValueError:
+        value = -1
+    if not 0 <= value <= limit:
+        raise ValueError("line %d: bad number %r" % (lineno, text))
+    return value
+
+
 def parse_sim_dump(text):
     view = SimView(mode="super", regs_real=[0] * 32, regs_shadow=[0] * 32)
     seen_magic = False
@@ -402,17 +413,19 @@ def parse_sim_dump(text):
                 raise ValueError("line %d: mode must be user or super" % lineno)
             view.mode = fields[1]
         elif kind == "REG":
-            i = int(fields[1], 10)
-            if not 0 <= i < 32:
+            i = _dump_number(lineno, fields[1], 10, MASK64)
+            if i >= 32:
                 raise ValueError("line %d: no register %d" % (lineno, i))
-            view.regs_real[i] = int(fields[2], 16)
-            view.regs_shadow[i] = int(fields[3], 16)
+            view.regs_real[i] = _dump_number(lineno, fields[2], 16, MASK64)
+            view.regs_shadow[i] = _dump_number(lineno, fields[3], 16, MASK64)
         elif kind == "PHYS":
-            view.cells[int(fields[1], 10)] = int(fields[2], 16)
+            view.cells[_dump_number(lineno, fields[1], 10, MASK64)] = \
+                _dump_number(lineno, fields[2], 16, MASK64)
         elif kind == "TLBMAP":
-            view.tlb[int(fields[1], 16)] = int(fields[2], 10)
+            view.tlb[_dump_number(lineno, fields[1], 16, MASK64)] = \
+                _dump_number(lineno, fields[2], 10, MASK64)
         else:
-            view.outputs.append(int(fields[1], 10))
+            view.outputs.append(_dump_number(lineno, fields[1], 10, MASK32))
     return view
 
 

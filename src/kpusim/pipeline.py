@@ -57,23 +57,23 @@ alive, they theirs, and a long run would hold every slot it ever fetched.
 
 Everything static about fetching a pc is worked out at its first fetch,
 where its word is decoded, and kept in a FetchRecord per mode. Most of it
-depends only on the word's shape, its table row, a nop's code, the mode and
-whether the fetch is illegal, and is worked out once per shape in a
-FetchShape that every pc of that shape shares: how it treats the prefix
-latch, its plan, whether it serializes, holds fetch or is predicted, and
-each stage's work, the (X, R, M) positions of its slots, X or M being -1
-where the class has nothing to do there, and the handlers that do it, an
-execute handler for X, a memory handler for l.lwz/l.sw/l.ld/l.sd and a
-retire handler for what commit writes (a register and flags, an exit or
-print, a trap, a return, an illegal trap). So a cycle calls no handler
-that does nothing, and a pc's first fetch costs a decode and a table
-lookup. The record adds what is the pc's own: its instruction, sources and
-destination, a branch's target and a link's return address. A mode
-transition switches record tables. The same word can differ between the
-modes: an encrypted immediate is a plain short-plan immediate to
-supervisor code, a 64-bit operation is legal there but an illegal carrier
-in user mode, and where the work differs by mode (a user-mode result
-carries a padding) the shape binds that mode's handler.
+depends only on the word's table row, a nop's code (exit, print or other)
+and the mode, and is looked up in one fetch table built at import, with
+one illegal entry per mode for undecodable words and carriers: how the
+fetch treats the prefix latch, its plan, whether it serializes, holds
+fetch or is predicted, and each stage's work, the (X, R, M) positions of
+its slots, X or M being -1 where the class has nothing to do there, and
+the handlers that do it, an execute handler for X, a memory handler for
+l.lwz/l.sw/l.ld/l.sd and a retire handler for what commit writes (a
+register and flags, an exit or print, a trap, a return, an illegal trap).
+So a cycle calls no handler that does nothing, and a pc's first fetch
+costs a decode and a table lookup. The record adds what is the pc's own:
+its instruction, sources and destination, a branch's target and a link's
+return address. A mode transition switches record tables. The same word
+can differ between the modes: an encrypted immediate is a plain
+short-plan immediate to supervisor code, a 64-bit operation is legal there
+but an illegal carrier in user mode, and where the work differs by mode (a
+user-mode result carries a padding) the table binds that mode's handler.
 """
 
 from dataclasses import dataclass
@@ -252,10 +252,8 @@ def _work(plans):
             _oldest_first(plans, 1))
 
 
-_WORK = {
-    Mode.USER: _work((LONG_A, LONG_B)),
-    Mode.SUPERVISOR: _work((SHORT,)),
-}
+_WORK = {Mode.USER: _work((LONG_A, LONG_B)),
+         Mode.SUPERVISOR: _work((SHORT,))}
 
 
 def _slot_sources(instr):
@@ -283,80 +281,37 @@ _PLAIN, _PREFIX, _SEALED, _ILLEGAL = range(4)
 _CARRIER_INSTR = isa.Instruction(isa.OP_SYS, "l.illegal", InstrClass.SYSTRAP)
 
 
-class FetchShape:
-    """What every pc of one shape shares in one mode: the shape is the
-    table row, a nop's code, the mode and whether the fetch is illegal.
-
-    `kind` is how fetch treats the latch, `config` the plan; `positions`
-    are the (X, R, M) indexes of its slots on the conveyor, with X or M at
-    -1 where that stage has no work for the instruction; `execute`,
-    `memory` and `retire` are the Engine methods that do the work at X, at
-    M and at retirement, or None. They are read off the Engine class when
-    an engine first sees the shape.
-    """
-
-    __slots__ = ("kind", "mode", "config", "positions", "serialize",
-                 "holds", "predicted", "execute", "memory", "retire")
-
-    def __init__(self, instr, mode):
-        """The shape of a decoded instruction, or of an illegal fetch
-        where `instr` is None or the mode may not execute it."""
-        user = mode is Mode.USER
-        if instr is None or (user and isa.user_illegal(instr)):
-            self.kind = _ILLEGAL
-            instr = _CARRIER_INSTR
-            self.execute, self.memory, self.retire = \
-                None, None, Engine._retire_illegal
-        else:
-            cls = instr.cls
-            self.kind = _PREFIX if cls is InstrClass.PREFIX else \
-                _SEALED if cls is InstrClass.IMMEDIATE and user else _PLAIN
-            self.execute, self.memory, self.retire = _stage_work(instr, user)
-        cls = instr.cls
-        self.mode = mode
-        self.config = select_config(cls, mode)
-        self.serialize = cls is InstrClass.SPR
-        # Nothing younger may enter the pipe behind a trap, a return or the
-        # exit no-op: their commit changes the instruction stream.
-        self.holds = cls is InstrClass.SYSTRAP or \
-            (cls is InstrClass.NOP and instr.imm == 1)
-        self.predicted = cls is InstrClass.BRANCH or cls is InstrClass.JUMP
-        x, r, m = _POSITIONS[self.config]
-        self.positions = (-1 if self.execute is None else x, r,
-                          -1 if self.memory is None else m)
-
-
 class FetchRecord:
     """Everything static about fetching one pc in one mode.
 
-    The record copies its shape's fields (see FetchShape), so the cycle
-    loop reads them in one step, and adds what is the pc's own: its pc,
-    word and instruction (the carrier's for an illegal fetch), the
-    sources and destination its slots bind producers by, a branch or
-    direct jump's `target`, and the return address a jump-and-link writes,
-    `link`, in the mode's form.
+    The record unpacks its fetch-table entry (see _fetch_entry), so the
+    cycle loop reads each field in one step: `kind`, how fetch treats the
+    latch; `mode`; `config`, the plan; `positions`, the (X, R, M) indexes
+    of its slots, X or M at -1 where that stage has no work; the
+    `serialize`, `holds` and `predicted` flags; and the Engine methods
+    that work at X, at M and at retirement, `execute`, `memory` and
+    `retire`, or None. It adds what is the pc's own: its pc, word and
+    instruction (the carrier's for an illegal fetch), the sources and
+    destination its slots bind producers by, a branch or direct jump's
+    `target`, and the return address a jump-and-link writes, `link`, in
+    the mode's form.
     """
 
     __slots__ = ("kind", "instr", "word", "pc", "mode", "config",
                  "positions", "sources", "dest", "serialize", "holds",
                  "predicted", "execute", "memory", "retire", "target", "link")
 
-    def __init__(self, shape, instr, word, pc):
-        self.kind = kind = shape.kind
-        self.mode = mode = shape.mode
-        self.config = shape.config
-        self.positions = shape.positions
-        self.serialize = shape.serialize
-        self.holds = shape.holds
-        self.predicted = shape.predicted
-        self.execute = shape.execute
-        self.memory = shape.memory
-        self.retire = shape.retire
-        if kind == _ILLEGAL:
+    def __init__(self, instr, word, pc, mode):
+        # an illegal fetch has no instruction; a nop's code (1 exit, 2
+        # print) picks its retire handler and whether it holds
+        code = instr.imm if instr and instr.cls is InstrClass.NOP else 0
+        key = (instr and instr.mnemonic, code if code in (1, 2) else 0, mode)
+        (self.kind, self.mode, self.config, self.positions, self.serialize,
+         self.holds, self.predicted, self.execute, self.memory,
+         self.retire) = _FETCH[key]
+        if self.kind == _ILLEGAL:
             instr = _CARRIER_INSTR
-        self.instr = instr
-        self.word = word
-        self.pc = pc
+        self.instr, self.word, self.pc = instr, word, pc
         self.sources = _slot_sources(instr)
         self.dest = _slot_dest(instr)
         self.target = self.link = None
@@ -414,8 +369,6 @@ class Engine:
         self.text = image.text
         # per mode, pc -> fetch record, made at the pc's first fetch there
         self._records_by_mode = {Mode.USER: {}, Mode.SUPERVISOR: {}}
-        # (mnemonic, nop code, mode) -> fetch shape, made at its first sight
-        self._shapes = {}
         # sealed immediate block -> its plaintext, opened at first fetch
         self.opened = {}
         self._unround_keys = cdc.round_keys[::-1]
@@ -423,7 +376,6 @@ class Engine:
         self.stats = CycleStats()
         self.outputs = []
         self.trace = trace
-        self.cycle = 0
         self.halted = False
         self.latch = PrefixLatch()
         # the first mode is entered as a trap or a return enters one: at
@@ -436,20 +388,7 @@ class Engine:
     def _record(self, pc, mode):
         """The fetch record of `pc` in `mode`, decoding its word."""
         word, instr = isa.decode_at(self.text, pc)
-        return FetchRecord(self._shape(instr, mode), instr, word, pc)
-
-    def _shape(self, instr, mode):
-        """The shape of `instr` in `mode`; None is an illegal fetch."""
-        if instr is None:
-            key = (None, None, mode)
-        else:
-            # a nop's code picks its retire handler and whether it holds
-            key = (instr.mnemonic,
-                   instr.imm if instr.cls is InstrClass.NOP else None, mode)
-        shape = self._shapes.get(key)
-        if shape is None:
-            shape = self._shapes[key] = FetchShape(instr, mode)
-        return shape
+        return FetchRecord(instr, word, pc, mode)
 
     def _fetch(self):
         if self.fetch_hold:
@@ -472,8 +411,8 @@ class Engine:
             try:
                 sealed = consume_prefixes(self.latch, record.word)
             except MissingPrefix:
-                return self._carrier(FetchRecord(
-                    self._shape(None, record.mode), None, record.word, pc))
+                return self._carrier(
+                    FetchRecord(None, record.word, pc, record.mode))
             imm_block = self.opened.get(sealed)
             if imm_block is None:
                 imm_block = self.opened[sealed] = self._open(sealed)
@@ -783,7 +722,6 @@ class Engine:
         self.latch.clear()
         self.fetch_hold = False
         self.fetch_pc = st.pc
-        self._rebuilt = True
 
     # -------------------------------------------------------------- cycle --
 
@@ -799,8 +737,11 @@ class Engine:
                                                record.instr.mnemonic))
         self.trace("cycle %d | %s" % (n, " ".join(parts)))
 
+    # cycles run so far: the stats keep the one count
+    cycle = property(lambda self: self.stats.cycles)
+
     def step(self):
-        n = self.cycle
+        n = self.stats.cycles
         conveyor = self.conveyor
         x_positions, m_positions, r_positions = self._work
 
@@ -837,15 +778,11 @@ class Engine:
             self._mode_stats.completions[record.instr.cls] += 1
             if record.retire is not None:
                 record.retire(self, cell)
-        self.stats.cycles += 1
-        self.cycle = n + 1
+                # a trap or return enters its mode on a fresh conveyor
+                conveyor = self.conveyor
+                r_positions = self._work[2]
+        self.stats.cycles = n + 1
         if self.halted:
-            return
-
-        if self._rebuilt:
-            # fresh conveyor after a mode transition; fetch straight into it
-            self._rebuilt = False
-            self.conveyor[0] = self._fetch()
             return
 
         # the oldest instruction whose operands are not ready holds its
@@ -864,56 +801,85 @@ class Engine:
                         STALL_BUBBLE if stall_idx >= 0 else self._fetch())
 
     def run(self, max_cycles=5_000_000):
+        stats = self.stats
         while not self.halted:
-            if self.cycle >= max_cycles:
+            if stats.cycles >= max_cycles:
                 raise MaxCyclesExceeded("no exit after %d cycles" % max_cycles)
             self.step()
         return self.state
 
 
-def _stage_work(instr, user):
-    """The (execute, memory, retire) handlers of a legal instruction in
-    user mode or not; None where the stage has nothing to do."""
+def _fetch_entry(row, code, mode):
+    """The fetch-table entry of a table row, a nop's code and a mode, or of
+    an illegal fetch where `row` is None or the mode may not execute it:
+    (kind, mode, config, positions, serialize, holds, predicted, execute,
+    memory, retire), as FetchRecord names them."""
     E = Engine
-    cls = instr.cls
-    if cls is InstrClass.REGISTER:
-        if instr.opcode == isa.OP_SF:
-            return E._ex_set_flag, None, E._retire_flag
-        return (E._ex_alu_user if user else E._ex_alu), None, E._retire_alu
-    if cls is InstrClass.IMMEDIATE:
-        return ((E._ex_immediate_user if user else E._ex_immediate), None,
+    user = mode is Mode.USER
+    cls, kind = row and row.cls, _PLAIN
+    if row is None or (user and isa.user_illegal(row)):
+        row, kind = _CARRIER_INSTR, _ILLEGAL
+        work = None, None, E._retire_illegal
+    elif cls is InstrClass.REGISTER:
+        work = (E._ex_set_flag, None, E._retire_flag) \
+            if row.opcode == isa.OP_SF else \
+            (E._ex_alu_user if user else E._ex_alu, None, E._retire_alu)
+    elif cls is InstrClass.IMMEDIATE:
+        kind = _SEALED if user else _PLAIN
+        work = (E._ex_immediate_user if user else E._ex_immediate, None,
                 E._retire_alu)
-    if cls is InstrClass.LOAD:
-        if user:
-            return E._ex_address_user, E._mem_load_user, E._retire_write
-        return E._ex_address, E._mem_load, E._retire_write
-    if cls is InstrClass.STORE:
-        if user:
-            return E._ex_address_user, E._mem_store_user, None
-        return E._ex_address, E._mem_store, None
-    if cls is InstrClass.CLASS64:       # user mode fetches it as a carrier
-        if instr.funct == isa.C64_LD:
-            return E._ex_address, E._mem_load64, E._retire_write
-        if instr.funct == isa.C64_SD:
-            return E._ex_address, E._mem_store64, None
-        return E._ex_add64, None, E._retire_write
-    if cls is InstrClass.BRANCH:
-        return E._ex_branch, None, None
-    if cls is InstrClass.JUMP:
-        execute = E._ex_jump if instr.mnemonic in isa.PC_RELATIVE \
-            else E._ex_jump_register
-        return (execute, None,
-                E._retire_link if instr.mnemonic in isa.LINKING else None)
-    if cls is InstrClass.SPR:
-        if instr.mnemonic == "l.mtspr":     # ignored in user mode
-            return (None if user else E._ex_mtspr), None, None
-        return ((E._ex_mfspr_user if user else E._ex_mfspr), None,
-                E._retire_write)
-    if cls is InstrClass.NOP:
-        retire = E._retire_exit if instr.imm == 1 \
-            else E._retire_print if instr.imm == 2 else None
-        return None, None, retire
-    if cls is InstrClass.SYSTRAP:       # l.rfe is a carrier in user mode
-        return None, None, (E._retire_sys if instr.mnemonic == "l.sys"
-                            else E._retire_rfe)
-    return None, None, None             # a prefix: fetch fed the latch
+    elif cls is InstrClass.LOAD:
+        work = (E._ex_address_user, E._mem_load_user, E._retire_write) \
+            if user else (E._ex_address, E._mem_load, E._retire_write)
+    elif cls is InstrClass.STORE:
+        work = (E._ex_address_user, E._mem_store_user, None) if user \
+            else (E._ex_address, E._mem_store, None)
+    elif cls is InstrClass.CLASS64:     # user mode fetches it as a carrier
+        work = {isa.C64_LD: (E._ex_address, E._mem_load64, E._retire_write),
+                isa.C64_SD: (E._ex_address, E._mem_store64, None),
+                isa.C64_ADD: (E._ex_add64, None, E._retire_write)}[row.funct]
+    elif cls is InstrClass.BRANCH:
+        work = E._ex_branch, None, None
+    elif cls is InstrClass.JUMP:
+        work = (E._ex_jump if row.mnemonic in isa.PC_RELATIVE
+                else E._ex_jump_register, None,
+                E._retire_link if row.mnemonic in isa.LINKING else None)
+    elif row.mnemonic == "l.mtspr":     # ignored in user mode
+        work = None if user else E._ex_mtspr, None, None
+    elif row.mnemonic == "l.mfspr":
+        work = E._ex_mfspr_user if user else E._ex_mfspr, None, E._retire_write
+    elif cls is InstrClass.NOP:
+        work = None, None, {1: E._retire_exit, 2: E._retire_print}.get(code)
+    elif cls is InstrClass.SYSTRAP:     # l.rfe is a carrier in user mode
+        work = (None, None,
+                E._retire_sys if row.mnemonic == "l.sys" else E._retire_rfe)
+    else:                               # a prefix: fetch feeds the latch
+        kind, work = _PREFIX, (None, None, None)
+    execute, memory, retire = work
+    cls = row.cls                       # the carrier's, for an illegal fetch
+    config = select_config(cls, mode)
+    x, r, m = _POSITIONS[config]
+    return (kind, mode, config,
+            (-1 if execute is None else x, r, -1 if memory is None else m),
+            cls is InstrClass.SPR,
+            # nothing younger may enter the pipe behind a trap, a return or
+            # the exit no-op: their commit changes the instruction stream
+            cls is InstrClass.SYSTRAP or (cls is InstrClass.NOP and code == 1),
+            cls is InstrClass.BRANCH or cls is InstrClass.JUMP,
+            execute, memory, retire)
+
+
+def _fetch_table():
+    """(mnemonic, nop code, mode) -> fetch entry, for every table row in
+    both modes; the nop code is 1 or 2 for the exit and print no-ops and 0
+    for every other word, and (None, 0, mode) is the illegal entry."""
+    table = {}
+    for mode in Mode:
+        table[None, 0, mode] = _fetch_entry(None, 0, mode)
+        for row in isa.TABLE:
+            for code in (0, 1, 2) if row.cls is InstrClass.NOP else (0,):
+                table[row.mnemonic, code, mode] = _fetch_entry(row, code, mode)
+    return table
+
+
+_FETCH = _fetch_table()

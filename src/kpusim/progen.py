@@ -13,7 +13,7 @@ reproducible from just the seed number.
 
 import random
 
-POOL = list(range(1, 9))        # working registers
+POOL = tuple(range(1, 9))       # working registers
 BASES = {14: 0x1200, 15: 0x5400}
 HANDLER_SCRATCH = 1000          # supervisor byte offsets, 8-aligned
 HANDLER_COUNTER = 992
@@ -28,6 +28,7 @@ class _Writer:
         self.rng = rng
         self.lines = []
         self.written = []               # (base_reg, offset) pairs on record
+        self.pool = POOL                # registers the next lines may use
         self.label_n = 0
         self.budget = {"small": 40, "medium": 120}[size]
 
@@ -47,7 +48,7 @@ def _alu_rr(w):
     rng = w.rng
     op = rng.choice(["l.add", "l.sub", "l.and", "l.or", "l.xor", "l.mul",
                      "l.divu", "l.sll", "l.srl", "l.sra"])
-    rd, ra, rb = (rng.choice(POOL) for _ in range(3))
+    rd, ra, rb = (rng.choice(w.pool) for _ in range(3))
     w.lines.append(_fmt(op, "r%d" % rd, "r%d" % ra, "r%d" % rb))
 
 
@@ -55,7 +56,7 @@ def _alu_imm(w):
     rng = w.rng
     op = rng.choice(["l.addi", "l.andi", "l.ori", "l.xori", "l.muli",
                      "l.slli", "l.srli", "l.srai"])
-    rd, ra = rng.choice(POOL), rng.choice(POOL)
+    rd, ra = rng.choice(w.pool), rng.choice(w.pool)
     if op in ("l.slli", "l.srli", "l.srai"):
         imm = rng.randrange(0, 32)
     else:
@@ -67,7 +68,7 @@ def _store(w, tracked=True):
     rng = w.rng
     base = rng.choice([0, 14, 15])
     off = rng.randrange(0, 0x400) * 4
-    src = rng.choice(POOL)
+    src = rng.choice(w.pool)
     w.lines.append(_fmt("l.sw", "%d(r%d)" % (off, base), "r%d" % src))
     if tracked:
         w.written.append((base, off))
@@ -79,7 +80,7 @@ def _load(w, pool=None):
     if not choices:
         return _alu_imm(w)
     base, off = rng.choice(choices)
-    rd = rng.choice(POOL)
+    rd = rng.choice(w.pool)
     w.lines.append(_fmt("l.lwz", "r%d" % rd, "%d(r%d)" % (off, base)))
 
 
@@ -92,10 +93,9 @@ def _loop(w):
     w.lines.append(_fmt("l.addi", "r%d" % counter, "r0", count))
     w.lines.append("%s:" % top)
     frozen = list(w.written)
+    w.pool = body_pool                  # the body leaves the counter alone
     for _ in range(rng.randrange(1, 4)):
         kind = rng.random()
-        saved = POOL[:]
-        POOL[:] = body_pool
         if kind < 0.45:
             _alu_rr(w)
         elif kind < 0.8:
@@ -104,7 +104,7 @@ def _loop(w):
             _load(w, pool=frozen)
         else:
             _store(w, tracked=False)
-        POOL[:] = saved
+    w.pool = POOL
     w.lines.append(_fmt("l.addi", "r%d" % counter, "r%d" % counter, -1))
     w.lines.append(_fmt("l.sfne", "r%d" % counter, "r0"))
     w.lines.append(_fmt("l.bf", top))

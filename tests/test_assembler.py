@@ -199,6 +199,14 @@ def test_image_parser_rejects_bad_records():
     bad = "KPUIMG 1\nTEXT 0x00000102 15000001\n"      # unaligned
     with pytest.raises(FormatError):
         parse_image(bad)
+    # numbers are unsigned and fit their field: int() alone takes a sign
+    for record in ("DATA -0x8 0000000000000005", "TEXT -0x4 15000001",
+                   "DATA 0x00000008 -5", "TEXT 0x00000100 -1",
+                   "ENTRY -0x100", "ENTRY 0x100000000",
+                   "DATA 0x100000000 0000000000000005",
+                   "DATA 0x00000008 10000000000000000"):
+        with pytest.raises(FormatError):
+            parse_image("KPUIMG 1\n%s\n" % record)
     try:
         parse_image("KPUIMG 1\nWHAT 1 2\n")
     except FormatError as exc:

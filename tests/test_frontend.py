@@ -297,8 +297,12 @@ def test_unloadable_data_record_is_a_program_fault(tmp_path, capsys, command):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-@pytest.mark.parametrize("record", ["REG 40 0 0", "REG 01", "MODE",
-                                    "MODE bogus", "PHYS 5", "OUT"])
+@pytest.mark.parametrize("record", [
+    "REG 40 0 0", "REG 01", "MODE", "MODE bogus", "PHYS 5", "OUT",
+    # every number unsigned and within its field
+    "REG 07 1ffffffffffffffff 0", "REG 07 0 -1", "REG -1 0 0", "OUT -55",
+    "OUT 4294967296", "PHYS -3 5", "PHYS 3 -5", "TLBMAP -1 4", "TLBMAP 1 -4",
+    "REG 01 zz 0"])
 def test_malformed_dump_is_a_format_error(built, capsys, record):
     tmp, img = built
     dump = tmp / "bad.dump"

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from kpusim import isa
+from kpusim import isa, pipeline
 from kpusim.assembler import Image, assemble
 from kpusim.codec import Codec
 from kpusim.core import Mode
@@ -35,6 +35,8 @@ def test_memory_step_runs_once_per_load_or_store(program, monkeypatch):
 
     for name in [name for name in vars(Engine) if name.startswith("_mem")]:
         monkeypatch.setattr(Engine, name, counted(getattr(Engine, name)))
+    # the fetch table binds handlers at import: rebuild it on the wrappers
+    monkeypatch.setattr(pipeline, "_FETCH", pipeline._fetch_table())
     cdc = Codec(KEY)
     engine = Engine(assemble((ROOT / program).read_text(), cdc), cdc)
     engine.run()
