@@ -3,11 +3,16 @@ interpreter, so both sides pin identical flag and corner-case conventions."""
 
 from .codec import MASK32
 
-# Operation ids; also the provenance codes mixed into result paddings.
+# Operation ids; also the provenance codes mixed into result paddings. The
+# first ten are the funct codes of isa's register-register ALU rows.
 OP_ADD, OP_SUB, OP_AND, OP_OR, OP_XOR = 0, 1, 2, 3, 4
 OP_MUL, OP_DIVU, OP_SLL, OP_SRL, OP_SRA = 5, 6, 7, 8, 9
 OP_ADDR = 10    # effective-address computation
 OP_MFSPR = 11   # special-register read materialized in user mode
+
+# Set-flag comparisons (signed where it matters); isa's set-flag rows
+# hold them as their sub-operation.
+SF_EQ, SF_NE, SF_GTS, SF_GES, SF_LTS, SF_LES = 0, 1, 2, 3, 4, 5
 
 
 def to_signed(x):
@@ -71,18 +76,18 @@ def execute(op, a, b):
 
 
 def compare_flag(sub, a, b):
-    """Set-flag comparisons; sub is an isa.SF_* code."""
+    """Set-flag comparisons; sub is an SF_* code."""
     sa, sb = to_signed(a), to_signed(b)
-    if sub == 0:
+    if sub == SF_EQ:
         return a == b
-    if sub == 1:
+    if sub == SF_NE:
         return a != b
-    if sub == 2:
+    if sub == SF_GTS:
         return sa > sb
-    if sub == 3:
+    if sub == SF_GES:
         return sa >= sb
-    if sub == 4:
+    if sub == SF_LTS:
         return sa < sb
-    if sub == 5:
+    if sub == SF_LES:
         return sa <= sb
     raise ValueError("unknown set-flag sub-op %d" % sub)

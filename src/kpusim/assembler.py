@@ -11,8 +11,10 @@ bits; the search is deterministic, a few tries on average.
 
 The pass structure is: pass one fixes every instruction's address (sizes
 never depend on operand values, an encrypted immediate-class line is always
-three words), pass two encodes against the resolved labels and assigns
-padding ordinals in program order.
+three words), so `.org` and `.space` take only labels defined above them.
+Pass two resolves `.word` and `.dword`, and alone turns operand text into
+instruction fields, which each statement keeps for the lint; it encodes
+against every label and assigns padding ordinals in program order.
 
 A small lint pass flags source patterns that break the pad-provenance
 discipline encrypted programs rely on: arithmetic performed on a register
@@ -142,16 +144,20 @@ def _parse_reg(tok, lineno):
     return int(m.group(1))
 
 
+@dataclass
 class _Item:
-    """One source statement bound to an address during pass one."""
+    """One source statement bound to an address during pass one, `sealed`
+    if a `.encrypt on` region seals its immediate. Pass two parses the
+    operand text `ops` into instruction `fields`, which the lint reads."""
 
-    def __init__(self, lineno, mnemonic, ops, addr, encrypted, labeled):
-        self.lineno = lineno
-        self.mnemonic = mnemonic
-        self.ops = ops
-        self.addr = addr
-        self.encrypted = encrypted
-        self.labeled = labeled
+    lineno: int
+    mnemonic: str
+    ops: str
+    addr: int
+    encrypted: bool
+    labeled: bool
+    sealed: bool
+    fields: dict = None
 
 
 class Assembler:
@@ -161,8 +167,8 @@ class Assembler:
 
     # public entry point
     def assemble(self, source, strict=False):
-        items, labels, image, words = self._pass_one(source)
-        self._pass_two(items, labels, image, words)
+        items, labels, image, values = self._pass_one(source)
+        self._pass_two(items, labels, image, values)
         diagnostics = lint(items)
         if strict and diagnostics:
             raise CryptoSafetyError("\n".join(diagnostics))
@@ -175,17 +181,15 @@ class Assembler:
         encrypted = False
         labels = {}
         items = []
-        words = []                       # (addr, raw word) from .word
+        # (lineno, a .word's address or None for a .dword, expressions)
+        values = []
         image = Image(text={}, data={})
-        entry_expr = None
+        entry = None
 
         for lineno, raw in enumerate(source.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             labeled = False
-            while True:
-                m = _LABEL_RE.match(line)
-                if not m:
-                    break
+            while m := _LABEL_RE.match(line):
                 name = m.group(1)
                 if name in labels:
                     raise ParseError(lineno, "duplicate label %r" % name)
@@ -195,76 +199,67 @@ class Assembler:
             if not line:
                 continue
 
-            fields = line.split(None, 1)
-            head = fields[0]
-            rest = fields[1].strip() if len(fields) > 1 else ""
+            head, *rest = line.split(None, 1)
+            rest = rest[0] if rest else ""
 
-            if head.startswith("."):
-                loc, encrypted, entry_expr = self._directive(
-                    head, rest, lineno, loc, encrypted, entry_expr,
-                    image, words, labels)
-                continue
-
-            item = _Item(lineno, head, rest, loc, encrypted, labeled)
-            items.append(item)
-            if encrypted and head in _ENCRYPTED:
-                loc += 12                # prefix pair plus the instruction
-            else:
+            if head == ".org":
+                loc = self._expr(rest, labels, lineno)
+                if loc % 4:
+                    raise ParseError(lineno, ".org address not word aligned")
+            elif head == ".encrypt":
+                if rest not in ("on", "off"):
+                    raise ParseError(lineno, ".encrypt takes on or off")
+                encrypted = rest == "on"
+            elif head == ".entry":
+                entry = lineno, rest
+            elif head == ".mode":
+                if rest not in ("user", "super"):
+                    raise ParseError(lineno, ".mode takes user or super")
+                image.mode = rest
+            elif head == ".word":
+                values.append((lineno, loc, [rest]))
                 loc += 4
+            elif head == ".space":
+                n = self._expr(rest, labels, lineno)
+                if n < 0 or n % 4:
+                    raise ParseError(lineno, ".space takes a multiple of 4")
+                loc += n
+            elif head == ".dword":
+                parts = rest.split(",")
+                if len(parts) != 2:
+                    raise ParseError(lineno, ".dword takes address, value")
+                values.append((lineno, None, parts))
+            elif head.startswith("."):
+                raise ParseError(lineno, "unknown directive %s" % head)
+            else:
+                sealed = encrypted and head in _ENCRYPTED
+                items.append(_Item(lineno, head, rest, loc, encrypted, labeled,
+                                   sealed))
+                loc += 12 if sealed else 4   # a prefix pair precedes it
 
-        if entry_expr is not None:
-            image.entry = self._expr(entry_expr[1], labels, entry_expr[0])
-        return items, labels, image, words
-
-    def _directive(self, head, rest, lineno, loc, encrypted, entry_expr,
-                   image, words, labels):
-        if head == ".org":
-            value = self._expr(rest, labels, lineno)
-            if value % 4:
-                raise ParseError(lineno, ".org address not word aligned")
-            return value, encrypted, entry_expr
-        if head == ".encrypt":
-            if rest not in ("on", "off"):
-                raise ParseError(lineno, ".encrypt takes on or off")
-            return loc, rest == "on", entry_expr
-        if head == ".entry":
-            return loc, encrypted, (lineno, rest)
-        if head == ".mode":
-            if rest not in ("user", "super"):
-                raise ParseError(lineno, ".mode takes user or super")
-            image.mode = rest
-            return loc, encrypted, entry_expr
-        if head == ".word":
-            words.append((lineno, loc, rest))
-            return loc + 4, encrypted, entry_expr
-        if head == ".space":
-            n = self._expr(rest, labels, lineno)
-            if n < 0 or n % 4:
-                raise ParseError(lineno, ".space takes a multiple of 4")
-            return loc + n, encrypted, entry_expr
-        if head == ".dword":
-            parts = [p.strip() for p in rest.split(",")]
-            if len(parts) != 2:
-                raise ParseError(lineno, ".dword takes address, value")
-            addr = self._expr(parts[0], labels, lineno)
-            value = self._expr(parts[1], labels, lineno) & MASK64
-            image.data[addr & MASK32] = value
-            return loc, encrypted, entry_expr
-        raise ParseError(lineno, "unknown directive %s" % head)
+        if entry is not None:
+            image.entry = self._expr(entry[1], labels, entry[0])
+            if not 0 <= image.entry <= MASK32:
+                raise ParseError(entry[0], ".entry address %d does not fit "
+                                 "32 bits" % image.entry)
+        return items, labels, image, values
 
     # ------------------------------------------------------------ pass 2 --
 
-    def _pass_two(self, items, labels, image, words):
+    def _pass_two(self, items, labels, image, values):
+        for lineno, addr, exprs in values:
+            resolved = [self._expr(text, labels, lineno) for text in exprs]
+            if addr is None:             # .dword address, value
+                image.data[resolved[0] & MASK32] = resolved[1] & MASK64
+            else:
+                self._put_word(image, addr, resolved[0] & MASK32, lineno)
         ordinal = 0
-        for lineno, addr, expr in words:
-            self._put_word(image, addr, self._expr(expr, labels, lineno) & MASK32,
-                           lineno)
         for item in items:
             try:
                 encoded = self._encode_item(item, labels, ordinal)
             except isa.OperandOutOfRange as exc:
                 raise ParseError(item.lineno, str(exc)) from None
-            if item.encrypted and item.mnemonic in _ENCRYPTED:
+            if item.sealed:
                 ordinal += 1
             for offset, word in enumerate(encoded):
                 self._put_word(image, item.addr + 4 * offset, word, item.lineno)
@@ -294,13 +289,6 @@ class Assembler:
             return value
         raise ParseError(lineno, "cannot parse expression %r" % s)
 
-    def _mem_operand(self, tok, lineno, labels):
-        m = _MEM_RE.match(tok.strip())
-        if not m:
-            raise ParseError(lineno, "expected offset(reg), got %r" % tok)
-        off = self._expr(m.group(1), labels, lineno)
-        return off, _parse_reg(m.group(2), lineno)
-
     def _operands(self, item, row, labels):
         """Instruction fields of an item's operand text, by the row's
         syntax."""
@@ -319,8 +307,12 @@ class Assembler:
             if token in _REGISTERS:
                 continue
             if token == "imm(ra)":
-                fields["imm"], fields["ra"] = self._mem_operand(text, lineno,
-                                                                labels)
+                m = _MEM_RE.match(text)
+                if not m:
+                    raise ParseError(lineno, "expected offset(reg), got %r"
+                                     % text)
+                fields["imm"] = self._expr(m.group(1), labels, lineno)
+                fields["ra"] = _parse_reg(m.group(2), lineno)
             elif token == "@imm":
                 delta = self._expr(text, labels, lineno) - item.addr
                 if delta % 4:
@@ -334,8 +326,8 @@ class Assembler:
         row = isa.MNEMONICS.get(item.mnemonic)
         if row is None:
             raise ParseError(item.lineno, "unknown mnemonic %r" % item.mnemonic)
-        fields = self._operands(item, row, labels)
-        if item.encrypted and item.mnemonic in _ENCRYPTED:
+        fields = item.fields = self._operands(item, row, labels)
+        if item.sealed:
             return self._encode_encrypted(row, fields, ordinal, item.lineno)
         return [isa.encode(isa.instruction(item.mnemonic, **fields))]
 
@@ -349,15 +341,13 @@ class Assembler:
         # sub-op) must come out of the ciphertext as the row fixes them
         keep = 0xFFFF & ~row.masks["imm"]
         value = literal & MASK32
-        attempt = 0
-        while True:
+        for attempt in range(MAX_PAD_ATTEMPTS):
             pad = make_padding(self.seed, ordinal, attempt)
             cipher = self.codec.encrypt((pad << 32) | value)
             if not (cipher ^ body) & keep:
                 break
-            attempt += 1
-            if attempt >= MAX_PAD_ATTEMPTS:
-                raise ParseError(lineno, "no padding fits shift sub-op")
+        else:
+            raise ParseError(lineno, "no padding fits shift sub-op")
         p0 = isa.instruction("l.prefix", prefix_idx=0,
                              prefix_payload=(cipher >> 40) & 0xFFFFFF)
         p1 = isa.instruction("l.prefix", prefix_idx=1,
@@ -378,16 +368,9 @@ PROG, DATA, UNKNOWN = "prog", "data", "unknown"
 # register and immediate ALU operations
 _ARITHMETIC = _mnemonics(lambda row: row.cls is _C.IMMEDIATE
                          or row.syntax == "rd,ra,rb")
-# writers of rd, always the first operand: arithmetic, loads, SPR reads
-_RD_WRITERS = _mnemonics(lambda row: row.syntax.startswith("rd,"))
 _REGISTER_JUMPS = _mnemonics(lambda row: row.syntax == "rb")
 _BLOCK_ENDERS = _mnemonics(lambda row: row.cls in (_C.JUMP, _C.BRANCH,
                                                     _C.SYSTRAP))
-
-
-def _reg_of(tok):
-    m = _REG_RE.match(tok.strip())
-    return int(m.group(1)) if m else None
 
 
 def lint(items):
@@ -407,28 +390,23 @@ def lint(items):
             continue
         if taint is None or item.labeled:
             taint = {9: PROG}
-        mn = item.mnemonic
-        # pass two has checked every item's operand count
-        ops = [p.strip() for p in item.ops.split(",")] if item.ops else []
+        mn, fields = item.mnemonic, item.fields
         if mn in _ARITHMETIC:
-            for src in map(_reg_of, ops[1:]):
-                if src is not None and taint.get(src, UNKNOWN) == PROG:
+            for src in (fields["ra"], fields.get("rb")):
+                if taint.get(src, UNKNOWN) == PROG:
                     diags.append(
                         "line %d: arithmetic on a program address in r%d"
                         % (item.lineno, src))
-        if mn in _RD_WRITERS:
-            rd = _reg_of(ops[0])
-            if rd:
-                taint[rd] = DATA
+        # whatever writes rd (arithmetic, a load, an SPR read) leaves data
+        rd = fields.get("rd")
+        if rd:
+            taint[rd] = DATA
         elif mn in _REGISTER_JUMPS:
-            rb = _reg_of(ops[0])
-            if rb is not None and taint.get(rb, UNKNOWN) == DATA:
+            rb = fields["rb"]
+            if taint.get(rb, UNKNOWN) == DATA:
                 diags.append(
                     "line %d: register jump through a data value in r%d"
                     % (item.lineno, rb))
-        if mn in isa.LINKING:
-            taint[9] = PROG
-
         if mn in _BLOCK_ENDERS:
             taint = None
     return diags

@@ -191,20 +191,21 @@ def _cmd_asm(args):
     return 0 if _write(args.output, write_image(image), "asm") else 2
 
 
-def _load_image(path, command):
-    """The parsed image at `path`, or None once the problem is reported."""
+def _load_image(path, command, parse):
+    """What `parse` makes of the file at `path` (an image or a dump), or
+    None once the problem is reported."""
     text = _read(path)
     if text is None:
         return None
     try:
-        return parse_image(text)
-    except FormatError as exc:
+        return parse(text)
+    except (FormatError, ValueError) as exc:
         print("kpu %s: %s" % (command, exc), file=sys.stderr)
         return None
 
 
 def _cmd_run(args):
-    image = _load_image(args.image, "run")
+    image = _load_image(args.image, "run", parse_image)
     if image is None:
         return 2
     try:
@@ -232,7 +233,7 @@ def _cmd_run(args):
 
 
 def _cmd_oracle(args):
-    image = _load_image(args.image, "oracle")
+    image = _load_image(args.image, "oracle", parse_image)
     if image is None:
         return 2
     try:
@@ -251,15 +252,11 @@ def _cmd_oracle(args):
 
 
 def _cmd_compare(args):
-    text = _read(args.image)
-    dump_text = _read(args.dump) if text is not None else None
-    if text is None or dump_text is None:
+    image = _load_image(args.image, "compare", parse_image)
+    if image is None:
         return 2
-    try:
-        image = parse_image(text)
-        view = parse_sim_dump(dump_text)
-    except (FormatError, ValueError) as exc:
-        print("kpu compare: %s" % exc, file=sys.stderr)
+    view = _load_image(args.dump, "compare", parse_sim_dump)
+    if view is None:
         return 2
     cdc = Codec(args.key)
     try:

@@ -20,6 +20,8 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
+from . import alu
+
 
 MASK32 = 0xFFFFFFFF
 
@@ -91,19 +93,17 @@ OP_C64 = 0x3C
 SELECTORS = {OP_SHIFTI: (14, 0x3), OP_ALU: (0, 0xF), OP_SF: (21, 0x1F),
              OP_C64: (0, 0xF)}
 
-# Sub-operations: funct codes for OP_ALU and OP_C64, shift kinds for
-# OP_SHIFTI (3 is unassigned), comparisons for OP_SF (signed where it
-# matters).
-ALU_ADD, ALU_SUB, ALU_AND, ALU_OR, ALU_XOR = 0, 1, 2, 3, 4
-ALU_MUL, ALU_DIVU, ALU_SLL, ALU_SRL, ALU_SRA = 5, 6, 7, 8, 9
+# Sub-operations: funct codes for OP_C64, shift kinds for OP_SHIFTI (3 is
+# unassigned); OP_ALU and OP_SF hold alu.OP_* ids and alu.SF_* comparisons,
+# which both machines pass straight to the ALU.
 SHIFT_SLL, SHIFT_SRL, SHIFT_SRA = 0, 1, 2
-SF_EQ, SF_NE, SF_GTS, SF_GES, SF_LTS, SF_LES = 0, 1, 2, 3, 4, 5
 C64_LD, C64_SD, C64_ADD = 0, 1, 2
 
-# ALU operation of each immediate-class mnemonic, as an ALU_* funct code.
+# ALU operation of each immediate-class mnemonic, as an alu.OP_* id.
 IMM_ALU_OP = {
-    "l.addi": ALU_ADD, "l.andi": ALU_AND, "l.ori": ALU_OR, "l.xori": ALU_XOR,
-    "l.muli": ALU_MUL, "l.slli": ALU_SLL, "l.srli": ALU_SRL, "l.srai": ALU_SRA,
+    "l.addi": alu.OP_ADD, "l.andi": alu.OP_AND, "l.ori": alu.OP_OR,
+    "l.xori": alu.OP_XOR, "l.muli": alu.OP_MUL, "l.slli": alu.OP_SLL,
+    "l.srli": alu.OP_SRL, "l.srai": alu.OP_SRA,
 }
 
 
@@ -227,22 +227,22 @@ TABLE = (
         _RR + (("imm", False, (21, 5), (0, 11)),)),
     Row("l.sw", OP_SW, _C.STORE, "imm(ra),rb",
         _RR + (("imm", True, (21, 5), (0, 11)),)),
-    Row("l.add", OP_ALU, _C.REGISTER, "rd,ra,rb", _RRR, ALU_ADD),
-    Row("l.sub", OP_ALU, _C.REGISTER, "rd,ra,rb", _RRR, ALU_SUB),
-    Row("l.and", OP_ALU, _C.REGISTER, "rd,ra,rb", _RRR, ALU_AND),
-    Row("l.or", OP_ALU, _C.REGISTER, "rd,ra,rb", _RRR, ALU_OR),
-    Row("l.xor", OP_ALU, _C.REGISTER, "rd,ra,rb", _RRR, ALU_XOR),
-    Row("l.mul", OP_ALU, _C.REGISTER, "rd,ra,rb", _RRR, ALU_MUL),
-    Row("l.divu", OP_ALU, _C.REGISTER, "rd,ra,rb", _RRR, ALU_DIVU),
-    Row("l.sll", OP_ALU, _C.REGISTER, "rd,ra,rb", _RRR, ALU_SLL),
-    Row("l.srl", OP_ALU, _C.REGISTER, "rd,ra,rb", _RRR, ALU_SRL),
-    Row("l.sra", OP_ALU, _C.REGISTER, "rd,ra,rb", _RRR, ALU_SRA),
-    Row("l.sfeq", OP_SF, _C.REGISTER, "ra,rb", _RR, SF_EQ),
-    Row("l.sfne", OP_SF, _C.REGISTER, "ra,rb", _RR, SF_NE),
-    Row("l.sfgts", OP_SF, _C.REGISTER, "ra,rb", _RR, SF_GTS),
-    Row("l.sfges", OP_SF, _C.REGISTER, "ra,rb", _RR, SF_GES),
-    Row("l.sflts", OP_SF, _C.REGISTER, "ra,rb", _RR, SF_LTS),
-    Row("l.sfles", OP_SF, _C.REGISTER, "ra,rb", _RR, SF_LES),
+    Row("l.add", OP_ALU, _C.REGISTER, "rd,ra,rb", _RRR, alu.OP_ADD),
+    Row("l.sub", OP_ALU, _C.REGISTER, "rd,ra,rb", _RRR, alu.OP_SUB),
+    Row("l.and", OP_ALU, _C.REGISTER, "rd,ra,rb", _RRR, alu.OP_AND),
+    Row("l.or", OP_ALU, _C.REGISTER, "rd,ra,rb", _RRR, alu.OP_OR),
+    Row("l.xor", OP_ALU, _C.REGISTER, "rd,ra,rb", _RRR, alu.OP_XOR),
+    Row("l.mul", OP_ALU, _C.REGISTER, "rd,ra,rb", _RRR, alu.OP_MUL),
+    Row("l.divu", OP_ALU, _C.REGISTER, "rd,ra,rb", _RRR, alu.OP_DIVU),
+    Row("l.sll", OP_ALU, _C.REGISTER, "rd,ra,rb", _RRR, alu.OP_SLL),
+    Row("l.srl", OP_ALU, _C.REGISTER, "rd,ra,rb", _RRR, alu.OP_SRL),
+    Row("l.sra", OP_ALU, _C.REGISTER, "rd,ra,rb", _RRR, alu.OP_SRA),
+    Row("l.sfeq", OP_SF, _C.REGISTER, "ra,rb", _RR, alu.SF_EQ),
+    Row("l.sfne", OP_SF, _C.REGISTER, "ra,rb", _RR, alu.SF_NE),
+    Row("l.sfgts", OP_SF, _C.REGISTER, "ra,rb", _RR, alu.SF_GTS),
+    Row("l.sfges", OP_SF, _C.REGISTER, "ra,rb", _RR, alu.SF_GES),
+    Row("l.sflts", OP_SF, _C.REGISTER, "ra,rb", _RR, alu.SF_LTS),
+    Row("l.sfles", OP_SF, _C.REGISTER, "ra,rb", _RR, alu.SF_LES),
     Row("l.ld", OP_C64, _C.CLASS64, "rd,imm(ra)",
         (_RD, _RA, ("imm", True, (4, 11))), C64_LD),
     Row("l.sd", OP_C64, _C.CLASS64, "imm(ra),rb",

@@ -36,13 +36,14 @@ its class) or a bubble (counted as a stall or refill wait state), so the
 accounting closes exactly by construction.
 
 Only a few positions can do work in a cycle, and step() visits only those,
-read off the plan tables:
+read off the fetch table's entries:
   * the X positions, oldest first: user 13 (plan B) then 3 (plan A),
     supervisor 3,
-  * then the M positions: user 14 then 4 (the short plan has none:
-    supervisor loads and stores reach memory at X); every execute runs
-    before any memory access, so a fault raised at X outranks one raised
-    at M in the same cycle,
+  * then the M positions: user 4 (plan B carries only immediates, which
+    have no memory work; the short plan has no M, so supervisor loads and
+    stores reach memory at X); every execute runs before any memory
+    access, so a fault raised at X outranks one raised at M in the same
+    cycle,
   * then the R positions, oldest first: user 12 then 2, supervisor 2; the
     oldest instruction whose operands are not ready stalls there,
   * then the conveyor shifts by one.
@@ -239,21 +240,6 @@ REFILL_BUBBLE = Bubble()        # retires as a refill wait state
 _POSITIONS = {plan: (plan.index("X"), plan.index("R"),
                      plan.index("M") if "M" in plan.stages else -1)
               for plan in (SHORT, LONG_A, LONG_B)}
-
-
-def _oldest_first(plans, which):
-    return tuple(sorted({_POSITIONS[p][which] for p in plans} - {-1},
-                        reverse=True))
-
-
-def _work(plans):
-    """The X, M and R positions the plans of one mode use, oldest first."""
-    return (_oldest_first(plans, 0), _oldest_first(plans, 2),
-            _oldest_first(plans, 1))
-
-
-_WORK = {Mode.USER: _work((LONG_A, LONG_B)),
-         Mode.SUPERVISOR: _work((SHORT,))}
 
 
 def _slot_sources(instr):
@@ -883,3 +869,9 @@ def _fetch_table():
 
 
 _FETCH = _fetch_table()
+# mode -> the X, M and R positions (entry[3] holds X, R, M) where some
+# entry of the mode works, oldest first: the only positions step() visits
+_WORK = {mode: tuple(
+    tuple(sorted({entry[3][which] for entry in _FETCH.values()
+                  if entry[1] is mode} - {-1}, reverse=True))
+    for which in (0, 2, 1)) for mode in Mode}

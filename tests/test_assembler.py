@@ -1,5 +1,6 @@
 """Assembler checks: encrypted expansion, image files, lint."""
 
+import hashlib
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from kpusim.assembler import (Assembler, CryptoSafetyError, FormatError,
                               ParseError, UndefinedLabel, assemble,
                               parse_image, write_image)
 from kpusim.codec import Codec, make_padding
+from kpusim.pipeline import Engine
 
 KEY = 0x00112233445566778899AABBCCDDEEFF
 
@@ -150,6 +152,23 @@ after:
     assert 0x204 not in image.text and 0x208 not in image.text
     assert image.text[0x20C] == 0x15000000
     assert image.data[0x400] == 0x1122334455667788
+    # a .dword may name a label defined further down, as .word may
+    forward = """.mode super
+.entry start
+.org 0x100
+.dword cell, 0x1234
+start:
+    l.ld   r3, cell(r0)
+    l.nop  2
+    l.nop  1
+.org 0x300
+cell:
+"""
+    image, _ = Assembler(cdc(), seed=0).assemble(forward)
+    assert image.data == {0x300: 0x1234}
+    engine = Engine(image, cdc())
+    engine.run()
+    assert engine.outputs == [0x1234]
 
 
 def test_parse_errors_carry_line_numbers():
@@ -158,6 +177,9 @@ def test_parse_errors_carry_line_numbers():
         ("l.addi r1, r32, 0\n", "register"),
         ("l.frob r1, r2, r3\n", "mnemonic"),
         ("x:\nx:\n l.nop 1\n", "label"),
+        # an entry the image format cannot hold
+        (".entry -4\nl.nop 1\n", "entry"),
+        (".entry 0x100000000\nl.nop 1\n", "entry"),
     ]
     for body, _ in cases:
         with pytest.raises(ParseError):
@@ -270,6 +292,18 @@ helper:
 """
     _, diags = Assembler(cdc(), seed=0).assemble(source)
     assert diags == []
+    # an immediate naming a label spelled like a register is an address
+    source = """.mode user
+.entry start
+.org 0x4000
+.encrypt on
+start:
+    l.addi r3, r4, r9
+r9:
+    l.nop  1
+"""
+    _, diags = Assembler(cdc(), seed=0).assemble(source)
+    assert diags == []
 
 
 def test_random_sources_assemble_deterministically():
@@ -281,3 +315,58 @@ def test_random_sources_assemble_deterministically():
         a = write_image(assemble(src, cdc(), seed=seed))
         b = write_image(assemble(src, cdc(), seed=seed))
         assert a == b
+
+
+def _lint_source(rng):
+    """Straight-line runs of links, register jumps, loads and arithmetic
+    under labN: labels, mostly encrypted, so the lint sees both taints."""
+    labels = ["lab%d" % i for i in range(rng.randrange(1, 5))]
+
+    def reg():
+        return "r%d" % rng.choice((0, 3, 5, 9, 9, 14))
+
+    lines = [".mode user", ".entry lab0", ".org 0x4000", ".encrypt on"]
+    for label in labels:
+        lines.append("%s:" % label)
+        for _ in range(rng.randrange(1, 7)):
+            roll = rng.randrange(9)
+            if roll == 0:
+                lines.append("l.jal %s" % rng.choice(labels))
+            elif roll == 1:
+                lines.append("l.jalr %s" % reg())
+            elif roll == 2:
+                lines.append("l.jr %s" % reg())
+            elif roll == 3:
+                lines.append("l.lwz %s, %d(%s)" % (reg(), 4 * rng.randrange(8),
+                                                   reg()))
+            elif roll in (4, 5):
+                lines.append("l.%s %s, %s, %s" % (
+                    rng.choice(("add", "sub", "mul", "add64")), reg(), reg(),
+                    reg()))
+            elif roll == 6:
+                lines.append("l.addi %s, %s, %s" % (
+                    reg(), reg(), rng.choice(labels + ["12"])))
+            elif roll == 7:
+                lines.append("l.sw 0(%s), %s" % (reg(), reg()))
+            else:
+                lines.append(".encrypt %s" % rng.choice(("on", "off")))
+    lines.append("l.nop 1")
+    return "\n".join(lines) + "\n"
+
+
+def test_output_of_a_corpus_is_pinned():
+    """Images and diagnostics of 100 generated programs and 200 lint
+    sources, as one digest: any change to encoding, pad ordinals, label
+    resolution or the lint's taint rules moves it."""
+    from kpusim.progen import generate_source
+    digest = hashlib.sha256()
+    sources = [(generate_source(seed, size), seed)
+               for seed in range(50) for size in ("small", "medium")]
+    rng = random.Random(2024)
+    sources += [(_lint_source(rng), seed) for seed in range(200)]
+    for source, seed in sources:
+        image, diags = Assembler(cdc(), seed=seed).assemble(source)
+        digest.update(write_image(image).encode())
+        digest.update("\n".join(diags + [""]).encode())
+    assert digest.hexdigest() == \
+        "95b1ac8ea88b3cc3f06eb18a8e174106a06bf5d1d254199ebfa09641c3667a47"

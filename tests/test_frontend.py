@@ -311,3 +311,12 @@ def test_malformed_dump_is_a_format_error(built, capsys, record):
     err = capsys.readouterr().err
     assert err.startswith("kpu compare: line 2: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_compare_loads_the_image_before_the_dump(tmp_path, capsys):
+    img = tmp_path / "bad.img"
+    img.write_text("KPUIMG 1\nTEXT -0x4 15000001\n")
+    assert main(["compare", str(img), str(tmp_path / "missing.dump")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("kpu compare: line 2: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
