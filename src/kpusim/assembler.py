@@ -251,8 +251,11 @@ class Assembler:
             resolved = [self._expr(text, labels, lineno) for text in exprs]
             if addr is None:             # .dword address, value
                 image.data[resolved[0] & MASK32] = resolved[1] & MASK64
-            else:
+            elif -(1 << 31) <= resolved[0] <= MASK32:
                 self._put_word(image, addr, resolved[0] & MASK32, lineno)
+            else:
+                raise ParseError(lineno, ".word value %d does not fit 32 bits"
+                                 % resolved[0])
         ordinal = 0
         for item in items:
             try:

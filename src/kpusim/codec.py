@@ -9,9 +9,11 @@ behind them uses two disjoint shapes:
                        "decrypted" form: top 16 bits forced to 0x7fff
 
 The cipher is a 10-round balanced Feistel on 64-bit blocks, one round per
-codec pipeline stage. Each direction's round is a single flat kernel
-(feistel_round, feistel_unround) that the block routines loop over, as
-does the pipeline when it opens an encrypted immediate at fetch. It is
+codec pipeline stage. Each block routine is one loop of ten rounds over the
+two 32-bit halves, with no call and no repack between rounds. The one-round
+kernels (feistel_round, feistel_unround) serve the stages C1..C10, which
+the pipeline folds when it opens an encrypted immediate at fetch, and the
+tests, which hold the block routines equal to that fold. It is
 deliberately lightweight and pluggable; nothing here claims cryptographic
 strength, only bijectivity and determinism.
 """
@@ -55,9 +57,9 @@ def key_schedule(key):
 # A round maps the halves (L, R) to (R, L ^ f(R, k)), where
 #     f(x, k) = (rotl32(x ^ k, 7) + (rotl32(x, 13) ^ k)) mod 2**32
 # mixes rotate, xor and 32-bit add so that differences both shift and
-# propagate through carries. Each round is one flat function, ten calls to
-# a block, so the rotates are written out in place. A rotate's bits above
-# 32 are left in; the sum's low 32 bits do not see them.
+# propagate through carries. The rotates are written out in place, here
+# and in the block routines' loops. A rotate's bits above 32 are left in;
+# the sum's low 32 bits do not see them.
 
 def feistel_round(block, k):
     """One forward Feistel round."""
@@ -86,14 +88,22 @@ class Codec:
         self._reversed = list(reversed(self.round_keys))
 
     def encrypt(self, block):
+        left = (block >> 32) & MASK32
+        right = block & MASK32
         for k in self.round_keys:
-            block = feistel_round(block, k)
-        return block
+            x = right ^ k
+            f = ((x << 7) | (x >> 25)) + (((right << 13) | (right >> 19)) ^ k)
+            left, right = right, left ^ (f & MASK32)
+        return (left << 32) | right
 
     def decrypt(self, block):
+        left = (block >> 32) & MASK32
+        right = block & MASK32
         for k in self._reversed:
-            block = feistel_unround(block, k)
-        return block
+            x = left ^ k
+            f = ((x << 7) | (x >> 25)) + (((left << 13) | (left >> 19)) ^ k)
+            left, right = right ^ (f & MASK32), left
+        return (left << 32) | right
 
 
 # ---------------------------------------------------------------- padding --
@@ -135,9 +145,11 @@ def pad_mix(pad_a, pad_b, op_id):
 
     Deterministic in the operand pads and the operation, so recomputing a
     value recomputes its padding (and therefore its ciphertext) exactly.
+    Only each pad's low 32 bits count: a caller may pass a block >> 32.
     """
-    mixed = (rotl32(pad_a, 5) ^ pad_b ^ ((0x9E37 << op_id) & MASK32)) & MASK32
-    if not pad_is_valid(mixed):
+    a = pad_a & MASK32
+    mixed = (((a << 5) | (a >> 27)) ^ pad_b ^ (0x9E37 << op_id)) & MASK32
+    if not mixed or mixed >> 16 == ADDR_TAG:     # not pad_is_valid(mixed)
         mixed ^= 0x40000001
     return mixed
 
@@ -145,11 +157,6 @@ def pad_mix(pad_a, pad_b, op_id):
 def word_value(block):
     """Low 32 bits of a plaintext-domain block."""
     return block & MASK32
-
-
-def word_pad(block):
-    """Top 32 bits of a plaintext-domain block."""
-    return (block >> 32) & MASK32
 
 
 # -------------------------------------------------- program-address forms --

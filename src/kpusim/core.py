@@ -16,6 +16,10 @@ from .codec import MASK32, MASK64
 
 
 class Mode(Enum):
+    # Identity hash, in C, as isa.InstrClass has: the engine and the oracle
+    # key their per-mode tables by mode. No set of modes is iterated.
+    __hash__ = object.__hash__
+
     USER = "user"
     SUPERVISOR = "super"
 

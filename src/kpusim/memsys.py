@@ -3,11 +3,14 @@ cache, and the Harvard-split physical storage.
 
 Instructions live in their own 32-bit word space addressed by plain program
 addresses. Data lives in 64-bit cells. Supervisor data addresses map
-identically (addr/8); user-mode effective addresses are encrypted whole and
-the resulting ciphertext is assigned a physical cell in first-come order,
-one cell per distinct cipher address. Two computations of the same logical
-address with different paddings therefore land in different cells: hardware
-aliasing is a feature of the model, not an accident.
+identically (addr/8) within the supervisor region, the first 1 MiB, and
+fault past it, as in the oracle: the user cells that follow the region are
+reached only through the user path. User-mode effective addresses are
+encrypted whole and the resulting ciphertext is assigned a physical cell in
+first-come order, one cell per distinct cipher address. Two computations of
+the same logical address with different paddings therefore land in
+different cells: hardware aliasing is a feature of the model, not an
+accident.
 
 The cipher is a bijection, so each padded effective address has exactly one
 cell; the memory system keeps that pairing beside the TLB and encrypts an
@@ -36,7 +39,7 @@ class UnalignedSupervisorAccess(Exception):
 
 
 class OutOfRegion(Exception):
-    """Address beyond the supervisor region and the user range."""
+    """Supervisor data address at or beyond the supervisor region's end."""
 
 
 class TlbMap:
@@ -126,8 +129,9 @@ class MemorySystem:
         if addr % 8:
             raise UnalignedSupervisorAccess("address 0x%x not 8-aligned" % addr)
         index = addr // 8
-        if index >= self.total_cells:
-            raise OutOfRegion("address 0x%x beyond physical storage" % addr)
+        if index >= self.super_cells:
+            raise OutOfRegion("address 0x%x beyond the supervisor region"
+                              % addr)
         return index
 
     def supervisor_load(self, addr):

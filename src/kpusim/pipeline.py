@@ -45,7 +45,9 @@ read off the fetch table's entries:
     access, so a fault raised at X outranks one raised at M in the same
     cycle,
   * then the R positions, oldest first: user 12 then 2, supervisor 2; the
-    oldest instruction whose operands are not ready stalls there,
+    oldest instruction whose operands are not ready stalls there until its
+    wake cycle, the latest ready cycle of its producers, worked out once
+    they are all known, so a held cycle then costs one comparison,
   * then the conveyor shifts by one.
 Empty cells are two shared bubbles, one per wait-state kind.
 
@@ -82,7 +84,7 @@ from dataclasses import dataclass
 from . import alu, isa
 from .codec import (MASK32, MASK64, ROUNDS, NotAProgramAddress, feistel_unround,
                     open_program_address, pad_mix, to_decrypted_address,
-                    to_encrypted_address, word_pad, word_value)
+                    to_encrypted_address)
 from .core import MachineState, Mode, VEC_ILLEGAL, VEC_SYSCALL
 from .isa import InstrClass, MissingPrefix, PrefixLatch, consume_prefixes
 from .memsys import DEFAULT_CACHE_ENTRIES, DEFAULT_USER_WORDS, MemorySystem
@@ -317,11 +319,13 @@ class Slot:
     M does it once; `r_index` is the record's, kept beside them for
     step()'s per-cycle tests. `producers` maps each source to the
     youngest older writer in flight when the slot was fetched; retirement
-    cuts it. Everything else is set by the stage that produces it.
+    cuts it. `wake` is the first cycle the slot may leave R: 0 with nothing
+    to wait for, None until _wake can work it out. Everything else is set
+    by the stage that produces it.
     """
 
     __slots__ = ("record", "x_index", "r_index", "m_index", "producers",
-                 "retired", "ready_cycle", "imm_block", "predicted",
+                 "wake", "retired", "ready_cycle", "imm_block", "predicted",
                  "result", "pending_effects", "ea_block", "store_value",
                  "__weakref__")
 
@@ -329,6 +333,7 @@ class Slot:
         self.record = record
         self.x_index, self.r_index, self.m_index = record.positions
         self.producers = producers
+        self.wake = None if producers or record.serialize else 0
         self.retired = False
         self.ready_cycle = None         # when `result` forwards, once known
         # set where the record says so: imm_block (decrypted user-mode
@@ -439,18 +444,29 @@ class Engine:
 
     # -------------------------------------------------------- forwarding --
 
-    def _source_ready(self, idx, cell, n):
-        # a set-flag producer gets its ready_cycle with its flag in result
+    def _wake(self, idx, cell, n):
+        """The first cycle `cell`, at R in cycle n, may leave R.
+
+        That is the latest ready cycle of its unretired producers (a
+        set-flag producer's comes with its flag). Once all are known, and
+        for a serializing cell no older slot is in flight, it is kept in
+        `cell.wake`: it cannot change, as no producer retires before it is
+        ready and no older slot enters later. Until then it is n + 1.
+        """
+        wake = 0
         for producer in cell.producers.values():
             if not producer.retired:
                 ready = producer.ready_cycle
-                if ready is None or ready > n:
-                    return False
+                if ready is None:
+                    return n + 1
+                if ready > wake:
+                    wake = ready
         if cell.record.serialize:
             for older in self.conveyor[idx + 1:-1]:
                 if older.__class__ is Slot:
-                    return False
-        return True
+                    return n + 1
+        cell.wake = wake
+        return wake
 
     def _read(self, cell, reg):
         """Source register `reg` (not r0) of `cell` at X: forwarded from a
@@ -472,7 +488,7 @@ class Engine:
 
     # Each handler does one class's work at X, in one mode where the modes
     # differ: called as handler(self, idx, cell, cycle). A user-mode result
-    # carries a padding mixed from its operands'.
+    # carries a padding mixed from its operands' top halves.
 
     def _ex_alu_user(self, idx, cell, n):
         instr = cell.record.instr
@@ -480,7 +496,7 @@ class Engine:
         b = self._read(cell, instr.rb) if instr.rb else 0
         res32, cell.pending_effects = alu.execute(instr.funct, a & MASK32,
                                                   b & MASK32)
-        pad = pad_mix(word_pad(a), word_pad(b), instr.funct)
+        pad = pad_mix(a >> 32, b >> 32, instr.funct)
         cell.result = (pad << 32) | res32
         cell.ready_cycle = n
 
@@ -504,9 +520,8 @@ class Engine:
         a = self._read(cell, instr.ra) if instr.ra else 0
         b = cell.imm_block
         op = isa.IMM_ALU_OP[instr.mnemonic]
-        res32, cell.pending_effects = alu.execute(op, a & MASK32,
-                                                  word_value(b))
-        pad = pad_mix(word_pad(a), word_pad(b), op)
+        res32, cell.pending_effects = alu.execute(op, a & MASK32, b & MASK32)
+        pad = pad_mix(a >> 32, b >> 32, op)
         cell.result = (pad << 32) | res32
         cell.ready_cycle = n
 
@@ -524,7 +539,7 @@ class Engine:
         a = self._read(cell, instr.ra) if instr.ra else 0
         off = instr.imm & MASK32
         ea32, _ = alu.execute(alu.OP_ADDR, a & MASK32, off)
-        pad = pad_mix(word_pad(a), off, alu.OP_ADDR)
+        pad = pad_mix(a >> 32, off, alu.OP_ADDR)
         cell.ea_block = (pad << 32) | ea32
         if instr.rb is not None:
             cell.store_value = self._read(cell, instr.rb) if instr.rb else 0
@@ -551,7 +566,7 @@ class Engine:
         a = self._read(cell, instr.ra) if instr.ra else 0
         index = ((a & MASK32) | instr.imm) & 0xFFFF
         value = self.state.read_spr(index)
-        pad = pad_mix(word_pad(a), index, alu.OP_MFSPR)
+        pad = pad_mix(a >> 32, index, alu.OP_MFSPR)
         cell.result = (pad << 32) | (value & MASK32)
         cell.ready_cycle = n
 
@@ -727,7 +742,8 @@ class Engine:
     cycle = property(lambda self: self.stats.cycles)
 
     def step(self):
-        n = self.stats.cycles
+        stats = self.stats
+        n = stats.cycles
         conveyor = self.conveyor
         x_positions, m_positions, r_positions = self._work
 
@@ -767,7 +783,7 @@ class Engine:
                 # a trap or return enters its mode on a fresh conveyor
                 conveyor = self.conveyor
                 r_positions = self._work[2]
-        self.stats.cycles = n + 1
+        stats.cycles = n + 1
         if self.halted:
             return
 
@@ -776,22 +792,24 @@ class Engine:
         stall_idx = -1
         for idx in r_positions:
             cell = conveyor[idx]
-            if cell.r_index == idx \
-                    and (cell.producers or cell.record.serialize) \
-                    and not self._source_ready(idx, cell, n):
-                stall_idx = idx
-                break
+            if cell.r_index == idx:
+                wake = cell.wake
+                if wake is None:
+                    wake = self._wake(idx, cell, n)
+                if wake > n:
+                    stall_idx = idx
+                    break
 
         del conveyor[-1]
         conveyor.insert(stall_idx + 1,
                         STALL_BUBBLE if stall_idx >= 0 else self._fetch())
 
     def run(self, max_cycles=5_000_000):
-        stats = self.stats
+        stats, step = self.stats, self.step
         while not self.halted:
             if stats.cycles >= max_cycles:
                 raise MaxCyclesExceeded("no exit after %d cycles" % max_cycles)
-            self.step()
+            step()
         return self.state
 
 

@@ -192,6 +192,19 @@ def test_parse_errors_carry_line_numbers():
         assert exc.lineno == 2
 
 
+def test_word_values_must_fit_32_bits():
+    # a .word takes -2**31..0xFFFFFFFF, as an immediate takes its field's
+    # range; one past either end is a ParseError, not a masked word
+    for text, word in (("0xFFFFFFFF", 0xFFFFFFFF),
+                       ("-0x80000000", 0x80000000)):
+        image = assemble(".org 0x100\n.word %s\n" % text, cdc())
+        assert image.text == {0x100: word}
+    for text in ("0x100000000", "-0x80000001"):
+        with pytest.raises(ParseError) as info:
+            assemble(".org 0x100\n.word %s\n" % text, cdc())
+        assert info.value.lineno == 2 and "32 bits" in str(info.value)
+
+
 def test_text_overlap_rejected():
     source = """.org 0x100
     l.nop 1

@@ -45,9 +45,9 @@ def test_encrypt_is_the_ten_round_composition():
     """The block routines must stay expressible as per-round passes.
 
     The pipeline opens an encrypted immediate by folding the single-round
-    function over the reversed key schedule, so encrypt/decrypt have to
-    equal the fold of the single-round functions over the key schedule,
-    in order, nothing fused away.
+    function over the reversed key schedule, so encrypt/decrypt, each one
+    loop over the two halves, must equal the fold of the single-round
+    functions over the key schedule, in order.
     """
     cdc = Codec(KEY)
     rng = random.Random(22)
@@ -109,6 +109,26 @@ def test_block_routines_equal_the_reference_rounds():
             back = _reference_unround(back, k)
         assert cdc.encrypt(block) == forward
         assert cdc.decrypt(block) == back
+
+
+def test_block_routines_equal_the_fold_on_wide_and_negative_ints():
+    # every routine reads a block as bits 63..32 and 31..0 of the int, so
+    # bits above 64 and a sign read the same way in the loop and the fold
+    cdc = Codec(DEFAULT_KEY)
+    rng = random.Random(111)
+    blocks = [1 << 64, (1 << 64) + 7, MASK64 << 3, -1, -(1 << 63),
+              -(1 << 64), -(1 << 70) - 5]
+    blocks += [rng.getrandbits(96) | (1 << 64) for _ in range(200)]
+    blocks += [-rng.getrandbits(80) - 1 for _ in range(200)]
+    for block in blocks:
+        forward = back = block
+        for k in cdc.round_keys:
+            forward = feistel_round(forward, k)
+        for k in reversed(cdc.round_keys):
+            back = feistel_unround(back, k)
+        assert cdc.encrypt(block) == forward
+        assert cdc.decrypt(block) == back
+        assert cdc.encrypt(block) == cdc.encrypt(block & MASK64)
 
 
 # (block, encrypt(block), decrypt(block)) under DEFAULT_KEY, taken from the
@@ -195,6 +215,38 @@ def test_pad_mix_is_deterministic_and_valid():
         mixed = pad_mix(a, b, op)
         assert mixed == pad_mix(a, b, op)
         assert pad_is_valid(mixed)
+
+
+def _reference_pad_mix(pad_a, pad_b, op_id):
+    mixed = (rotl32(pad_a, 5) ^ pad_b ^ ((0x9E37 << op_id) & MASK32)) & MASK32
+    if not pad_is_valid(mixed):
+        mixed ^= 0x40000001
+    return mixed
+
+
+def test_pad_mix_equals_the_reference():
+    rng = random.Random(67)
+    fixups = {"zero": 0, "tag": 0}
+    for op in range(12):
+        cases = [(rng.getrandbits(32), rng.getrandbits(32))
+                 for _ in range(300)]
+        # pads a caller has not masked: wider than 32 bits, or negative
+        cases += [(rng.getrandbits(40), -rng.getrandbits(36))
+                  for _ in range(50)]
+        for _ in range(20):
+            # a zero mix, and a mix whose top half is the 0x7fff tag
+            a = rng.getrandbits(32)
+            zero = rotl32(a, 5) ^ ((0x9E37 << op) & MASK32)
+            cases += [(a, zero),
+                      (a, zero ^ (0x7FFF << 16) ^ rng.getrandbits(16))]
+        for a, b in cases:
+            raw = (rotl32(a, 5) ^ b ^ ((0x9E37 << op) & MASK32)) & MASK32
+            if raw == 0:
+                fixups["zero"] += 1
+            elif raw >> 16 == 0x7FFF:
+                fixups["tag"] += 1
+            assert pad_mix(a, b, op) == _reference_pad_mix(a, b, op)
+    assert fixups["zero"] >= 12 and fixups["tag"] >= 12
 
 
 def test_pad_mix_fixup_branch():

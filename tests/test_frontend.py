@@ -297,6 +297,44 @@ def test_unloadable_data_record_is_a_program_fault(tmp_path, capsys, command):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+# ROADMAP item 1(d): a supervisor l.ld/l.sd just past the supervisor region
+SUPER_PAST_REGION = """.mode super
+    l.addi r1, r0, 1
+    l.slli r1, r1, 20
+    l.ld   r3, 0(r1)
+    l.sd   8(r1), r1
+    l.nop  2
+    l.nop  1
+"""
+
+
+@pytest.mark.parametrize("command", ["run", "oracle"])
+def test_supervisor_access_past_the_region_faults_in_both_machines(
+        tmp_path, capsys, command):
+    src, img = tmp_path / "past.s", tmp_path / "past.img"
+    src.write_text(SUPER_PAST_REGION)
+    assert main(["asm", str(src), "-o", str(img)]) == 0
+    capsys.readouterr()
+    assert main([command, str(img)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("kpu %s: fault: address 0x100000" % command)
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "oracle"])
+def test_data_record_past_the_region_is_a_program_fault(tmp_path, capsys,
+                                                        command):
+    img = tmp_path / "d.img"
+    img.write_text("KPUIMG 1\nENTRY 0x00000100\nMODE super\n"
+                   "TEXT 0x00000100 15000001\n"
+                   "DATA 0x000ffff8 0000000000000001\n"
+                   "DATA 0x00100000 0000000000000002\n")
+    assert main([command, str(img)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("kpu %s: fault: address 0x100000" % command)
+
+
 @pytest.mark.parametrize("record", [
     "REG 40 0 0", "REG 01", "MODE", "MODE bogus", "PHYS 5", "OUT",
     # every number unsigned and within its field

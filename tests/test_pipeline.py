@@ -172,6 +172,21 @@ def test_immediate_feeding_register_pays_decrypt_latency():
     assert counts(eng) == (10, 15, 34)
 
 
+def test_consumer_waits_for_the_later_of_two_producers():
+    # r5's sealed immediate forwards at its X; the load misses, so r2 comes
+    # three cycles later, after the cell decrypt. Both are in flight, their
+    # ready cycles known, when the add at R works out its wake cycle.
+    eng = run("""    l.addi r5, r0, 9
+    l.lwz  r2, 256(r0)
+    l.add  r3, r5, r2
+    l.nop  2
+    l.nop  1
+""")
+    assert counts(eng) == (12, 15, 34)
+    assert eng.stats.cycles == 43
+    assert eng.outputs == [(eng.state.codec.decrypt(0) + 9) & 0xFFFFFFFF]
+
+
 def test_lone_nop_measures_fill_depth():
     eng = run("    l.nop  1\n")
     assert counts(eng) == (0, 15, 16)
