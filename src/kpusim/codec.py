@@ -31,6 +31,11 @@ ROUNDS = 10
 ADDR_TAG = 0x7FFF
 
 
+class ProgramFault(Exception):
+    """The program did something its machine cannot continue from; each
+    machine's faults derive from this, and a kpu command exits 1 on one."""
+
+
 class NotAProgramAddress(Exception):
     """64-bit value is in neither program-address form."""
 

@@ -4,9 +4,11 @@ registers and the trap/return protocol.
 Real general registers are 64 bits wide and, in user mode, hold ciphertext
 (or zero-filled program addresses). The shadow bank holds the plaintext-
 domain copies the ALU actually works on in user mode; it is invisible to
-supervisor code. Encryption of modified shadows back into the real bank is
-lazy: entries are marked dirty and flushed when the machine leaves user
-mode, at no modeled cycle cost (the codec hardware is assumed doubled).
+supervisor code. One set, `stale`, names the registers whose other bank
+lags: a user-mode write leaves the real bank stale until the machine leaves
+user mode, when the set is flushed (encrypted across), and a supervisor
+write leaves the shadow stale until l.rfe maps the set in. Both moves cost
+no modeled cycle (the codec hardware is assumed doubled).
 """
 
 from enum import Enum
@@ -64,14 +66,13 @@ class MachineState:
         self.mode = mode
         self.regs = [0] * 32            # real bank, 64-bit
         self.shadow = [0] * 32          # plaintext-domain bank, user only
-        self.dirty = [False] * 32
         self.flag_f = False
         self.flag_cy = False
         self.flag_ov = False
         self.hidden_esr = 0             # saved SR; no SPR index on purpose
         self.epcr = 0
         self.spr = {}                   # open-ended supervisor scratch SPRs
-        self.super_written = set()      # real regs written while supervisor
+        self.stale = set()              # registers whose other bank lags
         if mode is Mode.USER:
             self._map_in(range(32))
 
@@ -103,21 +104,20 @@ class MachineState:
             if i == 0:
                 continue
             self.shadow[i] = self._derive(self.regs[i])
-            self.dirty[i] = False
 
-    def flush_dirty_shadows(self):
-        """Encrypt modified shadows into the real bank (user -> supervisor)."""
-        for i in range(32):
-            if self.dirty[i]:
-                self.regs[i] = self._map_out(self.shadow[i])
-                self.dirty[i] = False
+    def flush_shadows(self):
+        """Encrypt the stale shadows into the real bank (user mode's end)."""
+        for i in self.stale:
+            self.regs[i] = self._map_out(self.shadow[i])
+        self.stale.clear()
 
     def write_register(self, i, value, program_address=False):
         """Architectural register write in the current mode.
 
         In user mode the value is a plaintext-domain 64-bit block for the
         shadow bank; the real bank is left stale until the next flush,
-        except that program addresses keep both banks coherent at once.
+        except that program addresses keep both banks coherent at once. A
+        supervisor write leaves the shadow stale until the next map-in.
         """
         if i == 0:
             return
@@ -125,12 +125,11 @@ class MachineState:
             self.shadow[i] = value & MASK64
             if program_address:
                 self.regs[i] = codec.to_encrypted_address(value)
-                self.dirty[i] = False
-            else:
-                self.dirty[i] = True
+                self.stale.discard(i)
+                return
         else:
             self.regs[i] = value & MASK64
-            self.super_written.add(i)
+        self.stale.add(i)
 
     # --------------------------------------------------------------- sprs --
 
@@ -181,10 +180,10 @@ class MachineState:
         self.hidden_esr = self.sr
         self.epcr = return_pc & MASK32
         if self.mode is Mode.USER:
-            self.flush_dirty_shadows()
+            self.flush_shadows()
+        self.stale.clear()
         self.flag_f = self.flag_cy = self.flag_ov = False
         self.mode = Mode.SUPERVISOR
-        self.super_written = set()
         self.pc = vector & MASK32
 
     def rfe(self):
@@ -197,5 +196,5 @@ class MachineState:
             self.mode = Mode.SUPERVISOR
         else:
             self.mode = Mode.USER
-            self._map_in(sorted(self.super_written))
-            self.super_written = set()
+            self._map_in(self.stale)
+            self.stale.clear()

@@ -17,21 +17,15 @@ import sys
 
 from .assembler import (Assembler, CryptoSafetyError, FormatError, ParseError,
                         parse_image, write_image)
-from .codec import Codec, NotAProgramAddress
+from .codec import Codec, ProgramFault
 from .core import Mode
 from .isa import InstrClass
-from .memsys import (DEFAULT_CACHE_ENTRIES, DEFAULT_USER_WORDS, OutOfRegion,
-                     PhysicalExhausted, UnalignedSupervisorAccess)
-from .oracle import (AliasDetected, MaxStepsExceeded, OracleFault, compare,
-                     engine_view, interpret, parse_sim_dump, render_dump)
-from .pipeline import (DEFAULT_BPB_ENTRIES, Engine, MaxCyclesExceeded,
-                       SimulationFault)
+from .memsys import DEFAULT_CACHE_ENTRIES, DEFAULT_USER_WORDS
+from .oracle import (AliasDetected, compare, engine_view, interpret,
+                     parse_sim_dump, render_dump)
+from .pipeline import DEFAULT_BPB_ENTRIES, Engine
 
 DEFAULT_KEY = 0x00112233445566778899AABBCCDDEEFF
-
-_RUNTIME_FAULTS = (SimulationFault, MaxCyclesExceeded, NotAProgramAddress,
-                   PhysicalExhausted, UnalignedSupervisorAccess, OutOfRegion,
-                   OracleFault, MaxStepsExceeded)
 
 
 def _parse_key(text):
@@ -216,7 +210,7 @@ def _cmd_run(args):
                         bpb_entries=args.bpb_entries,
                         trace=print if args.trace else None)
         engine.run(max_cycles=args.max_cycles)
-    except _RUNTIME_FAULTS as exc:
+    except ProgramFault as exc:
         print("kpu run: fault: %s" % exc, file=sys.stderr)
         return 1
     for value in engine.outputs:
@@ -238,7 +232,7 @@ def _cmd_oracle(args):
         return 2
     try:
         result = interpret(image, Codec(args.key), max_steps=args.max_steps)
-    except _RUNTIME_FAULTS as exc:
+    except ProgramFault as exc:
         print("kpu oracle: fault: %s" % exc, file=sys.stderr)
         return 1
     for value in result.outputs:
@@ -261,7 +255,7 @@ def _cmd_compare(args):
     cdc = Codec(args.key)
     try:
         result = interpret(image, cdc, max_steps=args.max_steps)
-    except _RUNTIME_FAULTS as exc:
+    except ProgramFault as exc:
         print("kpu compare: reference fault: %s" % exc, file=sys.stderr)
         return 1
     try:

@@ -251,9 +251,6 @@ TABLE = (
 )
 
 MNEMONICS = {row.mnemonic: row for row in TABLE}
-ALU_FUNCT_NAMES = {row.funct: row.mnemonic for row in TABLE
-                   if row.opcode == OP_ALU}
-SF_NAMES = {row.funct: row.mnemonic for row in TABLE if row.opcode == OP_SF}
 # mnemonics whose target is pc-relative (a word offset), and the jumps
 # that link, writing their return address to r9
 PC_RELATIVE = frozenset(row.mnemonic for row in TABLE if row.syntax == "@imm")

@@ -4,8 +4,9 @@ cache, and the Harvard-split physical storage.
 Instructions live in their own 32-bit word space addressed by plain program
 addresses. Data lives in 64-bit cells. Supervisor data addresses map
 identically (addr/8) within the supervisor region, the first 1 MiB, and
-fault past it, as in the oracle: the user cells that follow the region are
-reached only through the user path. User-mode effective addresses are
+fault past it or off an 8-byte boundary: super_index is that one rule, for
+this machine and the oracle alike. The user cells that follow the region
+are reached only through the user path. User-mode effective addresses are
 encrypted whole and the resulting ciphertext is assigned a physical cell in
 first-come order, one cell per distinct cipher address. Two computations of
 the same logical address with different paddings therefore land in
@@ -23,23 +24,33 @@ misses: the cycle table's "(cached)" rows read them.
 
 from collections import OrderedDict
 
-from .codec import MASK64
+from .codec import MASK64, ProgramFault
 
 SUPER_REGION_BYTES = 1 << 20           # identity-mapped supervisor region
 DEFAULT_USER_WORDS = 64 * 1024
 DEFAULT_CACHE_ENTRIES = 64
 
 
-class PhysicalExhausted(Exception):
+class PhysicalExhausted(ProgramFault):
     """FCFS allocator ran out of pre-set user physical words."""
 
 
-class UnalignedSupervisorAccess(Exception):
+class UnalignedSupervisorAccess(ProgramFault):
     """Supervisor data addresses must be 8-byte aligned."""
 
 
-class OutOfRegion(Exception):
+class OutOfRegion(ProgramFault):
     """Supervisor data address at or beyond the supervisor region's end."""
+
+
+def super_index(addr):
+    """The cell of a supervisor data address: 8-aligned, in the region."""
+    addr &= MASK64
+    if addr % 8:
+        raise UnalignedSupervisorAccess("address 0x%x not 8-aligned" % addr)
+    if addr >= SUPER_REGION_BYTES:
+        raise OutOfRegion("address 0x%x beyond the supervisor region" % addr)
+    return addr // 8
 
 
 class TlbMap:
@@ -48,7 +59,7 @@ class TlbMap:
     def __init__(self, base, capacity):
         self.base = base
         self.capacity = capacity
-        self.entries = OrderedDict()   # preserves allocation order
+        self.entries = {}              # in allocation order
 
     def translate(self, cipher_addr):
         cipher_addr &= MASK64
@@ -107,10 +118,8 @@ class MemorySystem:
     def __init__(self, codec, user_words=DEFAULT_USER_WORDS,
                  cache_entries=DEFAULT_CACHE_ENTRIES):
         self.codec = codec
-        self.super_cells = SUPER_REGION_BYTES // 8
-        self.total_cells = self.super_cells + user_words
         self.cells = {}                # sparse: index -> 64-bit word
-        self.tlb = TlbMap(self.super_cells, user_words)
+        self.tlb = TlbMap(SUPER_REGION_BYTES // 8, user_words)
         self.cache = UserDataCache(cache_entries)
         self.ea_cells = {}             # ea block -> cell, one per TLB entry
 
@@ -124,21 +133,11 @@ class MemorySystem:
 
     # -------------------------------------------------------- supervisor --
 
-    def super_index(self, addr):
-        addr &= MASK64
-        if addr % 8:
-            raise UnalignedSupervisorAccess("address 0x%x not 8-aligned" % addr)
-        index = addr // 8
-        if index >= self.super_cells:
-            raise OutOfRegion("address 0x%x beyond the supervisor region"
-                              % addr)
-        return index
-
     def supervisor_load(self, addr):
-        return self.read_cell(self.super_index(addr))
+        return self.read_cell(super_index(addr))
 
     def supervisor_store(self, addr, value):
-        self.write_cell(self.super_index(addr), value)
+        self.write_cell(super_index(addr), value)
 
     # --------------------------------------------------------------- user --
 

@@ -3,13 +3,14 @@
 The interpreter executes an image one instruction at a time over plain
 32-bit registers, 32-bit logical user memory and 64-bit supervisor cells.
 No pipeline, no padding, no ciphertext: it is the answer key the encrypted
-machine is checked against. It shares the ISA layer (the decoder, the
-prefix latch, the immediate-to-ALU table, which jumps are pc-relative and
-which link, the user-mode legality rule) and the ALU with the machine,
-never the pipeline's execute path, and mirrors every other architectural
-rule that shows through to results: trap entry and return, mode
-containment of special registers, and the quirk that an unwritten user
-cell reads back as the decryption of an all-zero block.
+machine is checked against. It shares with the machine the ISA layer
+(the decoder, the prefix latch, the immediate-to-ALU table, which jumps are
+pc-relative and which link, the user-mode legality rule), the ALU, the
+supervisor data address rule (memsys.super_index) and the one base class
+of program faults, never the pipeline's execute path, and mirrors every
+other architectural rule that shows through to results: trap entry and
+return, mode containment of special registers, and the quirk that an
+unwritten user cell reads back as the decryption of an all-zero block.
 The machine's dump format (render_dump/parse_sim_dump) lives here too.
 
 compare() translates a finished machine into this flat domain and diffs:
@@ -21,19 +22,19 @@ cells with different contents), debug output verbatim.
 from dataclasses import dataclass, field
 
 from . import alu, isa
-from .codec import MASK32, MASK64, word_value
+from .codec import MASK32, MASK64, ProgramFault, word_value
 from .core import (CONFIG_ID, Mode, SPR_CONFIG, SPR_EPCR, SPR_SR,
                    USER_READABLE_SPRS, VEC_ILLEGAL, VEC_SYSCALL, pack_sr,
                    unpack_sr)
 from .isa import InstrClass, MissingPrefix, PrefixLatch, consume_prefixes
-from .memsys import SUPER_REGION_BYTES, OutOfRegion, UnalignedSupervisorAccess
+from .memsys import super_index
 
 
-class MaxStepsExceeded(Exception):
+class MaxStepsExceeded(ProgramFault):
     pass
 
 
-class OracleFault(Exception):
+class OracleFault(ProgramFault):
     """Program did something the flat machine cannot continue from."""
 
 
@@ -65,7 +66,7 @@ class Interpreter:
     def __init__(self, image, cdc):
         self.codec = cdc
         self.pc = image.entry & MASK32
-        self.mode = Mode.USER if image.mode == "user" else Mode.SUPERVISOR
+        self.mode = Mode(image.mode)
         self.regs = [0] * 32
         self.flags = {"f": False, "cy": False, "ov": False}
         self.epcr = 0
@@ -80,7 +81,7 @@ class Interpreter:
         self.user_mem = {}
         self.super_cells = {}
         for addr, value in image.data.items():
-            self.super_cells[self._cell(addr)] = value
+            self.super_cells[super_index(addr)] = value
         self.outputs = []
         self.steps = 0
         self.halted = False
@@ -91,13 +92,6 @@ class Interpreter:
         self.blank = word_value(cdc.decrypt(0))
 
     # ----------------------------------------------------------- helpers --
-
-    def _cell(self, addr):
-        if addr % 8:
-            raise UnalignedSupervisorAccess("address 0x%x" % addr)
-        if addr >= SUPER_REGION_BYTES:
-            raise OutOfRegion("address 0x%x" % addr)
-        return addr // 8
 
     def _write(self, rd, value):
         if rd:
@@ -229,7 +223,7 @@ class Interpreter:
 
     def _load(self, pc, ins, operand):
         ea = (self.regs[ins.ra] + ins.imm) & MASK32
-        self._write(ins.rd, self.super_cells.get(self._cell(ea), 0) & MASK32)
+        self._write(ins.rd, self.super_cells.get(super_index(ea), 0) & MASK32)
 
     def _user_store(self, pc, ins, operand):
         regs = self.regs
@@ -238,7 +232,7 @@ class Interpreter:
     def _store(self, pc, ins, operand):
         regs = self.regs
         ea = (regs[ins.ra] + ins.imm) & MASK32
-        self.super_cells[self._cell(ea)] = regs[ins.rb]
+        self.super_cells[super_index(ea)] = regs[ins.rb]
 
     def _class64(self, pc, ins, operand):
         if ins.funct == isa.C64_ADD:
@@ -246,9 +240,9 @@ class Interpreter:
             return
         ea = (self.regs[ins.ra] + ins.imm) & MASK32
         if ins.funct == isa.C64_LD:
-            self._write(ins.rd, self.super_cells.get(self._cell(ea), 0))
+            self._write(ins.rd, self.super_cells.get(super_index(ea), 0))
         else:
-            self.super_cells[self._cell(ea)] = self.regs[ins.rb]
+            self.super_cells[super_index(ea)] = self.regs[ins.rb]
 
     def _branch(self, pc, ins, operand):
         on_flag, target = operand
@@ -461,12 +455,11 @@ def compare(view, result, cdc):
     for cipher, index in view.tlb.items():
         ea_block = cdc.decrypt(cipher)
         addr = word_value(ea_block)
-        raw = view.cells.get(index, 0)
-        value = word_value(cdc.decrypt(raw)) if raw else None
+        # a cell the dump leaves out holds 0, as in the machine
+        value = word_value(cdc.decrypt(view.cells.get(index, 0)))
         logical.setdefault(addr, []).append(value)
-    blank = word_value(cdc.decrypt(0))
     for addr, values in sorted(logical.items()):
-        seen = {blank if v is None else v for v in values}
+        seen = set(values)
         if len(seen) > 1:
             raise AliasDetected(
                 "logical address 0x%08x maps to %d cells with values %s"
@@ -478,10 +471,9 @@ def compare(view, result, cdc):
             problems.append("memory 0x%08x: missing from machine, "
                             "reference 0x%08x" % (addr, ref))
             continue
-        value = blank if values[0] is None else values[0]
-        if value != ref & MASK32:
+        if values[0] != ref & MASK32:
             problems.append("memory 0x%08x: machine 0x%08x, reference 0x%08x"
-                            % (addr, value, ref & MASK32))
+                            % (addr, values[0], ref & MASK32))
 
     if view.outputs != [v & MASK32 for v in result.outputs]:
         problems.append("outputs: machine %r, reference %r"

@@ -79,58 +79,31 @@ but an illegal carrier in user mode, and where the work differs by mode (a
 user-mode result carries a padding) the table binds that mode's handler.
 """
 
-from dataclasses import dataclass
-
 from . import alu, isa
-from .codec import (MASK32, MASK64, ROUNDS, NotAProgramAddress, feistel_unround,
-                    open_program_address, pad_mix, to_decrypted_address,
-                    to_encrypted_address)
+from .codec import (MASK32, MASK64, ROUNDS, NotAProgramAddress, ProgramFault,
+                    feistel_unround, open_program_address, pad_mix,
+                    to_decrypted_address, to_encrypted_address)
 from .core import MachineState, Mode, VEC_ILLEGAL, VEC_SYSCALL
 from .isa import InstrClass, MissingPrefix, PrefixLatch, consume_prefixes
 from .memsys import DEFAULT_CACHE_ENTRIES, DEFAULT_USER_WORDS, MemorySystem
 
 
-class SimulationFault(Exception):
+class SimulationFault(ProgramFault):
     """Program did something the machine cannot continue from."""
 
 
-class MaxCyclesExceeded(Exception):
+class MaxCyclesExceeded(ProgramFault):
     pass
 
 
 # ------------------------------------------------------------------ plans --
 
-@dataclass(frozen=True, eq=False)      # singletons: identity eq and hash
-class PipelinePlan:
-    name: str
-    stages: tuple
-
-    @property
-    def depth(self):
-        return len(self.stages)
-
-    def index(self, stage):
-        return self.stages.index(stage)
-
-
+# Each plan is the job of each conveyor position, as the trace prints it;
+# _fetch_entry picks a slot's plan and reads its (X, R, M) positions off it.
 _CODEC_STAGES = tuple("C%d" % i for i in range(1, ROUNDS + 1))
-
-SHORT = PipelinePlan("short", ("F", "D", "R", "X", "W"))
-LONG_A = PipelinePlan("A", ("F", "D", "R", "X", "M") + _CODEC_STAGES + ("W",))
-LONG_B = PipelinePlan("B", ("F", "D") + _CODEC_STAGES + ("R", "X", "M", "W"))
-
-
-def select_config(cls, mode):
-    """Pipeline plan for an instruction class in a mode."""
-    if mode is Mode.SUPERVISOR:
-        return SHORT
-    if cls is InstrClass.IMMEDIATE:
-        return LONG_B
-    return LONG_A
-
-
-def plan_depth(mode):
-    return SHORT.depth if mode is Mode.SUPERVISOR else LONG_A.depth
+SHORT = ("F", "D", "R", "X", "W")
+LONG_A = ("F", "D", "R", "X", "M") + _CODEC_STAGES + ("W",)
+LONG_B = ("F", "D") + _CODEC_STAGES + ("R", "X", "M", "W")
 
 
 # -------------------------------------------------------------- predictor --
@@ -238,11 +211,6 @@ class Bubble:
 STALL_BUBBLE = Bubble()         # retires as a stall wait state
 REFILL_BUBBLE = Bubble()        # retires as a refill wait state
 
-# plan -> its (X, R, M) positions; M is -1 where memory is reached at X
-_POSITIONS = {plan: (plan.index("X"), plan.index("R"),
-                     plan.index("M") if "M" in plan.stages else -1)
-              for plan in (SHORT, LONG_A, LONG_B)}
-
 
 def _slot_sources(instr):
     if instr.cls is InstrClass.BRANCH:
@@ -274,8 +242,8 @@ class FetchRecord:
 
     The record unpacks its fetch-table entry (see _fetch_entry), so the
     cycle loop reads each field in one step: `kind`, how fetch treats the
-    latch; `mode`; `config`, the plan; `positions`, the (X, R, M) indexes
-    of its slots, X or M at -1 where that stage has no work; the
+    latch; `mode`; `plan`, its stage names; `positions`, the (X, R, M)
+    indexes of its slots, X or M at -1 where that stage has no work; the
     `serialize`, `holds` and `predicted` flags; and the Engine methods
     that work at X, at M and at retirement, `execute`, `memory` and
     `retire`, or None. It adds what is the pc's own: its pc, word and
@@ -285,7 +253,7 @@ class FetchRecord:
     the mode's form.
     """
 
-    __slots__ = ("kind", "instr", "word", "pc", "mode", "config",
+    __slots__ = ("kind", "instr", "word", "pc", "mode", "plan",
                  "positions", "sources", "dest", "serialize", "holds",
                  "predicted", "execute", "memory", "retire", "target", "link")
 
@@ -294,7 +262,7 @@ class FetchRecord:
         # print) picks its retire handler and whether it holds
         code = instr.imm if instr and instr.cls is InstrClass.NOP else 0
         key = (instr and instr.mnemonic, code if code in (1, 2) else 0, mode)
-        (self.kind, self.mode, self.config, self.positions, self.serialize,
+        (self.kind, self.mode, self.plan, self.positions, self.serialize,
          self.holds, self.predicted, self.execute, self.memory,
          self.retire) = _FETCH[key]
         if self.kind == _ILLEGAL:
@@ -352,8 +320,8 @@ class Engine:
     def __init__(self, image, cdc, user_words=DEFAULT_USER_WORDS,
                  cache_entries=DEFAULT_CACHE_ENTRIES,
                  bpb_entries=DEFAULT_BPB_ENTRIES, trace=None):
-        mode = Mode.USER if image.mode == "user" else Mode.SUPERVISOR
-        self.state = MachineState(cdc, entry=image.entry, mode=mode)
+        self.state = MachineState(cdc, entry=image.entry,
+                                  mode=Mode(image.mode))
         self.mem = MemorySystem(cdc, user_words, cache_entries)
         for addr in sorted(image.data):
             self.mem.supervisor_store(addr, image.data[addr])
@@ -713,7 +681,7 @@ class Engine:
     def _transition(self):
         st = self.state
         mode = st.mode
-        self.conveyor = [REFILL_BUBBLE] * plan_depth(mode)
+        self.conveyor = [REFILL_BUBBLE] * _DEPTH[mode]
         self._work = _WORK[mode]
         self._records = self._records_by_mode[mode]
         self._mode_stats = self.stats.per_mode[mode]
@@ -733,7 +701,7 @@ class Engine:
             cell = conveyor[idx]
             if cell.__class__ is Slot:
                 record = cell.record
-                parts.append("%s:0x%08x:%s" % (record.config.stages[idx],
+                parts.append("%s:0x%08x:%s" % (record.plan[idx],
                                                record.pc,
                                                record.instr.mnemonic))
         self.trace("cycle %d | %s" % (n, " ".join(parts)))
@@ -816,11 +784,12 @@ class Engine:
 def _fetch_entry(row, code, mode):
     """The fetch-table entry of a table row, a nop's code and a mode, or of
     an illegal fetch where `row` is None or the mode may not execute it:
-    (kind, mode, config, positions, serialize, holds, predicted, execute,
+    (kind, mode, plan, positions, serialize, holds, predicted, execute,
     memory, retire), as FetchRecord names them."""
     E = Engine
     user = mode is Mode.USER
     cls, kind = row and row.cls, _PLAIN
+    plan = LONG_A if user else SHORT
     if row is None or (user and isa.user_illegal(row)):
         row, kind = _CARRIER_INSTR, _ILLEGAL
         work = None, None, E._retire_illegal
@@ -829,7 +798,8 @@ def _fetch_entry(row, code, mode):
             if row.opcode == isa.OP_SF else \
             (E._ex_alu_user if user else E._ex_alu, None, E._retire_alu)
     elif cls is InstrClass.IMMEDIATE:
-        kind = _SEALED if user else _PLAIN
+        if user:                        # the codec stages come first
+            kind, plan = _SEALED, LONG_B
         work = (E._ex_immediate_user if user else E._ex_immediate, None,
                 E._retire_alu)
     elif cls is InstrClass.LOAD:
@@ -861,10 +831,10 @@ def _fetch_entry(row, code, mode):
         kind, work = _PREFIX, (None, None, None)
     execute, memory, retire = work
     cls = row.cls                       # the carrier's, for an illegal fetch
-    config = select_config(cls, mode)
-    x, r, m = _POSITIONS[config]
-    return (kind, mode, config,
-            (-1 if execute is None else x, r, -1 if memory is None else m),
+    # the short plan has no M: supervisor loads and stores work at X
+    m = -1 if memory is None or "M" not in plan else plan.index("M")
+    return (kind, mode, plan,
+            (-1 if execute is None else plan.index("X"), plan.index("R"), m),
             cls is InstrClass.SPR,
             # nothing younger may enter the pipe behind a trap, a return or
             # the exit no-op: their commit changes the instruction stream
@@ -893,3 +863,5 @@ _WORK = {mode: tuple(
     tuple(sorted({entry[3][which] for entry in _FETCH.values()
                   if entry[1] is mode} - {-1}, reverse=True))
     for which in (0, 2, 1)) for mode in Mode}
+# mode -> its conveyor's depth, which all of the mode's plans share
+_DEPTH = {mode: len(_FETCH[None, 0, mode][2]) for mode in Mode}

@@ -27,7 +27,7 @@ def test_user_writes_stay_in_the_shadow_bank():
     ms.write_register(5, block)
     assert ms.shadow[5] == block
     assert ms.regs[5] == 0          # real bank stale until the next flush
-    assert ms.dirty[5]
+    assert 5 in ms.stale
     assert ms.shadow[5] == block
 
 
@@ -39,12 +39,12 @@ def test_flush_encrypts_and_containment_holds():
     for i in range(1, 9):
         blocks[i] = ((0x40000000 + i) << 32) | rng.getrandbits(32)
         ms.write_register(i, blocks[i])
-    ms.flush_dirty_shadows()
+    ms.flush_shadows()
     for i in range(1, 9):
         real = ms.regs[i]
         assert real != blocks[i]                 # ciphertext at rest
         assert cdc.decrypt(real) == blocks[i]    # and it opens back up
-        assert not ms.dirty[i]
+        assert i not in ms.stale
 
 
 def test_program_address_writes_keep_both_banks():
@@ -52,7 +52,7 @@ def test_program_address_writes_keep_both_banks():
     ms.write_register(9, to_decrypted_address(0x104), program_address=True)
     assert ms.regs[9] == 0x104               # zero-filled at rest
     assert ms.shadow[9] == to_decrypted_address(0x104)
-    assert not ms.dirty[9]
+    assert 9 not in ms.stale
 
 
 def test_r0_is_immutable():

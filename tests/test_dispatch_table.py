@@ -21,6 +21,7 @@ KEY = 0x00112233445566778899AABBCCDDEEFF
 PC = 0x4000
 KINDS = {pipeline._PLAIN: "plain", pipeline._PREFIX: "prefix",
          pipeline._SEALED: "sealed", pipeline._ILLEGAL: "illegal"}
+PLANS = {pipeline.SHORT: "short", pipeline.LONG_A: "A", pipeline.LONG_B: "B"}
 
 
 def _words():
@@ -47,7 +48,7 @@ def _dispatch(word, mode):
     engine = Engine(image, Codec(KEY))
     record = engine._record(PC, engine.state.mode)
     handler, _, _, plain = Interpreter(image, Codec(KEY))._record(PC)
-    return (KINDS[record.kind], record.config.name, record.positions,
+    return (KINDS[record.kind], PLANS[record.plan], record.positions,
             record.serialize, record.holds, record.predicted,
             _name(record.execute), _name(record.memory), _name(record.retire),
             _name(handler), plain)

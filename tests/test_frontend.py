@@ -335,6 +335,32 @@ def test_data_record_past_the_region_is_a_program_fault(tmp_path, capsys,
     assert err.startswith("kpu %s: fault: address 0x100000" % command)
 
 
+SUPER_UNALIGNED = """.mode super
+    l.lwz  r3, 4(r0)
+    l.nop  2
+    l.nop  1
+"""
+
+
+@pytest.mark.parametrize("source", [SUPER_UNALIGNED, SUPER_PAST_REGION],
+                         ids=["unaligned", "past the region"])
+def test_run_and_oracle_word_a_supervisor_fault_alike(tmp_path, capsys,
+                                                       source):
+    # both machines map supervisor data by the one memsys.super_index
+    src, img = tmp_path / "f.s", tmp_path / "f.img"
+    src.write_text(source)
+    assert main(["asm", str(src), "-o", str(img)]) == 0
+    capsys.readouterr()
+    faults = []
+    for command in ("run", "oracle"):
+        assert main([command, str(img)]) == 1
+        prefix = "kpu %s: fault: " % command
+        err = capsys.readouterr().err
+        assert err.startswith(prefix)
+        faults.append(err[len(prefix):])
+    assert faults[0] == faults[1]
+
+
 @pytest.mark.parametrize("record", [
     "REG 40 0 0", "REG 01", "MODE", "MODE bogus", "PHYS 5", "OUT",
     # every number unsigned and within its field

@@ -50,7 +50,9 @@ def test_shift_immediate_sub_ops():
 
 
 def test_set_flag_sub_ops():
-    for sub, name in isa.SF_NAMES.items():
+    names = {row.funct: row.mnemonic for row in isa.TABLE
+             if row.opcode == isa.OP_SF}
+    for sub, name in names.items():
         word = (isa.OP_SF << 26) | (sub << 21) | (1 << 16) | (2 << 11)
         instr = isa.decode(word)
         assert instr.mnemonic == name
@@ -60,7 +62,9 @@ def test_set_flag_sub_ops():
 
 
 def test_register_alu_functs():
-    for funct, name in isa.ALU_FUNCT_NAMES.items():
+    names = {row.funct: row.mnemonic for row in isa.TABLE
+             if row.opcode == isa.OP_ALU}
+    for funct, name in names.items():
         word = (isa.OP_ALU << 26) | (7 << 21) | (1 << 16) | (2 << 11) | funct
         instr = isa.decode(word)
         assert instr.mnemonic == name

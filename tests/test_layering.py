@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 
 import kpusim
-from kpusim import isa
+from kpusim import isa, memsys, oracle, pipeline
+from kpusim.codec import ProgramFault
 
 PACKAGE = Path(kpusim.__file__).resolve().parent
 
@@ -54,6 +55,25 @@ def test_module_stays_below_its_consumers(module, forbidden):
 def test_import_scan_sees_sibling_imports():
     assert {"alu", "isa", "codec", "core", "memsys"} <= imported_modules("oracle")
     assert {"alu", "isa", "memsys"} <= imported_modules("pipeline")
+
+
+def test_frontend_catches_program_faults_by_their_one_base():
+    """Every machine's fault is a ProgramFault, and the frontend names that
+    base alone, so a new fault needs no edit there."""
+    faults = (pipeline.SimulationFault, pipeline.MaxCyclesExceeded,
+              memsys.PhysicalExhausted, memsys.UnalignedSupervisorAccess,
+              memsys.OutOfRegion, oracle.OracleFault, oracle.MaxStepsExceeded)
+    assert all(issubclass(fault, ProgramFault) for fault in faults)
+    names = set()
+    for node in ast.walk(ast.parse((PACKAGE / "frontend.py").read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    assert "ProgramFault" in names
+    assert not names & {fault.__name__ for fault in faults}
 
 
 def test_mnemonic_literals_name_table_rows():

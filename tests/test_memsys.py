@@ -5,8 +5,10 @@ import random
 import pytest
 
 from kpusim.codec import Codec
-from kpusim.memsys import (MemorySystem, OutOfRegion, PhysicalExhausted,
-                           TlbMap, UnalignedSupervisorAccess, UserDataCache)
+from kpusim.memsys import (SUPER_REGION_BYTES, MemorySystem, OutOfRegion,
+                           PhysicalExhausted, TlbMap,
+                           UnalignedSupervisorAccess, UserDataCache,
+                           super_index)
 from kpusim.oracle import SimView, parse_sim_dump, render_dump
 
 KEY = 0x00112233445566778899AABBCCDDEEFF
@@ -110,7 +112,18 @@ def test_supervisor_alignment_and_bounds():
     with pytest.raises(UnalignedSupervisorAccess):
         mem.supervisor_load(0x1003)
     with pytest.raises(OutOfRegion):
-        mem.supervisor_load(8 * mem.total_cells)
+        mem.supervisor_load(SUPER_REGION_BYTES)
+
+
+def test_super_index_is_the_one_supervisor_address_rule():
+    assert super_index(0) == 0
+    assert super_index(SUPER_REGION_BYTES - 8) == SUPER_REGION_BYTES // 8 - 1
+    with pytest.raises(OutOfRegion,
+                       match="address 0x100000 beyond the supervisor region"):
+        super_index(SUPER_REGION_BYTES)
+    with pytest.raises(UnalignedSupervisorAccess,
+                       match="address 0x244 not 8-aligned"):
+        super_index(0x244)
 
 
 def test_supervisor_cells_hold_raw_values():

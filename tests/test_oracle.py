@@ -402,3 +402,10 @@ def test_generated_programs_match_the_machine():
         engine.run()
         res = interpret(image, c)
         assert compare(engine_view(engine), res, c) == []
+
+
+@pytest.mark.parametrize("machine", [Engine, Interpreter])
+def test_an_image_runs_in_user_or_super_mode_only(machine):
+    # both machines take the image's mode as a Mode; there is no fallback
+    with pytest.raises(ValueError):
+        machine(Image(mode="kernel"), Codec(KEY))

@@ -10,13 +10,13 @@ import re
 
 import pytest
 
-from kpusim.assembler import assemble
+from kpusim.assembler import Image, assemble
 from kpusim.codec import Codec
 from kpusim.core import Mode
 from kpusim.isa import InstrClass
-from kpusim.pipeline import (LONG_A, LONG_B, SHORT, BranchPredictionBuffer,
-                             Engine, MissingPrefix, PrefixLatch,
-                             consume_prefixes, plan_depth, select_config)
+from kpusim.pipeline import (_FETCH, LONG_A, LONG_B, SHORT,
+                             BranchPredictionBuffer, Engine, MissingPrefix,
+                             PrefixLatch, consume_prefixes)
 
 KEY = 0x00112233445566778899AABBCCDDEEFF
 
@@ -54,22 +54,24 @@ def counts(engine, mode=Mode.USER):
 # ------------------------------------------------------------------ plans --
 
 def test_plan_shapes():
-    assert SHORT.depth == 5
-    assert LONG_A.depth == LONG_B.depth == 16
-    assert SHORT.stages == ("F", "D", "R", "X", "W")
+    assert len(SHORT) == 5
+    assert len(LONG_A) == len(LONG_B) == 16
+    assert SHORT == ("F", "D", "R", "X", "W")
     assert LONG_A.index("X") == 3 and LONG_A.index("M") == 4
     assert LONG_B.index("R") == 12 and LONG_B.index("X") == 13
-    assert LONG_A.stages[5:15] == tuple("C%d" % i for i in range(1, 11))
-    assert LONG_B.stages[2:12] == tuple("C%d" % i for i in range(1, 11))
+    assert LONG_A[5:15] == tuple("C%d" % i for i in range(1, 11))
+    assert LONG_B[2:12] == tuple("C%d" % i for i in range(1, 11))
 
 
-def test_select_config():
-    assert select_config(InstrClass.IMMEDIATE, Mode.SUPERVISOR) is SHORT
-    assert select_config(InstrClass.IMMEDIATE, Mode.USER) is LONG_B
-    assert select_config(InstrClass.REGISTER, Mode.USER) is LONG_A
-    assert select_config(InstrClass.LOAD, Mode.USER) is LONG_A
-    assert plan_depth(Mode.USER) == 16
-    assert plan_depth(Mode.SUPERVISOR) == 5
+def test_plan_by_class_and_mode():
+    # (mnemonic, nop code, mode) -> entry; entry[2] is the plan
+    assert _FETCH["l.addi", 0, Mode.SUPERVISOR][2] is SHORT
+    assert _FETCH["l.addi", 0, Mode.USER][2] is LONG_B
+    assert _FETCH["l.add", 0, Mode.USER][2] is LONG_A
+    assert _FETCH["l.lwz", 0, Mode.USER][2] is LONG_A
+    for mode, depth in ((Mode.USER, 16), (Mode.SUPERVISOR, 5)):
+        image = Image(entry=0x4000, mode=mode.value, text={0x4000: 0})
+        assert len(Engine(image, Codec(KEY)).conveyor) == depth
 
 
 # ----------------------------------------------------------- prefix latch --
