@@ -7,7 +7,10 @@ opcodes also hold a sub-operation in a selector field. A word decodes only
 when its opcode and selector name a row and every bit outside them and the
 row's operand fields equals the row's fixed bits. Any other word raises
 IllegalOpcode, so decoding is total over the 32-bit space and every decoded
-word re-encodes to itself.
+word re-encodes to itself. decode reaches a word's row in one step, through
+a table indexed by opcode and then sub-op, and reads each operand field
+with one shift and mask from flat entries the row works out once; only the
+split immediates of l.mtspr, l.sw and l.sd join their pieces in a loop.
 
 The pipeline and the reference interpreter decode text words with the same
 decode_at, and read the same immediate-to-ALU mapping, the same prefix
@@ -145,11 +148,14 @@ class Row:
     The `fields` argument lists (name, signed, (lo, width), ...): an
     Instruction field and its word bits, most significant piece first.
     The shifts, masks and value limits decode and encode need are worked
-    out here once.
+    out here once: encode reads `fields`, decode `flat`, a (slot, lo,
+    mask, sign) entry per one-piece field, and `split`, a (slot, pieces,
+    sign) entry per split immediate (l.mtspr, l.sw, l.sd).
     """
 
     __slots__ = ("mnemonic", "opcode", "cls", "syntax", "funct", "fields",
-                 "base", "fixed_mask", "fixed", "masks", "template")
+                 "flat", "split", "base", "fixed_mask", "fixed", "masks",
+                 "template")
 
     def __init__(self, mnemonic, opcode, cls, syntax, fields=(), funct=None,
                  fixed=0):
@@ -165,7 +171,7 @@ class Row:
             used |= mask << lo
             self.base |= funct << lo
         self.masks = {}
-        compiled = []
+        compiled, flat, split = [], [], []
         for name, signed, *pieces in fields:
             width = sum(w for _, w in pieces)
             steps, mask, at = [], 0, width
@@ -180,7 +186,12 @@ class Row:
             # a piece is (lo, mask, its shift within the value)
             compiled.append((name, _SLOT[name], tuple(steps), sign, low, high,
                              "%s%d bits" % ("signed " if signed else "", width)))
+            if len(steps) == 1:
+                flat.append((_SLOT[name], steps[0][0], steps[0][1], sign))
+            else:
+                split.append((_SLOT[name], tuple(steps), sign))
         self.fields = tuple(compiled)
+        self.flat, self.split = tuple(flat), tuple(split)
         self.template = [None] * len(_SLOT)
         self.template[:3] = opcode, mnemonic, cls
         self.template[_SLOT["funct"]] = funct
@@ -256,8 +267,12 @@ MNEMONICS = {row.mnemonic: row for row in TABLE}
 PC_RELATIVE = frozenset(row.mnemonic for row in TABLE if row.syntax == "@imm")
 LINKING = frozenset(row.mnemonic for row in TABLE
                     if row.cls is _C.JUMP and row.mnemonic.startswith("l.jal"))
-# (opcode, sub-op) -> row; an opcode without a selector has sub-op 0
-_ROWS = {(row.opcode, row.funct or 0): row for row in TABLE}
+# opcode -> (selector lo, selector mask, its rows by sub-op, None where no
+# row is); an opcode without a selector has the one sub-op 0
+_DECODE = [(lo, mask, [None] * (mask + 1))
+           for lo, mask in (SELECTORS.get(op, (0, 0)) for op in range(64))]
+for _row in TABLE:
+    _DECODE[_row.opcode][2][_row.funct or 0] = _row
 
 
 def instruction(mnemonic, **fields):
@@ -271,15 +286,17 @@ def decode(word):
     """Decode one 32-bit word or raise IllegalOpcode."""
     word &= MASK32
     op = word >> 26
-    lo, mask = SELECTORS.get(op, (0, 0))
-    row = _ROWS.get((op, (word >> lo) & mask))
+    lo, mask, rows = _DECODE[op]
+    row = rows[(word >> lo) & mask]
     if row is None:
         raise IllegalOpcode(word, "opcode 0x%02x, sub-op %d"
                             % (op, (word >> lo) & mask))
     if word & row.fixed_mask != row.fixed:
         raise IllegalOpcode(word, "reserved bits")
     args = row.template.copy()
-    for _, slot, steps, sign, _, _, _ in row.fields:
+    for slot, lo, mask, sign in row.flat:
+        args[slot] = (((word >> lo) & mask) ^ sign) - sign
+    for slot, steps, sign in row.split:
         value = 0
         for lo, mask, at in steps:
             value |= ((word >> lo) & mask) << at

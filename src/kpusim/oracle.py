@@ -53,14 +53,18 @@ class Interpreter:
     """Runs an image one word per step() call.
 
     Each pc gets a record at its first execution in a mode, one table per
-    mode: (handler, instruction, operand, plain). The handler and the
-    plain flag depend only on the table row and the mode, and are looked
-    up in one table built at import; the pc works out only its operand,
-    what the handler needs that the instruction word alone does not say (a
-    branch target, an immediate's ALU op). A plain record's word retires
-    in step() before its handler runs: the step is counted, the prefix
-    latch cleared and the pc moved past it. Prefixes, user-mode immediates
-    and illegal words do that themselves.
+    mode: (handler, instruction, operand, plain). The handler, the plain
+    flag and the operand rule depend only on the table row and the mode,
+    and are looked up in one table built at import, keyed by (mnemonic,
+    mode). The rule works out the operand, what the handler needs that the
+    instruction alone does not say: a branch's (taken on a set flag,
+    target), a direct jump's target, an immediate's (ALU op, sealed word)
+    in user mode and (ALU op, imm & MASK32) in supervisor mode, and None
+    elsewhere. So a record costs a decode, one lookup and at most one
+    call. A plain record's word retires in step() before its handler runs:
+    the step is counted, the prefix latch cleared and the pc moved past
+    it. Prefixes, user-mode immediates and illegal words do that
+    themselves.
     """
 
     def __init__(self, image, cdc):
@@ -80,8 +84,10 @@ class Interpreter:
         self._records = self._records_by_mode[self.mode]
         self.user_mem = {}
         self.super_cells = {}
-        for addr, value in image.data.items():
-            self.super_cells[super_index(addr)] = value
+        # in address order, as the engine loads them, so an image with
+        # several unloadable records faults on the same one in both
+        for addr in sorted(image.data):
+            self.super_cells[super_index(addr)] = image.data[addr]
         self.outputs = []
         self.steps = 0
         self.halted = False
@@ -135,20 +141,10 @@ class Interpreter:
     def _record(self, pc):
         """The record of `pc` in the current mode."""
         word, ins = isa.decode_at(self.text, pc)
-        user = self.mode is Mode.USER
         if ins is None:
             return _ILLEGAL_RECORD
-        m = ins.mnemonic
-        handler, plain = _DISPATCH[m, user]
-        operand = None
-        if m in isa.PC_RELATIVE:
-            operand = (pc + 4 * ins.imm) & MASK32
-            if ins.cls is InstrClass.BRANCH:
-                operand = (m == "l.bf", operand)
-        elif ins.cls is InstrClass.IMMEDIATE:
-            op = isa.IMM_ALU_OP[m]
-            operand = (op, word) if user else (op, ins.imm & MASK32)
-        return (handler, ins, operand, plain)
+        handler, plain, operand = _DISPATCH[ins.mnemonic, self.mode]
+        return (handler, ins, operand and operand(pc, word, ins), plain)
 
     # -------------------------------------------------------------- step --
 
@@ -288,17 +284,27 @@ class Interpreter:
                             self.steps, self.mode, dict(self.flags))
 
 
-def _dispatch(row, user):
-    """The handler of a table row in user mode or not, and whether step()
-    retires its word before calling it."""
+def _target(pc, word, ins):
+    return (pc + 4 * ins.imm) & MASK32
+
+
+def _dispatch(row, mode):
+    """The handler of a table row in a mode, whether step() retires its
+    word before calling it, and its operand rule: None, or what works out
+    the record's operand from (pc, word, instruction)."""
     I = Interpreter
-    cls = row.cls
+    cls, user = row.cls, mode is Mode.USER
     if user and isa.user_illegal(row):
-        return I._illegal, False
+        return I._illegal, False, None
     if cls is InstrClass.PREFIX:
-        return I._prefix, False
+        return I._prefix, False, None
     if cls is InstrClass.IMMEDIATE:
-        return (I._sealed_immediate, False) if user else (I._immediate, True)
+        op = isa.IMM_ALU_OP[row.mnemonic]
+        if user:                        # the sealed word, opened at step()
+            return (I._sealed_immediate, False,
+                    lambda pc, word, ins: (op, word))
+        return I._immediate, True, lambda pc, word, ins: (op, ins.imm & MASK32)
+    operand = None
     if cls is InstrClass.REGISTER:
         handler = I._set_flag if row.opcode == isa.OP_SF else I._register
     elif cls is InstrClass.LOAD:
@@ -308,17 +314,21 @@ def _dispatch(row, user):
     elif cls is InstrClass.SYSTRAP or cls is InstrClass.SPR:
         handler = {"l.sys": I._sys, "l.rfe": I._rfe, "l.mfspr": I._mfspr,
                    "l.mtspr": I._mtspr}[row.mnemonic]
+    elif cls is InstrClass.BRANCH:      # (taken on a set flag?, target)
+        handler, sense = I._branch, row.opcode == isa.OP_BF
+        operand = lambda pc, word, ins: (sense, _target(pc, word, ins))
     else:
-        handler = {InstrClass.CLASS64: I._class64,
-                   InstrClass.BRANCH: I._branch, InstrClass.JUMP: I._jump,
+        handler = {InstrClass.CLASS64: I._class64, InstrClass.JUMP: I._jump,
                    InstrClass.NOP: I._nop}[cls]
-    return handler, True
+        if row.mnemonic in isa.PC_RELATIVE:
+            operand = _target
+    return handler, True, operand
 
 
-# (mnemonic, user mode) -> (handler, plain), one entry per table row and
-# mode, built once; an undecodable word gets the illegal record
-_DISPATCH = {(row.mnemonic, user): _dispatch(row, user)
-             for row in isa.TABLE for user in (False, True)}
+# (mnemonic, mode) -> (handler, plain, operand rule), one entry per table
+# row and mode, built once; an undecodable word gets the illegal record
+_DISPATCH = {(row.mnemonic, mode): _dispatch(row, mode)
+             for row in isa.TABLE for mode in Mode}
 _ILLEGAL_RECORD = (Interpreter._illegal, None, None, False)
 
 

@@ -69,9 +69,12 @@ its slots, X or M being -1 where the class has nothing to do there, and
 the handlers that do it, an execute handler for X, a memory handler for
 l.lwz/l.sw/l.ld/l.sd and a retire handler for what commit writes (a
 register and flags, an exit or print, a trap, a return, an illegal trap).
-So a cycle calls no handler that does nothing, and a pc's first fetch
-costs a decode and a table lookup. The record adds what is the pc's own:
-its instruction, sources and destination, a branch's target and a link's
+The entry also says whether the target is pc-relative, which destination
+the slots bind by where it is not rd (r9 of a link, the flag of a
+set-flag) and the form a link's return address takes in the mode. So a
+cycle calls no handler that does nothing, and a pc's first fetch costs a
+decode, one table lookup and the record's own arithmetic: its
+instruction, sources and destination, a branch's target and a link's
 return address. A mode transition switches record tables. The same word
 can differ between the modes: an encrypted immediate is a plain
 short-plan immediate to supervisor code, a 64-bit operation is legal there
@@ -222,14 +225,6 @@ def _slot_sources(instr):
     return (rb,) if rb else ()
 
 
-def _slot_dest(instr):
-    if instr.mnemonic in isa.LINKING:
-        return 9
-    if instr.opcode == isa.OP_SF:
-        return FLAG
-    return instr.rd or None
-
-
 # How fetch treats a pc's word: latch-clearing, prefix, a user-mode
 # immediate that consumes the latch, or illegal (fetched as a carrier).
 _PLAIN, _PREFIX, _SEALED, _ILLEGAL = range(4)
@@ -260,23 +255,19 @@ class FetchRecord:
     def __init__(self, instr, word, pc, mode):
         # an illegal fetch has no instruction; a nop's code (1 exit, 2
         # print) picks its retire handler and whether it holds
-        code = instr.imm if instr and instr.cls is InstrClass.NOP else 0
-        key = (instr and instr.mnemonic, code if code in (1, 2) else 0, mode)
         (self.kind, self.mode, self.plan, self.positions, self.serialize,
-         self.holds, self.predicted, self.execute, self.memory,
-         self.retire) = _FETCH[key]
+         self.holds, self.predicted, self.execute, self.memory, self.retire,
+         relative, dest, link_form) = _FETCH[
+            (None, 0, mode) if instr is None else
+            (instr.mnemonic, instr.imm if instr.imm in (1, 2)
+             and instr.cls is InstrClass.NOP else 0, mode)]
         if self.kind == _ILLEGAL:
             instr = _CARRIER_INSTR
         self.instr, self.word, self.pc = instr, word, pc
         self.sources = _slot_sources(instr)
-        self.dest = _slot_dest(instr)
-        self.target = self.link = None
-        if instr.mnemonic in isa.PC_RELATIVE:
-            self.target = (pc + 4 * instr.imm) & MASK32
-        if instr.mnemonic in isa.LINKING:
-            link = (pc + 4) & MASK32
-            self.link = to_decrypted_address(link) if mode is Mode.USER \
-                else to_encrypted_address(link)
+        self.dest = dest or instr.rd or None
+        self.target = (pc + 4 * instr.imm) & MASK32 if relative else None
+        self.link = link_form((pc + 4) & MASK32) if link_form else None
 
 
 class Slot:
@@ -288,20 +279,22 @@ class Slot:
     step()'s per-cycle tests. `producers` maps each source to the
     youngest older writer in flight when the slot was fetched; retirement
     cuts it. `wake` is the first cycle the slot may leave R: 0 with nothing
-    to wait for, None until _wake can work it out. Everything else is set
-    by the stage that produces it.
+    to wait for, None until _wake can work it out; `not_before` is a cycle
+    it cannot leave R before, so step() asks _wake no sooner. Everything
+    else is set by the stage that produces it.
     """
 
     __slots__ = ("record", "x_index", "r_index", "m_index", "producers",
-                 "wake", "retired", "ready_cycle", "imm_block", "predicted",
-                 "result", "pending_effects", "ea_block", "store_value",
-                 "__weakref__")
+                 "wake", "not_before", "retired", "ready_cycle", "imm_block",
+                 "predicted", "result", "pending_effects", "ea_block",
+                 "store_value", "__weakref__")
 
     def __init__(self, record, producers):
         self.record = record
         self.x_index, self.r_index, self.m_index = record.positions
         self.producers = producers
         self.wake = None if producers or record.serialize else 0
+        self.not_before = 0
         self.retired = False
         self.ready_cycle = None         # when `result` forwards, once known
         # set where the record says so: imm_block (decrypted user-mode
@@ -419,16 +412,24 @@ class Engine:
         set-flag producer's comes with its flag). Once all are known, and
         for a serializing cell no older slot is in flight, it is kept in
         `cell.wake`: it cannot change, as no producer retires before it is
-        ready and no older slot enters later. Until then it is n + 1.
+        ready and no older slot enters later. Until then a serializing
+        cell waits to n + 1, and a producer whose X or M is still to come
+        is not ready before it reaches that position, one a cycle at most:
+        the latest such bound is kept in `cell.not_before` for step().
         """
-        wake = 0
+        wake, pending = 0, False
         for producer in cell.producers.values():
             if not producer.retired:
                 ready = producer.ready_cycle
                 if ready is None:
-                    return n + 1
+                    pending = True
+                    ready = n + max(producer.x_index, producer.m_index) \
+                        - self.conveyor.index(producer)
                 if ready > wake:
                     wake = ready
+        if pending:
+            cell.not_before = wake
+            return wake
         if cell.record.serialize:
             for older in self.conveyor[idx + 1:-1]:
                 if older.__class__ is Slot:
@@ -763,7 +764,9 @@ class Engine:
             if cell.r_index == idx:
                 wake = cell.wake
                 if wake is None:
-                    wake = self._wake(idx, cell, n)
+                    wake = cell.not_before
+                    if wake <= n:
+                        wake = self._wake(idx, cell, n)
                 if wake > n:
                     stall_idx = idx
                     break
@@ -785,7 +788,10 @@ def _fetch_entry(row, code, mode):
     """The fetch-table entry of a table row, a nop's code and a mode, or of
     an illegal fetch where `row` is None or the mode may not execute it:
     (kind, mode, plan, positions, serialize, holds, predicted, execute,
-    memory, retire), as FetchRecord names them."""
+    memory, retire), as FetchRecord names them, then the rules of what is
+    the pc's own: whether its target is pc-relative, the destination its
+    slots bind by where that is not its rd (r9 of a link, the flag of a
+    set-flag) and the form a link's return address takes in the mode."""
     E = Engine
     user = mode is Mode.USER
     cls, kind = row and row.cls, _PLAIN
@@ -831,6 +837,7 @@ def _fetch_entry(row, code, mode):
         kind, work = _PREFIX, (None, None, None)
     execute, memory, retire = work
     cls = row.cls                       # the carrier's, for an illegal fetch
+    linking = row.mnemonic in isa.LINKING
     # the short plan has no M: supervisor loads and stores work at X
     m = -1 if memory is None or "M" not in plan else plan.index("M")
     return (kind, mode, plan,
@@ -840,7 +847,10 @@ def _fetch_entry(row, code, mode):
             # the exit no-op: their commit changes the instruction stream
             cls is InstrClass.SYSTRAP or (cls is InstrClass.NOP and code == 1),
             cls is InstrClass.BRANCH or cls is InstrClass.JUMP,
-            execute, memory, retire)
+            execute, memory, retire, row.mnemonic in isa.PC_RELATIVE,
+            9 if linking else FLAG if row.opcode == isa.OP_SF else None,
+            (to_decrypted_address if user else to_encrypted_address)
+            if linking else None)
 
 
 def _fetch_table():

@@ -3,7 +3,9 @@ table row and mode: the engine's fetch record (latch kind, plan, (X, R, M)
 positions, serialize/hold/predict flags and stage handlers) and the
 reference interpreter's record (handler and whether step() retires the
 word before calling it). The nop rows cover the exit and print codes, and
-one word that decodes to nothing covers the illegal record.
+one word that decodes to nothing covers the illegal record. The
+interpreter's operand, which its table's per-row rule works out, is pinned
+for every pc-relative and every immediate row in both modes.
 
 The expected table was captured from the per-record dispatch that built
 every record field by field, so a per-shape table must bind the same.
@@ -242,3 +244,42 @@ def test_dispatch_matches_the_pinned_table(mode):
     got = {(label, mode): _dispatch(word, mode) for label, word in _words()}
     want = {key: value for key, value in EXPECTED.items() if key[1] == mode}
     assert got == want
+
+
+MASK32 = 0xFFFFFFFF
+# pc-relative row -> its oracle operand, given the target
+RELATIVE_OPERANDS = {"l.bf": lambda target: (True, target),
+                     "l.bnf": lambda target: (False, target),
+                     "l.j": lambda target: target,
+                     "l.jal": lambda target: target}
+
+
+def _oracle_operand(word, mode):
+    image = Image(entry=PC, mode=mode, text={PC: word})
+    return Interpreter(image, Codec(KEY))._record(PC)[2]
+
+
+@pytest.mark.parametrize("mode", ["user", "super"])
+@pytest.mark.parametrize("offset", [5, -3, -(1 << 25)])
+def test_oracle_operand_of_each_pc_relative_row(mode, offset):
+    # a branch carries (taken on a set flag, target), a direct jump its
+    # target; an offset below the pc wraps to 32 bits
+    assert set(RELATIVE_OPERANDS) == isa.PC_RELATIVE
+    target = (PC + 4 * offset) & MASK32
+    for mnemonic, operand in RELATIVE_OPERANDS.items():
+        word = isa.encode(isa.instruction(mnemonic, imm=offset))
+        assert _oracle_operand(word, mode) == operand(target), mnemonic
+
+
+@pytest.mark.parametrize("row", [row for row in isa.TABLE
+                                 if row.cls is isa.InstrClass.IMMEDIATE],
+                         ids=lambda row: row.mnemonic)
+def test_oracle_operand_of_each_immediate_row(row):
+    # user mode: (ALU op, the sealed word step() opens with the latch);
+    # supervisor mode: (ALU op, the immediate as 32 bits)
+    _, _, _, _, low, high, _ = next(f for f in row.fields if f[0] == "imm")
+    op = isa.IMM_ALU_OP[row.mnemonic]
+    for imm in (low, high - 1, 1):
+        word = isa.encode(isa.instruction(row.mnemonic, rd=3, ra=4, imm=imm))
+        assert _oracle_operand(word, "user") == (op, word)
+        assert _oracle_operand(word, "super") == (op, imm & MASK32)

@@ -335,6 +335,25 @@ def test_data_record_past_the_region_is_a_program_fault(tmp_path, capsys,
     assert err.startswith("kpu %s: fault: address 0x100000" % command)
 
 
+def test_run_and_oracle_load_data_records_in_address_order(tmp_path,
+                                                          capsys):
+    # two unloadable records, the higher address first in the file: both
+    # machines load them in address order and fault on the lower one
+    img = tmp_path / "d.img"
+    img.write_text("KPUIMG 1\nENTRY 0x00000100\nMODE super\n"
+                   "TEXT 0x00000100 15000001\n"
+                   "DATA 0x00100000 0000000000000001\n"
+                   "DATA 0x00000004 0000000000000002\n")
+    faults = []
+    for command in ("run", "oracle"):
+        assert main([command, str(img)]) == 1
+        prefix = "kpu %s: fault: " % command
+        err = capsys.readouterr().err
+        assert err.startswith(prefix)
+        faults.append(err[len(prefix):])
+    assert faults == ["address 0x4 not 8-aligned\n"] * 2
+
+
 SUPER_UNALIGNED = """.mode super
     l.lwz  r3, 4(r0)
     l.nop  2

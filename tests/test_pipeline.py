@@ -7,6 +7,7 @@ for an immediate producer, branch mispredict refills, and the trap plumbing.
 """
 
 import re
+from collections import Counter
 
 import pytest
 
@@ -187,6 +188,36 @@ def test_consumer_waits_for_the_later_of_two_producers():
     assert counts(eng) == (12, 15, 34)
     assert eng.stats.cycles == 43
     assert eng.outputs == [(eng.state.codec.decrypt(0) + 9) & 0xFFFFFFFF]
+
+
+def test_held_consumer_asks_for_its_wake_from_its_bound_on(monkeypatch):
+    # A consumer at R whose producer has still to reach its X or M cannot
+    # leave before the producer gets there, one position a cycle at most,
+    # so step() asks _wake again only from that cycle on. The bound is
+    # exact for a sealed immediate, which nothing holds on its way to X at
+    # 13: its register consumer asks twice over ten stalls. A load's data
+    # comes a cycle after M, eleven more on a miss, so there the bound is
+    # short, and only the answer _wake gives once M has run is the wake.
+    calls = Counter()
+    wake = Engine._wake
+
+    def counted(self, idx, cell, n):
+        calls[cell.record.pc] += 1
+        return wake(self, idx, cell, n)
+
+    monkeypatch.setattr(Engine, "_wake", counted)
+    eng = run("""    l.addi r1, r0, 5
+    l.add  r2, r1, r1
+    l.sw   0(r0), r1
+    l.lwz  r3, 0(r0)
+    l.add  r4, r3, r2
+    l.lwz  r5, 256(r0)
+    l.add  r6, r5, r4
+    l.nop  1
+""")
+    assert counts(eng) == (24, 15, 49)          # 10 + 2 (hit) + 12 (miss)
+    # the three adds: after the immediate, the load hit, the load miss
+    assert [calls[pc] for pc in (0x400C, 0x4018, 0x4020)] == [2, 2, 2]
 
 
 def test_lone_nop_measures_fill_depth():
