@@ -9,10 +9,16 @@ kpu-asm and kpu-oracle are shorthands for the first and third forms.
 
 Exit codes: 0 success, 1 the program faulted, 2 usage or file format
 problems, 3 a comparison found mismatches.
+
+An output file (-o, --stats, --dump) is written in place, through a
+symlink, and cut to length; an interrupted write can leave the old file's
+tail, as a truncating one can leave a partial file.
 """
 
 import argparse
 import functools
+import os
+import stat
 import sys
 
 from .assembler import (Assembler, CryptoSafetyError, FormatError, ParseError,
@@ -150,19 +156,24 @@ def _build_parser():
     return parser
 
 
-def _read(path):
+def _read(path, command):
     try:
         with open(path) as handle:
             return handle.read()
     except OSError as exc:
-        print("kpu: %s" % exc, file=sys.stderr)
+        print("kpu %s: %s" % (command, exc), file=sys.stderr)
         return None
 
 
 def _write(path, text, command):
+    # in place, then cut to length: a truncating open costs an ext4 flush
     try:
-        with open(path, "w") as handle:
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666),
+                  "w") as handle:
             handle.write(text)
+            # a device or a pipe cannot be cut (ftruncate: EINVAL)
+            if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+                handle.truncate()
     except OSError as exc:
         print("kpu %s: %s" % (command, exc), file=sys.stderr)
         return False
@@ -170,7 +181,7 @@ def _write(path, text, command):
 
 
 def _cmd_asm(args):
-    source = _read(args.source)
+    source = _read(args.source, "asm")
     if source is None:
         return 2
     try:
@@ -188,7 +199,7 @@ def _cmd_asm(args):
 def _load_image(path, command, parse):
     """What `parse` makes of the file at `path` (an image or a dump), or
     None once the problem is reported."""
-    text = _read(path)
+    text = _read(path, command)
     if text is None:
         return None
     try:

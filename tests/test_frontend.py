@@ -1,7 +1,13 @@
 """End-to-end checks of the command line tools."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import kpusim
 from kpusim.frontend import asm_entry, main, oracle_entry
 
 SOURCE = """.mode user
@@ -403,3 +409,101 @@ def test_compare_loads_the_image_before_the_dump(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("kpu compare: line 2: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+# Outputs are written in place and cut to length, so what an existing file
+# held before must never show through, and the file itself stays the same
+# inode (a symlink stays a symlink).
+
+def _outputs(img, tmp, tag):
+    """Run `img`, writing its dump and stats under `tag`; their paths."""
+    dump, stats = tmp / (tag + ".dump"), tmp / (tag + ".stats")
+    assert main(["run", str(img), "--dump", str(dump),
+                 "--stats", str(stats)]) == 0
+    return dump, stats
+
+
+def test_outputs_over_longer_files_equal_fresh_writes(built, capsys):
+    tmp, img = built
+    fresh_dump, fresh_stats = _outputs(img, tmp, "fresh")
+    old = {}
+    for name in ("over.img", "over.dump", "over.stats"):
+        path = tmp / name
+        path.write_text("stale line that must not survive\n" * 2000)
+        path.chmod(0o640)
+        old[name] = path.stat().st_ino
+    over_img = tmp / "over.img"
+    assert main(["asm", str(tmp / "p.s"), "-o", str(over_img)]) == 0
+    assert over_img.read_bytes() == img.read_bytes()
+    dump, stats = _outputs(img, tmp, "over")
+    capsys.readouterr()
+    assert dump.read_bytes() == fresh_dump.read_bytes()
+    assert stats.read_bytes() == fresh_stats.read_bytes() == \
+        STATS_GOLDEN.encode()
+    for name, inode in old.items():
+        assert (tmp / name).stat().st_ino == inode
+        assert (tmp / name).stat().st_mode & 0o777 == 0o640
+
+
+def test_symlinked_output_is_written_through(built, capsys):
+    tmp, img = built
+    target, link = tmp / "target.img", tmp / "link.img"
+    target.write_text("x" * 10000)
+    link.symlink_to(target)
+    assert main(["asm", str(tmp / "p.s"), "-o", str(link)]) == 0
+    capsys.readouterr()
+    assert link.is_symlink()
+    assert target.read_bytes() == img.read_bytes()
+
+
+def test_outputs_to_dev_null_exit_0(built, capsys):
+    tmp, img = built
+    assert main(["run", str(img), "--dump", os.devnull,
+                 "--stats", os.devnull]) == 0
+    out = capsys.readouterr()
+    assert out.out == "42\n" and out.err == ""
+
+
+def test_dump_to_a_pipe(built):
+    tmp, img = built
+    src = str(Path(kpusim.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-m", "kpusim.frontend", "run", str(img),
+         "--dump", "/dev/stdout"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "OUT 42" in proc.stdout.splitlines()
+
+
+@pytest.mark.parametrize("command, flag", [("asm", "-o"), ("run", "--dump"),
+                                           ("run", "--stats")])
+def test_directory_as_output_exits_2(built, capsys, command, flag):
+    tmp, img = built
+    first = str(tmp / "p.s") if command == "asm" else str(img)
+    # the table goes to stderr unless it has a file of its own
+    quiet = ["--stats", os.devnull] if flag == "--dump" else []
+    assert main([command, first, flag, str(tmp)] + quiet) == 2
+    err = capsys.readouterr().err
+    assert err == "kpu %s: [Errno 21] Is a directory: %r\n" % (command,
+                                                                str(tmp))
+
+
+@pytest.mark.parametrize("command", ["asm", "run", "oracle", "compare",
+                                     "compare dump"])
+def test_missing_input_names_its_command(built, capsys, command):
+    tmp, img = built
+    missing = str(tmp / "missing")
+    argv = {"asm": ["asm", missing, "-o", str(tmp / "x.img")],
+            "run": ["run", missing],
+            "oracle": ["oracle", missing],
+            "compare": ["compare", missing, str(tmp / "p.dump")],
+            "compare dump": ["compare", str(img), missing]}[command]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "kpu %s: [Errno 2] No such file or directory: %r\n" % (
+        argv[0], missing)
