@@ -23,7 +23,6 @@ computed or loaded as data.
 """
 
 import re
-from dataclasses import dataclass, field
 
 from . import isa
 from .codec import MASK32, MASK64, make_padding
@@ -53,12 +52,17 @@ class FormatError(Exception):
         super().__init__("line %d: %s" % (lineno, msg))
 
 
-@dataclass
-class Image:
-    entry: int = 0x100
-    mode: str = "super"
-    text: dict = field(default_factory=dict)
-    data: dict = field(default_factory=dict)
+class Image(isa.Slotted):
+    """A loadable program: entry pc, start mode, and the text words and
+    data blocks by address."""
+
+    __slots__ = ("entry", "mode", "text", "data")
+
+    def __init__(self, entry=0x100, mode="super", text=None, data=None):
+        self.entry = entry
+        self.mode = mode
+        self.text = {} if text is None else text
+        self.data = {} if data is None else data
 
 
 # ------------------------------------------------------------ image files --
@@ -144,20 +148,24 @@ def _parse_reg(tok, lineno):
     return int(m.group(1))
 
 
-@dataclass
-class _Item:
+class _Item(isa.Slotted):
     """One source statement bound to an address during pass one, `sealed`
     if a `.encrypt on` region seals its immediate. Pass two parses the
     operand text `ops` into instruction `fields`, which the lint reads."""
 
-    lineno: int
-    mnemonic: str
-    ops: str
-    addr: int
-    encrypted: bool
-    labeled: bool
-    sealed: bool
-    fields: dict = None
+    __slots__ = ("lineno", "mnemonic", "ops", "addr", "encrypted", "labeled",
+                 "sealed", "fields")
+
+    def __init__(self, lineno, mnemonic, ops, addr, encrypted, labeled,
+                 sealed, fields=None):
+        self.lineno = lineno
+        self.mnemonic = mnemonic
+        self.ops = ops
+        self.addr = addr
+        self.encrypted = encrypted
+        self.labeled = labeled
+        self.sealed = sealed
+        self.fields = fields
 
 
 class Assembler:

@@ -13,9 +13,11 @@ problems, 3 a comparison found mismatches.
 An output file (-o, --stats, --dump) is written in place, through a
 symlink, and cut to length; an interrupted write can leave the old file's
 tail, as a truncating one can leave a partial file.
+
+The parser is built, and argparse loaded, at the first main(), so that
+importing this module (for DEFAULT_KEY, say) costs neither.
 """
 
-import argparse
 import functools
 import os
 import stat
@@ -35,6 +37,7 @@ DEFAULT_KEY = 0x00112233445566778899AABBCCDDEEFF
 
 
 def _parse_key(text):
+    import argparse
     try:
         key = int(text, 16)
     except ValueError:
@@ -46,6 +49,7 @@ def _parse_key(text):
 
 def _int_at_least(minimum, what):
     def parse(text):
+        import argparse
         try:
             value = int(text)
         except ValueError:
@@ -110,6 +114,7 @@ def render_stats(engine):
 def _build_parser():
     # built at the first main() rather than at import; parse_args keeps no
     # state between calls, so one parser serves every call after that
+    import argparse
     parser = argparse.ArgumentParser(prog="kpu",
                                      description="encrypted-pipeline machine tools")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -158,11 +163,16 @@ def _build_parser():
 
 def _read(path, command):
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
-        print("kpu %s: %s" % (command, exc), file=sys.stderr)
-        return None
+        problem = exc
+    except UnicodeDecodeError as exc:
+        problem = "not %s text (%s at byte %d): %r" % (exc.encoding,
+                                                      exc.reason, exc.start,
+                                                      path)
+    print("kpu %s: %s" % (command, problem), file=sys.stderr)
+    return None
 
 
 def _write(path, text, command):

@@ -18,9 +18,7 @@ latch, the same pc-relative and linking sets and the same user-mode
 legality rule from here, so the two can differ only in how they execute.
 """
 
-import dataclasses
 import re
-from dataclasses import dataclass
 from enum import Enum
 
 from . import alu
@@ -110,8 +108,28 @@ IMM_ALU_OP = {
 }
 
 
-@dataclass(slots=True)
-class Instruction:
+class Slotted:
+    """Base of kpusim's value classes, which list their fields in
+    __slots__: two are equal when they are of one class and every field
+    is equal, the repr names each field, and, being mutable, they have no
+    hash."""
+
+    __slots__ = ()
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % item for item in zip(self.__slots__, self._fields())))
+
+
+class Instruction(Slotted):
     """Decoded instruction. Unused fields are None.
 
     imm holds the semantic value: sign-extended for signed fields, raw for
@@ -121,25 +139,29 @@ class Instruction:
 
     Nothing writes to an Instruction after decode: both machines keep the
     one decode builds for a pc in their records and read it every time the
-    pc is fetched again. It is a plain slotted class, not a frozen one,
-    because a frozen dataclass pays an object.__setattr__ call per field
-    on every decode.
+    pc is fetched again. It is not frozen, because freezing would cost an
+    object.__setattr__ call per field on every decode.
     """
 
-    opcode: int
-    mnemonic: str
-    cls: InstrClass
-    rd: int | None = None
-    ra: int | None = None
-    rb: int | None = None
-    imm: int | None = None
-    funct: int | None = None
-    prefix_idx: int | None = None
-    prefix_payload: int | None = None
+    __slots__ = ("opcode", "mnemonic", "cls", "rd", "ra", "rb", "imm",
+                 "funct", "prefix_idx", "prefix_payload")
+
+    def __init__(self, opcode, mnemonic, cls, rd=None, ra=None, rb=None,
+                 imm=None, funct=None, prefix_idx=None, prefix_payload=None):
+        self.opcode = opcode
+        self.mnemonic = mnemonic
+        self.cls = cls
+        self.rd = rd
+        self.ra = ra
+        self.rb = rb
+        self.imm = imm
+        self.funct = funct
+        self.prefix_idx = prefix_idx
+        self.prefix_payload = prefix_payload
 
 
 # position of each Instruction field among the constructor's arguments
-_SLOT = {f.name: i for i, f in enumerate(dataclasses.fields(Instruction))}
+_SLOT = {name: i for i, name in enumerate(Instruction.__slots__)}
 
 
 class Row:

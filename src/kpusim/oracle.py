@@ -19,8 +19,6 @@ aliases, where one logical address ended up spread over several physical
 cells with different contents), debug output verbatim.
 """
 
-from dataclasses import dataclass, field
-
 from . import alu, isa
 from .codec import MASK32, MASK64, ProgramFault, word_value
 from .core import (CONFIG_ID, Mode, SPR_CONFIG, SPR_EPCR, SPR_SR,
@@ -38,15 +36,19 @@ class OracleFault(ProgramFault):
     """Program did something the flat machine cannot continue from."""
 
 
-@dataclass
-class OracleResult:
-    regs: list
-    user_mem: dict
-    super_cells: dict
-    outputs: list
-    steps: int
-    mode: Mode
-    flags: dict
+class OracleResult(isa.Slotted):
+    __slots__ = ("regs", "user_mem", "super_cells", "outputs", "steps", "mode",
+                 "flags")
+
+    def __init__(self, regs, user_mem, super_cells, outputs, steps, mode,
+                 flags):
+        self.regs = regs
+        self.user_mem = user_mem
+        self.super_cells = super_cells
+        self.outputs = outputs
+        self.steps = steps
+        self.mode = mode
+        self.flags = flags
 
 
 class Interpreter:
@@ -339,16 +341,19 @@ def interpret(image, cdc, max_steps=2_000_000):
 
 # ------------------------------------------------------------- comparison --
 
-@dataclass
-class SimView:
+class SimView(isa.Slotted):
     """Encrypted-machine end state in serializable form."""
 
-    mode: str
-    regs_real: list
-    regs_shadow: list
-    cells: dict = field(default_factory=dict)
-    tlb: dict = field(default_factory=dict)
-    outputs: list = field(default_factory=list)
+    __slots__ = ("mode", "regs_real", "regs_shadow", "cells", "tlb", "outputs")
+
+    def __init__(self, mode, regs_real, regs_shadow, cells=None, tlb=None,
+                 outputs=None):
+        self.mode = mode
+        self.regs_real = regs_real
+        self.regs_shadow = regs_shadow
+        self.cells = {} if cells is None else cells
+        self.tlb = {} if tlb is None else tlb
+        self.outputs = [] if outputs is None else outputs
 
 
 def engine_view(engine):

@@ -507,3 +507,42 @@ def test_missing_input_names_its_command(built, capsys, command):
     assert out == ""
     assert err == "kpu %s: [Errno 2] No such file or directory: %r\n" % (
         argv[0], missing)
+
+
+@pytest.mark.parametrize("command", ["asm", "run", "oracle", "compare",
+                                     "compare dump"])
+def test_input_that_is_not_utf8_is_a_format_error(built, capsys, command):
+    tmp, img = built
+    binary = tmp / "binary"
+    binary.write_bytes(b"KPUIMG 1\n\xff\xfe\x00\x80\n")
+    assert main(["run", str(img), "--dump", str(tmp / "p.dump"),
+                 "--stats", os.devnull]) == 0
+    capsys.readouterr()
+    argv = {"asm": ["asm", str(binary), "-o", str(tmp / "x.img")],
+            "run": ["run", str(binary)],
+            "oracle": ["oracle", str(binary)],
+            "compare": ["compare", str(binary), str(tmp / "p.dump")],
+            "compare dump": ["compare", str(img), str(binary)]}[command]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "kpu %s: not utf-8 text (invalid start byte at byte 9): " \
+        "%r\n" % (argv[0], str(binary))
+
+
+@pytest.mark.parametrize("command", ["asm", "run", "oracle", "compare"])
+@pytest.mark.parametrize("key, rule", [
+    ("zz", "key must be hexadecimal"),
+    ("1" + "0" * 32, "key wider than 128 bits"),
+])
+def test_bad_key_is_a_usage_error(built, capsys, command, key, rule):
+    tmp, img = built
+    files = {"asm": [str(tmp / "p.s"), "-o", str(tmp / "x.img")],
+             "compare": [str(img), str(tmp / "p.dump")]}.get(command,
+                                                              [str(img)])
+    with pytest.raises(SystemExit) as exc:
+        main([command] + files + ["--key", key])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith("kpu %s: error: argument --key: %s\n" % (command,
+                                                                 rule))

@@ -1,6 +1,5 @@
 """Instruction word decode/encode checks."""
 
-import dataclasses
 import random
 
 import pytest
@@ -165,10 +164,42 @@ def test_decode_matches_the_reference_decoder():
 
 def test_encode_rejects_out_of_range_operands():
     instr = isa.decode(0x9CA50001)
+    head = (instr.opcode, instr.mnemonic, instr.cls)
     with pytest.raises(isa.OperandOutOfRange):
-        isa.encode(dataclasses.replace(instr, rd=32))
+        isa.encode(isa.Instruction(*head, rd=32, ra=instr.ra, imm=instr.imm))
     with pytest.raises(isa.OperandOutOfRange):
-        isa.encode(dataclasses.replace(instr, imm=40000))
+        isa.encode(isa.Instruction(*head, rd=instr.rd, ra=instr.ra, imm=40000))
+
+
+def test_instructions_compare_field_by_field():
+    """Two decodes of one word are equal; changing any one field makes
+    them differ; an Instruction is mutable, so it has no hash."""
+    for row in isa.TABLE:
+        word = row.base | sum(row.masks.values())
+        first, second = isa.decode(word), isa.decode(word)
+        assert first is not second and first == second, row.mnemonic
+        for name in isa.Instruction.__slots__:
+            changed = isa.decode(word)
+            setattr(changed, name, "changed")
+            assert changed != first, (row.mnemonic, name)
+    assert isa.decode(0x15000002) != "l.nop"
+    with pytest.raises(TypeError):
+        hash(isa.decode(0x15000002))
+
+
+@pytest.mark.parametrize("word, text", [
+    (0xE0642800, "Instruction(opcode=56, mnemonic='l.add', "
+     "cls=<InstrClass.REGISTER: 'register'>, rd=3, ra=4, rb=5, imm=None, "
+     "funct=0, prefix_idx=None, prefix_payload=None)"),
+    (0x19ABCDEF, "Instruction(opcode=6, mnemonic='l.prefix', "
+     "cls=<InstrClass.PREFIX: 'prefix'>, rd=None, ra=None, rb=None, "
+     "imm=None, funct=None, prefix_idx=1, prefix_payload=11259375)"),
+    (0x13FFFFFD, "Instruction(opcode=4, mnemonic='l.bf', "
+     "cls=<InstrClass.BRANCH: 'branch'>, rd=None, ra=None, rb=None, "
+     "imm=-3, funct=None, prefix_idx=None, prefix_payload=None)"),
+])
+def test_instruction_repr_names_every_field(word, text):
+    assert repr(isa.decode(word)) == text
 
 
 def test_classify_covers_every_mnemonic():

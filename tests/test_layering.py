@@ -4,11 +4,14 @@ The reference interpreter is only worth something while it stays
 independent of the pipeline it checks: the two may share the ISA layer and
 the ALU, never the pipeline's execute path. These checks read the import
 statements of the source files, so a forbidden import fails here even if
-nothing exercises it.
+nothing exercises it. One check imports the package in a fresh interpreter,
+for the standard modules that importing it must not load.
 """
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -115,3 +118,18 @@ def test_no_unused_imports():
         unused += ["%s:%d %s" % (path.name, line, name)
                    for name, line in imported.items() if name not in used]
     assert not unused
+
+
+def test_import_loads_no_dataclasses_or_argparse():
+    """Every kpu call and the benchmark's set-up import the package and
+    its frontend first. That must not load dataclasses, with the inspect
+    it pulls in, or argparse, which only building the parser needs."""
+    heavy = ("dataclasses", "inspect", "argparse")
+    code = ("import sys; sys.path.insert(0, %r)\n"
+            "import kpusim, kpusim.frontend\n"
+            "print(*[name in sys.modules for name in %r])\n"
+            "kpusim.frontend._build_parser()\n"
+            "print('argparse' in sys.modules)" % (str(PACKAGE.parent), heavy))
+    proc = subprocess.run([sys.executable, "-I", "-c", code],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["False"] * len(heavy) + ["True"]
