@@ -3,11 +3,12 @@ encrypted operands, with its assembler and flat reference interpreter."""
 
 from .assembler import (Assembler, CryptoSafetyError, FormatError, Image,
                         ParseError, assemble, parse_image, write_image)
+from .check import AliasDetected, compare, engine_view
 from .codec import (Codec, NotAProgramAddress, ProgramFault, make_padding,
                     pad_mix)
 from .core import MachineState, Mode
 from .memsys import MemorySystem, PhysicalExhausted
-from .oracle import AliasDetected, Interpreter, compare, engine_view, interpret
+from .oracle import Interpreter, interpret
 from .pipeline import (BranchPredictionBuffer, CycleStats, Engine,
                        MaxCyclesExceeded, SimulationFault)
 from .progen import generate_source

@@ -76,19 +76,30 @@ def write_image(image):
     return "\n".join(lines) + "\n"
 
 
-def parse_image(text):
-    image = Image(text={}, data={})
-    seen_magic = False
+def read_records(text, magic, what):
+    """The records of an image or dump text, as (line number, line) pairs.
+
+    A '#' starts a comment and blank lines are skipped. The first record
+    must be the `magic` header, which is not returned; a text with no
+    record at all is an empty `what`.
+    """
+    records = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+        if line:
+            records.append((lineno, line))
+    if not records:
+        raise FormatError(1, "empty %s" % what)
+    lineno, line = records[0]
+    if line.split() != magic.split():
+        raise FormatError(lineno, "expected %s header" % magic)
+    return records[1:]
+
+
+def parse_image(text):
+    image = Image(text={}, data={})
+    for lineno, line in read_records(text, "KPUIMG 1", "image"):
         fields = line.split()
-        if not seen_magic:
-            if fields != ["KPUIMG", "1"]:
-                raise FormatError(lineno, "expected KPUIMG 1 header")
-            seen_magic = True
-            continue
         kind = fields[0]
         # int() takes a sign: every number must be unsigned and fit its field
         try:
@@ -117,8 +128,6 @@ def parse_image(text):
                 raise FormatError(lineno, "unrecognized record %r" % kind)
         except ValueError:
             raise FormatError(lineno, "bad number in %r" % line) from None
-    if not seen_magic:
-        raise FormatError(1, "empty image")
     return image
 
 

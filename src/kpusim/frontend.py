@@ -25,12 +25,13 @@ import sys
 
 from .assembler import (Assembler, CryptoSafetyError, FormatError, ParseError,
                         parse_image, write_image)
+from .check import (AliasDetected, compare, engine_view, parse_sim_dump,
+                    render_dump)
 from .codec import Codec, ProgramFault
 from .core import Mode
 from .isa import InstrClass
 from .memsys import DEFAULT_CACHE_ENTRIES, DEFAULT_USER_WORDS
-from .oracle import (AliasDetected, compare, engine_view, interpret,
-                     parse_sim_dump, render_dump)
+from .oracle import interpret
 from .pipeline import DEFAULT_BPB_ENTRIES, Engine
 
 DEFAULT_KEY = 0x00112233445566778899AABBCCDDEEFF

@@ -11,16 +11,10 @@ of program faults, never the pipeline's execute path, and mirrors every
 other architectural rule that shows through to results: trap entry and
 return, mode containment of special registers, and the quirk that an
 unwritten user cell reads back as the decryption of an all-zero block.
-The machine's dump format (render_dump/parse_sim_dump) lives here too.
-
-compare() translates a finished machine into this flat domain and diffs:
-registers by their 32-bit values, user memory by logical address (detecting
-aliases, where one logical address ended up spread over several physical
-cells with different contents), debug output verbatim.
 """
 
 from . import alu, isa
-from .codec import MASK32, MASK64, ProgramFault, word_value
+from .codec import MASK32, ProgramFault, word_value
 from .core import (CONFIG_ID, Mode, SPR_CONFIG, SPR_EPCR, SPR_SR,
                    USER_READABLE_SPRS, VEC_ILLEGAL, VEC_SYSCALL, pack_sr,
                    unpack_sr)
@@ -338,159 +332,3 @@ def interpret(image, cdc, max_steps=2_000_000):
     """Run the flat interpreter over an image to completion."""
     return Interpreter(image, cdc).run(max_steps)
 
-
-# ------------------------------------------------------------- comparison --
-
-class SimView(isa.Slotted):
-    """Encrypted-machine end state in serializable form."""
-
-    __slots__ = ("mode", "regs_real", "regs_shadow", "cells", "tlb", "outputs")
-
-    def __init__(self, mode, regs_real, regs_shadow, cells=None, tlb=None,
-                 outputs=None):
-        self.mode = mode
-        self.regs_real = regs_real
-        self.regs_shadow = regs_shadow
-        self.cells = {} if cells is None else cells
-        self.tlb = {} if tlb is None else tlb
-        self.outputs = [] if outputs is None else outputs
-
-
-def engine_view(engine):
-    st = engine.state
-    return SimView(
-        mode=st.mode.value,
-        regs_real=list(st.regs),
-        regs_shadow=list(st.shadow),
-        cells=dict(engine.mem.cells),
-        tlb=dict(engine.mem.tlb.entries),
-        outputs=list(engine.outputs),
-    )
-
-
-def render_dump(view):
-    lines = ["KPUDUMP 1", "MODE %s" % view.mode]
-    for i in range(32):
-        lines.append("REG %02d %016x %016x"
-                     % (i, view.regs_real[i], view.regs_shadow[i]))
-    for index in sorted(view.cells):
-        if view.cells[index]:
-            lines.append("PHYS %d %016x" % (index, view.cells[index]))
-    for cipher, index in sorted(view.tlb.items(), key=lambda kv: kv[1]):
-        lines.append("TLBMAP %016x %d" % (cipher, index))
-    for value in view.outputs:
-        lines.append("OUT %d" % value)
-    return "\n".join(lines) + "\n"
-
-
-# record -> field count, the record name included
-_DUMP_FIELDS = {"MODE": 2, "REG": 4, "PHYS": 3, "TLBMAP": 3, "OUT": 2}
-
-
-def _dump_number(lineno, text, base, limit):
-    """A dump field: unsigned, in `base`, at most `limit`."""
-    try:
-        value = int(text, base)
-    except ValueError:
-        value = -1
-    if not 0 <= value <= limit:
-        raise ValueError("line %d: bad number %r" % (lineno, text))
-    return value
-
-
-def parse_sim_dump(text):
-    view = SimView(mode="super", regs_real=[0] * 32, regs_shadow=[0] * 32)
-    seen_magic = False
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if not seen_magic:
-            if fields != ["KPUDUMP", "1"]:
-                raise ValueError("line %d: expected KPUDUMP 1 header" % lineno)
-            seen_magic = True
-            continue
-        kind = fields[0]
-        if kind not in _DUMP_FIELDS:
-            raise ValueError("line %d: unrecognized record %r" % (lineno, kind))
-        if len(fields) != _DUMP_FIELDS[kind]:
-            raise ValueError("line %d: %s takes %d fields"
-                             % (lineno, kind, _DUMP_FIELDS[kind] - 1))
-        if kind == "MODE":
-            if fields[1] not in ("user", "super"):
-                raise ValueError("line %d: mode must be user or super" % lineno)
-            view.mode = fields[1]
-        elif kind == "REG":
-            i = _dump_number(lineno, fields[1], 10, MASK64)
-            if i >= 32:
-                raise ValueError("line %d: no register %d" % (lineno, i))
-            view.regs_real[i] = _dump_number(lineno, fields[2], 16, MASK64)
-            view.regs_shadow[i] = _dump_number(lineno, fields[3], 16, MASK64)
-        elif kind == "PHYS":
-            view.cells[_dump_number(lineno, fields[1], 10, MASK64)] = \
-                _dump_number(lineno, fields[2], 16, MASK64)
-        elif kind == "TLBMAP":
-            view.tlb[_dump_number(lineno, fields[1], 16, MASK64)] = \
-                _dump_number(lineno, fields[2], 10, MASK64)
-        else:
-            view.outputs.append(_dump_number(lineno, fields[1], 10, MASK32))
-    return view
-
-
-class AliasDetected(Exception):
-    """One logical address is spread over physical cells that disagree."""
-
-
-def _domainize_register(view, i, cdc):
-    if view.mode == "user":
-        return view.regs_shadow[i] & MASK32
-    real = view.regs_real[i]
-    if real >> 32 == 0:
-        return real & MASK32
-    return word_value(cdc.decrypt(real))
-
-
-def compare(view, result, cdc):
-    """Diff an encrypted-machine view against an oracle result.
-
-    Returns a list of human-readable mismatch lines; empty means the two
-    agree. Raises AliasDetected if the encrypted machine's memory holds
-    several inconsistent physical copies of one logical address.
-    """
-    problems = []
-    for i in range(32):
-        sim = _domainize_register(view, i, cdc)
-        ref = result.regs[i] & MASK32
-        if sim != ref:
-            problems.append("r%d: machine 0x%08x, reference 0x%08x"
-                            % (i, sim, ref))
-
-    logical = {}
-    for cipher, index in view.tlb.items():
-        ea_block = cdc.decrypt(cipher)
-        addr = word_value(ea_block)
-        # a cell the dump leaves out holds 0, as in the machine
-        value = word_value(cdc.decrypt(view.cells.get(index, 0)))
-        logical.setdefault(addr, []).append(value)
-    for addr, values in sorted(logical.items()):
-        seen = set(values)
-        if len(seen) > 1:
-            raise AliasDetected(
-                "logical address 0x%08x maps to %d cells with values %s"
-                % (addr, len(values),
-                   ", ".join("0x%08x" % v for v in sorted(seen))))
-    for addr, ref in sorted(result.user_mem.items()):
-        values = logical.get(addr)
-        if values is None:
-            problems.append("memory 0x%08x: missing from machine, "
-                            "reference 0x%08x" % (addr, ref))
-            continue
-        if values[0] != ref & MASK32:
-            problems.append("memory 0x%08x: machine 0x%08x, reference 0x%08x"
-                            % (addr, values[0], ref & MASK32))
-
-    if view.outputs != [v & MASK32 for v in result.outputs]:
-        problems.append("outputs: machine %r, reference %r"
-                        % (view.outputs, result.outputs))
-    return problems

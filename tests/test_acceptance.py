@@ -14,12 +14,12 @@ import pytest
 
 from kpusim import codec as codecmod
 from kpusim.assembler import assemble, write_image
+from kpusim.check import AliasDetected, compare, engine_view, render_dump
 from kpusim.codec import Codec, feistel_round
 from kpusim.core import Mode
 from kpusim.frontend import render_stats
 from kpusim.memsys import PhysicalExhausted, TlbMap
-from kpusim.oracle import (AliasDetected, compare, engine_view, interpret,
-                           render_dump)
+from kpusim.oracle import interpret
 from kpusim.pipeline import Engine
 from kpusim.progen import generate_source
 

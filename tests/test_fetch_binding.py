@@ -16,9 +16,10 @@ import weakref
 import pytest
 
 from kpusim.assembler import assemble
+from kpusim.check import compare, engine_view
 from kpusim.codec import Codec
 from kpusim.core import Mode
-from kpusim.oracle import Interpreter, compare, engine_view
+from kpusim.oracle import Interpreter
 from kpusim.pipeline import Engine, Slot
 
 KEY = 0x00112233445566778899AABBCCDDEEFF

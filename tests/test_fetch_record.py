@@ -23,10 +23,11 @@ import pytest
 
 from kpusim import isa
 from kpusim.assembler import Image, assemble, write_image
+from kpusim.check import compare, engine_view
 from kpusim.codec import Codec
 from kpusim.core import Mode
 from kpusim.frontend import main
-from kpusim.oracle import Interpreter, compare, engine_view
+from kpusim.oracle import Interpreter
 from kpusim.pipeline import Engine
 
 KEY = 0x00112233445566778899AABBCCDDEEFF

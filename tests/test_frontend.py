@@ -402,6 +402,18 @@ def test_malformed_dump_is_a_format_error(built, capsys, record):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_empty_dump_is_a_format_error(tmp_path, capsys):
+    # not an all-zero supervisor state, which this image would match
+    src, img, dump = (tmp_path / name for name in ("t.s", "t.img", "e.dump"))
+    src.write_text(".mode super\nl.nop 1\n")
+    assert main(["asm", str(src), "-o", str(img)]) == 0
+    dump.write_text("")
+    assert main(["compare", str(img), str(dump)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "kpu compare: line 1: empty dump\n"
+
+
 def test_compare_loads_the_image_before_the_dump(tmp_path, capsys):
     img = tmp_path / "bad.img"
     img.write_text("KPUIMG 1\nTEXT -0x4 15000001\n")

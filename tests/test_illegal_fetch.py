@@ -11,10 +11,11 @@ itself is a fault in supervisor mode, where the trap could only repeat.
 import pytest
 
 from kpusim.assembler import assemble, parse_image
+from kpusim.check import compare, engine_view
 from kpusim.codec import Codec
 from kpusim.core import Mode
 from kpusim.frontend import main
-from kpusim.oracle import Interpreter, OracleFault, compare, engine_view
+from kpusim.oracle import Interpreter, OracleFault
 from kpusim.pipeline import Engine, SimulationFault
 
 KEY = 0x00112233445566778899AABBCCDDEEFF

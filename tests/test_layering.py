@@ -50,6 +50,13 @@ def imported_modules(name):
     ("oracle", {"pipeline"}),
     ("isa", {"pipeline", "oracle"}),
     ("alu", {"pipeline", "oracle"}),
+    # the checker reads both machines; neither machine reads the checker
+    ("oracle", {"check"}),
+    ("isa", {"check"}),
+    ("alu", {"check"}),
+    ("codec", {"check"}),
+    ("core", {"check"}),
+    ("memsys", {"check"}),
 ])
 def test_module_stays_below_its_consumers(module, forbidden):
     assert not imported_modules(module) & forbidden
@@ -58,6 +65,7 @@ def test_module_stays_below_its_consumers(module, forbidden):
 def test_import_scan_sees_sibling_imports():
     assert {"alu", "isa", "codec", "core", "memsys"} <= imported_modules("oracle")
     assert {"alu", "isa", "memsys"} <= imported_modules("pipeline")
+    assert {"assembler", "codec", "isa"} <= imported_modules("check")
 
 
 def test_frontend_catches_program_faults_by_their_one_base():

@@ -4,12 +4,12 @@ import random
 
 import pytest
 
+from kpusim.check import SimView, parse_sim_dump, render_dump
 from kpusim.codec import Codec
 from kpusim.memsys import (SUPER_REGION_BYTES, MemorySystem, OutOfRegion,
                            PhysicalExhausted, TlbMap,
                            UnalignedSupervisorAccess, UserDataCache,
                            super_index)
-from kpusim.oracle import SimView, parse_sim_dump, render_dump
 
 KEY = 0x00112233445566778899AABBCCDDEEFF
 

@@ -6,12 +6,12 @@ import pytest
 
 from kpusim import alu, isa
 from kpusim.assembler import Image, assemble
+from kpusim.check import (AliasDetected, compare, engine_view, parse_sim_dump,
+                          render_dump)
 from kpusim.codec import Codec
 from kpusim.core import Mode
 from kpusim.isa import InstrClass
-from kpusim.oracle import (AliasDetected, Interpreter, MaxStepsExceeded,
-                           compare, engine_view, interpret, parse_sim_dump,
-                           render_dump)
+from kpusim.oracle import Interpreter, MaxStepsExceeded, interpret
 from kpusim.pipeline import Engine
 from kpusim.progen import generate_source
 
