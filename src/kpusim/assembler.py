@@ -14,7 +14,10 @@ never depend on operand values, an encrypted immediate-class line is always
 three words), so `.org` and `.space` take only labels defined above them.
 Pass two resolves `.word` and `.dword`, and alone turns operand text into
 instruction fields, which each statement keeps for the lint; it encodes
-against every label and assigns padding ordinals in program order.
+against every label and assigns padding ordinals in program order. What
+depends only on the mnemonic is worked out once at import: each row's
+operand plan, the register names and the prefix words' fixed bits, so a
+statement costs its own operands and one isa.encode_fields call.
 
 A small lint pass flags source patterns that break the pad-provenance
 discipline encrypted programs rely on: arithmetic performed on a register
@@ -68,11 +71,10 @@ class Image(isa.Slotted):
 # ------------------------------------------------------------ image files --
 
 def write_image(image):
+    # addresses are unique keys, so (address, value) pairs sort by address
     lines = ["KPUIMG 1", "ENTRY 0x%08x" % image.entry, "MODE %s" % image.mode]
-    for addr in sorted(image.text):
-        lines.append("TEXT 0x%08x %08x" % (addr, image.text[addr]))
-    for addr in sorted(image.data):
-        lines.append("DATA 0x%08x %016x" % (addr, image.data[addr]))
+    lines += ["TEXT 0x%08x %08x" % pair for pair in sorted(image.text.items())]
+    lines += ["DATA 0x%08x %016x" % pair for pair in sorted(image.data.items())]
     return "\n".join(lines) + "\n"
 
 
@@ -134,10 +136,10 @@ def parse_image(text):
 # ---------------------------------------------------------------- parsing --
 
 _LABEL_RE = re.compile(r"^([A-Za-z_.$][\w.$]*):")
-_REG_RE = re.compile(r"^[rR]([0-9]|[12][0-9]|3[01])$")
 _MEM_RE = re.compile(r"^(.*)\(([rR][0-9]+)\)$")
 
-_REGISTERS = ("rd", "ra", "rb")
+# register names: r0..r31 in either case, without leading zeros
+_REGISTER = {"%s%d" % (r, i): i for r in "rR" for i in range(32)}
 _C = isa.InstrClass
 
 
@@ -149,12 +151,68 @@ def _mnemonics(keep):
 # plus the instruction
 _ENCRYPTED = _mnemonics(lambda row: row.cls is _C.IMMEDIATE)
 
+# operand kinds: a plain register, offset(reg), a pc-relative target, and
+# an expression that may name a label, the kind of every other token
+_REG, _MEM, _PC, _VALUE = range(4)
+_KINDS = {"rd": ("rd", _REG), "ra": ("ra", _REG), "rb": ("rb", _REG),
+          "imm(ra)": ("imm", _MEM), "@imm": ("imm", _PC)}
 
-def _parse_reg(tok, lineno):
-    m = _REG_RE.match(tok.strip())
-    if not m:
-        raise ParseError(lineno, "expected register, got %r" % tok.strip())
-    return int(m.group(1))
+# mnemonic -> (row, its operand plan: (position, field, kind) per token,
+# plain registers first, as they are read before any operand that may name
+# a label)
+_PLANS = {mn: (row, tuple(sorted(
+    ((i,) + _KINDS.get(token, (token.rstrip("?"), _VALUE))
+     for i, token in enumerate(row.tokens)), key=lambda step: step[2] != _REG)))
+    for mn, row in isa.MNEMONICS.items()}
+
+# the two prefix words with an empty payload; the payload is the low 24 bits
+_PREFIX = isa.MNEMONICS["l.prefix"]
+_PAYLOAD = _PREFIX.masks["prefix_payload"]
+_P0, _P1 = (isa.encode_fields(_PREFIX, {"prefix_idx": idx, "prefix_payload": 0})
+            for idx in (0, 1))
+
+
+def _expr(text, labels, lineno):
+    s = text.strip()
+    # a label never parses as a number, so looking it up first is safe
+    value = labels.get(s)
+    if value is not None:
+        return value
+    if not s:
+        raise ParseError(lineno, "empty expression")
+    try:
+        return int(s, 0)
+    except ValueError:
+        pass
+    m = re.match(r"^([A-Za-z_.$][\w.$]*)\s*([+-]\s*\d+)?$", s)
+    if m:
+        name = m.group(1)
+        if name not in labels:
+            raise UndefinedLabel(lineno, "undefined label %r" % name)
+        # a defined name alone was looked up above, so an offset follows;
+        # one with a leading zero is no number, as it is not on its own
+        try:
+            return labels[name] + int(m.group(2).replace(" ", ""), 0)
+        except ValueError:
+            pass
+    raise ParseError(lineno, "cannot parse expression %r" % s)
+
+
+def _register(text, lineno):
+    reg = _REGISTER.get(text)
+    if reg is None:
+        raise ParseError(lineno, "expected register, got %r" % text)
+    return reg
+
+
+def _place(text, addr, words, lineno):
+    """Put consecutive words into an image's text from `addr` on."""
+    for word in words:
+        addr &= MASK32
+        if addr in text:
+            raise ParseError(lineno, "text overlap at 0x%08x" % addr)
+        text[addr] = word
+        addr += 4
 
 
 class _Item(isa.Slotted):
@@ -203,10 +261,13 @@ class Assembler:
         image = Image(text={}, data={})
         entry = None
 
-        for lineno, raw in enumerate(source.splitlines(), 1):
-            line = raw.split("#", 1)[0].strip()
+        for lineno, line in enumerate(source.splitlines(), 1):
+            if "#" in line:
+                line = line.split("#", 1)[0]
+            line = line.strip()
             labeled = False
-            while m := _LABEL_RE.match(line):
+            # a label needs its colon
+            while ":" in line and (m := _LABEL_RE.match(line)):
                 name = m.group(1)
                 if name in labels:
                     raise ParseError(lineno, "duplicate label %r" % name)
@@ -216,11 +277,17 @@ class Assembler:
             if not line:
                 continue
 
-            head, *rest = line.split(None, 1)
-            rest = rest[0] if rest else ""
+            parts = line.split(None, 1)
+            head = parts[0]
+            rest = parts[1] if len(parts) > 1 else ""
 
-            if head == ".org":
-                loc = self._expr(rest, labels, lineno)
+            if head[0] != ".":
+                sealed = encrypted and head in _ENCRYPTED
+                items.append(_Item(lineno, head, rest, loc, encrypted, labeled,
+                                   sealed))
+                loc += 12 if sealed else 4   # a prefix pair precedes it
+            elif head == ".org":
+                loc = _expr(rest, labels, lineno)
                 if loc % 4:
                     raise ParseError(lineno, ".org address not word aligned")
             elif head == ".encrypt":
@@ -237,7 +304,7 @@ class Assembler:
                 values.append((lineno, loc, [rest]))
                 loc += 4
             elif head == ".space":
-                n = self._expr(rest, labels, lineno)
+                n = _expr(rest, labels, lineno)
                 if n < 0 or n % 4:
                     raise ParseError(lineno, ".space takes a multiple of 4")
                 loc += n
@@ -246,16 +313,11 @@ class Assembler:
                 if len(parts) != 2:
                     raise ParseError(lineno, ".dword takes address, value")
                 values.append((lineno, None, parts))
-            elif head.startswith("."):
-                raise ParseError(lineno, "unknown directive %s" % head)
             else:
-                sealed = encrypted and head in _ENCRYPTED
-                items.append(_Item(lineno, head, rest, loc, encrypted, labeled,
-                                   sealed))
-                loc += 12 if sealed else 4   # a prefix pair precedes it
+                raise ParseError(lineno, "unknown directive %s" % head)
 
         if entry is not None:
-            image.entry = self._expr(entry[1], labels, entry[0])
+            image.entry = _expr(entry[1], labels, entry[0])
             if not 0 <= image.entry <= MASK32:
                 raise ParseError(entry[0], ".entry address %d does not fit "
                                  "32 bits" % image.entry)
@@ -264,115 +326,85 @@ class Assembler:
     # ------------------------------------------------------------ pass 2 --
 
     def _pass_two(self, items, labels, image, values):
+        text = image.text
         for lineno, addr, exprs in values:
-            resolved = [self._expr(text, labels, lineno) for text in exprs]
+            resolved = [_expr(expr, labels, lineno) for expr in exprs]
             if addr is None:             # .dword address, value
                 image.data[resolved[0] & MASK32] = resolved[1] & MASK64
             elif -(1 << 31) <= resolved[0] <= MASK32:
-                self._put_word(image, addr, resolved[0] & MASK32, lineno)
+                _place(text, addr, (resolved[0] & MASK32,), lineno)
             else:
                 raise ParseError(lineno, ".word value %d does not fit 32 bits"
                                  % resolved[0])
         ordinal = 0
         for item in items:
-            try:
-                encoded = self._encode_item(item, labels, ordinal)
-            except isa.OperandOutOfRange as exc:
-                raise ParseError(item.lineno, str(exc)) from None
+            lineno = item.lineno
+            plan = _PLANS.get(item.mnemonic)
+            if plan is None:
+                raise ParseError(lineno, "unknown mnemonic %r" % item.mnemonic)
+            row, steps = plan
+            fields = item.fields = self._operands(item, row, steps, labels)
             if item.sealed:
+                words = self._seal(row, fields, ordinal, lineno)
                 ordinal += 1
-            for offset, word in enumerate(encoded):
-                self._put_word(image, item.addr + 4 * offset, word, item.lineno)
+            else:
+                try:
+                    words = (isa.encode_fields(row, fields),)
+                except isa.OperandOutOfRange as exc:
+                    raise ParseError(lineno, str(exc)) from None
+            _place(text, item.addr, words, lineno)
 
-    def _put_word(self, image, addr, word, lineno):
-        addr &= MASK32
-        if addr in image.text:
-            raise ParseError(lineno, "text overlap at 0x%08x" % addr)
-        image.text[addr] = word
-
-    def _expr(self, text, labels, lineno):
-        s = text.strip()
-        if not s:
-            raise ParseError(lineno, "empty expression")
-        try:
-            return int(s, 0)
-        except ValueError:
-            pass
-        m = re.match(r"^([A-Za-z_.$][\w.$]*)\s*([+-]\s*\d+)?$", s)
-        if m:
-            name = m.group(1)
-            if name not in labels:
-                raise UndefinedLabel(lineno, "undefined label %r" % name)
-            value = labels[name]
-            if m.group(2):
-                value += int(m.group(2).replace(" ", ""), 0)
-            return value
-        raise ParseError(lineno, "cannot parse expression %r" % s)
-
-    def _operands(self, item, row, labels):
+    def _operands(self, item, row, steps, labels):
         """Instruction fields of an item's operand text, by the row's
-        syntax."""
+        operand plan `steps`."""
         lineno = item.lineno
-        tokens = row.syntax.split(",") if row.syntax else []
-        parts = [p.strip() for p in item.ops.split(",")] if item.ops else []
-        if not parts and tokens == ["imm?"]:
-            return {"imm": 0}
-        if len(parts) != len(tokens):
+        parts = item.ops.split(",") if item.ops else []
+        if len(parts) != len(steps):
+            if not parts and row.tokens == ("imm?",):
+                return {"imm": 0}
             raise ParseError(lineno, "%s takes %d operands"
-                             % (item.mnemonic, len(tokens)))
-        # plain registers first, then the operands that may name labels
-        fields = {token: _parse_reg(text, lineno)
-                  for token, text in zip(tokens, parts) if token in _REGISTERS}
-        for token, text in zip(tokens, parts):
-            if token in _REGISTERS:
-                continue
-            if token == "imm(ra)":
-                m = _MEM_RE.match(text)
-                if not m:
-                    raise ParseError(lineno, "expected offset(reg), got %r"
-                                     % text)
-                fields["imm"] = self._expr(m.group(1), labels, lineno)
-                fields["ra"] = _parse_reg(m.group(2), lineno)
-            elif token == "@imm":
-                delta = self._expr(text, labels, lineno) - item.addr
+                             % (item.mnemonic, len(steps)))
+        fields = {}
+        for i, name, kind in steps:
+            text = parts[i].strip()
+            if kind == _REG:
+                fields[name] = _register(text, lineno)
+            elif kind == _VALUE:
+                fields[name] = _expr(text, labels, lineno)
+            elif kind == _PC:
+                delta = _expr(text, labels, lineno) - item.addr
                 if delta % 4:
                     raise ParseError(lineno, "branch target not word aligned")
                 fields["imm"] = delta // 4
             else:
-                fields[token.rstrip("?")] = self._expr(text, labels, lineno)
+                m = _MEM_RE.match(text)
+                if not m:
+                    raise ParseError(lineno, "expected offset(reg), got %r"
+                                     % text)
+                fields["imm"] = _expr(m.group(1), labels, lineno)
+                fields["ra"] = _register(m.group(2), lineno)
         return fields
 
-    def _encode_item(self, item, labels, ordinal):
-        row = isa.MNEMONICS.get(item.mnemonic)
-        if row is None:
-            raise ParseError(item.lineno, "unknown mnemonic %r" % item.mnemonic)
-        fields = item.fields = self._operands(item, row, labels)
-        if item.sealed:
-            return self._encode_encrypted(row, fields, ordinal, item.lineno)
-        return [isa.encode(isa.instruction(item.mnemonic, **fields))]
-
-    def _encode_encrypted(self, row, fields, ordinal, lineno):
+    def _seal(self, row, fields, ordinal, lineno):
+        """The prefix pair and the instruction word of a sealed immediate."""
         literal = fields["imm"]
         if not -(1 << 31) <= literal <= MASK32:
             raise ParseError(lineno, "immediate %d does not fit 32 bits" % literal)
-        body = isa.encode(isa.instruction(row.mnemonic, rd=fields["rd"],
-                                          ra=fields["ra"], imm=0))
+        body = isa.encode_fields(row, dict(fields, imm=0))
         # bits of the final 16 outside the immediate field (a shift's
         # sub-op) must come out of the ciphertext as the row fixes them
         keep = 0xFFFF & ~row.masks["imm"]
         value = literal & MASK32
+        encrypt = self.codec.encrypt
         for attempt in range(MAX_PAD_ATTEMPTS):
             pad = make_padding(self.seed, ordinal, attempt)
-            cipher = self.codec.encrypt((pad << 32) | value)
+            cipher = encrypt((pad << 32) | value)
             if not (cipher ^ body) & keep:
                 break
         else:
             raise ParseError(lineno, "no padding fits shift sub-op")
-        p0 = isa.instruction("l.prefix", prefix_idx=0,
-                             prefix_payload=(cipher >> 40) & 0xFFFFFF)
-        p1 = isa.instruction("l.prefix", prefix_idx=1,
-                             prefix_payload=(cipher >> 16) & 0xFFFFFF)
-        return [isa.encode(p0), isa.encode(p1), body | (cipher & 0xFFFF)]
+        return (_P0 | (cipher >> 40) & _PAYLOAD, _P1 | (cipher >> 16) & _PAYLOAD,
+                body | (cipher & 0xFFFF))
 
 
 def assemble(source, cdc, seed=0, strict=False):

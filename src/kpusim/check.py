@@ -74,7 +74,7 @@ def _dump_number(lineno, text, base, limit):
 
 
 def parse_sim_dump(text):
-    view = SimView(mode="super", regs_real=[0] * 32, regs_shadow=[0] * 32)
+    view = SimView(mode=None, regs_real=[None] * 32, regs_shadow=[None] * 32)
     for lineno, line in read_records(text, "KPUDUMP 1", "dump"):
         fields = line.split()
         kind = fields[0]
@@ -101,6 +101,13 @@ def parse_sim_dump(text):
                 _dump_number(lineno, fields[2], 10, MASK64)
         else:
             view.outputs.append(_dump_number(lineno, fields[1], 10, MASK32))
+    # render_dump writes the mode and every register, so a dump without
+    # one was cut short; it is not a machine whose registers all hold 0
+    if view.mode is None:
+        raise ValueError("line %d: no MODE record" % len(text.splitlines()))
+    if None in view.regs_real:
+        raise ValueError("line %d: no REG %02d record"
+                         % (len(text.splitlines()), view.regs_real.index(None)))
     return view
 
 

@@ -170,14 +170,15 @@ class Row:
     The `fields` argument lists (name, signed, (lo, width), ...): an
     Instruction field and its word bits, most significant piece first.
     The shifts, masks and value limits decode and encode need are worked
-    out here once: encode reads `fields`, decode `flat`, a (slot, lo,
-    mask, sign) entry per one-piece field, and `split`, a (slot, pieces,
-    sign) entry per split immediate (l.mtspr, l.sw, l.sd).
+    out here once: encode_fields reads `fields`, decode `flat`, a (slot,
+    lo, mask, sign) entry per one-piece field, and `split`, a (slot,
+    pieces, sign) entry per split immediate (l.mtspr, l.sw, l.sd).
+    `tokens` are the operands of `syntax`, in source order.
     """
 
-    __slots__ = ("mnemonic", "opcode", "cls", "syntax", "funct", "fields",
-                 "flat", "split", "base", "fixed_mask", "fixed", "masks",
-                 "template")
+    __slots__ = ("mnemonic", "opcode", "cls", "syntax", "tokens", "funct",
+                 "fields", "flat", "split", "base", "fixed_mask", "fixed",
+                 "masks", "template")
 
     def __init__(self, mnemonic, opcode, cls, syntax, fields=(), funct=None,
                  fixed=0):
@@ -185,6 +186,7 @@ class Row:
         self.opcode = opcode
         self.cls = cls
         self.syntax = syntax
+        self.tokens = tuple(syntax.split(",")) if syntax else ()
         self.funct = funct
         used = 0x3F << 26
         self.base = (opcode << 26) | fixed
@@ -331,9 +333,17 @@ def encode(instr):
     row = MNEMONICS.get(instr.mnemonic)
     if row is None:
         raise OperandOutOfRange("cannot encode %s" % instr.mnemonic)
+    return encode_fields(row, {name: getattr(instr, name)
+                               for name, *_ in row.fields})
+
+
+def encode_fields(row, fields):
+    """The word of a table row with the operand values in `fields`, a dict
+    by field name, or OperandOutOfRange for a value its field cannot
+    hold."""
     word = row.base
     for name, _, steps, _, low, high, bits in row.fields:
-        value = getattr(instr, name)
+        value = fields[name]
         if not low <= value < high:
             raise OperandOutOfRange("%s %d does not fit %s"
                                     % (name, value, bits))

@@ -192,6 +192,57 @@ def test_parse_errors_carry_line_numbers():
         assert exc.lineno == 2
 
 
+def test_error_texts_are_pinned():
+    cases = [
+        ("l.addi r1, r0", "l.addi takes 3 operands"),
+        ("l.addi r1, r32, 0", "expected register, got 'r32'"),
+        ("l.addi r1, r01, 0", "expected register, got 'r01'"),
+        ("l.addi r1, x, 0", "expected register, got 'x'"),
+        ("l.lwz r1, 4(r32)", "expected register, got 'r32'"),
+        ("l.lwz r1, r4", "expected offset(reg), got 'r4'"),
+        ("l.lwz r1, zz(r2)", "undefined label 'zz'"),
+        ("l.j 0x102", "branch target not word aligned"),
+        ("l.addi r1, r0, 70000", "imm 70000 does not fit signed 16 bits"),
+        ("l.ori r1, r0, -1", "imm -1 does not fit 16 bits"),
+        ("l.mtspr r1, r2, 65536", "imm 65536 does not fit 16 bits"),
+        ("l.ld r1, 4096(r2)", "imm 4096 does not fit signed 11 bits"),
+        ("l.prefix 2, 5", "prefix_idx 2 does not fit 1 bits"),
+        ("l.frob r1, r2, r3", "unknown mnemonic 'l.frob'"),
+        ("l.addi r1, r0,", "empty expression"),
+        ("l.addi r1, r0, 3 +", "cannot parse expression '3 +'"),
+        # every plain register is read before any operand that may be a label
+        ("l.addi r1, nowhere, r9", "expected register, got 'nowhere'"),
+        ("l.sw zz(r1), r40", "expected register, got 'r40'"),
+    ]
+    for body, text in cases:
+        with pytest.raises(ParseError) as info:
+            assemble(".org 0x100\n" + body + "\n", cdc())
+        assert str(info.value) == "line 2: " + text, body
+    # register names take either case
+    image = assemble(".org 0x100\nl.add R31, r0, R9\n", cdc())
+    assert isa.decode(image.text[0x100]) == isa.instruction(
+        "l.add", rd=31, ra=0, rb=9)
+    # a sealed immediate is checked against 32 bits, not its 16-bit field
+    image = assemble(""".mode user
+.org 0x4000
+.encrypt on
+    l.addi r1, r0, 70000
+    l.slli r1, r2, 99999
+    l.nop  1
+""", cdc())
+    assert len(image.text) == 7
+
+
+def test_a_label_offset_takes_no_leading_zero():
+    # as a plain 010 is no number; int() alone raised a bare ValueError
+    source = ".org 0x100\nfoo:\nl.addi r1, r0, foo + %s\n"
+    with pytest.raises(ParseError) as info:
+        assemble(source % "010", cdc())
+    assert str(info.value) == "line 3: cannot parse expression 'foo + 010'"
+    image = assemble(source % "10", cdc())
+    assert isa.decode(image.text[0x100]).imm == 0x10A
+
+
 def test_word_values_must_fit_32_bits():
     # a .word takes -2**31..0xFFFFFFFF, as an immediate takes its field's
     # range; one past either end is a ParseError, not a masked word

@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from kpusim.assembler import FormatError, assemble, parse_image
-from kpusim.check import compare, engine_view, parse_sim_dump
+from kpusim.check import (SimView, compare, engine_view, parse_sim_dump,
+                          render_dump)
 from kpusim.codec import Codec
 from kpusim.oracle import interpret
 from kpusim.pipeline import Engine
@@ -69,4 +70,7 @@ def test_the_first_record_must_be_the_header(parse, magic):
     with pytest.raises(FormatError) as info:
         parse("# comment\n\nMODE user\n%s\n" % magic)
     assert str(info.value) == "line 3: expected %s header" % magic
-    parse("\n  %s  # header\n" % magic.replace(" ", "\t"))
+    # a dump also needs its mode and every register after the header
+    rest = "" if parse is parse_image else render_dump(
+        SimView("super", [0] * 32, [0] * 32)).split("\n", 1)[1]
+    parse("\n  %s  # header\n%s" % (magic.replace(" ", "\t"), rest))

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import kpusim
+from kpusim.check import SimView, render_dump
 from kpusim.frontend import asm_entry, main, oracle_entry
 
 SOURCE = """.mode user
@@ -328,6 +329,41 @@ def test_supervisor_access_past_the_region_faults_in_both_machines(
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+# ROADMAP item 1(b): r3 = 0 / 0 is data, not a program address
+JUMP_TO_DATA = """.mode user
+.entry start
+.org 0x700
+    l.nop  2
+    l.nop  1
+.org 0x4000
+start:
+    l.divu r3, r0, r4
+    l.jr   r3
+"""
+
+
+def _jump_to_data(tmp_path, capsys):
+    src, img = tmp_path / "jump.s", tmp_path / "jump.img"
+    src.write_text(JUMP_TO_DATA)
+    assert main(["asm", str(src), "-o", str(img)]) == 0
+    capsys.readouterr()
+    return img
+
+
+def test_register_jump_to_data_is_a_machine_fault(tmp_path, capsys):
+    assert main(["run", str(_jump_to_data(tmp_path, capsys))]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("kpu run: fault: jump target at pc 0x00004004: "
+                   "0x7fd88dc0ffffffff is not a program address\n")
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1(b): the oracle jumps "
+                   "to the data value, prints 4294967295 and exits 0")
+def test_register_jump_to_data_is_a_reference_fault(tmp_path, capsys):
+    assert main(["oracle", str(_jump_to_data(tmp_path, capsys))]) == 1
+
+
 @pytest.mark.parametrize("command", ["run", "oracle"])
 def test_data_record_past_the_region_is_a_program_fault(tmp_path, capsys,
                                                         command):
@@ -403,15 +439,25 @@ def test_malformed_dump_is_a_format_error(built, capsys, record):
 
 
 def test_empty_dump_is_a_format_error(tmp_path, capsys):
+    # an empty dump, or one cut short after its header or a register, is
     # not an all-zero supervisor state, which this image would match
     src, img, dump = (tmp_path / name for name in ("t.s", "t.img", "e.dump"))
     src.write_text(".mode super\nl.nop 1\n")
     assert main(["asm", str(src), "-o", str(img)]) == 0
-    dump.write_text("")
-    assert main(["compare", str(img), str(dump)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "kpu compare: line 1: empty dump\n"
+    full = render_dump(SimView("super", [0] * 32, [0] * 32))
+    no_r17 = "".join(line for line in full.splitlines(True)
+                     if not line.startswith("REG 17 "))
+    assert no_r17.count("\n") == 33
+    for text, err in (("", "line 1: empty dump"),
+                      ("KPUDUMP 1\n", "line 1: no MODE record"),
+                      (no_r17, "line 33: no REG 17 record")):
+        dump.write_text(text)
+        assert main(["compare", str(img), str(dump)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "kpu compare: %s\n" % err
+    dump.write_text(full)
+    assert main(["compare", str(img), str(dump)]) == 0
 
 
 def test_compare_loads_the_image_before_the_dump(tmp_path, capsys):

@@ -11,7 +11,7 @@ itself is a fault in supervisor mode, where the trap could only repeat.
 import pytest
 
 from kpusim.assembler import assemble, parse_image
-from kpusim.check import compare, engine_view
+from kpusim.check import SimView, compare, engine_view, render_dump
 from kpusim.codec import Codec
 from kpusim.core import Mode
 from kpusim.frontend import main
@@ -86,7 +86,8 @@ def test_spinning_image_exits_1_from_every_command(tmp_path, capsys):
     img = tmp_path / "spin.img"
     img.write_text(SPIN_IMAGE)
     dump = tmp_path / "spin.dump"
-    dump.write_text("KPUDUMP 1\n")
+    # a complete dump, so that compare gets as far as the reference's fault
+    dump.write_text(render_dump(SimView("super", [0] * 32, [0] * 32)))
     for argv in (["run", str(img)], ["oracle", str(img)],
                  ["compare", str(img), str(dump)]):
         assert main(argv) == 1
