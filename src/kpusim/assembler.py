@@ -100,11 +100,17 @@ def read_records(text, magic, what):
 
 def parse_image(text):
     image = Image(text={}, data={})
+    # int() also takes a '+', '_' and non-ASCII digits, so a record holding
+    # one has no number; only a text that holds one needs a look per record
+    odd = "+" in text or "_" in text or not text.isascii()
     for lineno, line in read_records(text, "KPUIMG 1", "image"):
         fields = line.split()
         kind = fields[0]
-        # int() takes a sign: every number must be unsigned and fit its field
+        # a '-' fails the range checks: every number is unsigned
         try:
+            if odd and kind in ("ENTRY", "TEXT", "DATA") and (
+                    "+" in line or "_" in line or not line.isascii()):
+                raise ValueError
             if kind == "ENTRY" and len(fields) == 2:
                 image.entry = int(fields[1], 16)
                 if not 0 <= image.entry <= MASK32:
@@ -180,11 +186,13 @@ def _expr(text, labels, lineno):
         return value
     if not s:
         raise ParseError(lineno, "empty expression")
-    try:
-        return int(s, 0)
-    except ValueError:
-        pass
-    m = re.match(r"^([A-Za-z_.$][\w.$]*)\s*([+-]\s*\d+)?$", s)
+    # int() also takes '_' and non-ASCII digits, which no number holds
+    if s.isascii() and "_" not in s:
+        try:
+            return int(s, 0)
+        except ValueError:
+            pass
+    m = re.match(r"^([A-Za-z_.$][\w.$]*)\s*([+-]\s*[0-9]+)?$", s)
     if m:
         name = m.group(1)
         if name not in labels:

@@ -12,8 +12,10 @@ the answer key stays independent of what it checks.
 """
 
 from . import isa
-from .assembler import read_records
+from .assembler import FormatError, read_records
 from .codec import MASK32, MASK64, word_value
+from .core import open_register
+from .memsys import BLANK_CELL, blank_word
 
 
 class SimView(isa.Slotted):
@@ -63,13 +65,14 @@ _DUMP_FIELDS = {"MODE": 2, "REG": 4, "PHYS": 3, "TLBMAP": 3, "OUT": 2}
 
 
 def _dump_number(lineno, text, base, limit):
-    """A dump field: unsigned, in `base`, at most `limit`."""
+    """A dump field: ASCII digits of `base` alone (no sign, no '_'), at
+    most `limit`."""
     try:
-        value = int(text, base)
+        value = int(text, base) if text.isascii() and text.isalnum() else -1
     except ValueError:
         value = -1
     if not 0 <= value <= limit:
-        raise ValueError("line %d: bad number %r" % (lineno, text))
+        raise FormatError(lineno, "bad number %r" % text)
     return value
 
 
@@ -79,18 +82,18 @@ def parse_sim_dump(text):
         fields = line.split()
         kind = fields[0]
         if kind not in _DUMP_FIELDS:
-            raise ValueError("line %d: unrecognized record %r" % (lineno, kind))
+            raise FormatError(lineno, "unrecognized record %r" % kind)
         if len(fields) != _DUMP_FIELDS[kind]:
-            raise ValueError("line %d: %s takes %d fields"
-                             % (lineno, kind, _DUMP_FIELDS[kind] - 1))
+            raise FormatError(lineno, "%s takes %d fields"
+                              % (kind, _DUMP_FIELDS[kind] - 1))
         if kind == "MODE":
             if fields[1] not in ("user", "super"):
-                raise ValueError("line %d: mode must be user or super" % lineno)
+                raise FormatError(lineno, "mode must be user or super")
             view.mode = fields[1]
         elif kind == "REG":
             i = _dump_number(lineno, fields[1], 10, MASK64)
             if i >= 32:
-                raise ValueError("line %d: no register %d" % (lineno, i))
+                raise FormatError(lineno, "no register %d" % i)
             view.regs_real[i] = _dump_number(lineno, fields[2], 16, MASK64)
             view.regs_shadow[i] = _dump_number(lineno, fields[3], 16, MASK64)
         elif kind == "PHYS":
@@ -104,10 +107,10 @@ def parse_sim_dump(text):
     # render_dump writes the mode and every register, so a dump without
     # one was cut short; it is not a machine whose registers all hold 0
     if view.mode is None:
-        raise ValueError("line %d: no MODE record" % len(text.splitlines()))
+        raise FormatError(len(text.splitlines()), "no MODE record")
     if None in view.regs_real:
-        raise ValueError("line %d: no REG %02d record"
-                         % (len(text.splitlines()), view.regs_real.index(None)))
+        raise FormatError(len(text.splitlines()),
+                          "no REG %02d record" % view.regs_real.index(None))
     return view
 
 
@@ -115,17 +118,8 @@ class AliasDetected(Exception):
     """One logical address is spread over physical cells that disagree."""
 
 
-def _domainize_register(view, i, cdc):
-    if view.mode == "user":
-        return view.regs_shadow[i] & MASK32
-    real = view.regs_real[i]
-    if real >> 32 == 0:
-        return real & MASK32
-    return word_value(cdc.decrypt(real))
-
-
 def compare(view, result, cdc):
-    """Diff an encrypted-machine view against an oracle result.
+    """Diff an encrypted-machine view against a finished Interpreter.
 
     Returns a list of human-readable mismatch lines; empty means the two
     agree. Raises AliasDetected if the encrypted machine's memory holds
@@ -135,8 +129,10 @@ def compare(view, result, cdc):
     if view.mode != result.mode.value:
         problems.append("mode: machine %s, reference %s"
                         % (view.mode, result.mode.value))
+    user = view.mode == "user"
     for i in range(32):
-        sim = _domainize_register(view, i, cdc)
+        sim = (view.regs_shadow[i] & MASK32 if user
+               else word_value(open_register(cdc, view.regs_real[i])))
         ref = result.regs[i] & MASK32
         if sim != ref:
             problems.append("r%d: machine 0x%08x, reference 0x%08x"
@@ -146,8 +142,8 @@ def compare(view, result, cdc):
     for cipher, index in view.tlb.items():
         ea_block = cdc.decrypt(cipher)
         addr = word_value(ea_block)
-        # a cell the dump leaves out holds 0, as in the machine
-        value = word_value(cdc.decrypt(view.cells.get(index, 0)))
+        # the dump leaves out a cell that holds 0, as a blank one does
+        value = word_value(cdc.decrypt(view.cells.get(index, BLANK_CELL)))
         logical.setdefault(addr, []).append(value)
     for addr, values in sorted(logical.items()):
         seen = set(values)
@@ -156,8 +152,7 @@ def compare(view, result, cdc):
                 "logical address 0x%08x maps to %d cells with values %s"
                 % (addr, len(values),
                    ", ".join("0x%08x" % v for v in sorted(seen))))
-    # what a cell left blank reads as, in the machine and the reference
-    blank = word_value(cdc.decrypt(0))
+    blank = blank_word(cdc)
     for addr in sorted(logical.keys() | result.user_mem.keys()):
         values = logical.get(addr)
         ref = result.user_mem.get(addr)

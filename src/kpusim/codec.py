@@ -90,7 +90,7 @@ class Codec:
     def __init__(self, key):
         self.key = key
         self.round_keys = key_schedule(key)
-        self._reversed = list(reversed(self.round_keys))
+        self.reversed_keys = self.round_keys[::-1]   # decrypt's round order
 
     def encrypt(self, block):
         left = (block >> 32) & MASK32
@@ -104,7 +104,7 @@ class Codec:
     def decrypt(self, block):
         left = (block >> 32) & MASK32
         right = block & MASK32
-        for k in self._reversed:
+        for k in self.reversed_keys:
             x = left ^ k
             f = ((x << 7) | (x >> 25)) + (((left << 13) | (left >> 19)) ^ k)
             left, right = right ^ (f & MASK32), left

@@ -48,6 +48,24 @@ VEC_ILLEGAL = 0x700
 VEC_SYSCALL = 0xC00
 
 
+class VectorSpin(codec.ProgramFault):
+    """Both machines' fault on an illegal word at the vector in supervisor
+    mode, whose trap would fetch that same word again, forever."""
+
+    def __init__(self):
+        super().__init__("illegal instruction at the illegal-instruction "
+                         "vector 0x%08x in supervisor mode" % VEC_ILLEGAL)
+
+
+def open_register(cdc, real):
+    """A real register's plaintext-domain block, for map-in and the checker:
+    a zero-filled value is a program address and gets the 0x7fff tag, and
+    anything else decrypts (memsys.BLANK_CELL says where that misreads)."""
+    if real >> 32 == 0:
+        return codec.to_decrypted_address(real)
+    return cdc.decrypt(real)
+
+
 def pack_sr(sm, f, cy, ov):
     return ((SR_SM if sm else 0) | (SR_F if f else 0)
             | (SR_CY if cy else 0) | (SR_OV if ov else 0))
@@ -78,20 +96,6 @@ class MachineState:
 
     # -------------------------------------------------------------- banks --
 
-    def _derive(self, real):
-        # Plaintext-domain view of a real register at map-in. Zero-filled
-        # values are taken to be program addresses and get the 0x7fff tag
-        # with their low 32 bits preserved; anything else decrypts. A data
-        # ciphertext that is zero-filled is misread here, and that is no
-        # 2**-32 chance: a user load from a never-written cell gives
-        # decrypt(0), which _map_out encrypts back to exactly 0 at the next
-        # trap, so the register returns from supervisor mode as program
-        # address 0 every time (the blank-cell reproducer in ROADMAP.md,
-        # open item 1(a)).
-        if (real >> 32) == 0:
-            return codec.to_decrypted_address(real & MASK32)
-        return self.codec.decrypt(real)
-
     def _map_out(self, shadow):
         if codec.is_decrypted_address(shadow):
             return codec.to_encrypted_address(shadow)
@@ -103,7 +107,7 @@ class MachineState:
         for i in indices:
             if i == 0:
                 continue
-            self.shadow[i] = self._derive(self.regs[i])
+            self.shadow[i] = open_register(self.codec, self.regs[i])
 
     def flush_shadows(self):
         """Encrypt the stale shadows into the real bank (user mode's end)."""

@@ -31,8 +31,8 @@ from .codec import Codec, ProgramFault
 from .core import Mode
 from .isa import InstrClass
 from .memsys import DEFAULT_CACHE_ENTRIES, DEFAULT_USER_WORDS
-from .oracle import interpret
-from .pipeline import DEFAULT_BPB_ENTRIES, Engine
+from .oracle import DEFAULT_MAX_STEPS, interpret
+from .pipeline import DEFAULT_BPB_ENTRIES, DEFAULT_MAX_CYCLES, Engine
 
 DEFAULT_KEY = 0x00112233445566778899AABBCCDDEEFF
 
@@ -140,7 +140,8 @@ def _build_parser():
                      help="write the final machine state here")
     run.add_argument("--trace", action="store_true",
                      help="print per-cycle pipeline occupancy")
-    run.add_argument("--max-cycles", type=_positive_int, default=5_000_000)
+    run.add_argument("--max-cycles", type=_positive_int,
+                     default=DEFAULT_MAX_CYCLES)
     run.add_argument("--user-words", type=_non_negative_int,
                      default=DEFAULT_USER_WORDS)
     run.add_argument("--cache-entries", type=_positive_int,
@@ -151,14 +152,16 @@ def _build_parser():
     orc = sub.add_parser("oracle", help="run the flat reference interpreter")
     orc.add_argument("image")
     orc.add_argument("--key", type=_parse_key, default=DEFAULT_KEY)
-    orc.add_argument("--max-steps", type=_positive_int, default=2_000_000)
+    orc.add_argument("--max-steps", type=_positive_int,
+                     default=DEFAULT_MAX_STEPS)
 
     cmp_ = sub.add_parser("compare",
                           help="check a machine dump against the reference")
     cmp_.add_argument("image")
     cmp_.add_argument("dump")
     cmp_.add_argument("--key", type=_parse_key, default=DEFAULT_KEY)
-    cmp_.add_argument("--max-steps", type=_positive_int, default=2_000_000)
+    cmp_.add_argument("--max-steps", type=_positive_int,
+                      default=DEFAULT_MAX_STEPS)
     return parser
 
 
@@ -216,7 +219,7 @@ def _load_image(path, command, parse):
         return None
     try:
         return parse(text)
-    except (FormatError, ValueError) as exc:
+    except FormatError as exc:
         print("kpu %s: %s" % (command, exc), file=sys.stderr)
         return None
 

@@ -22,9 +22,7 @@ import re
 from enum import Enum
 
 from . import alu
-
-
-MASK32 = 0xFFFFFFFF
+from .codec import MASK32
 
 
 class IllegalOpcode(Exception):

@@ -24,11 +24,18 @@ misses: the cycle table's "(cached)" rows read them.
 
 from collections import OrderedDict
 
-from .codec import MASK64, ProgramFault
+from .codec import MASK64, ProgramFault, word_value
 
 SUPER_REGION_BYTES = 1 << 20           # identity-mapped supervisor region
 DEFAULT_USER_WORDS = 64 * 1024
 DEFAULT_CACHE_ENTRIES = 64
+
+# What a never-written user cell holds, in both machines and the checker;
+# a user load from one reads its decryption (blank_word). That value's
+# ciphertext, 0, is also program address 0's zero-filled form, which
+# core.open_register reads back after a trap maps the value out (ROADMAP.md,
+# open item 1(a)). Unwritten supervisor RAM reads 0, a rule of its own.
+BLANK_CELL = 0
 
 
 class PhysicalExhausted(ProgramFault):
@@ -51,6 +58,19 @@ def super_index(addr):
     if addr >= SUPER_REGION_BYTES:
         raise OutOfRegion("address 0x%x beyond the supervisor region" % addr)
     return addr // 8
+
+
+def blank_word(cdc):
+    """The plaintext word a never-written user cell reads as."""
+    return word_value(cdc.decrypt(BLANK_CELL))
+
+
+def data_cells(image):
+    """(cell, value) of an image's DATA records in address order, so that
+    both machines fault on the same one of several unloadable records."""
+    data = image.data
+    for addr in sorted(data):
+        yield super_index(addr), data[addr]
 
 
 class TlbMap:
@@ -125,16 +145,13 @@ class MemorySystem:
 
     # ---------------------------------------------------------- physical --
 
-    def read_cell(self, index):
-        return self.cells.get(index, 0)
-
     def write_cell(self, index, value):
         self.cells[index] = value & MASK64
 
     # -------------------------------------------------------- supervisor --
 
     def supervisor_load(self, addr):
-        return self.read_cell(super_index(addr))
+        return self.cells.get(super_index(addr), 0)
 
     def supervisor_store(self, addr, value):
         self.write_cell(super_index(addr), value)
@@ -156,7 +173,7 @@ class MemorySystem:
         if cached is not None:
             return cached, True
         index = self._user_cell(ea_block)
-        return self.codec.decrypt(self.read_cell(index)), False
+        return self.codec.decrypt(self.cells.get(index, BLANK_CELL)), False
 
     def user_store(self, ea_block, value_block):
         """Write-through: plaintext to the cache, ciphertext to the cell."""

@@ -1,4 +1,4 @@
-"""Flat reference interpreter and state comparison.
+"""Flat reference interpreter.
 
 The interpreter executes an image one instruction at a time over plain
 32-bit registers, 32-bit logical user memory and 64-bit supervisor cells.
@@ -6,43 +6,27 @@ No pipeline, no padding, no ciphertext: it is the answer key the encrypted
 machine is checked against. It shares with the machine the ISA layer
 (the decoder, the prefix latch, the immediate-to-ALU table, which jumps are
 pc-relative and which link, the user-mode legality rule), the ALU, the
-supervisor data address rule (memsys.super_index) and the one base class
-of program faults, never the pipeline's execute path, and mirrors every
+memory rules of memsys (the supervisor data address, what a never-written
+user cell reads as, the order DATA records load in), the fault at the
+illegal-instruction vector (core.VectorSpin) and the one base class of
+program faults, never the pipeline's execute path, and mirrors every
 other architectural rule that shows through to results: trap entry and
-return, mode containment of special registers, and the quirk that an
-unwritten user cell reads back as the decryption of an all-zero block.
+return and mode containment of special registers.
 """
 
 from . import alu, isa
 from .codec import MASK32, ProgramFault, word_value
 from .core import (CONFIG_ID, Mode, SPR_CONFIG, SPR_EPCR, SPR_SR,
-                   USER_READABLE_SPRS, VEC_ILLEGAL, VEC_SYSCALL, pack_sr,
-                   unpack_sr)
+                   USER_READABLE_SPRS, VEC_ILLEGAL, VEC_SYSCALL, VectorSpin,
+                   pack_sr, unpack_sr)
 from .isa import InstrClass, MissingPrefix, PrefixLatch, consume_prefixes
-from .memsys import super_index
+from .memsys import blank_word, data_cells, super_index
+
+DEFAULT_MAX_STEPS = 2_000_000
 
 
 class MaxStepsExceeded(ProgramFault):
     pass
-
-
-class OracleFault(ProgramFault):
-    """Program did something the flat machine cannot continue from."""
-
-
-class OracleResult(isa.Slotted):
-    __slots__ = ("regs", "user_mem", "super_cells", "outputs", "steps", "mode",
-                 "flags")
-
-    def __init__(self, regs, user_mem, super_cells, outputs, steps, mode,
-                 flags):
-        self.regs = regs
-        self.user_mem = user_mem
-        self.super_cells = super_cells
-        self.outputs = outputs
-        self.steps = steps
-        self.mode = mode
-        self.flags = flags
 
 
 class Interpreter:
@@ -79,19 +63,14 @@ class Interpreter:
         self._records_by_mode = {Mode.USER: {}, Mode.SUPERVISOR: {}}
         self._records = self._records_by_mode[self.mode]
         self.user_mem = {}
-        self.super_cells = {}
-        # in address order, as the engine loads them, so an image with
-        # several unloadable records faults on the same one in both
-        for addr in sorted(image.data):
-            self.super_cells[super_index(addr)] = image.data[addr]
+        self.super_cells = dict(data_cells(image))
         self.outputs = []
         self.steps = 0
         self.halted = False
         self.latch = PrefixLatch()
         # sealed immediate block -> its 32-bit literal, opened at first use
         self.literals = {}
-        # what the encrypted machine reads from a never-written cell
-        self.blank = word_value(cdc.decrypt(0))
+        self.blank = blank_word(cdc)
 
     # ----------------------------------------------------------- helpers --
 
@@ -162,10 +141,7 @@ class Interpreter:
 
     def _illegal(self, pc, ins, operand):
         if pc == VEC_ILLEGAL and self.mode is Mode.SUPERVISOR:
-            # the trap would fetch this same illegal word again, forever
-            raise OracleFault(
-                "illegal instruction at the illegal-instruction vector "
-                "0x%08x in supervisor mode" % VEC_ILLEGAL)
+            raise VectorSpin()
         self.steps += 1
         self._trap(VEC_ILLEGAL, pc)
 
@@ -270,14 +246,13 @@ class Interpreter:
         index = (self.regs[ins.ra] | ins.imm) & 0xFFFF
         self._write_spr(index, self.regs[ins.rb])
 
-    def run(self, max_steps=2_000_000):
+    def run(self, max_steps=DEFAULT_MAX_STEPS):
+        """Step to the exit; the interpreter is its own end state."""
         while not self.halted:
             if self.steps >= max_steps:
                 raise MaxStepsExceeded("no exit after %d steps" % max_steps)
             self.step()
-        return OracleResult(list(self.regs), dict(self.user_mem),
-                            dict(self.super_cells), list(self.outputs),
-                            self.steps, self.mode, dict(self.flags))
+        return self
 
 
 def _target(pc, word, ins):
@@ -328,7 +303,7 @@ _DISPATCH = {(row.mnemonic, mode): _dispatch(row, mode)
 _ILLEGAL_RECORD = (Interpreter._illegal, None, None, False)
 
 
-def interpret(image, cdc, max_steps=2_000_000):
+def interpret(image, cdc, max_steps=DEFAULT_MAX_STEPS):
     """Run the flat interpreter over an image to completion."""
     return Interpreter(image, cdc).run(max_steps)
 

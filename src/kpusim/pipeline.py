@@ -86,9 +86,12 @@ from . import alu, isa
 from .codec import (MASK32, MASK64, ROUNDS, NotAProgramAddress, ProgramFault,
                     feistel_unround, open_program_address, pad_mix,
                     to_decrypted_address, to_encrypted_address)
-from .core import MachineState, Mode, VEC_ILLEGAL, VEC_SYSCALL
+from .core import MachineState, Mode, VEC_ILLEGAL, VEC_SYSCALL, VectorSpin
 from .isa import InstrClass, MissingPrefix, PrefixLatch, consume_prefixes
-from .memsys import DEFAULT_CACHE_ENTRIES, DEFAULT_USER_WORDS, MemorySystem
+from .memsys import (DEFAULT_CACHE_ENTRIES, DEFAULT_USER_WORDS, MemorySystem,
+                     data_cells)
+
+DEFAULT_MAX_CYCLES = 5_000_000
 
 
 class SimulationFault(ProgramFault):
@@ -316,14 +319,13 @@ class Engine:
         self.state = MachineState(cdc, entry=image.entry,
                                   mode=Mode(image.mode))
         self.mem = MemorySystem(cdc, user_words, cache_entries)
-        for addr in sorted(image.data):
-            self.mem.supervisor_store(addr, image.data[addr])
+        self.mem.cells.update(data_cells(image))
         self.text = image.text
         # per mode, pc -> fetch record, made at the pc's first fetch there
         self._records_by_mode = {Mode.USER: {}, Mode.SUPERVISOR: {}}
         # sealed immediate block -> its plaintext, opened at first fetch
         self.opened = {}
-        self._unround_keys = cdc.round_keys[::-1]
+        self._unround_keys = cdc.reversed_keys
         self.bpb = BranchPredictionBuffer(bpb_entries)
         self.stats = CycleStats()
         self.outputs = []
@@ -672,10 +674,7 @@ class Engine:
     def _retire_illegal(self, cell):
         record = cell.record
         if record.pc == VEC_ILLEGAL and record.mode is Mode.SUPERVISOR:
-            # the trap would fetch this same illegal word again, forever
-            raise SimulationFault(
-                "illegal instruction at the illegal-instruction vector "
-                "0x%08x in supervisor mode" % VEC_ILLEGAL)
+            raise VectorSpin()
         self.state.enter_exception(VEC_ILLEGAL, record.pc)
         self._transition()
 
@@ -775,7 +774,7 @@ class Engine:
         conveyor.insert(stall_idx + 1,
                         STALL_BUBBLE if stall_idx >= 0 else self._fetch())
 
-    def run(self, max_cycles=5_000_000):
+    def run(self, max_cycles=DEFAULT_MAX_CYCLES):
         stats, step = self.stats, self.step
         while not self.halted:
             if stats.cycles >= max_cycles:

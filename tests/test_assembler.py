@@ -213,11 +213,25 @@ def test_error_texts_are_pinned():
         # every plain register is read before any operand that may be a label
         ("l.addi r1, nowhere, r9", "expected register, got 'nowhere'"),
         ("l.sw zz(r1), r40", "expected register, got 'r40'"),
+        (".org 0x102", ".org address not word aligned"),
+        (".encrypt maybe", ".encrypt takes on or off"),
+        (".mode kernel", ".mode takes user or super"),
+        (".space 6", ".space takes a multiple of 4"),
+        (".dword 0x200", ".dword takes address, value"),
+        (".frob", "unknown directive .frob"),
     ]
     for body, text in cases:
         with pytest.raises(ParseError) as info:
             assemble(".org 0x100\n" + body + "\n", cdc())
         assert str(info.value) == "line 2: " + text, body
+    with pytest.raises(ParseError) as info:
+        assemble(".encrypt on\nl.addi r1, r0, 4294967296\n", cdc())
+    assert str(info.value) == "line 2: immediate 4294967296 does not fit 32 bits"
+    for record, text in (("MODE kernel", "mode must be user or super"),
+                         ("ENTRY zz", "bad number in 'ENTRY zz'")):
+        with pytest.raises(FormatError) as info:
+            parse_image("KPUIMG 1\n%s\n" % record)
+        assert str(info.value) == "line 2: " + text
     # register names take either case
     image = assemble(".org 0x100\nl.add R31, r0, R9\n", cdc())
     assert isa.decode(image.text[0x100]) == isa.instruction(
@@ -241,6 +255,17 @@ def test_a_label_offset_takes_no_leading_zero():
     assert str(info.value) == "line 3: cannot parse expression 'foo + 010'"
     image = assemble(source % "10", cdc())
     assert isa.decode(image.text[0x100]).imm == 0x10A
+
+
+def test_numbers_are_ascii_digits_without_underscores():
+    # int() alone also takes '_' and any Unicode decimal digit; a sign stays
+    source = ".org 0x100\nfoo:\nl.addi r3, r0, %s\n"
+    for text in ("١٠", "1_0", "0x1_0", "foo+١", "foo + 1_0"):
+        with pytest.raises(ParseError) as info:
+            assemble(source % text, cdc())
+        assert str(info.value) == "line 3: cannot parse expression %r" % text
+    for text, imm in (("10", 10), ("-10", -10), ("+10", 10), ("foo+1", 0x101)):
+        assert isa.decode(assemble(source % text, cdc()).text[0x100]).imm == imm
 
 
 def test_word_values_must_fit_32_bits():

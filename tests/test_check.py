@@ -74,3 +74,80 @@ def test_the_first_record_must_be_the_header(parse, magic):
     rest = "" if parse is parse_image else render_dump(
         SimView("super", [0] * 32, [0] * 32)).split("\n", 1)[1]
     parse("\n  %s  # header\n%s" % (magic.replace(" ", "\t"), rest))
+
+
+# Programs that reach mode and register rules nothing else runs: an l.rfe
+# back to supervisor mode, a supervisor read of SR, and a user return
+# address stored, loaded back and mapped out at a trap. Each is frozen as
+# (source, printed value, engine cycles, reference steps).
+AGREEING = {
+    "rfe back to supervisor mode": (""".mode super
+    l.addi r3, r0, 5
+    l.sys  0
+    l.nop  2
+    l.nop  1
+.org 0xc00
+    l.addi r3, r3, 1
+    l.rfe
+""", 6, 19, 6),
+    "supervisor SR read": (""".mode super
+    l.sfeq  r0, r0
+    l.mfspr r3, r0, 17
+    l.nop   2
+    l.nop   1
+""", 513, 10, 4),
+    "program address mapped out": (""".mode user
+.entry start
+.org 0x2000
+.encrypt on
+start:
+    l.addi r14, r0, 0x1200
+    l.jal  f
+    l.nop  1
+f:
+    l.sw   0(r14), r9
+    l.lwz  r5, 0(r14)
+    l.sys  0
+.encrypt off
+.org 0xc00
+    l.add  r3, r5, r0
+    l.nop  2
+    l.nop  1
+.org 0x700
+    l.nop  1
+""", 8208, 39, 8),
+}
+
+
+@pytest.mark.parametrize("source, value, cycles, steps",
+                         AGREEING.values(), ids=AGREEING)
+def test_both_machines_agree_on_a_mode_rule(source, value, cycles, steps):
+    c = Codec(KEY)
+    image = assemble(source, c)
+    engine = Engine(image, c)
+    engine.run()
+    reference = interpret(image, c)
+    assert engine.outputs == reference.outputs == [value]
+    assert (engine.cycle, reference.steps) == (cycles, steps)
+    assert compare(engine_view(engine), reference, c) == []
+
+
+def test_image_and_dump_numbers_are_unsigned_ascii_digits():
+    # int() alone also takes a sign, '_' and any Unicode decimal digit
+    for record in ("ENTRY +0x100", "ENTRY 0x1_00", "ENTRY 0x١00",
+                   "TEXT 0x100 15_000001", "DATA 0x8 +5"):
+        with pytest.raises(FormatError) as info:
+            parse_image("KPUIMG 1\n%s\n" % record)
+        assert str(info.value) == "line 2: bad number in %r" % record
+    full = render_dump(SimView("super", [0] * 32, [0] * 32))
+    zero = "0" * 16
+    for record, number in (("REG 00 +%s %s" % (zero[1:], zero), "+" + zero[1:]),
+                           ("REG 0_0 %s %s" % (zero, zero), "0_0"),
+                           ("OUT ١", "١")):
+        with pytest.raises(FormatError) as info:
+            parse_sim_dump(full + record + "\n")
+        assert str(info.value) == "line 35: bad number %r" % number
+    # a '-' was refused before, by the range checks
+    with pytest.raises(FormatError) as info:
+        parse_image("KPUIMG 1\nDATA -0x8 0000000000000005\n")
+    assert str(info.value) == "line 2: bad data record"

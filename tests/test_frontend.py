@@ -11,6 +11,8 @@ import kpusim
 from kpusim.check import SimView, render_dump
 from kpusim.frontend import asm_entry, main, oracle_entry
 
+ROOT = Path(__file__).resolve().parent.parent
+
 SOURCE = """.mode user
 .entry start
 .org 0x4000
@@ -284,6 +286,15 @@ def test_run_limits_out_of_range_are_usage_errors(built, capsys, command,
     err = capsys.readouterr().err
     assert "kpu %s: error: argument %s: must be %s, not %s" % (
         command, option, rule, value) in err
+
+
+def test_a_limit_that_is_no_integer_is_a_usage_error(built, capsys):
+    tmp, img = built
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(img), "--max-cycles", "abc"])
+    assert exc.value.code == 2
+    assert ("kpu run: error: argument --max-cycles: 'abc' is not an integer"
+            in capsys.readouterr().err)
 
 
 def test_zero_user_words_is_a_program_fault_not_a_usage_error(built, capsys):
@@ -604,3 +615,32 @@ def test_bad_key_is_a_usage_error(built, capsys, command, key, rule):
     err = capsys.readouterr().err
     assert err.endswith("kpu %s: error: argument --key: %s\n" % (command,
                                                                  rule))
+
+
+def test_a_non_default_key_round_trips(tmp_path, capsys):
+    key = ["--key", "0f1e2d3c4b5a69788796a5b4c3d2e1f0"]
+    img, dump = tmp_path / "sum.img", tmp_path / "sum.dump"
+    source = str(ROOT / "programs" / "encrypted_sum.s")
+    assert main(["asm", source, "-o", str(img)] + key) == 0
+    assert main(["run", str(img), "--dump", str(dump)] + key) == 0
+    assert capsys.readouterr().out == "55\n"
+    assert main(["compare", str(img), str(dump)] + key) == 0
+    assert capsys.readouterr().out == "MISMATCHES 0\n"
+    # the image is sealed under that key alone
+    assert main(["asm", source, "-o", str(tmp_path / "default.img")]) == 0
+    assert (tmp_path / "default.img").read_text() != img.read_text()
+
+
+@pytest.mark.parametrize("command, name, text, error", [
+    ("asm", "n.s", "l.addi r3, r0, 1_0\n", "line 1: cannot parse expression '1_0'"),
+    ("run", "n.img", "KPUIMG 1\nENTRY +0x00000100\n",
+     "line 2: bad number in 'ENTRY +0x00000100'"),
+])
+def test_a_number_with_a_sign_or_underscore_exits_2(tmp_path, capsys, command,
+                                                    name, text, error):
+    path = tmp_path / name
+    path.write_text(text)
+    argv = [command, str(path)] + (["-o", str(tmp_path / "n.img")]
+                                   if command == "asm" else [])
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "kpu %s: %s\n" % (command, error)

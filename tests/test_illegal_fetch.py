@@ -13,10 +13,10 @@ import pytest
 from kpusim.assembler import assemble, parse_image
 from kpusim.check import SimView, compare, engine_view, render_dump
 from kpusim.codec import Codec
-from kpusim.core import Mode
+from kpusim.core import Mode, VectorSpin
 from kpusim.frontend import main
-from kpusim.oracle import Interpreter, OracleFault
-from kpusim.pipeline import Engine, SimulationFault
+from kpusim.oracle import Interpreter
+from kpusim.pipeline import Engine
 
 KEY = 0x00112233445566778899AABBCCDDEEFF
 
@@ -73,11 +73,11 @@ def test_illegal_vector_in_supervisor_mode_faults_at_once():
     cdc = Codec(KEY)
     image = parse_image(SPIN_IMAGE)
     engine = Engine(image, cdc)
-    with pytest.raises(SimulationFault, match="illegal-instruction vector"):
+    with pytest.raises(VectorSpin, match="illegal-instruction vector"):
         engine.run(max_cycles=1000)
     assert engine.cycle <= 50
     itp = Interpreter(image, cdc)
-    with pytest.raises(OracleFault, match="illegal-instruction vector"):
+    with pytest.raises(VectorSpin, match="illegal-instruction vector"):
         itp.run(max_steps=1000)
     assert itp.steps <= 50
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import kpusim
-from kpusim import isa, memsys, oracle, pipeline
+from kpusim import core, isa, memsys, oracle, pipeline
 from kpusim.codec import ProgramFault
 
 PACKAGE = Path(kpusim.__file__).resolve().parent
@@ -73,7 +73,7 @@ def test_frontend_catches_program_faults_by_their_one_base():
     base alone, so a new fault needs no edit there."""
     faults = (pipeline.SimulationFault, pipeline.MaxCyclesExceeded,
               memsys.PhysicalExhausted, memsys.UnalignedSupervisorAccess,
-              memsys.OutOfRegion, oracle.OracleFault, oracle.MaxStepsExceeded)
+              memsys.OutOfRegion, core.VectorSpin, oracle.MaxStepsExceeded)
     assert all(issubclass(fault, ProgramFault) for fault in faults)
     names = set()
     for node in ast.walk(ast.parse((PACKAGE / "frontend.py").read_text())):

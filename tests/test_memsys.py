@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from kpusim.assembler import FormatError
 from kpusim.check import SimView, parse_sim_dump, render_dump
 from kpusim.codec import Codec
 from kpusim.memsys import (SUPER_REGION_BYTES, MemorySystem, OutOfRegion,
@@ -69,7 +70,7 @@ def test_user_store_keeps_ciphertext_at_rest():
     value = ea(0x4BBB0002, 1234)
     mem.user_store(addr, value)
     index = mem.tlb.translate(cdc.encrypt(addr))
-    raw = mem.read_cell(index)
+    raw = mem.cells[index]
     assert raw != value
     assert cdc.decrypt(raw) == value
 
@@ -129,7 +130,7 @@ def test_super_index_is_the_one_supervisor_address_rule():
 def test_supervisor_cells_hold_raw_values():
     mem = MemorySystem(Codec(KEY))
     mem.supervisor_store(0x800, 0x1234567890ABCDEF)
-    assert mem.read_cell(0x100) == 0x1234567890ABCDEF
+    assert mem.cells[0x100] == 0x1234567890ABCDEF
 
 
 def test_dump_round_trip():
@@ -145,5 +146,5 @@ def test_dump_round_trip():
     back = parse_sim_dump(render_dump(view))
     assert back.cells == {k: v for k, v in mem.cells.items() if v}
     assert back.tlb == dict(mem.tlb.entries)
-    with pytest.raises(ValueError):
+    with pytest.raises(FormatError):
         parse_sim_dump("KPUDUMP 1\nJUNK 1 2\n")
