@@ -8,7 +8,8 @@
 kpu-asm and kpu-oracle are shorthands for the first and third forms.
 
 Exit codes: 0 success, 1 the program faulted, 2 usage or file format
-problems, 3 a comparison found mismatches.
+problems, 3 a comparison found mismatches, 141 the reader of stdout or
+stderr went away (the status a shell reports for a SIGPIPE death).
 
 An output file (-o, --stats, --dump) is written in place, through a
 symlink, and cut to length; an interrupted write can leave the old file's
@@ -36,11 +37,24 @@ from .pipeline import DEFAULT_BPB_ENTRIES, DEFAULT_MAX_CYCLES, Engine
 
 DEFAULT_KEY = 0x00112233445566778899AABBCCDDEEFF
 
+# 128 + SIGPIPE: what a shell reports for a process a closed pipe ended
+BROKEN_PIPE = 141
+
+
+def _number(text, base, signed):
+    """`text` as a number by the rule files follow: ASCII digits of `base`
+    alone, no '_', and a sign only where `signed`, as a number in a source
+    may take one; ValueError where it is no such number."""
+    digits = text[1:] if signed and text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isalnum()):
+        raise ValueError("not a number: %r" % text)
+    return int(text, base)
+
 
 def _parse_key(text):
     import argparse
     try:
-        key = int(text, 16)
+        key = _number(text, 16, signed=False)
     except ValueError:
         raise argparse.ArgumentTypeError("key must be hexadecimal") from None
     if key >> 128:
@@ -52,7 +66,7 @@ def _int_at_least(minimum, what):
     def parse(text):
         import argparse
         try:
-            value = int(text)
+            value = _number(text, 10, signed=True)
         except ValueError:
             raise argparse.ArgumentTypeError(
                 "%r is not an integer" % text) from None
@@ -64,6 +78,15 @@ def _int_at_least(minimum, what):
 
 _positive_int = _int_at_least(1, "positive")
 _non_negative_int = _int_at_least(0, "non-negative")
+
+
+def _seed(text):
+    import argparse
+    try:
+        return _number(text, 10, signed=True)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "invalid int value: %r" % text) from None
 
 
 def _pct(part, whole):
@@ -124,7 +147,7 @@ def _build_parser():
     asm.add_argument("source")
     asm.add_argument("-o", "--output", required=True)
     asm.add_argument("--key", type=_parse_key, default=DEFAULT_KEY)
-    asm.add_argument("--seed", type=int, default=0,
+    asm.add_argument("--seed", type=_seed, default=0,
                      help="padding stream seed")
     asm.add_argument("--strict", action="store_true",
                      help="fail on crypto-safety diagnostics")
@@ -300,8 +323,25 @@ _COMMANDS = {"asm": _cmd_asm, "run": _cmd_run, "oracle": _cmd_oracle,
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        try:
+            args = _build_parser().parse_args(argv)
+            return _COMMANDS[args.command](args)
+        finally:
+            # what the flush at exit would find, found here
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # A stream whose reader went away would fail again at the flush at
+        # exit, with a traceback-like report and exit 120; it writes to
+        # the null device from here on.
+        for stream in (sys.stdout, sys.stderr):
+            try:
+                stream.flush()
+            except BrokenPipeError:
+                null = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(null, stream.fileno())
+                os.close(null)
+        return BROKEN_PIPE
 
 
 def asm_entry(argv=None):

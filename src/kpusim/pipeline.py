@@ -36,14 +36,12 @@ its class) or a bubble (counted as a stall or refill wait state), so the
 accounting closes exactly by construction.
 
 Only a few positions can do work in a cycle, and step() visits only those,
-read off the fetch table's entries:
-  * the X positions, oldest first: user 13 (plan B) then 3 (plan A),
-    supervisor 3,
-  * then the M positions: user 4 (plan B carries only immediates, which
-    have no memory work; the short plan has no M, so supervisor loads and
-    stores reach memory at X); every execute runs before any memory
-    access, so a fault raised at X outranks one raised at M in the same
-    cycle,
+read off the fetch table and bound per mode at a transition (two X, one M,
+two R; position 0, F, where nothing works, stands in for a missing one):
+  * the X positions, oldest first: user 13 (plan B) then 3, supervisor 3,
+  * then M: user 4 (plan B carries only immediates; supervisor loads and
+    stores reach memory at X), after every execute, as a fault at X
+    outranks one at M,
   * then the R positions, oldest first: user 12 then 2, supervisor 2; the
     oldest instruction whose operands are not ready stalls there until its
     wake cycle, the latest ready cycle of its producers, worked out once
@@ -51,11 +49,13 @@ read off the fetch table's entries:
   * then the conveyor shifts by one.
 Empty cells are two shared bubbles, one per wait-state kind.
 
-Each slot binds at fetch the youngest older writer of each source (the
-last-writer map, cleared at a mode transition and rebuilt from the
-survivors after a mispredict flush). A producer that has retired counts as
-absent: its value is in the register file by then. Retiring a slot also
-drops its own producer links; otherwise each slot would keep its producers
+Each slot binds at fetch the youngest older writer in flight of each
+source operand, one last-writer map lookup each (the map is cleared at a
+mode transition and rebuilt from the survivors after a mispredict flush):
+`pa` that of its first source, ra or the flag for a branch, and `pb` that
+of rb, None where there is none. A producer that has retired counts as
+absent: its value is in the register file by then. Retiring a slot cuts
+both of its own links; otherwise each slot would keep its producers
 alive, they theirs, and a long run would hold every slot it ever fetched.
 
 Everything static about fetching a pc is worked out at its first fetch,
@@ -74,9 +74,9 @@ the slots bind by where it is not rd (r9 of a link, the flag of a
 set-flag) and the form a link's return address takes in the mode. So a
 cycle calls no handler that does nothing, and a pc's first fetch costs a
 decode, one table lookup and the record's own arithmetic: its
-instruction, sources and destination, a branch's target and a link's
-return address. A mode transition switches record tables. The same word
-can differ between the modes: an encrypted immediate is a plain
+instruction, class, operands and destination, a branch's target and a
+link's return address. A mode transition switches record tables. The
+same word can differ between the modes: an encrypted immediate is a plain
 short-plan immediate to supervisor code, a 64-bit operation is legal there
 but an illegal carrier in user mode, and where the work differs by mode (a
 user-mode result carries a padding) the table binds that mode's handler.
@@ -131,17 +131,14 @@ class BranchPredictionBuffer:
         self.misses_right = 0
         self.misses_wrong = 0
 
-    def _slot(self, pc):
-        return (pc >> 2) % len(self.entries)
-
     def lookup(self, pc):
-        entry = self.entries[self._slot(pc)]
+        entry = self.entries[(pc >> 2) % len(self.entries)]
         if entry is not None and entry[0] == pc:
             return True, entry[2], entry[1]
         return False, False, (pc + 4) & MASK32
 
     def update(self, pc, taken, target):
-        self.entries[self._slot(pc)] = (pc, target, taken)
+        self.entries[(pc >> 2) % len(self.entries)] = (pc, target, taken)
 
     def record(self, hit, right):
         if hit:
@@ -207,7 +204,7 @@ class Bubble:
     """An empty conveyor cell. Only STALL_BUBBLE and REFILL_BUBBLE exist.
 
     They answer what step() asks of every cell it visits (its X, R and M
-    positions) with "none", so the per-cycle loops need no type test.
+    positions) with "none", so step()'s tests need no type test.
     """
 
     __slots__ = ()
@@ -216,16 +213,6 @@ class Bubble:
 
 STALL_BUBBLE = Bubble()         # retires as a stall wait state
 REFILL_BUBBLE = Bubble()        # retires as a refill wait state
-
-
-def _slot_sources(instr):
-    if instr.cls is InstrClass.BRANCH:
-        return (FLAG,)
-    # an unused field is None; r0 is constant zero
-    ra, rb = instr.ra, instr.rb
-    if ra:
-        return (ra, rb) if rb else (ra,)
-    return (rb,) if rb else ()
 
 
 # How fetch treats a pc's word: latch-clearing, prefix, a user-mode
@@ -244,15 +231,17 @@ class FetchRecord:
     indexes of its slots, X or M at -1 where that stage has no work; the
     `serialize`, `holds` and `predicted` flags; and the Engine methods
     that work at X, at M and at retirement, `execute`, `memory` and
-    `retire`, or None. It adds what is the pc's own: its pc, word and
-    instruction (the carrier's for an illegal fetch), the sources and
-    destination its slots bind producers by, a branch or direct jump's
-    `target`, and the return address a jump-and-link writes, `link`, in
-    the mode's form.
+    `retire`, or None. It adds what is the pc's own: its pc, word,
+    instruction (the carrier's for an illegal fetch) and `cls`, the class
+    its completion counts under; `a` (ra, or the flag for a branch) and
+    `b` (rb), the operands its slots bind producers by, None for none or
+    r0, and `dest`, the destination it is bound by; a branch or direct
+    jump's `target`; and the return address a jump-and-link writes,
+    `link`, in the mode's form.
     """
 
-    __slots__ = ("kind", "instr", "word", "pc", "mode", "plan",
-                 "positions", "sources", "dest", "serialize", "holds",
+    __slots__ = ("kind", "instr", "cls", "word", "pc", "mode", "plan",
+                 "positions", "a", "b", "dest", "serialize", "holds",
                  "predicted", "execute", "memory", "retire", "target", "link")
 
     def __init__(self, instr, word, pc, mode):
@@ -266,8 +255,9 @@ class FetchRecord:
              and instr.cls is InstrClass.NOP else 0, mode)]
         if self.kind == _ILLEGAL:
             instr = _CARRIER_INSTR
-        self.instr, self.word, self.pc = instr, word, pc
-        self.sources = _slot_sources(instr)
+        self.instr, self.cls, self.word, self.pc = instr, instr.cls, word, pc
+        self.a = FLAG if instr.cls is InstrClass.BRANCH else instr.ra or None
+        self.b = instr.rb or None
         self.dest = dest or instr.rd or None
         self.target = (pc + 4 * instr.imm) & MASK32 if relative else None
         self.link = link_form((pc + 4) & MASK32) if link_form else None
@@ -279,25 +269,24 @@ class Slot:
     `x_index`/`m_index` start as the record's X and M positions and are
     cleared (-1) once that work is done, so a slot a stall holds at X or
     M does it once; `r_index` is the record's, kept beside them for
-    step()'s per-cycle tests. `producers` maps each source to the
-    youngest older writer in flight when the slot was fetched; retirement
-    cuts it. `wake` is the first cycle the slot may leave R: 0 with nothing
-    to wait for, None until _wake can work it out; `not_before` is a cycle
-    it cannot leave R before, so step() asks _wake no sooner. Everything
-    else is set by the stage that produces it.
+    step()'s per-cycle tests. `pa` and `pb` link the producers of the
+    record's operands `a` and `b`, or are None; retirement cuts both.
+    `wake` is the first cycle the slot may leave R once `settled`, and
+    until then a cycle it cannot leave R before, from which step() asks
+    _wake. Everything else is set by the stage that produces it.
     """
 
-    __slots__ = ("record", "x_index", "r_index", "m_index", "producers",
-                 "wake", "not_before", "retired", "ready_cycle", "imm_block",
+    __slots__ = ("record", "x_index", "r_index", "m_index", "pa", "pb",
+                 "wake", "settled", "retired", "ready_cycle", "imm_block",
                  "predicted", "result", "pending_effects", "ea_block",
                  "store_value", "__weakref__")
 
-    def __init__(self, record, producers):
+    def __init__(self, record, pa, pb):
         self.record = record
         self.x_index, self.r_index, self.m_index = record.positions
-        self.producers = producers
-        self.wake = None if producers or record.serialize else 0
-        self.not_before = 0
+        self.pa, self.pb = pa, pb
+        self.wake = 0
+        self.settled = pa is None and pb is None and not record.serialize
         self.retired = False
         self.ready_cycle = None         # when `result` forwards, once known
         # set where the record says so: imm_block (decrypted user-mode
@@ -349,8 +338,9 @@ class Engine:
             return REFILL_BUBBLE
         pc = self.fetch_pc
         self.fetch_pc = (pc + 4) & MASK32
-        record = self._records.get(pc)
-        if record is None:
+        try:
+            record = self._records[pc]
+        except KeyError:
             record = self._records[pc] = self._record(pc, self.state.mode)
 
         kind = record.kind
@@ -374,11 +364,7 @@ class Engine:
             return self._carrier(record)
 
         writers = self._last_writer
-        producers = {}
-        for name in record.sources:
-            if name in writers:
-                producers[name] = writers[name]
-        slot = Slot(record, producers)
+        slot = Slot(record, writers.get(record.a), writers.get(record.b))
         if imm_block is not None:
             slot.imm_block = imm_block
         dest = record.dest
@@ -403,7 +389,7 @@ class Engine:
         # the latch needs no clearing here: fetch holds until the trap
         # commits or a flush restarts it, and both clear the latch
         self.fetch_hold = True
-        return Slot(record, {})
+        return Slot(record, None, None)
 
     # -------------------------------------------------------- forwarding --
 
@@ -412,16 +398,16 @@ class Engine:
 
         That is the latest ready cycle of its unretired producers (a
         set-flag producer's comes with its flag). Once all are known, and
-        for a serializing cell no older slot is in flight, it is kept in
-        `cell.wake`: it cannot change, as no producer retires before it is
-        ready and no older slot enters later. Until then a serializing
-        cell waits to n + 1, and a producer whose X or M is still to come
-        is not ready before it reaches that position, one a cycle at most:
-        the latest such bound is kept in `cell.not_before` for step().
+        for a serializing cell no older slot is in flight, the cell is
+        `settled` at that `wake`: it cannot change, as no producer retires
+        before it is ready and no older slot enters later. Until then a
+        serializing cell waits to n + 1, and a producer whose X or M is
+        still to come is not ready before it reaches that position, one a
+        cycle at most: the latest such bound is kept in `cell.wake`.
         """
         wake, pending = 0, False
-        for producer in cell.producers.values():
-            if not producer.retired:
+        for producer in (cell.pa, cell.pb):
+            if producer is not None and not producer.retired:
                 ready = producer.ready_cycle
                 if ready is None:
                     pending = True
@@ -429,29 +415,22 @@ class Engine:
                         - self.conveyor.index(producer)
                 if ready > wake:
                     wake = ready
+        cell.wake = wake
         if pending:
-            cell.not_before = wake
             return wake
         if cell.record.serialize:
             for older in self.conveyor[idx + 1:-1]:
                 if older.__class__ is Slot:
                     return n + 1
-        cell.wake = wake
+        cell.settled = True
         return wake
 
-    def _read(self, cell, reg):
-        """Source register `reg` (not r0) of `cell` at X: forwarded from a
-        producer still in flight, else the mode's bank."""
-        producer = cell.producers.get(reg)
+    def _read(self, producer, reg):
+        """Source register `reg` (not r0) at X, `producer` the slot's link
+        for it: forwarded from a producer still in flight, else the mode's
+        bank."""
         if producer is None or producer.retired:
             return self._bank[reg]
-        assert producer.record.mode is self.state.mode, "cross-mode forward"
-        return producer.result
-
-    def _flag(self, cell):
-        producer = cell.producers.get(FLAG)
-        if producer is None or producer.retired:
-            return self.state.flag_f
         assert producer.record.mode is self.state.mode, "cross-mode forward"
         return producer.result
 
@@ -463,8 +442,8 @@ class Engine:
 
     def _ex_alu_user(self, idx, cell, n):
         instr = cell.record.instr
-        a = self._read(cell, instr.ra) if instr.ra else 0
-        b = self._read(cell, instr.rb) if instr.rb else 0
+        a = self._read(cell.pa, instr.ra) if instr.ra else 0
+        b = self._read(cell.pb, instr.rb) if instr.rb else 0
         res32, cell.pending_effects = alu.execute(instr.funct, a & MASK32,
                                                   b & MASK32)
         pad = pad_mix(a >> 32, b >> 32, instr.funct)
@@ -473,22 +452,22 @@ class Engine:
 
     def _ex_alu(self, idx, cell, n):
         instr = cell.record.instr
-        a = self._read(cell, instr.ra) if instr.ra else 0
-        b = self._read(cell, instr.rb) if instr.rb else 0
+        a = self._read(cell.pa, instr.ra) if instr.ra else 0
+        b = self._read(cell.pb, instr.rb) if instr.rb else 0
         cell.result, cell.pending_effects = alu.execute(
             instr.funct, a & MASK32, b & MASK32)
         cell.ready_cycle = n
 
     def _ex_set_flag(self, idx, cell, n):
         instr = cell.record.instr
-        a = self._read(cell, instr.ra) if instr.ra else 0
-        b = self._read(cell, instr.rb) if instr.rb else 0
+        a = self._read(cell.pa, instr.ra) if instr.ra else 0
+        b = self._read(cell.pb, instr.rb) if instr.rb else 0
         cell.result = alu.compare_flag(instr.funct, a & MASK32, b & MASK32)
         cell.ready_cycle = n
 
     def _ex_immediate_user(self, idx, cell, n):
         instr = cell.record.instr
-        a = self._read(cell, instr.ra) if instr.ra else 0
+        a = self._read(cell.pa, instr.ra) if instr.ra else 0
         b = cell.imm_block
         op = isa.IMM_ALU_OP[instr.mnemonic]
         res32, cell.pending_effects = alu.execute(op, a & MASK32, b & MASK32)
@@ -498,7 +477,7 @@ class Engine:
 
     def _ex_immediate(self, idx, cell, n):
         instr = cell.record.instr
-        a = self._read(cell, instr.ra) if instr.ra else 0
+        a = self._read(cell.pa, instr.ra) if instr.ra else 0
         cell.result, cell.pending_effects = alu.execute(
             isa.IMM_ALU_OP[instr.mnemonic], a & MASK32, instr.imm & MASK32)
         cell.ready_cycle = n
@@ -507,34 +486,36 @@ class Engine:
         # l.lwz/l.sw: the padded effective address and a store's data; the
         # memory work waits for M
         instr = cell.record.instr
-        a = self._read(cell, instr.ra) if instr.ra else 0
+        a = self._read(cell.pa, instr.ra) if instr.ra else 0
         off = instr.imm & MASK32
         ea32, _ = alu.execute(alu.OP_ADDR, a & MASK32, off)
         pad = pad_mix(a >> 32, off, alu.OP_ADDR)
         cell.ea_block = (pad << 32) | ea32
         if instr.rb is not None:
-            cell.store_value = self._read(cell, instr.rb) if instr.rb else 0
+            cell.store_value = self._read(cell.pb, instr.rb) if instr.rb \
+                else 0
 
     def _ex_address(self, idx, cell, n):
         # l.lwz/l.sw/l.ld/l.sd: the short plan has no M, so the memory work
         # follows at once
         instr = cell.record.instr
-        a = self._read(cell, instr.ra) if instr.ra else 0
+        a = self._read(cell.pa, instr.ra) if instr.ra else 0
         cell.ea_block = (a + instr.imm) & MASK64
         if instr.rb is not None:
-            cell.store_value = self._read(cell, instr.rb) if instr.rb else 0
+            cell.store_value = self._read(cell.pb, instr.rb) if instr.rb \
+                else 0
         cell.record.memory(self, cell, n)
 
     def _ex_add64(self, idx, cell, n):
         instr = cell.record.instr
-        a = self._read(cell, instr.ra) if instr.ra else 0
-        b = self._read(cell, instr.rb) if instr.rb else 0
+        a = self._read(cell.pa, instr.ra) if instr.ra else 0
+        b = self._read(cell.pb, instr.rb) if instr.rb else 0
         cell.result = (a + b) & MASK64
         cell.ready_cycle = n
 
     def _ex_mfspr_user(self, idx, cell, n):
         instr = cell.record.instr
-        a = self._read(cell, instr.ra) if instr.ra else 0
+        a = self._read(cell.pa, instr.ra) if instr.ra else 0
         index = ((a & MASK32) | instr.imm) & 0xFFFF
         value = self.state.read_spr(index)
         pad = pad_mix(a >> 32, index, alu.OP_MFSPR)
@@ -543,7 +524,7 @@ class Engine:
 
     def _ex_mfspr(self, idx, cell, n):
         instr = cell.record.instr
-        a = self._read(cell, instr.ra) if instr.ra else 0
+        a = self._read(cell.pa, instr.ra) if instr.ra else 0
         index = ((a & MASK32) | instr.imm) & 0xFFFF
         cell.result = self.state.read_spr(index) & MASK64
         cell.ready_cycle = n
@@ -552,13 +533,18 @@ class Engine:
         # Supervisor only: user mode ignores the write. Serialized, so the
         # write is program-ordered even though it lands at X.
         instr = cell.record.instr
-        a = self._read(cell, instr.ra) if instr.ra else 0
-        b = self._read(cell, instr.rb) if instr.rb else 0
+        a = self._read(cell.pa, instr.ra) if instr.ra else 0
+        b = self._read(cell.pb, instr.rb) if instr.rb else 0
         self.state.write_spr(((a & MASK32) | instr.imm) & 0xFFFF, b)
 
     def _ex_branch(self, idx, cell, n):
-        record = cell.record
-        flag = self._flag(cell)
+        record, producer = cell.record, cell.pa     # the flag's producer
+        if producer is None or producer.retired:
+            flag = self.state.flag_f
+        else:
+            assert producer.record.mode is self.state.mode, \
+                "cross-mode forward"
+            flag = producer.result
         taken = flag if record.instr.opcode == isa.OP_BF else not flag
         self._resolve(idx, cell, taken, record.target)
 
@@ -572,7 +558,7 @@ class Engine:
     def _ex_jump_register(self, idx, cell, n):
         record = cell.record
         rb = record.instr.rb
-        value = self._read(cell, rb) if rb else 0
+        value = self._read(cell.pb, rb) if rb else 0
         try:
             target = open_program_address(value)
         except NotAProgramAddress as exc:
@@ -682,9 +668,11 @@ class Engine:
         st = self.state
         mode = st.mode
         self.conveyor = [REFILL_BUBBLE] * _DEPTH[mode]
-        self._work = _WORK[mode]
+        (self._x_old, self._x_young, self._m, self._r_old,
+         self._r_young) = _WORK[mode]
         self._records = self._records_by_mode[mode]
         self._mode_stats = self.stats.per_mode[mode]
+        self._completions = self._mode_stats.completions
         # the register bank the ALU works on in this mode
         self._bank = st.shadow if mode is Mode.USER else st.regs
         self._last_writer = {}          # register -> youngest fetched writer
@@ -713,25 +701,29 @@ class Engine:
         stats = self.stats
         n = stats.cycles
         conveyor = self.conveyor
-        x_positions, m_positions, r_positions = self._work
 
         if self.trace is not None:
             self._trace(n)
 
-        # execute, oldest first: a branch resolving here flushes the
-        # younger positions in place, so each is read after the older ran
-        for idx in x_positions:
-            cell = conveyor[idx]
-            if cell.x_index == idx:
-                cell.x_index = -1
-                cell.record.execute(self, idx, cell, n)
+        # execute, oldest first: a branch resolving at the older X flushes
+        # the younger positions in place, so the younger is read after it
+        idx = self._x_old
+        cell = conveyor[idx]
+        if cell.x_index == idx:
+            cell.x_index = -1
+            cell.record.execute(self, idx, cell, n)
+        idx = self._x_young
+        cell = conveyor[idx]
+        if cell.x_index == idx:
+            cell.x_index = -1
+            cell.record.execute(self, idx, cell, n)
 
         # memory, after every execute: a fault at X outranks one at M
-        for idx in m_positions:
-            cell = conveyor[idx]
-            if cell.m_index == idx:
-                cell.m_index = -1
-                cell.record.memory(self, cell, n)
+        idx = self._m
+        cell = conveyor[idx]
+        if cell.m_index == idx:
+            cell.m_index = -1
+            cell.record.memory(self, cell, n)
 
         cell = conveyor[-1]
         if cell is STALL_BUBBLE:
@@ -743,43 +735,43 @@ class Engine:
             # older slots through it: without the cut, each slot would keep
             # its producers alive, and theirs, back to the start of the run.
             cell.retired = True
-            cell.producers = None
+            cell.pa = cell.pb = None
             record = cell.record
-            self._mode_stats.completions[record.instr.cls] += 1
+            self._completions[record.cls] += 1
             if record.retire is not None:
                 record.retire(self, cell)
                 # a trap or return enters its mode on a fresh conveyor
                 conveyor = self.conveyor
-                r_positions = self._work[2]
         stats.cycles = n + 1
         if self.halted:
             return
 
-        # the oldest instruction whose operands are not ready holds its
-        # read position and everything younger; a stall bubble opens ahead
-        stall_idx = -1
-        for idx in r_positions:
+        # the oldest cell at R whose wake cycle has not come (a bound until
+        # settled, from which it asks _wake) holds its position and all
+        # younger ones, and a stall bubble opens ahead
+        idx = self._r_old
+        cell = conveyor[idx]
+        if cell.r_index != idx or cell.wake <= n and (
+                cell.settled or self._wake(idx, cell, n) <= n):
+            idx = self._r_young
             cell = conveyor[idx]
-            if cell.r_index == idx:
-                wake = cell.wake
-                if wake is None:
-                    wake = cell.not_before
-                    if wake <= n:
-                        wake = self._wake(idx, cell, n)
-                if wake > n:
-                    stall_idx = idx
-                    break
-
+            if cell.r_index != idx or cell.wake <= n and (
+                    cell.settled or self._wake(idx, cell, n) <= n):
+                del conveyor[-1]
+                conveyor.insert(0, self._fetch())
+                return
         del conveyor[-1]
-        conveyor.insert(stall_idx + 1,
-                        STALL_BUBBLE if stall_idx >= 0 else self._fetch())
+        conveyor.insert(idx + 1, STALL_BUBBLE)
 
     def run(self, max_cycles=DEFAULT_MAX_CYCLES):
-        stats, step = self.stats, self.step
-        while not self.halted:
-            if stats.cycles >= max_cycles:
-                raise MaxCyclesExceeded("no exit after %d cycles" % max_cycles)
+        step = self.step
+        # the budget counts cycles from 0, and a halted engine takes no step
+        for _ in range(max_cycles - self.stats.cycles):
+            if self.halted:
+                break
             step()
+        if not self.halted:
+            raise MaxCyclesExceeded("no exit after %d cycles" % max_cycles)
         return self.state
 
 
@@ -866,11 +858,19 @@ def _fetch_table():
 
 
 _FETCH = _fetch_table()
-# mode -> the X, M and R positions (entry[3] holds X, R, M) where some
-# entry of the mode works, oldest first: the only positions step() visits
-_WORK = {mode: tuple(
-    tuple(sorted({entry[3][which] for entry in _FETCH.values()
-                  if entry[1] is mode} - {-1}, reverse=True))
-    for which in (0, 2, 1)) for mode in Mode}
+
+
+def _work(mode, which, width):
+    """The positions (`which` of X, R, M) where some entry of `mode` works,
+    oldest first, padded with 0 (F, where nothing works) to `width`."""
+    found = sorted({entry[3][which] for entry in _FETCH.values()
+                    if entry[1] is mode} - {-1}, reverse=True)
+    return tuple(found + [0] * (width - len(found)))
+
+
+# mode -> the two X, one M and two R positions step() visits (a mode with
+# more would not unpack in _transition)
+_WORK = {mode: _work(mode, 0, 2) + _work(mode, 2, 1) + _work(mode, 1, 2)
+         for mode in Mode}
 # mode -> its conveyor's depth, which all of the mode's plans share
 _DEPTH = {mode: len(_FETCH[None, 0, mode][2]) for mode in Mode}

@@ -6,8 +6,8 @@ source. These programs pin the cases where "in flight" is easy to get
 wrong: a writer on a flushed wrong path, writers on the far side of a trap
 and return, a serialized special-register move that must wait for every
 older slot, and a producer that retired before its consumer read it. The
-last test checks that a long run does not keep its retired slots
-reachable.
+last test checks, for each kind of link a slot binds (ra, the flag, rb),
+that a long run does not keep its retired slots reachable.
 """
 
 import gc
@@ -115,27 +115,66 @@ def test_forwarding_edge_case(name, source, outputs, cycles):
     assert engine.stats.closes()
 
 
-def test_retired_slots_are_not_kept_alive():
+def _outlived(loop, head):
+    """Whether the first slot of mnemonic `head` outlives a run of
+    `loop`, a loop of 300 passes, in user mode."""
     cdc = Codec(KEY)
-    image = assemble(USER + """    l.addi r1, r0, 300
-top:
-    l.addi r1, r1, -1       # each iteration reads the previous one's r1
-    l.sfne r1, r0
-    l.bf   top
-    l.nop  1
-""", cdc)
-    engine = Engine(image, cdc)
+    engine = Engine(assemble(USER + loop, cdc), cdc)
 
-    def first_producer():
-        # the body of the first l.addi, head of the r1 dependence chain
+    def first():
         return next((cell for cell in engine.conveyor
                      if isinstance(cell, Slot)
-                     and cell.record.instr.mnemonic == "l.addi"), None)
+                     and cell.record.instr.mnemonic == head), None)
 
-    while first_producer() is None:
+    while first() is None:
         engine.step()
-    ref = weakref.ref(first_producer())
+    ref = weakref.ref(first())
     engine.run()
     gc.collect()
     assert engine.state.mode is Mode.USER and engine.halted
-    assert ref() is None
+    return ref() is not None
+
+
+def test_retired_slots_are_not_kept_alive():
+    # the first l.addi heads the r1 chain: each l.addi reads the previous
+    # one's r1 through its ra link
+    assert not _outlived("""    l.addi r1, r0, 300
+top:
+    l.addi r1, r1, -1
+    l.sfne r1, r0
+    l.bf   top
+    l.nop  1
+""", "l.addi")
+
+
+# (name, loop, head): a producer reached through another kind of link
+OTHER_LINKS = [
+    # the flag link of each l.bf reaches its l.sfne; a branch writes
+    # nothing, so no chain runs on through it
+    ("flag", """    l.addi r1, r0, 300
+top:
+    l.sfne r1, r0
+    l.addi r1, r1, -1
+    l.bf   top
+    l.nop  1
+""", "l.sfne"),
+    # the store's data operand (rb) reaches the l.or, whose rb link each
+    # pass's l.or follows on to the one before; the last l.or survives
+    # the flush at the loop's exit, as the youngest writer of r2
+    ("store data", """    l.addi r1, r0, 300
+    l.or   r2, r0, r1
+top:
+    l.addi r1, r1, -1
+    l.sfne r1, r0
+    l.sw   0(r0), r2
+    l.or   r2, r0, r2
+    l.bf   top
+    l.nop  1
+""", "l.or"),
+]
+
+
+@pytest.mark.parametrize("name, loop, head", OTHER_LINKS,
+                         ids=[c[0] for c in OTHER_LINKS])
+def test_retirement_cuts_every_kind_of_link(name, loop, head):
+    assert not _outlived(loop, head)

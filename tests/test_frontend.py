@@ -9,7 +9,7 @@ import pytest
 
 import kpusim
 from kpusim.check import SimView, render_dump
-from kpusim.frontend import asm_entry, main, oracle_entry
+from kpusim.frontend import DEFAULT_KEY, asm_entry, main, oracle_entry
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -644,3 +644,81 @@ def test_a_number_with_a_sign_or_underscore_exits_2(tmp_path, capsys, command,
                                    if command == "asm" else [])
     assert main(argv) == 2
     assert capsys.readouterr().err == "kpu %s: %s\n" % (command, error)
+
+
+# The child runs kpusim.frontend as `python -m` would; -I keeps the
+# environment out, so it finds the package through the path it is given.
+_AS_MAIN = ("import runpy, sys\n"
+            "sys.path.insert(0, sys.argv.pop(1))\n"
+            "runpy.run_module('kpusim.frontend', run_name='__main__',"
+            " alter_sys=True)\n")
+
+
+@pytest.mark.parametrize("argv", [["oracle"], ["run", "--trace"]],
+                         ids=["at the flush at exit", "while running"])
+def test_a_reader_gone_before_the_first_write_exits_141(tmp_path, argv):
+    # the oracle's few lines wait in the buffer for the flush at exit; the
+    # trace of this run outgrows the buffer while the engine runs
+    img = tmp_path / "sum.img"
+    source = str(ROOT / "programs" / "encrypted_sum.s")
+    assert main(["asm", source, "-o", str(img)]) == 0
+    src = str(Path(kpusim.__file__).resolve().parent.parent)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-I", "-c", _AS_MAIN, src, argv[0], str(img)]
+            + argv[1:],
+            stdout=write, stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write)
+    assert proc.returncode == 141, proc.stderr
+    # the oracle's step count still reaches stderr; no report of the error
+    assert "Traceback" not in proc.stderr
+    assert "BrokenPipeError" not in proc.stderr
+
+
+@pytest.mark.parametrize("option, value, error", [
+    ("--max-cycles", "١_0", "'١_0' is not an integer"),
+    ("--max-cycles", "1_0", "'1_0' is not an integer"),
+    ("--max-cycles", "١٠", "'١٠' is not an integer"),
+    ("--max-cycles", " 10", "' 10' is not an integer"),
+    ("--max-cycles", "+-1", "'+-1' is not an integer"),
+    ("--user-words", "0x10", "'0x10' is not an integer"),
+    ("--key", "+ff_ff", "key must be hexadecimal"),
+    ("--key", "ff_ff", "key must be hexadecimal"),
+    ("--key", "+ff", "key must be hexadecimal"),
+    ("--key", "-ff", "key must be hexadecimal"),
+    ("--key", "١", "key must be hexadecimal"),
+])
+def test_a_command_line_number_follows_the_file_rule(built, capsys, option,
+                                                     value, error):
+    tmp, img = built
+    with pytest.raises(SystemExit) as exc:
+        # `=` keeps argparse from reading "-ff" as an option
+        main(["run", str(img), "%s=%s" % (option, value)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "kpu run: error: argument %s: %s\n" % (option, error))
+
+
+@pytest.mark.parametrize("seed", ["1_0", "-٣", "٣", "+-3", ""])
+def test_a_seed_follows_the_rule_of_a_source_number(built, capsys, seed):
+    tmp, img = built
+    with pytest.raises(SystemExit) as exc:
+        main(["asm", str(tmp / "p.s"), "-o", str(tmp / "x.img"),
+              "--seed", seed])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "kpu asm: error: argument --seed: invalid int value: %r\n" % seed)
+
+
+def test_signed_and_prefixed_numbers_that_were_valid_still_are(built,
+                                                               capsys):
+    tmp, img = built
+    for seed in ("-3", "+3"):
+        assert main(["asm", str(tmp / "p.s"), "-o", str(tmp / "x.img"),
+                     "--seed", seed]) == 0
+    key = "%#x" % DEFAULT_KEY
+    assert main(["run", str(img), "--key", key, "--max-cycles", "+100"]) == 0
+    assert capsys.readouterr().out == "42\n"

@@ -8,6 +8,7 @@ for an immediate producer, branch mispredict refills, and the trap plumbing.
 
 import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -16,8 +17,9 @@ from kpusim.codec import Codec
 from kpusim.core import Mode
 from kpusim.isa import InstrClass
 from kpusim.pipeline import (_FETCH, LONG_A, LONG_B, SHORT,
-                             BranchPredictionBuffer, Engine, MissingPrefix,
-                             PrefixLatch, consume_prefixes)
+                             BranchPredictionBuffer, Engine,
+                             MaxCyclesExceeded, MissingPrefix, PrefixLatch,
+                             consume_prefixes)
 
 KEY = 0x00112233445566778899AABBCCDDEEFF
 
@@ -435,3 +437,57 @@ boot:
     shape = re.compile(r"^cycle \d+ \| ?((C\d+|[FDRXMW]):0x[0-9a-f]{8}:l\.\w+ ?)*$")
     for line in lines:
         assert shape.match(line), line
+
+
+# ------------------------------------------------------------------- run --
+
+ROOT = Path(__file__).resolve().parent.parent
+IS_ADD_CYCLES = 2357            # bench/is_add_test.s under KEY
+
+
+def _engine(path):
+    cdc = Codec(KEY)
+    return Engine(assemble((ROOT / path).read_text(), cdc), cdc)
+
+
+@pytest.mark.parametrize("path", ["bench/is_add_test.s"] + sorted(
+    "programs/" + p.name for p in (ROOT / "programs").glob("*.s")))
+def test_run_steps_once_per_cycle(path, monkeypatch):
+    steps = Counter()
+    step = Engine.step
+
+    def counted(self):
+        steps["step"] += 1
+        return step(self)
+
+    monkeypatch.setattr(Engine, "step", counted)
+    engine = _engine(path)
+    engine.run()
+    assert engine.halted
+    assert steps["step"] == engine.stats.cycles > 0
+
+
+def test_run_on_a_halted_engine_does_not_step():
+    engine = _engine("bench/is_add_test.s")
+    engine.run()
+    assert engine.stats.cycles == IS_ADD_CYCLES
+    assert engine.run() is engine.state
+    assert engine.stats.cycles == IS_ADD_CYCLES
+
+
+def test_run_budget_is_a_count_of_cycles():
+    engine = _engine("bench/is_add_test.s")
+    engine.run(max_cycles=IS_ADD_CYCLES)
+    assert engine.halted and engine.stats.cycles == IS_ADD_CYCLES
+    engine = _engine("bench/is_add_test.s")
+    short = IS_ADD_CYCLES - 1
+    with pytest.raises(MaxCyclesExceeded,
+                       match="^no exit after %d cycles$" % short):
+        engine.run(max_cycles=short)
+    assert not engine.halted and engine.stats.cycles == short
+    # a budget counts from cycle 0, not from where a second run starts
+    with pytest.raises(MaxCyclesExceeded):
+        engine.run(max_cycles=short)
+    assert engine.stats.cycles == short
+    engine.run(max_cycles=IS_ADD_CYCLES)
+    assert engine.halted and engine.stats.cycles == IS_ADD_CYCLES
