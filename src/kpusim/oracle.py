@@ -131,8 +131,9 @@ class Interpreter:
         handler, ins, operand, plain = record
         if plain:
             self.steps += 1
-            # every non-prefix instruction leaves the latch empty
-            self.latch.clear()
+            # every non-prefix instruction empties the latch (its clear())
+            latch = self.latch
+            latch.p0 = latch.p1 = None
             self.pc = (pc + 4) & MASK32
         handler(self, pc, ins, operand)
 

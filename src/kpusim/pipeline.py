@@ -37,26 +37,29 @@ accounting closes exactly by construction.
 
 Only a few positions can do work in a cycle, and step() visits only those,
 read off the fetch table and bound per mode at a transition (two X, one M,
-two R; position 0, F, where nothing works, stands in for a missing one):
+each R; position 0, F, where nothing works, stands in for a missing X or M):
   * the X positions, oldest first: user 13 (plan B) then 3, supervisor 3,
   * then M: user 4 (plan B carries only immediates; supervisor loads and
     stores reach memory at X), after every execute, as a fault at X
     outranks one at M,
   * then the R positions, oldest first: user 12 then 2, supervisor 2; the
     oldest instruction whose operands are not ready stalls there until its
-    wake cycle, the latest ready cycle of its producers, worked out once
-    they are all known, so a held cycle then costs one comparison,
-  * then the conveyor shifts by one.
+    wake cycle, the latest ready cycle of its producers, which step()
+    settles once all are ready (it asks _wake only while one is pending or
+    the instruction serializes), so a held cycle costs one comparison,
+  * then the conveyor shifts by one, and step() fetches into position 0.
 Empty cells are two shared bubbles, one per wait-state kind.
 
 Each slot binds at fetch the youngest older writer in flight of each
-source operand, one last-writer map lookup each (the map is cleared at a
+source operand, one last-writer map lookup each (the map is reset at a
 mode transition and rebuilt from the survivors after a mispredict flush):
 `pa` that of its first source, ra or the flag for a branch, and `pb` that
-of rb, None where there is none. A producer that has retired counts as
-absent: its value is in the register file by then. Retiring a slot cuts
-both of its own links; otherwise each slot would keep its producers
-alive, they theirs, and a long run would hold every slot it ever fetched.
+of rb, ABSENT where there is none. A producer that has retired counts as
+absent: its value is in the register file by then. Leaving R, a slot
+reads its operands for X, the one home of the forwarding rule (the
+producer's result, else the mode's bank, or the flag for a branch), and
+cuts both links; otherwise each slot would keep its producers alive,
+they theirs, and a long run would hold every slot it ever fetched.
 
 Everything static about fetching a pc is worked out at its first fetch,
 where its word is decoded, and kept in a FetchRecord per mode. Most of it
@@ -121,24 +124,26 @@ class BranchPredictionBuffer:
     """Direct-mapped one-level predictor, indexed by pc word bits.
 
     Cold lookups predict not-taken. Every resolved branch or jump installs
-    its outcome: full pc tag, last target, one taken bit.
+    its outcome: full pc tag, last target, one taken bit. It keeps only
+    the entries installed, index -> entry, so any positive size runs.
     """
 
     def __init__(self, entries=DEFAULT_BPB_ENTRIES):
-        self.entries = [None] * entries
+        self.size = entries
+        self.entries = {}
         self.hits_right = 0
         self.hits_wrong = 0
         self.misses_right = 0
         self.misses_wrong = 0
 
     def lookup(self, pc):
-        entry = self.entries[(pc >> 2) % len(self.entries)]
+        entry = self.entries.get((pc >> 2) % self.size)
         if entry is not None and entry[0] == pc:
             return True, entry[2], entry[1]
         return False, False, (pc + 4) & MASK32
 
     def update(self, pc, taken, target):
-        self.entries[(pc >> 2) % len(self.entries)] = (pc, target, taken)
+        self.entries[(pc >> 2) % self.size] = (pc, target, taken)
 
     def record(self, hit, right):
         if hit:
@@ -201,18 +206,24 @@ class CycleStats:
 # ------------------------------------------------------------------ cells --
 
 class Bubble:
-    """An empty conveyor cell. Only STALL_BUBBLE and REFILL_BUBBLE exist.
-
-    They answer what step() asks of every cell it visits (its X, R and M
-    positions) with "none", so step()'s tests need no type test.
+    """No instruction: an empty conveyor cell, or the link of an operand
+    with no producer in flight. Only STALL_BUBBLE, REFILL_BUBBLE and ABSENT
+    exist. They answer what step() asks of every cell it visits (its X, R
+    and M positions) with "none", and what is asked of a link as a retired
+    producer does, so those tests need no type or None test.
     """
 
     __slots__ = ()
     x_index = r_index = m_index = -1
+    retired = True
+    ready_cycle = 0
 
 
 STALL_BUBBLE = Bubble()         # retires as a stall wait state
 REFILL_BUBBLE = Bubble()        # retires as a refill wait state
+ABSENT = Bubble()               # links an operand with no producer
+# each operand a slot binds by (r0 to r31 and the flag) -> no writer yet
+_NO_WRITERS = dict.fromkeys([*range(32), FLAG], ABSENT)
 
 
 # How fetch treats a pc's word: latch-clearing, prefix, a user-mode
@@ -234,15 +245,17 @@ class FetchRecord:
     `retire`, or None. It adds what is the pc's own: its pc, word,
     instruction (the carrier's for an illegal fetch) and `cls`, the class
     its completion counts under; `a` (ra, or the flag for a branch) and
-    `b` (rb), the operands its slots bind producers by, None for none or
-    r0, and `dest`, the destination it is bound by; a branch or direct
-    jump's `target`; and the return address a jump-and-link writes,
-    `link`, in the mode's form.
+    `b` (rb), the operands its slots bind producers by and read at R, 0
+    for none or r0 (no slot writes r0, and each bank's r0 reads 0), and
+    `dest`, the destination it is bound by; `next_pc`, the pc after it;
+    a branch or direct jump's `target`; and the return address a
+    jump-and-link writes, `link`, in the mode's form.
     """
 
     __slots__ = ("kind", "instr", "cls", "word", "pc", "mode", "plan",
                  "positions", "a", "b", "dest", "serialize", "holds",
-                 "predicted", "execute", "memory", "retire", "target", "link")
+                 "predicted", "execute", "memory", "retire", "next_pc",
+                 "target", "link")
 
     def __init__(self, instr, word, pc, mode):
         # an illegal fetch has no instruction; a nop's code (1 exit, 2
@@ -256,11 +269,12 @@ class FetchRecord:
         if self.kind == _ILLEGAL:
             instr = _CARRIER_INSTR
         self.instr, self.cls, self.word, self.pc = instr, instr.cls, word, pc
-        self.a = FLAG if instr.cls is InstrClass.BRANCH else instr.ra or None
-        self.b = instr.rb or None
+        self.a = FLAG if instr.cls is InstrClass.BRANCH else instr.ra or 0
+        self.b = instr.rb or 0
         self.dest = dest or instr.rd or None
+        self.next_pc = (pc + 4) & MASK32
         self.target = (pc + 4 * instr.imm) & MASK32 if relative else None
-        self.link = link_form((pc + 4) & MASK32) if link_form else None
+        self.link = link_form(self.next_pc) if link_form else None
 
 
 class Slot:
@@ -270,29 +284,30 @@ class Slot:
     cleared (-1) once that work is done, so a slot a stall holds at X or
     M does it once; `r_index` is the record's, kept beside them for
     step()'s per-cycle tests. `pa` and `pb` link the producers of the
-    record's operands `a` and `b`, or are None; retirement cuts both.
-    `wake` is the first cycle the slot may leave R once `settled`, and
-    until then a cycle it cannot leave R before, from which step() asks
-    _wake. Everything else is set by the stage that produces it.
+    record's operands `a` and `b`, or are ABSENT. `wake` is the first
+    cycle the slot may leave R once `settled`, and until then a cycle it
+    cannot leave R before. A slot with work at X reads its operands'
+    values, `a` and `b`, as it leaves R, and cuts both links there.
+    Everything else is set by the stage that produces it.
     """
 
     __slots__ = ("record", "x_index", "r_index", "m_index", "pa", "pb",
-                 "wake", "settled", "retired", "ready_cycle", "imm_block",
-                 "predicted", "result", "pending_effects", "ea_block",
-                 "store_value", "__weakref__")
+                 "wake", "settled", "retired", "ready_cycle", "a", "b",
+                 "imm_block", "predicted", "result", "pending_effects",
+                 "ea_block", "__weakref__")
 
     def __init__(self, record, pa, pb):
         self.record = record
         self.x_index, self.r_index, self.m_index = record.positions
         self.pa, self.pb = pa, pb
         self.wake = 0
-        self.settled = pa is None and pb is None and not record.serialize
+        self.settled = pa.retired and pb.retired and not record.serialize
         self.retired = False
         self.ready_cycle = None         # when `result` forwards, once known
         # set where the record says so: imm_block (decrypted user-mode
         # immediate) at fetch, predicted (bpb_hit, taken, target) at fetch,
-        # result (a set-flag's too), pending_effects (ALU flags for commit),
-        # ea_block and store_value at X
+        # result (a set-flag's too), pending_effects (ALU flags for commit)
+        # and ea_block at X
 
 
 class Engine:
@@ -333,81 +348,30 @@ class Engine:
         word, instr = isa.decode_at(self.text, pc)
         return FetchRecord(instr, word, pc, mode)
 
-    def _fetch(self):
-        if self.fetch_hold:
-            return REFILL_BUBBLE
-        pc = self.fetch_pc
-        self.fetch_pc = (pc + 4) & MASK32
-        try:
-            record = self._records[pc]
-        except KeyError:
-            record = self._records[pc] = self._record(pc, self.state.mode)
-
-        kind = record.kind
-        imm_block = None
-        if kind == _PLAIN:
-            latch = self.latch
-            latch.p0 = latch.p1 = None
-        elif kind == _PREFIX:
-            instr = record.instr
-            self.latch.feed(instr.prefix_idx, instr.prefix_payload)
-        elif kind == _SEALED:
-            try:
-                sealed = consume_prefixes(self.latch, record.word)
-            except MissingPrefix:
-                return self._carrier(
-                    FetchRecord(None, record.word, pc, record.mode))
-            imm_block = self.opened.get(sealed)
-            if imm_block is None:
-                imm_block = self.opened[sealed] = self._open(sealed)
-        else:
-            return self._carrier(record)
-
-        writers = self._last_writer
-        slot = Slot(record, writers.get(record.a), writers.get(record.b))
-        if imm_block is not None:
-            slot.imm_block = imm_block
-        dest = record.dest
-        if dest is not None:
-            writers[dest] = slot
-        if record.holds:
-            self.fetch_hold = True
-        elif record.predicted:
-            hit, taken, target = self.bpb.lookup(pc)
-            slot.predicted = (hit, taken, target)
-            if taken:
-                self.fetch_pc = target
-        return slot
-
     def _open(self, block):
         """The ten decrypt rounds the codec stages C1..C10 stand for."""
         for key in self._unround_keys:
             block = feistel_unround(block, key)
         return block
 
-    def _carrier(self, record):
-        # the latch needs no clearing here: fetch holds until the trap
-        # commits or a flush restarts it, and both clear the latch
-        self.fetch_hold = True
-        return Slot(record, None, None)
-
     # -------------------------------------------------------- forwarding --
 
     def _wake(self, idx, cell, n):
-        """The first cycle `cell`, at R in cycle n, may leave R.
+        """Set `cell.wake`, the first cycle `cell` (at R in cycle n) may leave.
 
         That is the latest ready cycle of its unretired producers (a
         set-flag producer's comes with its flag). Once all are known, and
         for a serializing cell no older slot is in flight, the cell is
         `settled` at that `wake`: it cannot change, as no producer retires
         before it is ready and no older slot enters later. Until then a
-        serializing cell waits to n + 1, and a producer whose X or M is
-        still to come is not ready before it reaches that position, one a
-        cycle at most: the latest such bound is kept in `cell.wake`.
+        serializing cell waits to n + 1 at least, and a producer whose X or
+        M is still to come is not ready before it reaches that position,
+        one a cycle at most: `cell.wake` keeps the latest such bound.
+        step() asks only while a producer is pending or the cell serializes.
         """
         wake, pending = 0, False
         for producer in (cell.pa, cell.pb):
-            if producer is not None and not producer.retired:
+            if not producer.retired:
                 ready = producer.ready_cycle
                 if ready is None:
                     pending = True
@@ -417,135 +381,90 @@ class Engine:
                     wake = ready
         cell.wake = wake
         if pending:
-            return wake
+            return
         if cell.record.serialize:
             for older in self.conveyor[idx + 1:-1]:
                 if older.__class__ is Slot:
-                    return n + 1
+                    cell.wake = max(wake, n + 1)
+                    return
         cell.settled = True
-        return wake
-
-    def _read(self, producer, reg):
-        """Source register `reg` (not r0) at X, `producer` the slot's link
-        for it: forwarded from a producer still in flight, else the mode's
-        bank."""
-        if producer is None or producer.retired:
-            return self._bank[reg]
-        assert producer.record.mode is self.state.mode, "cross-mode forward"
-        return producer.result
 
     # ----------------------------------------------------------- execute --
 
     # Each handler does one class's work at X, in one mode where the modes
-    # differ: called as handler(self, idx, cell, cycle). A user-mode result
-    # carries a padding mixed from its operands' top halves.
+    # differ: called as handler(self, idx, cell, cycle), the operands read
+    # at R in cell.a and cell.b (alu masks them to 32 bits). A user-mode
+    # result carries a padding mixed from its operands' top halves.
 
     def _ex_alu_user(self, idx, cell, n):
-        instr = cell.record.instr
-        a = self._read(cell.pa, instr.ra) if instr.ra else 0
-        b = self._read(cell.pb, instr.rb) if instr.rb else 0
-        res32, cell.pending_effects = alu.execute(instr.funct, a & MASK32,
-                                                  b & MASK32)
-        pad = pad_mix(a >> 32, b >> 32, instr.funct)
-        cell.result = (pad << 32) | res32
+        a, b, op = cell.a, cell.b, cell.record.instr.funct
+        res32, cell.pending_effects = alu.execute(op, a, b)
+        cell.result = (pad_mix(a >> 32, b >> 32, op) << 32) | res32
         cell.ready_cycle = n
 
     def _ex_alu(self, idx, cell, n):
-        instr = cell.record.instr
-        a = self._read(cell.pa, instr.ra) if instr.ra else 0
-        b = self._read(cell.pb, instr.rb) if instr.rb else 0
         cell.result, cell.pending_effects = alu.execute(
-            instr.funct, a & MASK32, b & MASK32)
+            cell.record.instr.funct, cell.a, cell.b)
         cell.ready_cycle = n
 
     def _ex_set_flag(self, idx, cell, n):
-        instr = cell.record.instr
-        a = self._read(cell.pa, instr.ra) if instr.ra else 0
-        b = self._read(cell.pb, instr.rb) if instr.rb else 0
-        cell.result = alu.compare_flag(instr.funct, a & MASK32, b & MASK32)
+        cell.result = alu.compare_flag(cell.record.instr.funct,
+                                       cell.a & MASK32, cell.b & MASK32)
         cell.ready_cycle = n
 
     def _ex_immediate_user(self, idx, cell, n):
-        instr = cell.record.instr
-        a = self._read(cell.pa, instr.ra) if instr.ra else 0
-        b = cell.imm_block
-        op = isa.IMM_ALU_OP[instr.mnemonic]
-        res32, cell.pending_effects = alu.execute(op, a & MASK32, b & MASK32)
-        pad = pad_mix(a >> 32, b >> 32, op)
-        cell.result = (pad << 32) | res32
+        a, b = cell.a, cell.imm_block
+        op = isa.IMM_ALU_OP[cell.record.instr.mnemonic]
+        res32, cell.pending_effects = alu.execute(op, a, b)
+        cell.result = (pad_mix(a >> 32, b >> 32, op) << 32) | res32
         cell.ready_cycle = n
 
     def _ex_immediate(self, idx, cell, n):
         instr = cell.record.instr
-        a = self._read(cell.pa, instr.ra) if instr.ra else 0
         cell.result, cell.pending_effects = alu.execute(
-            isa.IMM_ALU_OP[instr.mnemonic], a & MASK32, instr.imm & MASK32)
+            isa.IMM_ALU_OP[instr.mnemonic], cell.a, instr.imm)
         cell.ready_cycle = n
 
     def _ex_address_user(self, idx, cell, n):
-        # l.lwz/l.sw: the padded effective address and a store's data; the
-        # memory work waits for M
-        instr = cell.record.instr
-        a = self._read(cell.pa, instr.ra) if instr.ra else 0
-        off = instr.imm & MASK32
-        ea32, _ = alu.execute(alu.OP_ADDR, a & MASK32, off)
-        pad = pad_mix(a >> 32, off, alu.OP_ADDR)
-        cell.ea_block = (pad << 32) | ea32
-        if instr.rb is not None:
-            cell.store_value = self._read(cell.pb, instr.rb) if instr.rb \
-                else 0
+        # l.lwz/l.sw: the padded effective address; the memory work, and a
+        # store's data in cell.b, wait for M
+        a, off = cell.a, cell.record.instr.imm & MASK32
+        ea32, _ = alu.execute(alu.OP_ADDR, a, off)
+        cell.ea_block = (pad_mix(a >> 32, off, alu.OP_ADDR) << 32) | ea32
 
     def _ex_address(self, idx, cell, n):
         # l.lwz/l.sw/l.ld/l.sd: the short plan has no M, so the memory work
         # follows at once
-        instr = cell.record.instr
-        a = self._read(cell.pa, instr.ra) if instr.ra else 0
-        cell.ea_block = (a + instr.imm) & MASK64
-        if instr.rb is not None:
-            cell.store_value = self._read(cell.pb, instr.rb) if instr.rb \
-                else 0
-        cell.record.memory(self, cell, n)
+        record = cell.record
+        cell.ea_block = (cell.a + record.instr.imm) & MASK64
+        record.memory(self, cell, n)
 
     def _ex_add64(self, idx, cell, n):
-        instr = cell.record.instr
-        a = self._read(cell.pa, instr.ra) if instr.ra else 0
-        b = self._read(cell.pb, instr.rb) if instr.rb else 0
-        cell.result = (a + b) & MASK64
+        cell.result = (cell.a + cell.b) & MASK64
         cell.ready_cycle = n
 
     def _ex_mfspr_user(self, idx, cell, n):
-        instr = cell.record.instr
-        a = self._read(cell.pa, instr.ra) if instr.ra else 0
-        index = ((a & MASK32) | instr.imm) & 0xFFFF
+        a = cell.a
+        index = ((a & MASK32) | cell.record.instr.imm) & 0xFFFF
         value = self.state.read_spr(index)
         pad = pad_mix(a >> 32, index, alu.OP_MFSPR)
         cell.result = (pad << 32) | (value & MASK32)
         cell.ready_cycle = n
 
     def _ex_mfspr(self, idx, cell, n):
-        instr = cell.record.instr
-        a = self._read(cell.pa, instr.ra) if instr.ra else 0
-        index = ((a & MASK32) | instr.imm) & 0xFFFF
+        index = ((cell.a & MASK32) | cell.record.instr.imm) & 0xFFFF
         cell.result = self.state.read_spr(index) & MASK64
         cell.ready_cycle = n
 
     def _ex_mtspr(self, idx, cell, n):
         # Supervisor only: user mode ignores the write. Serialized, so the
         # write is program-ordered even though it lands at X.
-        instr = cell.record.instr
-        a = self._read(cell.pa, instr.ra) if instr.ra else 0
-        b = self._read(cell.pb, instr.rb) if instr.rb else 0
-        self.state.write_spr(((a & MASK32) | instr.imm) & 0xFFFF, b)
+        self.state.write_spr(
+            ((cell.a & MASK32) | cell.record.instr.imm) & 0xFFFF, cell.b)
 
     def _ex_branch(self, idx, cell, n):
-        record, producer = cell.record, cell.pa     # the flag's producer
-        if producer is None or producer.retired:
-            flag = self.state.flag_f
-        else:
-            assert producer.record.mode is self.state.mode, \
-                "cross-mode forward"
-            flag = producer.result
-        taken = flag if record.instr.opcode == isa.OP_BF else not flag
+        record = cell.record                # cell.a is the flag
+        taken = cell.a if record.instr.opcode == isa.OP_BF else not cell.a
         self._resolve(idx, cell, taken, record.target)
 
     def _ex_jump(self, idx, cell, n):
@@ -557,10 +476,8 @@ class Engine:
 
     def _ex_jump_register(self, idx, cell, n):
         record = cell.record
-        rb = record.instr.rb
-        value = self._read(cell.pb, rb) if rb else 0
         try:
-            target = open_program_address(value)
+            target = open_program_address(cell.b)
         except NotAProgramAddress as exc:
             raise SimulationFault(
                 "jump target at pc 0x%08x: %s" % (record.pc, exc)) from exc
@@ -582,12 +499,13 @@ class Engine:
             conveyor[:idx] = [REFILL_BUBBLE] * idx
             # a flushed slot may have been the youngest writer of its
             # register: rebuild from the survivors, oldest first
-            self._last_writer = {
-                older.record.dest: older for older in reversed(conveyor)
-                if older.__class__ is Slot and older.record.dest is not None}
+            self._last_writer = writers = dict(_NO_WRITERS)
+            writers.update(
+                (older.record.dest, older) for older in reversed(conveyor)
+                if older.__class__ is Slot and older.record.dest is not None)
             self.latch.clear()
             self.fetch_hold = False
-            self.fetch_pc = target if taken else (pc + 4) & MASK32
+            self.fetch_pc = target if taken else cell.record.next_pc
 
     # -------------------------------------------------------------- memory --
 
@@ -601,21 +519,21 @@ class Engine:
         cell.ready_cycle = n + 1 if cached else n + 1 + ROUNDS
 
     def _mem_store_user(self, cell, n):
-        self.mem.user_store(cell.ea_block, cell.store_value)
+        self.mem.user_store(cell.ea_block, cell.b)
 
     def _mem_load(self, cell, n):
         cell.result = self.mem.supervisor_load(cell.ea_block) & MASK32
         cell.ready_cycle = n + 1
 
     def _mem_store(self, cell, n):
-        self.mem.supervisor_store(cell.ea_block, cell.store_value & MASK32)
+        self.mem.supervisor_store(cell.ea_block, cell.b & MASK32)
 
     def _mem_load64(self, cell, n):
         cell.result = self.mem.supervisor_load(cell.ea_block)
         cell.ready_cycle = n + 1
 
     def _mem_store64(self, cell, n):
-        self.mem.supervisor_store(cell.ea_block, cell.store_value)
+        self.mem.supervisor_store(cell.ea_block, cell.b)
 
     # -------------------------------------------------------------- retire --
 
@@ -668,14 +586,14 @@ class Engine:
         st = self.state
         mode = st.mode
         self.conveyor = [REFILL_BUBBLE] * _DEPTH[mode]
-        (self._x_old, self._x_young, self._m, self._r_old,
-         self._r_young) = _WORK[mode]
+        self._x_old, self._x_young, self._m, self._r = _WORK[mode]
         self._records = self._records_by_mode[mode]
         self._mode_stats = self.stats.per_mode[mode]
         self._completions = self._mode_stats.completions
         # the register bank the ALU works on in this mode
         self._bank = st.shadow if mode is Mode.USER else st.regs
-        self._last_writer = {}          # register -> youngest fetched writer
+        # register -> youngest fetched writer
+        self._last_writer = dict(_NO_WRITERS)
         self.latch.clear()
         self.fetch_hold = False
         self.fetch_pc = st.pc
@@ -731,11 +649,7 @@ class Engine:
         elif cell is REFILL_BUBBLE:
             self._mode_stats.refills += 1
         else:
-            # Younger slots may still hold this one, but nothing reaches
-            # older slots through it: without the cut, each slot would keep
-            # its producers alive, and theirs, back to the start of the run.
             cell.retired = True
-            cell.pa = cell.pb = None
             record = cell.record
             self._completions[record.cls] += 1
             if record.retire is not None:
@@ -746,22 +660,90 @@ class Engine:
         if self.halted:
             return
 
-        # the oldest cell at R whose wake cycle has not come (a bound until
-        # settled, from which it asks _wake) holds its position and all
-        # younger ones, and a stall bubble opens ahead
-        idx = self._r_old
-        cell = conveyor[idx]
-        if cell.r_index != idx or cell.wake <= n and (
-                cell.settled or self._wake(idx, cell, n) <= n):
-            idx = self._r_young
+        # R, oldest first: the oldest cell whose wake cycle has not come (a
+        # bound until settled) holds its position and all younger ones,
+        # and a stall bubble opens ahead
+        for idx in self._r:
             cell = conveyor[idx]
-            if cell.r_index != idx or cell.wake <= n and (
-                    cell.settled or self._wake(idx, cell, n) <= n):
+            if cell.r_index != idx:
+                continue
+            if not cell.settled and cell.wake <= n:
+                ready_a, ready_b = cell.pa.ready_cycle, cell.pb.ready_cycle
+                if ready_a is None or ready_b is None or cell.record.serialize:
+                    self._wake(idx, cell, n)
+                else:
+                    cell.settled = True
+                    cell.wake = ready_a if ready_a > ready_b else ready_b
+            if cell.wake > n:
                 del conveyor[-1]
-                conveyor.insert(0, self._fetch())
+                conveyor.insert(idx + 1, STALL_BUBBLE)
                 return
+            # a cell with work at X (the only kind with a destination)
+            # reads its operands as it leaves, then cuts both links
+            record = cell.record
+            if record.execute is not None:
+                link = cell.pa
+                if link.retired:
+                    reg = record.a
+                    cell.a = self.state.flag_f if reg is FLAG else \
+                        self._bank[reg]
+                else:
+                    assert link.record.mode is record.mode, "cross-mode forward"
+                    cell.a = link.result
+                link = cell.pb
+                if link.retired:
+                    cell.b = self._bank[record.b]
+                else:
+                    assert link.record.mode is record.mode, "cross-mode forward"
+                    cell.b = link.result
+                cell.pa = cell.pb = ABSENT
+
+        # fetch: a refill bubble while fetch holds, else a slot of the pc's
+        # record, bound to the youngest older writer of each operand
         del conveyor[-1]
-        conveyor.insert(idx + 1, STALL_BUBBLE)
+        if self.fetch_hold:
+            conveyor.insert(0, REFILL_BUBBLE)
+            return
+        pc = self.fetch_pc
+        try:
+            record = self._records[pc]
+        except KeyError:
+            record = self._records[pc] = self._record(pc, self.state.mode)
+        self.fetch_pc = record.next_pc
+        kind = record.kind
+        imm_block = None
+        if kind == _PLAIN:
+            latch = self.latch
+            latch.p0 = latch.p1 = None
+        elif kind == _PREFIX:
+            instr = record.instr
+            self.latch.feed(instr.prefix_idx, instr.prefix_payload)
+        elif kind == _SEALED:
+            try:
+                sealed = consume_prefixes(self.latch, record.word)
+            except MissingPrefix:       # fetched as an illegal carrier
+                record = FetchRecord(None, record.word, pc, record.mode)
+            else:
+                imm_block = self.opened.get(sealed)
+                if imm_block is None:
+                    imm_block = self.opened[sealed] = self._open(sealed)
+        # an illegal carrier leaves the latch as it is: it holds fetch until
+        # the trap commits or a flush restarts fetch, and both clear it
+        writers = self._last_writer
+        slot = Slot(record, writers[record.a], writers[record.b])
+        if imm_block is not None:
+            slot.imm_block = imm_block
+        dest = record.dest
+        if dest is not None:
+            writers[dest] = slot
+        if record.holds:
+            self.fetch_hold = True
+        elif record.predicted:
+            hit, taken, target = self.bpb.lookup(pc)
+            slot.predicted = (hit, taken, target)
+            if taken:
+                self.fetch_pc = target
+        conveyor.insert(0, slot)
 
     def run(self, max_cycles=DEFAULT_MAX_CYCLES):
         step = self.step
@@ -860,7 +842,7 @@ def _fetch_table():
 _FETCH = _fetch_table()
 
 
-def _work(mode, which, width):
+def _work(mode, which, width=0):
     """The positions (`which` of X, R, M) where some entry of `mode` works,
     oldest first, padded with 0 (F, where nothing works) to `width`."""
     found = sorted({entry[3][which] for entry in _FETCH.values()
@@ -868,9 +850,9 @@ def _work(mode, which, width):
     return tuple(found + [0] * (width - len(found)))
 
 
-# mode -> the two X, one M and two R positions step() visits (a mode with
-# more would not unpack in _transition)
-_WORK = {mode: _work(mode, 0, 2) + _work(mode, 2, 1) + _work(mode, 1, 2)
+# mode -> the two X and one M positions step() visits (a mode with more
+# would not unpack in _transition), and the tuple of its R positions
+_WORK = {mode: _work(mode, 0, 2) + _work(mode, 2, 1) + (_work(mode, 1),)
          for mode in Mode}
 # mode -> its conveyor's depth, which all of the mode's plans share
 _DEPTH = {mode: len(_FETCH[None, 0, mode][2]) for mode in Mode}

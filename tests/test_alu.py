@@ -1,9 +1,10 @@
-"""alu.execute against a reference copy written with signed conversions.
+"""alu.execute and alu.compare_flag against reference copies written
+with signed conversions.
 
-The add and sub overflow flags are computed from sign bits. The reference
-below states every operation the long way, through to_signed, and both
-must agree on every op for edge operands crossed with each other and for
-seeded random pairs.
+The add and sub overflow flags are computed from sign bits, and the signed
+comparisons from flipped sign bits. The references below state every
+operation the long way, through to_signed, and both must agree on every op
+for edge operands crossed with each other and for seeded random pairs.
 """
 
 import random
@@ -89,3 +90,50 @@ def test_overflow_needs_both_signs_wrong():
         0x80000000, {"cy": True, "ov": True})
     assert alu.execute(alu.OP_SUB, 0xFFFFFFFF, 0x7FFFFFFF) == (
         0x80000000, {"cy": False, "ov": False})
+
+
+SF_REFERENCE = {
+    alu.SF_EQ: lambda a, b: a == b,
+    alu.SF_NE: lambda a, b: a != b,
+    alu.SF_GTS: lambda a, b: alu.to_signed(a) > alu.to_signed(b),
+    alu.SF_GES: lambda a, b: alu.to_signed(a) >= alu.to_signed(b),
+    alu.SF_LTS: lambda a, b: alu.to_signed(a) < alu.to_signed(b),
+    alu.SF_LES: lambda a, b: alu.to_signed(a) <= alu.to_signed(b),
+}
+
+
+@pytest.mark.parametrize("sub", sorted(SF_REFERENCE))
+def test_compare_flag_equals_the_reference(sub):
+    want = SF_REFERENCE[sub]
+    for a, b in pairs():
+        got = alu.compare_flag(sub, a, b)
+        assert got is want(a, b), (sub, hex(a), hex(b), got)
+
+
+@pytest.mark.parametrize("sub", [-1, 6, 7])
+def test_compare_flag_rejects_an_unknown_code(sub):
+    with pytest.raises(ValueError, match="unknown set-flag sub-op %d" % sub):
+        alu.compare_flag(sub, 1, 2)
+
+
+def test_flag_effects_are_shared_and_read_only():
+    # execute hands every caller the same mapping for the same flags, so a
+    # caller that could write one would change what the next add reports
+    _, effects = alu.execute(alu.OP_ADD, 1, 2)
+    assert alu.execute(alu.OP_SUB, 3, 1)[1] is effects
+    _, empty = alu.execute(alu.OP_AND, 1, 2)
+    writes = [lambda e: e.__setitem__("cy", True),
+              lambda e: e.__delitem__("cy"), lambda e: e.clear(),
+              lambda e: e.pop("cy"), lambda e: e.popitem(),
+              lambda e: e.setdefault("f", True),
+              lambda e: e.update(cy=True), lambda e: e.__ior__({"cy": True})]
+    for shared in (effects, empty):
+        for write in writes:
+            with pytest.raises(TypeError, match="shared and read-only"):
+                write(shared)
+    assert alu.execute(alu.OP_ADD, 1, 2) == (3, {"cy": False, "ov": False})
+    assert alu.execute(alu.OP_XOR, 1, 2) == (3, {})
+    # a caller's own flags take them as from any dict
+    flags = {"f": True, "cy": True, "ov": True}
+    flags.update(effects)
+    assert flags == {"f": True, "cy": False, "ov": False}

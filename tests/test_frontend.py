@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -171,6 +172,30 @@ def test_size_options_must_be_positive(built, capsys, option, value):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "kpu run: error: argument %s: must be positive" % option in err
+
+
+def test_any_positive_bpb_size_runs(tmp_path, capsys):
+    # The buffer keeps only the entries branches install, so 2**63 entries
+    # (past an index-sized int) cost nothing up front, and the two loop
+    # branches of bench/is_add_test.s, which do not alias at the default
+    # 64, are predicted exactly as there.
+    img = tmp_path / "is_add.img"
+    assert main(["asm", str(ROOT / "bench" / "is_add_test.s"),
+                 "-o", str(img)]) == 0
+    capsys.readouterr()
+    runs = []
+    tracemalloc.start()
+    try:
+        for entries in ("64", str(2 ** 63)):
+            tracemalloc.reset_peak()
+            assert main(["run", str(img), "--bpb-entries", entries]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+            runs.append((capsys.readouterr(), peak))
+    finally:
+        tracemalloc.stop()
+    (small, small_peak), (huge, huge_peak) = runs
+    assert huge == small and "BPB: 126 hits" in small.err, small.err
+    assert huge_peak < 2 * small_peak
 
 
 def test_strict_assembly_rejects_tainted_source(tmp_path, capsys):
