@@ -2,6 +2,8 @@
 
 The corpus is built deterministically from
 - the shipped programs and the golden test's stage-path source,
+- read-modify-write sweeps over more cells than the data cache holds, so
+  later passes read stored user cells back through cache misses,
 - ``progen`` small and medium programs, with and without syscalls,
 - ``tests/test_raw_words.py``'s generator, in both modes, with and without
   an exit no-op on the illegal-instruction vector.
@@ -44,6 +46,9 @@ PROGRAMS = ("programs/encrypted_sum.s", "programs/syscall_ticks.s",
 PROGEN = [(size, syscalls) for size in ("small", "medium")
           for syscalls in (True, False)]
 RAW = [(mode, vector) for mode in ("user", "super") for vector in (True, False)]
+# (cells, passes, print the total) of test_cipher_memo.sweep_source; the
+# default cache holds 64 lines
+SWEEPS = [(65, 2, False), (100, 3, False), (130, 3, False), (100, 2, True)]
 
 # seeds per family: the full corpus, and the slice tier-1 runs
 FULL = {"progen_seeds": 100, "raw_seeds": 500}
@@ -60,11 +65,16 @@ def build(progen_seeds, raw_seeds):
     "image"; the same arguments give the same entries."""
     from kpusim.progen import generate_source
     from test_golden_run import STAGE_PATHS
+    from test_cipher_memo import sweep_source
     from test_raw_words import _image
 
     entries = [(program, "source", (ROOT / program).read_text(),
                 SOURCE_BUDGET) for program in PROGRAMS]
     entries.append(("stage paths", "source", STAGE_PATHS, SOURCE_BUDGET))
+    entries.extend((
+        "sweep %d x %d%s" % (cells, passes, " total" if total else ""),
+        "source", sweep_source(cells, passes, total), SOURCE_BUDGET)
+        for cells, passes, total in SWEEPS)
     # families interleave seed by seed, so long and short files alternate
     for seed in range(max(progen_seeds, raw_seeds)):
         if seed < progen_seeds:

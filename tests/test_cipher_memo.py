@@ -26,9 +26,12 @@ ROOT = Path(__file__).resolve().parent.parent
 FAULT_CYCLE = 156
 
 
-def sweep_source(cells, passes):
+def sweep_source(cells, passes, total=False):
     """User-mode read-modify-write sweep: every pass recomputes the padded
-    addresses of the one before, so `cells` cipher addresses in all."""
+    addresses of the one before, so `cells` cipher addresses in all. With
+    `total`, r3 sums every value stored and the sweep prints it."""
+    clear, add, show = ((["    l.addi r3, r0, 0"], ["    l.add  r3, r3, r6"],
+                         ["    l.nop  2"]) if total else ([], [], []))
     return "\n".join([
         ".mode user",
         ".entry start",
@@ -37,6 +40,7 @@ def sweep_source(cells, passes):
         ".org 0x2000",
         ".encrypt on",
         "start:",
+    ] + clear + [
         "    l.addi r7, r0, %d" % passes,
         "pass:",
         "    l.addi r14, r0, 256",
@@ -45,6 +49,7 @@ def sweep_source(cells, passes):
         "    l.lwz  r6, 0(r14)",
         "    l.addi r6, r6, 1",
         "    l.sw   0(r14), r6",
+    ] + add + [
         "    l.addi r14, r14, 4",
         "    l.addi r5, r5, -1",
         "    l.sfne r5, r0",
@@ -52,6 +57,7 @@ def sweep_source(cells, passes):
         "    l.addi r7, r7, -1",
         "    l.sfne r7, r0",
         "    l.bf   pass",
+    ] + show + [
         "    l.nop  1",
     ]) + "\n"
 
