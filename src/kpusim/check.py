@@ -34,15 +34,10 @@ class SimView(isa.Slotted):
 
 
 def engine_view(engine):
-    st = engine.state
-    return SimView(
-        mode=st.mode.value,
-        regs_real=list(st.regs),
-        regs_shadow=list(st.shadow),
-        cells=dict(engine.mem.cells),
-        tlb=dict(engine.mem.tlb.entries),
-        outputs=list(engine.outputs),
-    )
+    st, mem = engine.state, engine.mem
+    return SimView(st.mode.value, list(st.regs), list(st.shadow),
+                   mem.physical_cells(), dict(mem.tlb.entries),
+                   list(engine.outputs))
 
 
 def render_dump(view):

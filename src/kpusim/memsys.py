@@ -13,10 +13,12 @@ the same logical address with different paddings therefore land in
 different cells: hardware aliasing is a feature of the model, not an
 accident.
 
-The cipher is a bijection, so each padded effective address has exactly one
-cell; the memory system keeps that pairing beside the TLB and encrypts an
-address only the first time it sees it. The TLB itself stays keyed by
-ciphertext, as the dump shows it; its entry count is the next cell's offset.
+The cipher is a bijection, so the memory system keeps plaintext beside what
+the hardware holds: it encrypts a padded address only at its first sight,
+keeping the pairing beside the TLB (keyed by ciphertext, as the dump shows
+it; its entry count is the next cell's offset), and a user cell's value only
+when physical_cells() shows it to the dump and the checker. The codec's cost
+on a user store or miss is pipeline latency, which the engine charges.
 
 The user data cache keeps the only count of its read and write hits and
 misses: the cycle table's "(cached)" rows read them.
@@ -138,15 +140,18 @@ class MemorySystem:
     def __init__(self, codec, user_words=DEFAULT_USER_WORDS,
                  cache_entries=DEFAULT_CACHE_ENTRIES):
         self.codec = codec
-        self.cells = {}                # sparse: index -> 64-bit word
+        self.cells = {}                # sparse: supervisor index -> word
         self.tlb = TlbMap(SUPER_REGION_BYTES // 8, user_words)
         self.cache = UserDataCache(cache_entries)
         self.ea_cells = {}             # ea block -> cell, one per TLB entry
+        self.user_blocks = {}          # user cell -> plaintext block stored
+        self.blank_block = codec.decrypt(BLANK_CELL)
 
-    # ---------------------------------------------------------- physical --
-
-    def write_cell(self, index, value):
-        self.cells[index] = value & MASK64
+    def physical_cells(self):
+        """Every written cell as the hardware holds it: supervisor words as
+        stored, each user cell's block encrypted."""
+        return self.cells | {index: self.codec.encrypt(block)
+                             for index, block in self.user_blocks.items()}
 
     # -------------------------------------------------------- supervisor --
 
@@ -154,7 +159,7 @@ class MemorySystem:
         return self.cells.get(super_index(addr), 0)
 
     def supervisor_store(self, addr, value):
-        self.write_cell(super_index(addr), value)
+        self.cells[super_index(addr)] = value & MASK64
 
     # --------------------------------------------------------------- user --
 
@@ -168,15 +173,14 @@ class MemorySystem:
         return index
 
     def user_load(self, ea_block):
-        """Load through the cache; returns (value block, cache hit)."""
+        """(value block, cache hit); a miss reads the stored or blank block."""
         cached = self.cache.load(ea_block)
         if cached is not None:
             return cached, True
-        index = self._user_cell(ea_block)
-        return self.codec.decrypt(self.cells.get(index, BLANK_CELL)), False
+        return self.user_blocks.get(self._user_cell(ea_block),
+                                    self.blank_block), False
 
     def user_store(self, ea_block, value_block):
-        """Write-through: plaintext to the cache, ciphertext to the cell."""
+        """Write-through: the plaintext block to the cache and the cell."""
         self.cache.store(ea_block, value_block)
-        self.write_cell(self._user_cell(ea_block),
-                        self.codec.encrypt(value_block))
+        self.user_blocks[self._user_cell(ea_block)] = value_block & MASK64

@@ -11,6 +11,7 @@ from pathlib import Path
 
 from kpusim import isa
 from kpusim.assembler import assemble
+from kpusim.check import engine_view
 from kpusim.codec import Codec
 from kpusim.frontend import main
 from kpusim.isa import InstrClass
@@ -107,11 +108,15 @@ def test_address_memo_has_one_entry_per_tlb_entry():
 class CountingCodec(Codec):
     def __init__(self, key):
         super().__init__(key)
-        self.encrypts = 0
+        self.encrypts = self.decrypts = 0
 
     def encrypt(self, block):
         self.encrypts += 1
         return super().encrypt(block)
+
+    def decrypt(self, block):
+        self.decrypts += 1
+        return super().decrypt(block)
 
 
 def test_an_address_is_encrypted_once():
@@ -121,11 +126,31 @@ def test_an_address_is_encrypted_once():
     for rnd in range(4):
         for ea in addresses:
             mem.user_store(ea, (0x77 << 32) | rnd)
-    assert cdc.encrypts == 12 + 3          # one per stored value, per address
+    assert cdc.encrypts == 3               # one per address, none per value
     loads = [mem.user_load(ea) for ea in addresses]
     # the one-line cache holds the last store; the other two go to memory
     assert loads == [((0x77 << 32) | 3, hit) for hit in (False, False, True)]
-    assert cdc.encrypts == 15
+    assert cdc.encrypts == 3
+    # the physical view encrypts each written cell once
+    cells = mem.physical_cells()
+    assert cdc.encrypts == 6
+    assert [cdc.decrypt(cells[index]) for index in mem.ea_cells.values()] \
+        == [(0x77 << 32) | 3] * 3
+
+
+def test_the_user_data_path_makes_no_cipher_op():
+    cdc = CountingCodec(KEY)
+    image = assemble(sweep_source(64, 4), cdc)
+    # a cache a quarter the sweep's size: every load misses, every pass
+    engine = Engine(image, cdc, cache_entries=16)
+    assert cdc.decrypts == 1               # the blank block, worked out once
+    cdc.encrypts = cdc.decrypts = 0
+    engine.run()
+    assert engine.mem.cache.read_misses == 4 * 64
+    # one encrypt per address at its first sight, none per load or store
+    assert (cdc.encrypts, cdc.decrypts) == (64, 0)
+    engine_view(engine)
+    assert (cdc.encrypts, cdc.decrypts) == (64 + 64, 0)
 
 
 def test_tlb_exhaustion_is_unchanged(tmp_path, capsys):

@@ -70,7 +70,8 @@ def test_user_store_keeps_ciphertext_at_rest():
     value = ea(0x4BBB0002, 1234)
     mem.user_store(addr, value)
     index = mem.tlb.translate(cdc.encrypt(addr))
-    raw = mem.cells[index]
+    # the dump's view: the one place a user cell leaves the memory system
+    raw = mem.physical_cells()[index]
     assert raw != value
     assert cdc.decrypt(raw) == value
 
@@ -86,7 +87,7 @@ def test_user_load_sources():
     mem.user_store(addr, value)
     got, hit = mem.user_load(addr)
     assert got == value and hit is True
-    # push the line out; the next load has to decrypt the cell
+    # push the line out; the next load reads the cell
     for i in range(mem.cache.capacity):
         mem.user_store(ea(0x40000010 + i, 8 * i), ea(0x41000001, i))
     got, hit = mem.user_load(addr)
@@ -141,10 +142,12 @@ def test_dump_round_trip():
         mem.user_store(ea(0x42000000 + i, rng.randrange(1 << 16) * 4),
                        ea(0x43000001, rng.getrandbits(32)))
     mem.supervisor_store(0x10 * 8, 0xFEED)
+    cells = mem.physical_cells()
+    assert len(cells) == 10 + 1
     view = SimView(mode="super", regs_real=[0] * 32, regs_shadow=[0] * 32,
-                   cells=dict(mem.cells), tlb=dict(mem.tlb.entries))
+                   cells=cells, tlb=dict(mem.tlb.entries))
     back = parse_sim_dump(render_dump(view))
-    assert back.cells == {k: v for k, v in mem.cells.items() if v}
+    assert back.cells == {k: v for k, v in cells.items() if v}
     assert back.tlb == dict(mem.tlb.entries)
     with pytest.raises(FormatError):
         parse_sim_dump("KPUDUMP 1\nJUNK 1 2\n")
