@@ -34,9 +34,9 @@ class SimView(isa.Slotted):
 
 
 def engine_view(engine):
-    st, mem = engine.state, engine.mem
-    return SimView(st.mode.value, list(st.regs), list(st.shadow),
-                   mem.physical_cells(), dict(mem.tlb.entries),
+    st = engine.state
+    cells, tlb = engine.mem.physical_view()
+    return SimView(st.mode.value, list(st.regs), list(st.shadow), cells, tlb,
                    list(engine.outputs))
 
 

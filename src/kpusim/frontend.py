@@ -5,8 +5,6 @@
     kpu oracle IMAGE                flat reference execution
     kpu compare IMAGE DUMP          reference-check a machine dump
 
-kpu-asm and kpu-oracle are shorthands for the first and third forms.
-
 Exit codes: 0 success, 1 the program faulted, 2 usage or file format
 problems, 3 a comparison found mismatches, 141 the reader of stdout or
 stderr went away (the status a shell reports for a SIGPIPE death).
@@ -342,16 +340,6 @@ def main(argv=None):
                 os.dup2(null, stream.fileno())
                 os.close(null)
         return BROKEN_PIPE
-
-
-def asm_entry(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
-    return main(["asm"] + list(argv))
-
-
-def oracle_entry(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
-    return main(["oracle"] + list(argv))
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
-"""Instruction set: one table row per mnemonic, which decode, encode,
-disassembly and the assembler all read, and the decode-side rules both
-executors share.
+"""Instruction set: one table row per mnemonic, which decode, the one
+encoder (encode_fields) and the assembler all read, and the decode-side
+rules both executors share.
 
 Every instruction is one 32-bit word with the opcode in bits [31:26]; four
 opcodes also hold a sub-operation in a selector field. A word decodes only
@@ -18,7 +18,6 @@ latch, the same pc-relative and linking sets and the same user-mode
 legality rule from here, so the two can differ only in how they execute.
 """
 
-import re
 from enum import Enum
 
 from . import alu
@@ -297,13 +296,6 @@ for _row in TABLE:
     _DECODE[_row.opcode][2][_row.funct or 0] = _row
 
 
-def instruction(mnemonic, **fields):
-    """The Instruction of a table mnemonic with the given operand fields."""
-    row = MNEMONICS[mnemonic]
-    return Instruction(row.opcode, mnemonic, row.cls, funct=row.funct,
-                       **fields)
-
-
 def decode(word):
     """Decode one 32-bit word or raise IllegalOpcode."""
     word &= MASK32
@@ -324,15 +316,6 @@ def decode(word):
             value |= ((word >> lo) & mask) << at
         args[slot] = (value ^ sign) - sign
     return Instruction(*args)
-
-
-def encode(instr):
-    """Encode an Instruction back to its 32-bit word."""
-    row = MNEMONICS.get(instr.mnemonic)
-    if row is None:
-        raise OperandOutOfRange("cannot encode %s" % instr.mnemonic)
-    return encode_fields(row, {name: getattr(instr, name)
-                               for name, *_ in row.fields})
 
 
 def encode_fields(row, fields):
@@ -403,22 +386,3 @@ def consume_prefixes(latch, imm16):
     latch.clear()
     return value
 
-
-_OPERAND = re.compile(r"\b(r[dab]|imm|prefix_idx|prefix_payload)\b")
-
-
-def format_instruction(instr):
-    """Human-readable rendering in assembler syntax. A pc-relative target
-    prints as its word offset; an optional operand that is 0 is left out."""
-    syntax = MNEMONICS[instr.mnemonic].syntax
-    if syntax.endswith("?") and not instr.imm:
-        return instr.mnemonic
-
-    def show(match):
-        name = match.group(1)
-        form = "r%d" if name[0] == "r" else \
-            "0x%06x" if name == "prefix_payload" else "%d"
-        return form % getattr(instr, name)
-
-    ops = _OPERAND.sub(show, syntax).strip("@?")
-    return "%s %s" % (instr.mnemonic, ops) if ops else instr.mnemonic

@@ -6,19 +6,19 @@ addresses. Data lives in 64-bit cells. Supervisor data addresses map
 identically (addr/8) within the supervisor region, the first 1 MiB, and
 fault past it or off an 8-byte boundary: super_index is that one rule, for
 this machine and the oracle alike. The user cells that follow the region
-are reached only through the user path. User-mode effective addresses are
-encrypted whole and the resulting ciphertext is assigned a physical cell in
-first-come order, one cell per distinct cipher address. Two computations of
-the same logical address with different paddings therefore land in
-different cells: hardware aliasing is a feature of the model, not an
-accident.
+are reached only through the user path. In the hardware, user-mode
+effective addresses are encrypted whole and the resulting ciphertext is
+assigned a physical cell in first-come order, one cell per distinct cipher
+address. Two computations of the same logical address with different
+paddings therefore land in different cells: hardware aliasing is a feature
+of the model, not an accident.
 
-The cipher is a bijection, so the memory system keeps plaintext beside what
-the hardware holds: it encrypts a padded address only at its first sight,
-keeping the pairing beside the TLB (keyed by ciphertext, as the dump shows
-it; its entry count is the next cell's offset), and a user cell's value only
-when physical_cells() shows it to the dump and the checker. The codec's cost
-on a user store or miss is pipeline latency, which the engine charges.
+The cipher is a bijection, so the memory system keeps plaintext where the
+hardware holds ciphertext: the TLB is keyed by the padded address, which
+allocates as the ciphertext would, and a user cell holds the block last
+stored. physical_view() encrypts both, each once, for the dump and the
+checker. The codec's cost on a user access is pipeline latency, which the
+engine charges.
 
 The user data cache keeps the only count of its read and write hits and
 misses: the cycle table's "(cached)" rows read them.
@@ -76,22 +76,23 @@ def data_cells(image):
 
 
 class TlbMap:
-    """Cipher address -> physical word index, first-come first-served."""
+    """Padded effective address -> physical word index, first-come
+    first-served; the hardware's key is the address's ciphertext."""
 
     def __init__(self, base, capacity):
         self.base = base
         self.capacity = capacity
         self.entries = {}              # in allocation order
 
-    def translate(self, cipher_addr):
-        cipher_addr &= MASK64
-        idx = self.entries.get(cipher_addr)
+    def translate(self, ea_block):
+        ea_block &= MASK64
+        idx = self.entries.get(ea_block)
         if idx is not None:
             return idx
         if len(self.entries) >= self.capacity:
             raise PhysicalExhausted(
                 "user physical range exhausted after %d words" % self.capacity)
-        idx = self.entries[cipher_addr] = self.base + len(self.entries)
+        idx = self.entries[ea_block] = self.base + len(self.entries)
         return idx
 
 
@@ -143,15 +144,17 @@ class MemorySystem:
         self.cells = {}                # sparse: supervisor index -> word
         self.tlb = TlbMap(SUPER_REGION_BYTES // 8, user_words)
         self.cache = UserDataCache(cache_entries)
-        self.ea_cells = {}             # ea block -> cell, one per TLB entry
         self.user_blocks = {}          # user cell -> plaintext block stored
         self.blank_block = codec.decrypt(BLANK_CELL)
 
-    def physical_cells(self):
-        """Every written cell as the hardware holds it: supervisor words as
-        stored, each user cell's block encrypted."""
-        return self.cells | {index: self.codec.encrypt(block)
-                             for index, block in self.user_blocks.items()}
+    def physical_view(self):
+        """(cells, tlb) as the hardware holds them: every written cell,
+        supervisor words as stored and each user block encrypted, and the
+        TLB keyed by each address's ciphertext."""
+        encrypt = self.codec.encrypt
+        return (self.cells | {index: encrypt(block)
+                              for index, block in self.user_blocks.items()},
+                {encrypt(ea): index for ea, index in self.tlb.entries.items()})
 
     # -------------------------------------------------------- supervisor --
 
@@ -163,24 +166,15 @@ class MemorySystem:
 
     # --------------------------------------------------------------- user --
 
-    def _user_cell(self, ea_block):
-        """Physical cell of a padded effective address: the TLB entry of
-        its ciphertext, encrypted only at the address's first sight."""
-        index = self.ea_cells.get(ea_block)
-        if index is None:
-            index = self.tlb.translate(self.codec.encrypt(ea_block))
-            self.ea_cells[ea_block] = index
-        return index
-
     def user_load(self, ea_block):
         """(value block, cache hit); a miss reads the stored or blank block."""
         cached = self.cache.load(ea_block)
         if cached is not None:
             return cached, True
-        return self.user_blocks.get(self._user_cell(ea_block),
+        return self.user_blocks.get(self.tlb.translate(ea_block),
                                     self.blank_block), False
 
     def user_store(self, ea_block, value_block):
         """Write-through: the plaintext block to the cache and the cell."""
         self.cache.store(ea_block, value_block)
-        self.user_blocks[self._user_cell(ea_block)] = value_block & MASK64
+        self.user_blocks[self.tlb.translate(ea_block)] = value_block & MASK64

@@ -612,9 +612,6 @@ class Engine:
                                                record.instr.mnemonic))
         self.trace("cycle %d | %s" % (n, " ".join(parts)))
 
-    # cycles run so far: the stats keep the one count
-    cycle = property(lambda self: self.stats.cycles)
-
     def step(self):
         stats = self.stats
         n = stats.cycles

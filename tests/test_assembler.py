@@ -234,8 +234,8 @@ def test_error_texts_are_pinned():
         assert str(info.value) == "line 2: " + text
     # register names take either case
     image = assemble(".org 0x100\nl.add R31, r0, R9\n", cdc())
-    assert isa.decode(image.text[0x100]) == isa.instruction(
-        "l.add", rd=31, ra=0, rb=9)
+    assert image.text[0x100] == isa.encode_fields(
+        isa.MNEMONICS["l.add"], {"rd": 31, "ra": 0, "rb": 9})
     # a sealed immediate is checked against 32 bits, not its 16-bit field
     image = assemble(""".mode user
 .org 0x4000

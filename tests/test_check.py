@@ -128,7 +128,7 @@ def test_both_machines_agree_on_a_mode_rule(source, value, cycles, steps):
     engine.run()
     reference = interpret(image, c)
     assert engine.outputs == reference.outputs == [value]
-    assert (engine.cycle, reference.steps) == (cycles, steps)
+    assert (engine.stats.cycles, reference.steps) == (cycles, steps)
     assert compare(engine_view(engine), reference, c) == []
 
 

@@ -1,12 +1,16 @@
-"""The cipher runs once per distinct block, and what it learns stays bounded.
+"""The cipher runs once per distinct block, and what the machines keep stays
+bounded.
 
 The engine opens each sealed immediate at fetch and keeps the plaintext per
 sealed block; the oracle keeps each immediate's literal the same way; the
-memory system keeps each padded user address's cell beside the TLB. None of
-these may grow with the length of a run: the immediate memos are bounded by
-the program's sealed pcs, the address memo by the TLB itself.
+memory system keys its TLB by padded address and encrypts each key and each
+written cell once, for the dump. None of these may grow with the length of
+a run: the immediate memos are bounded by the program's sealed pcs, the TLB
+by the distinct padded addresses, at most the user words. And a run four
+times longer peaks at the same memory in either machine.
 """
 
+import tracemalloc
 from pathlib import Path
 
 from kpusim import isa
@@ -22,14 +26,19 @@ from kpusim.pipeline import Engine
 KEY = 0x00112233445566778899AABBCCDDEEFF
 ROOT = Path(__file__).resolve().parent.parent
 
+# Keeping one bare object() per engine cycle adds about 190 KB over the
+# 6,900 cycles the longer run adds, and one per oracle step about 130 KB.
+PEAK_MARGIN = 16 * 1024
+
 # The cycle in which a one-pass sweep over five cells, given four user
-# words, runs out of cells; measured before the address memo existed.
+# words, runs out of cells; measured while the TLB was still keyed by
+# each address's ciphertext.
 FAULT_CYCLE = 156
 
 
 def sweep_source(cells, passes, total=False):
     """User-mode read-modify-write sweep: every pass recomputes the padded
-    addresses of the one before, so `cells` cipher addresses in all. With
+    addresses of the one before, so `cells` padded addresses in all. With
     `total`, r3 sums every value stored and the sweep prints it."""
     clear, add, show = ((["    l.addi r3, r0, 0"], ["    l.add  r3, r3, r6"],
                          ["    l.nop  2"]) if total else ([], [], []))
@@ -93,16 +102,50 @@ def test_immediate_memos_hold_at_most_one_block_per_sealed_pc():
         assert oracle.literals[sealed] == block & 0xFFFFFFFF
 
 
-def test_address_memo_has_one_entry_per_tlb_entry():
+def test_tlb_has_one_entry_per_padded_address():
     cdc = Codec(KEY)
     # a cache a quarter the sweep's size: every load misses, every pass
     engine = Engine(assemble(sweep_source(64, 4), cdc), cdc, cache_entries=16)
     engine.run()
     mem = engine.mem
     assert mem.cache.read_misses == 4 * 64
-    assert len(mem.ea_cells) == len(mem.tlb.entries) == 64
-    assert all(mem.tlb.entries[cdc.encrypt(ea)] == index
-               for ea, index in mem.ea_cells.items())
+    # the sweep's 64 word addresses, each under the pads of its first pass
+    entries = mem.tlb.entries
+    assert sorted(ea & 0xFFFFFFFF for ea in entries) \
+        == list(range(256, 256 + 4 * 64, 4))
+    assert list(entries.values()) == list(range(mem.tlb.base,
+                                                mem.tlb.base + 64))
+    # the dump's TLB holds each key's ciphertext, in allocation order
+    _, tlb = mem.physical_view()
+    assert [(cdc.decrypt(cipher), index) for cipher, index in tlb.items()] \
+        == list(entries.items())
+
+
+def _run_peak(machine):
+    """The tracemalloc peak of machine.run(), counting only what the run
+    allocates."""
+    tracemalloc.start()
+    try:
+        machine.run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_long_runs_use_bounded_memory():
+    cdc = Codec(KEY)
+    source = (ROOT / "bench" / "is_add_test.s").read_text()
+    assert source.count("l.addi  r2, r0, 64") == 2     # both round counters
+    peaks = {}
+    for rounds in (64, 256):
+        image = assemble(source.replace("l.addi  r2, r0, 64",
+                                        "l.addi  r2, r0, %d" % rounds), cdc)
+        engine = Engine(image, cdc)
+        oracle = Interpreter(image, cdc)
+        peaks[rounds] = (_run_peak(engine), _run_peak(oracle))
+        assert engine.outputs == oracle.outputs == [rounds, rounds]
+    for short, long in zip(peaks[64], peaks[256]):
+        assert abs(long - short) <= PEAK_MARGIN, peaks
 
 
 class CountingCodec(Codec):
@@ -126,15 +169,15 @@ def test_an_address_is_encrypted_once():
     for rnd in range(4):
         for ea in addresses:
             mem.user_store(ea, (0x77 << 32) | rnd)
-    assert cdc.encrypts == 3               # one per address, none per value
     loads = [mem.user_load(ea) for ea in addresses]
     # the one-line cache holds the last store; the other two go to memory
     assert loads == [((0x77 << 32) | 3, hit) for hit in (False, False, True)]
-    assert cdc.encrypts == 3
-    # the physical view encrypts each written cell once
-    cells = mem.physical_cells()
-    assert cdc.encrypts == 6
-    assert [cdc.decrypt(cells[index]) for index in mem.ea_cells.values()] \
+    assert (cdc.encrypts, cdc.decrypts) == (0, 1)   # the blank block
+    # the physical view encrypts each address and each written cell once
+    cells, tlb = mem.physical_view()
+    assert (cdc.encrypts, cdc.decrypts) == (6, 1)
+    assert [cdc.decrypt(cipher) for cipher in tlb] == addresses
+    assert [cdc.decrypt(cells[index]) for index in tlb.values()] \
         == [(0x77 << 32) | 3] * 3
 
 
@@ -147,8 +190,9 @@ def test_the_user_data_path_makes_no_cipher_op():
     cdc.encrypts = cdc.decrypts = 0
     engine.run()
     assert engine.mem.cache.read_misses == 4 * 64
-    # one encrypt per address at its first sight, none per load or store
-    assert (cdc.encrypts, cdc.decrypts) == (64, 0)
+    # none per address, load or store
+    assert (cdc.encrypts, cdc.decrypts) == (0, 0)
+    # the dump's view encrypts each of the 64 cells and 64 TLB keys once
     engine_view(engine)
     assert (cdc.encrypts, cdc.decrypts) == (64 + 64, 0)
 

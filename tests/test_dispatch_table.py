@@ -32,10 +32,9 @@ def _words():
     words = []
     for row in isa.TABLE:
         fields = {name: 0 for name, *_ in row.fields}
-        words.append((row.mnemonic, isa.encode(isa.instruction(
-            row.mnemonic, **fields))))
-    words += [("l.nop %d" % code, isa.encode(isa.instruction("l.nop",
-                                                             imm=code)))
+        words.append((row.mnemonic, isa.encode_fields(row, fields)))
+    words += [("l.nop %d" % code,
+               isa.encode_fields(isa.MNEMONICS["l.nop"], {"imm": code}))
               for code in (1, 2)]
     words.append(("undecodable", 0xFFFFFFFF))
     return words
@@ -267,7 +266,7 @@ def test_oracle_operand_of_each_pc_relative_row(mode, offset):
     assert set(RELATIVE_OPERANDS) == isa.PC_RELATIVE
     target = (PC + 4 * offset) & MASK32
     for mnemonic, operand in RELATIVE_OPERANDS.items():
-        word = isa.encode(isa.instruction(mnemonic, imm=offset))
+        word = isa.encode_fields(isa.MNEMONICS[mnemonic], {"imm": offset})
         assert _oracle_operand(word, mode) == operand(target), mnemonic
 
 
@@ -280,6 +279,6 @@ def test_oracle_operand_of_each_immediate_row(row):
     _, _, _, _, low, high, _ = next(f for f in row.fields if f[0] == "imm")
     op = isa.IMM_ALU_OP[row.mnemonic]
     for imm in (low, high - 1, 1):
-        word = isa.encode(isa.instruction(row.mnemonic, rd=3, ra=4, imm=imm))
+        word = isa.encode_fields(row, {"rd": 3, "ra": 4, "imm": imm})
         assert _oracle_operand(word, "user") == (op, word)
         assert _oracle_operand(word, "super") == (op, imm & MASK32)

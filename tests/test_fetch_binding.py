@@ -111,7 +111,7 @@ def test_forwarding_edge_case(name, source, outputs, cycles):
     result = Interpreter(image, cdc).run(max_steps=1000)
     assert engine.outputs == result.outputs == outputs
     assert compare(engine_view(engine), result, cdc) == []
-    assert engine.cycle == cycles
+    assert engine.stats.cycles == cycles
     assert engine.stats.closes()
 
 

@@ -80,7 +80,7 @@ def test_one_word_fetched_in_both_modes(name, shared, outputs, cycles, steps,
 
     assert engine.outputs == outputs
     assert result.outputs == outputs
-    assert engine.cycle == cycles
+    assert engine.stats.cycles == cycles
     assert result.steps == steps
     assert engine.state.mode is Mode.SUPERVISOR
     assert engine.state.epcr == itp.epcr == epcr
@@ -101,8 +101,8 @@ COPIES = (0x4000, 0x4018)
 
 
 def _twice_placed(mode):
-    words = [isa.encode(isa.instruction(m, **f)) for m, f in BLOCK] * 2
-    words.append(isa.encode(isa.instruction("l.nop", imm=1)))
+    words = [isa.encode_fields(isa.MNEMONICS[m], f) for m, f in BLOCK] * 2
+    words.append(isa.encode_fields(isa.MNEMONICS["l.nop"], {"imm": 1}))
     return Image(entry=COPIES[0], mode=mode,
                  text={COPIES[0] + 4 * i: w for i, w in enumerate(words)})
 
@@ -119,7 +119,7 @@ def test_each_copy_of_a_word_keeps_its_own_target_and_link(mode, cycles,
 
     links = [base + 4 for base in COPIES]
     assert engine.outputs == result.outputs == links
-    assert engine.cycle == cycles
+    assert engine.stats.cycles == cycles
     assert result.steps == 13
     records = engine._records_by_mode[Mode(mode)]
     oracle_records = itp._records_by_mode[Mode(mode)]

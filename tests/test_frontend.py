@@ -1,6 +1,7 @@
 """End-to-end checks of the command line tools."""
 
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -10,7 +11,7 @@ import pytest
 
 import kpusim
 from kpusim.check import SimView, render_dump
-from kpusim.frontend import DEFAULT_KEY, asm_entry, main, oracle_entry
+from kpusim.frontend import DEFAULT_KEY, main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -222,7 +223,7 @@ start:
 
 def test_oracle_output_shape(built, capsys):
     tmp, img = built
-    assert oracle_entry([str(img)]) == 0
+    assert main(["oracle", str(img)]) == 0
     out = capsys.readouterr()
     lines = out.out.splitlines()
     assert lines[0] == "42"
@@ -233,15 +234,6 @@ def test_oracle_output_shape(built, capsys):
     mems = [l for l in lines if l.startswith("mem ")]
     assert mems == ["mem 0x00000000 0x0000002a"]
     assert out.err == "@exit  : steps 6\n"
-
-
-def test_entry_point_shorthands(tmp_path, capsys):
-    src = tmp_path / "p.s"
-    img = tmp_path / "p.img"
-    src.write_text(SOURCE)
-    assert asm_entry([str(src), "-o", str(img)]) == 0
-    assert oracle_entry([str(img)]) == 0
-    capsys.readouterr()
 
 
 def test_byte_identical_reruns(built, capsys):
@@ -656,10 +648,28 @@ def test_a_non_default_key_round_trips(tmp_path, capsys):
     assert (tmp_path / "default.img").read_text() != img.read_text()
 
 
+def test_a_nonzero_pad_seed_round_trips(tmp_path, capsys):
+    source = str(ROOT / "programs" / "encrypted_sum.s")
+    img0, img7, dump = (tmp_path / name
+                        for name in ("sum0.img", "sum7.img", "sum7.dump"))
+    assert main(["asm", source, "-o", str(img0)]) == 0
+    assert main(["asm", source, "--seed", "7", "-o", str(img7)]) == 0
+    # other pads seal the immediates differently, to the same program
+    assert img7.read_text() != img0.read_text()
+    capsys.readouterr()
+    assert main(["run", str(img7), "--dump", str(dump)]) == 0
+    assert capsys.readouterr().out == "55\n"
+    assert main(["compare", str(img7), str(dump)]) == 0
+    assert capsys.readouterr().out == "MISMATCHES 0\n"
+
+
 @pytest.mark.parametrize("command, name, text, error", [
     ("asm", "n.s", "l.addi r3, r0, 1_0\n", "line 1: cannot parse expression '1_0'"),
     ("run", "n.img", "KPUIMG 1\nENTRY +0x00000100\n",
      "line 2: bad number in 'ENTRY +0x00000100'"),
+    ("oracle", "n.img", "KPUIMG 1\nENTRY 0x00000100\nMODE super\n"
+     "TEXT 0x00000100 15000001\nDATA -0x8 0000000000000005\n",
+     "line 5: bad data record"),
 ])
 def test_a_number_with_a_sign_or_underscore_exits_2(tmp_path, capsys, command,
                                                     name, text, error):
@@ -701,6 +711,47 @@ def test_a_reader_gone_before_the_first_write_exits_141(tmp_path, argv):
     # the oracle's step count still reaches stderr; no report of the error
     assert "Traceback" not in proc.stderr
     assert "BrokenPipeError" not in proc.stderr
+
+
+VECTOR_FAULT = ("fault: illegal instruction at the illegal-instruction "
+                "vector 0x00000700 in supervisor mode\n")
+
+
+# One fresh process for each documented exit code, as a shell user meets
+# them: (argv, exit code, stdout and stderr as full regex matches).
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["--help"], 0, r"usage: kpu .*", ""),
+    (["run", "{spin}"], 1, "", re.escape("kpu run: " + VECTOR_FAULT)),
+    # both machines raise the one vector-spin fault (core.VectorSpin)
+    (["oracle", "{spin}"], 1, "", re.escape("kpu oracle: " + VECTOR_FAULT)),
+    (["run", "{img}", "--key", "zz"], 2, "",
+     r"usage: kpu run .*\nkpu run: error: argument --key: "
+     r"key must be hexadecimal\n"),
+    (["compare", "{img}", "{edited}"], 3,
+     r"MISMATCHES 1\noutputs: machine \[43\], reference \[42\]\n", ""),
+], ids=["help", "run fault", "oracle fault", "bad key", "mismatch"])
+def test_a_fresh_process_exits_with_its_documented_code(built, argv, code,
+                                                        out, err):
+    tmp, img = built
+    files = {"img": img, "edited": tmp / "edited.dump",
+             "spin": tmp / "spin.img"}
+    dump = tmp / "p.dump"
+    assert main(["run", str(img), "--dump", str(dump),
+                 "--stats", os.devnull]) == 0
+    files["edited"].write_text(
+        dump.read_text().replace("\nOUT 42\n", "\nOUT 43\n"))
+    files["spin"].write_text("KPUIMG 1\nENTRY 0x00000700\nMODE super\n"
+                             "TEXT 0x00000700 ffffffff\n")
+    src = str(Path(kpusim.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", _AS_MAIN, src]
+        + [arg.format(**files) for arg in argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        timeout=60)
+    assert "Traceback" not in proc.stdout + proc.stderr, proc.stderr
+    assert proc.returncode == code, proc.stderr
+    assert re.fullmatch(out, proc.stdout, re.S), proc.stdout
+    assert re.fullmatch(err, proc.stderr, re.S), proc.stderr
 
 
 @pytest.mark.parametrize("option, value, error", [

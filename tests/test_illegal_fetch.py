@@ -60,7 +60,7 @@ def test_illegal_fetch_agrees_with_the_oracle(name, mode, offending, cycles):
     assert itp.mode is Mode.SUPERVISOR
     assert engine.state.epcr == itp.epcr
     assert compare(engine_view(engine), result, cdc) == []
-    assert engine.cycle == cycles
+    assert engine.stats.cycles == cycles
 
 
 # nothing decodes at 0x101 or at the vector: the supervisor trap lands on
@@ -75,7 +75,7 @@ def test_illegal_vector_in_supervisor_mode_faults_at_once():
     engine = Engine(image, cdc)
     with pytest.raises(VectorSpin, match="illegal-instruction vector"):
         engine.run(max_cycles=1000)
-    assert engine.cycle <= 50
+    assert engine.stats.cycles <= 50
     itp = Interpreter(image, cdc)
     with pytest.raises(VectorSpin, match="illegal-instruction vector"):
         itp.run(max_steps=1000)
@@ -113,5 +113,5 @@ start:
     assert engine.state.mode is Mode.SUPERVISOR
     assert engine.state.epcr == itp.epcr == 0x700
     assert compare(engine_view(engine), result, cdc) == []
-    assert engine.cycle == 23
+    assert engine.stats.cycles == 23
     assert result.steps == 3

@@ -69,9 +69,10 @@ def test_user_store_keeps_ciphertext_at_rest():
     addr = ea(0x4AAA0001, 0x100)
     value = ea(0x4BBB0002, 1234)
     mem.user_store(addr, value)
-    index = mem.tlb.translate(cdc.encrypt(addr))
     # the dump's view: the one place a user cell leaves the memory system
-    raw = mem.physical_cells()[index]
+    cells, tlb = mem.physical_view()
+    assert tlb == {cdc.encrypt(addr): mem.tlb.entries[addr]}
+    raw = cells[mem.tlb.entries[addr]]
     assert raw != value
     assert cdc.decrypt(raw) == value
 
@@ -101,8 +102,8 @@ def test_same_logical_address_different_pads_alias():
     b = ea(0x4AAA0002, 0x500)        # same 32-bit address, different pad
     mem.user_store(a, ea(0x41000001, 1))
     mem.user_store(b, ea(0x41000001, 2))
-    ia = mem.tlb.translate(cdc.encrypt(a))
-    ib = mem.tlb.translate(cdc.encrypt(b))
+    ia = mem.tlb.entries[a]
+    ib = mem.tlb.entries[b]
     assert ia != ib                  # hardware sees two unrelated cells
 
 
@@ -142,12 +143,13 @@ def test_dump_round_trip():
         mem.user_store(ea(0x42000000 + i, rng.randrange(1 << 16) * 4),
                        ea(0x43000001, rng.getrandbits(32)))
     mem.supervisor_store(0x10 * 8, 0xFEED)
-    cells = mem.physical_cells()
+    cells, tlb = mem.physical_view()
     assert len(cells) == 10 + 1
+    assert len(tlb) == 10
     view = SimView(mode="super", regs_real=[0] * 32, regs_shadow=[0] * 32,
-                   cells=cells, tlb=dict(mem.tlb.entries))
+                   cells=cells, tlb=tlb)
     back = parse_sim_dump(render_dump(view))
     assert back.cells == {k: v for k, v in cells.items() if v}
-    assert back.tlb == dict(mem.tlb.entries)
+    assert back.tlb == tlb
     with pytest.raises(FormatError):
         parse_sim_dump("KPUDUMP 1\nJUNK 1 2\n")

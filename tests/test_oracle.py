@@ -283,8 +283,7 @@ def test_step_limit_after_a_prefix_pair(limit, pc, regs):
 def test_every_decodable_class_dispatches_to_a_handler(mode):
     covered = set()
     for row in isa.TABLE:
-        word = isa.encode(isa.instruction(
-            row.mnemonic, **{name: 0 for name, *_ in row.fields}))
+        word = isa.encode_fields(row, {name: 0 for name, *_ in row.fields})
         ins = isa.decode(word)
         itp = Interpreter(Image(entry=0x4000, mode=mode, text={0x4000: word}),
                           Codec(KEY))

@@ -18,8 +18,8 @@ from kpusim import isa
 from kpusim.frontend import main
 
 SEEDS = range(100)
-NOP_EXIT = isa.encode(isa.instruction("l.nop", imm=1))
-NOP_PRINT = isa.encode(isa.instruction("l.nop", imm=2))
+NOP_EXIT = isa.encode_fields(isa.MNEMONICS["l.nop"], {"imm": 1})
+NOP_PRINT = isa.encode_fields(isa.MNEMONICS["l.nop"], {"imm": 2})
 
 
 def _operand(rng, row, name, low, high):
@@ -39,7 +39,7 @@ def _word(rng, rows):
     rows.add(row.mnemonic)
     fields = {name: _operand(rng, row, name, low, high)
               for name, _, _, _, low, high, _ in row.fields}
-    return isa.encode(isa.instruction(row.mnemonic, **fields))
+    return isa.encode_fields(row, fields)
 
 
 def _image(rng, mode, vector, rows):

@@ -97,8 +97,7 @@ def _is_carrier(record):
 def test_every_decodable_class_dispatches_to_engine_handlers(mode):
     covered = set()
     for row in isa.TABLE:
-        word = isa.encode(isa.instruction(
-            row.mnemonic, **{name: 0 for name, *_ in row.fields}))
+        word = isa.encode_fields(row, {name: 0 for name, *_ in row.fields})
         ins = isa.decode(word)
         covered.add(ins.cls)
         engine, record = _record(word, mode)
