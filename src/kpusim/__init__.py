@@ -10,7 +10,7 @@ from .core import MachineState, Mode
 from .memsys import MemorySystem, PhysicalExhausted
 from .oracle import Interpreter, interpret
 from .pipeline import (BranchPredictionBuffer, CycleStats, Engine,
-                       MaxCyclesExceeded, SimulationFault)
+                       SimulationFault)
 from .progen import generate_source
 
 __version__ = "0.1.0"
@@ -22,8 +22,7 @@ __all__ = [
     "MachineState", "Mode",
     "MemorySystem", "PhysicalExhausted",
     "AliasDetected", "Interpreter", "compare", "engine_view", "interpret",
-    "BranchPredictionBuffer", "CycleStats", "Engine", "MaxCyclesExceeded",
-    "SimulationFault",
+    "BranchPredictionBuffer", "CycleStats", "Engine", "SimulationFault",
     "generate_source",
     "__version__",
 ]

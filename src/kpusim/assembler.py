@@ -98,6 +98,16 @@ def read_records(text, magic, what):
     return records[1:]
 
 
+def read_number(text, base, signed=False):
+    """`text` as a number by the rule of images, dumps and the command
+    line: ASCII digits of `base` alone, no '_', and a sign only where
+    `signed` (as in a source); ValueError where it is no such number."""
+    digits = text[1:] if signed and text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isalnum()):
+        raise ValueError("not a number: %r" % text)
+    return int(text, base)
+
+
 def parse_image(text):
     image = Image(text={}, data={})
     # int() also takes a '+', '_' and non-ASCII digits, so a record holding

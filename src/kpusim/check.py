@@ -12,7 +12,7 @@ the answer key stays independent of what it checks.
 """
 
 from . import isa
-from .assembler import FormatError, read_records
+from .assembler import FormatError, read_number, read_records
 from .codec import MASK32, MASK64, word_value
 from .core import open_register
 from .memsys import BLANK_CELL, blank_word
@@ -60,10 +60,10 @@ _DUMP_FIELDS = {"MODE": 2, "REG": 4, "PHYS": 3, "TLBMAP": 3, "OUT": 2}
 
 
 def _dump_number(lineno, text, base, limit):
-    """A dump field: ASCII digits of `base` alone (no sign, no '_'), at
-    most `limit`."""
+    """A dump field: an unsigned number by read_number's rule, at most
+    `limit`."""
     try:
-        value = int(text, base) if text.isascii() and text.isalnum() else -1
+        value = read_number(text, base)
     except ValueError:
         value = -1
     if not 0 <= value <= limit:

@@ -57,6 +57,13 @@ class VectorSpin(codec.ProgramFault):
                          "vector 0x%08x in supervisor mode" % VEC_ILLEGAL)
 
 
+class BudgetExhausted(codec.ProgramFault):
+    """Both machines' fault on a run that outlives its cycles or steps."""
+
+    def __init__(self, budget):
+        super().__init__("no exit within a budget of %d" % budget)
+
+
 def open_register(cdc, real):
     """A real register's plaintext-domain block, for map-in and the checker:
     a zero-filled value is a program address and gets the 0x7fff tag, and

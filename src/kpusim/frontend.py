@@ -23,7 +23,7 @@ import stat
 import sys
 
 from .assembler import (Assembler, CryptoSafetyError, FormatError, ParseError,
-                        parse_image, write_image)
+                        parse_image, read_number, write_image)
 from .check import (AliasDetected, compare, engine_view, parse_sim_dump,
                     render_dump)
 from .codec import Codec, ProgramFault
@@ -39,20 +39,10 @@ DEFAULT_KEY = 0x00112233445566778899AABBCCDDEEFF
 BROKEN_PIPE = 141
 
 
-def _number(text, base, signed):
-    """`text` as a number by the rule files follow: ASCII digits of `base`
-    alone, no '_', and a sign only where `signed`, as a number in a source
-    may take one; ValueError where it is no such number."""
-    digits = text[1:] if signed and text[:1] in ("+", "-") else text
-    if not (digits.isascii() and digits.isalnum()):
-        raise ValueError("not a number: %r" % text)
-    return int(text, base)
-
-
 def _parse_key(text):
     import argparse
     try:
-        key = _number(text, 16, signed=False)
+        key = read_number(text, 16)
     except ValueError:
         raise argparse.ArgumentTypeError("key must be hexadecimal") from None
     if key >> 128:
@@ -64,7 +54,7 @@ def _int_at_least(minimum, what):
     def parse(text):
         import argparse
         try:
-            value = _number(text, 10, signed=True)
+            value = read_number(text, 10, signed=True)
         except ValueError:
             raise argparse.ArgumentTypeError(
                 "%r is not an integer" % text) from None
@@ -81,7 +71,7 @@ _non_negative_int = _int_at_least(0, "non-negative")
 def _seed(text):
     import argparse
     try:
-        return _number(text, 10, signed=True)
+        return read_number(text, 10, signed=True)
     except ValueError:
         raise argparse.ArgumentTypeError(
             "invalid int value: %r" % text) from None

@@ -8,25 +8,22 @@ machine is checked against. It shares with the machine the ISA layer
 pc-relative and which link, the user-mode legality rule), the ALU, the
 memory rules of memsys (the supervisor data address, what a never-written
 user cell reads as, the order DATA records load in), the fault at the
-illegal-instruction vector (core.VectorSpin) and the one base class of
+illegal-instruction vector (core.VectorSpin), the fault of a run that
+outlives its budget (core.BudgetExhausted) and the one base class of
 program faults, never the pipeline's execute path, and mirrors every
 other architectural rule that shows through to results: trap entry and
 return and mode containment of special registers.
 """
 
 from . import alu, isa
-from .codec import MASK32, ProgramFault, word_value
-from .core import (CONFIG_ID, Mode, SPR_CONFIG, SPR_EPCR, SPR_SR,
-                   USER_READABLE_SPRS, VEC_ILLEGAL, VEC_SYSCALL, VectorSpin,
-                   pack_sr, unpack_sr)
+from .codec import MASK32, word_value
+from .core import (BudgetExhausted, CONFIG_ID, Mode, SPR_CONFIG, SPR_EPCR,
+                   SPR_SR, USER_READABLE_SPRS, VEC_ILLEGAL, VEC_SYSCALL,
+                   VectorSpin, pack_sr, unpack_sr)
 from .isa import InstrClass, MissingPrefix, PrefixLatch, consume_prefixes
 from .memsys import blank_word, data_cells, super_index
 
 DEFAULT_MAX_STEPS = 2_000_000
-
-
-class MaxStepsExceeded(ProgramFault):
-    pass
 
 
 class Interpreter:
@@ -251,7 +248,7 @@ class Interpreter:
         """Step to the exit; the interpreter is its own end state."""
         while not self.halted:
             if self.steps >= max_steps:
-                raise MaxStepsExceeded("no exit after %d steps" % max_steps)
+                raise BudgetExhausted(max_steps)
             self.step()
         return self
 

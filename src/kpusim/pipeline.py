@@ -89,7 +89,8 @@ from . import alu, isa
 from .codec import (MASK32, MASK64, ROUNDS, NotAProgramAddress, ProgramFault,
                     feistel_unround, open_program_address, pad_mix,
                     to_decrypted_address, to_encrypted_address)
-from .core import MachineState, Mode, VEC_ILLEGAL, VEC_SYSCALL, VectorSpin
+from .core import (BudgetExhausted, MachineState, Mode, VEC_ILLEGAL,
+                   VEC_SYSCALL, VectorSpin)
 from .isa import InstrClass, MissingPrefix, PrefixLatch, consume_prefixes
 from .memsys import (DEFAULT_CACHE_ENTRIES, DEFAULT_USER_WORDS, MemorySystem,
                      data_cells)
@@ -99,10 +100,6 @@ DEFAULT_MAX_CYCLES = 5_000_000
 
 class SimulationFault(ProgramFault):
     """Program did something the machine cannot continue from."""
-
-
-class MaxCyclesExceeded(ProgramFault):
-    pass
 
 
 # ------------------------------------------------------------------ plans --
@@ -294,7 +291,7 @@ class Slot:
     __slots__ = ("record", "x_index", "r_index", "m_index", "pa", "pb",
                  "wake", "settled", "retired", "ready_cycle", "a", "b",
                  "imm_block", "predicted", "result", "pending_effects",
-                 "ea_block", "__weakref__")
+                 "ea_block")
 
     def __init__(self, record, pa, pb):
         self.record = record
@@ -750,7 +747,7 @@ class Engine:
                 break
             step()
         if not self.halted:
-            raise MaxCyclesExceeded("no exit after %d cycles" % max_cycles)
+            raise BudgetExhausted(max_cycles)
         return self.state
 
 

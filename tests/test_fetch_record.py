@@ -11,8 +11,9 @@ Outputs, cycles and the interpreter's steps are frozen at their measured
 values, and the two machines are checked against each other.
 
 What a record keeps for its pc alone, a pc-relative target and a link's
-return address, is checked on one block of words placed twice. And each
-machine decodes a text word once for each (pc, mode) it reaches, the
+return address, is checked by running one block of words placed twice:
+each copy must print its own link and branch to its own targets. And
+each machine calls isa.decode_at once for each (pc, mode) it reaches, the
 shipped programs and the programs here alike.
 """
 
@@ -117,20 +118,12 @@ def test_each_copy_of_a_word_keeps_its_own_target_and_link(mode, cycles,
     itp = Interpreter(image, cdc)
     result = itp.run(max_steps=100)
 
+    # each copy prints its own link, and only its own targets bring the
+    # run through both copies to the exit in 13 steps
     links = [base + 4 for base in COPIES]
     assert engine.outputs == result.outputs == links
     assert engine.stats.cycles == cycles
     assert result.steps == 13
-    records = engine._records_by_mode[Mode(mode)]
-    oracle_records = itp._records_by_mode[Mode(mode)]
-    for base in COPIES:
-        assert records[base].target == base + 0x10
-        assert records[base + 0x0C].target == base + 0x18
-        assert records[base + 0x14].target == base + 0x04
-        assert oracle_records[base][2] == base + 0x10
-        assert oracle_records[base + 0x0C][2] == base + 0x18
-        assert oracle_records[base + 0x14][2] == (True, base + 0x04)
-    assert records[COPIES[0]].link != records[COPIES[1]].link
 
     path = tmp_path / "twice.img"
     path.write_text(write_image(image))
@@ -144,25 +137,28 @@ SOURCES = {name: (ROOT / name).read_text()
            for name in ("bench/is_add_test.s", "programs/encrypted_sum.s",
                         "programs/syscall_ticks.s")}
 SOURCES.update((name, PROGRAM % shared) for name, shared, *_ in CASES)
+BOTH_MODES = {name for name, *_ in CASES}
+SHARED = 0x10C                  # PROGRAM's shared stretch
 
 
 @pytest.mark.parametrize("name", sorted(SOURCES))
 def test_each_machine_decodes_once_per_pc_and_mode(name, monkeypatch):
     cdc = Codec(KEY)
     image = assemble(SOURCES[name], cdc)
-    decoded = Counter()
-    decode = isa.decode
+    decode_at = isa.decode_at
+    for machine, mode_of in (
+            (Engine(image, cdc), lambda engine: engine.state.mode),
+            (Interpreter(image, cdc), lambda itp: itp.mode)):
+        decoded = Counter()
 
-    def counted(word):
-        decoded[word] += 1
-        return decode(word)
+        def counted(text, pc):
+            decoded[pc, mode_of(machine)] += 1
+            return decode_at(text, pc)
 
-    monkeypatch.setattr(isa, "decode", counted)
-    for machine in (Engine(image, cdc), Interpreter(image, cdc)):
-        decoded.clear()
+        monkeypatch.setattr(isa, "decode_at", counted)
         machine.run()
-        reached = [(pc, mode) for mode, records
-                   in machine._records_by_mode.items() for pc in records]
-        assert reached
-        assert decoded == Counter(image.text[pc] for pc, _ in reached
-                                  if pc in image.text)
+        assert machine.outputs
+        assert set(decoded.values()) == {1}, decoded
+        if name in BOTH_MODES:
+            assert {(SHARED, Mode.SUPERVISOR), (SHARED, Mode.USER)} <= \
+                set(decoded)

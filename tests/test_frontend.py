@@ -270,7 +270,7 @@ def test_trace_is_printed_ahead_of_a_fault(built, capsys):
     out = capsys.readouterr()
     assert [l.split(" |")[0] for l in out.out.splitlines()] == \
         ["cycle %d" % n for n in range(5)]
-    assert out.err == "kpu run: fault: no exit after 5 cycles\n"
+    assert out.err == "kpu run: fault: no exit within a budget of 5\n"
 
 
 def test_successive_calls_parse_their_own_options(built, capsys):
@@ -283,7 +283,7 @@ def test_successive_calls_parse_their_own_options(built, capsys):
         assert lines[-1] == "42"
     assert main(["run", str(img), "--max-cycles", "5"]) == 1
     assert main(["run", str(img)]) == 0
-    assert "no exit after 5 cycles" in capsys.readouterr().err
+    assert "no exit within a budget of 5" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, option, value, rule", [

@@ -24,6 +24,8 @@ CASES = [
     # (name, mode, offending lines, engine cycles)
     ("undecodable word", "super", ".word 0xFC000000", 12),
     ("undecodable word", "user", ".word 0xFC000000", 25),
+    ("reserved bits set", "super", ".word 0x14000000", 12),
+    ("reserved bits set", "user", ".word 0x14000000", 25),
     ("unmapped pc", "super", "l.j 64", 16),
     ("unmapped pc", "user", "l.j 64", 29),
     ("64-bit op", "user", "l.add64 r3, r1, r2", 25),

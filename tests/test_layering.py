@@ -71,9 +71,9 @@ def test_import_scan_sees_sibling_imports():
 def test_frontend_catches_program_faults_by_their_one_base():
     """Every machine's fault is a ProgramFault, and the frontend names that
     base alone, so a new fault needs no edit there."""
-    faults = (pipeline.SimulationFault, pipeline.MaxCyclesExceeded,
-              memsys.PhysicalExhausted, memsys.UnalignedSupervisorAccess,
-              memsys.OutOfRegion, core.VectorSpin, oracle.MaxStepsExceeded)
+    faults = (pipeline.SimulationFault, memsys.PhysicalExhausted,
+              memsys.UnalignedSupervisorAccess, memsys.OutOfRegion,
+              core.VectorSpin, core.BudgetExhausted)
     assert all(issubclass(fault, ProgramFault) for fault in faults)
     names = set()
     for node in ast.walk(ast.parse((PACKAGE / "frontend.py").read_text())):
@@ -141,3 +141,49 @@ def test_import_loads_no_dataclasses_or_argparse():
     proc = subprocess.run([sys.executable, "-I", "-c", code],
                           capture_output=True, text=True, check=True)
     assert proc.stdout.split() == ["False"] * len(heavy) + ["True"]
+
+
+def _private_names(module):
+    """The `_`-prefixed names a source file defines or sets: at module
+    level, in its classes and functions, and as attributes."""
+    names = set()
+    for node in ast.walk(ast.parse((PACKAGE / ("%s.py" % module)).read_text())):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) \
+                and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+    return {name for name in names
+            if name.startswith("_") and not name.startswith("__")} - {"_"}
+
+
+MACHINES = ("pipeline", "oracle")
+
+
+def test_tests_read_no_private_name_of_either_machine():
+    """A test that reads the engine's or the interpreter's private names
+    pins how they work, not what they do, and must follow every
+    refactor. No test imports such a name, reads it as an attribute of
+    anything, or names it in a string, as monkeypatch.setattr would."""
+    private = set().union(*map(_private_names, MACHINES))
+    for cls in (pipeline.Engine, oracle.Interpreter):
+        assert {name for name in vars(cls)
+                if name.startswith("_") and not name.startswith("__")} \
+            <= private
+    reads = []
+    for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) \
+                    and node.module in ["kpusim." + m for m in MACHINES]:
+                names = [a.name for a in node.names if a.name.startswith("_")]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr] if node.attr in private else []
+            elif isinstance(node, ast.Constant):
+                names = [node.value] if node.value in private else []
+            else:
+                continue
+            reads += ["%s:%d %s" % (path.name, node.lineno, name)
+                      for name in names]
+    assert not reads

@@ -1,9 +1,12 @@
 """Cycle-level behaviour of the dual-depth pipeline.
 
-The interesting timing facts are frozen here as exact stall/refill/cycle
-counts measured on minimal programs: the load-use gaps in both modes, the
-zero-cost adjacent chains, the decrypt latency a register consumer pays
-for an immediate producer, branch mispredict refills, and the trap plumbing.
+The pairwise timing rules, what a consumer pays at each distance from
+each producer in each mode, are one table in tests/test_hazard_matrix.py.
+The timing facts here are the ones a pair does not show, frozen as exact
+stall/refill/cycle counts on minimal programs: a consumer of two producers
+in flight, a chain of held consumers, the fill depth, branch prediction
+over a loop, the prefix latch and the trap plumbing; then the run budget
+and the cost guards of the per-cycle and per-step paths.
 """
 
 import re
@@ -13,15 +16,13 @@ from pathlib import Path
 
 import pytest
 
-from kpusim.assembler import Image, assemble
+from kpusim.assembler import assemble
 from kpusim.codec import Codec
-from kpusim.core import Mode
+from kpusim.core import BudgetExhausted, Mode
 from kpusim.isa import InstrClass
 from kpusim.oracle import Interpreter
-from kpusim.pipeline import (_FETCH, LONG_A, LONG_B, SHORT,
-                             BranchPredictionBuffer, Engine,
-                             MaxCyclesExceeded, MissingPrefix, PrefixLatch,
-                             consume_prefixes)
+from kpusim.pipeline import (BranchPredictionBuffer, Engine, MissingPrefix,
+                             PrefixLatch, consume_prefixes)
 
 KEY = 0x00112233445566778899AABBCCDDEEFF
 
@@ -54,29 +55,6 @@ def run(body, head=HEAD, **kw):
 def counts(engine, mode=Mode.USER):
     ms = engine.stats.mode(mode)
     return ms.stalls, ms.refills, ms.cycles
-
-
-# ------------------------------------------------------------------ plans --
-
-def test_plan_shapes():
-    assert len(SHORT) == 5
-    assert len(LONG_A) == len(LONG_B) == 16
-    assert SHORT == ("F", "D", "R", "X", "W")
-    assert LONG_A.index("X") == 3 and LONG_A.index("M") == 4
-    assert LONG_B.index("R") == 12 and LONG_B.index("X") == 13
-    assert LONG_A[5:15] == tuple("C%d" % i for i in range(1, 11))
-    assert LONG_B[2:12] == tuple("C%d" % i for i in range(1, 11))
-
-
-def test_plan_by_class_and_mode():
-    # (mnemonic, nop code, mode) -> entry; entry[2] is the plan
-    assert _FETCH["l.addi", 0, Mode.SUPERVISOR][2] is SHORT
-    assert _FETCH["l.addi", 0, Mode.USER][2] is LONG_B
-    assert _FETCH["l.add", 0, Mode.USER][2] is LONG_A
-    assert _FETCH["l.lwz", 0, Mode.USER][2] is LONG_A
-    for mode, depth in ((Mode.USER, 16), (Mode.SUPERVISOR, 5)):
-        image = Image(entry=0x4000, mode=mode.value, text={0x4000: 0})
-        assert len(Engine(image, Codec(KEY)).conveyor) == depth
 
 
 # ----------------------------------------------------------- prefix latch --
@@ -118,67 +96,6 @@ def test_bpb_basics():
 
 # ------------------------------------------------------------ user timing --
 
-def test_user_load_use_hit_costs_two_stalls():
-    dep = run("""    l.addi r1, r0, 5
-    l.sw   0(r0), r1
-    l.lwz  r2, 0(r0)
-    l.add  r3, r2, r2
-    l.nop  1
-""")
-    ind = run("""    l.addi r1, r0, 5
-    l.sw   0(r0), r1
-    l.lwz  r2, 0(r0)
-    l.add  r3, r1, r1
-    l.nop  1
-""")
-    assert counts(dep) == (12, 15, 34)
-    assert counts(ind) == (10, 15, 32)   # two cycles are the load-use gap
-
-
-def test_user_load_use_miss_costs_twelve_stalls():
-    # the loaded address was never stored, so the cache cannot help and
-    # the consumer waits out the full cell decrypt on top of the gap
-    eng = run("""    l.addi r1, r0, 5
-    l.sw   0(r0), r1
-    l.lwz  r2, 256(r0)
-    l.add  r3, r2, r2
-    l.nop  1
-""")
-    assert counts(eng) == (22, 15, 44)
-
-
-def test_adjacent_register_chain_runs_clean():
-    eng = run("""    l.addi r1, r0, 5
-    l.add  r2, r1, r1
-    l.add  r3, r2, r2
-    l.add  r4, r3, r3
-    l.nop  1
-""")
-    # ten stalls buy the first add its decrypted immediate; the A-to-A
-    # forwards after that are free
-    assert counts(eng) == (10, 15, 32)
-
-
-def test_adjacent_immediate_chain_runs_clean():
-    eng = run("""    l.addi r1, r0, 1
-    l.addi r2, r1, 2
-    l.addi r3, r2, 3
-    l.addi r4, r3, 4
-    l.nop  1
-""")
-    assert counts(eng) == (0, 15, 28)    # B-to-B lines up with the codec
-
-
-def test_immediate_feeding_register_pays_decrypt_latency():
-    eng = run("""    l.addi r1, r0, 5
-    l.addi r10, r0, 7
-    l.add  r11, r10, r10
-    l.add  r4, r1, r1
-    l.nop  1
-""")
-    assert counts(eng) == (10, 15, 34)
-
-
 def test_consumer_waits_for_the_later_of_two_producers():
     # r5's sealed immediate forwards at its X; the load misses, so r2 comes
     # three cycles later, after the cell decrypt. Both are in flight, their
@@ -194,25 +111,11 @@ def test_consumer_waits_for_the_later_of_two_producers():
     assert eng.outputs == [(eng.state.codec.decrypt(0) + 9) & 0xFFFFFFFF]
 
 
-def test_held_consumer_asks_for_its_wake_from_its_bound_on(monkeypatch):
-    # A consumer at R whose producer has still to reach its X or M cannot
-    # leave before the producer gets there, one position a cycle at most,
-    # so _wake gives that bound and step() waits for it. By then the
-    # producer has executed, and step() settles the wake itself: each add
-    # below asks _wake once, on its first cycle at R. The bound is exact
-    # for a sealed immediate, which nothing holds on its way to X at 13. A
-    # load's data comes a cycle after M, eleven more on a miss, so there
-    # the bound is short. Every other slot finds its producers executed
-    # and never asks; only the serialized l.mtspr of the boot shim asks,
-    # twice, while older slots are still in flight.
-    calls = Counter()
-    wake = Engine._wake
-
-    def counted(self, idx, cell, n):
-        calls[cell.record.pc] += 1
-        return wake(self, idx, cell, n)
-
-    monkeypatch.setattr(Engine, "_wake", counted)
+def test_held_consumers_wait_out_each_producer():
+    # Each add waits at R for a producer still on its way to its X or M:
+    # the sealed immediate (10 stalls), the load hit (2) and the load miss
+    # (12), each counted once. The boot shim's serialized l.mtspr waits in
+    # supervisor mode until the two older slots have left.
     eng = run("""    l.addi r1, r0, 5
     l.add  r2, r1, r1
     l.sw   0(r0), r1
@@ -223,9 +126,7 @@ def test_held_consumer_asks_for_its_wake_from_its_bound_on(monkeypatch):
     l.nop  1
 """)
     assert counts(eng) == (24, 15, 49)          # 10 + 2 (hit) + 12 (miss)
-    # the l.mtspr, then the three adds: after the immediate, the load hit,
-    # the load miss
-    assert calls == {0x104: 2, 0x400C: 1, 0x4018: 1, 0x4020: 1}
+    assert counts(eng, Mode.SUPERVISOR) == (1, 5, 9)
 
 
 def test_lone_nop_measures_fill_depth():
@@ -238,33 +139,6 @@ boot:
     l.nop  1
 """)
     assert counts(sup, Mode.SUPERVISOR) == (0, 5, 6)
-
-
-# --------------------------------------------------------- supervisor timing --
-
-def test_supervisor_load_use_costs_one_stall():
-    dep = run("", head=""".mode super
-.entry boot
-.org 0x100
-boot:
-    l.addi r1, r0, 5
-    l.sw   8(r0), r1
-    l.lwz  r2, 8(r0)
-    l.add  r3, r2, r2
-    l.nop  1
-""")
-    ind = run("", head=""".mode super
-.entry boot
-.org 0x100
-boot:
-    l.addi r1, r0, 5
-    l.sw   8(r0), r1
-    l.lwz  r2, 8(r0)
-    l.add  r3, r1, r1
-    l.nop  1
-""")
-    assert counts(dep, Mode.SUPERVISOR) == (1, 5, 11)
-    assert counts(ind, Mode.SUPERVISOR) == (0, 5, 10)
 
 
 # --------------------------------------------------------------- branches --
@@ -487,12 +361,12 @@ def test_run_budget_is_a_count_of_cycles():
     assert engine.halted and engine.stats.cycles == IS_ADD_CYCLES
     engine = _engine("bench/is_add_test.s")
     short = IS_ADD_CYCLES - 1
-    with pytest.raises(MaxCyclesExceeded,
-                       match="^no exit after %d cycles$" % short):
+    with pytest.raises(BudgetExhausted,
+                       match="^no exit within a budget of %d$" % short):
         engine.run(max_cycles=short)
     assert not engine.halted and engine.stats.cycles == short
     # a budget counts from cycle 0, not from where a second run starts
-    with pytest.raises(MaxCyclesExceeded):
+    with pytest.raises(BudgetExhausted):
         engine.run(max_cycles=short)
     assert engine.stats.cycles == short
     engine.run(max_cycles=IS_ADD_CYCLES)
