@@ -12,7 +12,8 @@ illegal-instruction vector (core.VectorSpin), the fault of a run that
 outlives its budget (core.BudgetExhausted) and the one base class of
 program faults, never the pipeline's execute path, and mirrors every
 other architectural rule that shows through to results: trap entry and
-return and mode containment of special registers.
+return and mode containment of special registers. In user mode a prefix
+pair and the immediate it seals are one step, as they are one instruction.
 """
 
 from . import alu, isa
@@ -27,7 +28,7 @@ DEFAULT_MAX_STEPS = 2_000_000
 
 
 class Interpreter:
-    """Runs an image one word per step() call.
+    """Runs an image one record per step() call.
 
     Each pc gets a record at its first execution in a mode, one table per
     mode: (handler, instruction, operand, plain). The handler, the plain
@@ -42,6 +43,13 @@ class Interpreter:
     the step is counted, the prefix latch cleared and the pc moved past
     it. Prefixes, user-mode immediates and illegal words do that
     themselves.
+
+    In user mode an index-0 prefix, the index-1 prefix behind it and the
+    immediate behind both get one plain record: the immediate's, with
+    (ALU op, literal) opened when the record is made and a handler that
+    moves the pc past all three. The fold is exact: an index-0 prefix
+    resets the latch, so what the three words do never depends on what
+    ran before them. Each word keeps its own record, for a jump inside.
     """
 
     def __init__(self, image, cdc):
@@ -110,13 +118,46 @@ class Interpreter:
 
     # ------------------------------------------------------------ record --
 
-    def _record(self, pc):
-        """The record of `pc` in the current mode."""
+    def _record(self, pc, fold=True):
+        """The record of `pc` in the current mode; with `fold`, the one
+        record of a user-mode index-0 prefix, the index-1 prefix after it
+        and the immediate they seal, its literal opened here."""
         word, ins = isa.decode_at(self.text, pc)
         if ins is None:
             return _ILLEGAL_RECORD
         handler, plain, operand = _DISPATCH[ins.mnemonic, self.mode]
-        return (handler, ins, operand and operand(pc, word, ins), plain)
+        record = (handler, ins, operand and operand(pc, word, ins), plain)
+        if not fold or handler is not Interpreter._prefix or ins.prefix_idx \
+                or self.mode is not Mode.USER:
+            return record
+        second = self._own((pc + 4) & MASK32)
+        if second[0] is not Interpreter._prefix or second[1].prefix_idx != 1:
+            return record
+        third = self._own((pc + 8) & MASK32)
+        if third[0] is not Interpreter._sealed_immediate:
+            return record
+        latch = PrefixLatch()
+        for prefix in (ins, second[1]):
+            latch.feed(prefix.prefix_idx, prefix.prefix_payload)
+        op, word = third[2]
+        literal = self._open(consume_prefixes(latch, word))
+        return (Interpreter._folded, third[1], (op, literal), True)
+
+    def _own(self, pc):
+        """The record kept for `pc`, made unfolded if new: a word decoded
+        for a fold is its pc's record too, for a jump that lands on it."""
+        record = self._records.get(pc)
+        if record is None:
+            record = self._records[pc] = self._record(pc, False)
+        return record
+
+    def _open(self, cipher):
+        """The 32-bit literal of a sealed immediate block, opened once."""
+        literal = self.literals.get(cipher)
+        if literal is None:
+            literal = self.literals[cipher] = \
+                word_value(self.codec.decrypt(cipher))
+        return literal
 
     # -------------------------------------------------------------- step --
 
@@ -156,12 +197,16 @@ class Interpreter:
         except MissingPrefix:
             self._trap(VEC_ILLEGAL, pc)
             return
-        literal = self.literals.get(cipher)
-        if literal is None:
-            literal = self.literals[cipher] = \
-                word_value(self.codec.decrypt(cipher))
         self.pc = (pc + 4) & MASK32
-        self._immediate(pc, ins, (op, literal))
+        self._immediate(pc, ins, (op, self._open(cipher)))
+
+    def _folded(self, pc, ins, operand):
+        self.pc = (pc + 12) & MASK32        # past the prefix pair
+        op, literal = operand
+        res, effects = alu.execute(op, self.regs[ins.ra], literal)
+        if ins.rd:
+            self.regs[ins.rd] = res
+        self.flags.update(effects)
 
     # an ALU result is already 32 bits wide: no _write mask needed
     def _immediate(self, pc, ins, operand):

@@ -7,9 +7,14 @@ d independent `l.or`s, then the consumer, and checks three things: the run
 compares clean against the reference interpreter, its accounting closes
 per mode, and it stalls max(0, L - d) cycles more than the same program
 whose consumer reads an independent register instead, refilling as often.
-The distances are 0, 1, L - 1, L and L + 1, so each entry is met at its
-edge and at its first free distance (the small-scope hypothesis: every
-rule that breaks, breaks at a small distance).
+The distances are every d from 0 to one past the longest latency, 13,
+for every entry: each entry is met at its edge, at its first free
+distance and at every distance between and past them (the small-scope
+hypothesis: every rule that breaks, breaks at a small distance). So each
+user `l.addi` producer and immediate consumer, a prefix pair and the
+immediate it seals, runs against the reference interpreter's one-step
+fold at every distance. Every pairing of rows, not one row per class,
+is left to a sweep outside tier-1.
 
 Three control cases cover what no operand waits for: a correctly
 predicted branch costs nothing, a mispredicted one refills the three
@@ -127,6 +132,11 @@ FLAG_BASELINE = "l.or   r7, r6, r6"
 
 FILLER = "    l.or   r8, r0, r0\n"
 
+# every distance up to one past the table's longest latency
+DISTANCES = range(max(latency for producers in LATENCY.values()
+                      for row in producers.values()
+                      for latency in row.values()) + 2)
+
 
 def _source(mode, producer, consumer, d, dependent):
     text, dest = PRODUCERS[producer]
@@ -157,9 +167,8 @@ def _run(source):
 def _cases():
     for mode, producers in LATENCY.items():
         for producer, row in producers.items():
-            for consumer, latency in row.items():
-                for d in sorted({0, 1, latency - 1, latency, latency + 1}
-                                - {-1}):
+            for consumer in row:
+                for d in DISTANCES:
                     yield pytest.param(mode, producer, consumer, d,
                                        id="%s-%s-%s-%d" % (mode, producer,
                                                            consumer, d))
