@@ -27,7 +27,8 @@ class Effects(dict):
         setdefault = update = _read_only
 
 
-# What execute returns: NO_EFFECTS, CY_OV[cy][ov] or, for divu, OV[ov].
+# What execute returns: NO_EFFECTS, CY_OV[cy][ov] or, for divu, OV[ov],
+# indexed by ints, as a bool index misses CPython's tuple fast path.
 NO_EFFECTS = Effects()
 CY_OV = tuple(tuple(Effects(cy=cy, ov=ov) for ov in (False, True))
               for cy in (False, True))
@@ -57,13 +58,13 @@ def execute(op, a, b):
         full = a + b
         res = full & MASK32
         # carry out; operands of one sign, result of the other
-        return res, CY_OV[full > MASK32][((a ^ res) & (b ^ res)) >> 31]
+        return res, CY_OV[full >> 32][((a ^ res) & (b ^ res)) >> 31]
     if op == OP_ADDR:
         return (a + b) & MASK32, NO_EFFECTS
     if op == OP_SUB:
         res = (a - b) & MASK32
         # borrow; operands of opposite signs, result not of the minuend's
-        return res, CY_OV[a < b][((a ^ b) & (a ^ res)) >> 31]
+        return res, CY_OV[(a - b) >> 32 & 1][((a ^ b) & (a ^ res)) >> 31]
     if op == OP_AND:
         res = a & b
     elif op == OP_OR:
@@ -72,10 +73,11 @@ def execute(op, a, b):
         res = a ^ b
     elif op == OP_MUL:
         full = a * b
-        return full & MASK32, CY_OV[full > MASK32][
-            not -(1 << 31) <= to_signed(a) * to_signed(b) < (1 << 31)]
+        # carry; overflow: the signed product plus 2**31 leaves [0, 2**32)
+        signed = to_signed(a) * to_signed(b) + SIGN32
+        return full & MASK32, CY_OV[full >> 32 and 1][signed >> 32 and 1]
     elif op == OP_DIVU:
-        return (MASK32, OV[True]) if b == 0 else (a // b, OV[False])
+        return (MASK32, OV[1]) if b == 0 else (a // b, OV[0])
     elif op == OP_SLL:
         res = (a << (b & 31)) & MASK32
     elif op == OP_SRL:

@@ -26,6 +26,8 @@ class Mode(Enum):
     SUPERVISOR = "super"
 
 
+_USER = Mode.USER   # for write_register, with no enum getattr per write
+
 # Special-register indices.
 SPR_SR = 17
 SPR_CONFIG = 20
@@ -132,7 +134,7 @@ class MachineState:
         """
         if i == 0:
             return
-        if self.mode is Mode.USER:
+        if self.mode is _USER:
             self.shadow[i] = value & MASK64
             if program_address:
                 self.regs[i] = codec.to_encrypted_address(value)

@@ -48,7 +48,8 @@ each R; position 0, F, where nothing works, stands in for a missing X or M):
     settles once all are ready (it asks _wake only while one is pending or
     the instruction serializes), so a held cycle costs one comparison,
   * then the conveyor shifts by one, and step() fetches into position 0.
-Empty cells are two shared bubbles, one per wait-state kind.
+Empty cells are two shared bubbles, one per wait-state kind: Slots with no
+record, so each site sees one class, and CPython specializes its reads.
 
 Each slot binds at fetch the youngest older writer in flight of each
 source operand, one last-writer map lookup each (the map is reset at a
@@ -202,32 +203,12 @@ class CycleStats:
 
 # ------------------------------------------------------------------ cells --
 
-class Bubble:
-    """No instruction: an empty conveyor cell, or the link of an operand
-    with no producer in flight. Only STALL_BUBBLE, REFILL_BUBBLE and ABSENT
-    exist. They answer what step() asks of every cell it visits (its X, R
-    and M positions) with "none", and what is asked of a link as a retired
-    producer does, so those tests need no type or None test.
-    """
-
-    __slots__ = ()
-    x_index = r_index = m_index = -1
-    retired = True
-    ready_cycle = 0
-
-
-STALL_BUBBLE = Bubble()         # retires as a stall wait state
-REFILL_BUBBLE = Bubble()        # retires as a refill wait state
-ABSENT = Bubble()               # links an operand with no producer
-# each operand a slot binds by (r0 to r31 and the flag) -> no writer yet
-_NO_WRITERS = dict.fromkeys([*range(32), FLAG], ABSENT)
-
-
 # How fetch treats a pc's word: latch-clearing, prefix, a user-mode
 # immediate that consumes the latch, or illegal (fetched as a carrier).
 _PLAIN, _PREFIX, _SEALED, _ILLEGAL = range(4)
 
 _CARRIER_INSTR = isa.Instruction(isa.OP_SYS, "l.illegal", InstrClass.SYSTRAP)
+_NOP, _BRANCH = InstrClass.NOP, InstrClass.BRANCH  # no enum getattr per fetch
 
 
 class FetchRecord:
@@ -262,11 +243,11 @@ class FetchRecord:
          relative, dest, link_form) = _FETCH[
             (None, 0, mode) if instr is None else
             (instr.mnemonic, instr.imm if instr.imm in (1, 2)
-             and instr.cls is InstrClass.NOP else 0, mode)]
+             and instr.cls is _NOP else 0, mode)]
         if self.kind == _ILLEGAL:
             instr = _CARRIER_INSTR
         self.instr, self.cls, self.word, self.pc = instr, instr.cls, word, pc
-        self.a = FLAG if instr.cls is InstrClass.BRANCH else instr.ra or 0
+        self.a = FLAG if instr.cls is _BRANCH else instr.ra or 0
         self.b = instr.rb or 0
         self.dest = dest or instr.rd or None
         self.next_pc = (pc + 4) & MASK32
@@ -275,7 +256,8 @@ class FetchRecord:
 
 
 class Slot:
-    """One fetch of a pc: its fetch record and what this fetch has done.
+    """A conveyor cell: one fetch of a pc, its fetch record and what this
+    fetch has done, or a bubble, which has no record.
 
     `x_index`/`m_index` start as the record's X and M positions and are
     cleared (-1) once that work is done, so a slot a stall holds at X or
@@ -285,7 +267,12 @@ class Slot:
     cycle the slot may leave R once `settled`, and until then a cycle it
     cannot leave R before. A slot with work at X reads its operands'
     values, `a` and `b`, as it leaves R, and cuts both links there.
-    Everything else is set by the stage that produces it.
+    `ready_cycle` is when `result` forwards, once known. step() sets all
+    these but `a` and `b` at fetch, with no __init__ call. The rest are set
+    where the record says so: `imm_block` (a decrypted user-mode immediate)
+    and `predicted` (bpb_hit, taken, target) at fetch, `result` (a
+    set-flag's too), `pending_effects` (ALU flags for commit) and
+    `ea_block` at X, a load's `result` at M.
     """
 
     __slots__ = ("record", "x_index", "r_index", "m_index", "pa", "pb",
@@ -293,18 +280,29 @@ class Slot:
                  "imm_block", "predicted", "result", "pending_effects",
                  "ea_block")
 
-    def __init__(self, record, pa, pb):
-        self.record = record
-        self.x_index, self.r_index, self.m_index = record.positions
-        self.pa, self.pb = pa, pb
-        self.wake = 0
-        self.settled = pa.retired and pb.retired and not record.serialize
-        self.retired = False
-        self.ready_cycle = None         # when `result` forwards, once known
-        # set where the record says so: imm_block (decrypted user-mode
-        # immediate) at fetch, predicted (bpb_hit, taken, target) at fetch,
-        # result (a set-flag's too), pending_effects (ALU flags for commit)
-        # and ea_block at X
+
+_new_cell = object.__new__         # a Slot made without a class call
+
+
+def _bubble():
+    """A cell with no record: an empty conveyor cell, or the link of an
+    operand with no producer in flight. It answers what step() asks of
+    every cell it visits (its X, R and M positions) with "none", and what
+    is asked of a link as a retired producer does, so those tests need no
+    type or None test."""
+    cell = _new_cell(Slot)
+    cell.record = None
+    cell.x_index = cell.r_index = cell.m_index = -1
+    cell.retired = cell.settled = True
+    cell.ready_cycle = cell.wake = 0
+    return cell
+
+
+STALL_BUBBLE = _bubble()        # retires as a stall wait state
+REFILL_BUBBLE = _bubble()       # retires as a refill wait state
+ABSENT = _bubble()              # links an operand with no producer
+# each operand a slot binds by (r0 to r31 and the flag) -> no writer yet
+_NO_WRITERS = dict.fromkeys([*range(32), FLAG], ABSENT)
 
 
 class Engine:
@@ -381,7 +379,7 @@ class Engine:
             return
         if cell.record.serialize:
             for older in self.conveyor[idx + 1:-1]:
-                if older.__class__ is Slot:
+                if older.record is not None:
                     cell.wake = max(wake, n + 1)
                     return
         cell.settled = True
@@ -499,7 +497,7 @@ class Engine:
             self._last_writer = writers = dict(_NO_WRITERS)
             writers.update(
                 (older.record.dest, older) for older in reversed(conveyor)
-                if older.__class__ is Slot and older.record.dest is not None)
+                if older.record is not None and older.record.dest is not None)
             self.latch.clear()
             self.fetch_hold = False
             self.fetch_pc = target if taken else cell.record.next_pc
@@ -601,9 +599,8 @@ class Engine:
         parts = []
         conveyor = self.conveyor
         for idx in range(len(conveyor) - 1, -1, -1):
-            cell = conveyor[idx]
-            if cell.__class__ is Slot:
-                record = cell.record
+            record = conveyor[idx].record
+            if record is not None:
                 parts.append("%s:0x%08x:%s" % (record.plan[idx],
                                                record.pc,
                                                record.instr.mnemonic))
@@ -623,19 +620,22 @@ class Engine:
         cell = conveyor[idx]
         if cell.x_index == idx:
             cell.x_index = -1
-            cell.record.execute(self, idx, cell, n)
+            execute = cell.record.execute
+            execute(self, idx, cell, n)
         idx = self._x_young
         cell = conveyor[idx]
         if cell.x_index == idx:
             cell.x_index = -1
-            cell.record.execute(self, idx, cell, n)
+            execute = cell.record.execute
+            execute(self, idx, cell, n)
 
         # memory, after every execute: a fault at X outranks one at M
         idx = self._m
         cell = conveyor[idx]
         if cell.m_index == idx:
             cell.m_index = -1
-            cell.record.memory(self, cell, n)
+            memory = cell.record.memory
+            memory(self, cell, n)
 
         cell = conveyor[-1]
         if cell is STALL_BUBBLE:
@@ -646,8 +646,9 @@ class Engine:
             cell.retired = True
             record = cell.record
             self._completions[record.cls] += 1
-            if record.retire is not None:
-                record.retire(self, cell)
+            retire = record.retire
+            if retire is not None:
+                retire(self, cell)
                 # a trap or return enters its mode on a fresh conveyor
                 conveyor = self.conveyor
         stats.cycles = n + 1
@@ -699,9 +700,8 @@ class Engine:
             conveyor.insert(0, REFILL_BUBBLE)
             return
         pc = self.fetch_pc
-        try:
-            record = self._records[pc]
-        except KeyError:
+        record = self._records.get(pc)
+        if record is None:
             record = self._records[pc] = self._record(pc, self.state.mode)
         self.fetch_pc = record.next_pc
         kind = record.kind
@@ -724,7 +724,15 @@ class Engine:
         # an illegal carrier leaves the latch as it is: it holds fetch until
         # the trap commits or a flush restarts fetch, and both clear it
         writers = self._last_writer
-        slot = Slot(record, writers[record.a], writers[record.b])
+        pa, pb = writers[record.a], writers[record.b]
+        slot = _new_cell(Slot)
+        slot.record = record
+        slot.x_index, slot.r_index, slot.m_index = record.positions
+        slot.pa, slot.pb = pa, pb
+        slot.wake = 0
+        slot.settled = pa.retired and pb.retired and not record.serialize
+        slot.retired = False
+        slot.ready_cycle = None
         if imm_block is not None:
             slot.imm_block = imm_block
         dest = record.dest
