@@ -135,12 +135,18 @@ def parse_image(text):
                 if addr % 4 or not 0 <= addr <= MASK32 \
                         or not 0 <= word <= MASK32:
                     raise FormatError(lineno, "bad text record")
+                if addr in image.text:
+                    raise FormatError(lineno, "second text record at 0x%08x"
+                                      % addr)
                 image.text[addr] = word
             elif kind == "DATA" and len(fields) == 3:
                 addr = int(fields[1], 16)
                 value = int(fields[2], 16)
                 if not 0 <= addr <= MASK32 or not 0 <= value <= MASK64:
                     raise FormatError(lineno, "bad data record")
+                if addr in image.data:
+                    raise FormatError(lineno, "second data record at 0x%08x"
+                                      % addr)
                 image.data[addr] = value
             else:
                 raise FormatError(lineno, "unrecognized record %r" % kind)

@@ -20,8 +20,9 @@ stored. physical_view() encrypts both, each once, for the dump and the
 checker. The codec's cost on a user access is pipeline latency, which the
 engine charges.
 
-The user data cache keeps the only count of its read and write hits and
-misses: the cycle table's "(cached)" rows read them.
+A user cell's value has one home, user_blocks. The user data cache holds
+only which padded addresses it has, and keeps the only count of its read
+and write hits and misses: the cycle table's "(cached)" rows read them.
 """
 
 from collections import OrderedDict
@@ -97,34 +98,34 @@ class TlbMap:
 
 
 class UserDataCache:
-    """Small fully-associative LRU cache of plaintext write data.
+    """Small fully-associative LRU cache of user data lines.
 
     Keyed by the full 64-bit padded effective address, so the same logical
     address under a different padding is a different line (mirroring the
     aliasing behaviour of the encrypted memory behind it). Write-through,
-    write-allocate; loads that miss do not allocate, the cache only ever
-    holds data that went through a store.
+    write-allocate; loads that miss do not allocate, so a line's data is
+    always its cell's, and the cache keeps only which lines it holds.
     """
 
     def __init__(self, entries=DEFAULT_CACHE_ENTRIES):
         self.capacity = entries
-        self.lines = OrderedDict()     # ea block -> value block, LRU order
+        self.lines = OrderedDict()     # ea block -> None, LRU order
         self.read_hits = 0
         self.read_misses = 0
         self.write_hits = 0
         self.write_misses = 0
 
     def load(self, ea_block):
-        line = self.lines.get(ea_block)
-        if line is None:
-            self.read_misses += 1
-            return None
-        self.read_hits += 1
-        self.lines.move_to_end(ea_block)
-        return line
+        """Whether the line is held, counting a read hit or miss."""
+        if ea_block in self.lines:
+            self.read_hits += 1
+            self.lines.move_to_end(ea_block)
+            return True
+        self.read_misses += 1
+        return False
 
-    def store(self, ea_block, value_block):
-        """Write the line, counting a write hit or miss."""
+    def store(self, ea_block):
+        """Hold the line, counting a write hit or miss."""
         if ea_block in self.lines:
             self.write_hits += 1
             self.lines.move_to_end(ea_block)
@@ -132,7 +133,7 @@ class UserDataCache:
             self.write_misses += 1
             if len(self.lines) >= self.capacity:
                 self.lines.popitem(last=False)
-        self.lines[ea_block] = value_block
+            self.lines[ea_block] = None
 
 
 class MemorySystem:
@@ -168,13 +169,12 @@ class MemorySystem:
 
     def user_load(self, ea_block):
         """(value block, cache hit); a miss reads the stored or blank block."""
-        cached = self.cache.load(ea_block)
-        if cached is not None:
-            return cached, True
+        if self.cache.load(ea_block):
+            return self.user_blocks[self.tlb.entries[ea_block]], True
         return self.user_blocks.get(self.tlb.translate(ea_block),
                                     self.blank_block), False
 
     def user_store(self, ea_block, value_block):
-        """Write-through: the plaintext block to the cache and the cell."""
-        self.cache.store(ea_block, value_block)
+        """Write-through: the block to the cell, the line to the cache."""
         self.user_blocks[self.tlb.translate(ea_block)] = value_block & MASK64
+        self.cache.store(ea_block)

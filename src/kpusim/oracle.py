@@ -31,25 +31,26 @@ class Interpreter:
     """Runs an image one record per step() call.
 
     Each pc gets a record at its first execution in a mode, one table per
-    mode: (handler, instruction, operand, plain). The handler, the plain
-    flag and the operand rule depend only on the table row and the mode,
-    and are looked up in one table built at import, keyed by (mnemonic,
-    mode). The rule works out the operand, what the handler needs that the
-    instruction alone does not say: a branch's (taken on a set flag,
-    target), a direct jump's target, an immediate's (ALU op, sealed word)
-    in user mode and (ALU op, imm & MASK32) in supervisor mode, and None
-    elsewhere. So a record costs a decode, one lookup and at most one
-    call. A plain record's word retires in step() before its handler runs:
-    the step is counted, the prefix latch cleared and the pc moved past
-    it. Prefixes, user-mode immediates and illegal words do that
-    themselves.
+    mode: (handler, instruction, operand, advance). The handler, the
+    advance and the operand rule depend only on the table row and the
+    mode, and are looked up in one table built at import, keyed by
+    (mnemonic, mode). The rule works out the operand, what the handler
+    needs that the instruction alone does not say: a branch's (taken on a
+    set flag, target), a direct jump's target, an immediate's (ALU op,
+    sealed word) in user mode and (ALU op, imm & MASK32) in supervisor
+    mode, and None elsewhere. So a record costs a decode, one lookup and
+    at most one call. A record with an advance retires its word in step()
+    before its handler runs: the step is counted, the prefix latch
+    cleared and the pc moved on by the advance, 4 bytes. Prefixes,
+    user-mode immediates and illegal words have an advance of 0 and do
+    that themselves.
 
     In user mode an index-0 prefix, the index-1 prefix behind it and the
-    immediate behind both get one plain record: the immediate's, with
-    (ALU op, literal) opened when the record is made and a handler that
-    moves the pc past all three. The fold is exact: an index-0 prefix
-    resets the latch, so what the three words do never depends on what
-    ran before them. Each word keeps its own record, for a jump inside.
+    immediate behind both get one record: the immediate's, with (ALU op,
+    literal) opened when the record is made and an advance of 12, past
+    all three. The fold is exact: an index-0 prefix resets the latch, so
+    what the three words do never depends on what ran before them. Each
+    word keeps its own record, for a jump inside.
     """
 
     def __init__(self, image, cdc):
@@ -125,8 +126,8 @@ class Interpreter:
         word, ins = isa.decode_at(self.text, pc)
         if ins is None:
             return _ILLEGAL_RECORD
-        handler, plain, operand = _DISPATCH[ins.mnemonic, self.mode]
-        record = (handler, ins, operand and operand(pc, word, ins), plain)
+        handler, advance, operand = _DISPATCH[ins.mnemonic, self.mode]
+        record = (handler, ins, operand and operand(pc, word, ins), advance)
         if not fold or handler is not Interpreter._prefix or ins.prefix_idx \
                 or self.mode is not Mode.USER:
             return record
@@ -141,7 +142,7 @@ class Interpreter:
             latch.feed(prefix.prefix_idx, prefix.prefix_payload)
         op, word = third[2]
         literal = self._open(consume_prefixes(latch, word))
-        return (Interpreter._folded, third[1], (op, literal), True)
+        return (Interpreter._immediate, third[1], (op, literal), 12)
 
     def _own(self, pc):
         """The record kept for `pc`, made unfolded if new: a word decoded
@@ -166,13 +167,13 @@ class Interpreter:
         record = self._records.get(pc)
         if record is None:
             record = self._records[pc] = self._record(pc)
-        handler, ins, operand, plain = record
-        if plain:
+        handler, ins, operand, advance = record
+        if advance:
             self.steps += 1
             # every non-prefix instruction empties the latch (its clear())
             latch = self.latch
             latch.p0 = latch.p1 = None
-            self.pc = (pc + 4) & MASK32
+            self.pc = (pc + advance) & MASK32
         handler(self, pc, ins, operand)
 
     # Handlers, one per class and, where the class differs by mode, per
@@ -199,14 +200,6 @@ class Interpreter:
             return
         self.pc = (pc + 4) & MASK32
         self._immediate(pc, ins, (op, self._open(cipher)))
-
-    def _folded(self, pc, ins, operand):
-        self.pc = (pc + 12) & MASK32        # past the prefix pair
-        op, literal = operand
-        res, effects = alu.execute(op, self.regs[ins.ra], literal)
-        if ins.rd:
-            self.regs[ins.rd] = res
-        self.flags.update(effects)
 
     # an ALU result is already 32 bits wide: no _write mask needed
     def _immediate(self, pc, ins, operand):
@@ -303,21 +296,22 @@ def _target(pc, word, ins):
 
 
 def _dispatch(row, mode):
-    """The handler of a table row in a mode, whether step() retires its
-    word before calling it, and its operand rule: None, or what works out
-    the record's operand from (pc, word, instruction)."""
+    """The handler of a table row in a mode, how far step() moves the pc
+    as it retires the word before calling it (0: the handler does), and
+    its operand rule: None, or what works out the record's operand from
+    (pc, word, instruction)."""
     I = Interpreter
     cls, user = row.cls, mode is Mode.USER
     if user and isa.user_illegal(row):
-        return I._illegal, False, None
+        return I._illegal, 0, None
     if cls is InstrClass.PREFIX:
-        return I._prefix, False, None
+        return I._prefix, 0, None
     if cls is InstrClass.IMMEDIATE:
         op = isa.IMM_ALU_OP[row.mnemonic]
         if user:                        # the sealed word, opened at step()
-            return (I._sealed_immediate, False,
+            return (I._sealed_immediate, 0,
                     lambda pc, word, ins: (op, word))
-        return I._immediate, True, lambda pc, word, ins: (op, ins.imm & MASK32)
+        return I._immediate, 4, lambda pc, word, ins: (op, ins.imm & MASK32)
     operand = None
     if cls is InstrClass.REGISTER:
         handler = I._set_flag if row.opcode == isa.OP_SF else I._register
@@ -336,14 +330,14 @@ def _dispatch(row, mode):
                    InstrClass.NOP: I._nop}[cls]
         if row.mnemonic in isa.PC_RELATIVE:
             operand = _target
-    return handler, True, operand
+    return handler, 4, operand
 
 
-# (mnemonic, mode) -> (handler, plain, operand rule), one entry per table
+# (mnemonic, mode) -> (handler, advance, operand rule), one entry per table
 # row and mode, built once; an undecodable word gets the illegal record
 _DISPATCH = {(row.mnemonic, mode): _dispatch(row, mode)
              for row in isa.TABLE for mode in Mode}
-_ILLEGAL_RECORD = (Interpreter._illegal, None, None, False)
+_ILLEGAL_RECORD = (Interpreter._illegal, None, None, 0)
 
 
 def interpret(image, cdc, max_steps=DEFAULT_MAX_STEPS):

@@ -1,11 +1,11 @@
 """The corpus gate: every kpu command's bytes over a fixed set of images.
 
 The corpus is built deterministically from
-- the shipped programs and the golden test's stage-path source,
+- the shipped programs and ``tests/kit.py``'s stage-path source,
 - read-modify-write sweeps over more cells than the data cache holds, so
   later passes read stored user cells back through cache misses,
 - ``progen`` small and medium programs, with and without syscalls,
-- ``tests/test_raw_words.py``'s generator, in both modes, with and without
+- ``tests/kit.py``'s raw-word generator, in both modes, with and without
   an exit no-op on the illegal-instruction vector.
 
 Each image goes in-process through ``kpu asm`` (a raw image is written as
@@ -46,7 +46,7 @@ PROGRAMS = ("programs/encrypted_sum.s", "programs/syscall_ticks.s",
 PROGEN = [(size, syscalls) for size in ("small", "medium")
           for syscalls in (True, False)]
 RAW = [(mode, vector) for mode in ("user", "super") for vector in (True, False)]
-# (cells, passes, print the total) of test_cipher_memo.sweep_source; the
+# (cells, passes, print the total) of kit.sweep_source; the
 # default cache holds 64 lines
 SWEEPS = [(65, 2, False), (100, 3, False), (130, 3, False), (100, 2, True)]
 
@@ -64,9 +64,7 @@ def build(progen_seeds, raw_seeds):
     """The corpus as (name, kind, text, budget) entries, kind "source" or
     "image"; the same arguments give the same entries."""
     from kpusim.progen import generate_source
-    from test_golden_run import STAGE_PATHS
-    from test_cipher_memo import sweep_source
-    from test_raw_words import _image
+    from kit import STAGE_PATHS, raw_image, sweep_source
 
     entries = [(program, "source", (ROOT / program).read_text(),
                 SOURCE_BUDGET) for program in PROGRAMS]
@@ -91,7 +89,7 @@ def build(progen_seeds, raw_seeds):
                 entries.append((
                     "raw %s %s %d" % (mode, "vector" if vector else "novector",
                                       seed),
-                    "image", _image(rng, mode, vector, set()), RAW_BUDGET))
+                    "image", raw_image(rng, mode, vector, set()), RAW_BUDGET))
     return entries
 
 

@@ -12,18 +12,17 @@ import time
 
 import pytest
 
+from kit import CDC, build, run_both
 from kpusim import codec as codecmod
-from kpusim.assembler import assemble, write_image
+from kpusim.assembler import write_image
 from kpusim.check import AliasDetected, compare, engine_view, render_dump
-from kpusim.codec import Codec, feistel_round
+from kpusim.codec import feistel_round
 from kpusim.core import Mode
 from kpusim.frontend import render_stats
 from kpusim.memsys import PhysicalExhausted, TlbMap
 from kpusim.oracle import interpret
 from kpusim.pipeline import Engine
 from kpusim.progen import generate_source
-
-KEY = 0x00112233445566778899AABBCCDDEEFF
 
 HEAD = """.mode super
 .entry boot
@@ -54,27 +53,20 @@ def _report(n, ok, detail):
     assert ok, detail
 
 
-def _run(source, seed=0, **kw):
-    cdc = Codec(KEY)
-    image = assemble(source, cdc, seed=seed)
-    engine = Engine(image, cdc, **kw)
+def _run(image):
+    engine = Engine(image, CDC)
     engine.run()
-    return engine, image, cdc
+    return engine
 
 
 def test_criterion_01_reference_equivalence():
     start = time.monotonic()
     programs = 0
     for seed in range(100):
-        src = generate_source(seed, syscalls=True)
-        cdc = Codec(KEY)
-        image = assemble(src, cdc, seed=seed)
-        engine = Engine(image, cdc)
-        engine.run()
-        result = interpret(image, cdc)
-        problems = compare(engine_view(engine), result, cdc)
-        if problems:
-            _report(1, False, "seed %d: %s" % (seed, problems[0]))
+        try:
+            run_both(generate_source(seed, syscalls=True), seed=seed)
+        except AssertionError as failure:
+            _report(1, False, "seed %d: %s" % (seed, failure))
         programs += 1
     elapsed = time.monotonic() - start
     _report(1, programs >= 100 and elapsed < 60.0,
@@ -83,35 +75,33 @@ def test_criterion_01_reference_equivalence():
 
 
 def test_criterion_02_block_cipher_soundness():
-    cdc = Codec(KEY)
     rng = random.Random(2024)
     trips = 0
     for _ in range(100_000):
         block = rng.getrandbits(64)
-        if cdc.decrypt(cdc.encrypt(block)) != block:
+        if CDC.decrypt(CDC.encrypt(block)) != block:
             _report(2, False, "round trip broke on 0x%016x" % block)
         trips += 1
     composed_ok = True
     for _ in range(200):
         block = rng.getrandbits(64)
         forward = block
-        for k in cdc.round_keys:
+        for k in CDC.round_keys:
             forward = feistel_round(forward, k)
-        composed_ok = composed_ok and forward == cdc.encrypt(block)
+        composed_ok = composed_ok and forward == CDC.encrypt(block)
     _report(2, trips == 100_000 and composed_ok,
             "%d round trips exact, per-round composition equals the block op"
             % trips)
 
 
 def test_criterion_03_immediate_expansion_and_prefix_fault():
-    cdc = Codec(KEY)
-    image = assemble(USER_HEAD + "    l.addi r1, r0, 42\n    l.nop  1\n", cdc)
+    image = build(USER_HEAD + "    l.addi r1, r0, 42\n    l.nop  1\n")
     words = sorted(image.text)
     three_wide = words == [0x4000, 0x4004, 0x4008, 0x400C]
 
-    engine, _, _ = _run(HEAD + """    l.addi r1, r0, 3
+    engine = _run(build(HEAD + """    l.addi r1, r0, 3
     .word  0x9C42FFFF
-""")
+"""))
     trapped = (engine.halted and engine.state.mode is Mode.SUPERVISOR
                and engine.state.epcr == 0x400C)
     _report(3, three_wide and trapped,
@@ -119,17 +109,17 @@ def test_criterion_03_immediate_expansion_and_prefix_fault():
 
 
 def test_criterion_04_ciphertext_containment():
-    engine, _, cdc = _run(HEAD + """    l.addi r1, r0, 7
+    engine = _run(build(HEAD + """    l.addi r1, r0, 7
     l.addi r2, r1, 35
     .word  0x9C42FFFF
-""")
+"""))
     st = engine.state
     checked = 0
     for i in range(1, 32):
         shadow = st.shadow[i]
         if shadow == 0 or codecmod.is_decrypted_address(shadow):
             continue
-        if st.regs[i] == shadow or cdc.decrypt(st.regs[i]) != shadow:
+        if st.regs[i] == shadow or CDC.decrypt(st.regs[i]) != shadow:
             _report(4, False, "r%d leaks plaintext into the real bank" % i)
         checked += 1
     _report(4, checked >= 2,
@@ -138,7 +128,7 @@ def test_criterion_04_ciphertext_containment():
 
 
 def test_criterion_05_flag_protocol():
-    engine, _, _ = _run(HEAD.replace(".org 0xC00\n    l.rfe",
+    engine, _ = run_both(HEAD.replace(".org 0xC00\n    l.rfe",
                                      """.org 0xC00
     l.addi  r30, r0, 1
     l.sfeq  r30, r0
@@ -158,19 +148,19 @@ good:
 
 
 def test_criterion_06_load_use_gaps():
-    dep, _, _ = _run(HEAD + """    l.addi r1, r0, 5
+    dep, _ = run_both(HEAD + """    l.addi r1, r0, 5
     l.sw   0(r0), r1
     l.lwz  r2, 0(r0)
     l.add  r3, r2, r2
     l.nop  1
 """)
-    ind, _, _ = _run(HEAD + """    l.addi r1, r0, 5
+    ind, _ = run_both(HEAD + """    l.addi r1, r0, 5
     l.sw   0(r0), r1
     l.lwz  r2, 0(r0)
     l.add  r3, r1, r1
     l.nop  1
 """)
-    miss, _, _ = _run(HEAD + """    l.addi r1, r0, 5
+    miss, _ = run_both(HEAD + """    l.addi r1, r0, 5
     l.sw   0(r0), r1
     l.lwz  r2, 256(r0)
     l.add  r3, r2, r2
@@ -188,7 +178,7 @@ def test_criterion_06_load_use_gaps():
 def test_criterion_07_benchmark_profile():
     bench = pathlib.Path(__file__).resolve().parent.parent / "bench"
     source = (bench / "is_add_test.s").read_text()
-    engine, _, _ = _run(source)
+    engine = _run(build(source))
 
     user = engine.stats.mode(Mode.USER)
     sup = engine.stats.mode(Mode.SUPERVISOR)
@@ -213,7 +203,7 @@ def test_criterion_07_benchmark_profile():
 
 
 def test_criterion_08_alias_detection():
-    engine, _, cdc = _run(USER_HEAD + """    l.addi r1, r0, 100
+    image = build(USER_HEAD + """    l.addi r1, r0, 100
     l.addi r2, r0, 1
     l.sw   0(r1), r2
     l.addi r3, r0, 100
@@ -221,20 +211,12 @@ def test_criterion_08_alias_detection():
     l.sw   0(r3), r4
     l.nop  1
 """)
-    view = engine_view(engine)
+    view = engine_view(_run(image))
     cells = len(view.tlb)
-    result = interpret(
-        assemble(USER_HEAD + """    l.addi r1, r0, 100
-    l.addi r2, r0, 1
-    l.sw   0(r1), r2
-    l.addi r3, r0, 100
-    l.addi r4, r0, 2
-    l.sw   0(r3), r4
-    l.nop  1
-""", cdc), cdc)
+    result = interpret(image, CDC)
     raised = False
     try:
-        compare(view, result, cdc)
+        compare(view, result, CDC)
     except AliasDetected:
         raised = True
     _report(8, cells == 2 and raised,
@@ -252,7 +234,8 @@ def test_criterion_09_determinism():
 """
     snapshots = []
     for _ in range(2):
-        engine, image, _ = _run(source)
+        image = build(source)
+        engine = _run(image)
         snapshots.append((write_image(image),
                           render_dump(engine_view(engine)),
                           render_stats(engine)))
@@ -265,16 +248,15 @@ def test_criterion_10_physical_memory_discipline():
     order = [tlb.translate(c) for c in (0x500, 0x30, 0x7FF0, 0x500, 0x30)]
     fcfs = order == [1000, 1001, 1002, 1000, 1001]
 
-    cdc = Codec(KEY)
-    image = assemble(USER_HEAD + """    l.addi r1, r0, 0
+    image = build(USER_HEAD + """    l.addi r1, r0, 0
     l.sw   0(r1), r1
     l.sw   4(r1), r1
     l.sw   8(r1), r1
     l.sw   12(r1), r1
     l.sw   16(r1), r1
     l.nop  1
-""", cdc)
-    engine = Engine(image, cdc, user_words=4)
+""")
+    engine = Engine(image, CDC, user_words=4)
     with pytest.raises(PhysicalExhausted):
         engine.run()
     _report(10, fcfs,

@@ -5,18 +5,13 @@ import random
 
 import pytest
 
+from kit import CDC
 from kpusim import isa
 from kpusim.assembler import (Assembler, CryptoSafetyError, FormatError,
                               ParseError, UndefinedLabel, assemble,
                               parse_image, write_image)
-from kpusim.codec import Codec, make_padding
+from kpusim.codec import make_padding
 from kpusim.pipeline import Engine
-
-KEY = 0x00112233445566778899AABBCCDDEEFF
-
-
-def cdc():
-    return Codec(KEY)
 
 
 USER_ADDI = """.mode user
@@ -40,7 +35,7 @@ def reassemble_cipher(image, base):
 
 
 def test_encrypted_immediate_expands_to_three_words():
-    image, diags = Assembler(cdc(), seed=0).assemble(USER_ADDI)
+    image, diags = Assembler(CDC, seed=0).assemble(USER_ADDI)
     assert not diags
     assert sorted(image.text) == [0x4000, 0x4004, 0x4008, 0x400C]
     assert isa.decode(image.text[0x4008]).mnemonic == "l.addi"
@@ -48,10 +43,10 @@ def test_encrypted_immediate_expands_to_three_words():
 
 
 def test_encrypted_group_decrypts_to_the_literal():
-    image, _ = Assembler(cdc(), seed=0).assemble(USER_ADDI)
+    image, _ = Assembler(CDC, seed=0).assemble(USER_ADDI)
     cipher = reassemble_cipher(image, 0x4000)
     pad = make_padding(0, 0)             # first constant of the stream
-    assert cdc().decrypt(cipher) == (pad << 32) | 42
+    assert CDC.decrypt(cipher) == (pad << 32) | 42
 
 
 def test_ordinals_advance_per_encrypted_constant():
@@ -64,9 +59,9 @@ start:
     l.addi r2, r0, 7
     l.nop  1
 """
-    image, _ = Assembler(cdc(), seed=3).assemble(source)
-    one = cdc().decrypt(reassemble_cipher(image, 0x4000))
-    two = cdc().decrypt(reassemble_cipher(image, 0x400C))
+    image, _ = Assembler(CDC, seed=3).assemble(source)
+    one = CDC.decrypt(reassemble_cipher(image, 0x4000))
+    two = CDC.decrypt(reassemble_cipher(image, 0x400C))
     assert one == (make_padding(3, 0) << 32) | 7
     assert two == (make_padding(3, 1) << 32) | 7
     assert one != two                    # same literal, different padding
@@ -74,9 +69,9 @@ start:
 
 def test_wide_literals_fit_encrypted_immediates():
     source = USER_ADDI.replace("42", "70000")
-    image, _ = Assembler(cdc(), seed=0).assemble(source)
+    image, _ = Assembler(CDC, seed=0).assemble(source)
     cipher = reassemble_cipher(image, 0x4000)
-    assert cdc().decrypt(cipher) & 0xFFFFFFFF == 70000
+    assert CDC.decrypt(cipher) & 0xFFFFFFFF == 70000
 
 
 def test_shift_pad_search_lands_the_sub_op():
@@ -88,7 +83,7 @@ start:
     l.srai r2, r1, 3
     l.nop  1
 """
-    image, _ = Assembler(cdc(), seed=0).assemble(source)
+    image, _ = Assembler(CDC, seed=0).assemble(source)
     tail = isa.decode(image.text[0x4008])
     assert tail.mnemonic == "l.srai" and tail.funct == isa.SHIFT_SRA
     cipher = reassemble_cipher(image, 0x4000)
@@ -97,10 +92,10 @@ start:
     attempt = 0
     while True:
         pad = make_padding(0, 0, attempt)
-        if (cdc().encrypt((pad << 32) | 3) >> 14) & 3 == isa.SHIFT_SRA:
+        if (CDC.encrypt((pad << 32) | 3) >> 14) & 3 == isa.SHIFT_SRA:
             break
         attempt += 1
-    assert cdc().decrypt(cipher) == (pad << 32) | 3
+    assert CDC.decrypt(cipher) == (pad << 32) | 3
 
 
 def test_supervisor_immediates_stay_single_words():
@@ -111,10 +106,10 @@ start:
     l.addi r1, r0, 42
     l.nop  1
 """
-    image, _ = Assembler(cdc(), seed=0).assemble(source)
+    image, _ = Assembler(CDC, seed=0).assemble(source)
     assert sorted(image.text) == [0x100, 0x104]
     with pytest.raises(ParseError):
-        assemble(source.replace("42", "40000"), cdc())
+        assemble(source.replace("42", "40000"), CDC)
 
 
 def test_branch_offsets_and_label_arithmetic():
@@ -130,7 +125,7 @@ over:
     l.j    start
     l.nop  1
 """
-    image, _ = Assembler(cdc(), seed=0).assemble(source)
+    image, _ = Assembler(CDC, seed=0).assemble(source)
     assert isa.decode(image.text[0x100]).imm == 3      # 12 bytes ahead
     assert isa.decode(image.text[0x10C]).imm == 0x114  # label plus offset
     assert isa.decode(image.text[0x110]).imm == -4     # back to start
@@ -147,7 +142,7 @@ after:
     .word  0x15000000
 .dword 0x400, 0x1122334455667788
 """
-    image, _ = Assembler(cdc(), seed=0).assemble(source)
+    image, _ = Assembler(CDC, seed=0).assemble(source)
     assert image.entry == 0x200
     assert 0x204 not in image.text and 0x208 not in image.text
     assert image.text[0x20C] == 0x15000000
@@ -164,9 +159,9 @@ start:
 .org 0x300
 cell:
 """
-    image, _ = Assembler(cdc(), seed=0).assemble(forward)
+    image, _ = Assembler(CDC, seed=0).assemble(forward)
     assert image.data == {0x300: 0x1234}
-    engine = Engine(image, cdc())
+    engine = Engine(image, CDC)
     engine.run()
     assert engine.outputs == [0x1234]
 
@@ -183,11 +178,11 @@ def test_parse_errors_carry_line_numbers():
     ]
     for body, _ in cases:
         with pytest.raises(ParseError):
-            assemble(".org 0x100\n" + body, cdc())
+            assemble(".org 0x100\n" + body, CDC)
     with pytest.raises(UndefinedLabel):
-        assemble(".org 0x100\nl.j nowhere\n", cdc())
+        assemble(".org 0x100\nl.j nowhere\n", CDC)
     try:
-        assemble(".org 0x100\nl.addi r1, r0\n", cdc())
+        assemble(".org 0x100\nl.addi r1, r0\n", CDC)
     except ParseError as exc:
         assert exc.lineno == 2
 
@@ -222,10 +217,10 @@ def test_error_texts_are_pinned():
     ]
     for body, text in cases:
         with pytest.raises(ParseError) as info:
-            assemble(".org 0x100\n" + body + "\n", cdc())
+            assemble(".org 0x100\n" + body + "\n", CDC)
         assert str(info.value) == "line 2: " + text, body
     with pytest.raises(ParseError) as info:
-        assemble(".encrypt on\nl.addi r1, r0, 4294967296\n", cdc())
+        assemble(".encrypt on\nl.addi r1, r0, 4294967296\n", CDC)
     assert str(info.value) == "line 2: immediate 4294967296 does not fit 32 bits"
     for record, text in (("MODE kernel", "mode must be user or super"),
                          ("ENTRY zz", "bad number in 'ENTRY zz'")):
@@ -233,7 +228,7 @@ def test_error_texts_are_pinned():
             parse_image("KPUIMG 1\n%s\n" % record)
         assert str(info.value) == "line 2: " + text
     # register names take either case
-    image = assemble(".org 0x100\nl.add R31, r0, R9\n", cdc())
+    image = assemble(".org 0x100\nl.add R31, r0, R9\n", CDC)
     assert image.text[0x100] == isa.encode_fields(
         isa.MNEMONICS["l.add"], {"rd": 31, "ra": 0, "rb": 9})
     # a sealed immediate is checked against 32 bits, not its 16-bit field
@@ -243,7 +238,7 @@ def test_error_texts_are_pinned():
     l.addi r1, r0, 70000
     l.slli r1, r2, 99999
     l.nop  1
-""", cdc())
+""", CDC)
     assert len(image.text) == 7
 
 
@@ -251,9 +246,9 @@ def test_a_label_offset_takes_no_leading_zero():
     # as a plain 010 is no number; int() alone raised a bare ValueError
     source = ".org 0x100\nfoo:\nl.addi r1, r0, foo + %s\n"
     with pytest.raises(ParseError) as info:
-        assemble(source % "010", cdc())
+        assemble(source % "010", CDC)
     assert str(info.value) == "line 3: cannot parse expression 'foo + 010'"
-    image = assemble(source % "10", cdc())
+    image = assemble(source % "10", CDC)
     assert isa.decode(image.text[0x100]).imm == 0x10A
 
 
@@ -262,10 +257,10 @@ def test_numbers_are_ascii_digits_without_underscores():
     source = ".org 0x100\nfoo:\nl.addi r3, r0, %s\n"
     for text in ("١٠", "1_0", "0x1_0", "foo+١", "foo + 1_0"):
         with pytest.raises(ParseError) as info:
-            assemble(source % text, cdc())
+            assemble(source % text, CDC)
         assert str(info.value) == "line 3: cannot parse expression %r" % text
     for text, imm in (("10", 10), ("-10", -10), ("+10", 10), ("foo+1", 0x101)):
-        assert isa.decode(assemble(source % text, cdc()).text[0x100]).imm == imm
+        assert isa.decode(assemble(source % text, CDC).text[0x100]).imm == imm
 
 
 def test_word_values_must_fit_32_bits():
@@ -273,11 +268,11 @@ def test_word_values_must_fit_32_bits():
     # range; one past either end is a ParseError, not a masked word
     for text, word in (("0xFFFFFFFF", 0xFFFFFFFF),
                        ("-0x80000000", 0x80000000)):
-        image = assemble(".org 0x100\n.word %s\n" % text, cdc())
+        image = assemble(".org 0x100\n.word %s\n" % text, CDC)
         assert image.text == {0x100: word}
     for text in ("0x100000000", "-0x80000001"):
         with pytest.raises(ParseError) as info:
-            assemble(".org 0x100\n.word %s\n" % text, cdc())
+            assemble(".org 0x100\n.word %s\n" % text, CDC)
         assert info.value.lineno == 2 and "32 bits" in str(info.value)
 
 
@@ -288,11 +283,11 @@ def test_text_overlap_rejected():
     l.nop 1
 """
     with pytest.raises(ParseError):
-        assemble(source, cdc())
+        assemble(source, CDC)
 
 
 def test_image_write_parse_round_trip():
-    image, _ = Assembler(cdc(), seed=5).assemble(USER_ADDI)
+    image, _ = Assembler(CDC, seed=5).assemble(USER_ADDI)
     text = write_image(image)
     back = parse_image(text)
     assert back.entry == image.entry
@@ -322,16 +317,24 @@ def test_image_parser_rejects_bad_records():
         parse_image("KPUIMG 1\nWHAT 1 2\n")
     except FormatError as exc:
         assert exc.lineno == 2
+    # a second record for one address, which a round trip would drop
+    for kind, first, second in (("TEXT", "15000001", "15000002"),
+                                ("DATA", "5", "6")):
+        with pytest.raises(FormatError) as info:
+            parse_image("KPUIMG 1\n%s 0x00000100 %s\n%s 0x00000100 %s\n"
+                        % (kind, first, kind, second))
+        assert str(info.value) == "line 3: second %s record at 0x00000100" \
+            % kind.lower()
     # comments and blank lines are fine
     ok = parse_image("# note\nKPUIMG 1\n\nTEXT 0x00000100 15000001 # exit\n")
     assert ok.text == {0x100: 0x15000001}
 
 
 def test_deterministic_output():
-    texts = {write_image(Assembler(cdc(), seed=9).assemble(USER_ADDI)[0])
+    texts = {write_image(Assembler(CDC, seed=9).assemble(USER_ADDI)[0])
              for _ in range(3)}
     assert len(texts) == 1
-    other = write_image(Assembler(cdc(), seed=10).assemble(USER_ADDI)[0])
+    other = write_image(Assembler(CDC, seed=10).assemble(USER_ADDI)[0])
     assert other not in texts            # a new seed moves the padding
 
 
@@ -344,10 +347,10 @@ start:
     l.addi r9, r9, 4
     l.nop  1
 """
-    _, diags = Assembler(cdc(), seed=0).assemble(source)
+    _, diags = Assembler(CDC, seed=0).assemble(source)
     assert any("arithmetic on a program address in r9" in d for d in diags)
     with pytest.raises(CryptoSafetyError):
-        Assembler(cdc(), seed=0).assemble(source, strict=True)
+        Assembler(CDC, seed=0).assemble(source, strict=True)
 
 
 def test_lint_flags_jump_through_data():
@@ -360,7 +363,7 @@ start:
     l.jr   r5
     l.nop  1
 """
-    _, diags = Assembler(cdc(), seed=0).assemble(source)
+    _, diags = Assembler(CDC, seed=0).assemble(source)
     assert any("register jump through a data value in r5" in d for d in diags)
 
 
@@ -379,7 +382,7 @@ start:
 helper:
     l.jr   r9
 """
-    _, diags = Assembler(cdc(), seed=0).assemble(source)
+    _, diags = Assembler(CDC, seed=0).assemble(source)
     assert diags == []
     # an immediate naming a label spelled like a register is an address
     source = """.mode user
@@ -391,7 +394,7 @@ start:
 r9:
     l.nop  1
 """
-    _, diags = Assembler(cdc(), seed=0).assemble(source)
+    _, diags = Assembler(CDC, seed=0).assemble(source)
     assert diags == []
 
 
@@ -401,8 +404,8 @@ def test_random_sources_assemble_deterministically():
     for _ in range(5):
         seed = rng.randrange(1 << 16)
         src = generate_source(seed)
-        a = write_image(assemble(src, cdc(), seed=seed))
-        b = write_image(assemble(src, cdc(), seed=seed))
+        a = write_image(assemble(src, CDC, seed=seed))
+        b = write_image(assemble(src, CDC, seed=seed))
         assert a == b
 
 
@@ -454,8 +457,70 @@ def test_output_of_a_corpus_is_pinned():
     rng = random.Random(2024)
     sources += [(_lint_source(rng), seed) for seed in range(200)]
     for source, seed in sources:
-        image, diags = Assembler(cdc(), seed=seed).assemble(source)
+        image, diags = Assembler(CDC, seed=seed).assemble(source)
         digest.update(write_image(image).encode())
         digest.update("\n".join(diags + [""]).encode())
     assert digest.hexdigest() == \
         "95b1ac8ea88b3cc3f06eb18a8e174106a06bf5d1d254199ebfa09641c3667a47"
+
+
+# Every mnemonic once, with a pc-relative target, optional and explicit
+# operands, negative offsets and both immediate signednesses.
+EVERY_MNEMONIC = """
+{label}:
+    l.j {label}
+    l.jal {label}
+    l.bnf {label}
+    l.bf {label}
+    l.nop
+    l.nop 3
+    l.prefix 0,0x123456
+    l.prefix 1,0xabcdef
+    l.sys
+    l.sys 7
+    l.rfe
+    l.jr r9
+    l.jalr r3
+    l.lwz r4,-8(r2)
+    l.addi r5,r4,-3
+    l.andi r5,r4,0xfff0
+    l.ori r6,r5,0x8001
+    l.xori r7,r6,-1
+    l.muli r8,r7,300
+    l.slli r9,r8,3
+    l.srli r10,r9,31
+    l.srai r11,r10,2
+    l.mfspr r12,r1,17
+    l.mtspr r1,r12,0x8001
+    l.sw -4(r2),r12
+    l.add r1,r2,r3
+    l.sub r2,r3,r4
+    l.and r3,r4,r5
+    l.or r4,r5,r6
+    l.xor r5,r6,r7
+    l.mul r6,r7,r8
+    l.divu r7,r8,r9
+    l.sll r8,r9,r10
+    l.srl r9,r10,r11
+    l.sra r10,r11,r12
+    l.sfeq r1,r2
+    l.sfne r2,r3
+    l.sfgts r3,r4
+    l.sfges r4,r5
+    l.sflts r5,r6
+    l.sfles r6,r7
+    l.ld r13,-16(r2)
+    l.sd 24(r2),r13
+    l.add64 r14,r13,r12
+"""
+
+
+def test_every_mnemonic_image_is_pinned():
+    # the image `kpu asm --seed 0` writes for every mnemonic, plain and
+    # sealed; the corpus gate digests the shipped programs' images
+    source = (".org 0x100\n" + EVERY_MNEMONIC.format(label="plain")
+              + ".org 0x1000\n.encrypt on\n"
+              + EVERY_MNEMONIC.format(label="sealed"))
+    image, _ = Assembler(CDC, seed=0).assemble(source)
+    assert hashlib.sha256(write_image(image).encode()).hexdigest() == \
+        "6ac582dcc0e83cf1cff2de94c0556348b962dae50f50fae9805928e22bad9fdf"

@@ -5,25 +5,18 @@ from pathlib import Path
 
 import pytest
 
-from kpusim.assembler import FormatError, assemble, parse_image
+from kit import CDC, run_both
+from kpusim.assembler import FormatError, parse_image
 from kpusim.check import (SimView, compare, engine_view, parse_sim_dump,
                           render_dump)
-from kpusim.codec import Codec
-from kpusim.oracle import interpret
-from kpusim.pipeline import Engine
 
-KEY = 0x00112233445566778899AABBCCDDEEFF
 ROOT = Path(__file__).resolve().parent.parent
 
 
 def encrypted_sum():
     """A finished user-mode machine on programs/encrypted_sum.s, and the
-    reference's result for it."""
-    c = Codec(KEY)
-    image = assemble((ROOT / "programs" / "encrypted_sum.s").read_text(), c)
-    engine = Engine(image, c)
-    engine.run()
-    return engine, interpret(image, c), c
+    reference's result for it, checked to agree."""
+    return run_both((ROOT / "programs" / "encrypted_sum.s").read_text())
 
 
 def block(pad, word):
@@ -31,28 +24,27 @@ def block(pad, word):
 
 
 def test_compare_reports_an_address_only_the_machine_holds():
-    engine, res, c = encrypted_sum()
-    assert compare(engine_view(engine), res, c) == []
+    engine, res = encrypted_sum()
     engine.mem.user_store(block(0x1234, 0x9000), block(0x5678, 42))
-    assert compare(engine_view(engine), res, c) == [
+    assert compare(engine_view(engine), res, CDC) == [
         "memory 0x00009000: machine 0x0000002a, missing from reference"]
 
 
 def test_compare_passes_a_machine_only_address_left_blank():
     # a cell the machine mapped but never wrote reads as the reference's
     # never-written cell does
-    engine, res, c = encrypted_sum()
+    engine, res = encrypted_sum()
     view = engine_view(engine)
-    view.tlb[c.encrypt(block(0x1234, 0x9000))] = 1 << 20
-    assert compare(view, res, c) == []
+    view.tlb[CDC.encrypt(block(0x1234, 0x9000))] = 1 << 20
+    assert compare(view, res, CDC) == []
 
 
 def test_compare_reports_an_exit_mode_mismatch():
-    engine, res, c = encrypted_sum()
+    engine, res = encrypted_sum()
     view = engine_view(engine)
     assert view.mode == "user"
     view.mode = "super"
-    assert compare(view, res, c)[0] == "mode: machine super, reference user"
+    assert compare(view, res, CDC)[0] == "mode: machine super, reference user"
 
 
 @pytest.mark.parametrize("text", ["", "\n\n", "# a comment\n   \n"])
@@ -122,14 +114,9 @@ f:
 @pytest.mark.parametrize("source, value, cycles, steps",
                          AGREEING.values(), ids=AGREEING)
 def test_both_machines_agree_on_a_mode_rule(source, value, cycles, steps):
-    c = Codec(KEY)
-    image = assemble(source, c)
-    engine = Engine(image, c)
-    engine.run()
-    reference = interpret(image, c)
+    engine, reference = run_both(source)
     assert engine.outputs == reference.outputs == [value]
     assert (engine.stats.cycles, reference.steps) == (cycles, steps)
-    assert compare(engine_view(engine), reference, c) == []
 
 
 def test_image_and_dump_numbers_are_unsigned_ascii_digits():

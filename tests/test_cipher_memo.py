@@ -13,8 +13,8 @@ times longer peaks at the same memory in either machine.
 import tracemalloc
 from pathlib import Path
 
+from kit import CDC, KEY, build, run_both, sweep_source
 from kpusim import isa
-from kpusim.assembler import assemble
 from kpusim.check import engine_view
 from kpusim.codec import Codec
 from kpusim.frontend import main
@@ -23,7 +23,6 @@ from kpusim.memsys import MemorySystem
 from kpusim.oracle import Interpreter
 from kpusim.pipeline import Engine
 
-KEY = 0x00112233445566778899AABBCCDDEEFF
 ROOT = Path(__file__).resolve().parent.parent
 
 # Keeping one bare object() per engine cycle adds about 190 KB over the
@@ -34,42 +33,6 @@ PEAK_MARGIN = 16 * 1024
 # words, runs out of cells; measured while the TLB was still keyed by
 # each address's ciphertext.
 FAULT_CYCLE = 156
-
-
-def sweep_source(cells, passes, total=False):
-    """User-mode read-modify-write sweep: every pass recomputes the padded
-    addresses of the one before, so `cells` padded addresses in all. With
-    `total`, r3 sums every value stored and the sweep prints it."""
-    clear, add, show = ((["    l.addi r3, r0, 0"], ["    l.add  r3, r3, r6"],
-                         ["    l.nop  2"]) if total else ([], [], []))
-    return "\n".join([
-        ".mode user",
-        ".entry start",
-        ".org 0x700",
-        "    l.nop  1",
-        ".org 0x2000",
-        ".encrypt on",
-        "start:",
-    ] + clear + [
-        "    l.addi r7, r0, %d" % passes,
-        "pass:",
-        "    l.addi r14, r0, 256",
-        "    l.addi r5, r0, %d" % cells,
-        "sweep:",
-        "    l.lwz  r6, 0(r14)",
-        "    l.addi r6, r6, 1",
-        "    l.sw   0(r14), r6",
-    ] + add + [
-        "    l.addi r14, r14, 4",
-        "    l.addi r5, r5, -1",
-        "    l.sfne r5, r0",
-        "    l.bf   sweep",
-        "    l.addi r7, r7, -1",
-        "    l.sfne r7, r0",
-        "    l.bf   pass",
-    ] + show + [
-        "    l.nop  1",
-    ]) + "\n"
 
 
 def sealed_pcs(image):
@@ -86,27 +49,21 @@ def sealed_pcs(image):
 
 
 def test_immediate_memos_hold_at_most_one_block_per_sealed_pc():
-    cdc = Codec(KEY)
-    image = assemble((ROOT / "bench" / "is_add_test.s").read_text(), cdc)
+    image = build((ROOT / "bench" / "is_add_test.s").read_text())
     pcs = sealed_pcs(image)
-    engine = Engine(image, cdc)
-    engine.run()
-    oracle = Interpreter(image, cdc)
-    oracle.run()
+    engine, oracle = run_both(image)
     assert engine.outputs == oracle.outputs == [64, 64]
     # the loop fetches its sealed immediates 64 times each
     assert 0 < len(engine.opened) <= len(pcs)
     assert 0 < len(oracle.literals) <= len(pcs)
     for sealed, block in engine.opened.items():
-        assert block == cdc.decrypt(sealed)
+        assert block == CDC.decrypt(sealed)
         assert oracle.literals[sealed] == block & 0xFFFFFFFF
 
 
 def test_tlb_has_one_entry_per_padded_address():
-    cdc = Codec(KEY)
     # a cache a quarter the sweep's size: every load misses, every pass
-    engine = Engine(assemble(sweep_source(64, 4), cdc), cdc, cache_entries=16)
-    engine.run()
+    engine, _ = run_both(sweep_source(64, 4), cache_entries=16)
     mem = engine.mem
     assert mem.cache.read_misses == 4 * 64
     # the sweep's 64 word addresses, each under the pads of its first pass
@@ -117,7 +74,7 @@ def test_tlb_has_one_entry_per_padded_address():
                                                 mem.tlb.base + 64))
     # the dump's TLB holds each key's ciphertext, in allocation order
     _, tlb = mem.physical_view()
-    assert [(cdc.decrypt(cipher), index) for cipher, index in tlb.items()] \
+    assert [(CDC.decrypt(cipher), index) for cipher, index in tlb.items()] \
         == list(entries.items())
 
 
@@ -133,15 +90,14 @@ def _run_peak(machine):
 
 
 def test_long_runs_use_bounded_memory():
-    cdc = Codec(KEY)
     source = (ROOT / "bench" / "is_add_test.s").read_text()
     assert source.count("l.addi  r2, r0, 64") == 2     # both round counters
     peaks = {}
     for rounds in (64, 256):
-        image = assemble(source.replace("l.addi  r2, r0, 64",
-                                        "l.addi  r2, r0, %d" % rounds), cdc)
-        engine = Engine(image, cdc)
-        oracle = Interpreter(image, cdc)
+        image = build(source.replace("l.addi  r2, r0, 64",
+                                     "l.addi  r2, r0, %d" % rounds))
+        engine = Engine(image, CDC)
+        oracle = Interpreter(image, CDC)
         peaks[rounds] = (_run_peak(engine), _run_peak(oracle))
         assert engine.outputs == oracle.outputs == [rounds, rounds]
     for short, long in zip(peaks[64], peaks[256]):
@@ -183,7 +139,7 @@ def test_an_address_is_encrypted_once():
 
 def test_the_user_data_path_makes_no_cipher_op():
     cdc = CountingCodec(KEY)
-    image = assemble(sweep_source(64, 4), cdc)
+    image = build(sweep_source(64, 4))
     # a cache a quarter the sweep's size: every load misses, every pass
     engine = Engine(image, cdc, cache_entries=16)
     assert cdc.decrypts == 1               # the blank block, worked out once

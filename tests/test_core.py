@@ -4,15 +4,14 @@ import random
 
 import pytest
 
-from kpusim.codec import Codec, to_decrypted_address
+from kit import CDC
+from kpusim.codec import to_decrypted_address
 from kpusim.core import (CONFIG_ID, MachineState, Mode, SPR_CONFIG, SPR_EPCR,
                          SPR_SR, pack_sr, unpack_sr)
 
-KEY = 0x00112233445566778899AABBCCDDEEFF
-
 
 def fresh(mode=Mode.SUPERVISOR):
-    return MachineState(Codec(KEY), mode=mode)
+    return MachineState(CDC, mode=mode)
 
 
 def test_sr_pack_unpack_round_trip():
@@ -32,8 +31,7 @@ def test_user_writes_stay_in_the_shadow_bank():
 
 
 def test_flush_encrypts_and_containment_holds():
-    cdc = Codec(KEY)
-    ms = MachineState(cdc, mode=Mode.USER)
+    ms = MachineState(CDC, mode=Mode.USER)
     rng = random.Random(5)
     blocks = {}
     for i in range(1, 9):
@@ -43,7 +41,7 @@ def test_flush_encrypts_and_containment_holds():
     for i in range(1, 9):
         real = ms.regs[i]
         assert real != blocks[i]                 # ciphertext at rest
-        assert cdc.decrypt(real) == blocks[i]    # and it opens back up
+        assert CDC.decrypt(real) == blocks[i]    # and it opens back up
         assert i not in ms.stale
 
 
@@ -131,10 +129,9 @@ def test_rfe_outside_supervisor_mode_asserts():
 
 
 def test_map_in_rules():
-    cdc = Codec(KEY)
-    ms = MachineState(cdc)
+    ms = MachineState(CDC)
     block = (0x77880001 << 32) | 42
-    ms.write_register(6, cdc.encrypt(block))   # ciphertext for the user
+    ms.write_register(6, CDC.encrypt(block))   # ciphertext for the user
     ms.write_register(7, 0x104)                # zero-filled program address
     ms.epcr = 0x4000
     ms.rfe()

@@ -13,14 +13,9 @@ its retired slots reachable would.
 
 import pytest
 
-from kpusim.assembler import assemble
-from kpusim.check import compare, engine_view
-from kpusim.codec import Codec
-from kpusim.oracle import Interpreter
+from kit import CDC, build, run_both
 from kpusim.pipeline import Engine
 from test_cipher_memo import _run_peak
-
-KEY = 0x00112233445566778899AABBCCDDEEFF
 
 USER = """.mode user
 .entry start
@@ -94,23 +89,12 @@ CASES = [
 ]
 
 
-def _run(source):
-    cdc = Codec(KEY)
-    image = assemble(source, cdc)
-    engine = Engine(image, cdc)
-    engine.run(max_cycles=10_000)
-    return engine, image, cdc
-
-
 @pytest.mark.parametrize("name, source, outputs, cycles", CASES,
                          ids=[c[0] for c in CASES])
 def test_forwarding_edge_case(name, source, outputs, cycles):
-    engine, image, cdc = _run(source)
-    result = Interpreter(image, cdc).run(max_steps=1000)
+    engine, result = run_both(source, max_cycles=10_000, max_steps=1000)
     assert engine.outputs == result.outputs == outputs
-    assert compare(engine_view(engine), result, cdc) == []
     assert engine.stats.cycles == cycles
-    assert engine.stats.closes()
 
 
 # A slot kept alive per pass costs some 40 KB over the 150 extra passes;
@@ -121,8 +105,7 @@ GROWTH_MARGIN = 4096
 def _loop_peak(loop, passes):
     """The tracemalloc peak of Engine.run over `loop` at `passes`, in user
     mode."""
-    cdc = Codec(KEY)
-    return _run_peak(Engine(assemble(USER + loop % passes, cdc), cdc))
+    return _run_peak(Engine(build(USER + loop % passes), CDC))
 
 
 # (name, loop): each loop links its slots into a chain through one kind

@@ -22,16 +22,14 @@ from pathlib import Path
 
 import pytest
 
+from kit import CDC, build, run_both
 from kpusim import isa
-from kpusim.assembler import Image, assemble, write_image
-from kpusim.check import compare, engine_view
-from kpusim.codec import Codec
+from kpusim.assembler import Image, write_image
 from kpusim.core import Mode
 from kpusim.frontend import main
 from kpusim.oracle import Interpreter
 from kpusim.pipeline import Engine
 
-KEY = 0x00112233445566778899AABBCCDDEEFF
 ROOT = Path(__file__).resolve().parent.parent
 
 PROGRAM = """.mode super
@@ -72,20 +70,12 @@ CASES = [
                          ids=[c[0] for c in CASES])
 def test_one_word_fetched_in_both_modes(name, shared, outputs, cycles, steps,
                                         epcr):
-    cdc = Codec(KEY)
-    image = assemble(PROGRAM % shared, cdc)
-    engine = Engine(image, cdc)
-    engine.run(max_cycles=1000)
-    itp = Interpreter(image, cdc)
-    result = itp.run(max_steps=100)
-
-    assert engine.outputs == outputs
-    assert result.outputs == outputs
+    engine, itp = run_both(PROGRAM % shared, max_cycles=1000, max_steps=100)
+    assert engine.outputs == itp.outputs == outputs
     assert engine.stats.cycles == cycles
-    assert result.steps == steps
+    assert itp.steps == steps
     assert engine.state.mode is Mode.SUPERVISOR
     assert engine.state.epcr == itp.epcr == epcr
-    assert compare(engine_view(engine), result, cdc) == []
 
 
 # One block, placed at two pcs word for word: l.jal calls the block's
@@ -111,19 +101,15 @@ def _twice_placed(mode):
 @pytest.mark.parametrize("mode, cycles", [("user", 47), ("super", 36)])
 def test_each_copy_of_a_word_keeps_its_own_target_and_link(mode, cycles,
                                                            tmp_path, capsys):
-    cdc = Codec(KEY)
     image = _twice_placed(mode)
-    engine = Engine(image, cdc)
-    engine.run(max_cycles=1000)
-    itp = Interpreter(image, cdc)
-    result = itp.run(max_steps=100)
+    engine, itp = run_both(image, max_cycles=1000, max_steps=100)
 
     # each copy prints its own link, and only its own targets bring the
     # run through both copies to the exit in 13 steps
     links = [base + 4 for base in COPIES]
-    assert engine.outputs == result.outputs == links
+    assert engine.outputs == itp.outputs == links
     assert engine.stats.cycles == cycles
-    assert result.steps == 13
+    assert itp.steps == 13
 
     path = tmp_path / "twice.img"
     path.write_text(write_image(image))
@@ -143,12 +129,11 @@ SHARED = 0x10C                  # PROGRAM's shared stretch
 
 @pytest.mark.parametrize("name", sorted(SOURCES))
 def test_each_machine_decodes_once_per_pc_and_mode(name, monkeypatch):
-    cdc = Codec(KEY)
-    image = assemble(SOURCES[name], cdc)
+    image = build(SOURCES[name])
     decode_at = isa.decode_at
     for machine, mode_of in (
-            (Engine(image, cdc), lambda engine: engine.state.mode),
-            (Interpreter(image, cdc), lambda itp: itp.mode)):
+            (Engine(image, CDC), lambda engine: engine.state.mode),
+            (Interpreter(image, CDC), lambda itp: itp.mode)):
         decoded = Counter()
 
         def counted(text, pc):

@@ -10,11 +10,12 @@ whose consumer reads an independent register instead, refilling as often.
 The distances are every d from 0 to one past the longest latency, 13,
 for every entry: each entry is met at its edge, at its first free
 distance and at every distance between and past them (the small-scope
-hypothesis: every rule that breaks, breaks at a small distance). So each
-user `l.addi` producer and immediate consumer, a prefix pair and the
-immediate it seals, runs against the reference interpreter's one-step
-fold at every distance. Every pairing of rows, not one row per class,
-is left to a sweep outside tier-1.
+hypothesis: every rule that breaks, breaks at a small distance). A
+program two cases share, such as the ra and rb consumers' baseline, runs
+once. So each user `l.addi` producer and immediate consumer, a prefix
+pair and the immediate it seals, runs against the reference
+interpreter's one-step fold at every distance. Every pairing of rows,
+not one row per class, is left to a sweep outside tier-1.
 
 Three control cases cover what no operand waits for: a correctly
 predicted branch costs nothing, a mispredicted one refills the three
@@ -25,16 +26,12 @@ README's "How the machine works" quotes the table; tests/test_readme.py
 checks that it quotes it exactly.
 """
 
+from functools import cache
+
 import pytest
 
-from kpusim.assembler import assemble
-from kpusim.check import compare, engine_view
-from kpusim.codec import Codec
+from kit import run_both
 from kpusim.core import Mode
-from kpusim.oracle import Interpreter
-from kpusim.pipeline import Engine
-
-KEY = 0x00112233445566778899AABBCCDDEEFF
 
 # the consumer axis, in README's column order; "immediate" is an
 # immediate-class consumer, on plan B in user mode
@@ -151,17 +148,15 @@ def _source(mode, producer, consumer, d, dependent):
 def _run(source):
     """The engine after a checked run: it compares clean and its
     accounting closes, in total and per mode."""
-    cdc = Codec(KEY)
-    image = assemble(source, cdc)
-    engine = Engine(image, cdc)
-    engine.run(max_cycles=1000)
-    result = Interpreter(image, cdc).run(max_steps=100)
-    assert compare(engine_view(engine), result, cdc) == []
-    assert engine.stats.closes()
-    for mode in Mode:
-        ms = engine.stats.mode(mode)
-        assert ms.instructions + ms.stalls + ms.refills == ms.cycles
-    return engine
+    return run_both(source, max_cycles=1000, max_steps=100)[0]
+
+
+@cache
+def _stalls_refills(source, mode):
+    """(stalls, refills) of a checked run of `source` in `mode`; each
+    source runs once."""
+    stats = _run(source).stats.mode(mode)
+    return stats.stalls, stats.refills
 
 
 def _cases():
@@ -177,13 +172,12 @@ def _cases():
 @pytest.mark.parametrize("mode, producer, consumer, d", list(_cases()))
 def test_stalls_are_the_latency_less_the_distance(mode, producer, consumer,
                                                   d):
-    dep = _run(_source(mode, producer, consumer, d, True))
-    base = _run(_source(mode, producer, consumer, d, False))
-    m = Mode(mode)
+    dep, base = (_stalls_refills(_source(mode, producer, consumer, d,
+                                         dependent), Mode(mode))
+                 for dependent in (True, False))
     latency = LATENCY[mode][producer][consumer]
-    assert (dep.stats.mode(m).stalls - base.stats.mode(m).stalls
-            == max(0, latency - d))
-    assert dep.stats.mode(m).refills == base.stats.mode(m).refills
+    assert dep[0] - base[0] == max(0, latency - d)
+    assert dep[1] == base[1]
 
 
 # the conveyor's depth in each mode: a mode entered at a trap or a return

@@ -10,15 +10,13 @@ itself is a fault in supervisor mode, where the trap could only repeat.
 
 import pytest
 
-from kpusim.assembler import assemble, parse_image
-from kpusim.check import SimView, compare, engine_view, render_dump
-from kpusim.codec import Codec
+from kit import CDC, run_both
+from kpusim.assembler import parse_image
+from kpusim.check import SimView, render_dump
 from kpusim.core import Mode, VectorSpin
 from kpusim.frontend import main
 from kpusim.oracle import Interpreter
 from kpusim.pipeline import Engine
-
-KEY = 0x00112233445566778899AABBCCDDEEFF
 
 CASES = [
     # (name, mode, offending lines, engine cycles)
@@ -51,17 +49,10 @@ def _source(mode, offending):
 @pytest.mark.parametrize("name, mode, offending, cycles", CASES,
                          ids=["%s-%s" % (c[0], c[1]) for c in CASES])
 def test_illegal_fetch_agrees_with_the_oracle(name, mode, offending, cycles):
-    cdc = Codec(KEY)
-    image = assemble(_source(mode, offending), cdc)
-    engine = Engine(image, cdc)
-    engine.run(max_cycles=1000)
-    itp = Interpreter(image, cdc)
-    result = itp.run(max_steps=100)
-
-    assert engine.state.mode is Mode.SUPERVISOR
-    assert itp.mode is Mode.SUPERVISOR
+    engine, itp = run_both(_source(mode, offending), max_cycles=1000,
+                           max_steps=100)
+    assert engine.state.mode is itp.mode is Mode.SUPERVISOR
     assert engine.state.epcr == itp.epcr
-    assert compare(engine_view(engine), result, cdc) == []
     assert engine.stats.cycles == cycles
 
 
@@ -72,13 +63,12 @@ SPIN_IMAGE = ("KPUIMG 1\nENTRY 0x00000101\nMODE super\n"
 
 
 def test_illegal_vector_in_supervisor_mode_faults_at_once():
-    cdc = Codec(KEY)
     image = parse_image(SPIN_IMAGE)
-    engine = Engine(image, cdc)
+    engine = Engine(image, CDC)
     with pytest.raises(VectorSpin, match="illegal-instruction vector"):
         engine.run(max_cycles=1000)
     assert engine.stats.cycles <= 50
-    itp = Interpreter(image, cdc)
+    itp = Interpreter(image, CDC)
     with pytest.raises(VectorSpin, match="illegal-instruction vector"):
         itp.run(max_steps=1000)
     assert itp.steps <= 50
@@ -100,20 +90,14 @@ def test_spinning_image_exits_1_from_every_command(tmp_path, capsys):
 
 def test_user_mode_carrier_at_the_vector_still_traps():
     # the trap enters supervisor mode, where the same l.sd is legal
-    cdc = Codec(KEY)
-    image = assemble(""".mode user
+    engine, itp = run_both(""".mode user
 .entry start
 .org 0x700
 start:
     l.sd    0(r0), r0
     l.nop   1
-""", cdc)
-    engine = Engine(image, cdc)
-    engine.run(max_cycles=1000)
-    itp = Interpreter(image, cdc)
-    result = itp.run(max_steps=100)
+""", max_cycles=1000, max_steps=100)
     assert engine.state.mode is Mode.SUPERVISOR
     assert engine.state.epcr == itp.epcr == 0x700
-    assert compare(engine_view(engine), result, cdc) == []
     assert engine.stats.cycles == 23
-    assert result.steps == 3
+    assert itp.steps == 3

@@ -4,15 +4,13 @@ import random
 
 import pytest
 
+from kit import CDC
 from kpusim.assembler import FormatError
 from kpusim.check import SimView, parse_sim_dump, render_dump
-from kpusim.codec import Codec
 from kpusim.memsys import (SUPER_REGION_BYTES, MemorySystem, OutOfRegion,
                            PhysicalExhausted, TlbMap,
                            UnalignedSupervisorAccess, UserDataCache,
                            super_index)
-
-KEY = 0x00112233445566778899AABBCCDDEEFF
 
 
 def ea(pad, addr):
@@ -38,53 +36,51 @@ def test_tlb_exhaustion():
 def test_cache_lru_eviction():
     cache = UserDataCache(entries=4)
     for i in range(4):
-        cache.store(ea(0x100 + i, i * 4), ea(0x999, i))
-    cache.load(ea(0x100, 0))                     # refresh the oldest line
-    cache.store(ea(0x200, 0x40), ea(0x999, 9))   # now pad 0x101 goes out
-    assert cache.load(ea(0x100, 0)) is not None
-    assert cache.load(ea(0x101, 4)) is None
-    assert cache.load(ea(0x102, 8)) is not None
+        cache.store(ea(0x100 + i, i * 4))
+    assert cache.load(ea(0x100, 0))              # refresh the oldest line
+    cache.store(ea(0x200, 0x40))                 # now pad 0x101 goes out
+    assert cache.load(ea(0x100, 0))
+    assert not cache.load(ea(0x101, 4))
+    assert cache.load(ea(0x102, 8))
 
 
 def test_cache_loads_never_allocate():
     cache = UserDataCache(entries=4)
-    assert cache.load(ea(0x123, 0x10)) is None
-    assert cache.load(ea(0x123, 0x10)) is None   # still a miss
+    assert not cache.load(ea(0x123, 0x10))
+    assert not cache.load(ea(0x123, 0x10))       # still a miss
     assert cache.read_misses == 2 and cache.read_hits == 0
     assert not cache.lines
 
 
 def test_cache_counters():
     cache = UserDataCache(entries=4)
-    cache.store(ea(1, 0), 7)
-    cache.store(ea(1, 0), 8)
+    cache.store(ea(1, 0))
+    cache.store(ea(1, 0))
     assert (cache.write_misses, cache.write_hits) == (1, 1)
     cache.load(ea(1, 0))
     assert (cache.read_hits, cache.read_misses) == (1, 0)
 
 
 def test_user_store_keeps_ciphertext_at_rest():
-    cdc = Codec(KEY)
-    mem = MemorySystem(cdc)
+    mem = MemorySystem(CDC)
     addr = ea(0x4AAA0001, 0x100)
     value = ea(0x4BBB0002, 1234)
     mem.user_store(addr, value)
     # the dump's view: the one place a user cell leaves the memory system
     cells, tlb = mem.physical_view()
-    assert tlb == {cdc.encrypt(addr): mem.tlb.entries[addr]}
+    assert tlb == {CDC.encrypt(addr): mem.tlb.entries[addr]}
     raw = cells[mem.tlb.entries[addr]]
     assert raw != value
-    assert cdc.decrypt(raw) == value
+    assert CDC.decrypt(raw) == value
 
 
 def test_user_load_sources():
-    cdc = Codec(KEY)
-    mem = MemorySystem(cdc)
+    mem = MemorySystem(CDC)
     addr = ea(0x4AAA0001, 0x200)
     value = ea(0x4BBB0002, 77)
     blank, hit = mem.user_load(ea(0x4CCC0003, 0x300))
     assert hit is False
-    assert blank == cdc.decrypt(0)               # never-written cell
+    assert blank == CDC.decrypt(0)               # never-written cell
     mem.user_store(addr, value)
     got, hit = mem.user_load(addr)
     assert got == value and hit is True
@@ -96,8 +92,7 @@ def test_user_load_sources():
 
 
 def test_same_logical_address_different_pads_alias():
-    cdc = Codec(KEY)
-    mem = MemorySystem(cdc)
+    mem = MemorySystem(CDC)
     a = ea(0x4AAA0001, 0x500)
     b = ea(0x4AAA0002, 0x500)        # same 32-bit address, different pad
     mem.user_store(a, ea(0x41000001, 1))
@@ -108,7 +103,7 @@ def test_same_logical_address_different_pads_alias():
 
 
 def test_supervisor_alignment_and_bounds():
-    mem = MemorySystem(Codec(KEY), user_words=16)
+    mem = MemorySystem(CDC, user_words=16)
     mem.supervisor_store(0x1000, 0xDEAD)
     assert mem.supervisor_load(0x1000) == 0xDEAD
     assert mem.supervisor_load(0x2000) == 0
@@ -130,14 +125,13 @@ def test_super_index_is_the_one_supervisor_address_rule():
 
 
 def test_supervisor_cells_hold_raw_values():
-    mem = MemorySystem(Codec(KEY))
+    mem = MemorySystem(CDC)
     mem.supervisor_store(0x800, 0x1234567890ABCDEF)
     assert mem.cells[0x100] == 0x1234567890ABCDEF
 
 
 def test_dump_round_trip():
-    cdc = Codec(KEY)
-    mem = MemorySystem(cdc)
+    mem = MemorySystem(CDC)
     rng = random.Random(9)
     for i in range(10):
         mem.user_store(ea(0x42000000 + i, rng.randrange(1 << 16) * 4),

@@ -4,18 +4,16 @@ import random
 
 import pytest
 
+from kit import CDC, build, run_both
 from kpusim import alu, isa
-from kpusim.assembler import Image, assemble
+from kpusim.assembler import Image
 from kpusim.check import (AliasDetected, compare, engine_view, parse_sim_dump,
                           render_dump)
-from kpusim.codec import Codec
 from kpusim.core import BudgetExhausted, Mode
 from kpusim.isa import InstrClass
 from kpusim.oracle import Interpreter, interpret
 from kpusim.pipeline import Engine
 from kpusim.progen import generate_source
-
-KEY = 0x00112233445566778899AABBCCDDEEFF
 
 SUPER_HEAD = """.mode super
 .entry start
@@ -31,26 +29,12 @@ start:
 """
 
 
-def build(source, seed=0):
-    c = Codec(KEY)
-    return assemble(source, c, seed=seed), c
-
-
 def run_super(body):
-    image, c = build(SUPER_HEAD + body)
-    return interpret(image, c)
+    return interpret(build(SUPER_HEAD + body), CDC)
 
 
-def run_user(body, seed=0):
-    image, c = build(USER_HEAD + body, seed=seed)
-    return interpret(image, c)
-
-
-def run_both(body, seed=0):
-    image, c = build(USER_HEAD + body, seed=seed)
-    engine = Engine(image, c)
-    engine.run()
-    return engine, interpret(image, c), c
+def run_user(body):
+    return interpret(build(USER_HEAD + body), CDC)
 
 
 # -------------------------------------------------------------------- alu --
@@ -169,15 +153,14 @@ def test_user_memory_map():
 
 
 def test_uninitialized_user_load_reads_the_blank_pattern():
-    engine, res, c = run_both("""    l.lwz  r3, 0(r0)
+    engine, res = run_both(USER_HEAD + """    l.lwz  r3, 0(r0)
     l.add  r3, r3, r0
     l.nop  2
     l.nop  1
 """)
-    blank = c.decrypt(0) & 0xFFFFFFFF
+    blank = CDC.decrypt(0) & 0xFFFFFFFF
     assert res.regs[3] == blank
     assert engine.outputs == [blank]
-    assert compare(engine_view(engine), res, c) == []
 
 
 def test_class64_truncates_to_the_oracle_domain():
@@ -195,23 +178,23 @@ def test_class64_truncates_to_the_oracle_domain():
 
 
 def test_user_class64_traps():
-    image, c = build(USER_HEAD + """    l.add64 r3, r1, r2
+    image = build(USER_HEAD + """    l.add64 r3, r1, r2
     l.nop  1
 """)
     image.text[0x700] = image.text[max(image.text)]      # plant l.nop 1
-    itp = Interpreter(image, c)
+    itp = Interpreter(image, CDC)
     itp.run()
     assert itp.mode is Mode.SUPERVISOR
     assert itp.epcr == 0x4000
 
 
 def test_missing_prefix_traps():
-    image, c = build(USER_HEAD + """    l.addi r1, r0, 3
+    image = build(USER_HEAD + """    l.addi r1, r0, 3
     .word  0x9C42FFFF
     l.nop  1
 """)
     image.text[0x700] = image.text[max(image.text)]
-    itp = Interpreter(image, c)
+    itp = Interpreter(image, CDC)
     itp.run()
     assert itp.mode is Mode.SUPERVISOR
     assert itp.epcr == 0x400C
@@ -242,16 +225,14 @@ good:
     l.nop  2
     l.nop  1
 """
-    image, c = build(source)
-    res = interpret(image, c)
+    res = interpret(build(source), CDC)
     assert res.outputs == [1234]
     assert res.regs[20] == 1234
 
 
 def test_max_steps_guard():
-    image, c = build(SUPER_HEAD + "    l.j start\n")
     with pytest.raises(BudgetExhausted):
-        interpret(image, c, max_steps=100)
+        interpret(build(SUPER_HEAD + "    l.j start\n"), CDC, max_steps=100)
 
 
 SEALED_PAIR = USER_HEAD + """    l.addi  r1, r0, 3       # prefix, prefix, immediate at 0x4000..0x4008
@@ -267,8 +248,7 @@ SEALED_PAIR = USER_HEAD + """    l.addi  r1, r0, 3       # prefix, prefix, immed
     (2, 0x4018, [3, 7, 0]),     # stops right after the pair's immediate
 ])
 def test_step_limit_after_a_prefix_pair(limit, pc, regs):
-    image, c = build(SEALED_PAIR)
-    itp = Interpreter(image, c)
+    itp = Interpreter(build(SEALED_PAIR), CDC)
     with pytest.raises(BudgetExhausted,
                        match="^no exit within a budget of %d$" % limit):
         itp.run(max_steps=limit)
@@ -289,12 +269,12 @@ def test_every_decodable_class_dispatches_to_a_handler(mode):
         word = isa.encode_fields(row, {name: 0 for name, *_ in row.fields})
         ins = isa.decode(word)
         image = Image(entry=0x4000, mode=mode, text={0x4000: word})
-        itp = Interpreter(image, Codec(KEY))
+        itp = Interpreter(image, CDC)
         itp.step()
         assert itp.steps == (ins.cls is not InstrClass.PREFIX), row.mnemonic
         covered.add(ins.cls)
         if mode == "user" and isa.user_illegal(ins):
-            engine = Engine(image, Codec(KEY))
+            engine = Engine(image, CDC)
             while engine.stats.instructions == 0:
                 engine.step()
             for state in (itp, engine.state):
@@ -304,7 +284,7 @@ def test_every_decodable_class_dispatches_to_a_handler(mode):
 
 
 def test_steps_count_logical_instructions():
-    engine, res, _ = run_both("""    l.addi r1, r0, 7
+    engine, res = run_both(USER_HEAD + """    l.addi r1, r0, 7
     l.addi r2, r1, 35
     l.sw   0(r0), r2
     l.lwz  r3, 0(r0)
@@ -321,36 +301,35 @@ def test_steps_count_logical_instructions():
 # ---------------------------------------------------------------- compare --
 
 def test_compare_clean_then_perturbed():
-    engine, res, c = run_both("""    l.addi r1, r0, 100
+    engine, res = run_both(USER_HEAD + """    l.addi r1, r0, 100
     l.addi r2, r0, 55
     l.sw   0(r1), r2
     l.nop  1
 """)
     view = engine_view(engine)
-    assert compare(view, res, c) == []
 
     res.regs[2] ^= 1
-    problems = compare(view, res, c)
+    problems = compare(view, res, CDC)
     assert len(problems) == 1 and problems[0].startswith("r2:")
     res.regs[2] ^= 1
 
     res.user_mem[100] ^= 0xFF
-    problems = compare(view, res, c)
+    problems = compare(view, res, CDC)
     assert len(problems) == 1 and problems[0].startswith("memory 0x00000064:")
     res.user_mem[100] ^= 0xFF
 
     res.user_mem[0x500] = 7
-    problems = compare(view, res, c)
+    problems = compare(view, res, CDC)
     assert any("missing from machine" in p for p in problems)
     del res.user_mem[0x500]
 
     res.outputs.append(1)
-    problems = compare(view, res, c)
+    problems = compare(view, res, CDC)
     assert any(p.startswith("outputs:") for p in problems)
 
 
 def test_divergent_pads_raise_alias():
-    engine, res, c = run_both("""    l.addi r1, r0, 100
+    image = build(USER_HEAD + """    l.addi r1, r0, 100
     l.addi r2, r0, 1
     l.sw   0(r1), r2
     l.addi r3, r0, 100
@@ -358,27 +337,27 @@ def test_divergent_pads_raise_alias():
     l.sw   0(r3), r4
     l.nop  1
 """)
+    engine = Engine(image, CDC)
+    engine.run()
     view = engine_view(engine)
     assert len(view.tlb) == 2        # same logical address, two cells
     with pytest.raises(AliasDetected):
-        compare(view, res, c)
+        compare(view, interpret(image, CDC), CDC)
 
 
 def test_same_value_alias_is_benign():
-    engine, res, c = run_both("""    l.addi r1, r0, 100
+    engine, _ = run_both(USER_HEAD + """    l.addi r1, r0, 100
     l.addi r2, r0, 9
     l.sw   0(r1), r2
     l.addi r3, r0, 100
     l.sw   0(r3), r2
     l.nop  1
 """)
-    view = engine_view(engine)
-    assert len(view.tlb) == 2
-    assert compare(view, res, c) == []
+    assert len(engine_view(engine).tlb) == 2
 
 
 def test_dump_round_trip():
-    engine, res, c = run_both("""    l.addi r1, r0, 64
+    engine, res = run_both(USER_HEAD + """    l.addi r1, r0, 64
     l.sw   0(r1), r1
     l.add  r3, r1, r1
     l.nop  2
@@ -393,24 +372,18 @@ def test_dump_round_trip():
     assert back.cells == view.cells
     assert back.tlb == view.tlb
     assert back.outputs == view.outputs
-    assert compare(back, res, c) == []
+    assert compare(back, res, CDC) == []
 
 
 def test_generated_programs_match_the_machine():
     rng = random.Random(77)
     for _ in range(6):
         seed = rng.randrange(1 << 12)
-        src = generate_source(seed, syscalls=True)
-        c = Codec(KEY)
-        image = assemble(src, c, seed=seed)
-        engine = Engine(image, c)
-        engine.run()
-        res = interpret(image, c)
-        assert compare(engine_view(engine), res, c) == []
+        run_both(generate_source(seed, syscalls=True), seed=seed)
 
 
 @pytest.mark.parametrize("machine", [Engine, Interpreter])
 def test_an_image_runs_in_user_or_super_mode_only(machine):
     # both machines take the image's mode as a Mode; there is no fallback
     with pytest.raises(ValueError):
-        machine(Image(mode="kernel"), Codec(KEY))
+        machine(Image(mode="kernel"), CDC)

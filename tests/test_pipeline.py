@@ -16,15 +16,12 @@ from pathlib import Path
 
 import pytest
 
-from kpusim.assembler import assemble
-from kpusim.codec import Codec
+from kit import CDC, build
 from kpusim.core import BudgetExhausted, Mode
 from kpusim.isa import InstrClass
 from kpusim.oracle import Interpreter
 from kpusim.pipeline import (BranchPredictionBuffer, Engine, MissingPrefix,
                              PrefixLatch, consume_prefixes)
-
-KEY = 0x00112233445566778899AABBCCDDEEFF
 
 # Boot shim: set up both vectors, drop to user code at 0x4000.
 HEAD = """.mode super
@@ -45,9 +42,7 @@ ustart:
 
 
 def run(body, head=HEAD, **kw):
-    cdc = Codec(KEY)
-    image = assemble(head + body, cdc)
-    engine = Engine(image, cdc, **kw)
+    engine = Engine(build(head + body), CDC, **kw)
     engine.run()
     return engine
 
@@ -322,12 +317,11 @@ boot:
 # ------------------------------------------------------------------- run --
 
 ROOT = Path(__file__).resolve().parent.parent
-IS_ADD_CYCLES = 2357            # bench/is_add_test.s under KEY
+IS_ADD_CYCLES = 2357            # bench/is_add_test.s under kit.KEY
 
 
 def _engine(path):
-    cdc = Codec(KEY)
-    return Engine(assemble((ROOT / path).read_text(), cdc), cdc)
+    return Engine(build((ROOT / path).read_text()), CDC)
 
 
 @pytest.mark.parametrize("path", ["bench/is_add_test.s"] + sorted(
@@ -412,9 +406,7 @@ def test_oracle_python_calls_per_step():
     # step() cleared the latch through PrefixLatch.clear and compare_flag
     # called to_signed, 4.02 (3.34 per step() call) while each prefix was
     # a step() call of its own, 3.06 with the fold.
-    cdc = Codec(KEY)
-    itp = Interpreter(assemble((ROOT / "bench/is_add_test.s").read_text(),
-                               cdc), cdc)
+    itp = Interpreter(build((ROOT / "bench/is_add_test.s").read_text()), CDC)
     calls = python_calls(itp.run)
     assert itp.halted
     assert calls[Interpreter.step.__code__] == itp.steps == 1294
@@ -463,14 +455,13 @@ def bytecodes(fn):
                                               (Interpreter, 140)],
                          ids=["engine", "oracle"])
 def test_bytecodes_per_cycle_and_step(machine, ceiling):
-    cdc = Codec(KEY)
-    image = assemble((ROOT / "bench/is_add_test.s").read_text(), cdc)
+    image = build((ROOT / "bench/is_add_test.s").read_text())
     # CPython 3.12 reports no opcode event in a process's first traced
     # call, and 3.13 none in a code object's first traced frame (run()'s
     # own loop, here): a short traced run first makes the count exact
     with pytest.raises(BudgetExhausted):
-        bytecodes(lambda: machine(image, cdc).run(20))
-    run = machine(image, cdc)
+        bytecodes(lambda: machine(image, CDC).run(20))
+    run = machine(image, CDC)
     count = bytecodes(run.run)
     assert count / (run.stats.cycles if machine is Engine
                     else run.steps) <= ceiling

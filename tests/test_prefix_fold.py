@@ -19,17 +19,16 @@ from itertools import product
 
 import pytest
 
+from kit import CDC
 from kpusim import isa
 from kpusim.assembler import Image
 from kpusim.check import compare, engine_view
-from kpusim.codec import Codec, ProgramFault
+from kpusim.codec import ProgramFault
 from kpusim.core import Mode
 from kpusim.isa import InstrClass
 from kpusim.oracle import Interpreter
 from kpusim.pipeline import Engine
 
-KEY = 0x00112233445566778899AABBCCDDEEFF
-CDC = Codec(KEY)
 ENTRY = 0x4000
 
 
