@@ -1,5 +1,14 @@
 """32-bit operation semantics shared by the pipeline and the reference
-interpreter, so both sides pin identical flag and corner-case conventions."""
+interpreter, so both sides pin identical flag and corner-case conventions.
+
+Each operation and each set-flag comparison is one kernel over 32-bit
+operands, the only place its result and flag rule is written. A machine
+looks a kernel up by its code once, when it makes the record of a pc,
+and calls it directly from then on; a caller that holds wider values
+(the engine's padded blocks and 64-bit supervisor registers) masks them
+to 32 bits first."""
+
+from operator import eq, ne
 
 from .codec import MASK32
 
@@ -27,7 +36,7 @@ class Effects(dict):
         setdefault = update = _read_only
 
 
-# What execute returns: NO_EFFECTS, CY_OV[cy][ov] or, for divu, OV[ov],
+# What a kernel returns: NO_EFFECTS, CY_OV[cy][ov] or, for divu, OV[ov],
 # indexed by ints, as a bool index misses CPython's tuple fast path.
 NO_EFFECTS = Effects()
 CY_OV = tuple(tuple(Effects(cy=cy, ov=ov) for ov in (False, True))
@@ -35,74 +44,82 @@ CY_OV = tuple(tuple(Effects(cy=cy, ov=ov) for ov in (False, True))
 OV = (Effects(ov=False), Effects(ov=True))
 
 
-def to_signed(x):
-    x &= MASK32
-    return x - (1 << 32) if x & SIGN32 else x
+# ALU kernels: kernel(a, b) -> (result, effects) for 32-bit a and b, where
+# effects, a shared read-only Effects, holds only the flags the operation
+# writes, keyed "cy"/"ov". Conventions pinned here:
+#   add/sub   set CY (carry/borrow out) and OV (signed overflow)
+#   mul       sets CY on unsigned overflow, OV on signed overflow
+#   divu      by zero yields 0xFFFFFFFF and sets OV; otherwise clears OV
+#   logic and shifts leave flags alone
+#   address arithmetic (OP_ADDR) is an add with no flag effects
+
+def _add(a, b):
+    full = a + b
+    res = full & MASK32
+    # carry out; operands of one sign, result of the other
+    return res, CY_OV[full >> 32][((a ^ res) & (b ^ res)) >> 31]
+
+
+def _sub(a, b):
+    res = (a - b) & MASK32
+    # borrow; operands of opposite signs, result not of the minuend's
+    return res, CY_OV[(a - b) >> 32 & 1][((a ^ b) & (a ^ res)) >> 31]
+
+
+def _mul(a, b):
+    full = a * b
+    # carry; overflow: the signed product plus 2**31 leaves [0, 2**32)
+    signed = ((a ^ SIGN32) - SIGN32) * ((b ^ SIGN32) - SIGN32) + SIGN32
+    return full & MASK32, CY_OV[full >> 32 and 1][signed >> 32 and 1]
+
+
+def _divu(a, b):
+    return (MASK32, OV[1]) if b == 0 else (a // b, OV[0])
+
+
+_KERNELS = {
+    OP_ADD: _add, OP_SUB: _sub, OP_MUL: _mul, OP_DIVU: _divu,
+    OP_AND: lambda a, b: (a & b, NO_EFFECTS),
+    OP_OR: lambda a, b: (a | b, NO_EFFECTS),
+    OP_XOR: lambda a, b: (a ^ b, NO_EFFECTS),
+    OP_SLL: lambda a, b: ((a << (b & 31)) & MASK32, NO_EFFECTS),
+    OP_SRL: lambda a, b: (a >> (b & 31), NO_EFFECTS),
+    # a 32-bit value less 2**32 where its sign bit is set: its signed value
+    OP_SRA: lambda a, b: ((((a ^ SIGN32) - SIGN32) >> (b & 31)) & MASK32,
+                          NO_EFFECTS),
+    OP_ADDR: lambda a, b: ((a + b) & MASK32, NO_EFFECTS),
+}
+
+# Set-flag kernels: flag(a, b) -> bool for 32-bit a and b. The signed ones
+# flip the sign bit, which keeps the signed order, and compare.
+_FLAG_KERNELS = {
+    SF_EQ: eq, SF_NE: ne,
+    SF_GTS: lambda a, b: a ^ SIGN32 > b ^ SIGN32,
+    SF_GES: lambda a, b: a ^ SIGN32 >= b ^ SIGN32,
+    SF_LTS: lambda a, b: a ^ SIGN32 < b ^ SIGN32,
+    SF_LES: lambda a, b: a ^ SIGN32 <= b ^ SIGN32,
+}
+
+
+def kernel(op):
+    """The kernel of ALU operation `op`, an OP_* id."""
+    found = _KERNELS.get(op)
+    if found is None:
+        raise ValueError("unknown ALU op %r" % op)
+    return found
+
+
+def flag_kernel(sub):
+    """The kernel of set-flag comparison `sub`, an SF_* code."""
+    found = _FLAG_KERNELS.get(sub)
+    if found is None:
+        raise ValueError("unknown set-flag sub-op %d" % sub)
+    return found
 
 
 def execute(op, a, b):
-    """Apply one 32-bit operation.
-
-    Returns (result, effects) where effects, a shared read-only Effects,
-    holds only the flags the operation writes, keyed "cy"/"ov". Conventions
-    pinned here:
-      add/sub   set CY (carry/borrow out) and OV (signed overflow)
-      mul       sets CY on unsigned overflow, OV on signed overflow
-      divu      by zero yields 0xFFFFFFFF and sets OV; otherwise clears OV
-      logic and shifts leave flags alone
-      address arithmetic (OP_ADDR) is an add with no flag effects
-    """
-    a &= MASK32
-    b &= MASK32
-    if op == OP_ADD:
-        full = a + b
-        res = full & MASK32
-        # carry out; operands of one sign, result of the other
-        return res, CY_OV[full >> 32][((a ^ res) & (b ^ res)) >> 31]
-    if op == OP_ADDR:
-        return (a + b) & MASK32, NO_EFFECTS
-    if op == OP_SUB:
-        res = (a - b) & MASK32
-        # borrow; operands of opposite signs, result not of the minuend's
-        return res, CY_OV[(a - b) >> 32 & 1][((a ^ b) & (a ^ res)) >> 31]
-    if op == OP_AND:
-        res = a & b
-    elif op == OP_OR:
-        res = a | b
-    elif op == OP_XOR:
-        res = a ^ b
-    elif op == OP_MUL:
-        full = a * b
-        # carry; overflow: the signed product plus 2**31 leaves [0, 2**32)
-        signed = to_signed(a) * to_signed(b) + SIGN32
-        return full & MASK32, CY_OV[full >> 32 and 1][signed >> 32 and 1]
-    elif op == OP_DIVU:
-        return (MASK32, OV[1]) if b == 0 else (a // b, OV[0])
-    elif op == OP_SLL:
-        res = (a << (b & 31)) & MASK32
-    elif op == OP_SRL:
-        res = a >> (b & 31)
-    elif op == OP_SRA:
-        res = (to_signed(a) >> (b & 31)) & MASK32
-    else:
-        raise ValueError("unknown ALU op %r" % op)
-    return res, NO_EFFECTS
-
-
-def compare_flag(sub, a, b):
-    """Set-flag comparisons; sub is an SF_* code. The signed ones flip the
-    sign bit of the low 32 bits, which keeps their order, and compare."""
-    if sub == SF_EQ:
-        return a == b
-    if sub == SF_NE:
-        return a != b
-    a, b = (a & MASK32) ^ SIGN32, (b & MASK32) ^ SIGN32
-    if sub == SF_GTS:
-        return a > b
-    if sub == SF_GES:
-        return a >= b
-    if sub == SF_LTS:
-        return a < b
-    if sub == SF_LES:
-        return a <= b
-    raise ValueError("unknown set-flag sub-op %d" % sub)
+    """Apply operation `op` to a and b, masked to 32 bits, by its code.
+    The machines bind kernels instead and do not call it; it is the
+    by-code form for a one-off operation, and perfbench's tracer wraps it
+    by this name."""
+    return kernel(op)(a & MASK32, b & MASK32)

@@ -81,22 +81,37 @@ def parse_sim_dump(text):
         if len(fields) != _DUMP_FIELDS[kind]:
             raise FormatError(lineno, "%s takes %d fields"
                               % (kind, _DUMP_FIELDS[kind] - 1))
+        # render_dump writes each register, cell, cipher and the mode
+        # once, so a second record for one is not a dump it wrote
         if kind == "MODE":
             if fields[1] not in ("user", "super"):
                 raise FormatError(lineno, "mode must be user or super")
+            if view.mode is not None:
+                raise FormatError(lineno, "second MODE record")
             view.mode = fields[1]
         elif kind == "REG":
             i = _dump_number(lineno, fields[1], 10, MASK64)
             if i >= 32:
                 raise FormatError(lineno, "no register %d" % i)
-            view.regs_real[i] = _dump_number(lineno, fields[2], 16, MASK64)
-            view.regs_shadow[i] = _dump_number(lineno, fields[3], 16, MASK64)
+            real = _dump_number(lineno, fields[2], 16, MASK64)
+            shadow = _dump_number(lineno, fields[3], 16, MASK64)
+            if view.regs_real[i] is not None:
+                raise FormatError(lineno, "second REG %02d record" % i)
+            view.regs_real[i], view.regs_shadow[i] = real, shadow
         elif kind == "PHYS":
-            view.cells[_dump_number(lineno, fields[1], 10, MASK64)] = \
-                _dump_number(lineno, fields[2], 16, MASK64)
+            index = _dump_number(lineno, fields[1], 10, MASK64)
+            value = _dump_number(lineno, fields[2], 16, MASK64)
+            if index in view.cells:
+                raise FormatError(lineno, "second PHYS record for cell %d"
+                                  % index)
+            view.cells[index] = value
         elif kind == "TLBMAP":
-            view.tlb[_dump_number(lineno, fields[1], 16, MASK64)] = \
-                _dump_number(lineno, fields[2], 10, MASK64)
+            cipher = _dump_number(lineno, fields[1], 16, MASK64)
+            index = _dump_number(lineno, fields[2], 10, MASK64)
+            if cipher in view.tlb:
+                raise FormatError(lineno, "second TLBMAP record for %016x"
+                                  % cipher)
+            view.tlb[cipher] = index
         else:
             view.outputs.append(_dump_number(lineno, fields[1], 10, MASK32))
     # render_dump writes the mode and every register, so a dump without

@@ -31,26 +31,30 @@ class Interpreter:
     """Runs an image one record per step() call.
 
     Each pc gets a record at its first execution in a mode, one table per
-    mode: (handler, instruction, operand, advance). The handler, the
-    advance and the operand rule depend only on the table row and the
-    mode, and are looked up in one table built at import, keyed by
-    (mnemonic, mode). The rule works out the operand, what the handler
-    needs that the instruction alone does not say: a branch's (taken on a
-    set flag, target), a direct jump's target, an immediate's (ALU op,
-    sealed word) in user mode and (ALU op, imm & MASK32) in supervisor
-    mode, and None elsewhere. So a record costs a decode, one lookup and
-    at most one call. A record with an advance retires its word in step()
+    mode: (handler, instruction, operand, successor). The handler, whether
+    step() retires the word and the operand rule depend only on the table
+    row and the mode, and are looked up in one table built at import,
+    keyed by (mnemonic, mode). The rule works out the operand, what the
+    handler needs that the instruction alone does not say: an ALU row's
+    alu kernel, a set-flag row's flag kernel, a branch's (taken on a set
+    flag, target), a direct jump's target, an immediate's (kernel, sealed
+    word) in user mode and (kernel, imm & MASK32) in supervisor mode, and
+    None elsewhere; each row's kernel is looked up by its code once, as
+    the table is built. So a record costs a decode, one lookup and at
+    most one call. A record with a successor, the pc after its word (0
+    is one, after a word at 0xFFFFFFFC), retires the word in step()
     before its handler runs: the step is counted, the prefix latch
-    cleared and the pc moved on by the advance, 4 bytes. Prefixes,
-    user-mode immediates and illegal words have an advance of 0 and do
-    that themselves.
+    cleared and the pc set to the successor. Prefixes, user-mode
+    immediates and illegal words have None and do that themselves; a
+    jump or a taken branch has a successor, and its handler sets the pc
+    again.
 
     In user mode an index-0 prefix, the index-1 prefix behind it and the
-    immediate behind both get one record: the immediate's, with (ALU op,
-    literal) opened when the record is made and an advance of 12, past
-    all three. The fold is exact: an index-0 prefix resets the latch, so
-    what the three words do never depends on what ran before them. Each
-    word keeps its own record, for a jump inside.
+    immediate behind both get one record: the immediate's, with (kernel,
+    literal) opened when the record is made and the pc past all three as
+    its successor. The fold is exact: an index-0 prefix resets the latch,
+    so what the three words do never depends on what ran before them.
+    Each word keeps its own record, for a jump inside.
     """
 
     def __init__(self, image, cdc):
@@ -126,8 +130,9 @@ class Interpreter:
         word, ins = isa.decode_at(self.text, pc)
         if ins is None:
             return _ILLEGAL_RECORD
-        handler, advance, operand = _DISPATCH[ins.mnemonic, self.mode]
-        record = (handler, ins, operand and operand(pc, word, ins), advance)
+        handler, retires, operand = _DISPATCH[ins.mnemonic, self.mode]
+        record = (handler, ins, operand and operand(pc, word, ins),
+                  (pc + 4) & MASK32 if retires else None)
         if not fold or handler is not Interpreter._prefix or ins.prefix_idx \
                 or self.mode is not Mode.USER:
             return record
@@ -140,9 +145,10 @@ class Interpreter:
         latch = PrefixLatch()
         for prefix in (ins, second[1]):
             latch.feed(prefix.prefix_idx, prefix.prefix_payload)
-        op, word = third[2]
+        kernel, word = third[2]
         literal = self._open(consume_prefixes(latch, word))
-        return (Interpreter._immediate, third[1], (op, literal), 12)
+        return (Interpreter._immediate, third[1], (kernel, literal),
+                (pc + 12) & MASK32)
 
     def _own(self, pc):
         """The record kept for `pc`, made unfolded if new: a word decoded
@@ -167,13 +173,13 @@ class Interpreter:
         record = self._records.get(pc)
         if record is None:
             record = self._records[pc] = self._record(pc)
-        handler, ins, operand, advance = record
-        if advance:
+        handler, ins, operand, successor = record
+        if successor is not None:
             self.steps += 1
             # every non-prefix instruction empties the latch (its clear())
             latch = self.latch
             latch.p0 = latch.p1 = None
-            self.pc = (pc + advance) & MASK32
+            self.pc = successor
         handler(self, pc, ins, operand)
 
     # Handlers, one per class and, where the class differs by mode, per
@@ -192,34 +198,33 @@ class Interpreter:
 
     def _sealed_immediate(self, pc, ins, operand):
         self.steps += 1
-        op, word = operand
+        kernel, word = operand
         try:
             cipher = consume_prefixes(self.latch, word)
         except MissingPrefix:
             self._trap(VEC_ILLEGAL, pc)
             return
         self.pc = (pc + 4) & MASK32
-        self._immediate(pc, ins, (op, self._open(cipher)))
+        self._immediate(pc, ins, (kernel, self._open(cipher)))
 
-    # an ALU result is already 32 bits wide: no _write mask needed
+    # registers, literals and kernel results are 32 bits wide: no mask
     def _immediate(self, pc, ins, operand):
-        op, literal = operand
-        res, effects = alu.execute(op, self.regs[ins.ra], literal)
+        kernel, literal = operand
+        res, effects = kernel(self.regs[ins.ra], literal)
         if ins.rd:
             self.regs[ins.rd] = res
         self.flags.update(effects)
 
-    def _register(self, pc, ins, operand):
+    def _register(self, pc, ins, kernel):
         regs = self.regs
-        res, effects = alu.execute(ins.funct, regs[ins.ra], regs[ins.rb])
+        res, effects = kernel(regs[ins.ra], regs[ins.rb])
         if ins.rd:
             regs[ins.rd] = res
         self.flags.update(effects)
 
-    def _set_flag(self, pc, ins, operand):
+    def _set_flag(self, pc, ins, kernel):
         regs = self.regs
-        self.flags["f"] = alu.compare_flag(ins.funct, regs[ins.ra],
-                                           regs[ins.rb])
+        self.flags["f"] = kernel(regs[ins.ra], regs[ins.rb])
 
     def _user_load(self, pc, ins, operand):
         ea = (self.regs[ins.ra] + ins.imm) & MASK32
@@ -284,10 +289,11 @@ class Interpreter:
 
     def run(self, max_steps=DEFAULT_MAX_STEPS):
         """Step to the exit; the interpreter is its own end state."""
+        step = self.step
         while not self.halted:
             if self.steps >= max_steps:
                 raise BudgetExhausted(max_steps)
-            self.step()
+            step()
         return self
 
 
@@ -296,25 +302,30 @@ def _target(pc, word, ins):
 
 
 def _dispatch(row, mode):
-    """The handler of a table row in a mode, how far step() moves the pc
-    as it retires the word before calling it (0: the handler does), and
-    its operand rule: None, or what works out the record's operand from
-    (pc, word, instruction)."""
+    """The handler of a table row in a mode, whether step() retires the
+    word before calling it (False: the handler does), and its operand
+    rule: None, or what works out the record's operand from (pc, word,
+    instruction)."""
     I = Interpreter
     cls, user = row.cls, mode is Mode.USER
     if user and isa.user_illegal(row):
-        return I._illegal, 0, None
+        return I._illegal, False, None
     if cls is InstrClass.PREFIX:
-        return I._prefix, 0, None
+        return I._prefix, False, None
     if cls is InstrClass.IMMEDIATE:
-        op = isa.IMM_ALU_OP[row.mnemonic]
+        kernel = alu.kernel(isa.IMM_ALU_OP[row.mnemonic])
         if user:                        # the sealed word, opened at step()
-            return (I._sealed_immediate, 0,
-                    lambda pc, word, ins: (op, word))
-        return I._immediate, 4, lambda pc, word, ins: (op, ins.imm & MASK32)
+            return (I._sealed_immediate, False,
+                    lambda pc, word, ins: (kernel, word))
+        return (I._immediate, True,
+                lambda pc, word, ins: (kernel, ins.imm & MASK32))
     operand = None
     if cls is InstrClass.REGISTER:
-        handler = I._set_flag if row.opcode == isa.OP_SF else I._register
+        if row.opcode == isa.OP_SF:
+            handler, kernel = I._set_flag, alu.flag_kernel(row.funct)
+        else:
+            handler, kernel = I._register, alu.kernel(row.funct)
+        operand = lambda pc, word, ins: kernel
     elif cls is InstrClass.LOAD:
         handler = I._user_load if user else I._load
     elif cls is InstrClass.STORE:
@@ -330,14 +341,14 @@ def _dispatch(row, mode):
                    InstrClass.NOP: I._nop}[cls]
         if row.mnemonic in isa.PC_RELATIVE:
             operand = _target
-    return handler, 4, operand
+    return handler, True, operand
 
 
-# (mnemonic, mode) -> (handler, advance, operand rule), one entry per table
+# (mnemonic, mode) -> (handler, retires, operand rule), one entry per table
 # row and mode, built once; an undecodable word gets the illegal record
 _DISPATCH = {(row.mnemonic, mode): _dispatch(row, mode)
              for row in isa.TABLE for mode in Mode}
-_ILLEGAL_RECORD = (Interpreter._illegal, None, None, 0)
+_ILLEGAL_RECORD = (Interpreter._illegal, None, None, None)
 
 
 def interpret(image, cdc, max_steps=DEFAULT_MAX_STEPS):

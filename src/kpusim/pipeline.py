@@ -220,7 +220,10 @@ class FetchRecord:
     indexes of its slots, X or M at -1 where that stage has no work; the
     `serialize`, `holds` and `predicted` flags; and the Engine methods
     that work at X, at M and at retirement, `execute`, `memory` and
-    `retire`, or None. It adds what is the pc's own: its pc, word,
+    `retire`, or None; and, for the execute handler, `kernel`, the alu
+    kernel an ALU, immediate, load or store row computes with (a set-flag
+    row's flag kernel), and `op`, its alu op code, which a user-mode
+    padding mixes in, or None. It adds what is the pc's own: its pc, word,
     instruction (the carrier's for an illegal fetch) and `cls`, the class
     its completion counts under; `a` (ra, or the flag for a branch) and
     `b` (rb), the operands its slots bind producers by and read at R, 0
@@ -232,15 +235,15 @@ class FetchRecord:
 
     __slots__ = ("kind", "instr", "cls", "word", "pc", "mode", "plan",
                  "positions", "a", "b", "dest", "serialize", "holds",
-                 "predicted", "execute", "memory", "retire", "next_pc",
-                 "target", "link")
+                 "predicted", "execute", "memory", "retire", "kernel", "op",
+                 "next_pc", "target", "link")
 
     def __init__(self, instr, word, pc, mode):
         # an illegal fetch has no instruction; a nop's code (1 exit, 2
         # print) picks its retire handler and whether it holds
         (self.kind, self.mode, self.plan, self.positions, self.serialize,
          self.holds, self.predicted, self.execute, self.memory, self.retire,
-         relative, dest, link_form) = _FETCH[
+         self.kernel, self.op, relative, dest, link_form) = _FETCH[
             (None, 0, mode) if instr is None else
             (instr.mnemonic, instr.imm if instr.imm in (1, 2)
              and instr.cls is _NOP else 0, mode)]
@@ -388,44 +391,44 @@ class Engine:
 
     # Each handler does one class's work at X, in one mode where the modes
     # differ: called as handler(self, idx, cell, cycle), the operands read
-    # at R in cell.a and cell.b (alu masks them to 32 bits). A user-mode
-    # result carries a padding mixed from its operands' top halves.
+    # at R in cell.a and cell.b, masked to 32 bits for the record's kernel.
+    # A user-mode result carries a padding mixed from its operands' top
+    # halves and the record's op.
 
     def _ex_alu_user(self, idx, cell, n):
-        a, b, op = cell.a, cell.b, cell.record.instr.funct
-        res32, cell.pending_effects = alu.execute(op, a, b)
-        cell.result = (pad_mix(a >> 32, b >> 32, op) << 32) | res32
+        a, b, record = cell.a, cell.b, cell.record
+        res32, cell.pending_effects = record.kernel(a & MASK32, b & MASK32)
+        cell.result = (pad_mix(a >> 32, b >> 32, record.op) << 32) | res32
         cell.ready_cycle = n
 
     def _ex_alu(self, idx, cell, n):
-        cell.result, cell.pending_effects = alu.execute(
-            cell.record.instr.funct, cell.a, cell.b)
+        cell.result, cell.pending_effects = cell.record.kernel(
+            cell.a & MASK32, cell.b & MASK32)
         cell.ready_cycle = n
 
     def _ex_set_flag(self, idx, cell, n):
-        cell.result = alu.compare_flag(cell.record.instr.funct,
-                                       cell.a & MASK32, cell.b & MASK32)
+        cell.result = cell.record.kernel(cell.a & MASK32, cell.b & MASK32)
         cell.ready_cycle = n
 
     def _ex_immediate_user(self, idx, cell, n):
-        a, b = cell.a, cell.imm_block
-        op = isa.IMM_ALU_OP[cell.record.instr.mnemonic]
-        res32, cell.pending_effects = alu.execute(op, a, b)
-        cell.result = (pad_mix(a >> 32, b >> 32, op) << 32) | res32
+        a, b, record = cell.a, cell.imm_block, cell.record
+        res32, cell.pending_effects = record.kernel(a & MASK32, b & MASK32)
+        cell.result = (pad_mix(a >> 32, b >> 32, record.op) << 32) | res32
         cell.ready_cycle = n
 
     def _ex_immediate(self, idx, cell, n):
-        instr = cell.record.instr
-        cell.result, cell.pending_effects = alu.execute(
-            isa.IMM_ALU_OP[instr.mnemonic], cell.a, instr.imm)
+        record = cell.record
+        cell.result, cell.pending_effects = record.kernel(
+            cell.a & MASK32, record.instr.imm & MASK32)
         cell.ready_cycle = n
 
     def _ex_address_user(self, idx, cell, n):
         # l.lwz/l.sw: the padded effective address; the memory work, and a
         # store's data in cell.b, wait for M
-        a, off = cell.a, cell.record.instr.imm & MASK32
-        ea32, _ = alu.execute(alu.OP_ADDR, a, off)
-        cell.ea_block = (pad_mix(a >> 32, off, alu.OP_ADDR) << 32) | ea32
+        a, record = cell.a, cell.record
+        off = record.instr.imm & MASK32
+        ea32, _ = record.kernel(a & MASK32, off)
+        cell.ea_block = (pad_mix(a >> 32, off, record.op) << 32) | ea32
 
     def _ex_address(self, idx, cell, n):
         # l.lwz/l.sw/l.ld/l.sd: the short plan has no M, so the memory work
@@ -763,30 +766,37 @@ def _fetch_entry(row, code, mode):
     """The fetch-table entry of a table row, a nop's code and a mode, or of
     an illegal fetch where `row` is None or the mode may not execute it:
     (kind, mode, plan, positions, serialize, holds, predicted, execute,
-    memory, retire), as FetchRecord names them, then the rules of what is
-    the pc's own: whether its target is pc-relative, the destination its
-    slots bind by where that is not its rd (r9 of a link, the flag of a
-    set-flag) and the form a link's return address takes in the mode."""
+    memory, retire, kernel, op), as FetchRecord names them, then the rules
+    of what is the pc's own: whether its target is pc-relative, the
+    destination its slots bind by where that is not its rd (r9 of a link,
+    the flag of a set-flag) and the form a link's return address takes in
+    the mode."""
     E = Engine
     user = mode is Mode.USER
     cls, kind = row and row.cls, _PLAIN
     plan = LONG_A if user else SHORT
+    kernel = op = None
     if row is None or (user and isa.user_illegal(row)):
         row, kind = _CARRIER_INSTR, _ILLEGAL
         work = None, None, E._retire_illegal
+    elif cls is InstrClass.REGISTER and row.opcode == isa.OP_SF:
+        kernel = alu.flag_kernel(row.funct)
+        work = E._ex_set_flag, None, E._retire_flag
     elif cls is InstrClass.REGISTER:
-        work = (E._ex_set_flag, None, E._retire_flag) \
-            if row.opcode == isa.OP_SF else \
-            (E._ex_alu_user if user else E._ex_alu, None, E._retire_alu)
+        op = row.funct
+        work = E._ex_alu_user if user else E._ex_alu, None, E._retire_alu
     elif cls is InstrClass.IMMEDIATE:
         if user:                        # the codec stages come first
             kind, plan = _SEALED, LONG_B
+        op = isa.IMM_ALU_OP[row.mnemonic]
         work = (E._ex_immediate_user if user else E._ex_immediate, None,
                 E._retire_alu)
     elif cls is InstrClass.LOAD:
+        op = alu.OP_ADDR
         work = (E._ex_address_user, E._mem_load_user, E._retire_write) \
             if user else (E._ex_address, E._mem_load, E._retire_write)
     elif cls is InstrClass.STORE:
+        op = alu.OP_ADDR
         work = (E._ex_address_user, E._mem_store_user, None) if user \
             else (E._ex_address, E._mem_store, None)
     elif cls is InstrClass.CLASS64:     # user mode fetches it as a carrier
@@ -822,7 +832,9 @@ def _fetch_entry(row, code, mode):
             # the exit no-op: their commit changes the instruction stream
             cls is InstrClass.SYSTRAP or (cls is InstrClass.NOP and code == 1),
             cls is InstrClass.BRANCH or cls is InstrClass.JUMP,
-            execute, memory, retire, row.mnemonic in isa.PC_RELATIVE,
+            execute, memory, retire,
+            kernel if op is None else alu.kernel(op), op,
+            row.mnemonic in isa.PC_RELATIVE,
             9 if linking else FLAG if row.opcode == isa.OP_SF else None,
             (to_decrypted_address if user else to_encrypted_address)
             if linking else None)

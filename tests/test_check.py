@@ -138,3 +138,34 @@ def test_image_and_dump_numbers_are_unsigned_ascii_digits():
     with pytest.raises(FormatError) as info:
         parse_image("KPUIMG 1\nDATA -0x8 0000000000000005\n")
     assert str(info.value) == "line 2: bad data record"
+
+
+# A dump's tail after its complete machine state (header, MODE and 32 REG
+# records, lines 1-34), the line of the second record for one thing, and
+# what the error names: render_dump writes each of them once.
+SECOND_RECORDS = {
+    "cell": ("PHYS 131072 0000000000000005\nPHYS 131072 0000000000000006\n"
+             "REG 05 0000000000000007 0000000000000007\n",
+             36, "second PHYS record for cell 131072"),
+    "register": ("REG 05 0000000000000007 0000000000000007\n",
+                 35, "second REG 05 record"),
+    "cipher": ("TLBMAP 00000000000000ab 131072\n"
+               "TLBMAP 00000000000000ab 131073\n",
+               36, "second TLBMAP record for 00000000000000ab"),
+    "mode": ("OUT 7\nMODE user\n", 36, "second MODE record"),
+}
+
+
+@pytest.mark.parametrize("tail, line, message", SECOND_RECORDS.values(),
+                         ids=SECOND_RECORDS)
+def test_a_second_dump_record_for_one_thing_is_a_format_error(tail, line,
+                                                              message):
+    full = render_dump(SimView("super", [0] * 32, [0] * 32))
+    with pytest.raises(FormatError) as info:
+        parse_sim_dump(full + tail)
+    assert str(info.value) == "line %d: %s" % (line, message)
+    # one record for each, and any number of outputs, is a dump
+    view = parse_sim_dump(full + "PHYS 131072 0000000000000005\n"
+                          "TLBMAP 00000000000000ab 131072\nOUT 7\nOUT 7\n")
+    assert (view.cells, view.tlb, view.outputs) == (
+        {131072: 5}, {0xab: 131072}, [7, 7])

@@ -71,12 +71,13 @@ def test_logic_and_shifts_leave_flags_alone():
 
 
 def test_compare_flag_is_signed():
-    assert alu.compare_flag(0, 5, 5)
-    assert alu.compare_flag(1, 5, 6)
-    assert not alu.compare_flag(2, 0xFFFFFFFF, 1)   # -1 > 1 is false
-    assert alu.compare_flag(4, 0xFFFFFFFF, 1)       # -1 < 1
-    assert alu.compare_flag(3, 7, 7)
-    assert alu.compare_flag(5, 0x80000000, 0)       # INT_MIN <= 0
+    flag = alu.flag_kernel
+    assert flag(alu.SF_EQ)(5, 5)
+    assert flag(alu.SF_NE)(5, 6)
+    assert not flag(alu.SF_GTS)(0xFFFFFFFF, 1)      # -1 > 1 is false
+    assert flag(alu.SF_LTS)(0xFFFFFFFF, 1)          # -1 < 1
+    assert flag(alu.SF_GES)(7, 7)
+    assert flag(alu.SF_LES)(0x80000000, 0)          # INT_MIN <= 0
 
 
 # ----------------------------------------------------------- interpreter --
@@ -296,6 +297,27 @@ def test_steps_count_logical_instructions():
     assert prefixes == 4
     assert res.steps == 6
     assert engine.stats.instructions - prefixes == res.steps
+
+
+def test_the_pc_wraps_from_the_last_word_to_0():
+    # the successor of the word at 0xfffffffc is pc 0, which is a pc like
+    # any other and not "no successor"
+    def word(mnemonic, **fields):
+        return isa.encode_fields(isa.MNEMONICS[mnemonic], fields)
+    text = {0xFFFFFFF8: word("l.addi", rd=3, ra=0, imm=5),
+            0xFFFFFFFC: word("l.addi", rd=3, ra=3, imm=2),
+            0x0: word("l.nop", imm=2), 0x4: word("l.nop", imm=1)}
+    image = Image(entry=0xFFFFFFF8, mode="super", text=text)
+    # step() runs one record a call, so four calls reach the exit; a 0 taken
+    # for "no successor" would leave the pc at 0xfffffffc, and no budget
+    # ends a run whose steps do not count
+    itp = Interpreter(image, CDC)
+    for _ in range(4):
+        itp.step()
+    assert itp.halted and itp.outputs == [7]
+    engine, res = run_both(image)
+    assert engine.outputs == res.outputs == [7]
+    assert res.steps == 4
 
 
 # ---------------------------------------------------------------- compare --

@@ -393,7 +393,8 @@ def test_engine_python_calls_per_cycle():
     # each execute handler _read per operand and every held cell _wake;
     # 4.79 with those in step(); 4.71 once the prefix pair folded in the
     # oracle; 4.04 since step() fills a fetched slot's fields itself, with
-    # no Slot.__init__ call.
+    # no Slot.__init__ call; 3.99 since a set-flag's kernel is bound at
+    # fetch, and l.sfne's is operator.ne, no Python-level call.
     engine = _engine("bench/is_add_test.s")
     calls = python_calls(engine.run)
     assert calls[Engine.step.__code__] == engine.stats.cycles == IS_ADD_CYCLES
@@ -405,7 +406,8 @@ def test_oracle_python_calls_per_step():
     # prefix pair and its immediate are one record: 4.25 calls a step when
     # step() cleared the latch through PrefixLatch.clear and compare_flag
     # called to_signed, 4.02 (3.34 per step() call) while each prefix was
-    # a step() call of its own, 3.06 with the fold.
+    # a step() call of its own, 3.06 with the fold, 2.95 (3.04 before)
+    # with each record's kernel bound, l.sfne's being operator.ne.
     itp = Interpreter(build((ROOT / "bench/is_add_test.s").read_text()), CDC)
     calls = python_calls(itp.run)
     assert itp.halted
@@ -446,13 +448,18 @@ def bytecodes(fn):
 #     call per word                 152.2   156.0   148.5   140.6
 #   oracle, per step, a prefix
 #     pair folded into its immediate 132.2  135.7   129.9   122.6
+#   engine, per cycle, kernels
+#     bound at fetch                356.4   354.3   349.0   347.6
+#   oracle, per step, kernels
+#     bound and successor pcs
+#     in the records                117.6   120.8   115.0   105.3
 #
-# The engine's ceiling stays at 370. Making every cell a Slot added about
+# The engine's ceiling stays at 370; the oracle's is 125. Making every cell a Slot added about
 # four bytecodes a cycle and still made a cycle faster: a site that sees
 # one class keeps CPython 3.11's specialized attribute reads. A count is
 # a proxy for cost, not the cost.
 @pytest.mark.parametrize("machine, ceiling", [(Engine, 370),
-                                              (Interpreter, 140)],
+                                              (Interpreter, 125)],
                          ids=["engine", "oracle"])
 def test_bytecodes_per_cycle_and_step(machine, ceiling):
     image = build((ROOT / "bench/is_add_test.s").read_text())
