@@ -85,11 +85,11 @@ def read_records(text, magic, what):
     must be the `magic` header, which is not returned; a text with no
     record at all is an empty `what`.
     """
-    records = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            records.append((lineno, line))
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    records = [(lineno, line) for lineno, raw in enumerate(lines, 1)
+               if (line := raw.strip())]
     if not records:
         raise FormatError(1, "empty %s" % what)
     lineno, line = records[0]
@@ -108,50 +108,67 @@ def read_number(text, base, signed=False):
     return int(text, base)
 
 
+def loose_numbers(text):
+    """Whether `text` holds a character that int() takes in a number and
+    read_number does not: a '+', a '_' or a non-ASCII digit. In an image
+    or dump text without one, int() alone reads each number by
+    read_number's rule: every number there is unsigned, so a '-' fails
+    its range test, and int() rejects any other stray character."""
+    return "+" in text or "_" in text or not text.isascii()
+
+
 def parse_image(text):
     image = Image(text={}, data={})
-    # int() also takes a '+', '_' and non-ASCII digits, so a record holding
-    # one has no number; only a text that holds one needs a look per record
-    odd = "+" in text or "_" in text or not text.isascii()
+    words, data = image.text, image.data
+    loose = loose_numbers(text)
+    entry = mode = None
     for lineno, line in read_records(text, "KPUIMG 1", "image"):
         fields = line.split()
         kind = fields[0]
-        # a '-' fails the range checks: every number is unsigned
         try:
-            if odd and kind in ("ENTRY", "TEXT", "DATA") and (
-                    "+" in line or "_" in line or not line.isascii()):
+            if loose and kind in ("ENTRY", "TEXT", "DATA") and \
+                    loose_numbers(line):
                 raise ValueError
-            if kind == "ENTRY" and len(fields) == 2:
-                image.entry = int(fields[1], 16)
-                if not 0 <= image.entry <= MASK32:
-                    raise FormatError(lineno, "bad entry record")
-            elif kind == "MODE" and len(fields) == 2:
-                if fields[1] not in ("user", "super"):
-                    raise FormatError(lineno, "mode must be user or super")
-                image.mode = fields[1]
-            elif kind == "TEXT" and len(fields) == 3:
+            # x >> n is 0 for a number of n bits at most, not negative
+            if kind == "TEXT" and len(fields) == 3:
                 addr = int(fields[1], 16)
                 word = int(fields[2], 16)
-                if addr % 4 or not 0 <= addr <= MASK32 \
-                        or not 0 <= word <= MASK32:
+                if addr & 3 or (addr | word) >> 32:
                     raise FormatError(lineno, "bad text record")
-                if addr in image.text:
+                if addr in words:
                     raise FormatError(lineno, "second text record at 0x%08x"
                                       % addr)
-                image.text[addr] = word
+                words[addr] = word
             elif kind == "DATA" and len(fields) == 3:
                 addr = int(fields[1], 16)
                 value = int(fields[2], 16)
-                if not 0 <= addr <= MASK32 or not 0 <= value <= MASK64:
+                if addr >> 32 or value >> 64:
                     raise FormatError(lineno, "bad data record")
-                if addr in image.data:
+                if addr in data:
                     raise FormatError(lineno, "second data record at 0x%08x"
                                       % addr)
-                image.data[addr] = value
+                data[addr] = value
+            elif kind == "ENTRY" and len(fields) == 2:
+                value = int(fields[1], 16)
+                if value >> 32:
+                    raise FormatError(lineno, "bad entry record")
+                if entry is not None:
+                    raise FormatError(lineno, "second ENTRY record")
+                entry = value
+            elif kind == "MODE" and len(fields) == 2:
+                if fields[1] not in ("user", "super"):
+                    raise FormatError(lineno, "mode must be user or super")
+                if mode is not None:
+                    raise FormatError(lineno, "second MODE record")
+                mode = fields[1]
             else:
                 raise FormatError(lineno, "unrecognized record %r" % kind)
         except ValueError:
             raise FormatError(lineno, "bad number in %r" % line) from None
+    if entry is not None:
+        image.entry = entry
+    if mode is not None:
+        image.mode = mode
     return image
 
 

@@ -12,7 +12,7 @@ the answer key stays independent of what it checks.
 """
 
 from . import isa
-from .assembler import FormatError, read_number, read_records
+from .assembler import FormatError, loose_numbers, read_number, read_records
 from .codec import MASK32, MASK64, word_value
 from .core import open_register
 from .memsys import BLANK_CELL, blank_word
@@ -55,72 +55,93 @@ def render_dump(view):
     return "\n".join(lines) + "\n"
 
 
-# record -> field count, the record name included
-_DUMP_FIELDS = {"MODE": 2, "REG": 4, "PHYS": 3, "TLBMAP": 3, "OUT": 2}
+# record -> the base of each number after the record name (MODE holds
+# one word instead)
+_DUMP_FIELDS = {"MODE": (None,), "REG": (10, 16, 16), "PHYS": (10, 16),
+                "TLBMAP": (16, 10), "OUT": (10,)}
 
 
-def _dump_number(lineno, text, base, limit):
-    """A dump field: an unsigned number by read_number's rule, at most
-    `limit`."""
-    try:
-        value = read_number(text, base)
-    except ValueError:
-        value = -1
-    if not 0 <= value <= limit:
-        raise FormatError(lineno, "bad number %r" % text)
-    return value
+def _bad_number(lineno, kind, fields):
+    """The error of a record whose numbers do not all read: it names the
+    first field that is not an unsigned number by read_number's rule, of
+    64 bits at most (an output's 32)."""
+    limit = MASK32 if kind == "OUT" else MASK64
+    for text, base in zip(fields[1:], _DUMP_FIELDS[kind]):
+        try:
+            value = read_number(text, base)
+        except ValueError:
+            value = -1
+        if not 0 <= value <= limit:
+            return FormatError(lineno, "bad number %r" % text)
 
 
 def parse_sim_dump(text):
     view = SimView(mode=None, regs_real=[None] * 32, regs_shadow=[None] * 32)
+    real, shadow, cells, tlb = (view.regs_real, view.regs_shadow, view.cells,
+                                view.tlb)
+    # parse_image's rule: one look at the whole text says whether int()
+    # alone reads its numbers, or read_number must look at each
+    number = read_number if loose_numbers(text) else int
     for lineno, line in read_records(text, "KPUDUMP 1", "dump"):
         fields = line.split()
         kind = fields[0]
-        if kind not in _DUMP_FIELDS:
+        bases = _DUMP_FIELDS.get(kind)
+        if bases is None:
             raise FormatError(lineno, "unrecognized record %r" % kind)
-        if len(fields) != _DUMP_FIELDS[kind]:
+        if len(fields) != len(bases) + 1:
             raise FormatError(lineno, "%s takes %d fields"
-                              % (kind, _DUMP_FIELDS[kind] - 1))
+                              % (kind, len(bases)))
         # render_dump writes each register, cell, cipher and the mode
-        # once, so a second record for one is not a dump it wrote
-        if kind == "MODE":
-            if fields[1] not in ("user", "super"):
-                raise FormatError(lineno, "mode must be user or super")
-            if view.mode is not None:
-                raise FormatError(lineno, "second MODE record")
-            view.mode = fields[1]
-        elif kind == "REG":
-            i = _dump_number(lineno, fields[1], 10, MASK64)
-            if i >= 32:
-                raise FormatError(lineno, "no register %d" % i)
-            real = _dump_number(lineno, fields[2], 16, MASK64)
-            shadow = _dump_number(lineno, fields[3], 16, MASK64)
-            if view.regs_real[i] is not None:
-                raise FormatError(lineno, "second REG %02d record" % i)
-            view.regs_real[i], view.regs_shadow[i] = real, shadow
-        elif kind == "PHYS":
-            index = _dump_number(lineno, fields[1], 10, MASK64)
-            value = _dump_number(lineno, fields[2], 16, MASK64)
-            if index in view.cells:
-                raise FormatError(lineno, "second PHYS record for cell %d"
-                                  % index)
-            view.cells[index] = value
-        elif kind == "TLBMAP":
-            cipher = _dump_number(lineno, fields[1], 16, MASK64)
-            index = _dump_number(lineno, fields[2], 10, MASK64)
-            if cipher in view.tlb:
-                raise FormatError(lineno, "second TLBMAP record for %016x"
-                                  % cipher)
-            view.tlb[cipher] = index
-        else:
-            view.outputs.append(_dump_number(lineno, fields[1], 10, MASK32))
+        # once, so a second record for one is not a dump it wrote; a
+        # record's numbers are read before its own rules are checked, and
+        # x >> n is 0 for a number of n bits at most, not negative
+        try:
+            if kind == "REG":
+                i, r, s = (number(fields[1], 10), number(fields[2], 16),
+                           number(fields[3], 16))
+                if (i | r | s) >> 64:
+                    raise ValueError
+                if i >= 32:
+                    raise FormatError(lineno, "no register %d" % i)
+                if real[i] is not None:
+                    raise FormatError(lineno, "second REG %02d record" % i)
+                real[i], shadow[i] = r, s
+            elif kind == "PHYS":
+                index, value = number(fields[1], 10), number(fields[2], 16)
+                if (index | value) >> 64:
+                    raise ValueError
+                if index in cells:
+                    raise FormatError(lineno, "second PHYS record for cell %d"
+                                      % index)
+                cells[index] = value
+            elif kind == "TLBMAP":
+                cipher, index = number(fields[1], 16), number(fields[2], 10)
+                if (cipher | index) >> 64:
+                    raise ValueError
+                if cipher in tlb:
+                    raise FormatError(lineno, "second TLBMAP record for %016x"
+                                      % cipher)
+                tlb[cipher] = index
+            elif kind == "OUT":
+                value = number(fields[1], 10)
+                if value >> 32:
+                    raise ValueError
+                view.outputs.append(value)
+            else:
+                if fields[1] not in ("user", "super"):
+                    raise FormatError(lineno, "mode must be user or super")
+                if view.mode is not None:
+                    raise FormatError(lineno, "second MODE record")
+                view.mode = fields[1]
+        except ValueError:
+            raise _bad_number(lineno, kind, fields) from None
     # render_dump writes the mode and every register, so a dump without
     # one was cut short; it is not a machine whose registers all hold 0
     if view.mode is None:
         raise FormatError(len(text.splitlines()), "no MODE record")
-    if None in view.regs_real:
+    if None in real:
         raise FormatError(len(text.splitlines()),
-                          "no REG %02d record" % view.regs_real.index(None))
+                          "no REG %02d record" % real.index(None))
     return view
 
 

@@ -272,12 +272,11 @@ def _cmd_oracle(args):
     except ProgramFault as exc:
         print("kpu oracle: fault: %s" % exc, file=sys.stderr)
         return 1
-    for value in result.outputs:
-        print(value)
-    for i, value in enumerate(result.regs):
-        print("r%02d 0x%08x" % (i, value))
-    for addr in sorted(result.user_mem):
-        print("mem 0x%08x 0x%08x" % (addr, result.user_mem[addr]))
+    lines = [str(value) for value in result.outputs]
+    lines += ["r%02d 0x%08x" % pair for pair in enumerate(result.regs)]
+    lines += ["mem 0x%08x 0x%08x" % pair
+              for pair in sorted(result.user_mem.items())]
+    sys.stdout.write("\n".join(lines) + "\n")
     print("@exit  : steps %d" % result.steps, file=sys.stderr)
     return 0
 

@@ -8,9 +8,12 @@ when its opcode and selector name a row and every bit outside them and the
 row's operand fields equals the row's fixed bits. Any other word raises
 IllegalOpcode, so decoding is total over the 32-bit space and every decoded
 word re-encodes to itself. decode reaches a word's row in one step, through
-a table indexed by opcode and then sub-op, and reads each operand field
-with one shift and mask from flat entries the row works out once; only the
-split immediates of l.mtspr, l.sw and l.sd join their pieces in a loop.
+a table indexed by opcode and then sub-op, checks its fixed bits and builds
+the Instruction through the row's operand format: one function per format
+reads each operand field at a fixed shift, with no per-field loop. Each
+function sits beside its format's bit-field spec, which encode_fields and
+the assembler read, and test_isa's reference decoder, which joins every
+field from that spec piece by piece, is the gate that the two agree.
 
 The pipeline and the reference interpreter decode text words with the same
 decode_at, and read the same immediate-to-ALU mapping, the same prefix
@@ -157,27 +160,25 @@ class Instruction(Slotted):
         self.prefix_payload = prefix_payload
 
 
-# position of each Instruction field among the constructor's arguments
-_SLOT = {name: i for i, name in enumerate(Instruction.__slots__)}
-
-
 class Row:
     """One mnemonic of the instruction table.
 
-    The `fields` argument lists (name, signed, (lo, width), ...): an
-    Instruction field and its word bits, most significant piece first.
-    The shifts, masks and value limits decode and encode need are worked
-    out here once: encode_fields reads `fields`, decode `flat`, a (slot,
-    lo, mask, sign) entry per one-piece field, and `split`, a (slot,
-    pieces, sign) entry per split immediate (l.mtspr, l.sw, l.sd).
-    `tokens` are the operands of `syntax`, in source order.
+    `fmt` is the row's operand format, a pair. Its bit-field spec is a
+    tuple of (name, signed, (lo, width), ...), an Instruction field and its
+    word bits, most significant piece first. Its function, `operands`,
+    which decode calls, gives a word's (rd, ra, rb, imm, prefix_idx,
+    prefix_payload), each field read at a fixed shift. `fields` holds the
+    spec worked out once for encode_fields and the assembler, as (name,
+    mask, pieces, sign, low, high, bits) with a piece (lo, mask, its shift
+    within the value). `tokens` are the operands of `syntax`, in source
+    order.
     """
 
     __slots__ = ("mnemonic", "opcode", "cls", "syntax", "tokens", "funct",
-                 "fields", "flat", "split", "base", "fixed_mask", "fixed",
-                 "masks", "template")
+                 "fields", "operands", "head", "base", "fixed_mask", "fixed",
+                 "masks")
 
-    def __init__(self, mnemonic, opcode, cls, syntax, fields=(), funct=None,
+    def __init__(self, mnemonic, opcode, cls, syntax, fmt, funct=None,
                  fixed=0):
         self.mnemonic = mnemonic
         self.opcode = opcode
@@ -185,6 +186,8 @@ class Row:
         self.syntax = syntax
         self.tokens = tuple(syntax.split(",")) if syntax else ()
         self.funct = funct
+        fields, self.operands = fmt
+        self.head = (opcode, mnemonic, cls, funct)
         used = 0x3F << 26
         self.base = (opcode << 26) | fixed
         if funct is not None:
@@ -192,7 +195,7 @@ class Row:
             used |= mask << lo
             self.base |= funct << lo
         self.masks = {}
-        compiled, flat, split = [], [], []
+        compiled = []
         for name, signed, *pieces in fields:
             width = sum(w for _, w in pieces)
             steps, mask, at = [], 0, width
@@ -204,32 +207,56 @@ class Row:
             used |= mask
             sign = 1 << (width - 1) if signed else 0
             low, high = (-sign, sign) if signed else (0, 1 << width)
-            # a piece is (lo, mask, its shift within the value)
-            compiled.append((name, _SLOT[name], tuple(steps), sign, low, high,
+            compiled.append((name, mask, tuple(steps), sign, low, high,
                              "%s%d bits" % ("signed " if signed else "", width)))
-            if len(steps) == 1:
-                flat.append((_SLOT[name], steps[0][0], steps[0][1], sign))
-            else:
-                split.append((_SLOT[name], tuple(steps), sign))
         self.fields = tuple(compiled)
-        self.flat, self.split = tuple(flat), tuple(split)
-        self.template = [None] * len(_SLOT)
-        self.template[:3] = opcode, mnemonic, cls
-        self.template[_SLOT["funct"]] = funct
         self.fixed_mask = ~used & MASK32
         self.fixed = fixed
 
 
+# The operand formats, each a bit-field spec and the function that reads
+# it from a word, a signed field sign-extended as (value ^ sign) - sign;
+# test_isa's reference decoder, which reads every spec piece by piece,
+# checks each function against its spec.
 _RD = ("rd", False, (21, 5))
 _RA = ("ra", False, (16, 5))
 _RB = ("rb", False, (11, 5))
-_RRR = (_RD, _RA, _RB)
-_RR = (_RA, _RB)
-_OFFSET = (("imm", True, (0, 26)),)                  # word offset from pc
-_RI_SIGNED = (_RD, _RA, ("imm", True, (0, 16)))
-_RI_UNSIGNED = (_RD, _RA, ("imm", False, (0, 16)))
-_RI_SHIFT = (_RD, _RA, ("imm", False, (0, 14)))
-_K16 = (("imm", False, (0, 16)),)
+_RRR = (_RD, _RA, _RB), lambda w: (
+    (w >> 21) & 0x1F, (w >> 16) & 0x1F, (w >> 11) & 0x1F, None, None, None)
+_RR = (_RA, _RB), lambda w: (
+    None, (w >> 16) & 0x1F, (w >> 11) & 0x1F, None, None, None)
+_R_B = (_RB,), lambda w: (None, None, (w >> 11) & 0x1F, None, None, None)
+# a word offset from pc
+_OFFSET = (("imm", True, (0, 26)),), lambda w: (
+    None, None, None, ((w & 0x3FFFFFF) ^ 0x2000000) - 0x2000000, None, None)
+_RI_SIGNED = (_RD, _RA, ("imm", True, (0, 16))), lambda w: (
+    (w >> 21) & 0x1F, (w >> 16) & 0x1F, None, ((w & 0xFFFF) ^ 0x8000) - 0x8000,
+    None, None)
+_RI_UNSIGNED = (_RD, _RA, ("imm", False, (0, 16))), lambda w: (
+    (w >> 21) & 0x1F, (w >> 16) & 0x1F, None, w & 0xFFFF, None, None)
+_RI_SHIFT = (_RD, _RA, ("imm", False, (0, 14))), lambda w: (
+    (w >> 21) & 0x1F, (w >> 16) & 0x1F, None, w & 0x3FFF, None, None)
+_K16 = (("imm", False, (0, 16)),), lambda w: (
+    None, None, None, w & 0xFFFF, None, None)
+_PREFIX = ((("prefix_idx", False, (24, 1)),
+            ("prefix_payload", False, (0, 24))), lambda w: (
+    None, None, None, None, (w >> 24) & 1, w & 0xFFFFFF))
+_NONE = (), lambda w: (None, None, None, None, None, None)
+# l.mtspr's and l.sw's 16-bit immediate: bits [25:21] above bits [10:0]
+_MTSPR = (_RA, _RB, ("imm", False, (21, 5), (0, 11))), lambda w: (
+    None, (w >> 16) & 0x1F, (w >> 11) & 0x1F,
+    ((w >> 10) & 0xF800) | (w & 0x7FF), None, None)
+_SW = (_RA, _RB, ("imm", True, (21, 5), (0, 11))), lambda w: (
+    None, (w >> 16) & 0x1F, (w >> 11) & 0x1F,
+    ((((w >> 10) & 0xF800) | (w & 0x7FF)) ^ 0x8000) - 0x8000, None, None)
+# l.ld's and l.sd's 11-bit immediates sit above the 4-bit selector; l.sd's
+# is bits [25:21] above bits [9:4]
+_LD = (_RD, _RA, ("imm", True, (4, 11))), lambda w: (
+    (w >> 21) & 0x1F, (w >> 16) & 0x1F, None,
+    (((w >> 4) & 0x7FF) ^ 0x400) - 0x400, None, None)
+_SD = (_RA, _RB, ("imm", True, (21, 5), (4, 6))), lambda w: (
+    None, (w >> 16) & 0x1F, (w >> 11) & 0x1F,
+    ((((w >> 15) & 0x7C0) | ((w >> 4) & 0x3F)) ^ 0x400) - 0x400, None, None)
 
 _C = InstrClass
 TABLE = (
@@ -240,11 +267,11 @@ TABLE = (
     # canonical nop words carry a fixed one in bit 24 (top byte 0x15)
     Row("l.nop", OP_NOP, _C.NOP, "imm?", _K16, fixed=1 << 24),
     Row("l.prefix", OP_PREFIX, _C.PREFIX, "prefix_idx,prefix_payload",
-        (("prefix_idx", False, (24, 1)), ("prefix_payload", False, (0, 24)))),
+        _PREFIX),
     Row("l.sys", OP_SYS, _C.SYSTRAP, "imm?", _K16),
-    Row("l.rfe", OP_RFE, _C.SYSTRAP, ""),
-    Row("l.jr", OP_JR, _C.JUMP, "rb", (_RB,)),
-    Row("l.jalr", OP_JALR, _C.JUMP, "rb", (_RB,)),
+    Row("l.rfe", OP_RFE, _C.SYSTRAP, "", _NONE),
+    Row("l.jr", OP_JR, _C.JUMP, "rb", _R_B),
+    Row("l.jalr", OP_JALR, _C.JUMP, "rb", _R_B),
     Row("l.lwz", OP_LWZ, _C.LOAD, "rd,imm(ra)", _RI_SIGNED),
     Row("l.addi", OP_ADDI, _C.IMMEDIATE, "rd,ra,imm", _RI_SIGNED),
     Row("l.andi", OP_ANDI, _C.IMMEDIATE, "rd,ra,imm", _RI_UNSIGNED),
@@ -255,10 +282,8 @@ TABLE = (
     Row("l.slli", OP_SHIFTI, _C.IMMEDIATE, "rd,ra,imm", _RI_SHIFT, SHIFT_SLL),
     Row("l.srli", OP_SHIFTI, _C.IMMEDIATE, "rd,ra,imm", _RI_SHIFT, SHIFT_SRL),
     Row("l.srai", OP_SHIFTI, _C.IMMEDIATE, "rd,ra,imm", _RI_SHIFT, SHIFT_SRA),
-    Row("l.mtspr", OP_MTSPR, _C.SPR, "ra,rb,imm",
-        _RR + (("imm", False, (21, 5), (0, 11)),)),
-    Row("l.sw", OP_SW, _C.STORE, "imm(ra),rb",
-        _RR + (("imm", True, (21, 5), (0, 11)),)),
+    Row("l.mtspr", OP_MTSPR, _C.SPR, "ra,rb,imm", _MTSPR),
+    Row("l.sw", OP_SW, _C.STORE, "imm(ra),rb", _SW),
     Row("l.add", OP_ALU, _C.REGISTER, "rd,ra,rb", _RRR, alu.OP_ADD),
     Row("l.sub", OP_ALU, _C.REGISTER, "rd,ra,rb", _RRR, alu.OP_SUB),
     Row("l.and", OP_ALU, _C.REGISTER, "rd,ra,rb", _RRR, alu.OP_AND),
@@ -275,10 +300,8 @@ TABLE = (
     Row("l.sfges", OP_SF, _C.REGISTER, "ra,rb", _RR, alu.SF_GES),
     Row("l.sflts", OP_SF, _C.REGISTER, "ra,rb", _RR, alu.SF_LTS),
     Row("l.sfles", OP_SF, _C.REGISTER, "ra,rb", _RR, alu.SF_LES),
-    Row("l.ld", OP_C64, _C.CLASS64, "rd,imm(ra)",
-        (_RD, _RA, ("imm", True, (4, 11))), C64_LD),
-    Row("l.sd", OP_C64, _C.CLASS64, "imm(ra),rb",
-        _RR + (("imm", True, (21, 5), (4, 6)),), C64_SD),
+    Row("l.ld", OP_C64, _C.CLASS64, "rd,imm(ra)", _LD, C64_LD),
+    Row("l.sd", OP_C64, _C.CLASS64, "imm(ra),rb", _SD, C64_SD),
     Row("l.add64", OP_C64, _C.CLASS64, "rd,ra,rb", _RRR, C64_ADD),
 )
 
@@ -296,6 +319,10 @@ for _row in TABLE:
     _DECODE[_row.opcode][2][_row.funct or 0] = _row
 
 
+# makes an Instruction without calling its __init__: decode sets every field
+_new = object.__new__
+
+
 def decode(word):
     """Decode one 32-bit word or raise IllegalOpcode."""
     word &= MASK32
@@ -307,15 +334,11 @@ def decode(word):
                             % (op, (word >> lo) & mask))
     if word & row.fixed_mask != row.fixed:
         raise IllegalOpcode(word, "reserved bits")
-    args = row.template.copy()
-    for slot, lo, mask, sign in row.flat:
-        args[slot] = (((word >> lo) & mask) ^ sign) - sign
-    for slot, steps, sign in row.split:
-        value = 0
-        for lo, mask, at in steps:
-            value |= ((word >> lo) & mask) << at
-        args[slot] = (value ^ sign) - sign
-    return Instruction(*args)
+    ins = _new(Instruction)
+    ins.opcode, ins.mnemonic, ins.cls, ins.funct = row.head
+    (ins.rd, ins.ra, ins.rb, ins.imm, ins.prefix_idx,
+     ins.prefix_payload) = row.operands(word)
+    return ins
 
 
 def encode_fields(row, fields):

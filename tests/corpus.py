@@ -1,7 +1,8 @@
 """The corpus gate: every kpu command's bytes over a fixed set of images.
 
 The corpus is built deterministically from
-- the shipped programs and ``tests/kit.py``'s stage-path source,
+- the shipped programs, ``tests/kit.py``'s stage-path source and a
+  supervisor program that prints an add's carry and overflow flags,
 - read-modify-write sweeps over more cells than the data cache holds, so
   later passes read stored user cells back through cache misses,
 - ``progen`` small and medium programs, with and without syscalls,
@@ -46,6 +47,23 @@ PROGRAMS = ("programs/encrypted_sum.s", "programs/syscall_ticks.s",
 PROGEN = [(size, syscalls) for size in ("small", "medium")
           for syscalls in (True, False)]
 RAW = [(mode, vector) for mode in ("user", "super") for vector in (True, False)]
+# SR after an add that carries out (-1 + 1), then after one that
+# overflows (0x7fffffff + 1): 1025 and 2049, the supervisor bit with CY
+# (bit 10), then with OV (bit 11)
+ADD_FLAGS = """.mode super
+    l.addi  r1, r0, -1
+    l.addi  r2, r0, 1
+    l.add   r4, r1, r2
+    l.mfspr r3, r0, 17
+    l.nop   2
+    l.ori   r1, r0, 0x7fff
+    l.slli  r1, r1, 16
+    l.ori   r1, r1, 0xffff
+    l.add   r4, r1, r2
+    l.mfspr r3, r0, 17
+    l.nop   2
+    l.nop   1
+"""
 # (cells, passes, print the total) of kit.sweep_source; the
 # default cache holds 64 lines
 SWEEPS = [(65, 2, False), (100, 3, False), (130, 3, False), (100, 2, True)]
@@ -69,6 +87,7 @@ def build(progen_seeds, raw_seeds):
     entries = [(program, "source", (ROOT / program).read_text(),
                 SOURCE_BUDGET) for program in PROGRAMS]
     entries.append(("stage paths", "source", STAGE_PATHS, SOURCE_BUDGET))
+    entries.append(("add flags", "source", ADD_FLAGS, SOURCE_BUDGET))
     entries.extend((
         "sweep %d x %d%s" % (cells, passes, " total" if total else ""),
         "source", sweep_source(cells, passes, total), SOURCE_BUDGET)

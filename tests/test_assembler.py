@@ -325,6 +325,14 @@ def test_image_parser_rejects_bad_records():
                         % (kind, first, kind, second))
         assert str(info.value) == "line 3: second %s record at 0x00000100" \
             % kind.lower()
+    # a second ENTRY or MODE, which was once kept over the first
+    found = ("KPUIMG 1\nENTRY 0x100\nMODE user\nENTRY 0x200\nMODE super\n"
+             "TEXT 0x100 15000001\n")
+    for text, kind in ((found, "ENTRY"),
+                       (found.replace("ENTRY 0x200\n", ""), "MODE")):
+        with pytest.raises(FormatError) as info:
+            parse_image(text)
+        assert str(info.value) == "line 4: second %s record" % kind
     # comments and blank lines are fine
     ok = parse_image("# note\nKPUIMG 1\n\nTEXT 0x00000100 15000001 # exit\n")
     assert ok.text == {0x100: 0x15000001}

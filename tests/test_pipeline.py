@@ -6,7 +6,8 @@ The timing facts here are the ones a pair does not show, frozen as exact
 stall/refill/cycle counts on minimal programs: a consumer of two producers
 in flight, a chain of held consumers, the fill depth, branch prediction
 over a loop, the prefix latch and the trap plumbing; then the run budget
-and the cost guards of the per-cycle and per-step paths.
+and the cost guards of the per-cycle and per-step paths and of the
+load path.
 """
 
 import re
@@ -17,11 +18,13 @@ from pathlib import Path
 import pytest
 
 from kit import CDC, build
+from kpusim.assembler import parse_image, write_image
 from kpusim.core import BudgetExhausted, Mode
-from kpusim.isa import InstrClass
+from kpusim.isa import InstrClass, decode_at
 from kpusim.oracle import Interpreter
 from kpusim.pipeline import (BranchPredictionBuffer, Engine, MissingPrefix,
                              PrefixLatch, consume_prefixes)
+from kpusim.progen import generate_source
 
 # Boot shim: set up both vectors, drop to user code at 0x4000.
 HEAD = """.mode super
@@ -415,16 +418,18 @@ def test_oracle_python_calls_per_step():
     assert sum(calls.values()) / itp.steps <= 3.2
 
 
-def bytecodes(fn):
-    """The bytecodes fn() runs, counted as sys.settrace opcode events."""
+def bytecodes(fn, skip=None):
+    """The bytecodes fn() runs, counted as sys.settrace opcode events,
+    leaving out those of frames that run the function `skip`."""
     count = 0
+    skipped = skip and skip.__code__
 
     def trace(frame, event, arg):
         nonlocal count
         if event == "opcode":
             count += 1
         elif event == "call":
-            frame.f_trace_opcodes = True
+            frame.f_trace_opcodes = frame.f_code is not skipped
             frame.f_trace_lines = False
         return trace
 
@@ -437,7 +442,11 @@ def bytecodes(fn):
 
 
 # Bytecodes per engine cycle and per oracle step on bench/is_add_test.s,
-# the same count on every run of one CPython version. Measured:
+# and on the load path every command pays before its first step, over
+# one progen medium image with syscalls (seed 0, 283 text words):
+# isa.decode per word, with decode_at, and parse_image per TEXT record,
+# with read_records. The same count on every run of one CPython version.
+# Measured:
 #
 #                                 3.10.13  3.11.7  3.12.1  3.13.0
 #   engine, per cycle, bubbles
@@ -453,11 +462,19 @@ def bytecodes(fn):
 #   oracle, per step, kernels
 #     bound and successor pcs
 #     in the records                117.6   120.8   115.0   105.3
+#   decode, a template copy, a field
+#     loop, Instruction(*args)      147.4   145.4   141.4   118.9
+#   decode by operand format        103.3   102.3    98.3    95.3
+#   parse_image, records kept by
+#     a loop, every kind tested     107.9   113.9   108.9   105.8
+#   parse_image, TEXT tested first,
+#     no '#' split without a '#'     76.0    80.0    76.9    72.9
 #
-# The engine's ceiling stays at 370; the oracle's is 125. Making every cell a Slot added about
-# four bytecodes a cycle and still made a cycle faster: a site that sees
-# one class keeps CPython 3.11's specialized attribute reads. A count is
-# a proxy for cost, not the cost.
+# The engine's ceiling stays at 370; the oracle's is 125; decode's is
+# 108 and parse_image's 84, the largest new count plus about 5%. Making
+# every cell a Slot added about four bytecodes a cycle and still made a
+# cycle faster: a site that sees one class keeps CPython 3.11's
+# specialized attribute reads. A count is a proxy for cost, not the cost.
 @pytest.mark.parametrize("machine, ceiling", [(Engine, 370),
                                               (Interpreter, 125)],
                          ids=["engine", "oracle"])
@@ -472,3 +489,20 @@ def test_bytecodes_per_cycle_and_step(machine, ceiling):
     count = bytecodes(run.run)
     assert count / (run.stats.cycles if machine is Engine
                     else run.steps) <= ceiling
+
+
+@pytest.mark.parametrize("path, ceiling", [("decode", 108),
+                                           ("parse", 84)])
+def test_load_path_bytecodes_per_word(path, ceiling):
+    image = build(generate_source(0, "medium", True))
+    text, file = image.text, write_image(image)
+
+    def load():
+        if path == "decode":
+            for pc in text:
+                decode_at(text, pc)
+        else:
+            parse_image(file)
+
+    bytecodes(load, skip=load)      # a first traced run, as above
+    assert bytecodes(load, skip=load) / len(text) <= ceiling
