@@ -28,7 +28,7 @@ DEFAULT_MAX_STEPS = 2_000_000
 
 
 class Interpreter:
-    """Runs an image one record per step() call.
+    """Runs an image: step() runs one record, run() a run of them.
 
     Each pc gets a record at its first execution in a mode, one table per
     mode: (handler, instruction, operand, successor). The handler, whether
@@ -55,6 +55,23 @@ class Interpreter:
     its successor. The fold is exact: an index-0 prefix resets the latch,
     so what the three words do never depends on what ran before them.
     Each word keeps its own record, for a jump inside.
+
+    Once a pc has a record in a mode, as at its second execution there,
+    run() makes the run there from records that exist, one table per mode
+    beside the records; nothing is decoded ahead, and a pc with no record
+    yet runs as one step(). A run is the straight records from that pc on,
+    those that retire their word and touch neither the pc, the mode nor
+    halted (register, set-flag and immediate records, a folded prefix
+    pair's too, user loads and stores, l.mfspr, l.mtspr and every no-op
+    but the exit), then the first record with a successor that is not
+    straight, which closes it. A record with no successor, or a pc with no
+    record yet, ends it before. When the budget holds all of a run, run()
+    executes it as one loop over its (handler, instruction, operand)
+    triples: it clears the latch and sets the step count and the pc once,
+    past the run, then calls the closing record's handler with its own
+    pc, as step() would. Supervisor loads and stores can fault through
+    super_index, so each closes its run, and a fault leaves the step count
+    and the pc where stepping leaves them.
     """
 
     def __init__(self, image, cdc):
@@ -72,6 +89,9 @@ class Interpreter:
         # per mode, pc -> record, made at the pc's first execution there
         self._records_by_mode = {Mode.USER: {}, Mode.SUPERVISOR: {}}
         self._records = self._records_by_mode[self.mode]
+        # per mode, pc -> run, made once the pc has a record there
+        self._runs_by_mode = {Mode.USER: {}, Mode.SUPERVISOR: {}}
+        self._runs = self._runs_by_mode[self.mode]
         self.user_mem = {}
         self.super_cells = dict(data_cells(image))
         self.outputs = []
@@ -91,6 +111,7 @@ class Interpreter:
     def _enter(self, mode):
         self.mode = mode
         self._records = self._records_by_mode[mode]
+        self._runs = self._runs_by_mode[mode]
 
     def _trap(self, vector, return_pc):
         self.esr = (self.mode, dict(self.flags))
@@ -157,6 +178,26 @@ class Interpreter:
         if record is None:
             record = self._records[pc] = self._record(pc, False)
         return record
+
+    def _run(self, pc):
+        """The run at `pc`, a pc with a record, as (ops, count, successor,
+        last): ops are (handler, instruction, operand), last is (handler,
+        pc, instruction, operand) or None, and count is 0 where the record
+        at `pc` has no successor."""
+        records, ops = self._records, []
+        record = records[pc]
+        while record is not None:
+            handler, ins, operand, successor = record
+            if successor is None:
+                break
+            if handler not in _STRAIGHT or (handler is Interpreter._nop
+                                            and ins.imm == 1):
+                return (ops, len(ops) + 1, successor,
+                        (handler, pc, ins, operand))
+            ops.append((handler, ins, operand))
+            pc = successor
+            record = records.get(pc)
+        return ops, len(ops), pc, None
 
     def _open(self, cipher):
         """The 32-bit literal of a sealed immediate block, opened once."""
@@ -288,12 +329,45 @@ class Interpreter:
         self._write_spr(index, self.regs[ins.rb])
 
     def run(self, max_steps=DEFAULT_MAX_STEPS):
-        """Step to the exit; the interpreter is its own end state."""
-        step = self.step
+        """Run to the exit; the interpreter is its own end state. A pc with
+        no record runs as step() would run it, inline, so a first execution
+        costs no more than a step() call. At a pc with a record the run
+        there executes whole when the budget holds all of it, and one
+        step() runs otherwise."""
+        step, latch = self.step, self.latch
         while not self.halted:
-            if self.steps >= max_steps:
+            steps = self.steps
+            if steps >= max_steps:
                 raise BudgetExhausted(max_steps)
-            step()
+            pc = self.pc
+            records = self._records
+            record = records.get(pc)
+            if record is None:          # step(), inline
+                record = records[pc] = self._record(pc)
+                handler, ins, operand, successor = record
+                if successor is not None:
+                    self.steps = steps + 1
+                    latch.p0 = latch.p1 = None
+                    self.pc = successor
+                handler(self, pc, ins, operand)
+                continue
+            run = self._runs.get(pc)
+            if run is None:
+                run = self._runs[pc] = self._run(pc)
+            ops, count, successor, last = run
+            if not count or steps + count > max_steps:
+                step()
+                continue
+            # each record of the run empties the latch, and none before the
+            # last reads or sets the pc, the step count, the mode or halted
+            latch.p0 = latch.p1 = None
+            for handler, ins, operand in ops:
+                handler(self, pc, ins, operand)
+            self.steps = steps + count
+            self.pc = successor
+            if last is not None:
+                handler, pc, ins, operand = last
+                handler(self, pc, ins, operand)
         return self
 
 
@@ -349,6 +423,12 @@ def _dispatch(row, mode):
 _DISPATCH = {(row.mnemonic, mode): _dispatch(row, mode)
              for row in isa.TABLE for mode in Mode}
 _ILLEGAL_RECORD = (Interpreter._illegal, None, None, None)
+# the handlers of straight records (the class docstring), the exit no-op's
+# aside
+_STRAIGHT = frozenset((
+    Interpreter._immediate, Interpreter._register, Interpreter._set_flag,
+    Interpreter._user_load, Interpreter._user_store, Interpreter._mfspr,
+    Interpreter._mtspr, Interpreter._nop))
 
 
 def interpret(image, cdc, max_steps=DEFAULT_MAX_STEPS):

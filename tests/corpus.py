@@ -7,7 +7,9 @@ The corpus is built deterministically from
   later passes read stored user cells back through cache misses,
 - ``progen`` small and medium programs, with and without syscalls,
 - ``tests/kit.py``'s raw-word generator, in both modes, with and without
-  an exit no-op on the illegal-instruction vector.
+  an exit no-op on the illegal-instruction vector,
+- malformed image files, one per rule of the image format, which every
+  command that loads them rejects.
 
 Each image goes in-process through ``kpu asm`` (a raw image is written as
 an image file and skips it), then ``kpu run --trace --stats --dump`` under
@@ -64,6 +66,24 @@ ADD_FLAGS = """.mode super
     l.nop   2
     l.nop   1
 """
+# An image that prints and exits, and one record per image rule that
+# parse_image enforces: each malformed image is the good one with that
+# record added, so a rule dropped lets its image run and print.
+GOOD_IMAGE = """KPUIMG 1
+ENTRY 0x00000100
+MODE super
+DATA 0x00000008 0000000000000005
+TEXT 0x00000100 {print:08x}
+TEXT 0x00000104 {exit:08x}
+"""
+MALFORMED = [("unaligned TEXT", "TEXT 0x00000102 {exit:08x}"),
+             ("wide word", "TEXT 0x00000108 1{exit:08x}"),
+             ("second TEXT", "TEXT 0x00000104 {print:08x}"),
+             ("second DATA", "DATA 0x00000008 0000000000000006"),
+             ("second ENTRY", "ENTRY 0x00000104"),
+             ("second MODE", "MODE user"),
+             ("unknown record", "WHAT 1 2"),
+             ("underscore", "TEXT 0x0000_0108 {exit:08x}")]
 # (cells, passes, print the total) of kit.sweep_source; the
 # default cache holds 64 lines
 SWEEPS = [(65, 2, False), (100, 3, False), (130, 3, False), (100, 2, True)]
@@ -82,12 +102,16 @@ def build(progen_seeds, raw_seeds):
     """The corpus as (name, kind, text, budget) entries, kind "source" or
     "image"; the same arguments give the same entries."""
     from kpusim.progen import generate_source
-    from kit import STAGE_PATHS, raw_image, sweep_source
+    from kit import NOP_EXIT, NOP_PRINT, STAGE_PATHS, raw_image, sweep_source
 
     entries = [(program, "source", (ROOT / program).read_text(),
                 SOURCE_BUDGET) for program in PROGRAMS]
     entries.append(("stage paths", "source", STAGE_PATHS, SOURCE_BUDGET))
     entries.append(("add flags", "source", ADD_FLAGS, SOURCE_BUDGET))
+    entries.extend((
+        "malformed " + name, "image",
+        (GOOD_IMAGE + record + "\n").format(print=NOP_PRINT, exit=NOP_EXIT),
+        RAW_BUDGET) for name, record in MALFORMED)
     entries.extend((
         "sweep %d x %d%s" % (cells, passes, " total" if total else ""),
         "source", sweep_source(cells, passes, total), SOURCE_BUDGET)

@@ -4,11 +4,13 @@ import random
 
 import pytest
 
+import corpus
 from kit import CDC, build, run_both
 from kpusim import alu, isa
-from kpusim.assembler import Image
+from kpusim.assembler import Image, parse_image
 from kpusim.check import (AliasDetected, compare, engine_view, parse_sim_dump,
                           render_dump)
+from kpusim.codec import ProgramFault
 from kpusim.core import BudgetExhausted, Mode
 from kpusim.isa import InstrClass
 from kpusim.oracle import Interpreter, interpret
@@ -318,6 +320,97 @@ def test_the_pc_wraps_from_the_last_word_to_0():
     engine, res = run_both(image)
     assert engine.outputs == res.outputs == [7]
     assert res.steps == 4
+
+
+# ------------------------------------------------------------------- runs --
+
+def _stepped(itp, max_steps):
+    """What run() does, by step() alone: one record a call."""
+    while not itp.halted:
+        if itp.steps >= max_steps:
+            raise BudgetExhausted(max_steps)
+        itp.step()
+
+
+def _end(image, go, max_steps):
+    """(fault text or None, end state) of go(interpreter, max_steps) over a
+    new interpreter of `image`."""
+    itp = Interpreter(image, CDC)
+    try:
+        go(itp, max_steps)
+        fault = None
+    except ProgramFault as exc:
+        fault = "%s: %s" % (type(exc).__name__, exc)
+    state = {name: getattr(itp, name) for name in (
+        "pc", "mode", "regs", "flags", "user_mem", "super_cells", "outputs",
+        "steps", "epcr", "esr", "spr", "halted")}
+    state["latch"] = (itp.latch.p0, itp.latch.p1)
+    return fault, state
+
+
+def test_runs_end_where_stepping_ends_on_the_corpus_slice():
+    faults = set()
+    for name, kind, text, budget in corpus.build(**corpus.SLICE):
+        if name.startswith("malformed "):
+            continue
+        image = build(text) if kind == "source" else parse_image(text)
+        ran = _end(image, Interpreter.run, budget)
+        assert ran == _end(image, _stepped, budget), name
+        faults.add(ran[0] and ran[0].split(":")[0])
+    # the slice ends in every way a run can end
+    assert faults == {None, "BudgetExhausted", "VectorSpin",
+                      "UnalignedSupervisorAccess", "OutOfRegion"}
+
+
+LOOP = USER_HEAD + """    l.addi r2, r0, 3
+loop:
+    l.sw   0(r1), r2
+    l.lwz  r4, 0(r1)
+    l.add  r3, r3, r4
+    l.addi r1, r1, 4
+    l.addi r2, r2, -1
+    l.sfne r2, r0
+    l.bf   loop
+    l.nop  2
+    l.nop  1
+"""
+
+
+def test_every_budget_ends_a_loop_where_stepping_ends_it(monkeypatch):
+    calls, step = [], Interpreter.step
+    monkeypatch.setattr(Interpreter, "step",
+                        lambda self: calls.append(step(self)))
+    image = build(LOOP)
+    stepped = []        # the budgets at which run() called step()
+    for budget in range(1, 25):
+        del calls[:]
+        ran = _end(image, Interpreter.run, budget)
+        stepped += [budget] if calls else []
+        assert ran == _end(image, _stepped, budget), budget
+        assert ran[0] == (None if budget == 24 else
+                          "BudgetExhausted: no exit within a budget of %d"
+                          % budget)
+    # run() runs each pc's first execution inline and the second and third
+    # passes, steps 9 to 15 and 16 to 22, as runs, so it calls step() only
+    # where a budget ends inside one
+    assert stepped == list(range(9, 15)) + list(range(16, 22))
+
+
+def test_a_supervisor_fault_in_a_run_ends_where_stepping_ends():
+    # the second pass from `loop` is one run, l.addi and l.add closed by
+    # the l.sw, whose address is 4 by then
+    image = build(SUPER_HEAD + """    l.addi r1, r0, 0
+loop:
+    l.addi r2, r2, 1
+    l.add  r3, r3, r2
+    l.sw   0(r1), r2
+    l.addi r1, r1, 4
+    l.j    loop
+""")
+    ran = fault, state = _end(image, Interpreter.run, 100)
+    assert ran == _end(image, _stepped, 100)
+    assert fault == "UnalignedSupervisorAccess: address 0x4 not 8-aligned"
+    assert (state["pc"], state["steps"]) == (0x110, 9)
 
 
 # ---------------------------------------------------------------- compare --

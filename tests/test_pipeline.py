@@ -405,17 +405,18 @@ def test_engine_python_calls_per_cycle():
 
 
 def test_oracle_python_calls_per_step():
-    # The same guard on Interpreter.step, one call per step now that a
-    # prefix pair and its immediate are one record: 4.25 calls a step when
-    # step() cleared the latch through PrefixLatch.clear and compare_flag
-    # called to_signed, 4.02 (3.34 per step() call) while each prefix was
-    # a step() call of its own, 3.06 with the fold, 2.95 (3.04 before)
-    # with each record's kernel bound, l.sfne's being operator.ne.
+    # The same guard on the oracle, over Interpreter.run: 4.25 calls a step
+    # when step() cleared the latch through PrefixLatch.clear and
+    # compare_flag called to_signed, 4.02 (3.34 per step() call) while each
+    # prefix was a step() call of its own, 3.06 with the fold, 2.95 (3.04
+    # before) with each record's kernel bound, l.sfne's being operator.ne,
+    # all while run() made one step() call per step; 1.95 since run() runs
+    # a first execution inline and later ones by runs, with no step() call.
     itp = Interpreter(build((ROOT / "bench/is_add_test.s").read_text()), CDC)
     calls = python_calls(itp.run)
-    assert itp.halted
-    assert calls[Interpreter.step.__code__] == itp.steps == 1294
-    assert sum(calls.values()) / itp.steps <= 3.2
+    assert itp.halted and itp.steps == 1294
+    assert calls[Interpreter.step.__code__] == 0
+    assert sum(calls.values()) / itp.steps <= 2.05
 
 
 def bytecodes(fn, skip=None):
@@ -444,8 +445,10 @@ def bytecodes(fn, skip=None):
 # Bytecodes per engine cycle and per oracle step on bench/is_add_test.s,
 # and on the load path every command pays before its first step, over
 # one progen medium image with syscalls (seed 0, 283 text words):
-# isa.decode per word, with decode_at, and parse_image per TEXT record,
-# with read_records. The same count on every run of one CPython version.
+# isa.decode per word, with decode_at, parse_image per TEXT record, with
+# read_records, and the oracle per step, whose 381 steps there are mostly
+# first executions, as on a campaign of short programs. The same count on
+# every run of one CPython version.
 # Measured:
 #
 #                                 3.10.13  3.11.7  3.12.1  3.13.0
@@ -462,6 +465,8 @@ def bytecodes(fn, skip=None):
 #   oracle, per step, kernels
 #     bound and successor pcs
 #     in the records                117.6   120.8   115.0   105.3
+#   oracle, per step, straight-line
+#     runs of records in run()       79.0    82.6    78.8    69.9
 #   decode, a template copy, a field
 #     loop, Instruction(*args)      147.4   145.4   141.4   118.9
 #   decode by operand format        103.3   102.3    98.3    95.3
@@ -469,14 +474,21 @@ def bytecodes(fn, skip=None):
 #     a loop, every kind tested     107.9   113.9   108.9   105.8
 #   parse_image, TEXT tested first,
 #     no '#' split without a '#'     76.0    80.0    76.9    72.9
+#   oracle, per step, first
+#     executions, one step()
+#     call per step                 307.5   309.6   298.0   266.5
+#   oracle, per step, first
+#     executions inline in run()    298.1   298.7   288.9   225.5
 #
-# The engine's ceiling stays at 370; the oracle's is 125; decode's is
-# 108 and parse_image's 84, the largest new count plus about 5%. Making
+# The engine's ceiling stays at 370; the oracle's is 87; decode's is
+# 108 and parse_image's 84, the largest new count plus about 5%; the
+# oracle's over first executions is 315.8, the largest count before runs
+# plus 2%, so runs cost first executions next to nothing. Making
 # every cell a Slot added about four bytecodes a cycle and still made a
 # cycle faster: a site that sees one class keeps CPython 3.11's
 # specialized attribute reads. A count is a proxy for cost, not the cost.
 @pytest.mark.parametrize("machine, ceiling", [(Engine, 370),
-                                              (Interpreter, 125)],
+                                              (Interpreter, 87)],
                          ids=["engine", "oracle"])
 def test_bytecodes_per_cycle_and_step(machine, ceiling):
     image = build((ROOT / "bench/is_add_test.s").read_text())
@@ -506,3 +518,13 @@ def test_load_path_bytecodes_per_word(path, ceiling):
 
     bytecodes(load, skip=load)      # a first traced run, as above
     assert bytecodes(load, skip=load) / len(text) <= ceiling
+
+
+def test_first_execution_bytecodes_per_step():
+    image = build(generate_source(0, "medium", True))
+    with pytest.raises(BudgetExhausted):    # a first traced run, as above
+        bytecodes(lambda: Interpreter(image, CDC).run(20))
+    itp = Interpreter(image, CDC)
+    count = bytecodes(itp.run)
+    assert itp.halted and itp.steps == 381
+    assert count / itp.steps <= 315.8
