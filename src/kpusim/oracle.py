@@ -25,6 +25,7 @@ from .isa import InstrClass, MissingPrefix, PrefixLatch, consume_prefixes
 from .memsys import blank_word, data_cells, super_index
 
 DEFAULT_MAX_STEPS = 2_000_000
+EXIT = 1                # the code of the no-op that halts
 
 
 class Interpreter:
@@ -58,20 +59,21 @@ class Interpreter:
 
     Once a pc has a record in a mode, as at its second execution there,
     run() makes the run there from records that exist, one table per mode
-    beside the records; nothing is decoded ahead, and a pc with no record
-    yet runs as one step(). A run is the straight records from that pc on,
-    those that retire their word and touch neither the pc, the mode nor
-    halted (register, set-flag and immediate records, a folded prefix
-    pair's too, user loads and stores, l.mfspr, l.mtspr and every no-op
-    but the exit), then the first record with a successor that is not
-    straight, which closes it. A record with no successor, or a pc with no
-    record yet, ends it before. When the budget holds all of a run, run()
-    executes it as one loop over its (handler, instruction, operand)
-    triples: it clears the latch and sets the step count and the pc once,
-    past the run, then calls the closing record's handler with its own
-    pc, as step() would. Supervisor loads and stores can fault through
-    super_index, so each closes its run, and a fault leaves the step count
-    and the pc where stepping leaves them.
+    beside the records; nothing is decoded ahead. A run is the straight
+    records from that pc on, those that retire their word and touch
+    neither the pc, the mode nor halted (register, set-flag and immediate
+    records, a folded prefix pair's too, user loads and stores, l.mfspr,
+    l.mtspr and every no-op but the exit), then the first record with a
+    successor that is not straight, which closes it. A record with no
+    successor, or a pc with no record yet, ends it before. When the budget
+    holds all of a run, run() executes it as one loop over its (handler,
+    instruction, operand) triples: it clears the latch and sets the step
+    count and the pc once, past the run, then calls the closing record's
+    handler with its own pc, as step() would. Otherwise, and at a pc with
+    no record yet, run() runs one record, inline, as step() would run it.
+    Supervisor loads and stores can fault through super_index, so each
+    closes its run, and a fault leaves the step count and the pc where
+    stepping leaves them.
     """
 
     def __init__(self, image, cdc):
@@ -191,7 +193,7 @@ class Interpreter:
             if successor is None:
                 break
             if handler not in _STRAIGHT or (handler is Interpreter._nop
-                                            and ins.imm == 1):
+                                            and ins.imm == EXIT):
                 return (ops, len(ops) + 1, successor,
                         (handler, pc, ins, operand))
             ops.append((handler, ins, operand))
@@ -306,7 +308,7 @@ class Interpreter:
         self.pc = target
 
     def _nop(self, pc, ins, operand):
-        if ins.imm == 1:
+        if ins.imm == EXIT:
             self.halted = True
         elif ins.imm == 2:
             self.outputs.append(self.regs[3])
@@ -329,12 +331,11 @@ class Interpreter:
         self._write_spr(index, self.regs[ins.rb])
 
     def run(self, max_steps=DEFAULT_MAX_STEPS):
-        """Run to the exit; the interpreter is its own end state. A pc with
-        no record runs as step() would run it, inline, so a first execution
-        costs no more than a step() call. At a pc with a record the run
-        there executes whole when the budget holds all of it, and one
-        step() runs otherwise."""
-        step, latch = self.step, self.latch
+        """Run to the exit; the interpreter is its own end state. At a pc
+        with a record the run there executes whole when the budget holds
+        all of it; a pc with no record yet, a run with no steps and a run
+        the budget cannot hold run one record, inline, as step() would."""
+        latch = self.latch
         while not self.halted:
             steps = self.steps
             if steps >= max_steps:
@@ -342,32 +343,32 @@ class Interpreter:
             pc = self.pc
             records = self._records
             record = records.get(pc)
-            if record is None:          # step(), inline
+            if record is None:
                 record = records[pc] = self._record(pc)
-                handler, ins, operand, successor = record
-                if successor is not None:
-                    self.steps = steps + 1
+            else:
+                run = self._runs.get(pc)
+                if run is None:
+                    run = self._runs[pc] = self._run(pc)
+                ops, count, successor, last = run
+                if count and steps + count <= max_steps:
+                    # each record of the run empties the latch, and none
+                    # before the last reads or sets the pc, the step
+                    # count, the mode or halted
                     latch.p0 = latch.p1 = None
+                    for handler, ins, operand in ops:
+                        handler(self, pc, ins, operand)
+                    self.steps = steps + count
                     self.pc = successor
-                handler(self, pc, ins, operand)
-                continue
-            run = self._runs.get(pc)
-            if run is None:
-                run = self._runs[pc] = self._run(pc)
-            ops, count, successor, last = run
-            if not count or steps + count > max_steps:
-                step()
-                continue
-            # each record of the run empties the latch, and none before the
-            # last reads or sets the pc, the step count, the mode or halted
-            latch.p0 = latch.p1 = None
-            for handler, ins, operand in ops:
-                handler(self, pc, ins, operand)
-            self.steps = steps + count
-            self.pc = successor
-            if last is not None:
-                handler, pc, ins, operand = last
-                handler(self, pc, ins, operand)
+                    if last is not None:
+                        handler, pc, ins, operand = last
+                        handler(self, pc, ins, operand)
+                    continue
+            handler, ins, operand, successor = record
+            if successor is not None:
+                self.steps = steps + 1
+                latch.p0 = latch.p1 = None
+                self.pc = successor
+            handler(self, pc, ins, operand)
         return self
 
 

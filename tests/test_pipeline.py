@@ -466,7 +466,7 @@ def bytecodes(fn, skip=None):
 #     bound and successor pcs
 #     in the records                117.6   120.8   115.0   105.3
 #   oracle, per step, straight-line
-#     runs of records in run()       79.0    82.6    78.8    69.9
+#     runs of records in run()       79.2    82.8    78.9    70.1
 #   decode, a template copy, a field
 #     loop, Instruction(*args)      147.4   145.4   141.4   118.9
 #   decode by operand format        103.3   102.3    98.3    95.3
@@ -476,9 +476,9 @@ def bytecodes(fn, skip=None):
 #     no '#' split without a '#'     76.0    80.0    76.9    72.9
 #   oracle, per step, first
 #     executions, one step()
-#     call per step                 307.5   309.6   298.0   266.5
+#     call per step                 307.5   309.6   298.0   283.1
 #   oracle, per step, first
-#     executions inline in run()    298.1   298.7   288.9   225.5
+#     executions inline in run()    298.3   298.9   289.5   273.1
 #
 # The engine's ceiling stays at 370; the oracle's is 87; decode's is
 # 108 and parse_image's 84, the largest new count plus about 5%; the
