@@ -204,13 +204,6 @@ _PLANS = {mn: (row, tuple(sorted(
      for i, token in enumerate(row.tokens)), key=lambda step: step[2] != _REG)))
     for mn, row in isa.MNEMONICS.items()}
 
-# the two prefix words with an empty payload; the payload is the low 24 bits
-_PREFIX = isa.MNEMONICS["l.prefix"]
-_PAYLOAD = _PREFIX.masks["prefix_payload"]
-_P0, _P1 = (isa.encode_fields(_PREFIX, {"prefix_idx": idx, "prefix_payload": 0})
-            for idx in (0, 1))
-
-
 def _expr(text, labels, lineno):
     s = text.strip()
     # a label never parses as a number, so looking it up first is safe
@@ -434,7 +427,7 @@ class Assembler:
         body = isa.encode_fields(row, dict(fields, imm=0))
         # bits of the final 16 outside the immediate field (a shift's
         # sub-op) must come out of the ciphertext as the row fixes them
-        keep = 0xFFFF & ~row.masks["imm"]
+        keep = isa.LOW_MASK & ~row.masks["imm"]
         value = literal & MASK32
         encrypt = self.codec.encrypt
         for attempt in range(MAX_PAD_ATTEMPTS):
@@ -444,8 +437,9 @@ class Assembler:
                 break
         else:
             raise ParseError(lineno, "no padding fits shift sub-op")
-        return (_P0 | (cipher >> 40) & _PAYLOAD, _P1 | (cipher >> 16) & _PAYLOAD,
-                body | (cipher & 0xFFFF))
+        return (isa.P0_TAG | (cipher >> isa.P0_SHIFT) & isa.PAYLOAD_MASK,
+                isa.P1_TAG | (cipher >> isa.P1_SHIFT) & isa.PAYLOAD_MASK,
+                body | (cipher & isa.LOW_MASK))
 
 
 def assemble(source, cdc, seed=0, strict=False):

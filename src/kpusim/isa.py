@@ -375,6 +375,36 @@ def user_illegal(instr):
     return instr.cls is InstrClass.CLASS64 or instr.mnemonic == "l.rfe"
 
 
+# The sealed immediate's 64-bit block, as the assembler splits it: its top
+# bits ride in an index-0 prefix's payload, the next in an index-1
+# prefix's and the low 16 in the immediate word. Each name reads the
+# l.prefix row: its payload field, and its word of each index with an
+# empty payload, the tag every bit outside the payload must match for
+# decode to read that prefix.
+_PREFIX_ROW = MNEMONICS["l.prefix"]
+PAYLOAD_MASK = _PREFIX_ROW.masks["prefix_payload"]
+P1_SHIFT = 64 - 2 * PAYLOAD_MASK.bit_length()           # 16
+P0_SHIFT = P1_SHIFT + PAYLOAD_MASK.bit_length()         # 40
+LOW_MASK = (1 << P1_SHIFT) - 1          # the block bits the immediate holds
+P0_TAG, P1_TAG = (encode_fields(_PREFIX_ROW, {"prefix_idx": idx,
+                                              "prefix_payload": 0})
+                  for idx in (0, 1))
+_TAG_MASK = MASK32 ^ PAYLOAD_MASK
+
+
+def sealed_high(text, pc):
+    """The block bits above the immediate's when the words at `pc` and
+    pc + 4 of a text image are an index-0 prefix and an index-1 prefix,
+    read from their bits as decode would read them, else None."""
+    p0 = text.get(pc, 0)
+    if p0 & _TAG_MASK != P0_TAG:
+        return None
+    p1 = text.get((pc + 4) & MASK32, 0)
+    if p1 & _TAG_MASK != P1_TAG:
+        return None
+    return (p0 & PAYLOAD_MASK) << P0_SHIFT | (p1 & PAYLOAD_MASK) << P1_SHIFT
+
+
 class PrefixLatch:
     """Decode-side latch holding the two prefix payloads of a 64-bit
     encrypted immediate until the immediate-class instruction arrives."""
@@ -405,7 +435,8 @@ def consume_prefixes(latch, imm16):
     """Reassemble the 64-bit encrypted immediate and clear the latch."""
     if not latch.full:
         raise MissingPrefix("immediate-class instruction without prefix pair")
-    value = (latch.p0 << 40) | (latch.p1 << 16) | (imm16 & 0xFFFF)
+    value = ((latch.p0 << P0_SHIFT) | (latch.p1 << P1_SHIFT)
+             | (imm16 & LOW_MASK))
     latch.clear()
     return value
 

@@ -33,29 +33,35 @@ class Interpreter:
 
     Each pc gets a record at its first execution in a mode, one table per
     mode: (handler, instruction, operand, successor). The handler, whether
-    step() retires the word and the operand rule depend only on the table
-    row and the mode, and are looked up in one table built at import,
-    keyed by (mnemonic, mode). The rule works out the operand, what the
-    handler needs that the instruction alone does not say: an ALU row's
-    alu kernel, a set-flag row's flag kernel, a branch's (taken on a set
-    flag, target), a direct jump's target, an immediate's (kernel, sealed
-    word) in user mode and (kernel, imm & MASK32) in supervisor mode, and
-    None elsewhere; each row's kernel is looked up by its code once, as
-    the table is built. So a record costs a decode, one lookup and at
-    most one call. A record with a successor, the pc after its word (0
-    is one, after a word at 0xFFFFFFFC), retires the word in step()
-    before its handler runs: the step is counted, the prefix latch
-    cleared and the pc set to the successor. Prefixes, user-mode
-    immediates and illegal words have None and do that themselves; a
-    jump or a taken branch has a successor, and its handler sets the pc
-    again.
+    step() retires the word and the operand depend only on the table row
+    and the mode, and are looked up by mnemonic in the mode's dispatch
+    table, built at import and bound on entering the mode beside its
+    records. The operand is what the handler needs that the instruction
+    alone does not say: an ALU row's alu kernel, a set-flag row's flag
+    kernel, a branch's (taken on a set flag, target), a direct jump's
+    target, an immediate's (kernel, sealed word) in user mode and (kernel,
+    imm & MASK32) in supervisor mode, and None elsewhere. Where it is the
+    row's alone (a kernel, looked up by its code once, as the table is
+    built, or None) the table holds it; elsewhere the table's rule works
+    it out from the pc, the word and the instruction. So a record costs a
+    decode, one lookup and at most one call. A record with a successor,
+    the pc after its word (0 is one, after a word at 0xFFFFFFFC), retires
+    the word in step() before its handler runs: the step is counted, the
+    prefix latch cleared and the pc set to the successor. Prefixes,
+    user-mode immediates and illegal words have None and do that
+    themselves; a jump or a taken branch has a successor, and its handler
+    sets the pc again.
 
     In user mode an index-0 prefix, the index-1 prefix behind it and the
     immediate behind both get one record: the immediate's, with (kernel,
     literal) opened when the record is made and the pc past all three as
     its successor. The fold is exact: an index-0 prefix resets the latch,
-    so what the three words do never depends on what ran before them.
-    Each word keeps its own record, for a jump inside.
+    so what the three words do never depends on what ran before them. It
+    reads the two prefixes from their bits (isa.sealed_high), decodes
+    only the immediate and joins the block by isa's layout, with no
+    latch. The immediate keeps the record it is decoded into, for a jump
+    onto it; a word the fold only reads gets its own record when
+    execution first reaches it, by a jump inside, as any word does.
 
     Once a pc has a record in a mode, as at its second execution there,
     run() makes the run there from records that exist, one table per mode
@@ -90,10 +96,9 @@ class Interpreter:
         self.text = image.text
         # per mode, pc -> record, made at the pc's first execution there
         self._records_by_mode = {Mode.USER: {}, Mode.SUPERVISOR: {}}
-        self._records = self._records_by_mode[self.mode]
         # per mode, pc -> run, made once the pc has a record there
         self._runs_by_mode = {Mode.USER: {}, Mode.SUPERVISOR: {}}
-        self._runs = self._runs_by_mode[self.mode]
+        self._enter(self.mode)
         self.user_mem = {}
         self.super_cells = dict(data_cells(image))
         self.outputs = []
@@ -114,6 +119,7 @@ class Interpreter:
         self.mode = mode
         self._records = self._records_by_mode[mode]
         self._runs = self._runs_by_mode[mode]
+        self._dispatch = _DISPATCH[mode]
 
     def _trap(self, vector, return_pc):
         self.esr = (self.mode, dict(self.flags))
@@ -149,37 +155,28 @@ class Interpreter:
     def _record(self, pc, fold=True):
         """The record of `pc` in the current mode; with `fold`, the one
         record of a user-mode index-0 prefix, the index-1 prefix after it
-        and the immediate they seal, its literal opened here."""
+        and the immediate they seal: the prefixes read from their bits,
+        the immediate's record made unfolded if new and kept, and the
+        literal opened here."""
+        if fold and self.mode is Mode.USER:
+            high = isa.sealed_high(self.text, pc)
+            if high is not None:
+                at, records = (pc + 8) & MASK32, self._records
+                sealed = records.get(at)
+                if sealed is None:
+                    sealed = records[at] = self._record(at, False)
+                if sealed[0] is Interpreter._sealed_immediate:
+                    kernel, word = sealed[2]
+                    return (Interpreter._immediate, sealed[1],
+                            (kernel, self._open(high | word & isa.LOW_MASK)),
+                            (pc + 12) & MASK32)
         word, ins = isa.decode_at(self.text, pc)
         if ins is None:
             return _ILLEGAL_RECORD
-        handler, retires, operand = _DISPATCH[ins.mnemonic, self.mode]
-        record = (handler, ins, operand and operand(pc, word, ins),
-                  (pc + 4) & MASK32 if retires else None)
-        if not fold or handler is not Interpreter._prefix or ins.prefix_idx \
-                or self.mode is not Mode.USER:
-            return record
-        second = self._own((pc + 4) & MASK32)
-        if second[0] is not Interpreter._prefix or second[1].prefix_idx != 1:
-            return record
-        third = self._own((pc + 8) & MASK32)
-        if third[0] is not Interpreter._sealed_immediate:
-            return record
-        latch = PrefixLatch()
-        for prefix in (ins, second[1]):
-            latch.feed(prefix.prefix_idx, prefix.prefix_payload)
-        kernel, word = third[2]
-        literal = self._open(consume_prefixes(latch, word))
-        return (Interpreter._immediate, third[1], (kernel, literal),
-                (pc + 12) & MASK32)
-
-    def _own(self, pc):
-        """The record kept for `pc`, made unfolded if new: a word decoded
-        for a fold is its pc's record too, for a jump that lands on it."""
-        record = self._records.get(pc)
-        if record is None:
-            record = self._records[pc] = self._record(pc, False)
-        return record
+        handler, retires, rule, operand = self._dispatch[ins.mnemonic]
+        return (handler, ins,
+                operand if rule is None else rule(pc, word, ins),
+                (pc + 4) & MASK32 if retires else None)
 
     def _run(self, pc):
         """The run at `pc`, a pc with a record, as (ops, count, successor,
@@ -378,29 +375,28 @@ def _target(pc, word, ins):
 
 def _dispatch(row, mode):
     """The handler of a table row in a mode, whether step() retires the
-    word before calling it (False: the handler does), and its operand
-    rule: None, or what works out the record's operand from (pc, word,
-    instruction)."""
+    word before calling it (False: the handler does), the operand rule
+    and the operand: a rule works out the record's operand from (pc,
+    word, instruction); with no rule the operand is the row's alone."""
     I = Interpreter
     cls, user = row.cls, mode is Mode.USER
     if user and isa.user_illegal(row):
-        return I._illegal, False, None
+        return I._illegal, False, None, None
     if cls is InstrClass.PREFIX:
-        return I._prefix, False, None
+        return I._prefix, False, None, None
     if cls is InstrClass.IMMEDIATE:
         kernel = alu.kernel(isa.IMM_ALU_OP[row.mnemonic])
         if user:                        # the sealed word, opened at step()
             return (I._sealed_immediate, False,
-                    lambda pc, word, ins: (kernel, word))
+                    lambda pc, word, ins: (kernel, word), None)
         return (I._immediate, True,
-                lambda pc, word, ins: (kernel, ins.imm & MASK32))
-    operand = None
+                lambda pc, word, ins: (kernel, ins.imm & MASK32), None)
+    rule = operand = None
     if cls is InstrClass.REGISTER:
         if row.opcode == isa.OP_SF:
-            handler, kernel = I._set_flag, alu.flag_kernel(row.funct)
+            handler, operand = I._set_flag, alu.flag_kernel(row.funct)
         else:
-            handler, kernel = I._register, alu.kernel(row.funct)
-        operand = lambda pc, word, ins: kernel
+            handler, operand = I._register, alu.kernel(row.funct)
     elif cls is InstrClass.LOAD:
         handler = I._user_load if user else I._load
     elif cls is InstrClass.STORE:
@@ -410,19 +406,20 @@ def _dispatch(row, mode):
                    "l.mtspr": I._mtspr}[row.mnemonic]
     elif cls is InstrClass.BRANCH:      # (taken on a set flag?, target)
         handler, sense = I._branch, row.opcode == isa.OP_BF
-        operand = lambda pc, word, ins: (sense, _target(pc, word, ins))
+        rule = lambda pc, word, ins: (sense, _target(pc, word, ins))
     else:
         handler = {InstrClass.CLASS64: I._class64, InstrClass.JUMP: I._jump,
                    InstrClass.NOP: I._nop}[cls]
         if row.mnemonic in isa.PC_RELATIVE:
-            operand = _target
-    return handler, True, operand
+            rule = _target
+    return handler, True, rule, operand
 
 
-# (mnemonic, mode) -> (handler, retires, operand rule), one entry per table
-# row and mode, built once; an undecodable word gets the illegal record
-_DISPATCH = {(row.mnemonic, mode): _dispatch(row, mode)
-             for row in isa.TABLE for mode in Mode}
+# per mode, mnemonic -> (handler, retires, operand rule, operand), one
+# entry per table row, built once; an undecodable word gets the illegal
+# record
+_DISPATCH = {mode: {row.mnemonic: _dispatch(row, mode) for row in isa.TABLE}
+             for mode in Mode}
 _ILLEGAL_RECORD = (Interpreter._illegal, None, None, None)
 # the handlers of straight records (the class docstring), the exit no-op's
 # aside

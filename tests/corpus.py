@@ -17,7 +17,9 @@ a cycle budget, ``kpu oracle`` under a step budget and, when the run
 finished, ``kpu compare``. Each command writes to one path for the whole
 corpus, so every image's files land on the previous image's, and shorter
 files on longer ones. One sha256 per image covers every command's exit
-code, stdout and stderr, and the image, stats and dump files.
+code, stdout and stderr, and the image, stats and dump files; where
+``kpu oracle`` faults, which it reports by its text alone, also the
+interpreter's step count and pc at the fault, read in-process.
 
     python tests/corpus.py                  check against corpus_digests.txt
     python tests/corpus.py --write          freeze corpus_digests.txt anew
@@ -149,6 +151,29 @@ def _kpu(main, argv, workdir):
             err.getvalue().replace(workdir, "<dir>"))
 
 
+@contextlib.contextmanager
+def oracle_probe():
+    """Collect where each faulting ``Interpreter.run`` stops, as "steps
+    N pc 0xPC", in call order."""
+    from kpusim.codec import ProgramFault
+    from kpusim.oracle import Interpreter
+    ends = []
+    original = Interpreter.run
+
+    def run(itp, *args, **kwargs):
+        try:
+            return original(itp, *args, **kwargs)
+        except ProgramFault:
+            ends.append("steps %d pc 0x%08x" % (itp.steps, itp.pc))
+            raise
+
+    Interpreter.run = run
+    try:
+        yield ends
+    finally:
+        Interpreter.run = original
+
+
 def record(entry, main, workdir):
     """Every part one image's digest covers, as (label, text) pairs."""
     name, kind, text, budget = entry
@@ -180,7 +205,9 @@ def record(entry, main, workdir):
     if finished:
         read("stats", stats)
         read("dump", dump)
-    command("oracle", ["oracle", img, "--max-steps", str(budget)])
+    with oracle_probe() as ends:
+        command("oracle", ["oracle", img, "--max-steps", str(budget)])
+    parts.extend(("oracle fault at", end) for end in ends)
     if finished:
         command("compare", ["compare", img, dump, "--max-steps", str(budget)])
     return parts

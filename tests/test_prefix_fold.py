@@ -5,14 +5,15 @@ fetches all three.
 Each case is a raw image at 0x4000 with an exit no-op at the
 illegal-instruction vector 0x700: every three-word sequence over an
 index-0 prefix, an index-1 prefix, a sealed `l.addi` and an `l.or`, then
-`l.nop 2` and `l.nop 1`; and an `l.j` or a taken `l.bf` that lands on the
+`l.nop 2` and `l.nop 1`; an `l.j` or a taken `l.bf` that lands on the
 second or the third word of a prefix pair and its immediate, before and
-after those three words first ran. Every case runs in user mode, where
-the pair folds, and in supervisor mode, where the immediate is a plain
-16-bit one and nothing consumes the prefixes. Both machines must print
-the same outputs and end alike, compare clean where both finish, and the
-interpreter must count one step for each word the engine completes that
-is not a prefix.
+after those three words first ran; and an `l.bf` onto the second word
+after the three ran twice, the second time inside a run. Every case
+runs in user mode, where the pair folds, and in supervisor mode, where
+the immediate is a plain 16-bit one and nothing consumes the prefixes.
+Both machines must print the same outputs and end alike, compare clean
+where both finish, and the interpreter must count one step for each word
+the engine completes that is not a prefix.
 """
 
 from itertools import product
@@ -41,10 +42,10 @@ def _word(mnemonic, **fields):
 _CIPHER = CDC.encrypt((0x5A5A1234 << 32) | 7)
 WORDS = {
     "p0": _word("l.prefix", prefix_idx=0,
-                prefix_payload=(_CIPHER >> 40) & 0xFFFFFF),
+                prefix_payload=(_CIPHER >> isa.P0_SHIFT) & isa.PAYLOAD_MASK),
     "p1": _word("l.prefix", prefix_idx=1,
-                prefix_payload=(_CIPHER >> 16) & 0xFFFFFF),
-    "addi": _word("l.addi", rd=3, ra=3, imm=0) | (_CIPHER & 0xFFFF),
+                prefix_payload=(_CIPHER >> isa.P1_SHIFT) & isa.PAYLOAD_MASK),
+    "addi": _word("l.addi", rd=3, ra=3, imm=0) | (_CIPHER & isa.LOW_MASK),
     "or": _word("l.or", rd=4, ra=3, rb=3),
 }
 PRINT, EXIT = _word("l.nop", imm=2), _word("l.nop", imm=1)
@@ -75,6 +76,15 @@ def _jumps():
         yield ("l.bf-after-into-%d" % into,
                triple + [PRINT, _word("l.sfeq", ra=4, rb=0), WORDS["or"],
                          _word("l.bf", imm=into - 6), EXIT])
+    # the three words run twice, the second time as a run's first record,
+    # looping while r5 still holds 0; then, while r4 does, an l.bf lands
+    # on the index-1 prefix. In supervisor mode the landing runs the
+    # prefix and the immediate a third time and falls through to the exit.
+    yield ("l.bf-after-a-run-into-1",
+           triple + [PRINT, _word("l.sfeq", ra=5, rb=0),
+                     _word("l.or", rd=5, ra=3, rb=3), _word("l.bf", imm=-6),
+                     _word("l.sfeq", ra=4, rb=0), WORDS["or"],
+                     _word("l.bf", imm=-8), EXIT])
 
 
 CASES = dict(_sequences())
@@ -113,13 +123,18 @@ def test_the_cases_fold_jump_into_a_fold_and_trap():
     # fold, and supervisor mode adds the ciphertext's low 16 bits
     runs = {(name, mode): Interpreter(_image(mode, CASES[name]), CDC).run()
             for name in ("p0-p1-addi", "l.j-ahead-into-1",
-                         "l.bf-after-into-2") for mode in ("user", "super")}
+                         "l.bf-after-into-2", "l.bf-after-a-run-into-1")
+            for mode in ("user", "super")}
     user = runs["p0-p1-addi", "user"]
     assert (user.outputs, user.steps, user.mode) == ([7], 3, Mode.USER)
     assert runs["l.j-ahead-into-1", "user"].outputs == []
     assert runs["l.bf-after-into-2", "user"].outputs == [7]
-    for name in ("l.j-ahead-into-1", "l.bf-after-into-2"):
+    assert runs["l.bf-after-a-run-into-1", "user"].outputs == [7, 14]
+    for name in ("l.j-ahead-into-1", "l.bf-after-into-2",
+                 "l.bf-after-a-run-into-1"):
         assert (runs[name, "user"].mode, runs[name, "user"].epcr) == \
             (Mode.SUPERVISOR, ENTRY + 4 * CASES[name].index(WORDS["addi"]))
     low = isa.decode(WORDS["addi"]).imm & 0xFFFFFFFF
     assert runs["p0-p1-addi", "super"].outputs == [low]
+    assert runs["l.bf-after-a-run-into-1", "super"].outputs == \
+        [low * n & 0xFFFFFFFF for n in (1, 2, 3)]
