@@ -16,8 +16,8 @@ the assembler read, and test_isa's reference decoder, which joins every
 field from that spec piece by piece, is the gate that the two agree.
 
 The pipeline and the reference interpreter decode text words with the same
-decode_at, and read the same immediate-to-ALU mapping, the same prefix
-latch, the same pc-relative and linking sets and the same user-mode
+decode_at, and read the same immediate-to-ALU mapping, the same sealed
+block layout, the same pc-relative and linking sets and the same user-mode
 legality rule from here, so the two can differ only in how they execute.
 """
 
@@ -40,10 +40,6 @@ class IllegalOpcode(Exception):
 
 class OperandOutOfRange(Exception):
     """Operand does not fit its encoding field."""
-
-
-class MissingPrefix(Exception):
-    """Immediate-class instruction arrived in user mode with no full latch."""
 
 
 class InstrClass(Enum):
@@ -403,40 +399,3 @@ def sealed_high(text, pc):
     if p1 & _TAG_MASK != P1_TAG:
         return None
     return (p0 & PAYLOAD_MASK) << P0_SHIFT | (p1 & PAYLOAD_MASK) << P1_SHIFT
-
-
-class PrefixLatch:
-    """Decode-side latch holding the two prefix payloads of a 64-bit
-    encrypted immediate until the immediate-class instruction arrives."""
-
-    def __init__(self):
-        self.p0 = None
-        self.p1 = None
-
-    def clear(self):
-        self.p0 = None
-        self.p1 = None
-
-    def feed(self, idx, payload):
-        if idx == 0:
-            self.p0 = payload
-            self.p1 = None
-        elif self.p0 is not None and self.p1 is None:
-            self.p1 = payload
-        else:
-            self.clear()
-
-    @property
-    def full(self):
-        return self.p0 is not None and self.p1 is not None
-
-
-def consume_prefixes(latch, imm16):
-    """Reassemble the 64-bit encrypted immediate and clear the latch."""
-    if not latch.full:
-        raise MissingPrefix("immediate-class instruction without prefix pair")
-    value = ((latch.p0 << P0_SHIFT) | (latch.p1 << P1_SHIFT)
-             | (imm16 & LOW_MASK))
-    latch.clear()
-    return value
-

@@ -4,16 +4,17 @@ The interpreter executes an image one instruction at a time over plain
 32-bit registers, 32-bit logical user memory and 64-bit supervisor cells.
 No pipeline, no padding, no ciphertext: it is the answer key the encrypted
 machine is checked against. It shares with the machine the ISA layer
-(the decoder, the prefix latch, the immediate-to-ALU table, which jumps are
-pc-relative and which link, the user-mode legality rule), the ALU, the
-memory rules of memsys (the supervisor data address, what a never-written
-user cell reads as, the order DATA records load in), the fault at the
-illegal-instruction vector (core.VectorSpin), the fault of a run that
-outlives its budget (core.BudgetExhausted) and the one base class of
-program faults, never the pipeline's execute path, and mirrors every
-other architectural rule that shows through to results: trap entry and
-return and mode containment of special registers. In user mode a prefix
-pair and the immediate it seals are one step, as they are one instruction.
+(the decoder, the sealed immediate's block layout, the immediate-to-ALU
+table, which jumps are pc-relative and which link, the user-mode legality
+rule), the ALU, the memory rules of memsys (the supervisor data address,
+what a never-written user cell reads as, the order DATA records load in),
+the fault at the illegal-instruction vector (core.VectorSpin), the fault
+of a run that outlives its budget (core.BudgetExhausted) and the one base
+class of program faults, never the pipeline's execute path, and mirrors
+every other architectural rule that shows through to results: trap entry
+and return and mode containment of special registers. In user mode a
+prefix pair and the immediate it seals are one step, as they are one
+instruction, so the interpreter keeps no prefix latch.
 """
 
 from . import alu, isa
@@ -21,7 +22,7 @@ from .codec import MASK32, word_value
 from .core import (BudgetExhausted, CONFIG_ID, Mode, SPR_CONFIG, SPR_EPCR,
                    SPR_SR, USER_READABLE_SPRS, VEC_ILLEGAL, VEC_SYSCALL,
                    VectorSpin, pack_sr, unpack_sr)
-from .isa import InstrClass, MissingPrefix, PrefixLatch, consume_prefixes
+from .isa import InstrClass
 from .memsys import blank_word, data_cells, super_index
 
 DEFAULT_MAX_STEPS = 2_000_000
@@ -46,22 +47,25 @@ class Interpreter:
     it out from the pc, the word and the instruction. So a record costs a
     decode, one lookup and at most one call. A record with a successor,
     the pc after its word (0 is one, after a word at 0xFFFFFFFC), retires
-    the word in step() before its handler runs: the step is counted, the
-    prefix latch cleared and the pc set to the successor. Prefixes,
-    user-mode immediates and illegal words have None and do that
-    themselves; a jump or a taken branch has a successor, and its handler
-    sets the pc again.
+    the word in step() before its handler runs: the step is counted and
+    the pc set to the successor. Prefixes, user-mode immediates and
+    illegal words have None and do that themselves; a jump or a taken
+    branch has a successor, and its handler sets the pc again.
 
     In user mode an index-0 prefix, the index-1 prefix behind it and the
     immediate behind both get one record: the immediate's, with (kernel,
     literal) opened when the record is made and the pc past all three as
-    its successor. The fold is exact: an index-0 prefix resets the latch,
-    so what the three words do never depends on what ran before them. It
-    reads the two prefixes from their bits (isa.sealed_high), decodes
-    only the immediate and joins the block by isa's layout, with no
-    latch. The immediate keeps the record it is decoded into, for a jump
-    onto it; a word the fold only reads gets its own record when
-    execution first reaches it, by a jump inside, as any word does.
+    its successor. It reads the prefixes from their bits (isa.sealed_high)
+    and decodes only the immediate. The fold stands in for the machine's
+    latch, which is full at an immediate exactly when the two words run
+    just before it were an index-0 prefix at pc - 8 and an index-1 prefix
+    at pc - 4, as a prefix falls through and every other word empties it.
+    So a prefix only moves the pc on, and a user-mode immediate reached
+    any other way is a step that traps to the illegal-instruction vector,
+    as a half-empty latch makes the machine do. The immediate keeps the
+    record it is decoded into, for a jump onto it; a word the fold only
+    reads gets its own record when execution first reaches it, by a jump
+    inside, as any word does.
 
     Once a pc has a record in a mode, as at its second execution there,
     run() makes the run there from records that exist, one table per mode
@@ -73,10 +77,10 @@ class Interpreter:
     successor that is not straight, which closes it. A record with no
     successor, or a pc with no record yet, ends it before. When the budget
     holds all of a run, run() executes it as one loop over its (handler,
-    instruction, operand) triples: it clears the latch and sets the step
-    count and the pc once, past the run, then calls the closing record's
-    handler with its own pc, as step() would. Otherwise, and at a pc with
-    no record yet, run() runs one record, inline, as step() would run it.
+    instruction, operand) triples: it sets the step count and the pc
+    once, past the run, then calls the closing record's handler with its
+    own pc, as step() would. Otherwise, and at a pc with no record yet,
+    run() runs one record, inline, as step() would run it.
     Supervisor loads and stores can fault through super_index, so each
     closes its run, and a fault leaves the step count and the pc where
     stepping leaves them.
@@ -104,7 +108,6 @@ class Interpreter:
         self.outputs = []
         self.steps = 0
         self.halted = False
-        self.latch = PrefixLatch()
         # sealed immediate block -> its 32-bit literal, opened at first use
         self.literals = {}
         self.blank = blank_word(cdc)
@@ -127,7 +130,6 @@ class Interpreter:
         self.flags = {"f": False, "cy": False, "ov": False}
         self._enter(Mode.SUPERVISOR)
         self.pc = vector
-        self.latch.clear()
 
     def _read_spr(self, index):
         if self.mode is Mode.USER:
@@ -157,19 +159,24 @@ class Interpreter:
         record of a user-mode index-0 prefix, the index-1 prefix after it
         and the immediate they seal: the prefixes read from their bits,
         the immediate's record made unfolded if new and kept, and the
-        literal opened here."""
+        literal opened here, once per block. Its handler, not its class,
+        says the word at pc + 8 is a sealed immediate: a folded record
+        there holds an immediate too, with a literal for the word."""
         if fold and self.mode is Mode.USER:
             high = isa.sealed_high(self.text, pc)
             if high is not None:
                 at, records = (pc + 8) & MASK32, self._records
-                sealed = records.get(at)
-                if sealed is None:
-                    sealed = records[at] = self._record(at, False)
+                sealed = records.get(at) or self._record(at, False)
                 if sealed[0] is Interpreter._sealed_immediate:
+                    records[at] = sealed
                     kernel, word = sealed[2]
+                    cipher = high | word & isa.LOW_MASK
+                    literal = self.literals.get(cipher)
+                    if literal is None:
+                        literal = self.literals[cipher] = \
+                            word_value(self.codec.decrypt(cipher))
                     return (Interpreter._immediate, sealed[1],
-                            (kernel, self._open(high | word & isa.LOW_MASK)),
-                            (pc + 12) & MASK32)
+                            (kernel, literal), (pc + 12) & MASK32)
         word, ins = isa.decode_at(self.text, pc)
         if ins is None:
             return _ILLEGAL_RECORD
@@ -198,14 +205,6 @@ class Interpreter:
             record = records.get(pc)
         return ops, len(ops), pc, None
 
-    def _open(self, cipher):
-        """The 32-bit literal of a sealed immediate block, opened once."""
-        literal = self.literals.get(cipher)
-        if literal is None:
-            literal = self.literals[cipher] = \
-                word_value(self.codec.decrypt(cipher))
-        return literal
-
     # -------------------------------------------------------------- step --
 
     def step(self):
@@ -216,9 +215,6 @@ class Interpreter:
         handler, ins, operand, successor = record
         if successor is not None:
             self.steps += 1
-            # every non-prefix instruction empties the latch (its clear())
-            latch = self.latch
-            latch.p0 = latch.p1 = None
             self.pc = successor
         handler(self, pc, ins, operand)
 
@@ -232,20 +228,13 @@ class Interpreter:
         self._trap(VEC_ILLEGAL, pc)
 
     def _prefix(self, pc, ins, operand):
-        # merged into the immediate they precede, not a step of their own
-        self.latch.feed(ins.prefix_idx, ins.prefix_payload)
+        # a pair that seals an immediate runs in its fold, not here
         self.pc = (pc + 4) & MASK32
 
     def _sealed_immediate(self, pc, ins, operand):
+        # reached other than through its pair's fold: the pair is missing
         self.steps += 1
-        kernel, word = operand
-        try:
-            cipher = consume_prefixes(self.latch, word)
-        except MissingPrefix:
-            self._trap(VEC_ILLEGAL, pc)
-            return
-        self.pc = (pc + 4) & MASK32
-        self._immediate(pc, ins, (kernel, self._open(cipher)))
+        self._trap(VEC_ILLEGAL, pc)
 
     # registers, literals and kernel results are 32 bits wide: no mask
     def _immediate(self, pc, ins, operand):
@@ -332,7 +321,6 @@ class Interpreter:
         with a record the run there executes whole when the budget holds
         all of it; a pc with no record yet, a run with no steps and a run
         the budget cannot hold run one record, inline, as step() would."""
-        latch = self.latch
         while not self.halted:
             steps = self.steps
             if steps >= max_steps:
@@ -348,10 +336,8 @@ class Interpreter:
                     run = self._runs[pc] = self._run(pc)
                 ops, count, successor, last = run
                 if count and steps + count <= max_steps:
-                    # each record of the run empties the latch, and none
-                    # before the last reads or sets the pc, the step
-                    # count, the mode or halted
-                    latch.p0 = latch.p1 = None
+                    # no record before the last reads or sets the pc, the
+                    # step count, the mode or halted
                     for handler, ins, operand in ops:
                         handler(self, pc, ins, operand)
                     self.steps = steps + count
@@ -363,7 +349,6 @@ class Interpreter:
             handler, ins, operand, successor = record
             if successor is not None:
                 self.steps = steps + 1
-                latch.p0 = latch.p1 = None
                 self.pc = successor
             handler(self, pc, ins, operand)
         return self
@@ -386,7 +371,7 @@ def _dispatch(row, mode):
         return I._prefix, False, None, None
     if cls is InstrClass.IMMEDIATE:
         kernel = alu.kernel(isa.IMM_ALU_OP[row.mnemonic])
-        if user:                        # the sealed word, opened at step()
+        if user:                        # the sealed word, for the fold
             return (I._sealed_immediate, False,
                     lambda pc, word, ins: (kernel, word), None)
         return (I._immediate, True,

@@ -92,7 +92,7 @@ from .codec import (MASK32, MASK64, ROUNDS, NotAProgramAddress, ProgramFault,
                     to_decrypted_address, to_encrypted_address)
 from .core import (BudgetExhausted, MachineState, Mode, VEC_ILLEGAL,
                    VEC_SYSCALL, VectorSpin)
-from .isa import InstrClass, MissingPrefix, PrefixLatch, consume_prefixes
+from .isa import InstrClass
 from .memsys import (DEFAULT_CACHE_ENTRIES, DEFAULT_USER_WORDS, MemorySystem,
                      data_cells)
 
@@ -101,6 +101,46 @@ DEFAULT_MAX_CYCLES = 5_000_000
 
 class SimulationFault(ProgramFault):
     """Program did something the machine cannot continue from."""
+
+
+class MissingPrefix(Exception):
+    """Immediate-class instruction arrived in user mode with no full latch."""
+
+
+class PrefixLatch:
+    """Decode-side latch holding the two prefix payloads of a 64-bit
+    encrypted immediate until the immediate-class instruction arrives."""
+
+    def __init__(self):
+        self.p0 = None
+        self.p1 = None
+
+    def clear(self):
+        self.p0 = None
+        self.p1 = None
+
+    def feed(self, idx, payload):
+        if idx == 0:
+            self.p0 = payload
+            self.p1 = None
+        elif self.p0 is not None and self.p1 is None:
+            self.p1 = payload
+        else:
+            self.clear()
+
+    @property
+    def full(self):
+        return self.p0 is not None and self.p1 is not None
+
+
+def consume_prefixes(latch, imm16):
+    """Reassemble the 64-bit encrypted immediate and clear the latch."""
+    if not latch.full:
+        raise MissingPrefix("immediate-class instruction without prefix pair")
+    value = ((latch.p0 << isa.P0_SHIFT) | (latch.p1 << isa.P1_SHIFT)
+             | (imm16 & isa.LOW_MASK))
+    latch.clear()
+    return value
 
 
 # ------------------------------------------------------------------ plans --

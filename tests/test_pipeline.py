@@ -411,7 +411,8 @@ def test_oracle_python_calls_per_step():
     # prefix was a step() call of its own, 3.06 with the fold, 2.95 (3.04
     # before) with each record's kernel bound, l.sfne's being operator.ne,
     # all while run() made one step() call per step; 1.95 since run() runs
-    # a first execution inline and later ones by runs, with no step() call.
+    # a first execution inline and later ones by runs, with no step() call;
+    # 1.89 (1.90 before) on 3.11.7 since the oracle keeps no prefix latch.
     itp = Interpreter(build((ROOT / "bench/is_add_test.s").read_text()), CDC)
     calls = python_calls(itp.run)
     assert itp.halted and itp.steps == 1294
@@ -483,15 +484,21 @@ def bytecodes(fn, skip=None):
 #     executions, a prefix pair
 #     folded from its words, only
 #     the immediate decoded         249.0   248.9   240.0   222.8
+#   oracle, per step, straight-line
+#     runs, no prefix latch             -    80.3       -       -
+#   oracle, per step, first
+#     executions, no prefix latch       -   243.9       -       -
 #
-# (the last row's 3.13 count is of 3.13.13, where the row above it
-# reads 272.0.) The engine's ceiling stays at 370; the oracle's is 87;
-# decode's is 108 and parse_image's 84, the largest new count plus about
-# 5%; the oracle's over first executions is 254.0, the largest count of
-# the fold from words plus 2%. Making
-# every cell a Slot added about four bytecodes a cycle and still made a
-# cycle faster: a site that sees one class keeps CPython 3.11's
-# specialized attribute reads. A count is a proxy for cost, not the cost.
+# (the fold-from-words row's 3.13 count is of 3.13.13, where the row
+# above it reads 272.0. The two rows with no prefix latch were measured
+# on 3.11.7 alone, where the change before them read 81.4 and 248.9.)
+# The engine's ceiling stays at 370; the oracle's is 87; decode's is 108
+# and parse_image's 84, the largest new count plus about 5%; the
+# oracle's over first executions is 254.0, the largest count of the fold
+# from words plus 2%. Making every cell a Slot added about four
+# bytecodes a cycle and still made a cycle faster: a site that sees one
+# class keeps CPython 3.11's specialized attribute reads. A count is a
+# proxy for cost, not the cost.
 @pytest.mark.parametrize("machine, ceiling", [(Engine, 370),
                                               (Interpreter, 87)],
                          ids=["engine", "oracle"])

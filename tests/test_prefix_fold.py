@@ -7,10 +7,12 @@ illegal-instruction vector 0x700: every three-word sequence over an
 index-0 prefix, an index-1 prefix, a sealed `l.addi` and an `l.or`, then
 `l.nop 2` and `l.nop 1`; an `l.j` or a taken `l.bf` that lands on the
 second or the third word of a prefix pair and its immediate, before and
-after those three words first ran; and an `l.bf` onto the second word
-after the three ran twice, the second time inside a run. Every case
-runs in user mode, where the pair folds, and in supervisor mode, where
-the immediate is a plain 16-bit one and nothing consumes the prefixes.
+after those three words first ran; an `l.bf` onto the second word
+after the three ran twice, the second time inside a run; and two prefix
+pairs ahead of one immediate, run straight through and entered at the
+second pair first. Every case runs in user mode, where the pair folds,
+and in supervisor mode, where the immediate is a plain 16-bit one and
+nothing consumes the prefixes.
 Both machines must print the same outputs and end alike, compare clean
 where both finish, and the interpreter must count one step for each word
 the engine completes that is not a prefix.
@@ -87,8 +89,23 @@ def _jumps():
                      _word("l.bf", imm=-8), EXIT])
 
 
+def _two_triples():
+    """Two prefix pairs ahead of one immediate: the second pair seals it,
+    and the first is two prefixes that fold nothing. An l.j lands on the
+    second pair, which folds first; the l.bf behind the immediate then
+    lands on the first pair, whose fold must not take the second pair's
+    folded record for the immediate's."""
+    words = [WORDS[n] for n in ["p0", "p1"] + TRIPLE]
+    yield "p0-p1-p0-p1-addi", words + [PRINT, EXIT]
+    yield ("l.j-onto-the-second-pair-then-l.bf-onto-the-first",
+           [_word("l.j", imm=3)] + words
+           + [PRINT, _word("l.sfeq", ra=4, rb=0), WORDS["or"],
+              _word("l.bf", imm=-8), EXIT])
+
+
 CASES = dict(_sequences())
 CASES.update(_jumps())
+CASES.update(_two_triples())
 
 
 def _end(machine, budget):
@@ -120,16 +137,20 @@ def test_the_interpreter_matches_the_engine_word_for_word(name, mode):
 def test_the_cases_fold_jump_into_a_fold_and_trap():
     # the sweep reaches each path: the one whole triple folds and prints
     # the literal, a jump into it traps to the vector before or after the
-    # fold, and supervisor mode adds the ciphertext's low 16 bits
+    # fold, a pair ahead of a folded pair folds nothing, and supervisor
+    # mode adds the ciphertext's low 16 bits
+    twice = "l.j-onto-the-second-pair-then-l.bf-onto-the-first"
     runs = {(name, mode): Interpreter(_image(mode, CASES[name]), CDC).run()
             for name in ("p0-p1-addi", "l.j-ahead-into-1",
-                         "l.bf-after-into-2", "l.bf-after-a-run-into-1")
+                         "l.bf-after-into-2", "l.bf-after-a-run-into-1",
+                         twice)
             for mode in ("user", "super")}
     user = runs["p0-p1-addi", "user"]
     assert (user.outputs, user.steps, user.mode) == ([7], 3, Mode.USER)
     assert runs["l.j-ahead-into-1", "user"].outputs == []
     assert runs["l.bf-after-into-2", "user"].outputs == [7]
     assert runs["l.bf-after-a-run-into-1", "user"].outputs == [7, 14]
+    assert runs[twice, "user"].outputs == [7, 14]
     for name in ("l.j-ahead-into-1", "l.bf-after-into-2",
                  "l.bf-after-a-run-into-1"):
         assert (runs[name, "user"].mode, runs[name, "user"].epcr) == \
