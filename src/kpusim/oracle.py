@@ -108,8 +108,6 @@ class Interpreter:
         self.outputs = []
         self.steps = 0
         self.halted = False
-        # sealed immediate block -> its 32-bit literal, opened at first use
-        self.literals = {}
         self.blank = blank_word(cdc)
 
     # ----------------------------------------------------------- helpers --
@@ -159,7 +157,8 @@ class Interpreter:
         record of a user-mode index-0 prefix, the index-1 prefix after it
         and the immediate they seal: the prefixes read from their bits,
         the immediate's record made unfolded if new and kept, and the
-        literal opened here, once per block. Its handler, not its class,
+        literal opened here: the fold is made once per pc, and the
+        assembler seals each pc under its own pad. Its handler, not its class,
         says the word at pc + 8 is a sealed immediate: a folded record
         there holds an immediate too, with a literal for the word."""
         if fold and self.mode is Mode.USER:
@@ -170,11 +169,8 @@ class Interpreter:
                 if sealed[0] is Interpreter._sealed_immediate:
                     records[at] = sealed
                     kernel, word = sealed[2]
-                    cipher = high | word & isa.LOW_MASK
-                    literal = self.literals.get(cipher)
-                    if literal is None:
-                        literal = self.literals[cipher] = \
-                            word_value(self.codec.decrypt(cipher))
+                    literal = word_value(self.codec.decrypt(
+                        high | word & isa.LOW_MASK))
                     return (Interpreter._immediate, sealed[1],
                             (kernel, literal), (pc + 12) & MASK32)
         word, ins = isa.decode_at(self.text, pc)

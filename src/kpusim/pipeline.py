@@ -84,6 +84,17 @@ same word can differ between the modes: an encrypted immediate is a plain
 short-plan immediate to supervisor code, a 64-bit operation is legal there
 but an illegal carrier in user mode, and where the work differs by mode (a
 user-mode result carries a padding) the table binds that mode's handler.
+
+Replay (FastSim's memoization: Schnarr and Larus, ASPLOS 1998). A loop
+passes through a few timing states (per cell its record or bubble,
+pending X and M, relative ready cycle and producer positions, plus the
+fetch pc and hold and the latch; no value, predictor or cache contents).
+step() records the cycle it decides from a state, with the next state by
+outcome: what the handlers return (a wrong prediction's refetch pc, a
+user load's hit, a trap's mode and pc), then the pc predicted at fetch.
+It replays a recorded cycle on the live cells, and decides under a trace,
+before a back edge was taken KNOCK_HITS times, from a state with nothing
+recorded, or after an outcome not seen there.
 """
 
 from . import alu, isa
@@ -97,6 +108,8 @@ from .memsys import (DEFAULT_CACHE_ENTRIES, DEFAULT_USER_WORDS, MemorySystem,
                      data_cells)
 
 DEFAULT_MAX_CYCLES = 5_000_000
+# the taken, predicted fetches of a branch after which its loop is learned
+KNOCK_HITS = 8
 
 
 class SimulationFault(ProgramFault):
@@ -348,6 +361,23 @@ ABSENT = _bubble()              # links an operand with no producer
 _NO_WRITERS = dict.fromkeys([*range(32), FLAG], ABSENT)
 
 
+# A memo node: [state key, cycle decided there or None]; a cycle: (work,
+# retired, retire, stall, fetch, nexts). work, None with no X, M or trap
+# handler and no read, is (xo, xy, m, tested, reads, rests): X and M
+# positions run, handlers' outcome, (R position, a's and b's producer
+# position or None) per cell leaving R, other outcomes' (reads, stall,
+# fetch, nexts). Then what retired, its handler, the stall position, the
+# fetched (record, immediate block) or None, the next node (by pc, after
+# a prediction).
+_KNOCK = [None, None]   # the state is looked up at the next cycle's start
+_LEARN = [None, None]   # the cycle just decided is recorded there
+_UNKNOWN = object()     # an outcome learning reads off the cycle's effects
+
+
+def _cells(key):    # a key's cells: (record or bubble, X, M, ready, pa, pb)
+    return [key[at:at + 6] for at in range(5, len(key), 6)]
+
+
 class Engine:
     """Drives one program image to completion, cycle by cycle.
 
@@ -374,6 +404,8 @@ class Engine:
         self.trace = trace
         self.halted = False
         self.latch = PrefixLatch()
+        # replay: memo (state -> node), knocks, this cycle's node, learning
+        self.memo, self._hits, self._node, self._learning = {}, {}, None, None
         # the first mode is entered as a trap or a return enters one: at
         # cycle 0 the conveyor holds only refill bubbles, so the first
         # fetch lands in position 0 just as the shift would put it there
@@ -503,14 +535,14 @@ class Engine:
     def _ex_branch(self, idx, cell, n):
         record = cell.record                # cell.a is the flag
         taken = cell.a if record.instr.opcode == isa.OP_BF else not cell.a
-        self._resolve(idx, cell, taken, record.target)
+        return self._resolve(idx, cell, taken, record.target)
 
     def _ex_jump(self, idx, cell, n):
         record = cell.record
         if record.link is not None:
             cell.result = record.link
             cell.ready_cycle = n
-        self._resolve(idx, cell, True, record.target)
+        return self._resolve(idx, cell, True, record.target)
 
     def _ex_jump_register(self, idx, cell, n):
         record = cell.record
@@ -522,11 +554,11 @@ class Engine:
         if record.link is not None:
             cell.result = record.link
             cell.ready_cycle = n
-        self._resolve(idx, cell, True, target)
+        return self._resolve(idx, cell, True, target)
 
     def _resolve(self, idx, cell, taken, target):
         """Check a branch or jump against its prediction; flush behind a
-        wrong one and refetch."""
+        wrong one and refetch; the refetch pc, replay's outcome, or None."""
         pc = cell.record.pc
         hit, pred_taken, pred_target = cell.predicted
         right = (pred_taken == taken) and (not taken or pred_target == target)
@@ -536,25 +568,32 @@ class Engine:
             conveyor = self.conveyor
             conveyor[:idx] = [REFILL_BUBBLE] * idx
             # a flushed slot may have been the youngest writer of its
-            # register: rebuild from the survivors, oldest first
-            self._last_writer = writers = dict(_NO_WRITERS)
-            writers.update(
-                (older.record.dest, older) for older in reversed(conveyor)
-                if older.record is not None and older.record.dest is not None)
+            # register: rebuild from the survivors
+            self._rebuild_writers()
             self.latch.clear()
             self.fetch_hold = False
             self.fetch_pc = target if taken else cell.record.next_pc
+            return self.fetch_pc
+        return None
+
+    def _rebuild_writers(self):
+        """The last-writer map of the cells in flight, oldest first."""
+        self._last_writer = writers = dict(_NO_WRITERS)
+        writers.update(
+            (cell.record.dest, cell) for cell in reversed(self.conveyor)
+            if cell.record is not None and cell.record.dest is not None)
 
     # -------------------------------------------------------------- memory --
 
     # What a load or store does to memory: handler(self, cell, cycle), at M
     # in user mode and straight after X on the short plan. A load's data
     # forwards a cycle later, plus the ten codec rounds on a user-mode
-    # cache miss.
+    # cache miss: the handler returns the hit, an outcome replay tests.
 
     def _mem_load_user(self, cell, n):
         cell.result, cached = self.mem.user_load(cell.ea_block)
         cell.ready_cycle = n + 1 if cached else n + 1 + ROUNDS
+        return cached
 
     def _mem_store_user(self, cell, n):
         self.mem.user_store(cell.ea_block, cell.b)
@@ -577,7 +616,8 @@ class Engine:
 
     # What commit does for a class, beyond the completion count step()
     # keeps: handler(self, cell). Every cell in the conveyor was fetched
-    # in the current mode.
+    # in the current mode. A trap or return returns replay's outcome, the
+    # mode and pc it entered.
 
     def _retire_alu(self, cell):
         st = self.state
@@ -607,18 +647,18 @@ class Engine:
     def _retire_sys(self, cell):
         self.state.enter_exception(VEC_SYSCALL,
                                    (cell.record.pc + 4) & MASK32)
-        self._transition()
+        return self._transition()
 
     def _retire_rfe(self, cell):
         self.state.rfe()
-        self._transition()
+        return self._transition()
 
     def _retire_illegal(self, cell):
         record = cell.record
         if record.pc == VEC_ILLEGAL and record.mode is Mode.SUPERVISOR:
             raise VectorSpin()
         self.state.enter_exception(VEC_ILLEGAL, record.pc)
-        self._transition()
+        return self._transition()
 
     def _transition(self):
         st = self.state
@@ -635,6 +675,137 @@ class Engine:
         self.latch.clear()
         self.fetch_hold = False
         self.fetch_pc = st.pc
+        return mode, st.pc
+
+    # --------------------------------------------------------------- memo --
+
+    def _state(self, n):
+        """The memo key of cycle n's starting state: one flat tuple."""
+        conveyor, latch = self.conveyor, self.latch
+        key = [self.state.mode, self.fetch_pc, self.fetch_hold, latch.p0,
+               latch.p1]
+        for cell in conveyor:
+            if cell.record is None:
+                key += (cell, -1, -1, None, -1, -1)
+                continue
+            ready, pa, pb = cell.ready_cycle, cell.pa, cell.pb
+            if ready is not None:   # any cycle up to n is as good as n
+                ready = ready - n if ready > n else 0
+            key += (cell.record, cell.x_index, cell.m_index, ready,
+                    -1 if pa.retired else conveyor.index(pa),
+                    -1 if pb.retired else conveyor.index(pb))
+        return tuple(key)
+
+    def _restore(self, key):
+        """Set the live cells' timing fields from their state's `key`."""
+        conveyor = self.conveyor
+        for cell, entry in zip(conveyor, _cells(key)):
+            if cell.record is not None:     # not a bubble, nor flushed
+                record, cell.x_index, cell.m_index, _, pa, pb = entry
+                cell.r_index = record.positions[1]
+                cell.pa, cell.pb = (ABSENT if at < 0 else conveyor[at]
+                                    for at in (pa, pb))
+                cell.wake, cell.settled, cell.retired = 0, False, False
+        self._rebuild_writers()
+        self.latch.p0, self.latch.p1 = key[3], key[4]
+
+    def _learn(self, n):
+        """The cycle to replay at cycle n, or None to decide it. A knock's
+        state replays, is learned from if met before, or is kept; learning
+        stops at a state with a cycle, a wrong prediction or a new knock."""
+        node, memo = self._node, self.memo
+        wrong = self.bpb.hits_wrong + self.bpb.misses_wrong
+        if node is _KNOCK or node is _LEARN:
+            key = self._state(n)
+            fresh = key not in memo
+            after = memo.setdefault(key, [key, None])
+            flushed, knock = (False, True) if node is _KNOCK else \
+                self._note(after, n - 1, wrong)
+            if after[1] is not None or flushed or fresh and knock:
+                self._learning = None       # replay it, or stop learning
+                self._node = after if after[1] is not None else None
+                return after[1]
+            node = after
+        else:                               # replay ran out of cycles
+            self._restore(node[0])
+        self._node = _LEARN
+        self._learning = (node, tuple(self.conveyor), wrong, _UNKNOWN)
+        return None
+
+    def _note(self, after, c, wrong):
+        """Record cycle c, self._learning's, leading to `after` (`wrong`
+        wrong predictions so far): (whether it flushed, met a back edge)."""
+        node, head, before, token = self._learning
+        wrong = before != wrong
+        cells = _cells(node[0])
+        x_old, x_young, m, r_at = _WORK[node[0][0]]
+        xo, xy = (at if cells[at][1] == at else 0 for at in (x_old, x_young))
+        m = m if cells[m][2] == m else 0
+        retired, retire, trap = cells[-1][0], None, False
+        if retired.__class__ is FetchRecord:    # a trap or return holds
+            retired, retire, trap = retired.cls, retired.retire, retired.holds
+        branch = xy or xo if wrong else 0
+        conveyor = self.conveyor
+        if token is _UNKNOWN:
+            token = None
+            if branch:
+                pc = cells[branch][0].pc
+                _, target, taken = self.bpb.entries[(pc >> 2) % self.bpb.size]
+                token = target if taken else (pc + 4) & MASK32
+            if m and cells[m][0].memory is Engine._mem_load_user:
+                token = token, head[m].ready_cycle == c + 1
+            if trap:
+                token = self.state.mode, conveyor[0].record.pc
+        reads, stall = [], 0
+        for idx in r_at:
+            record, _, _, _, pa, pb = cells[idx]
+            if idx < branch or record.__class__ is not FetchRecord or \
+                    record.positions[1] != idx:
+                continue                # no cell at R, or one a flush took
+            if conveyor[idx] is head[idx]:
+                stall = idx + 1
+                break
+            if record.execute is not None:  # a producer retired now: bank
+                reads.append((idx,) + tuple(None if p in (-1, len(cells) - 1)
+                                            else p for p in (pa, pb)))
+        fetch, knock, nexts = None, False, after
+        record = None if stall else conveyor[0].record
+        if record is not None:
+            fetch = record, getattr(conveyor[0], "imm_block", None)
+            if record.predicted and not record.holds:
+                hit, taken, _ = conveyor[0].predicted
+                knock, nexts = hit and taken, {self.fetch_pc: after}
+        rest = tuple(reads), stall, fetch, nexts
+        if node[1] is not None:
+            node[1][0][5][token] = rest
+        else:
+            work = xo or xy or m or reads or trap
+            node[1] = ((xo, xy, m, token, rest[0], {}) if work else None,
+                       retired, retire) + rest[1:]
+        return wrong, knock
+
+    def _resume(self, token):
+        """Hand a replayed cycle to step() to decide and learn its rest."""
+        node, conveyor, flushed = self._node, self.conveyor, False
+        (xo, xy, m, *_), retired = node[1][:2]
+        if retired is not InstrClass.SYSTRAP:   # else the conveyor is new
+            self._restore(node[0])
+            flushed = (token[0] if type(token) is tuple else token) is not None
+            if flushed:
+                self.latch.clear()
+            for idx, at in (xo, "x_index"), (xy, "x_index"), (m, "m_index"):
+                if idx:
+                    setattr(conveyor[idx], at, -1)
+            conveyor[-1].retired = True
+        self._node = _LEARN
+        # the wrong predictions counted before the cycle
+        self._learning = (node, tuple(conveyor), self.bpb.hits_wrong
+                          + self.bpb.misses_wrong - flushed, token)
+
+    @property
+    def replaying(self):
+        """Whether the next step() replays a recorded cycle."""
+        return self._node is not None and self._node[1] is not None
 
     # -------------------------------------------------------------- cycle --
 
@@ -653,50 +824,123 @@ class Engine:
         stats = self.stats
         n = stats.cycles
         conveyor = self.conveyor
+        node = self._node
+        if node is None or (cycle := node[1]) is None and \
+                (cycle := self._learn(n)) is None:
+            if self.trace is not None:
+                self._trace(n)
+            # execute, oldest first: a branch resolving at the older X
+            # flushes the younger positions in place, so the younger is
+            # read after it
+            idx = self._x_old
+            cell = conveyor[idx]
+            if cell.x_index == idx:
+                cell.x_index = -1
+                execute = cell.record.execute
+                execute(self, idx, cell, n)
+            idx = self._x_young
+            cell = conveyor[idx]
+            if cell.x_index == idx:
+                cell.x_index = -1
+                execute = cell.record.execute
+                execute(self, idx, cell, n)
 
-        if self.trace is not None:
-            self._trace(n)
+            # memory, after every execute: a fault at X outranks one at M
+            idx = self._m
+            cell = conveyor[idx]
+            if cell.m_index == idx:
+                cell.m_index = -1
+                memory = cell.record.memory
+                memory(self, cell, n)
 
-        # execute, oldest first: a branch resolving at the older X flushes
-        # the younger positions in place, so the younger is read after it
-        idx = self._x_old
-        cell = conveyor[idx]
-        if cell.x_index == idx:
-            cell.x_index = -1
-            execute = cell.record.execute
-            execute(self, idx, cell, n)
-        idx = self._x_young
-        cell = conveyor[idx]
-        if cell.x_index == idx:
-            cell.x_index = -1
-            execute = cell.record.execute
-            execute(self, idx, cell, n)
-
-        # memory, after every execute: a fault at X outranks one at M
-        idx = self._m
-        cell = conveyor[idx]
-        if cell.m_index == idx:
-            cell.m_index = -1
-            memory = cell.record.memory
-            memory(self, cell, n)
-
-        cell = conveyor[-1]
-        if cell is STALL_BUBBLE:
-            self._mode_stats.stalls += 1
-        elif cell is REFILL_BUBBLE:
-            self._mode_stats.refills += 1
+            cell = conveyor[-1]
+            if cell is STALL_BUBBLE:
+                self._mode_stats.stalls += 1
+            elif cell is REFILL_BUBBLE:
+                self._mode_stats.refills += 1
+            else:
+                cell.retired = True
+                record = cell.record
+                self._completions[record.cls] += 1
+                retire = record.retire
+                if retire is not None:
+                    retire(self, cell)
+                    # a trap or return enters its mode on a fresh conveyor
+                    conveyor = self.conveyor
+            stats.cycles = n + 1
+            if self.halted:
+                return
         else:
-            cell.retired = True
-            record = cell.record
-            self._completions[record.cls] += 1
-            retire = record.retire
-            if retire is not None:
-                retire(self, cell)
-                # a trap or return enters its mode on a fresh conveyor
-                conveyor = self.conveyor
-        stats.cycles = n + 1
-        if self.halted:
-            return
+            # replay (of the X positions only 3 resolves, in either mode)
+            work, retired, retire, stall, fetch, nexts = cycle
+            if work is not None:
+                xo, xy, m, tested, reads, rests = work
+                token = None
+                if xo:
+                    cell = conveyor[xo]
+                    token = cell.record.execute(self, xo, cell, n)
+                if xy:
+                    cell = conveyor[xy]
+                    token = cell.record.execute(self, xy, cell, n)
+                if m:
+                    cell = conveyor[m]
+                    cached = cell.record.memory(self, cell, n)
+                    if cached is not None:
+                        token = token, cached
+            if retired is STALL_BUBBLE:
+                self._mode_stats.stalls += 1
+            elif retired is REFILL_BUBBLE:
+                self._mode_stats.refills += 1
+            else:
+                self._completions[retired] += 1
+                if retire is not None:
+                    entered = retire(self, conveyor[-1])
+                    if entered is not None:     # a trap or return
+                        token, conveyor = entered, self.conveyor
+            stats.cycles = n + 1
+            if work is not None:
+                if token != tested:
+                    rest = rests.get(token)
+                    if rest is None:    # not seen from here: decide the rest
+                        reads, stall = (), -1
+                        self._resume(token)
+                    else:
+                        reads, stall, fetch, nexts = rest
+                for idx, pa, pb in reads:
+                    cell = conveyor[idx]
+                    reg = cell.record.a
+                    cell.a = conveyor[pa].result if pa is not None else \
+                        self.state.flag_f if reg is FLAG else self._bank[reg]
+                    cell.b = conveyor[pb].result if pb is not None else \
+                        self._bank[cell.record.b]
+            # a recorded cycle never halts: no cycle follows to record it
+            if stall >= 0:
+                del conveyor[-1]
+                if stall:
+                    conveyor.insert(stall, STALL_BUBBLE)
+                elif fetch is None:
+                    conveyor.insert(0, REFILL_BUBBLE)
+                else:
+                    record, imm_block = fetch
+                    slot = _new_cell(Slot)
+                    slot.record, slot.ready_cycle = record, None
+                    slot.imm_block = imm_block
+                    self.fetch_pc = record.next_pc
+                    conveyor.insert(0, slot)
+                    if record.holds:
+                        self.fetch_hold = True
+                    elif record.predicted:
+                        slot.predicted = predicted = self.bpb.lookup(record.pc)
+                        if predicted[1]:
+                            self.fetch_pc = predicted[2]
+                        # the next state by the pc predicted; a new one
+                        # differs from another's only in the fetch pc
+                        node = nexts.get(self.fetch_pc)
+                        if node is None:
+                            self._restore(next(iter(nexts.values()))[0])
+                        nexts = node
+                self._node = nexts
+                return
 
         # R, oldest first: the oldest cell whose wake cycle has not come (a
         # bound until settled) holds its position and all younger ones,
@@ -788,15 +1032,25 @@ class Engine:
             slot.predicted = (hit, taken, target)
             if taken:
                 self.fetch_pc = target
+                # a back edge taken enough for replay to pay: look state up
+                if hit and self._node is None and self.trace is None:
+                    self._hits[pc] = count = self._hits.get(pc, 0) + 1
+                    if count >= KNOCK_HITS:
+                        self._node = _KNOCK
         conveyor.insert(0, slot)
 
     def run(self, max_cycles=DEFAULT_MAX_CYCLES):
         step = self.step
         # the budget counts cycles from 0, and a halted engine takes no step
-        for _ in range(max_cycles - self.stats.cycles):
-            if self.halted:
-                break
-            step()
+        try:
+            for _ in range(max_cycles - self.stats.cycles):
+                if self.halted:
+                    break
+                step()
+        finally:    # at a halt or a fault, cut the memo's loops for refcounts
+            if self.halted or self.stats.cycles < max_cycles:
+                for node in self.memo.values():
+                    node[1] = None
         if not self.halted:
             raise BudgetExhausted(max_cycles)
         return self.state

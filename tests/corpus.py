@@ -21,13 +21,25 @@ code, stdout and stderr, and the image, stats and dump files; where
 ``kpu oracle`` faults, which it reports by its text alone, also the
 interpreter's step count and pc at the fault, read in-process.
 
+A traced engine decides every cycle, and an untraced one replays the
+cycles of states it has recorded. So each image also runs through ``kpu
+run --stats --dump`` without ``--trace``, under the same budget; its exit
+code, stdout (against the traced stdout less its ``cycle N |`` lines),
+stderr and both files must equal the traced run's. They add nothing to
+the digest when they do, and an "untraced run differs" part when not.
+
     python tests/corpus.py                  check against corpus_digests.txt
     python tests/corpus.py --write          freeze corpus_digests.txt anew
     python tests/corpus.py --against PATH   compare with the checkout at PATH
+    python tests/corpus.py --against PATH --scope small
 
 ``--against`` builds the corpus here, runs it under this checkout's
 ``kpusim`` and, in a subprocess, under ``PATH/src``'s, and prints the first
-images that differ with a diff of each part that differs.
+images that differ with a diff of each part that differs. With ``--scope
+small`` it runs the small-scope set instead (see build_small), which is
+frozen nowhere: a change is checked against its parent. That set reads
+the hazard matrix's and the prefix fold's templates from their test
+modules, so it needs pytest.
 """
 
 import argparse
@@ -38,6 +50,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -138,6 +151,153 @@ def build(progen_seeds, raw_seeds):
     return entries
 
 
+# the small-scope set: a loop body is replayed once its branch was taken
+# KNOCK_HITS times, so a counted loop runs that many rounds and more
+LOOP = """    l.addi r20, r0, %d
+loop:
+%s    l.addi r20, r20, -1
+    l.sfne r20, r0
+    l.bf   loop
+    l.nop  2
+    l.nop  1
+"""
+# an l.sys round trip in a loop body, in the mode the image starts in
+SYS_HEAD = """.mode %s
+.entry start
+.org 0xc00
+    l.addi r21, r21, 1
+    l.rfe
+.org 0x4000
+%s
+start:
+    l.addi r3, r0, 0
+"""
+SYS_BODY = "    l.addi r3, r3, 1\n    l.sys  0\n"
+# a loop whose inner branch turns from taken to not taken half way: its
+# resolution and then its prediction change under states seen before
+TURN = """%s
+    l.addi r6, r0, %d
+    l.addi r20, r0, %d
+loop:
+    l.sfgts r20, r6
+    l.bf   skip
+    l.add  r7, r7, r6
+skip:
+    l.addi r20, r20, -1
+    l.sfne r20, r0
+    l.bf   loop
+    l.add  r3, r7, r0
+    l.nop  2
+    l.nop  1
+"""
+
+
+def turning_loops():
+    """The small-scope set's loops whose outcome changes as they run, as
+    build()'s entries: a last round's wrong prediction at every round
+    count, an l.sys round trip in a loop body, an inner branch that turns
+    half way, and sweeps whose later passes hit where the first missed
+    (a load allocates no line: only a pass's store makes the next pass
+    hit) or miss as the first did."""
+    from itertools import product
+
+    import test_hazard_matrix as matrix
+    from kit import sweep_source
+    from kpusim.pipeline import KNOCK_HITS
+
+    entries = []
+    for mode, count in product(("user", "super"), range(1, KNOCK_HITS + 7)):
+        head = matrix.HEAD[mode] + matrix.PROLOGUE
+        entries += [
+            ("rounds %s %d" % (mode, count), "source",
+             head + LOOP % (count, "    l.add  r7, r7, r6\n"),
+             SOURCE_BUDGET),
+            ("sys loop %s %d" % (mode, count), "source",
+             SYS_HEAD % (mode, ".encrypt on" if mode == "user" else "")
+             + LOOP % (count, SYS_BODY), SOURCE_BUDGET),
+            ("turn %s %d" % (mode, count), "source",
+             TURN % (matrix.HEAD[mode], count, 2 * count), SOURCE_BUDGET)]
+    for cells, passes, total in product((8, 16, 32, 48, 64, 65, 72, 100),
+                                        (2, 3), (False, True)):
+        entries.append(("small sweep %d x %d%s" % (
+            cells, passes, " total" if total else ""), "source",
+            sweep_source(cells, passes, total), SOURCE_BUDGET))
+    return entries
+
+
+def build_small():
+    """The small-scope set, as build()'s entries, in both modes:
+    - every hazard-matrix producer template against every consumer
+      template, at every distance from 0 to 13, dependent and not,
+    - every two producers and a consumer of both (or of the flag), at
+      distances up to the first producer's latency plus one,
+    - every 4-, 5- and 6-word sequence over a prefix pair, a sealed
+      immediate and an l.or, then a print and an exit no-op,
+    - every dependent pair and every triple again inside a counted loop
+      that replays it,
+    - turning_loops()."""
+    from itertools import product
+
+    import test_hazard_matrix as matrix
+    import test_prefix_fold as fold
+    from kpusim.assembler import write_image
+    from kpusim.pipeline import KNOCK_HITS
+
+    modes = ("user", "super")
+    producers = sorted(matrix.PRODUCERS)
+    entries = []
+
+    def source(name, text):
+        entries.append((name, "source", text, SOURCE_BUDGET))
+
+    def latency(mode, producer):
+        return max(matrix.LATENCY[mode].get(producer, {0: 0}).values())
+
+    # each producer with the consumers that can read what it writes
+    pairs = [(mode, producer, consumer) for mode, producer, consumer
+             in product(modes, producers, matrix.CONSUMERS)
+             if consumer == "flag" or matrix.PRODUCERS[producer][1] != "F"]
+    head = {mode: matrix.HEAD[mode] + matrix.PROLOGUE for mode in modes}
+    tail = "    l.nop  1\n"
+    looped = []             # (name, mode, body), each run again in a loop
+    for (mode, producer, consumer), d, dependent in product(
+            pairs, range(14), (True, False)):
+        name = "pair %s %s %s %d" % (mode, producer, consumer, d)
+        text = matrix._source(mode, producer, consumer, d, dependent)
+        source(name if dependent else name + " base", text)
+        if dependent:
+            looped.append((name, mode, text[len(head[mode]):-len(tail)]))
+    for mode, first, second in product(modes, producers, producers):
+        text, a = matrix.PRODUCERS[first]
+        then, b = matrix.PRODUCERS[second]
+        then = then.replace("r5", "r10").replace("next", "then")
+        b = b.replace("r5", "r10")
+        readers = ["l.add  r7, %s, %s" % tuple(
+            "r6" if dest == "F" else dest for dest in (a, b))]
+        if "F" in (a, b):
+            readers.append(matrix.FLAG_CONSUMER)
+        reach = range(latency(mode, first) + 2)
+        for d1, d2, reader in product(reach, reach, readers):
+            name = "triple %s %s %s %d %d %s" % (mode, first, second, d1, d2,
+                                                reader.split()[0])
+            body = ("    %s\n" % text + matrix.FILLER * d1 + "    %s\n" % then
+                    + matrix.FILLER * d2 + "    %s\n" % reader)
+            source(name, head[mode] + body + tail)
+            looped.append((name, mode, body))
+    rounds = KNOCK_HITS + 4
+    for name, mode, body in looped:
+        source("looped " + name, head[mode] + LOOP % (rounds, body))
+    for length in (4, 5, 6):
+        for names, mode in product(product(fold.WORDS, repeat=length), modes):
+            words = [fold.WORDS[name] for name in names]
+            entries.append((
+                "words %s %s" % (mode, "-".join(names)), "image",
+                write_image(fold._image(mode, words + [fold.PRINT,
+                                                       fold.EXIT])),
+                RAW_BUDGET))
+    return entries + turning_loops()
+
+
 def _kpu(main, argv, workdir):
     """One in-process kpu command: (exit code, stdout, stderr), with the
     scratch directory's name masked."""
@@ -202,15 +362,37 @@ def record(entry, main, workdir):
         Path(img).write_text(text)
     finished = command("run", ["run", img, "--trace", "--stats", stats,
                                "--dump", dump, "--max-cycles", str(budget)])
+    rc, out, err = (text for _, text in parts[-3:])
+    traced = rc, TRACE_LINE.sub("", out), err, _files(stats, dump)
     if finished:
         read("stats", stats)
         read("dump", dump)
+    untraced = _kpu(main, ["run", img, "--stats", stats, "--dump", dump,
+                           "--max-cycles", str(budget)], workdir)
+    untraced += (_files(stats, dump),)
+    if untraced != traced:
+        parts.append(("untraced run differs", repr(untraced)))
     with oracle_probe() as ends:
         command("oracle", ["oracle", img, "--max-steps", str(budget)])
     parts.extend(("oracle fault at", end) for end in ends)
     if finished:
         command("compare", ["compare", img, dump, "--max-steps", str(budget)])
     return parts
+
+
+TRACE_LINE = re.compile(r"^cycle \d+ \|.*\n", re.MULTILINE)
+
+
+def _files(*paths):
+    """Each file's text, or None where there is none."""
+    texts = []
+    for path in paths:
+        try:
+            with open(path) as handle:
+                texts.append(handle.read())
+        except FileNotFoundError:
+            texts.append(None)
+    return tuple(texts)
 
 
 def digest(parts):
@@ -305,6 +487,9 @@ def main(argv=None):
                         help="freeze the full corpus's digests")
     parser.add_argument("--against", metavar="PATH",
                         help="compare with the checkout at PATH")
+    parser.add_argument("--scope", choices=("full", "small"), default="full",
+                        help="the frozen corpus, or the small-scope set "
+                        "(with --against only)")
     parser.add_argument("--worker", nargs=2, help=argparse.SUPPRESS)
     parser.add_argument("--detail", nargs="*", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -315,7 +500,9 @@ def main(argv=None):
         _worker(corpus_file, args.detail)
         return 0
 
-    entries = build(**FULL)
+    if args.scope == "small" and (args.write or not args.against):
+        parser.error("--scope small is checked --against a checkout only")
+    entries = build_small() if args.scope == "small" else build(**FULL)
     ours = run(entries)
     if args.write:
         with open(DIGESTS, "w") as handle:
