@@ -14,7 +14,7 @@ class of program faults, never the pipeline's execute path, and mirrors
 every other architectural rule that shows through to results: trap entry
 and return and mode containment of special registers. In user mode a
 prefix pair and the immediate it seals are one step, as they are one
-instruction, so the interpreter keeps no prefix latch.
+instruction.
 """
 
 from . import alu, isa
@@ -54,15 +54,15 @@ class Interpreter:
 
     In user mode an index-0 prefix, the index-1 prefix behind it and the
     immediate behind both get one record: the immediate's, with (kernel,
-    literal) opened when the record is made and the pc past all three as
-    its successor. It reads the prefixes from their bits (isa.sealed_high)
-    and decodes only the immediate. The fold stands in for the machine's
-    latch, which is full at an immediate exactly when the two words run
+    literal) decrypted when the record is made and the pc past all three
+    as its successor. It reads the prefixes from their bits
+    (isa.sealed_high) and decodes only the immediate. The fold is the
+    machine's rule: an immediate is sealed exactly when the two words run
     just before it were an index-0 prefix at pc - 8 and an index-1 prefix
-    at pc - 4, as a prefix falls through and every other word empties it.
-    So a prefix only moves the pc on, and a user-mode immediate reached
-    any other way is a step that traps to the illegal-instruction vector,
-    as a half-empty latch makes the machine do. The immediate keeps the
+    at pc - 4, as a prefix falls through. So a prefix only moves the pc
+    on, and a user-mode immediate reached any other way is a step that
+    traps to the illegal-instruction vector, as the machine's illegal
+    carrier does. The immediate keeps the
     record it is decoded into, for a jump onto it; a word the fold only
     reads gets its own record when execution first reaches it, by a jump
     inside, as any word does.
@@ -157,7 +157,7 @@ class Interpreter:
         record of a user-mode index-0 prefix, the index-1 prefix after it
         and the immediate they seal: the prefixes read from their bits,
         the immediate's record made unfolded if new and kept, and the
-        literal opened here: the fold is made once per pc, and the
+        literal decrypted here: the fold is made once per pc, and the
         assembler seals each pc under its own pad. Its handler, not its class,
         says the word at pc + 8 is a sealed immediate: a folded record
         there holds an immediate too, with a literal for the word."""

@@ -15,10 +15,20 @@ codec stages before the read stage needs it. Everything else rides plan A
 so that results computed at X forward to the instruction entering behind.
 
 The codec stages C1..C10 are timing only. Plan B puts all ten ahead of R,
-so nothing reads an immediate before it is wholly decrypted; fetch opens
-the sealed block at once, and keeps the plaintext per block, so a loop
-pays for the cipher once per distinct immediate rather than once per
+so nothing reads an immediate before it is wholly decrypted; the
+immediate's fetch record holds its block, decrypted as the record is made,
+so a loop pays for the cipher once per sealed pc rather than once per
 stage per pass.
+
+A user-mode immediate is sealed exactly when the two cells fetched just
+before it, positions 1 and 0 once the conveyor shifts, are an index-0 and
+an index-1 prefix (the reference interpreter's fold reads the same rule
+off the text). Nothing else sits there: a prefix falls through to pc + 4
+and is never predicted, so the pair are the words at pc - 8 and pc - 4,
+which the record's block was read from (isa.sealed_high); a stall opens
+its bubble behind R, a flush empties at least the three youngest cells,
+and a hold or a transition leaves refill bubbles. Fetched without its
+pair, the immediate is its record's illegal carrier, and traps.
 
 Timing rules the rest of the model hangs off:
   * a producer's result is forwardable at the end of its execute cycle;
@@ -66,13 +76,14 @@ Everything static about fetching a pc is worked out at its first fetch,
 where its word is decoded, and kept in a FetchRecord per mode. Most of it
 depends only on the word's table row, a nop's code (exit, print or other)
 and the mode, and is looked up in one fetch table built at import, with
-one illegal entry per mode for undecodable words and carriers: how the
-fetch treats the prefix latch, its plan, whether it serializes, holds
-fetch or is predicted, and each stage's work, the (X, R, M) positions of
-its slots, X or M being -1 where the class has nothing to do there, and
-the handlers that do it, an execute handler for X, a memory handler for
-l.lwz/l.sw/l.ld/l.sd and a retire handler for what commit writes (a
-register and flags, an exit or print, a trap, a return, an illegal trap).
+one illegal entry per mode for undecodable words and carriers: whether
+it is a prefix or a user-mode immediate, its plan, whether it serializes,
+holds fetch or is predicted, and each stage's work, the (X, R, M)
+positions of its slots, X or M being -1 where the class has nothing to do
+there, and the handlers that do it, an execute handler for X, a memory
+handler for l.lwz/l.sw/l.ld/l.sd and a retire handler for what commit
+writes (a register and flags, an exit or print, a trap, a return, an
+illegal trap).
 The entry also says whether the target is pc-relative, which destination
 the slots bind by where it is not rd (r9 of a link, the flag of a
 set-flag) and the form a link's return address takes in the mode. So a
@@ -88,8 +99,8 @@ user-mode result carries a padding) the table binds that mode's handler.
 Replay (FastSim's memoization: Schnarr and Larus, ASPLOS 1998). A loop
 passes through a few timing states (per cell its record or bubble,
 pending X and M, relative ready cycle and producer positions, plus the
-fetch pc and hold and the latch; no value, predictor or cache contents).
-step() records the cycle it decides from a state, with the next state by
+fetch pc and hold; no value, predictor or cache contents). step()
+records the cycle it decides from a state, with the next state by
 outcome: what the handlers return (a wrong prediction's refetch pc, a
 user load's hit, a trap's mode and pc), then the pc predicted at fetch.
 It replays a recorded cycle on the live cells, and decides under a trace,
@@ -114,46 +125,6 @@ KNOCK_HITS = 8
 
 class SimulationFault(ProgramFault):
     """Program did something the machine cannot continue from."""
-
-
-class MissingPrefix(Exception):
-    """Immediate-class instruction arrived in user mode with no full latch."""
-
-
-class PrefixLatch:
-    """Decode-side latch holding the two prefix payloads of a 64-bit
-    encrypted immediate until the immediate-class instruction arrives."""
-
-    def __init__(self):
-        self.p0 = None
-        self.p1 = None
-
-    def clear(self):
-        self.p0 = None
-        self.p1 = None
-
-    def feed(self, idx, payload):
-        if idx == 0:
-            self.p0 = payload
-            self.p1 = None
-        elif self.p0 is not None and self.p1 is None:
-            self.p1 = payload
-        else:
-            self.clear()
-
-    @property
-    def full(self):
-        return self.p0 is not None and self.p1 is not None
-
-
-def consume_prefixes(latch, imm16):
-    """Reassemble the 64-bit encrypted immediate and clear the latch."""
-    if not latch.full:
-        raise MissingPrefix("immediate-class instruction without prefix pair")
-    value = ((latch.p0 << isa.P0_SHIFT) | (latch.p1 << isa.P1_SHIFT)
-             | (imm16 & isa.LOW_MASK))
-    latch.clear()
-    return value
 
 
 # ------------------------------------------------------------------ plans --
@@ -256,8 +227,8 @@ class CycleStats:
 
 # ------------------------------------------------------------------ cells --
 
-# How fetch treats a pc's word: latch-clearing, prefix, a user-mode
-# immediate that consumes the latch, or illegal (fetched as a carrier).
+# How fetch treats a pc's word: plain, a prefix, a user-mode immediate
+# (sealed behind its prefix pair) or illegal (fetched as a carrier).
 _PLAIN, _PREFIX, _SEALED, _ILLEGAL = range(4)
 
 _CARRIER_INSTR = isa.Instruction(isa.OP_SYS, "l.illegal", InstrClass.SYSTRAP)
@@ -268,9 +239,10 @@ class FetchRecord:
     """Everything static about fetching one pc in one mode.
 
     The record unpacks its fetch-table entry (see _fetch_entry), so the
-    cycle loop reads each field in one step: `kind`, how fetch treats the
-    latch; `mode`; `plan`, its stage names; `positions`, the (X, R, M)
-    indexes of its slots, X or M at -1 where that stage has no work; the
+    cycle loop reads each field in one step: `kind`, whether the word is
+    a prefix, a user-mode immediate or illegal; `mode`; `plan`, its stage
+    names; `positions`, the (X, R, M) indexes of its slots, X or M at -1
+    where that stage has no work; the
     `serialize`, `holds` and `predicted` flags; and the Engine methods
     that work at X, at M and at retirement, `execute`, `memory` and
     `retire`, or None; and, for the execute handler, `kernel`, the alu
@@ -283,13 +255,17 @@ class FetchRecord:
     for none or r0 (no slot writes r0, and each bank's r0 reads 0), and
     `dest`, the destination it is bound by; `next_pc`, the pc after it;
     a branch or direct jump's `target`; and the return address a
-    jump-and-link writes, `link`, in the mode's form.
+    jump-and-link writes, `link`, in the mode's form. A user-mode
+    immediate's record (Engine._record) also holds its `block`, the
+    plaintext its prefix pair at pc - 8 and pc - 4 seals, or None where
+    those words are no pair, and its `carrier`, the record it is fetched
+    as without the pair, made at its first such fetch, or None.
     """
 
     __slots__ = ("kind", "instr", "cls", "word", "pc", "mode", "plan",
                  "positions", "a", "b", "dest", "serialize", "holds",
                  "predicted", "execute", "memory", "retire", "kernel", "op",
-                 "next_pc", "target", "link")
+                 "next_pc", "target", "link", "block", "carrier")
 
     def __init__(self, instr, word, pc, mode):
         # an illegal fetch has no instruction; a nop's code (1 exit, 2
@@ -325,16 +301,14 @@ class Slot:
     values, `a` and `b`, as it leaves R, and cuts both links there.
     `ready_cycle` is when `result` forwards, once known. step() sets all
     these but `a` and `b` at fetch, with no __init__ call. The rest are set
-    where the record says so: `imm_block` (a decrypted user-mode immediate)
-    and `predicted` (bpb_hit, taken, target) at fetch, `result` (a
-    set-flag's too), `pending_effects` (ALU flags for commit) and
-    `ea_block` at X, a load's `result` at M.
+    where the record says so: `predicted` (bpb_hit, taken, target) at
+    fetch, `result` (a set-flag's too), `pending_effects` (ALU flags for
+    commit) and `ea_block` at X, a load's `result` at M.
     """
 
     __slots__ = ("record", "x_index", "r_index", "m_index", "pa", "pb",
                  "wake", "settled", "retired", "ready_cycle", "a", "b",
-                 "imm_block", "predicted", "result", "pending_effects",
-                 "ea_block")
+                 "predicted", "result", "pending_effects", "ea_block")
 
 
 _new_cell = object.__new__         # a Slot made without a class call
@@ -367,15 +341,14 @@ _NO_WRITERS = dict.fromkeys([*range(32), FLAG], ABSENT)
 # positions run, handlers' outcome, (R position, a's and b's producer
 # position or None) per cell leaving R, other outcomes' (reads, stall,
 # fetch, nexts). Then what retired, its handler, the stall position, the
-# fetched (record, immediate block) or None, the next node (by pc, after
-# a prediction).
+# fetched record or None, the next node (by pc, after a prediction).
 _KNOCK = [None, None]   # the state is looked up at the next cycle's start
 _LEARN = [None, None]   # the cycle just decided is recorded there
 _UNKNOWN = object()     # an outcome learning reads off the cycle's effects
 
 
 def _cells(key):    # a key's cells: (record or bubble, X, M, ready, pa, pb)
-    return [key[at:at + 6] for at in range(5, len(key), 6)]
+    return [key[at:at + 6] for at in range(3, len(key), 6)]
 
 
 class Engine:
@@ -395,15 +368,12 @@ class Engine:
         self.text = image.text
         # per mode, pc -> fetch record, made at the pc's first fetch there
         self._records_by_mode = {Mode.USER: {}, Mode.SUPERVISOR: {}}
-        # sealed immediate block -> its plaintext, opened at first fetch
-        self.opened = {}
         self._unround_keys = cdc.reversed_keys
         self.bpb = BranchPredictionBuffer(bpb_entries)
         self.stats = CycleStats()
         self.outputs = []
         self.trace = trace
         self.halted = False
-        self.latch = PrefixLatch()
         # replay: memo (state -> node), knocks, this cycle's node, learning
         self.memo, self._hits, self._node, self._learning = {}, {}, None, None
         # the first mode is entered as a trap or a return enters one: at
@@ -414,9 +384,17 @@ class Engine:
     # ------------------------------------------------------------- fetch --
 
     def _record(self, pc, mode):
-        """The fetch record of `pc` in `mode`, decoding its word."""
+        """The fetch record of `pc` in `mode`, decoding its word; a user-mode
+        immediate's with its block decrypted, where the words at pc - 8 and
+        pc - 4 are its prefix pair, read from their bits."""
         word, instr = isa.decode_at(self.text, pc)
-        return FetchRecord(instr, word, pc, mode)
+        record = FetchRecord(instr, word, pc, mode)
+        if record.kind == _SEALED:
+            high = isa.sealed_high(self.text, (pc - 8) & MASK32)
+            record.block = None if high is None else \
+                self._open(high | word & isa.LOW_MASK)
+            record.carrier = None
+        return record
 
     def _open(self, block):
         """The ten decrypt rounds the codec stages C1..C10 stand for."""
@@ -483,7 +461,8 @@ class Engine:
         cell.ready_cycle = n
 
     def _ex_immediate_user(self, idx, cell, n):
-        a, b, record = cell.a, cell.imm_block, cell.record
+        a, record = cell.a, cell.record
+        b = record.block
         res32, cell.pending_effects = record.kernel(a & MASK32, b & MASK32)
         cell.result = (pad_mix(a >> 32, b >> 32, record.op) << 32) | res32
         cell.ready_cycle = n
@@ -570,7 +549,6 @@ class Engine:
             # a flushed slot may have been the youngest writer of its
             # register: rebuild from the survivors
             self._rebuild_writers()
-            self.latch.clear()
             self.fetch_hold = False
             self.fetch_pc = target if taken else cell.record.next_pc
             return self.fetch_pc
@@ -672,7 +650,6 @@ class Engine:
         self._bank = st.shadow if mode is Mode.USER else st.regs
         # register -> youngest fetched writer
         self._last_writer = dict(_NO_WRITERS)
-        self.latch.clear()
         self.fetch_hold = False
         self.fetch_pc = st.pc
         return mode, st.pc
@@ -681,9 +658,8 @@ class Engine:
 
     def _state(self, n):
         """The memo key of cycle n's starting state: one flat tuple."""
-        conveyor, latch = self.conveyor, self.latch
-        key = [self.state.mode, self.fetch_pc, self.fetch_hold, latch.p0,
-               latch.p1]
+        conveyor = self.conveyor
+        key = [self.state.mode, self.fetch_pc, self.fetch_hold]
         for cell in conveyor:
             if cell.record is None:
                 key += (cell, -1, -1, None, -1, -1)
@@ -707,7 +683,6 @@ class Engine:
                                     for at in (pa, pb))
                 cell.wake, cell.settled, cell.retired = 0, False, False
         self._rebuild_writers()
-        self.latch.p0, self.latch.p1 = key[3], key[4]
 
     def _learn(self, n):
         """The cycle to replay at cycle n, or None to decide it. A knock's
@@ -768,14 +743,12 @@ class Engine:
             if record.execute is not None:  # a producer retired now: bank
                 reads.append((idx,) + tuple(None if p in (-1, len(cells) - 1)
                                             else p for p in (pa, pb)))
-        fetch, knock, nexts = None, False, after
+        knock, nexts = False, after
         record = None if stall else conveyor[0].record
-        if record is not None:
-            fetch = record, getattr(conveyor[0], "imm_block", None)
-            if record.predicted and not record.holds:
-                hit, taken, _ = conveyor[0].predicted
-                knock, nexts = hit and taken, {self.fetch_pc: after}
-        rest = tuple(reads), stall, fetch, nexts
+        if record is not None and record.predicted and not record.holds:
+            hit, taken, _ = conveyor[0].predicted
+            knock, nexts = hit and taken, {self.fetch_pc: after}
+        rest = tuple(reads), stall, record, nexts
         if node[1] is not None:
             node[1][0][5][token] = rest
         else:
@@ -791,8 +764,6 @@ class Engine:
         if retired is not InstrClass.SYSTRAP:   # else the conveyor is new
             self._restore(node[0])
             flushed = (token[0] if type(token) is tuple else token) is not None
-            if flushed:
-                self.latch.clear()
             for idx, at in (xo, "x_index"), (xy, "x_index"), (m, "m_index"):
                 if idx:
                     setattr(conveyor[idx], at, -1)
@@ -872,7 +843,7 @@ class Engine:
                 return
         else:
             # replay (of the X positions only 3 resolves, in either mode)
-            work, retired, retire, stall, fetch, nexts = cycle
+            work, retired, retire, stall, record, nexts = cycle
             if work is not None:
                 xo, xy, m, tested, reads, rests = work
                 token = None
@@ -905,7 +876,7 @@ class Engine:
                         reads, stall = (), -1
                         self._resume(token)
                     else:
-                        reads, stall, fetch, nexts = rest
+                        reads, stall, record, nexts = rest
                 for idx, pa, pb in reads:
                     cell = conveyor[idx]
                     reg = cell.record.a
@@ -918,13 +889,11 @@ class Engine:
                 del conveyor[-1]
                 if stall:
                     conveyor.insert(stall, STALL_BUBBLE)
-                elif fetch is None:
+                elif record is None:     # nothing fetched
                     conveyor.insert(0, REFILL_BUBBLE)
                 else:
-                    record, imm_block = fetch
                     slot = _new_cell(Slot)
                     slot.record, slot.ready_cycle = record, None
-                    slot.imm_block = imm_block
                     self.fetch_pc = record.next_pc
                     conveyor.insert(0, slot)
                     if record.holds:
@@ -991,25 +960,15 @@ class Engine:
         if record is None:
             record = self._records[pc] = self._record(pc, self.state.mode)
         self.fetch_pc = record.next_pc
-        kind = record.kind
-        imm_block = None
-        if kind == _PLAIN:
-            latch = self.latch
-            latch.p0 = latch.p1 = None
-        elif kind == _PREFIX:
-            instr = record.instr
-            self.latch.feed(instr.prefix_idx, instr.prefix_payload)
-        elif kind == _SEALED:
-            try:
-                sealed = consume_prefixes(self.latch, record.word)
-            except MissingPrefix:       # fetched as an illegal carrier
-                record = FetchRecord(None, record.word, pc, record.mode)
-            else:
-                imm_block = self.opened.get(sealed)
-                if imm_block is None:
-                    imm_block = self.opened[sealed] = self._open(sealed)
-        # an illegal carrier leaves the latch as it is: it holds fetch until
-        # the trap commits or a flush restarts fetch, and both clear it
+        if record.kind == _SEALED:
+            # sealed only right behind its prefix pair, else a carrier
+            first, second = conveyor[1].record, conveyor[0].record
+            if record.block is None or first is None or second is None \
+                    or first.kind != _PREFIX or second.kind != _PREFIX:
+                if record.carrier is None:
+                    record.carrier = FetchRecord(None, record.word, pc,
+                                                 record.mode)
+                record = record.carrier
         writers = self._last_writer
         pa, pb = writers[record.a], writers[record.b]
         slot = _new_cell(Slot)
@@ -1020,8 +979,6 @@ class Engine:
         slot.settled = pa.retired and pb.retired and not record.serialize
         slot.retired = False
         slot.ready_cycle = None
-        if imm_block is not None:
-            slot.imm_block = imm_block
         dest = record.dest
         if dest is not None:
             writers[dest] = slot
@@ -1112,7 +1069,7 @@ def _fetch_entry(row, code, mode):
     elif cls is InstrClass.SYSTRAP:     # l.rfe is a carrier in user mode
         work = (None, None,
                 E._retire_sys if row.mnemonic == "l.sys" else E._retire_rfe)
-    else:                               # a prefix: fetch feeds the latch
+    else:                               # a prefix: only fetched
         kind, work = _PREFIX, (None, None, None)
     execute, memory, retire = work
     cls = row.cls                       # the carrier's, for an illegal fetch

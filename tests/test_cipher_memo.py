@@ -1,23 +1,25 @@
 """The cipher runs once per distinct block, and what the machines keep stays
 bounded.
 
-The engine opens each sealed immediate at fetch and keeps the plaintext per
-sealed block; the oracle opens each sealed pc's block once, as it folds
-the pc's prefix pair and immediate into one record; the memory system keys
-its TLB by padded address and encrypts each key and each written cell
-once, for the dump. None of these may grow with the length of a run: the
-blocks opened are bounded by the program's sealed pcs, the TLB by the
-distinct padded addresses, at most the user words. And a run four times
-longer peaks at the same memory in either machine.
+The engine opens each sealed immediate as it makes the pc's fetch record,
+which keeps the plaintext; the oracle opens each sealed pc's block once, as
+it folds the pc's prefix pair and immediate into one record; the memory
+system keys its TLB by padded address and encrypts each key and each
+written cell once, for the dump. None of these may grow with the length of
+a run: the blocks opened are bounded by the program's sealed pcs, the TLB
+by the distinct padded addresses, at most the user words. And a run four
+times longer peaks at the same memory in either machine, each run measured
+after a first run of the same machine has warmed CPython's free lists.
 """
 
 import tracemalloc
 from pathlib import Path
 
 from kit import CDC, KEY, build, run_both, sweep_source
-from kpusim import isa
+from kpusim import isa, pipeline
 from kpusim.check import engine_view
-from kpusim.codec import Codec
+from kpusim.codec import ROUNDS, Codec
+from kpusim.core import Mode
 from kpusim.frontend import main
 from kpusim.isa import InstrClass
 from kpusim.memsys import MemorySystem
@@ -38,7 +40,7 @@ FAULT_CYCLE = 156
 
 def sealed_pcs(image):
     """Immediate-class pcs right behind a prefix pair: the only places a
-    full prefix latch can be consumed."""
+    user-mode immediate can be sealed."""
     def cls(pc):
         try:
             return isa.decode(image.text[pc]).cls
@@ -49,15 +51,55 @@ def sealed_pcs(image):
             and cls(pc - 8) is cls(pc - 4) is InstrClass.PREFIX}
 
 
-def test_immediate_memos_hold_at_most_one_block_per_sealed_pc():
+def fetched_records(engine):
+    """Run `engine` to its exit; the fetch records of the cells it
+    fetched, each once."""
+    records = {}
+    step = engine.step
+
+    def watching():
+        step()
+        record = engine.conveyor[0].record
+        if record is not None:
+            records[id(record)] = record
+
+    engine.step = watching
+    engine.run()
+    return list(records.values())
+
+
+def sealed_block(text, pc):
+    """The block the prefix pair at pc - 8 and pc - 4 seals with the
+    immediate at pc, read off the decoded words."""
+    p0, p1 = (isa.decode(text[pc - at]).prefix_payload for at in (8, 4))
+    return p0 << isa.P0_SHIFT | p1 << isa.P1_SHIFT | text[pc] & isa.LOW_MASK
+
+
+def test_immediate_memos_hold_at_most_one_block_per_sealed_pc(monkeypatch):
     image = build((ROOT / "bench" / "is_add_test.s").read_text())
     pcs = sealed_pcs(image)
-    engine, _ = run_both(image)
+    rounds = []
+    unround = pipeline.feistel_unround
+
+    def counting(block, key):
+        rounds.append(block)
+        return unround(block, key)
+
+    monkeypatch.setattr(pipeline, "feistel_unround", counting)
+    engine = Engine(image, CDC)
+    records = fetched_records(engine)
     assert engine.outputs == [64, 64]
-    # the loop fetches its sealed immediates 64 times each
-    assert 0 < len(engine.opened) <= len(pcs)
-    for sealed, block in engine.opened.items():
-        assert block == CDC.decrypt(sealed)
+    # the loop fetches its sealed immediates 64 times each; each user
+    # record holding a block sits at a sealed pc and holds the plaintext
+    # of its triple, opened once, as the record was made
+    sealed = [record for record in records if record.mode is Mode.USER
+              and getattr(record, "block", None) is not None]
+    assert 0 < len(sealed) <= len(pcs)
+    for record in sealed:
+        assert record.pc in pcs
+        assert record.block == CDC.decrypt(sealed_block(image.text,
+                                                        record.pc))
+    assert len(rounds) == ROUNDS * len(sealed)
     # the oracle opens each sealed pc's block once, as it folds the pc
     cdc = CountingCodec(KEY)
     oracle = Interpreter(image, cdc)
@@ -102,6 +144,10 @@ def test_long_runs_use_bounded_memory():
     for rounds in (64, 256):
         image = build(source.replace("l.addi  r2, r0, 64",
                                      "l.addi  r2, r0, %d" % rounds))
+        # a run untraced first, so that both measured runs start from the
+        # free lists it leaves, whatever ran before in the process
+        Engine(image, CDC).run()
+        Interpreter(image, CDC).run()
         engine = Engine(image, CDC)
         oracle = Interpreter(image, CDC)
         peaks[rounds] = (_run_peak(engine), _run_peak(oracle))

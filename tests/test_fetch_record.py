@@ -5,8 +5,9 @@ mode: the same text word can be a different instruction to each mode.
 Each program runs one shared stretch of text in supervisor mode first,
 then again in user mode through an `l.rfe` whose EPCR points back at it.
 An `.encrypt on` immediate is a plain immediate on the short plan in
-supervisor mode and a latch-consuming plan-B immediate in user mode; an
-`l.sd` is legal in supervisor mode and an illegal carrier in user mode.
+supervisor mode and a plan-B immediate its prefix pair seals in user
+mode; an `l.sd` is legal in supervisor mode and an illegal carrier in
+user mode.
 Outputs, cycles and the interpreter's steps are frozen at their measured
 values, and the two machines are checked against each other.
 

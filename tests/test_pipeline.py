@@ -5,9 +5,9 @@ each producer in each mode, are one table in tests/test_hazard_matrix.py.
 The timing facts here are the ones a pair does not show, frozen as exact
 stall/refill/cycle counts on minimal programs: a consumer of two producers
 in flight, a chain of held consumers, the fill depth, branch prediction
-over a loop, the prefix latch and the trap plumbing; then the run budget
-and the cost guards of the per-cycle and per-step paths and of the
-load path.
+over a loop, the prefix pair's rule and the trap plumbing; then the run
+budget and the cost guards of the per-cycle and per-step paths and of
+the load path.
 """
 
 import re
@@ -19,11 +19,11 @@ import pytest
 
 from kit import CDC, build
 from kpusim.assembler import parse_image, write_image
+from kpusim import isa
 from kpusim.core import BudgetExhausted, Mode
 from kpusim.isa import InstrClass, decode_at
 from kpusim.oracle import Interpreter
-from kpusim.pipeline import (BranchPredictionBuffer, Engine, MissingPrefix,
-                             PrefixLatch, consume_prefixes)
+from kpusim.pipeline import BranchPredictionBuffer, Engine
 from kpusim.progen import generate_source
 
 # Boot shim: set up both vectors, drop to user code at 0x4000.
@@ -57,26 +57,27 @@ def counts(engine, mode=Mode.USER):
 
 # ----------------------------------------------------------- prefix latch --
 
+# The machine's prefix latch is a rule, not state: an immediate is sealed
+# when the two words fetched just before it, at pc - 8 and pc - 4, are an
+# index-0 prefix and then an index-1 prefix. isa.sealed_high reads them.
+P0, P1 = isa.P0_TAG | 0xAAAAAA, isa.P1_TAG | 0xBBBBBB
+
+
 def test_prefix_latch_protocol():
-    latch = PrefixLatch()
-    latch.feed(0, 0xAAAAAA)
-    latch.feed(1, 0xBBBBBB)
-    assert latch.full
-    block = consume_prefixes(latch, 0xCCCC)
+    text = {0x4000: P0, 0x4004: P1, 0x4008: 0xCCCC}
+    block = isa.sealed_high(text, 0x4000) | (text[0x4008] & isa.LOW_MASK)
     assert block == (0xAAAAAA << 40) | (0xBBBBBB << 16) | 0xCCCC
-    assert not latch.full
+    # the pair's top bits ride in the payloads alone
+    assert isa.sealed_high({0: isa.P0_TAG, 4: isa.P1_TAG}, 0) == 0
 
 
 def test_prefix_latch_rejects_wrong_order():
-    latch = PrefixLatch()
-    latch.feed(1, 0xBBBBBB)          # second half with no first half
-    assert not latch.full
-    with pytest.raises(MissingPrefix):
-        consume_prefixes(latch, 0xCCCC)
-    latch.feed(0, 0x111111)
-    latch.feed(0, 0x222222)          # restart overwrites, clears the pair
-    latch.feed(1, 0x333333)
-    assert consume_prefixes(latch, 1) == (0x222222 << 40) | (0x333333 << 16) | 1
+    for first, second in ((P1, P0), (P0, P0), (P1, P1)):
+        assert isa.sealed_high({0x4000: first, 0x4004: second}, 0x4000) \
+            is None
+    # and a pair with a word missing, or a plain word in its place
+    assert isa.sealed_high({0x4004: P1}, 0x4000) is None
+    assert isa.sealed_high({0x4000: P0, 0x4004: 0xCCCC}, 0x4000) is None
 
 
 # -------------------------------------------------------------- predictor --
@@ -490,12 +491,17 @@ def bytecodes(fn, skip=None):
 #     executions, no prefix latch       -   243.9       -       -
 #   engine, per cycle, recurring
 #     states replayed               281.4   274.4   267.4   267.2
+#   engine, per cycle, each
+#     immediate sealed by the rule
+#     of its prefix pair            274.4   267.8   260.8   259.0
 #
 # (the fold-from-words row's 3.13 count is of 3.13.13, where the row
 # above it reads 272.0. The two rows with no prefix latch were measured
 # on 3.11.7 alone, where the change before them read 81.4 and 248.9. The
 # replay row's 3.13 count is of 3.13.0; the engine before it read 355.7,
-# 353.6, 348.4 and 347.3.)
+# 353.6, 348.4 and 347.3. The last row was counted as this test counts,
+# by a script outside pytest, where the engine before it read 281.4,
+# 274.5, 267.4 and 267.2.)
 # The engine's ceiling is 288, the replay row's count plus 5%, as the
 # CPython columns differ by up to about 3%: a replay that stops engaging
 # fails it. The oracle's is 87; decode's is 108 and parse_image's 84,

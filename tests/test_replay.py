@@ -20,9 +20,10 @@ import pytest
 
 import corpus
 from kit import CDC, build, sweep_source
-from kpusim import pipeline
+from kpusim import isa, pipeline
 from kpusim.codec import ProgramFault
 from kpusim.core import Mode
+from kpusim.isa import InstrClass
 from kpusim.pipeline import KNOCK_HITS, Engine
 from kpusim.progen import generate_source
 
@@ -49,6 +50,33 @@ walk:
     l.bf   walk
     l.nop  1
 """
+
+# A user loop of 12 rounds whose back edge's target holds two words and
+# then a sealed l.addi, its index-0 prefix 8 bytes past the target: the
+# loop's exit is predicted taken, and the flush takes that prefix, fetched
+# on the wrong path. The fall-through holds a lone index-1 prefix and a
+# bare l.addi word, which nothing seals: it traps to the
+# illegal-instruction vector, which prints r3 and exits.
+FLUSHED_PREFIX = """.mode user
+.entry start
+.org 0x700
+    l.nop   2
+    l.nop   1
+.org 0x4000
+.encrypt on
+start:
+    l.addi  r2, r0, 12
+loop:
+    l.add   r4, r4, r3
+    l.or    r5, r4, r4
+    l.addi  r3, r3, 7
+    l.addi  r2, r2, -1
+    l.sfne  r2, r0
+    l.bf    loop
+    .word   0x%08x
+    .word   0x%08x
+""" % (isa.P1_TAG | 0x123456, isa.encode_fields(isa.MNEMONICS["l.addi"],
+                                               {"rd": 3, "ra": 3, "imm": 5}))
 
 
 def end_state(engine):
@@ -267,3 +295,11 @@ def test_the_memo_grows_with_states_not_rounds():
         engine.run()
         sizes.append(len(engine.memo))
     assert sizes[0] == sizes[1]
+
+
+def test_a_prefix_flushed_at_a_replayed_exit_seals_nothing(knock):
+    engine = assert_alike(build(FLUSHED_PREFIX))
+    assert engine.halted and engine.replayed > 0
+    # the bare l.addi came as an illegal carrier, and trapped
+    assert engine.stats.mode(Mode.USER).completions[InstrClass.SYSTRAP] == 1
+    assert engine.state.mode is Mode.SUPERVISOR
