@@ -14,7 +14,7 @@ the answer key stays independent of what it checks.
 from . import isa
 from .assembler import FormatError, loose_numbers, read_number, read_records
 from .codec import MASK32, MASK64, word_value
-from .core import open_register
+from .core import open_registers
 from .memsys import BLANK_CELL, blank_word
 
 
@@ -160,22 +160,22 @@ def compare(view, result, cdc):
     if view.mode != result.mode.value:
         problems.append("mode: machine %s, reference %s"
                         % (view.mode, result.mode.value))
-    user = view.mode == "user"
+    regs = (view.regs_shadow if view.mode == "user"
+            else open_registers(cdc, view.regs_real))
     for i in range(32):
-        sim = (view.regs_shadow[i] & MASK32 if user
-               else word_value(open_register(cdc, view.regs_real[i])))
-        ref = result.regs[i] & MASK32
+        sim, ref = regs[i] & MASK32, result.regs[i] & MASK32
         if sim != ref:
             problems.append("r%d: machine 0x%08x, reference 0x%08x"
                             % (i, sim, ref))
 
+    # every TLB key and the cell it maps to, decrypted in one batch; the
+    # dump leaves out a cell that holds 0, as a blank one does
+    tlb = view.tlb
+    blocks = cdc.decrypt_many([*tlb, *[view.cells.get(index, BLANK_CELL)
+                                       for index in tlb.values()]])
     logical = {}
-    for cipher, index in view.tlb.items():
-        ea_block = cdc.decrypt(cipher)
-        addr = word_value(ea_block)
-        # the dump leaves out a cell that holds 0, as a blank one does
-        value = word_value(cdc.decrypt(view.cells.get(index, BLANK_CELL)))
-        logical.setdefault(addr, []).append(value)
+    for ea_block, value in zip(blocks, blocks[len(tlb):]):
+        logical.setdefault(word_value(ea_block), []).append(word_value(value))
     for addr, values in sorted(logical.items()):
         seen = set(values)
         if len(seen) > 1:

@@ -66,13 +66,14 @@ class BudgetExhausted(codec.ProgramFault):
         super().__init__("no exit within a budget of %d" % budget)
 
 
-def open_register(cdc, real):
-    """A real register's plaintext-domain block, for map-in and the checker:
-    a zero-filled value is a program address and gets the 0x7fff tag, and
-    anything else decrypts (memsys.BLANK_CELL says where that misreads)."""
-    if real >> 32 == 0:
-        return codec.to_decrypted_address(real)
-    return cdc.decrypt(real)
+def open_registers(cdc, reals):
+    """Each real register's plaintext-domain block, for map-in and the
+    checker: a zero-filled value is a program address and gets the 0x7fff
+    tag, and the rest decrypt, in one batch (memsys.BLANK_CELL says where
+    that misreads)."""
+    opened = iter(cdc.decrypt_many([real for real in reals if real >> 32]))
+    return [next(opened) if real >> 32 else codec.to_decrypted_address(real)
+            for real in reals]
 
 
 def pack_sr(sm, f, cy, ov):
@@ -105,23 +106,27 @@ class MachineState:
 
     # -------------------------------------------------------------- banks --
 
-    def _map_out(self, shadow):
-        if codec.is_decrypted_address(shadow):
-            return codec.to_encrypted_address(shadow)
-        if codec.is_encrypted_address(shadow):
-            return shadow
-        return self.codec.encrypt(shadow)
-
     def _map_in(self, indices):
-        for i in indices:
-            if i == 0:
-                continue
-            self.shadow[i] = open_register(self.codec, self.regs[i])
+        indices = [i for i in indices if i]
+        opened = open_registers(self.codec, [self.regs[i] for i in indices])
+        for i, block in zip(indices, opened):
+            self.shadow[i] = block
 
     def flush_shadows(self):
-        """Encrypt the stale shadows into the real bank (user mode's end)."""
+        """Encrypt the stale shadows into the real bank (user mode's end):
+        a program address crosses in its zero-filled form, and the other
+        blocks are encrypted in one batch."""
+        regs, shadow, data = self.regs, self.shadow, []
         for i in self.stale:
-            self.regs[i] = self._map_out(self.shadow[i])
+            block = shadow[i]
+            if codec.is_decrypted_address(block) \
+                    or codec.is_encrypted_address(block):
+                regs[i] = codec.to_encrypted_address(block)
+            else:
+                data.append(i)
+        ciphers = self.codec.encrypt_many([shadow[i] for i in data])
+        for i, cipher in zip(data, ciphers):
+            regs[i] = cipher
         self.stale.clear()
 
     def write_register(self, i, value, program_address=False):

@@ -16,9 +16,9 @@ of the model, not an accident.
 The cipher is a bijection, so the memory system keeps plaintext where the
 hardware holds ciphertext: the TLB is keyed by the padded address, which
 allocates as the ciphertext would, and a user cell holds the block last
-stored. physical_view() encrypts both, each once, for the dump and the
-checker. The codec's cost on a user access is pipeline latency, which the
-engine charges.
+stored. physical_view() encrypts both, each once and all in one batch, for
+the dump and the checker. The codec's cost on a user access is pipeline
+latency, which the engine charges.
 
 A user cell's value has one home, user_blocks. The user data cache holds
 only which padded addresses it has, and keeps the only count of its read
@@ -36,8 +36,9 @@ DEFAULT_CACHE_ENTRIES = 64
 # What a never-written user cell holds, in both machines and the checker;
 # a user load from one reads its decryption (blank_word). That value's
 # ciphertext, 0, is also program address 0's zero-filled form, which
-# core.open_register reads back after a trap maps the value out (ROADMAP.md,
-# open item 1(a)). Unwritten supervisor RAM reads 0, a rule of its own.
+# core.open_registers reads back after a trap maps the value out
+# (ROADMAP.md, open item 1(a)). Unwritten supervisor RAM reads 0, a rule
+# of its own.
 BLANK_CELL = 0
 
 
@@ -151,11 +152,12 @@ class MemorySystem:
     def physical_view(self):
         """(cells, tlb) as the hardware holds them: every written cell,
         supervisor words as stored and each user block encrypted, and the
-        TLB keyed by each address's ciphertext."""
-        encrypt = self.codec.encrypt
-        return (self.cells | {index: encrypt(block)
-                              for index, block in self.user_blocks.items()},
-                {encrypt(ea): index for ea, index in self.tlb.entries.items()})
+        TLB keyed by each address's ciphertext. The user blocks and the
+        TLB's keys are encrypted in one list, lane-parallel."""
+        blocks, entries = self.user_blocks, self.tlb.entries
+        ciphers = self.codec.encrypt_many([*blocks.values(), *entries])
+        return (self.cells | dict(zip(blocks, ciphers)),
+                dict(zip(ciphers[len(blocks):], entries.values())))
 
     # -------------------------------------------------------- supervisor --
 

@@ -40,8 +40,8 @@ class Interpreter:
     records. The operand is what the handler needs that the instruction
     alone does not say: an ALU row's alu kernel, a set-flag row's flag
     kernel, a branch's (taken on a set flag, target), a direct jump's
-    target, an immediate's (kernel, sealed word) in user mode and (kernel,
-    imm & MASK32) in supervisor mode, and None elsewhere. Where it is the
+    target, an immediate's kernel in user mode and (kernel, imm & MASK32)
+    in supervisor mode, and None elsewhere. Where it is the
     row's alone (a kernel, looked up by its code once, as the table is
     built, or None) the table holds it; elsewhere the table's rule works
     it out from the pc, the word and the instruction. So a record costs a
@@ -54,9 +54,12 @@ class Interpreter:
 
     In user mode an index-0 prefix, the index-1 prefix behind it and the
     immediate behind both get one record: the immediate's, with (kernel,
-    literal) decrypted when the record is made and the pc past all three
-    as its successor. It reads the prefixes from their bits
-    (isa.sealed_high) and decodes only the immediate. The fold is the
+    literal) and the pc past all three as its successor. The literal comes
+    from the image's sealed table: at the first user-mode record, every
+    pc where isa.sealed_high reads a prefix pair from its bits gets its
+    block opened, the whole table in one batch (Codec.decrypt_many), and
+    from then on a pc folds exactly when it is in the table; the fold
+    decodes only the immediate. The fold is the
     machine's rule: an immediate is sealed exactly when the two words run
     just before it were an index-0 prefix at pc - 8 and an index-1 prefix
     at pc - 4, as a prefix falls through. So a prefix only moves the pc
@@ -98,6 +101,8 @@ class Interpreter:
         self.esr = (Mode.USER, {"f": False, "cy": False, "ov": False})
         self.spr = {SPR_CONFIG: CONFIG_ID}
         self.text = image.text
+        # pc -> literal of each prefix pair, opened at the first user record
+        self._literals = None
         # per mode, pc -> record, made at the pc's first execution there
         self._records_by_mode = {Mode.USER: {}, Mode.SUPERVISOR: {}}
         # per mode, pc -> run, made once the pc has a record there
@@ -155,24 +160,24 @@ class Interpreter:
     def _record(self, pc, fold=True):
         """The record of `pc` in the current mode; with `fold`, the one
         record of a user-mode index-0 prefix, the index-1 prefix after it
-        and the immediate they seal: the prefixes read from their bits,
-        the immediate's record made unfolded if new and kept, and the
-        literal decrypted here: the fold is made once per pc, and the
-        assembler seals each pc under its own pad. Its handler, not its class,
-        says the word at pc + 8 is a sealed immediate: a folded record
-        there holds an immediate too, with a literal for the word."""
+        and the immediate they seal: a pc in the sealed table, which is
+        opened here at the first user-mode record, the immediate's record
+        made unfolded if new and kept, and the literal the table's. Its
+        handler, not its class, says the word at pc + 8 is a sealed
+        immediate: a folded record there holds an immediate too, with a
+        literal for the word."""
         if fold and self.mode is Mode.USER:
-            high = isa.sealed_high(self.text, pc)
-            if high is not None:
+            literals = self._literals
+            if literals is None:
+                literals = self._literals = self._open_sealed()
+            literal = literals.get(pc)
+            if literal is not None:
                 at, records = (pc + 8) & MASK32, self._records
                 sealed = records.get(at) or self._record(at, False)
                 if sealed[0] is Interpreter._sealed_immediate:
                     records[at] = sealed
-                    kernel, word = sealed[2]
-                    literal = word_value(self.codec.decrypt(
-                        high | word & isa.LOW_MASK))
                     return (Interpreter._immediate, sealed[1],
-                            (kernel, literal), (pc + 12) & MASK32)
+                            (sealed[2], literal), (pc + 12) & MASK32)
         word, ins = isa.decode_at(self.text, pc)
         if ins is None:
             return _ILLEGAL_RECORD
@@ -180,6 +185,20 @@ class Interpreter:
         return (handler, ins,
                 operand if rule is None else rule(pc, word, ins),
                 (pc + 4) & MASK32 if retires else None)
+
+    def _open_sealed(self):
+        """pc -> literal of every prefix pair in the text, found by
+        isa.sealed_high: the low 32 bits of the block the pair at pc and
+        pc + 4 seals with the word at pc + 8, all opened in one batch."""
+        text, pcs, blocks = self.text, [], []
+        for pc in text:
+            high = isa.sealed_high(text, pc)
+            if high is not None:
+                pcs.append(pc)
+                blocks.append(high | text.get((pc + 8) & MASK32, 0)
+                              & isa.LOW_MASK)
+        return dict(zip(pcs, map(word_value,
+                                 self.codec.decrypt_many(blocks))))
 
     def _run(self, pc):
         """The run at `pc`, a pc with a record, as (ops, count, successor,
@@ -367,9 +386,8 @@ def _dispatch(row, mode):
         return I._prefix, False, None, None
     if cls is InstrClass.IMMEDIATE:
         kernel = alu.kernel(isa.IMM_ALU_OP[row.mnemonic])
-        if user:                        # the sealed word, for the fold
-            return (I._sealed_immediate, False,
-                    lambda pc, word, ins: (kernel, word), None)
+        if user:                        # the kernel, for the fold
+            return I._sealed_immediate, False, None, kernel
         return (I._immediate, True,
                 lambda pc, word, ins: (kernel, ins.imm & MASK32), None)
     rule = operand = None

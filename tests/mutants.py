@@ -37,6 +37,7 @@ TIMEOUT = 300       # seconds per run: tier-1 takes about 25 s
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
                                 ".benchmarks", "out")
 
+CODEC = "src/kpusim/codec.py"
 PIPELINE = "src/kpusim/pipeline.py"
 ORACLE = "src/kpusim/oracle.py"
 ISA = "src/kpusim/isa.py"
@@ -78,6 +79,21 @@ MUTANTS = [
              "if sealed[1].cls is isa.InstrClass.IMMEDIATE:")],
            killer=FOLD + "test_the_cases_fold_jump_into_a_fold_and_trap",
            corpus=False),
+    mutant("the sealed table opened without the immediate's low bits",
+           ORACLE,
+           [("blocks.append(high | text.get((pc + 8) & MASK32, 0)\n"
+             "                              & isa.LOW_MASK)",
+             "blocks.append(high)")],
+           killer=WORD_FOR_WORD, corpus=True),
+    # the codec's lanes: a right shift masked to the lane's own bits
+    mutant("a lane's 7-bit rotate spills into its neighbour", CODEC,
+           [("((x >> 25) & m7)", "(x >> 25)")],
+           killer="tests/test_codec.py::"
+           "test_batched_lanes_keep_their_spill_and_carry"),
+    mutant("a lane's 13-bit rotate spills into its neighbour", CODEC,
+           [("((right >> 19) & m13)", "(right >> 19)")],
+           killer="tests/test_codec.py::"
+           "test_batched_lanes_keep_their_spill_and_carry"),
     # the engine's replay (memoized timing)
     mutant("replay drops a load's hit from the outcome", PIPELINE,
            [("if m and cells[m][0].memory is Engine._mem_load_user:",

@@ -5,10 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from kit import CDC, run_both
+from kit import CDC, build, run_both
 from kpusim.assembler import FormatError, parse_image
 from kpusim.check import (SimView, compare, engine_view, parse_sim_dump,
                           render_dump)
+from kpusim.oracle import Interpreter
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -45,6 +46,26 @@ def test_compare_reports_an_exit_mode_mismatch():
     assert view.mode == "user"
     view.mode = "super"
     assert compare(view, res, CDC)[0] == "mode: machine super, reference user"
+
+
+def test_compare_opens_a_supervisor_dumps_registers():
+    # a zero-filled program address reads as its pc, ciphertext as its
+    # plaintext's word and 0 as program address 0, the ciphertexts in one
+    # batch
+    res = Interpreter(build(".mode super\n.entry boot\n.org 0x100\nboot:\n"
+                            "    l.addi r1, r0, 0x104\n"
+                            "    l.addi r2, r0, 42\n"
+                            "    l.addi r3, r0, 7\n"
+                            "    l.addi r4, r0, -1\n"
+                            "    l.nop 1\n"), CDC).run()
+    real = [0, 0x104, CDC.encrypt(block(0x77, 42)),
+            CDC.encrypt(block(0x78, 7)),
+            CDC.encrypt(block(0x79, 0xFFFFFFFF))] + [0] * 27
+    view = SimView("super", real, [0] * 32)
+    assert compare(view, res, CDC) == []
+    real[3] = CDC.encrypt(block(0x78, 8))
+    assert compare(view, res, CDC) == [
+        "r3: machine 0x00000008, reference 0x00000007"]
 
 
 @pytest.mark.parametrize("text", ["", "\n\n", "# a comment\n   \n"])

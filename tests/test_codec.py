@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from kpusim.codec import (MASK32, MASK64, Codec, NotAProgramAddress,
-                          feistel_round, feistel_unround,
+from kpusim.codec import (CROSSOVER, MASK32, MASK64, Codec,
+                          NotAProgramAddress, feistel_round, feistel_unround,
                           is_decrypted_address, is_encrypted_address,
                           key_schedule, make_padding, open_program_address,
                           pad_is_valid, pad_mix, rotl32, to_decrypted_address,
@@ -111,16 +111,20 @@ def test_block_routines_equal_the_reference_rounds():
         assert cdc.decrypt(block) == back
 
 
-def test_block_routines_equal_the_fold_on_wide_and_negative_ints():
-    # every routine reads a block as bits 63..32 and 31..0 of the int, so
-    # bits above 64 and a sign read the same way in the loop and the fold
-    cdc = Codec(DEFAULT_KEY)
+def _wide_and_negative_blocks():
     rng = random.Random(111)
     blocks = [1 << 64, (1 << 64) + 7, MASK64 << 3, -1, -(1 << 63),
               -(1 << 64), -(1 << 70) - 5]
     blocks += [rng.getrandbits(96) | (1 << 64) for _ in range(200)]
     blocks += [-rng.getrandbits(80) - 1 for _ in range(200)]
-    for block in blocks:
+    return blocks
+
+
+def test_block_routines_equal_the_fold_on_wide_and_negative_ints():
+    # every routine reads a block as bits 63..32 and 31..0 of the int, so
+    # bits above 64 and a sign read the same way in the loop and the fold
+    cdc = Codec(DEFAULT_KEY)
+    for block in _wide_and_negative_blocks():
         forward = back = block
         for k in cdc.round_keys:
             forward = feistel_round(forward, k)
@@ -129,6 +133,43 @@ def test_block_routines_equal_the_fold_on_wide_and_negative_ints():
         assert cdc.encrypt(block) == forward
         assert cdc.decrypt(block) == back
         assert cdc.encrypt(block) == cdc.encrypt(block & MASK64)
+
+
+def _assert_batches_equal_blocks(cdc, blocks):
+    assert cdc.encrypt_many(blocks) == [cdc.encrypt(b) for b in blocks]
+    assert cdc.decrypt_many(blocks) == [cdc.decrypt(b) for b in blocks]
+
+
+@pytest.mark.parametrize("key", [KEY, DEFAULT_KEY], ids=["KEY", "DEFAULT"])
+def test_batched_routines_equal_the_block_routines(key):
+    cdc = Codec(key)
+    _assert_batches_equal_blocks(cdc, _sample_blocks())
+    _assert_batches_equal_blocks(cdc, _wide_and_negative_blocks())
+    rng = random.Random(key & 0xFFFF)
+    for n in (0, 1, CROSSOVER - 1, CROSSOVER, 64, 1000):
+        _assert_batches_equal_blocks(cdc, [rng.getrandbits(64)
+                                           for _ in range(n)])
+
+
+@pytest.mark.parametrize("key", [KEY, DEFAULT_KEY], ids=["KEY", "DEFAULT"])
+def test_batched_lanes_keep_their_spill_and_carry(key):
+    # a round's sum reaches a lane's guard bits, and its right shifts read
+    # the lane above: where every lane's first round xors its half to all
+    # ones (encrypt's right half, decrypt's left) or the half is all ones,
+    # a right shift that kept the neighbour's bits would carry into it
+    cdc = Codec(key)
+    k0, k9 = cdc.round_keys[0], cdc.reversed_keys[0]
+    for block in (~k0 & MASK32, (~k9 & MASK32) << 32, MASK64):
+        _assert_batches_equal_blocks(cdc, [block] * 64)
+
+
+def test_batched_round_trip():
+    cdc = Codec(KEY)
+    rng = random.Random(112)
+    blocks = [rng.getrandbits(64) for _ in range(500)]
+    blocks += _wide_and_negative_blocks()
+    assert cdc.decrypt_many(cdc.encrypt_many(blocks)) \
+        == [block & MASK64 for block in blocks]
 
 
 # (block, encrypt(block), decrypt(block)) under DEFAULT_KEY, taken from the
