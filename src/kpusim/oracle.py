@@ -41,10 +41,10 @@ class Interpreter:
     alone does not say: an ALU row's alu kernel, a set-flag row's flag
     kernel, a branch's (taken on a set flag, target), a direct jump's
     target, an immediate's kernel in user mode and (kernel, imm & MASK32)
-    in supervisor mode, and None elsewhere. Where it is the
-    row's alone (a kernel, looked up by its code once, as the table is
-    built, or None) the table holds it; elsewhere the table's rule works
-    it out from the pc, the word and the instruction. So a record costs a
+    in supervisor mode, and None elsewhere. Where it is the row's alone
+    (a kernel, looked up by its code once, as the table is built, or
+    None) the table holds it; elsewhere the table's rule works it out
+    from the pc, the word and the instruction. So a record costs a
     decode, one lookup and at most one call. A record with a successor,
     the pc after its word (0 is one, after a word at 0xFFFFFFFC), retires
     the word in step() before its handler runs: the step is counted and
@@ -55,17 +55,16 @@ class Interpreter:
     In user mode an index-0 prefix, the index-1 prefix behind it and the
     immediate behind both get one record: the immediate's, with (kernel,
     literal) and the pc past all three as its successor. The literal comes
-    from the image's sealed table: at the first user-mode record, every
-    pc where isa.sealed_high reads a prefix pair from its bits gets its
-    block opened, the whole table in one batch (Codec.decrypt_many), and
-    from then on a pc folds exactly when it is in the table; the fold
-    decodes only the immediate. The fold is the
-    machine's rule: an immediate is sealed exactly when the two words run
-    just before it were an index-0 prefix at pc - 8 and an index-1 prefix
-    at pc - 4, as a prefix falls through. So a prefix only moves the pc
-    on, and a user-mode immediate reached any other way is a step that
-    traps to the illegal-instruction vector, as the machine's illegal
-    carrier does. The immediate keeps the
+    from the image's sealed table: at the first user-mode record, every pc
+    where isa.sealed_high reads a prefix pair from its bits gets its block
+    opened, the whole table in one batch (Codec.decrypt_many), and from
+    then on a pc folds exactly when it is in the table; the fold decodes
+    only the immediate. The fold is the machine's rule: an immediate is
+    sealed exactly when the two words run just before it were an index-0
+    prefix at pc - 8 and an index-1 prefix at pc - 4, as a prefix falls
+    through. So a prefix only moves the pc on, and a user-mode immediate
+    reached any other way is a step that traps to the illegal-instruction
+    vector, as the machine's illegal carrier does. The immediate keeps the
     record it is decoded into, for a jump onto it; a word the fold only
     reads gets its own record when execution first reaches it, by a jump
     inside, as any word does.
