@@ -190,13 +190,31 @@ skip:
     l.nop  2
     l.nop  1
 """
+# a loop whose inner branch falls through in each round whose count has
+# its low bits (the mask) zero: a wrong prediction every few rounds, from
+# states seen before
+SKIP = """%s
+    l.addi r2, r0, %d
+loop:
+    l.andi r5, r2, %d
+    l.sfne r5, r0
+    l.bf   skip
+    l.add  r7, r7, r2
+skip:
+    l.addi r2, r2, -1
+    l.sfne r2, r0
+    l.bf   loop
+    l.add  r3, r7, r0
+    l.nop  2
+    l.nop  1
+"""
 
 
 def turning_loops():
     """The small-scope set's loops whose outcome changes as they run, as
     build()'s entries: a last round's wrong prediction at every round
     count, an l.sys round trip in a loop body, an inner branch that turns
-    half way, and sweeps whose later passes hit where the first missed
+    half way, one that turns back every 2, 4 or 8 rounds, and sweeps whose later passes hit where the first missed
     (a load allocates no line: only a pass's store makes the next pass
     hit) or miss as the first did."""
     from itertools import product
@@ -217,6 +235,10 @@ def turning_loops():
              + LOOP % (count, SYS_BODY), SOURCE_BUDGET),
             ("turn %s %d" % (mode, count), "source",
              TURN % (matrix.HEAD[mode], count, 2 * count), SOURCE_BUDGET)]
+    entries += [("skip %s %d %d" % (mode, mask, rounds), "source",
+                 SKIP % (matrix.HEAD[mode], rounds, mask), SOURCE_BUDGET)
+                for mode, mask, rounds in product(("user", "super"), (1, 3, 7),
+                                                  range(2, 40))]
     for cells, passes, total in product((8, 16, 32, 48, 64, 65, 72, 100),
                                         (2, 3), (False, True)):
         entries.append(("small sweep %d x %d%s" % (
