@@ -476,7 +476,7 @@ def lint(items):
             taint = None
             continue
         if taint is None or item.labeled:
-            taint = {9: PROG}
+            taint = {isa.LINK_REG: PROG}
         mn, fields = item.mnemonic, item.fields
         if mn in _ARITHMETIC:
             for src in (fields["ra"], fields.get("rb")):

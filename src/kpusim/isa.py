@@ -302,8 +302,10 @@ TABLE = (
 )
 
 MNEMONICS = {row.mnemonic: row for row in TABLE}
+# the link and print registers, and the l.nop codes that halt and print
+LINK_REG, PRINT_REG, EXIT_CODE, PRINT_CODE = 9, 3, 1, 2
 # mnemonics whose target is pc-relative (a word offset), and the jumps
-# that link, writing their return address to r9
+# that link, writing their return address to LINK_REG
 PC_RELATIVE = frozenset(row.mnemonic for row in TABLE if row.syntax == "@imm")
 LINKING = frozenset(row.mnemonic for row in TABLE
                     if row.cls is _C.JUMP and row.mnemonic.startswith("l.jal"))

@@ -22,11 +22,10 @@ from .codec import MASK32, word_value
 from .core import (BudgetExhausted, CONFIG_ID, Mode, SPR_CONFIG, SPR_EPCR,
                    SPR_SR, USER_READABLE_SPRS, VEC_ILLEGAL, VEC_SYSCALL,
                    VectorSpin, pack_sr, unpack_sr)
-from .isa import InstrClass
+from .isa import EXIT_CODE, InstrClass, LINK_REG, PRINT_CODE, PRINT_REG
 from .memsys import blank_word, data_cells, super_index
 
 DEFAULT_MAX_STEPS = 2_000_000
-EXIT = 1                # the code of the no-op that halts
 
 
 class Interpreter:
@@ -211,7 +210,7 @@ class Interpreter:
             if successor is None:
                 break
             if handler not in _STRAIGHT or (handler is Interpreter._nop
-                                            and ins.imm == EXIT):
+                                            and ins.imm == EXIT_CODE):
                 return (ops, len(ops) + 1, successor,
                         (handler, pc, ins, operand))
             ops.append((handler, ins, operand))
@@ -304,14 +303,14 @@ class Interpreter:
     def _jump(self, pc, ins, operand):
         target = self.regs[ins.rb] if operand is None else operand
         if ins.mnemonic in isa.LINKING:
-            self._write(9, (pc + 4) & MASK32)
+            self._write(LINK_REG, (pc + 4) & MASK32)
         self.pc = target
 
     def _nop(self, pc, ins, operand):
-        if ins.imm == EXIT:
+        if ins.imm == EXIT_CODE:
             self.halted = True
-        elif ins.imm == 2:
-            self.outputs.append(self.regs[3])
+        elif ins.imm == PRINT_CODE:
+            self.outputs.append(self.regs[PRINT_REG])
 
     def _sys(self, pc, ins, operand):
         self._trap(VEC_SYSCALL, (pc + 4) & MASK32)

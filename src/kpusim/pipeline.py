@@ -101,10 +101,11 @@ passes through a few timing states (per cell its record or bubble,
 pending X and M, relative ready cycle and producer positions, plus the
 fetch pc and hold; no value, predictor or cache contents). step()
 records the cycle it decides from a state, with the next state by
-outcome: what the handlers return (a wrong prediction's refetch pc, a
-user load's hit, a trap's mode and pc), then the pc predicted at fetch.
-It replays a recorded cycle on the live cells, and decides under a trace,
-before a back edge was taken KNOCK_HITS times, from a state with nothing
+outcome: what the X, M and retire handlers return (a wrong prediction's
+refetch pc, a user load's hit, a trap's mode and pc), which learning
+keeps as replay tests it, then the pc predicted at fetch. It replays a
+recorded cycle on the live cells, and decides under a trace, before a
+back edge was taken KNOCK_HITS times, from a state with nothing
 recorded, or after an outcome not seen there.
 """
 
@@ -114,7 +115,7 @@ from .codec import (MASK32, MASK64, ROUNDS, NotAProgramAddress, ProgramFault,
                     to_decrypted_address, to_encrypted_address)
 from .core import (BudgetExhausted, MachineState, Mode, VEC_ILLEGAL,
                    VEC_SYSCALL, VectorSpin)
-from .isa import InstrClass
+from .isa import EXIT_CODE, InstrClass, LINK_REG, PRINT_CODE, PRINT_REG
 from .memsys import (DEFAULT_CACHE_ENTRIES, DEFAULT_USER_WORDS, MemorySystem,
                      data_cells)
 
@@ -145,9 +146,11 @@ DEFAULT_BPB_ENTRIES = 64
 class BranchPredictionBuffer:
     """Direct-mapped one-level predictor, indexed by pc word bits.
 
-    Cold lookups predict not-taken. Every resolved branch or jump installs
-    its outcome: full pc tag, last target, one taken bit. It keeps only
-    the entries installed, index -> entry, so any positive size runs.
+    Cold lookups predict not-taken. resolve() judges a fetch's prediction
+    against a branch or jump's outcome, counts it as a right or wrong hit
+    or miss, and installs the outcome: full pc tag, last target, one taken
+    bit. It keeps only the entries installed, index -> entry, so any
+    positive size runs.
     """
 
     def __init__(self, entries=DEFAULT_BPB_ENTRIES):
@@ -164,10 +167,11 @@ class BranchPredictionBuffer:
             return True, entry[2], entry[1]
         return False, False, (pc + 4) & MASK32
 
-    def update(self, pc, taken, target):
-        self.entries[(pc >> 2) % self.size] = (pc, target, taken)
-
-    def record(self, hit, right):
+    def resolve(self, pc, predicted, taken, target):
+        """Whether `predicted`, lookup(pc) at fetch, was right about the
+        outcome (`taken`, to `target`), once counted and installed."""
+        hit, pred_taken, pred_target = predicted
+        right = pred_taken == taken and (not taken or pred_target == target)
         if hit:
             if right:
                 self.hits_right += 1
@@ -177,6 +181,8 @@ class BranchPredictionBuffer:
             self.misses_right += 1
         else:
             self.misses_wrong += 1
+        self.entries[(pc >> 2) % self.size] = (pc, target, taken)
+        return right
 
     @property
     def hits(self):
@@ -233,6 +239,7 @@ _PLAIN, _PREFIX, _SEALED, _ILLEGAL = range(4)
 
 _CARRIER_INSTR = isa.Instruction(isa.OP_SYS, "l.illegal", InstrClass.SYSTRAP)
 _NOP, _BRANCH = InstrClass.NOP, InstrClass.BRANCH  # no enum getattr per fetch
+_NOP_CODES = 0, EXIT_CODE, PRINT_CODE   # the no-ops told apart, 0 the rest
 
 
 class FetchRecord:
@@ -268,13 +275,13 @@ class FetchRecord:
                  "next_pc", "target", "link", "block", "carrier")
 
     def __init__(self, instr, word, pc, mode):
-        # an illegal fetch has no instruction; a nop's code (1 exit, 2
-        # print) picks its retire handler and whether it holds
+        # an illegal fetch has no instruction; a nop's code (exit, print)
+        # picks its retire handler and whether it holds
         (self.kind, self.mode, self.plan, self.positions, self.serialize,
          self.holds, self.predicted, self.execute, self.memory, self.retire,
          self.kernel, self.op, relative, dest, link_form) = _FETCH[
             (None, 0, mode) if instr is None else
-            (instr.mnemonic, instr.imm if instr.imm in (1, 2)
+            (instr.mnemonic, instr.imm if instr.imm in _NOP_CODES
              and instr.cls is _NOP else 0, mode)]
         if self.kind == _ILLEGAL:
             instr = _CARRIER_INSTR
@@ -344,7 +351,6 @@ _NO_WRITERS = dict.fromkeys([*range(32), FLAG], ABSENT)
 # fetched record or None, the next node (by pc, after a prediction).
 _KNOCK = [None, None]   # the state is looked up at the next cycle's start
 _LEARN = [None, None]   # the cycle just decided is recorded there
-_UNKNOWN = object()     # an outcome learning reads off the cycle's effects
 
 
 def _cells(key):    # a key's cells: (record or bubble, X, M, ready, pa, pb)
@@ -374,8 +380,10 @@ class Engine:
         self.outputs = []
         self.trace = trace
         self.halted = False
-        # replay: memo (state -> node), knocks, this cycle's node, learning
-        self.memo, self._hits, self._node, self._learning = {}, {}, None, None
+        # replay: memo (state -> node), knocks, this cycle's node, and the
+        # node of the cycle being learned, with its handlers' outcome
+        self.memo, self._hits, self._node = {}, {}, None
+        self._learning = self._outcome = None
         # the first mode is entered as a trap or a return enters one: at
         # cycle 0 the conveyor holds only refill bubbles, so the first
         # fetch lands in position 0 just as the shift would put it there
@@ -536,23 +544,18 @@ class Engine:
         return self._resolve(idx, cell, True, target)
 
     def _resolve(self, idx, cell, taken, target):
-        """Check a branch or jump against its prediction; flush behind a
-        wrong one and refetch; the refetch pc, replay's outcome, or None."""
-        pc = cell.record.pc
-        hit, pred_taken, pred_target = cell.predicted
-        right = (pred_taken == taken) and (not taken or pred_target == target)
-        self.bpb.record(hit, right)
-        self.bpb.update(pc, taken, target)
-        if not right:
-            conveyor = self.conveyor
-            conveyor[:idx] = [REFILL_BUBBLE] * idx
-            # a flushed slot may have been the youngest writer of its
-            # register: rebuild from the survivors
-            self._rebuild_writers()
-            self.fetch_hold = False
-            self.fetch_pc = target if taken else cell.record.next_pc
-            return self.fetch_pc
-        return None
+        """Resolve a branch or jump in the predictor; flush behind a wrong
+        prediction and refetch; the refetch pc, replay's outcome, or None."""
+        if self.bpb.resolve(cell.record.pc, cell.predicted, taken, target):
+            return None
+        conveyor = self.conveyor
+        conveyor[:idx] = [REFILL_BUBBLE] * idx
+        # a flushed slot may have been the youngest writer of its register:
+        # rebuild from the survivors
+        self._rebuild_writers()
+        self.fetch_hold = False
+        self.fetch_pc = target if taken else cell.record.next_pc
+        return self.fetch_pc
 
     def _rebuild_writers(self):
         """The last-writer map of the cells in flight, oldest first."""
@@ -614,13 +617,13 @@ class Engine:
         self.state.write_register(cell.record.instr.rd, cell.result)
 
     def _retire_link(self, cell):
-        self.state.write_register(9, cell.result, program_address=True)
+        self.state.write_register(LINK_REG, cell.result, program_address=True)
 
     def _retire_exit(self, cell):
         self.halted = True
 
     def _retire_print(self, cell):
-        self.outputs.append(self._bank[3] & MASK32)
+        self.outputs.append(self._bank[PRINT_REG] & MASK32)
 
     def _retire_sys(self, cell):
         self.state.enter_exception(VEC_SYSCALL,
@@ -689,13 +692,12 @@ class Engine:
         state replays, is learned from if met before, or is kept; learning
         stops at a state with a cycle, a wrong prediction or a new knock."""
         node, memo = self._node, self.memo
-        wrong = self.bpb.hits_wrong + self.bpb.misses_wrong
         if node is _KNOCK or node is _LEARN:
             key = self._state(n)
             fresh = key not in memo
             after = memo.setdefault(key, [key, None])
             flushed, knock = (False, True) if node is _KNOCK else \
-                self._note(after, n - 1, wrong)
+                self._note(after)
             if after[1] is not None or flushed or fresh and knock:
                 self._learning = None       # replay it, or stop learning
                 self._node = after if after[1] is not None else None
@@ -703,15 +705,15 @@ class Engine:
             node = after
         else:                               # replay ran out of cycles
             self._restore(node[0])
-        self._node = _LEARN
-        self._learning = (node, tuple(self.conveyor), wrong, _UNKNOWN)
+        self._node, self._learning = _LEARN, node
         return None
 
-    def _note(self, after, c, wrong):
-        """Record cycle c, self._learning's, leading to `after` (`wrong`
-        wrong predictions so far): (whether it flushed, met a back edge)."""
-        node, head, before, token = self._learning
-        wrong = before != wrong
+    def _note(self, after):
+        """Record the cycle decided from self._learning, leading to `after`,
+        by the outcome its handlers returned, self._outcome, as replay
+        tests it: a wrong prediction's refetch pc, a user load's hit beside
+        it, a trap's mode and pc. (Whether it flushed, met a back edge.)"""
+        node, token = self._learning, self._outcome
         cells = _cells(node[0])
         x_old, x_young, m, r_at = _WORK[node[0][0]]
         xo, xy = (at if cells[at][1] == at else 0 for at in (x_old, x_young))
@@ -719,25 +721,17 @@ class Engine:
         retired, retire, trap = cells[-1][0], None, False
         if retired.__class__ is FetchRecord:    # a trap or return holds
             retired, retire, trap = retired.cls, retired.retire, retired.holds
+        wrong = not trap and (token[0] if type(token) is tuple
+                              else token) is not None
         branch = xy or xo if wrong else 0
         conveyor = self.conveyor
-        if token is _UNKNOWN:
-            token = None
-            if branch:
-                pc = cells[branch][0].pc
-                _, target, taken = self.bpb.entries[(pc >> 2) % self.bpb.size]
-                token = target if taken else (pc + 4) & MASK32
-            if m and cells[m][0].memory is Engine._mem_load_user:
-                token = token, head[m].ready_cycle == c + 1
-            if trap:
-                token = self.state.mode, conveyor[0].record.pc
         reads, stall = [], 0
         for idx in r_at:
             record, _, _, _, pa, pb = cells[idx]
             if idx < branch or record.__class__ is not FetchRecord or \
                     record.positions[1] != idx:
                 continue                # no cell at R, or one a flush took
-            if conveyor[idx] is head[idx]:
+            if conveyor[idx + 1] is STALL_BUBBLE:     # held at R
                 stall = idx + 1
                 break
             if record.execute is not None:  # a producer retired now: bank
@@ -758,20 +752,17 @@ class Engine:
         return wrong, knock
 
     def _resume(self, token):
-        """Hand a replayed cycle to step() to decide and learn its rest."""
-        node, conveyor, flushed = self._node, self.conveyor, False
+        """Hand a replayed cycle, with the outcome its handlers returned, to
+        step() to decide and learn its rest."""
+        node, conveyor = self._node, self.conveyor
         (xo, xy, m, *_), retired = node[1][:2]
         if retired is not InstrClass.SYSTRAP:   # else the conveyor is new
             self._restore(node[0])
-            flushed = (token[0] if type(token) is tuple else token) is not None
             for idx, at in (xo, "x_index"), (xy, "x_index"), (m, "m_index"):
                 if idx:
                     setattr(conveyor[idx], at, -1)
             conveyor[-1].retired = True
-        self._node = _LEARN
-        # the wrong predictions counted before the cycle
-        self._learning = (node, tuple(conveyor), self.bpb.hits_wrong
-                          + self.bpb.misses_wrong - flushed, token)
+        self._node, self._learning, self._outcome = _LEARN, node, token
 
     @property
     def replaying(self):
@@ -802,19 +793,20 @@ class Engine:
                 self._trace(n)
             # execute, oldest first: a branch resolving at the older X
             # flushes the younger positions in place, so the younger is
-            # read after it
+            # read after it. The handlers' outcome is kept as replay's is.
+            token = None
             idx = self._x_old
             cell = conveyor[idx]
             if cell.x_index == idx:
                 cell.x_index = -1
                 execute = cell.record.execute
-                execute(self, idx, cell, n)
+                token = execute(self, idx, cell, n)
             idx = self._x_young
             cell = conveyor[idx]
             if cell.x_index == idx:
                 cell.x_index = -1
                 execute = cell.record.execute
-                execute(self, idx, cell, n)
+                token = execute(self, idx, cell, n)
 
             # memory, after every execute: a fault at X outranks one at M
             idx = self._m
@@ -822,7 +814,9 @@ class Engine:
             if cell.m_index == idx:
                 cell.m_index = -1
                 memory = cell.record.memory
-                memory(self, cell, n)
+                cached = memory(self, cell, n)
+                if cached is not None:
+                    token = token, cached
 
             cell = conveyor[-1]
             if cell is STALL_BUBBLE:
@@ -835,12 +829,14 @@ class Engine:
                 self._completions[record.cls] += 1
                 retire = record.retire
                 if retire is not None:
-                    retire(self, cell)
-                    # a trap or return enters its mode on a fresh conveyor
-                    conveyor = self.conveyor
+                    entered = retire(self, cell)
+                    if entered is not None:     # a trap or return enters
+                        token, conveyor = entered, self.conveyor    # anew
             stats.cycles = n + 1
             if self.halted:
                 return
+            if node is not None:                # learning: _note reads it
+                self._outcome = token
         else:
             # replay (of the X positions only 3 resolves, in either mode)
             work, retired, retire, stall, record, nexts = cycle
@@ -1065,7 +1061,8 @@ def _fetch_entry(row, code, mode):
     elif row.mnemonic == "l.mfspr":
         work = E._ex_mfspr_user if user else E._ex_mfspr, None, E._retire_write
     elif cls is InstrClass.NOP:
-        work = None, None, {1: E._retire_exit, 2: E._retire_print}.get(code)
+        work = None, None, {EXIT_CODE: E._retire_exit,
+                            PRINT_CODE: E._retire_print}.get(code)
     elif cls is InstrClass.SYSTRAP:     # l.rfe is a carrier in user mode
         work = (None, None,
                 E._retire_sys if row.mnemonic == "l.sys" else E._retire_rfe)
@@ -1081,25 +1078,25 @@ def _fetch_entry(row, code, mode):
             cls is InstrClass.SPR,
             # nothing younger may enter the pipe behind a trap, a return or
             # the exit no-op: their commit changes the instruction stream
-            cls is InstrClass.SYSTRAP or (cls is InstrClass.NOP and code == 1),
+            cls is InstrClass.SYSTRAP or code == EXIT_CODE,
             cls is InstrClass.BRANCH or cls is InstrClass.JUMP,
             execute, memory, retire,
             kernel if op is None else alu.kernel(op), op,
             row.mnemonic in isa.PC_RELATIVE,
-            9 if linking else FLAG if row.opcode == isa.OP_SF else None,
+            LINK_REG if linking else FLAG if row.opcode == isa.OP_SF else None,
             (to_decrypted_address if user else to_encrypted_address)
             if linking else None)
 
 
 def _fetch_table():
     """(mnemonic, nop code, mode) -> fetch entry, for every table row in
-    both modes; the nop code is 1 or 2 for the exit and print no-ops and 0
-    for every other word, and (None, 0, mode) is the illegal entry."""
+    both modes; the nop code is that of the exit or print no-op, else 0,
+    and (None, 0, mode) is the illegal entry."""
     table = {}
     for mode in Mode:
         table[None, 0, mode] = _fetch_entry(None, 0, mode)
         for row in isa.TABLE:
-            for code in (0, 1, 2) if row.cls is InstrClass.NOP else (0,):
+            for code in _NOP_CODES if row.cls is InstrClass.NOP else (0,):
                 table[row.mnemonic, code, mode] = _fetch_entry(row, code, mode)
     return table
 

@@ -172,8 +172,9 @@ def sweep_source(cells, passes, total=False):
     ]) + "\n"
 
 
-NOP_EXIT = isa.encode_fields(isa.MNEMONICS["l.nop"], {"imm": 1})
-NOP_PRINT = isa.encode_fields(isa.MNEMONICS["l.nop"], {"imm": 2})
+NOP_EXIT = isa.encode_fields(isa.MNEMONICS["l.nop"], {"imm": isa.EXIT_CODE})
+NOP_PRINT = isa.encode_fields(isa.MNEMONICS["l.nop"],
+                              {"imm": isa.PRINT_CODE})
 
 
 def _operand(rng, row, name, low, high):

@@ -96,12 +96,23 @@ MUTANTS = [
            "test_batched_lanes_keep_their_spill_and_carry"),
     # the engine's replay (memoized timing)
     mutant("replay drops a load's hit from the outcome", PIPELINE,
-           [("if m and cells[m][0].memory is Engine._mem_load_user:",
-             "if False:"),
-            ("                    if cached is not None:",
+           [("cached = memory(self, cell, n)\n"
+             "                if cached is not None:",
+             "cached = memory(self, cell, n)\n                if False:"),
+            ("cached = cell.record.memory(self, cell, n)\n"
+             "                    if cached is not None:",
+             "cached = cell.record.memory(self, cell, n)\n"
              "                    if False:")],
            killer=REPLAY + "test_a_world_changed_under_replayed_rounds_"
            "ends_alike"),
+    mutant("a decided cycle hands learning no outcome", PIPELINE,
+           [("self._outcome = token\n", "self._outcome = None\n")],
+           killer=REPLAY + "test_a_branch_turning_back_every_few_rounds_"
+           "ends_alike"),
+    mutant("learning reads a stall one position off", PIPELINE,
+           [("if conveyor[idx + 1] is STALL_BUBBLE:",
+             "if conveyor[idx] is STALL_BUBBLE:")],
+           killer=REPLAY + "test_shipped_programs_end_alike"),
     mutant("an unseen prediction restores nothing", PIPELINE,
            [("                        if node is None:\n"
              "                            self._restore(next(iter("

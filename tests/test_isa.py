@@ -1,4 +1,4 @@
-"""Instruction word decode/encode checks."""
+"""Instruction word decode/encode checks, and the prefix pair's rule."""
 
 import random
 import re
@@ -277,3 +277,28 @@ def test_format_round_trips_through_text():
             continue
         image = assemble(".org 0x100\n%s\n" % text, cdc)
         assert image.text == {0x100: word}, text
+
+
+# -------------------------------------------------------------- prefix pair --
+
+# The machine's prefix latch is a rule, not state: an immediate is sealed
+# when the two words fetched just before it, at pc - 8 and pc - 4, are an
+# index-0 prefix and then an index-1 prefix. isa.sealed_high reads them.
+P0, P1 = isa.P0_TAG | 0xAAAAAA, isa.P1_TAG | 0xBBBBBB
+
+
+def test_sealed_high_joins_a_prefix_pair():
+    text = {0x4000: P0, 0x4004: P1, 0x4008: 0xCCCC}
+    block = isa.sealed_high(text, 0x4000) | (text[0x4008] & isa.LOW_MASK)
+    assert block == (0xAAAAAA << 40) | (0xBBBBBB << 16) | 0xCCCC
+    # the pair's top bits ride in the payloads alone
+    assert isa.sealed_high({0: isa.P0_TAG, 4: isa.P1_TAG}, 0) == 0
+
+
+def test_sealed_high_rejects_all_but_index_0_then_1():
+    for first, second in ((P1, P0), (P0, P0), (P1, P1)):
+        assert isa.sealed_high({0x4000: first, 0x4004: second}, 0x4000) \
+            is None
+    # and a pair with a word missing, or a plain word in its place
+    assert isa.sealed_high({0x4004: P1}, 0x4000) is None
+    assert isa.sealed_high({0x4000: P0, 0x4004: 0xCCCC}, 0x4000) is None

@@ -19,7 +19,6 @@ import pytest
 
 from kit import CDC, build
 from kpusim.assembler import parse_image, write_image
-from kpusim import isa
 from kpusim.core import BudgetExhausted, Mode
 from kpusim.isa import InstrClass, decode_at
 from kpusim.oracle import Interpreter
@@ -55,42 +54,25 @@ def counts(engine, mode=Mode.USER):
     return ms.stalls, ms.refills, ms.cycles
 
 
-# ----------------------------------------------------------- prefix latch --
-
-# The machine's prefix latch is a rule, not state: an immediate is sealed
-# when the two words fetched just before it, at pc - 8 and pc - 4, are an
-# index-0 prefix and then an index-1 prefix. isa.sealed_high reads them.
-P0, P1 = isa.P0_TAG | 0xAAAAAA, isa.P1_TAG | 0xBBBBBB
-
-
-def test_prefix_latch_protocol():
-    text = {0x4000: P0, 0x4004: P1, 0x4008: 0xCCCC}
-    block = isa.sealed_high(text, 0x4000) | (text[0x4008] & isa.LOW_MASK)
-    assert block == (0xAAAAAA << 40) | (0xBBBBBB << 16) | 0xCCCC
-    # the pair's top bits ride in the payloads alone
-    assert isa.sealed_high({0: isa.P0_TAG, 4: isa.P1_TAG}, 0) == 0
-
-
-def test_prefix_latch_rejects_wrong_order():
-    for first, second in ((P1, P0), (P0, P0), (P1, P1)):
-        assert isa.sealed_high({0x4000: first, 0x4004: second}, 0x4000) \
-            is None
-    # and a pair with a word missing, or a plain word in its place
-    assert isa.sealed_high({0x4004: P1}, 0x4000) is None
-    assert isa.sealed_high({0x4000: P0, 0x4004: 0xCCCC}, 0x4000) is None
-
-
 # -------------------------------------------------------------- predictor --
 
 def test_bpb_basics():
     bpb = BranchPredictionBuffer(entries=4)
-    hit, taken, target = bpb.lookup(0x4000)
-    assert (hit, taken, target) == (False, False, 0x4004)
-    bpb.update(0x4000, True, 0x4100)
-    assert bpb.lookup(0x4000) == (True, True, 0x4100)
+    predicted = bpb.lookup(0x4000)
+    assert predicted == (False, False, 0x4004)
+    # a cold miss predicts not taken: wrong about a taken branch
+    assert bpb.resolve(0x4000, predicted, True, 0x4100) is False
+    predicted = bpb.lookup(0x4000)
+    assert predicted == (True, True, 0x4100)
+    assert bpb.resolve(0x4000, predicted, True, 0x4100) is True
+    # a hit taken to another target is wrong too
+    assert bpb.resolve(0x4000, predicted, True, 0x4200) is False
+    assert (bpb.hits_right, bpb.hits_wrong, bpb.misses_right,
+            bpb.misses_wrong) == (1, 1, 0, 1)
     # direct-mapped: 0x4010 shares slot 0 with 0x4000 and evicts it
-    bpb.update(0x4010, False, 0x4014)
+    assert bpb.resolve(0x4010, bpb.lookup(0x4010), False, 0x4014) is True
     assert bpb.lookup(0x4000)[0] is False
+    assert bpb.misses_right == 1
 
 
 # ------------------------------------------------------------ user timing --
@@ -499,6 +481,13 @@ def bytecodes(fn, skip=None):
 #     opened in one batch           206.9   207.0   197.2   185.3
 #   decrypt_many, per block, over
 #     64 blocks in 64-bit lanes       8.4     8.3     8.1     7.2
+#   engine, per cycle, the progen
+#     image, every cycle decided
+#     (1,355, none replayed)            -   343.0       -       -
+#   engine, per cycle, the progen
+#     image, decided cycles keep
+#     their handlers' outcome
+#     for learning                      -   346.6       -       -
 #
 # (the fold-from-words row's 3.13 count is of 3.13.13, where the row
 # above it reads 272.0. The two rows with no prefix latch were measured
@@ -509,22 +498,28 @@ def bytecodes(fn, skip=None):
 # 274.5, 267.4 and 267.2. The sealed-table row and the decrypt_many row,
 # whose loop over the same 64 blocks runs 368.2, 359.2, 358.2 and 315.0
 # bytecodes a block, were counted that way too; the oracle before the
-# table read 241.4, 241.6, 233.1 and 216.2 on 3.13.0.)
+# table read 241.4, 241.6, 233.1 and 216.2 on 3.13.0. The two progen
+# engine rows were counted on 3.11.7 alone, where the engine on
+# bench/is_add_test.s read 267.9 before the second and 267.6 after it.)
 # The engine's ceiling is 288, the replay row's count plus 5%, as the
 # CPython columns differ by up to about 3%: a replay that stops engaging
-# fails it. The oracle's is 87; decode's is 108 and parse_image's 84,
-# the largest new count plus about 5%; the oracle's over first
-# executions is 211.2, the largest count of the sealed table plus 2%;
-# decrypt_many's is 8.7, the 3.11.7 count plus 5%: lanes that fall
-# back to the per-block loop fail it.
+# fails it. The engine's on the progen image is 364, its row's count
+# plus 5%: it guards the deciding path, which every cycle of a campaign
+# of short programs takes. The oracle's is 87; decode's is 108 and
+# parse_image's 84, the largest new count plus about 5%; the oracle's
+# over first executions is 211.2, the largest count of the sealed table
+# plus 2%; decrypt_many's is 8.7, the 3.11.7 count plus 5%: lanes that
+# fall back to the per-block loop fail it.
 # Making every cell a Slot added about four bytecodes a cycle and still
 # made a cycle faster: a site that sees one class keeps CPython 3.11's
 # specialized attribute reads. A count is a proxy for cost, not the cost.
-@pytest.mark.parametrize("machine, ceiling", [(Engine, 288),
-                                              (Interpreter, 87)],
-                         ids=["engine", "oracle"])
-def test_bytecodes_per_cycle_and_step(machine, ceiling):
-    image = build((ROOT / "bench/is_add_test.s").read_text())
+@pytest.mark.parametrize("machine, progen, ceiling",
+                         [(Engine, False, 288), (Engine, True, 364),
+                          (Interpreter, False, 87)],
+                         ids=["engine", "engine deciding", "oracle"])
+def test_bytecodes_per_cycle_and_step(machine, progen, ceiling):
+    image = build(generate_source(0, "medium", True) if progen
+                  else (ROOT / "bench/is_add_test.s").read_text())
     # CPython 3.12 reports no opcode event in a process's first traced
     # call, and 3.13 none in a code object's first traced frame (run()'s
     # own loop, here): a short traced run first makes the count exact
@@ -532,6 +527,8 @@ def test_bytecodes_per_cycle_and_step(machine, ceiling):
         bytecodes(lambda: machine(image, CDC).run(20))
     run = machine(image, CDC)
     count = bytecodes(run.run)
+    if progen:                      # no loop there runs to a knock
+        assert run.stats.cycles == 1355 and run.memo == {}
     assert count / (run.stats.cycles if machine is Engine
                     else run.steps) <= ceiling
 
