@@ -239,7 +239,7 @@ _PLAIN, _PREFIX, _SEALED, _ILLEGAL = range(4)
 
 _CARRIER_INSTR = isa.Instruction(isa.OP_SYS, "l.illegal", InstrClass.SYSTRAP)
 _NOP, _BRANCH = InstrClass.NOP, InstrClass.BRANCH  # no enum getattr per fetch
-_NOP_CODES = 0, EXIT_CODE, PRINT_CODE   # the no-ops told apart, 0 the rest
+_NOP_CODES = 0, EXIT_CODE, PRINT_CODE   # a nop's code in the fetch table
 
 
 class FetchRecord:
@@ -830,8 +830,9 @@ class Engine:
                 retire = record.retire
                 if retire is not None:
                     entered = retire(self, cell)
-                    if entered is not None:     # a trap or return enters
-                        token, conveyor = entered, self.conveyor    # anew
+                    # a trap or return enters its mode on a fresh conveyor
+                    if entered is not None:
+                        token, conveyor = entered, self.conveyor
             stats.cycles = n + 1
             if self.halted:
                 return

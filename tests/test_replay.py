@@ -184,7 +184,8 @@ def test_progen_images_replay_from_a_knock_of_one(monkeypatch):
 
 # the small-scope set's turning loops of 1 to 3 rounds or of a few past
 # the knock, and its sweeps of three passes (the set holds every count)
-TURNING = [entry for entry in corpus.turning_loops()
+LOOPS = corpus.turning_loops()
+TURNING = [entry for entry in LOOPS
            if not entry[0][-1].isdigit()
            or int(entry[0].split()[-1]) in (1, 2, 3, KNOCK_HITS + 1,
                                            KNOCK_HITS + 2, KNOCK_HITS + 5)
@@ -201,7 +202,7 @@ def test_loops_whose_outcomes_turn_end_alike(entry, knock):
 
 
 # the loops whose inner branch turns back every 2, 4 or 8 rounds, per mode
-SKIPS = {mode: [entry for entry in corpus.turning_loops()
+SKIPS = {mode: [entry for entry in LOOPS
                 if entry[0].startswith("skip %s " % mode)]
          for mode in ("super", "user")}
 
