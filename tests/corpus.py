@@ -214,9 +214,10 @@ def turning_loops():
     """The small-scope set's loops whose outcome changes as they run, as
     build()'s entries: a last round's wrong prediction at every round
     count, an l.sys round trip in a loop body, an inner branch that turns
-    half way, one that turns back every 2, 4 or 8 rounds, and sweeps whose later passes hit where the first missed
-    (a load allocates no line: only a pass's store makes the next pass
-    hit) or miss as the first did."""
+    half way, one that turns back every 2, 4 or 8 rounds, and sweeps
+    whose later passes hit where the first missed (a load allocates no
+    line: only a pass's store makes the next pass hit) or miss as the
+    first did."""
     from itertools import product
 
     import test_hazard_matrix as matrix
