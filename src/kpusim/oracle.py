@@ -43,13 +43,15 @@ class Interpreter:
     in supervisor mode, and None elsewhere. Where it is the row's alone
     (a kernel, looked up by its code once, as the table is built, or
     None) the table holds it; elsewhere the table's rule works it out
-    from the pc, the word and the instruction. So a record costs a
-    decode, one lookup and at most one call. A record with a successor,
-    the pc after its word (0 is one, after a word at 0xFFFFFFFC), retires
-    the word in step() before its handler runs: the step is counted and
-    the pc set to the successor. Prefixes, user-mode immediates and
-    illegal words have None and do that themselves; a jump or a taken
-    branch has a successor, and its handler sets the pc again.
+    from the pc and the instruction. So a record costs a decode, one
+    lookup and at most one call. A record with a successor, the pc after
+    its word (0 is one, after a word at 0xFFFFFFFC), retires the word in
+    step() before its handler runs: the step is counted and the pc set to
+    the successor, where a link's return address and l.sys's saved pc
+    read it. Prefixes, user-mode immediates and illegal words have None:
+    their handlers read their own pc there and retire the word
+    themselves. A jump or a taken branch has a successor, and its handler
+    sets the pc again.
 
     In user mode an index-0 prefix, the index-1 prefix behind it and the
     immediate behind both get one record: the immediate's, with (kernel,
@@ -77,11 +79,12 @@ class Interpreter:
     l.mtspr and every no-op but the exit), then the first record with a
     successor that is not straight, which closes it. A record with no
     successor, or a pc with no record yet, ends it before. When the budget
-    holds all of a run, run() executes it as one loop over its (handler,
-    instruction, operand) triples: it sets the step count and the pc
-    once, past the run, then calls the closing record's handler with its
-    own pc, as step() would. Otherwise, and at a pc with no record yet,
-    run() runs one record, inline, as step() would run it.
+    holds all of a run, run() sets the step count and the pc once, past
+    the run (its last record's successor), as step() would set them
+    before a handler, then executes the run as one loop over its
+    (handler, instruction, operand) triples, the closing record's last.
+    Otherwise, and at a pc with no record yet, run() runs one record,
+    inline, as step() would run it.
     Supervisor loads and stores can fault through super_index, so each
     closes its run, and a fault leaves the step count and the pc where
     stepping leaves them.
@@ -176,12 +179,11 @@ class Interpreter:
                     records[at] = sealed
                     return (Interpreter._immediate, sealed[1],
                             (sealed[2], literal), (pc + 12) & MASK32)
-        word, ins = isa.decode_at(self.text, pc)
+        _, ins = isa.decode_at(self.text, pc)
         if ins is None:
             return _ILLEGAL_RECORD
         handler, retires, rule, operand = self._dispatch[ins.mnemonic]
-        return (handler, ins,
-                operand if rule is None else rule(pc, word, ins),
+        return (handler, ins, operand if rule is None else rule(pc, ins),
                 (pc + 4) & MASK32 if retires else None)
 
     def _open_sealed(self):
@@ -199,24 +201,22 @@ class Interpreter:
                                  self.codec.decrypt_many(blocks))))
 
     def _run(self, pc):
-        """The run at `pc`, a pc with a record, as (ops, count, successor,
-        last): ops are (handler, instruction, operand), last is (handler,
-        pc, instruction, operand) or None, and count is 0 where the record
-        at `pc` has no successor."""
+        """The run at `pc`, a pc with a record, as (ops, count, successor):
+        ops are (handler, instruction, operand), the closing record's last,
+        and count is 0 where the record at `pc` has no successor."""
         records, ops = self._records, []
         record = records[pc]
         while record is not None:
             handler, ins, operand, successor = record
             if successor is None:
                 break
-            if handler not in _STRAIGHT or (handler is Interpreter._nop
-                                            and ins.imm == EXIT_CODE):
-                return (ops, len(ops) + 1, successor,
-                        (handler, pc, ins, operand))
             ops.append((handler, ins, operand))
             pc = successor
+            if handler not in _STRAIGHT or (handler is Interpreter._nop
+                                            and ins.imm == EXIT_CODE):
+                break
             record = records.get(pc)
-        return ops, len(ops), pc, None
+        return ops, len(ops), pc
 
     # -------------------------------------------------------------- step --
 
@@ -229,63 +229,64 @@ class Interpreter:
         if successor is not None:
             self.steps += 1
             self.pc = successor
-        handler(self, pc, ins, operand)
+        handler(self, ins, operand)
 
     # Handlers, one per class and, where the class differs by mode, per
-    # mode: called as handler(self, pc, instruction, operand).
+    # mode: called as handler(self, instruction, operand), with self.pc
+    # already the record's successor where it has one, else its own pc.
 
-    def _illegal(self, pc, ins, operand):
-        if pc == VEC_ILLEGAL and self.mode is Mode.SUPERVISOR:
+    def _illegal(self, ins, operand):
+        if self.pc == VEC_ILLEGAL and self.mode is Mode.SUPERVISOR:
             raise VectorSpin()
         self.steps += 1
-        self._trap(VEC_ILLEGAL, pc)
+        self._trap(VEC_ILLEGAL, self.pc)
 
-    def _prefix(self, pc, ins, operand):
+    def _prefix(self, ins, operand):
         # a pair that seals an immediate runs in its fold, not here
-        self.pc = (pc + 4) & MASK32
+        self.pc = (self.pc + 4) & MASK32
 
-    def _sealed_immediate(self, pc, ins, operand):
+    def _sealed_immediate(self, ins, operand):
         # reached other than through its pair's fold: the pair is missing
         self.steps += 1
-        self._trap(VEC_ILLEGAL, pc)
+        self._trap(VEC_ILLEGAL, self.pc)
 
     # registers, literals and kernel results are 32 bits wide: no mask
-    def _immediate(self, pc, ins, operand):
+    def _immediate(self, ins, operand):
         kernel, literal = operand
         res, effects = kernel(self.regs[ins.ra], literal)
         if ins.rd:
             self.regs[ins.rd] = res
         self.flags.update(effects)
 
-    def _register(self, pc, ins, kernel):
+    def _register(self, ins, kernel):
         regs = self.regs
         res, effects = kernel(regs[ins.ra], regs[ins.rb])
         if ins.rd:
             regs[ins.rd] = res
         self.flags.update(effects)
 
-    def _set_flag(self, pc, ins, kernel):
+    def _set_flag(self, ins, kernel):
         regs = self.regs
         self.flags["f"] = kernel(regs[ins.ra], regs[ins.rb])
 
-    def _user_load(self, pc, ins, operand):
+    def _user_load(self, ins, operand):
         ea = (self.regs[ins.ra] + ins.imm) & MASK32
         self._write(ins.rd, self.user_mem.get(ea, self.blank))
 
-    def _load(self, pc, ins, operand):
+    def _load(self, ins, operand):
         ea = (self.regs[ins.ra] + ins.imm) & MASK32
         self._write(ins.rd, self.super_cells.get(super_index(ea), 0) & MASK32)
 
-    def _user_store(self, pc, ins, operand):
+    def _user_store(self, ins, operand):
         regs = self.regs
         self.user_mem[(regs[ins.ra] + ins.imm) & MASK32] = regs[ins.rb]
 
-    def _store(self, pc, ins, operand):
+    def _store(self, ins, operand):
         regs = self.regs
         ea = (regs[ins.ra] + ins.imm) & MASK32
         self.super_cells[super_index(ea)] = regs[ins.rb]
 
-    def _class64(self, pc, ins, operand):
+    def _class64(self, ins, operand):
         if ins.funct == isa.C64_ADD:
             self._write(ins.rd, self.regs[ins.ra] + self.regs[ins.rb])
             return
@@ -295,37 +296,37 @@ class Interpreter:
         else:
             self.super_cells[super_index(ea)] = self.regs[ins.rb]
 
-    def _branch(self, pc, ins, operand):
+    def _branch(self, ins, operand):
         on_flag, target = operand
         if self.flags["f"] == on_flag:
             self.pc = target
 
-    def _jump(self, pc, ins, operand):
+    def _jump(self, ins, operand):
         target = self.regs[ins.rb] if operand is None else operand
         if ins.mnemonic in isa.LINKING:
-            self._write(LINK_REG, (pc + 4) & MASK32)
+            self._write(LINK_REG, self.pc)
         self.pc = target
 
-    def _nop(self, pc, ins, operand):
+    def _nop(self, ins, operand):
         if ins.imm == EXIT_CODE:
             self.halted = True
         elif ins.imm == PRINT_CODE:
             self.outputs.append(self.regs[PRINT_REG])
 
-    def _sys(self, pc, ins, operand):
-        self._trap(VEC_SYSCALL, (pc + 4) & MASK32)
+    def _sys(self, ins, operand):
+        self._trap(VEC_SYSCALL, self.pc)
 
-    def _rfe(self, pc, ins, operand):
+    def _rfe(self, ins, operand):
         mode, flags = self.esr
         self._enter(mode)
         self.flags = dict(flags)
         self.pc = self.epcr
 
-    def _mfspr(self, pc, ins, operand):
+    def _mfspr(self, ins, operand):
         index = (self.regs[ins.ra] | ins.imm) & 0xFFFF
         self._write(ins.rd, self._read_spr(index))
 
-    def _mtspr(self, pc, ins, operand):
+    def _mtspr(self, ins, operand):
         index = (self.regs[ins.ra] | ins.imm) & 0xFFFF
         self._write_spr(index, self.regs[ins.rb])
 
@@ -347,27 +348,25 @@ class Interpreter:
                 run = self._runs.get(pc)
                 if run is None:
                     run = self._runs[pc] = self._run(pc)
-                ops, count, successor, last = run
+                ops, count, successor = run
                 if count and steps + count <= max_steps:
-                    # no record before the last reads or sets the pc, the
-                    # step count, the mode or halted
-                    for handler, ins, operand in ops:
-                        handler(self, pc, ins, operand)
+                    # set first, as step() sets them: no record before the
+                    # last reads or sets the pc, the step count, the mode
+                    # or halted
                     self.steps = steps + count
                     self.pc = successor
-                    if last is not None:
-                        handler, pc, ins, operand = last
-                        handler(self, pc, ins, operand)
+                    for handler, ins, operand in ops:
+                        handler(self, ins, operand)
                     continue
             handler, ins, operand, successor = record
             if successor is not None:
                 self.steps = steps + 1
                 self.pc = successor
-            handler(self, pc, ins, operand)
+            handler(self, ins, operand)
         return self
 
 
-def _target(pc, word, ins):
+def _target(pc, ins):
     return (pc + 4 * ins.imm) & MASK32
 
 
@@ -375,7 +374,7 @@ def _dispatch(row, mode):
     """The handler of a table row in a mode, whether step() retires the
     word before calling it (False: the handler does), the operand rule
     and the operand: a rule works out the record's operand from (pc,
-    word, instruction); with no rule the operand is the row's alone."""
+    instruction); with no rule the operand is the row's alone."""
     I = Interpreter
     cls, user = row.cls, mode is Mode.USER
     if user and isa.user_illegal(row):
@@ -387,7 +386,7 @@ def _dispatch(row, mode):
         if user:                        # the kernel, for the fold
             return I._sealed_immediate, False, None, kernel
         return (I._immediate, True,
-                lambda pc, word, ins: (kernel, ins.imm & MASK32), None)
+                lambda pc, ins: (kernel, ins.imm & MASK32), None)
     rule = operand = None
     if cls is InstrClass.REGISTER:
         if row.opcode == isa.OP_SF:
@@ -403,7 +402,7 @@ def _dispatch(row, mode):
                    "l.mtspr": I._mtspr}[row.mnemonic]
     elif cls is InstrClass.BRANCH:      # (taken on a set flag?, target)
         handler, sense = I._branch, row.opcode == isa.OP_BF
-        rule = lambda pc, word, ins: (sense, _target(pc, word, ins))
+        rule = lambda pc, ins: (sense, _target(pc, ins))
     else:
         handler = {InstrClass.CLASS64: I._class64, InstrClass.JUMP: I._jump,
                    InstrClass.NOP: I._nop}[cls]

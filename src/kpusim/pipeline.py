@@ -100,13 +100,15 @@ Replay (FastSim's memoization: Schnarr and Larus, ASPLOS 1998). A loop
 passes through a few timing states (per cell its record or bubble,
 pending X and M, relative ready cycle and producer positions, plus the
 fetch pc and hold; no value, predictor or cache contents). step()
-records the cycle it decides from a state, with the next state by
-outcome: what the X, M and retire handlers return (a wrong prediction's
-refetch pc, a user load's hit, a trap's mode and pc), which learning
-keeps as replay tests it, then the pc predicted at fetch. It replays a
-recorded cycle on the live cells, and decides under a trace, before a
-back edge was taken KNOCK_HITS times, from a state with nothing
-recorded, or after an outcome not seen there.
+records the cycle it decides from a state as one path: the outcome its
+X, M and retire handlers returned (a wrong prediction's refetch pc, a
+user load's hit, a trap's mode and pc) and one next state, beside the pc
+predicted where it fetched a branch or jump. It replays a recorded cycle
+on the live cells while the handlers return that outcome and the
+predictor that pc; any other restores the cells from the state and
+decides the rest of the cycle, and learning starts again at the next
+knock. It decides under a trace, before a back edge was taken KNOCK_HITS
+times, and from a state with nothing recorded.
 """
 
 from . import alu, isa
@@ -343,12 +345,12 @@ _NO_WRITERS = dict.fromkeys([*range(32), FLAG], ABSENT)
 
 
 # A memo node: [state key, cycle decided there or None]; a cycle: (work,
-# retired, retire, stall, fetch, nexts). work, None with no X, M or trap
-# handler and no read, is (xo, xy, m, tested, reads, rests): X and M
-# positions run, handlers' outcome, (R position, a's and b's producer
-# position or None) per cell leaving R, other outcomes' (reads, stall,
-# fetch, nexts). Then what retired, its handler, the stall position, the
-# fetched record or None, the next node (by pc, after a prediction).
+# retired, retire, stall, fetch, next). work, None with no X, M or trap
+# handler and no read, is (xo, xy, m, tested, reads): X and M positions
+# run, the handlers' outcome the cycle was learned with, (R position, a's
+# and b's producer position or None) per cell leaving R. Then what
+# retired, its handler, the stall position, the fetched record or None,
+# the next node, or (predicted pc, next node) after a predicted fetch.
 _KNOCK = [None, None]   # the state is looked up at the next cycle's start
 _LEARN = [None, None]   # the cycle just decided is recorded there
 
@@ -626,8 +628,7 @@ class Engine:
         self.outputs.append(self._bank[PRINT_REG] & MASK32)
 
     def _retire_sys(self, cell):
-        self.state.enter_exception(VEC_SYSCALL,
-                                   (cell.record.pc + 4) & MASK32)
+        self.state.enter_exception(VEC_SYSCALL, cell.record.next_pc)
         return self._transition()
 
     def _retire_rfe(self, cell):
@@ -689,7 +690,8 @@ class Engine:
 
     def _learn(self, n):
         """The cycle to replay at cycle n, or None to decide it. A knock's
-        state replays, is learned from if met before, or is kept; learning
+        state replays, is learned from if met before, or is kept; a state
+        replay reaches with nothing recorded is learned from. Learning
         stops at a state with a cycle, a wrong prediction or a new knock."""
         node, memo = self._node, self.memo
         if node is _KNOCK or node is _LEARN:
@@ -699,7 +701,7 @@ class Engine:
             flushed, knock = (False, True) if node is _KNOCK else \
                 self._note(after)
             if after[1] is not None or flushed or fresh and knock:
-                self._learning = None       # replay it, or stop learning
+                # replay it, or stop learning
                 self._node = after if after[1] is not None else None
                 return after[1]
             node = after
@@ -709,10 +711,12 @@ class Engine:
         return None
 
     def _note(self, after):
-        """Record the cycle decided from self._learning, leading to `after`,
-        by the outcome its handlers returned, self._outcome, as replay
-        tests it: a wrong prediction's refetch pc, a user load's hit beside
-        it, a trap's mode and pc. (Whether it flushed, met a back edge.)"""
+        """Record the cycle decided from self._learning, which has none
+        yet, as one path to `after`: with the outcome its handlers
+        returned, self._outcome, as replay tests it (a wrong prediction's
+        refetch pc, a user load's hit beside it, a trap's mode and pc),
+        and the pc predicted where it fetched a branch or jump. (Whether
+        it flushed, met a back edge.)"""
         node, token = self._learning, self._outcome
         cells = _cells(node[0])
         x_old, x_young, m, r_at = _WORK[node[0][0]]
@@ -737,23 +741,19 @@ class Engine:
             if record.execute is not None:  # a producer retired now: bank
                 reads.append((idx,) + tuple(None if p in (-1, len(cells) - 1)
                                             else p for p in (pa, pb)))
-        knock, nexts = False, after
-        record = None if stall else conveyor[0].record
+        knock, record = False, None if stall else conveyor[0].record
         if record is not None and record.predicted and not record.holds:
             hit, taken, _ = conveyor[0].predicted
-            knock, nexts = hit and taken, {self.fetch_pc: after}
-        rest = tuple(reads), stall, record, nexts
-        if node[1] is not None:
-            node[1][0][5][token] = rest
-        else:
-            work = xo or xy or m or reads or trap
-            node[1] = ((xo, xy, m, token, rest[0], {}) if work else None,
-                       retired, retire) + rest[1:]
+            knock, after = hit and taken, (self.fetch_pc, after)
+        work = xo or xy or m or reads or trap
+        node[1] = ((xo, xy, m, token, tuple(reads)) if work else None,
+                   retired, retire, stall, record, after)
         return wrong, knock
 
-    def _resume(self, token):
-        """Hand a replayed cycle, with the outcome its handlers returned, to
-        step() to decide and learn its rest."""
+    def _resume(self):
+        """Restore the state of a replayed cycle whose handlers returned
+        another outcome than the recorded one, for step() to decide its
+        rest; learning starts again at the next knock."""
         node, conveyor = self._node, self.conveyor
         (xo, xy, m, *_), retired = node[1][:2]
         if retired is not InstrClass.SYSTRAP:   # else the conveyor is new
@@ -762,7 +762,7 @@ class Engine:
                 if idx:
                     setattr(conveyor[idx], at, -1)
             conveyor[-1].retired = True
-        self._node, self._learning, self._outcome = _LEARN, node, token
+        self._node = None
 
     @property
     def replaying(self):
@@ -791,9 +791,9 @@ class Engine:
                 (cycle := self._learn(n)) is None:
             if self.trace is not None:
                 self._trace(n)
-            # execute, oldest first: a branch resolving at the older X
-            # flushes the younger positions in place, so the younger is
-            # read after it. The handlers' outcome is kept as replay's is.
+            # execute, oldest first (of the X positions only 3 resolves,
+            # in either mode: user 13 holds plan-B immediates alone). The
+            # handlers' outcome is kept as replay's is.
             token = None
             idx = self._x_old
             cell = conveyor[idx]
@@ -840,9 +840,9 @@ class Engine:
                 self._outcome = token
         else:
             # replay (of the X positions only 3 resolves, in either mode)
-            work, retired, retire, stall, record, nexts = cycle
+            work, retired, retire, stall, record, after = cycle
             if work is not None:
-                xo, xy, m, tested, reads, rests = work
+                xo, xy, m, tested, reads = work
                 token = None
                 if xo:
                     cell = conveyor[xo]
@@ -867,13 +867,9 @@ class Engine:
                         token, conveyor = entered, self.conveyor
             stats.cycles = n + 1
             if work is not None:
-                if token != tested:
-                    rest = rests.get(token)
-                    if rest is None:    # not seen from here: decide the rest
-                        reads, stall = (), -1
-                        self._resume(token)
-                    else:
-                        reads, stall, record, nexts = rest
+                if token != tested:     # another outcome: decide the rest
+                    reads, stall = (), -1
+                    self._resume()
                 for idx, pa, pb in reads:
                     cell = conveyor[idx]
                     reg = cell.record.a
@@ -899,13 +895,14 @@ class Engine:
                         slot.predicted = predicted = self.bpb.lookup(record.pc)
                         if predicted[1]:
                             self.fetch_pc = predicted[2]
-                        # the next state by the pc predicted; a new one
-                        # differs from another's only in the fetch pc
-                        node = nexts.get(self.fetch_pc)
-                        if node is None:
-                            self._restore(next(iter(nexts.values()))[0])
-                        nexts = node
-                self._node = nexts
+                        # another prediction: restore the recorded next
+                        # state, which differs only in the fetch pc, and
+                        # decide from it
+                        pc, after = after
+                        if pc != self.fetch_pc:
+                            self._restore(after[0])
+                            after = None
+                self._node = after
                 return
 
         # R, oldest first: the oldest cell whose wake cycle has not come (a

@@ -62,6 +62,16 @@ MUTANTS = [
     mutant("run past the budget", ORACLE,
            [("if count and steps + count <= max_steps:", "if count:")],
            killer="tests/test_corpus.py", corpus=True),
+    mutant("a run sets the pc after its ops", ORACLE,
+           [("                    self.pc = successor\n"
+             "                    for handler, ins, operand in ops:\n"
+             "                        handler(self, ins, operand)\n",
+             "                    for handler, ins, operand in ops:\n"
+             "                        handler(self, ins, operand)\n"
+             "                    self.pc = successor\n")],
+           killer="tests/test_oracle.py::"
+           "test_every_budget_ends_a_loop_where_stepping_ends_it",
+           corpus=True),
     mutant("fold keeps no record for its immediate", ORACLE,
            [(FOLD_STORE, "if sealed[0] is Interpreter._sealed_immediate:\n")],
            killer="tests/test_fetch_record.py::"
@@ -113,11 +123,12 @@ MUTANTS = [
            [("if conveyor[idx + 1] is STALL_BUBBLE:",
              "if conveyor[idx] is STALL_BUBBLE:")],
            killer=REPLAY + "test_shipped_programs_end_alike"),
-    mutant("an unseen prediction restores nothing", PIPELINE,
-           [("                        if node is None:\n"
-             "                            self._restore(next(iter("
-             "nexts.values()))[0])\n", "")],
+    mutant("another prediction restores nothing", PIPELINE,
+           [("                            self._restore(after[0])\n", "")],
            killer=REPLAY + "test_loops_whose_outcomes_turn_end_alike"),
+    mutant("replay follows a recorded cycle whatever its handlers returned",
+           PIPELINE, [("if token != tested:", "if False:")],
+           killer=REPLAY + "test_shipped_programs_end_alike", corpus=True),
     mutant("replay counts a stall as a refill", PIPELINE,
            [("            if retired is STALL_BUBBLE:\n"
              "                self._mode_stats.stalls += 1",
@@ -127,7 +138,7 @@ MUTANTS = [
     mutant("restore leaves settled stale", PIPELINE,
            [("cell.wake, cell.settled, cell.retired = 0, False, False",
              "cell.wake, cell.retired = 0, False")],
-           killer=REPLAY + "test_corpus_sweeps_end_alike"),
+           killer=REPLAY + "test_loops_whose_outcomes_turn_end_alike"),
     mutant("replay reads a producer retired this cycle from its cell",
            PIPELINE,
            [("None if p in (-1, len(cells) - 1)", "None if p == -1")],

@@ -488,6 +488,13 @@ def bytecodes(fn, skip=None):
 #     image, decided cycles keep
 #     their handlers' outcome
 #     for learning                      -   346.6       -       -
+#   engine, per cycle, one path
+#     per recorded cycle            273.1   266.0   259.3   260.4
+#   oracle, per step, handlers
+#     read the pc after their word
+#     from the pc, set first         74.8    78.7    74.6    67.0
+#   oracle, per step, first
+#     executions, the same          205.0   205.6   195.7   186.4
 #
 # (the fold-from-words row's 3.13 count is of 3.13.13, where the row
 # above it reads 272.0. The two rows with no prefix latch were measured
@@ -500,7 +507,11 @@ def bytecodes(fn, skip=None):
 # bytecodes a block, were counted that way too; the oracle before the
 # table read 241.4, 241.6, 233.1 and 216.2 on 3.13.0. The two progen
 # engine rows were counted on 3.11.7 alone, where the engine on
-# bench/is_add_test.s read 267.9 before the second and 267.6 after it.)
+# bench/is_add_test.s read 267.9 before the second and 267.6 after it.
+# The last three rows were counted by a script outside pytest, where the
+# rows before them read 274.8, 267.6, 260.8 and 262.1; 76.6, 80.1, 76.0
+# and 67.1; 206.9, 207.1, 197.2 and 186.5; the progen engine row stayed
+# at 351.9, 346.6, 343.4 and 341.6.)
 # The engine's ceiling is 288, the replay row's count plus 5%, as the
 # CPython columns differ by up to about 3%: a replay that stops engaging
 # fails it. The engine's on the progen image is 364, its row's count

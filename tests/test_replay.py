@@ -1,19 +1,20 @@
 """Replay is exact: an engine that replays the recorded cycles of states it
 has seen ends exactly as one that decides every cycle.
 
-A no-op trace callback makes an engine decide every cycle; with none, it
-replays a loop's rounds once their back edge was predicted taken
-KNOCK_HITS times and a state there recurs. Each case runs both engines,
-at the shipped threshold and at 1, where replay engages within a loop's
-first rounds and so reaches the paths a short loop takes: a state left
-with no recorded cycle, an outcome a state never gave, a prediction a
-state never made. The state compared is
+An engine decides every cycle while KNOCK_HITS is out of its reach, as
+under a trace; otherwise it replays a loop's rounds once their back edge
+was predicted taken KNOCK_HITS times and a state there recurs. Each case
+runs both engines, at the shipped threshold and at 1, where replay
+engages within a loop's first rounds and so reaches the paths a short
+loop takes: a state left with no recorded cycle, and an outcome or a
+prediction other than the one a state recorded. The state compared is
 what any command reads: the stats in total, per mode and per class, the
 outputs, both register banks, the flags, the pc and mode, the physical
 view of memory, the cache counters, and the branch prediction buffer's
 entries and counters.
 """
 
+import math
 from pathlib import Path
 
 import pytest
@@ -111,10 +112,22 @@ def knock(request, monkeypatch):
 def both(image, budget=pipeline.DEFAULT_MAX_CYCLES, **options):
     """(stepped, replayed) engines of `image` after run(budget), each
     with its outcome; the replayed one counts the cycles it replayed."""
-    stepped = Engine(image, CDC, trace=lambda line: None, **options)
+    stepped = Engine(image, CDC, **options)
     replayed = Engine(image, CDC, **options)
-    return ((stepped, outcome(stepped, budget)),
+    return ((stepped, decided(stepped, budget)),
             (replayed, counted(replayed, budget)))
+
+
+def decided(engine, budget):
+    """outcome(engine, budget) with KNOCK_HITS out of reach, so the
+    engine decides every cycle, untraced: its memo stays empty."""
+    knock, pipeline.KNOCK_HITS = pipeline.KNOCK_HITS, math.inf
+    try:
+        ends = outcome(engine, budget)
+    finally:
+        pipeline.KNOCK_HITS = knock
+    assert engine.memo == {}
+    return ends
 
 
 def counted(engine, budget):
@@ -194,8 +207,9 @@ TURNING = [entry for entry in LOOPS
 
 @pytest.mark.parametrize("entry", TURNING, ids=[e[0] for e in TURNING])
 def test_loops_whose_outcomes_turn_end_alike(entry, knock):
-    # a prediction, a load's hit or a round's end that a replayed state
-    # never gave, and a prediction a replayed fetch never made
+    # a prediction, a load's hit or a round's end other than the one a
+    # replayed state recorded, and a prediction other than a replayed
+    # fetch's
     name, _, text, budget = entry
     engine = assert_alike(build(text), budget)
     assert engine.halted
@@ -209,9 +223,9 @@ SKIPS = {mode: [entry for entry in LOOPS
 
 @pytest.mark.parametrize("mode", sorted(SKIPS))
 def test_a_branch_turning_back_every_few_rounds_ends_alike(mode, knock):
-    # a wrong prediction in a cycle decided from a state whose other
-    # outcome was recorded: learning must see the flush in what the
-    # branch's handler returned. One item runs all 114 loops of a mode.
+    # a wrong prediction in a cycle being learned: learning must see the
+    # flush in what the branch's handler returned. One item runs all 114
+    # loops of a mode.
     differ = []
     for name, _, text, budget in SKIPS[mode]:
         (stepped, ends), (replayed, endr) = both(build(text), budget)
@@ -262,7 +276,7 @@ def test_budgets_end_alike_inside_replayed_rounds():
         assert end_state(replayed) == end_state(stepped)
         # and, from some, a second run carries on from there alike
         if budget % 7 == 0:
-            assert outcome(replayed, 10000) == outcome(stepped, 10000) \
+            assert outcome(replayed, 10000) == decided(stepped, 10000) \
                 is None
             assert end_state(replayed) == end_state(stepped)
 
@@ -285,7 +299,7 @@ def test_a_world_changed_under_replayed_rounds_ends_alike(forget):
                 engine.bpb.entries.clear()
         stepped, replayed = engines
         assert replayed.replaying
-        assert outcome(replayed, 10000) == outcome(stepped, 10000) is None
+        assert outcome(replayed, 10000) == decided(stepped, 10000) is None
         assert end_state(replayed) == end_state(stepped)
 
 
@@ -303,8 +317,9 @@ def test_a_fault_in_a_replayed_round_ends_alike(knock):
 
 
 def test_a_traced_engine_never_replays():
-    stepped, _ = both(build(IS_ADD))
-    assert stepped[0].memo == {}
+    engine = Engine(build(IS_ADD), CDC, trace=lambda line: None)
+    engine.run()
+    assert engine.halted and engine.memo == {}
 
 
 def test_the_memo_grows_with_states_not_rounds():
